@@ -10,7 +10,6 @@ from .space import CompactSet, SampledSpace, builtin_space, fatten, product, val
 from .operators import (
     GroupSpec,
     WeightedComposition,
-    apply,
     check_local_equicontinuity,
     check_sot_convergence,
     compose,

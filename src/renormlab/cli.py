@@ -376,13 +376,8 @@ def task_bounded_suite(space: SampledSpace, group: GroupSpec, scenario: dict,
 
 
 def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = int(scenario.get("seed", 0)) if seed is None else seed
     rng = np.random.default_rng(seed)
-    tasks = scenario.get("tasks", [])
-    summary = {"seed": seed, "tasks": {}, "scenario": scenario}
-    space = make_space(scenario["space"])
-    group = make_group(scenario.get("group", {"builtin": "trivial"}), space)
     cfg: RenormConfig | None = None
 
     def ensure_cfg() -> RenormConfig:
@@ -398,25 +393,30 @@ def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
             )
         return cfg
 
+    # each entry looks its task_* function up when it runs, so a rebound
+    # module attribute takes effect
+    table = {
+        "build-config": lambda: task_build_config(ensure_cfg(), scenario),
+        "verify-bmap": lambda: task_verify_bmap(ensure_cfg(), scenario),
+        "norm-suite": lambda: task_norm_suite(ensure_cfg(), scenario, rng),
+        "dual-suite": lambda: task_dual_suite(ensure_cfg(), scenario, rng),
+        "detect": lambda: task_detect(ensure_cfg(), scenario),
+        "sot-gallery": lambda: task_sot_gallery(space, scenario),
+        "bounded-suite": lambda: task_bounded_suite(space, group, scenario, rng),
+    }
+    tasks = scenario.get("tasks", [])
+    for task in tasks:
+        if task not in table:
+            raise InputError(f"unknown task {task!r}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary = {"seed": seed, "tasks": {}, "scenario": scenario}
+    space = make_space(scenario["space"])
+    group = make_group(scenario.get("group", {"builtin": "trivial"}), space)
+
     exit_code = 0
     for task in tasks:
         try:
-            if task == "build-config":
-                report = task_build_config(ensure_cfg(), scenario)
-            elif task == "verify-bmap":
-                report = task_verify_bmap(ensure_cfg(), scenario)
-            elif task == "norm-suite":
-                report = task_norm_suite(ensure_cfg(), scenario, rng)
-            elif task == "dual-suite":
-                report = task_dual_suite(ensure_cfg(), scenario, rng)
-            elif task == "detect":
-                report = task_detect(ensure_cfg(), scenario)
-            elif task == "sot-gallery":
-                report = task_sot_gallery(space, scenario)
-            elif task == "bounded-suite":
-                report = task_bounded_suite(space, group, scenario, rng)
-            else:
-                raise InputError(f"unknown task {task!r}")
+            report = table[task]()
         except InputError:
             raise
         except Exception as exc:  # assertion-level failure inside a task
@@ -515,7 +515,7 @@ def eval_command(args) -> int:
     else:
         out = {"space": space.name, "n": space.n,
                "metric_report": validate_metric(space)}
-    text = json.dumps(out, indent=2, sort_keys=True)
+    text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:

@@ -91,15 +91,10 @@ def check_weight_one(T: WeightedComposition, cfg: RenormConfig, tol: float = 1e-
     max_dev = float(dev.max())
     witness = cfg.space.points[int(dev.argmax())] if max_dev > tol else None
 
-    ratio_dev = None
-    checked = 0
-    ratios = []
-    for p in range(cfg.space.n):
-        if dual_norm_delta(p, cfg) == 1.0 and dual_norm_delta(int(T.forward[p]), cfg) == 1.0:
-            checked += 1
-            ratios.append(abs(w[p] * 1.0 / 1.0 - 1.0))
-    if ratios:
-        ratio_dev = float(max(ratios))
+    off_orbit = np.array([dual_norm_delta(p, cfg) == 1.0 for p in range(cfg.space.n)])
+    paired = off_orbit & off_orbit[T.forward]
+    checked = int(paired.sum())
+    ratio_dev = float(dev[paired].max()) if checked else None
 
     containment = []
     tol_orbit = 2 * cfg.space.resolution

@@ -152,10 +152,21 @@ def function_to_dict(space: SampledSpace, values: np.ndarray) -> dict:
 
 
 def function_from_dict(doc: dict, space: SampledSpace) -> np.ndarray:
+    """Sample values in point order; every point needs a finite value."""
     vals = doc["values"]
     if isinstance(vals, dict):
-        return np.asarray([vals[p] for p in space.points], dtype=float)
-    return np.asarray(vals, dtype=float)
+        missing = [p for p in space.points if p not in vals]
+        if missing:
+            raise ValueError(f"no value for point {missing[0]!r}")
+        x = np.asarray([vals[p] for p in space.points], dtype=float)
+    else:
+        x = np.asarray(vals, dtype=float)
+        if x.shape != (space.n,):
+            raise ValueError(f"{x.size} values for {space.n} points")
+    bad = np.nonzero(~np.isfinite(x))[0]
+    if bad.size:
+        raise ValueError(f"non-finite value {x[bad[0]]} at point {space.points[bad[0]]!r}")
+    return x
 
 
 def load_space(path: str | Path) -> SampledSpace:
@@ -183,7 +194,10 @@ def save_group(group: GroupSpec, path: str | Path) -> None:
 
 
 def load_function(path: str | Path, space: SampledSpace) -> np.ndarray:
-    return function_from_dict(json.loads(Path(path).read_text()), space)
+    try:
+        return function_from_dict(json.loads(Path(path).read_text()), space)
+    except ValueError as exc:
+        raise ValueError(f"function file {path}: {exc}") from None
 
 
 def save_function(space: SampledSpace, values: np.ndarray, path: str | Path) -> None:

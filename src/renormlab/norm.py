@@ -110,11 +110,6 @@ class TriangularSystem:
     def matrix(self) -> np.ndarray:
         return np.diag(self.lambdas) + self.zeta
 
-    def row(self, k: int) -> np.ndarray:
-        r = self.zeta[k].copy()
-        r[k] = self.lambdas[k]
-        return r
-
 
 def solve_unit(T: TriangularSystem) -> np.ndarray:
     """Back substitution for the unit right-hand side.
@@ -196,7 +191,11 @@ class RenormConfig:
     selection_audit: list
     bmap_report: dict
     gamma_capped: bool
-    slot_lookup: dict = field(repr=False, default_factory=dict)
+    # nearest base-orbit slot of every sample point: distance, 1-based base
+    # index and orbit label; ties go to the lowest base, then to the label
+    slot_dist: np.ndarray = field(repr=False)
+    slot_base: np.ndarray = field(repr=False)
+    slot_gamma: np.ndarray = field(repr=False)
 
     def lam(self, i: int) -> float:
         return self.bc.lam(i)
@@ -222,21 +221,13 @@ class RenormConfig:
         return self.tuple_index(start, (0,) * (n + 1))
 
     def classify_slots(self, points: Sequence[int], tol: float | None = None):
-        """Per-slot base-orbit labels: (base index, gamma) or None."""
+        """Per-slot labels of the nearest base-orbit slot within tol:
+        (base index, gamma) or None."""
         tol = 2 * self.space.resolution if tol is None else tol
-        out = []
-        for p in points:
-            hit = self.slot_lookup.get(int(p))
-            if hit is None and tol > 0:
-                best = None
-                for bi, enum in enumerate(self.orbit_enums, start=1):
-                    dmin = self.space.dmat[p, list(enum)].min()
-                    if dmin <= tol and (best is None or dmin < best[0]):
-                        pos = int(np.argmin(self.space.dmat[p, list(enum)]))
-                        best = (dmin, (bi, pos))
-                hit = best[1] if best else None
-            out.append(hit)
-        return out
+        return [
+            (int(self.slot_base[p]), int(self.slot_gamma[p])) if self.slot_dist[p] <= tol else None
+            for p in points
+        ]
 
     def provenance(self) -> dict:
         return {
@@ -359,13 +350,19 @@ def build_config(
         for n, rows in sorted(raw.items())
     ]
 
-    all_orbit_points = sorted({p for enum in orbit_enums for p in enum})
-    coverage_defect = float(space.dmat[:, all_orbit_points].min(axis=1).max())
-
-    slot_lookup = {}
+    # each orbit point keeps its first slot; columns in slot order make the
+    # first nearest column the nearest slot under the tie rule
+    first_slot: dict[int, tuple[int, int]] = {}
     for bi, enum in enumerate(orbit_enums, start=1):
         for gpos, p in enumerate(enum):
-            slot_lookup.setdefault(p, (bi, gpos))
+            first_slot.setdefault(p, (bi, gpos))
+    cols = np.asarray(list(first_slot), dtype=np.intp)
+    slots = np.asarray(list(first_slot.values()), dtype=np.intp)
+    gather = np.take(space.dmat, cols, axis=1)  # C order: argmin makes no copy
+    nearest = gather.argmin(axis=1)
+    slot_dist = gather[np.arange(space.n), nearest]
+    del gather
+    coverage_defect = float(slot_dist.max())
 
     report = verify_bmap(bc, depth, registry)
     if not report["ok"]:
@@ -385,7 +382,9 @@ def build_config(
         selection_audit=audit,
         bmap_report=report,
         gamma_capped=gamma_capped,
-        slot_lookup=slot_lookup,
+        slot_dist=slot_dist,
+        slot_base=slots[nearest, 0],
+        slot_gamma=slots[nearest, 1],
     )
 
 
@@ -549,16 +548,12 @@ def comparison_matrix(s_points: Sequence[int], t: TupleIndex, cfg: RenormConfig)
 
 
 def dual_norm_delta(point: int, cfg: RenormConfig, tol: float | None = None) -> float:
-    """Dual norm of a unit atom: 1/lambda_i on the i-th base orbit, 1 off
-    every enumerated base orbit."""
+    """Dual norm of a unit atom: 1/lambda_i when the nearest base-orbit slot
+    within tol belongs to the i-th base point, 1 off every enumerated base
+    orbit."""
     tol = cfg.space.resolution + 1e-12 if tol is None else tol
-    hit = cfg.slot_lookup.get(int(point))
-    if hit is not None:
-        return 1.0 / cfg.lam(hit[0])
-    for bi, enum in enumerate(cfg.orbit_enums, start=1):
-        if cfg.space.dmat[point, list(enum)].min() <= tol:
-            return 1.0 / cfg.lam(bi)
-    return 1.0
+    (hit,) = cfg.classify_slots((point,), tol)
+    return 1.0 if hit is None else 1.0 / cfg.lam(hit[0])
 
 
 def dual_norm_atoms(

@@ -23,7 +23,6 @@ log = logging.getLogger(__name__)
 __all__ = [
     "WeightedComposition",
     "GroupSpec",
-    "apply",
     "compose",
     "invert",
     "identity",
@@ -71,23 +70,14 @@ class WeightedComposition:
             raise ValueError("operator arrays must match the space size")
         if not np.all(np.isfinite(self.weight)) or self.weight.min() <= 0:
             raise ValueError("weight must be positive and finite")
-        defects = self.roundtrip_defects()
-        stray = [i for i in defects if i not in self.allowed_defects]
+        stray = sorted(i for i in _roundtrip_defects(self.space, self.forward, self.backward)
+                       if i not in self.allowed_defects)
         if stray:
             pid = self.space.points[stray[0]]
             raise ValueError(
                 f"map round trip displaces {len(stray)} points beyond 2*resolution "
                 f"(first: {pid}); declare truncation-edge defects explicitly"
             )
-
-    def roundtrip_defects(self) -> list[int]:
-        tol = 2 * self.space.resolution + 1e-12
-        idx = np.arange(self.space.n)
-        gap = np.maximum(
-            self.space.dmat[self.backward[self.forward], idx],
-            self.space.dmat[self.forward[self.backward], idx],
-        )
-        return [int(i) for i in np.nonzero(gap > tol)[0]]
 
     @property
     def is_weight_one(self) -> bool:
@@ -104,9 +94,12 @@ class WeightedComposition:
         return f"WeightedComposition({self.label or 'op'!r} on {self.space.name})"
 
 
-def apply(T: WeightedComposition, f: np.ndarray) -> np.ndarray:
-    """Pointwise ``a(y) * f(phi(y))`` with phi resolved to sample indices."""
-    return T.apply(f)
+def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray) -> frozenset[int]:
+    """Points that a round trip through the two index maps, in either order,
+    displaces by more than ``2 * resolution``."""
+    idx = np.arange(space.n)
+    gap = np.maximum(space.dmat[backward[forward], idx], space.dmat[forward[backward], idx])
+    return frozenset(int(i) for i in np.nonzero(gap > 2 * space.resolution + 1e-12)[0])
 
 
 def compose(h: WeightedComposition, g: WeightedComposition) -> WeightedComposition:
@@ -129,10 +122,7 @@ def compose(h: WeightedComposition, g: WeightedComposition) -> WeightedCompositi
     backward = h.backward[g.backward]
     # snapping errors of non-isometric maps amplify under composition; the
     # composite declares its own measured round-trip defects
-    space = h.space
-    idx = np.arange(space.n)
-    gap = np.maximum(space.dmat[backward[forward], idx], space.dmat[forward[backward], idx])
-    new_defects = frozenset(int(i) for i in np.nonzero(gap > 2 * space.resolution + 1e-12)[0])
+    new_defects = _roundtrip_defects(h.space, forward, backward)
     return WeightedComposition(
         space=h.space,
         weight=weight,
@@ -319,12 +309,9 @@ def remark25_map(space: SampledSpace, n: int) -> WeightedComposition:
     # bwd[row(n, n_max)] stays put: the ideal preimage (n, n_max + 1) has no
     # nearby sample point; the resulting round-trip defects at the truncation
     # edge are measured and declared
-    gap_tol = 2 * space.resolution + 1e-12
-    idx = np.arange(N)
-    gap = np.maximum(space.dmat[bwd[fwd], idx], space.dmat[fwd[bwd], idx])
-    defects = frozenset(int(i) for i in np.nonzero(gap > gap_tol)[0])
     return WeightedComposition(
-        space, np.ones(N), fwd, bwd, label=f"phi_{n}", allowed_defects=defects,
+        space, np.ones(N), fwd, bwd, label=f"phi_{n}",
+        allowed_defects=_roundtrip_defects(space, fwd, bwd),
     )
 
 
@@ -433,10 +420,6 @@ class GroupSpec:
         self._words_cache[cap] = out
         return out
 
-    def weight_bound(self, cap: int | None = None) -> float:
-        """Max over enumerated words of the sup weight."""
-        return max(float(w.weight.max()) for w in self.words(cap))
-
 
 # ----------------------------------------------------------------------
 # convergence and equicontinuity checkers
@@ -459,12 +442,6 @@ class SOTVerdict:
     moreover_applicable: bool
     moreover_detail: str
     horizon: int
-
-    def condition(self, name: str) -> ConditionReport:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def _tail_threshold(violations: Sequence[int], horizon: int) -> int | None:

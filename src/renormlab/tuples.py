@@ -67,9 +67,10 @@ def enumerate_window(m: int) -> Window:
     """The m-th window of the triangular layout (1-based)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    # row r holds r windows; rows 1..r-1 hold r(r-1)/2 of them
-    r = 1
-    while r * (r + 1) // 2 < m:
+    # row r holds r windows; rows 1..r-1 hold r(r-1)/2 of them, so r is the
+    # smallest row with r(r+1)/2 >= m
+    r = (math.isqrt(8 * m + 1) - 1) // 2
+    if r * (r + 1) // 2 < m:
         r += 1
     j = m - r * (r - 1) // 2  # position within row, 1-based
     start = r + 1 - j
@@ -215,14 +216,16 @@ class ClassRegistry:
                 best = img
         return best if best is not None else tuple(int(i) for i in pts)
 
+    def _key(self, start: int, points: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+        return enumeration_index(window_of(start, len(points) - 1)), self.canonical_key(points)
+
     def classify(self, start: int, points: Sequence[int]) -> ClassInfo:
         """Class of a window tuple, auto-registering new classes."""
-        w = window_of(start, len(points) - 1)
-        m = enumeration_index(w)
-        key = (m, self.canonical_key(points))
+        key = self._key(start, points)
         info = self._by_key.get(key)
         if info is not None:
             return info
+        m = key[0]
         ordinal = len(self._by_window.get(m, ())) + 1
         cm = 3 * m
         total = self.declared_totals.get(m)
@@ -242,9 +245,8 @@ class ClassRegistry:
         return list(self._by_window.get(enumeration_index(w), ()))
 
     def lookup(self, start: int, points: Sequence[int]) -> ClassInfo | None:
-        w = window_of(start, len(points) - 1)
-        key = (enumeration_index(w), self.canonical_key(points))
-        return self._by_key.get(key)
+        """Registered class of a window tuple, or None; never registers."""
+        return self._by_key.get(self._key(start, points))
 
     def all_classes(self) -> list[tuple[int, ClassInfo]]:
         out = []
@@ -297,19 +299,20 @@ def verify_bmap(
     the lower estimate 3(i+n)-4 (5), and the one-step growth b' > L b (6).
     The budget property (7) is checked as lambda_i + finite prefix sums +
     tail < C for every registered tuple.
+
+    The registry is only read: a prefix class that properties 6 and 7 need
+    but that is not registered counts as a violation.
     """
     report: dict = {"depth": depth, "violations": [], "checked": 0}
     if not bc.tail_sum() < bc.budget():
         report["violations"].append(("property3", "geometric tail exceeds budget"))
 
     by_m: dict[int, list[ClassInfo]] = {}
-    per_key: dict[tuple[int, tuple[int, ...]], ClassInfo] = {}
     for m, info in registry.all_classes():
         w = enumerate_window(m)
         if w.end > depth and w.n > 1:
             continue  # pairs beyond depth participate only in property 7 sums
         by_m.setdefault(m, []).append(info)
-        per_key[(m, info.representative)] = info
 
     for m, infos in sorted(by_m.items()):
         w = enumerate_window(m)
@@ -342,34 +345,29 @@ def verify_bmap(
         w = enumerate_window(m)
         if w.n < 2 or (w.end > depth and w.n > 1):
             continue
-        prefix_rep = rep[:-1]
-        pm = enumeration_index(window_of(w.start, w.n - 1))
-        # canonical keys of prefixes of canonical representatives are the
-        # prefixes' own canonical keys only up to word action; re-canonicalize
-        pkey = (pm, registry.canonical_key(prefix_rep))
-        pinfo = registry._by_key.get(pkey)
+        pinfo = registry.lookup(w.start, rep[:-1])
         if pinfo is None:
-            pinfo = registry.classify(w.start, prefix_rep)
-        if not info.exponent > pinfo.exponent + 1:
+            report["violations"].append(("property6", f"m={m} ordinal {info.ordinal}: prefix class not registered"))
+        elif not info.exponent > pinfo.exponent + 1:
             report["violations"].append(
                 ("property6", f"m={m} ordinal {info.ordinal}: extension does not exceed L * base weight")
             )
 
-    # property 7: budget along every registered tuple's prefix chain
-    for m, info in sorted(rep_index.items()):
-        w = enumerate_window(m[0])
-        lam = bc.lam(w.start)
-        total = lam
-        pts = info.representative
-        ell_last = m[0]
-        for k in range(1, w.n + 1):
-            sub = registry.classify(w.start, pts[: k + 1])
-            total += bc.inv_L_pow(sub.exponent)
-            ell_last = max(ell_last, enumeration_index(window_of(w.start, k)))
-        total += enumeration_tail(bc, ell_last)
+    # property 7: budget along every registered tuple's prefix chain; the
+    # deepest prefix window is the tuple's own, so the tail starts beyond m
+    for (m, rep), info in sorted(rep_index.items()):
+        w = enumerate_window(m)
+        subs = [registry.lookup(w.start, rep[: k + 1]) for k in range(1, w.n + 1)]
         report["checked"] += 1
+        if any(sub is None for sub in subs):
+            report["violations"].append(("property7", f"m={m} ordinal {info.ordinal}: prefix class not registered"))
+            continue
+        total = bc.lam(w.start)
+        for sub in subs:
+            total += bc.inv_L_pow(sub.exponent)
+        total += enumeration_tail(bc, m)
         if not total < bc.C:
-            report["violations"].append(("property7", f"m={m[0]} ordinal {info.ordinal}: budget exceeded ({total})"))
+            report["violations"].append(("property7", f"m={m} ordinal {info.ordinal}: budget exceeded ({total})"))
 
     report["ok"] = not report["violations"]
     return report

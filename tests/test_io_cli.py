@@ -1,10 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 
 import renormlab as rl
 from renormlab import io as rio
-from renormlab.cli import main, run
+from renormlab.cli import InputError, main, run
 from renormlab.operators import line_translation, onepoint_swap_group
 
 
@@ -165,3 +166,33 @@ def test_cli_eval_bounded_group(capsys):
     assert out["C_G"] == 2.0
     assert out["flagged"] == ["inf"]
     assert out["m"]["inf"] == 1.0
+
+
+def test_run_rejects_unknown_task_before_writing(tmp_path):
+    scenario = {
+        "space": {"builtin": "line", "params": {"step": 0.05, "window": [-2, 2]}},
+        "tasks": ["build-config", "bogus"],
+    }
+    with pytest.raises(InputError, match="bogus"):
+        run(scenario, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_eval_norm_rejects_bad_function_files(tmp_path, capsys):
+    sp = rl.builtin_space("line", step=0.1, window=(-2, 2))
+    spfile = tmp_path / "space.json"
+    rio.save_space(sp, spfile)
+    values = {p: 0.5 for p in sp.points}
+    nan_file = tmp_path / "nan.json"
+    nan_file.write_text(json.dumps({"values": {**values, "x-2": float("nan")}}))
+    short_file = tmp_path / "short.json"
+    short_file.write_text(json.dumps({"values": {p: v for p, v in values.items() if p != "x-2"}}))
+    for path, why in ((nan_file, "non-finite value nan at point 'x-2'"),
+                      (short_file, "no value for point 'x-2'")):
+        out = tmp_path / "norm.json"
+        code = main(["eval", "--space", str(spfile), "--norm", str(path),
+                     "--depth", "4", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert str(path) in err and why in err

@@ -22,6 +22,8 @@ from renormlab.norm import (
     witness_function,
     WitnessSpec,
 )
+from renormlab.detector import check_weight_one
+from renormlab.operators import identity, line_translation, multiplication
 from renormlab.tuples import TupleIndex, c_value, choose_parameters, window_of
 
 
@@ -254,6 +256,88 @@ def test_dual_norm_delta_numeric_cross_check(line_cfg):
     value = triple_norm(x, line_cfg).value
     ratio = x[t.points[0]] / value
     assert ratio >= (1 - 0.02) * dual_norm_delta(t.points[0], line_cfg)
+
+
+# the per-orbit searches that the base-orbit slot table replaced, kept as
+# oracles: exact orbit points resolve to their first slot; classify_slots
+# then takes the nearest base orbit within tol and dual_norm_delta the first
+
+
+def _first_slots(cfg):
+    lookup = {}
+    for bi, enum in enumerate(cfg.orbit_enums, start=1):
+        for gpos, p in enumerate(enum):
+            lookup.setdefault(p, (bi, gpos))
+    return lookup
+
+
+def _classify_slots_oracle(cfg, lookup, p, tol):
+    hit = lookup.get(int(p))
+    if hit is None and tol > 0:
+        best = None
+        for bi, enum in enumerate(cfg.orbit_enums, start=1):
+            dmin = cfg.space.dmat[p, list(enum)].min()
+            if dmin <= tol and (best is None or dmin < best[0]):
+                pos = int(np.argmin(cfg.space.dmat[p, list(enum)]))
+                best = (dmin, (bi, pos))
+        hit = best[1] if best else None
+    return hit
+
+
+def _dual_norm_delta_oracle(cfg, lookup, p, tol):
+    hit = lookup.get(int(p))
+    if hit is not None:
+        return 1.0 / cfg.lam(hit[0])
+    for bi, enum in enumerate(cfg.orbit_enums, start=1):
+        if cfg.space.dmat[p, list(enum)].min() <= tol:
+            return 1.0 / cfg.lam(bi)
+    return 1.0
+
+
+@pytest.fixture(scope="module")
+def line20_cfg(line_space):
+    return rl.build_config(line_space, rl.GroupSpec.trivial(line_space), C=1.1, depth=4,
+                           base_count=20)
+
+
+@pytest.fixture(scope="module")
+def product8_cfg(product_space, rotation_group):
+    # off-orbit points here often lie equally near two orbit points
+    return rl.build_config(product_space, rotation_group, C=1.1, depth=4, base_count=8)
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "product8_cfg", "line20_cfg"])
+def test_slot_table_matches_orbit_search(name, request):
+    cfg = request.getfixturevalue(name)
+    lookup = _first_slots(cfg)
+    res = cfg.space.resolution
+    points = range(cfg.space.n)
+    for tol in (0.0, res + 1e-12, 2 * res):
+        assert cfg.classify_slots(points, tol) == [
+            _classify_slots_oracle(cfg, lookup, p, tol) for p in points
+        ]
+        assert [dual_norm_delta(p, cfg, tol) for p in points] == [
+            _dual_norm_delta_oracle(cfg, lookup, p, tol) for p in points
+        ]
+    dist = cfg.space.dmat[:, sorted(lookup)].min(axis=1)
+    assert cfg.coverage_defect == float(dist.max())
+
+
+def test_check_weight_one_matches_pointwise_dual_loop(product_cfg, line20_cfg):
+    cases = [(product_cfg, g) for g in product_cfg.group.generators]
+    space = line20_cfg.space
+    cases += [(line20_cfg, op) for op in (identity(space), line_translation(space, 0.3),
+                                          multiplication(space, 1.2))]
+    for cfg, T in cases:
+        lookup = _first_slots(cfg)
+        tol = cfg.space.resolution + 1e-12
+        off = [_dual_norm_delta_oracle(cfg, lookup, p, tol) == 1.0 for p in range(cfg.space.n)]
+        ratios = [abs(T.weight[p] - 1.0) for p in range(cfg.space.n)
+                  if off[p] and off[int(T.forward[p])]]
+        rep = check_weight_one(T, cfg)
+        assert rep.dual_points_checked == len(ratios)
+        assert rep.dual_ratio_deviation == (max(ratios) if ratios else None)
+    assert rep.dual_points_checked > 0
 
 
 def test_dual_norm_atoms_singleton(line_cfg):

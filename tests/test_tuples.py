@@ -38,6 +38,21 @@ def test_enumeration_round_trip_property(m):
     assert enumeration_index(enumerate_window(m)) == m
 
 
+def _row_search_window(m):
+    # the linear row search that the isqrt closed form replaced
+    r = 1
+    while r * (r + 1) // 2 < m:
+        r += 1
+    j = m - r * (r - 1) // 2
+    return Window(start=r + 1 - j, length=j + 1)
+
+
+@given(st.integers(min_value=1, max_value=10**7))
+@settings(max_examples=200)
+def test_enumerate_window_matches_row_search(m):
+    assert enumerate_window(m) == _row_search_window(m)
+
+
 def test_enumeration_monotone_in_window_order():
     # windows (p..p+q) with q <= n and p <= i never come after (i..i+n)
     windows = [enumerate_window(m) for m in range(1, 1001)]
@@ -150,6 +165,18 @@ def test_verify_bmap_detects_duplicate_exponent():
     report = verify_bmap(bc, 3, reg)
     assert not report["ok"]
     assert any(tag == "property1" for tag, _ in report["violations"])
+
+
+def test_verify_bmap_reads_registry_only():
+    # a 3-slot class whose 2-slot prefix was never registered
+    reg = ClassRegistry([np.arange(10)])
+    reg.classify(1, (0, 1, 2))
+    before = reg.to_records()
+    report = verify_bmap(choose_parameters(1.1), 3, reg)
+    assert reg.to_records() == before
+    assert not report["ok"]
+    assert {tag for tag, _ in report["violations"]} == {"property6", "property7"}
+    assert all("prefix class not registered" in msg for _, msg in report["violations"])
 
 
 def test_verify_bmap_property6_spot(line_cfg):
