@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -458,7 +459,9 @@ def eval_command(args) -> int:
         elif args.check == "equicont":
             rep = check_local_equicontinuity(seq, space.top_exhaustion, (0.5, 0.25, 0.1),
                                              space=space)
-            out = {"equicontinuous": rep.equicontinuous, "table": rep.table,
+            # an unconstrained delta is inf, which JSON cannot hold
+            table = [(eps, None if delta == math.inf else delta) for eps, delta in rep.table]
+            out = {"equicontinuous": rep.equicontinuous, "table": table,
                    "witnesses": [(e, list(wit)) for e, wit in rep.witnesses]}
         else:
             raise InputError("--check must be sot or equicont")

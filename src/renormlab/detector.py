@@ -11,12 +11,11 @@ the base points; inconclusive is a first-class outcome at finite caps.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .norm import RenormConfig, build_matrix, comparison_matrix, dual_norm_delta, solve_unit
+from .norm import RenormConfig, build_matrix, comparison_matrix, solve_unit
 from .operators import WeightedComposition
 from .orbits import equivalent
 from .tuples import TupleIndex
@@ -91,7 +90,10 @@ def check_weight_one(T: WeightedComposition, cfg: RenormConfig, tol: float = 1e-
     max_dev = float(dev.max())
     witness = cfg.space.points[int(dev.argmax())] if max_dev > tol else None
 
-    off_orbit = np.array([dual_norm_delta(p, cfg) == 1.0 for p in range(cfg.space.n)])
+    # dual_norm_delta == 1 at its default tol, read from the slot table: off
+    # every base orbit, or on the orbit of a base whose lambda rounds to one
+    inv_lam = np.array([1.0 / cfg.lam(i) for i in range(1, cfg.base_count + 1)])
+    off_orbit = (cfg.slot_dist > cfg.space.resolution + 1e-12) | (inv_lam[cfg.slot_base - 1] == 1.0)
     paired = off_orbit & off_orbit[T.forward]
     checked = int(paired.sum())
     ratio_dev = float(dev[paired].max()) if checked else None
@@ -157,35 +159,30 @@ def certify(
         img = tuple(int(T.forward[p]) for p in t.points)
         img_ids = tuple(space.points[p] for p in img)
         t_ids = tuple(space.points[p] for p in t.points)
+        ti = cfg.window_tuple(img)
         slots = cfg.classify_slots(img)
-        check = None
-        if all(s is not None for s in slots):
-            bases = [s[0] for s in slots]
-            gammas = tuple(s[1] for s in slots)
-            if bases == list(range(1, n + 2)):
-                ti = TupleIndex(1, gammas, img)
-                info_t = cfg.registry.classify(t.start, t.points)
-                info_s = cfg.registry.classify(ti.start, ti.points)
-                fp_s = fingerprint(ti, cfg)
-                if info_t.m == info_s.m and info_t.ordinal == info_s.ordinal:
-                    check = TupleCheck(t_ids, img_ids, "same-class", tuple(fp_t), tuple(fp_s))
-                else:
-                    check = TupleCheck(
-                        t_ids, img_ids, "class-mismatch", tuple(fp_t), tuple(fp_s),
-                        detail=f"image lies in class ordinal {info_s.ordinal} != {info_t.ordinal}",
-                    )
-            elif bases == list(range(bases[0], bases[0] + n + 1)):
-                ti = TupleIndex(bases[0], gammas, img)
-                fp_s = fingerprint(ti, cfg)
-                check = TupleCheck(
-                    t_ids, img_ids, "window-mismatch", tuple(fp_t), tuple(fp_s),
-                    detail=f"image occupies base window {bases[0]}..{bases[-1]} instead of 1..{n + 1}",
-                )
+        if ti is not None and ti.start == 1:
+            info_t = cfg.registry.classify(t.start, t.points)
+            info_s = cfg.registry.classify(ti.start, ti.points)
+            fp_s = fingerprint(ti, cfg)
+            if info_t.m == info_s.m and info_t.ordinal == info_s.ordinal:
+                check = TupleCheck(t_ids, img_ids, "same-class", tuple(fp_t), tuple(fp_s))
             else:
                 check = TupleCheck(
-                    t_ids, img_ids, "off-orbit", tuple(fp_t), None,
-                    detail=f"image slots land in base orbits {bases}, not a consecutive window",
+                    t_ids, img_ids, "class-mismatch", tuple(fp_t), tuple(fp_s),
+                    detail=f"image lies in class ordinal {info_s.ordinal} != {info_t.ordinal}",
                 )
+        elif ti is not None:
+            fp_s = fingerprint(ti, cfg)
+            check = TupleCheck(
+                t_ids, img_ids, "window-mismatch", tuple(fp_t), tuple(fp_s),
+                detail=f"image occupies base window {ti.start}..{ti.start + n} instead of 1..{n + 1}",
+            )
+        elif all(s is not None for s in slots):
+            check = TupleCheck(
+                t_ids, img_ids, "off-orbit", tuple(fp_t), None,
+                detail=f"image slots land in base orbits {[s[0] for s in slots]}, not a consecutive window",
+            )
         else:
             head_ok = n >= 1 and equivalent(img[:-1], t.points[:-1], cfg.group)
             tail_ok = n >= 1 and equivalent(img[1:], t.points[1:], cfg.group)
@@ -215,16 +212,13 @@ def certify(
                 "detail": check.detail,
             }
 
-    base_pts = np.asarray([cfg.base_points[k] for k in range(test_depth)], dtype=np.intp)
-    best_word = None
-    best_dist = math.inf
-    for w in cfg.group.words():
-        dist = float(space.dmat[w.forward[base_pts], T.forward[base_pts]].max())
-        if dist < best_dist:
-            best_dist = dist
-            best_word = w
+    # registry row k is the k-th group word; the first nearest word wins
+    base_pts = np.asarray(cfg.base_points[:test_depth], dtype=np.intp)
+    dists = space.dmat[cfg.registry.word_maps[:, base_pts], T.forward[base_pts]].max(axis=1)
+    best = int(dists.argmin())
+    best_dist = float(dists[best])
     word_matched = best_dist <= word_tol and weight.weight_ok
-    approx = (best_word.label or "word", best_dist) if best_word is not None else None
+    approx = (cfg.group.words()[best].label or "word", best_dist)
 
     if witness is not None:
         verdict = "rejected"

@@ -27,7 +27,7 @@ __all__ = [
 
 
 def dump_json(obj, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _builtin_form(form: dict) -> dict | None:
@@ -155,6 +155,8 @@ def function_from_dict(doc: dict, space: SampledSpace) -> np.ndarray:
     """Sample values in point order; every point needs a finite value."""
     vals = doc["values"]
     if isinstance(vals, dict):
+        for p in vals:
+            space.index(p)  # an unknown id fails here, named
         missing = [p for p in space.points if p not in vals]
         if missing:
             raise ValueError(f"no value for point {missing[0]!r}")

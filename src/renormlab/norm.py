@@ -229,6 +229,18 @@ class RenormConfig:
             for p in points
         ]
 
+    def window_tuple(self, points: Sequence[int], tol: float | None = None) -> TupleIndex | None:
+        """The window tuple the points occupy, read from each point's nearest
+        base-orbit slot within tol; None when a point has no slot or the
+        slots' base indices are not consecutive."""
+        slots = self.classify_slots(points, tol)
+        if any(s is None for s in slots):
+            return None
+        start = slots[0][0]
+        if [s[0] for s in slots] != list(range(start, start + len(slots))):
+            return None
+        return TupleIndex(start, tuple(s[1] for s in slots), tuple(int(p) for p in points))
+
     def provenance(self) -> dict:
         return {
             "C": self.bc.C,
@@ -263,18 +275,9 @@ def build_config(
         raise ValueError(
             f"only {len(base)} base points selectable; depth {depth} needs at least that many"
         )
-    words = group.words()
-    orbit_enums = []
-    for b in base:
-        seen = []
-        seen_set = set()
-        for w in words:
-            img = int(w.forward[b])
-            if img not in seen_set:
-                seen_set.add(img)
-                seen.append(img)
-        orbit_enums.append(tuple(seen))
-    registry = ClassRegistry([w.forward for w in words])
+    registry = ClassRegistry([w.forward for w in group.words()])
+    # each base orbit lists its distinct word images in word order
+    orbit_enums = [tuple(dict.fromkeys(col)) for col in registry.word_maps[:, list(base)].T.tolist()]
 
     gamma_capped = False
     budget = max_tuples
@@ -288,9 +291,7 @@ def build_config(
                 size = gamma_cap
                 gamma_capped = True
             ranges.append(size)
-        count = 1
-        for r in ranges:
-            count *= r
+        count = math.prod(ranges)
         budget -= count
         if budget < 0:
             raise ValueError(
@@ -309,8 +310,7 @@ def build_config(
             uniq, inv = np.unique(idx[:, : k + 1], axis=0, return_inverse=True)
             vals = np.empty(len(uniq))
             for u, row in enumerate(uniq):
-                info = registry.classify(start, tuple(int(v) for v in row))
-                vals[u] = bc.inv_L_pow(info.exponent)
+                vals[u] = bc.inv_L_pow(registry.classify(start, row).exponent)
             weights[:, k] = vals[inv]
         starts = np.full(count, start, dtype=np.intp)
         return starts, gam, idx, weights
@@ -330,15 +330,7 @@ def build_config(
     for i in range(1, len(base)):
         if (i, 1) not in deep:
             raw.setdefault(1, []).append(build_window(i, 1))
-    last = len(base)
-    enum_last = orbit_enums[last - 1]
-    size = len(enum_last) if gamma_cap is None else min(len(enum_last), gamma_cap)
-    raw.setdefault(0, []).append((
-        np.full(size, last, dtype=np.intp),
-        np.arange(size, dtype=np.intp).reshape(size, 1),
-        np.asarray(enum_last[:size], dtype=np.intp).reshape(size, 1),
-        np.full((size, 1), bc.lam(last)),
-    ))
+    raw.setdefault(0, []).append(build_window(len(base), 0))
     plans = [
         WindowPlan(
             n=n,
@@ -417,6 +409,22 @@ class NormResult:
         return self.value + self.truncation_bound
 
 
+def _plan_values(x: np.ndarray, cfg: RenormConfig) -> list[np.ndarray]:
+    """Seminorm value of every plan row, one array per plan; x must hold
+    one finite value per sample point."""
+    x = np.asarray(x, dtype=float)
+    points = cfg.space.points
+    if x.shape != (len(points),):
+        first = points[x.size] if x.ndim == 1 and x.size < len(points) else None
+        raise ValueError(f"function of shape {x.shape} for {len(points)} points; "
+                         f"first point without a value: {first!r}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"non-finite value {x[bad[0]]} at point {points[bad[0]]!r}")
+    ax = np.abs(x)
+    return [(ax[plan.idx] * plan.weights).sum(axis=1) for plan in cfg.plans]
+
+
 def triple_norm(x: np.ndarray, cfg: RenormConfig) -> NormResult:
     """Max of the seminorms over the enumerated tuples, with an additive
     certificate for the omitted deeper windows.
@@ -426,16 +434,14 @@ def triple_norm(x: np.ndarray, cfg: RenormConfig) -> NormResult:
     were gamma-capped the tail does not cover the missing labels and the
     result is flagged instead.
     """
-    ax = np.abs(np.asarray(x, dtype=float))
     best = -math.inf
     arg = None
-    for plan in cfg.plans:
-        vals = (ax[plan.idx] * plan.weights).sum(axis=1)
+    for plan, vals in zip(cfg.plans, _plan_values(x, cfg)):
         pos = int(vals.argmax())
         if vals[pos] > best:
             best = float(vals[pos])
             arg = (plan, pos)
-    sup_x = float(ax.max())
+    sup_x = float(np.abs(x).max())
     ell_depth = cfg.depth * (cfg.depth - 1) // 2
     bound = sup_x * enumeration_tail(cfg.bc, ell_depth)
     plan, pos = arg
@@ -458,18 +464,10 @@ def gamma_cap_trace(x: np.ndarray, cfg: RenormConfig, caps: Sequence[int]) -> li
     instead of a certificate: the trace restricts the enumerated family to
     tuples whose labels all sit below each cap.
     """
-    ax = np.abs(np.asarray(x, dtype=float))
-    out = []
-    for cap in sorted(set(int(c) for c in caps)):
-        best = 0.0
-        for plan in cfg.plans:
-            mask = (plan.gammas < cap).all(axis=1)
-            if not mask.any():
-                continue
-            vals = (ax[plan.idx[mask]] * plan.weights[mask]).sum(axis=1)
-            best = max(best, float(vals.max()))
-        out.append((cap, best))
-    return out
+    vals = np.concatenate(_plan_values(x, cfg))
+    top = np.concatenate([plan.gammas.max(axis=1) for plan in cfg.plans])
+    caps = sorted(set(int(c) for c in caps))
+    return [(cap, float(vals[top < cap].max(initial=0.0))) for cap in caps]
 
 
 # ----------------------------------------------------------------------
@@ -573,27 +571,18 @@ def dual_norm_atoms(
     fingerprint a(t) is the class invariant used by the detector.
     """
     beta = np.asarray(beta, dtype=float)
-    if np.any(beta < 0.8 - _ZETA_MARGIN) or np.any(beta > 1.0 + _ZETA_MARGIN):
-        raise ValueError("beta outside the [4/5, 1] window")
-    if isinstance(t, TupleIndex):
-        system = build_matrix(t, cfg)
-    else:
+    if not np.all((beta >= 0.8 - _ZETA_MARGIN) & (beta <= 1.0 + _ZETA_MARGIN)):
+        raise ValueError(f"beta {beta.tolist()} outside the [4/5, 1] window")
+    if not isinstance(t, TupleIndex):
         points = tuple(int(p) for p in t)
-        slots = cfg.classify_slots(points, tol=0)
-        if all(s is not None for s in slots):
-            starts = [s[0] for s in slots]
-            if starts == list(range(starts[0], starts[0] + len(points))):
-                ti = TupleIndex(starts[0], tuple(s[1] for s in slots), points)
-                system = build_matrix(ti, cfg)
-            elif reference is not None:
-                system = comparison_matrix(points, reference, cfg)
-            else:
-                raise ValueError("tuple slots do not form a consecutive window; "
-                                 "supply a reference tuple for the comparison route")
-        elif reference is not None:
-            system = comparison_matrix(points, reference, cfg)
-        else:
-            raise ValueError("tuple not registered and no reference supplied")
+        t = cfg.window_tuple(points, tol=0)
+    if t is not None:
+        system = build_matrix(t, cfg)
+    elif reference is not None:
+        system = comparison_matrix(points, reference, cfg)
+    else:
+        raise ValueError("tuple does not sit on a consecutive base window; "
+                         "supply a reference tuple for the comparison route")
     a = solve_unit(system)
     if beta.shape != (system.size,):
         raise ValueError("beta length mismatch")
@@ -672,8 +661,7 @@ def witness_function(spec: WitnessSpec, cfg: RenormConfig) -> tuple[np.ndarray, 
             for q in range(1, t.start + t.n - p + 1):
                 for info in exceptional_classes(t, p, q, cfg.registry, cfg.bc):
                     audit["r2_checked"] += 1
-                    for w in cfg.registry.word_maps:
-                        pts = [int(w[v]) for v in info.representative]
+                    for pts in cfg.registry.word_maps[:, list(info.representative)].tolist():
                         if all(
                             pts[j] in sup_sets[p - t.start + j]
                             for j in range(q + 1)

@@ -68,8 +68,10 @@ class WeightedComposition:
         self.backward = np.asarray(self.backward, dtype=np.intp)
         if self.weight.shape != (n,) or self.forward.shape != (n,) or self.backward.shape != (n,):
             raise ValueError("operator arrays must match the space size")
-        if not np.all(np.isfinite(self.weight)) or self.weight.min() <= 0:
-            raise ValueError("weight must be positive and finite")
+        bad = np.flatnonzero(~(np.isfinite(self.weight) & (self.weight > 0)))
+        if bad.size:
+            raise ValueError(f"weight {self.weight[bad[0]]} at point "
+                             f"{self.space.points[bad[0]]!r}: must be positive and finite")
         stray = sorted(i for i in _roundtrip_defects(self.space, self.forward, self.backward)
                        if i not in self.allowed_defects)
         if stray:

@@ -88,6 +88,11 @@ class SampledSpace:
         self.dmat = np.asarray(self.dmat, dtype=float)
         if self.dmat.shape != (n, n):
             raise ValueError("distance matrix shape mismatch")
+        bad = np.argwhere(~np.isfinite(self.dmat))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"non-finite distance {self.dmat[i, j]} between points "
+                             f"{self.points[i]!r} and {self.points[j]!r}")
         if not np.allclose(self.dmat, self.dmat.T, atol=1e-12):
             raise ValueError("metric not symmetric on the sample")
         if np.any(np.abs(np.diag(self.dmat)) > 1e-12):
@@ -122,7 +127,10 @@ class SampledSpace:
         return float(self.dmat[i, j])
 
     def index(self, point_id: str) -> int:
-        return self._index[point_id]
+        try:
+            return self._index[point_id]
+        except KeyError:
+            raise ValueError(f"unknown point id {point_id!r} in space {self.name!r}") from None
 
     def compact(self, members: Iterable[int], label: str = "") -> CompactSet:
         ms = tuple(sorted(set(int(m) for m in members)))

@@ -133,9 +133,9 @@ class BCAssignment:
 
 def choose_parameters(C: float) -> BCAssignment:
     """Smallest integer L > 9 with sum_{n>=1} L^-n < C - lambda_1."""
-    c_exact = Fraction(C).limit_denominator(10**9)
-    if not (1 < c_exact <= Fraction(11, 10)):
-        raise ValueError("C must lie in (1, 1.1]")
+    c_exact = Fraction(C).limit_denominator(10**9) if math.isfinite(C) else None
+    if c_exact is None or not (1 < c_exact <= Fraction(11, 10)):
+        raise ValueError(f"C must lie in (1, 1.1], got {C}")
     budget = (c_exact - 1) / 2  # C - lambda_1
     L = 10
     while Fraction(1, L - 1) >= budget:
@@ -202,19 +202,15 @@ class ClassRegistry:
     """
 
     def __init__(self, word_maps: Sequence[np.ndarray], declared_totals: dict[int, int] | None = None):
-        self.word_maps = [np.asarray(w, dtype=np.intp) for w in word_maps]
+        # (W, n): row w maps every sample index to its image under word w
+        self.word_maps = np.stack(word_maps).astype(np.intp, copy=False)
         self.declared_totals = dict(declared_totals or {})
         self._by_key: dict[tuple[int, tuple[int, ...]], ClassInfo] = {}
         self._by_window: dict[int, list[ClassInfo]] = {}
 
     def canonical_key(self, points: Sequence[int]) -> tuple[int, ...]:
-        pts = np.asarray(points, dtype=np.intp)
-        best = None
-        for w in self.word_maps:
-            img = tuple(int(i) for i in w[pts])
-            if best is None or img < best:
-                best = img
-        return best if best is not None else tuple(int(i) for i in pts)
+        images = self.word_maps[:, np.asarray(points, dtype=np.intp)]
+        return min(map(tuple, images.tolist()))
 
     def _key(self, start: int, points: Sequence[int]) -> tuple[int, tuple[int, ...]]:
         return enumeration_index(window_of(start, len(points) - 1)), self.canonical_key(points)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import renormlab as rl
 from renormlab import io as rio
@@ -196,3 +201,100 @@ def test_cli_eval_norm_rejects_bad_function_files(tmp_path, capsys):
         assert not out.exists()
         err = capsys.readouterr().err
         assert str(path) in err and why in err
+
+
+def test_dump_json_rejects_non_finite(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        rio.dump_json({"gap": float("inf")}, path)
+
+
+def test_cli_eval_equicont_writes_unconstrained_delta_as_null(capsys):
+    code = main(["eval", "--space", "onepoint01N", "--group", "onepoint_swaps", "--check", "equicont"])
+    assert code == 0
+    table = json.loads(capsys.readouterr().out)["table"]
+    assert [eps for eps, _ in table] == [0.1, 0.25, 0.5]
+    assert None in [delta for _, delta in table]
+
+
+_EVAL_SPACE = rl.builtin_space("line", step=0.1, window=(-1, 1))
+
+
+def _eval_exit(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(["eval", *argv])
+        except SystemExit as exc:  # argparse rejects a malformed number itself
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def eval_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("eval")
+    rio.save_space(_EVAL_SPACE, d / "space.json")
+    return d
+
+
+@given(
+    bad_id=st.text(alphabet="xc+-.0123456789", min_size=1, max_size=6).filter(
+        lambda p: p not in _EVAL_SPACE.points and not p.startswith("-")),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_eval_rejects_bad_ids_and_values_on_every_flag(eval_dir, bad_id, value):
+    sp = _EVAL_SPACE
+    space = str(eval_dir / "space.json")
+    ids = sp.points
+    bad, named = repr(bad_id), str(value)
+
+    def write(name, doc):
+        path = eval_dir / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    matrix = rio.space_to_dict(sp)
+    values = sp.dmat.tolist()
+    values[0][1] = values[1][0] = value
+    matrix["metric"] = {"form": "matrix", "values": values}
+    group = rio.group_to_dict(rl.GroupSpec.trivial(sp))
+    group["generators"][0]["backward"][2] = bad_id
+    op = rio.operator_to_dict(line_translation(sp, 0.3))
+    op["forward"][3] = bad_id
+    nan_op = {**rio.operator_to_dict(line_translation(sp, 0.3)),
+              "weight": {"form": "const", "value": value}}
+    fn = {p: 0.5 for p in ids}
+    renamed = {**{p: 0.5 for p in ids[1:]}, bad_id: 0.5}
+    files = {
+        "space": write("matrix.json", matrix),
+        "group": write("group.json", group),
+        "op": write("op.json", op),
+        "nan_op": write("nan_op.json", nan_op),
+        "fn": write("fn.json", {"values": {**fn, ids[4]: value}}),
+        "renamed": write("renamed.json", {"values": renamed}),
+        "short": write("short.json", {"values": list(fn.values())[1:]}),
+    }
+    beta = "nan" if math.isnan(value) else "inf"  # argparse reads "-inf" as a flag
+    cases = [
+        (["--space", files["space"]], [f"non-finite distance {named}", repr(ids[0]), repr(ids[1])]),
+        (["--space", space, "--group", files["group"], "--orbits", ids[0]], [bad]),
+        (["--space", space, "--group", files["group"], "--check", "sot"], [bad]),
+        (["--space", space, "--group", "trivial", f"--orbits={bad_id}"], [bad]),
+        (["--space", space, "--dual", f"{ids[0]},{bad_id}", "1", "1"], [bad]),
+        (["--space", space, "--dual", f"{ids[0]},{ids[1]}", beta, "1"], ["beta", beta]),
+        (["--space", space, "--dual", f"{ids[0]},{ids[1]}", "1"], ["beta"]),
+        (["--space", space, "--certify", files["op"]], [bad]),
+        (["--space", space, "--certify", files["nan_op"]], [f"weight {named}", repr(ids[0])]),
+        (["--space", space, "--norm", files["fn"]], [f"non-finite value {named}", repr(ids[4])]),
+        (["--space", space, "--norm", files["renamed"]], [bad]),
+        (["--space", space, "--norm", files["short"]], ["20 values for 21 points"]),
+        (["--space", space, "--bounded-group", files["group"]], [bad]),
+        (["--space", space, "--norm", files["fn"], f"--C={value}"], ["C must lie", named]),
+        (["--space", space, "--norm", files["fn"], "--depth", beta], ["--depth", beta]),
+        (["--space", space, "--norm", files["fn"], "--gamma-cap", beta], ["--gamma-cap", beta]),
+    ]
+    for argv, names in cases:
+        code, err = _eval_exit(argv)
+        assert code == 2, (argv, err)
+        assert all(name in err for name in names), (argv, err)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from renormlab.norm import (
     dual_norm_atoms,
     dual_norm_delta,
     find_cutoff,
+    gamma_cap_trace,
     rho,
     solve_unit,
     triple_norm,
@@ -164,13 +166,61 @@ def test_triple_norm_scale_and_lattice_invariance(line_cfg):
 
 
 def test_gamma_cap_trace_monotone(product_cfg):
-    from renormlab.norm import gamma_cap_trace
     rng = np.random.default_rng(8)
     x = rng.uniform(-1, 1, size=product_cfg.space.n)
     trace = gamma_cap_trace(x, product_cfg, caps=(1, 2, 4, 8, 12))
     values = [v for _, v in trace]
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(triple_norm(x, product_cfg).value)
+
+
+def test_plan_evaluation_rejects_bad_functions(line_cfg):
+    points = line_cfg.space.points
+    x = np.sin(np.arange(line_cfg.space.n, dtype=float))
+    queries = (triple_norm, lambda f, cfg: gamma_cap_trace(f, cfg, (1, 2)))
+    for value in (np.nan, np.inf, -np.inf):
+        bad = x.copy()
+        bad[[7, 9]] = value
+        for query in queries:
+            with pytest.raises(ValueError, match=re.escape(f"non-finite value {value} at point '{points[7]}'")):
+                query(bad, line_cfg)
+    for query in queries:
+        with pytest.raises(ValueError, match=re.escape(f"first point without a value: '{points[-3]}'")):
+            query(x[:-3], line_cfg)
+        with pytest.raises(ValueError, match="first point without a value: None"):
+            query(np.append(x, 0.5), line_cfg)
+
+
+def _gamma_cap_trace_per_cap(x, cfg, caps):
+    # the per-cap masked re-gather that the one plan-row evaluation replaced
+    ax = np.abs(np.asarray(x, dtype=float))
+    out = []
+    for cap in sorted(set(int(c) for c in caps)):
+        best = 0.0
+        for plan in cfg.plans:
+            mask = (plan.gammas < cap).all(axis=1)
+            if not mask.any():
+                continue
+            vals = (ax[plan.idx[mask]] * plan.weights[mask]).sum(axis=1)
+            best = max(best, float(vals.max()))
+        out.append((cap, best))
+    return out
+
+
+@pytest.fixture(scope="module")
+def product_capped_cfg(product_space, rotation_group):
+    return rl.build_config(product_space, rotation_group, C=1.1, depth=4, gamma_cap=5)
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "line20_cfg", "product_capped_cfg"])
+def test_gamma_cap_trace_matches_per_cap_masks(name, request):
+    cfg = request.getfixturevalue(name)
+    rng = np.random.default_rng(11)
+    caps = (0, 1, 2, 3, 5, 8, 12, 100)
+    for _ in range(5):
+        x = rng.uniform(-1, 1, size=cfg.space.n)
+        assert gamma_cap_trace(x, cfg, caps) == _gamma_cap_trace_per_cap(x, cfg, caps)
+    assert cfg.gamma_capped == (name == "product_capped_cfg")
 
 
 def test_triple_norm_unit_witness(line_cfg):
@@ -323,11 +373,14 @@ def test_slot_table_matches_orbit_search(name, request):
     assert cfg.coverage_defect == float(dist.max())
 
 
-def test_check_weight_one_matches_pointwise_dual_loop(product_cfg, line20_cfg):
+def test_check_weight_one_matches_pointwise_dual_loop(product_cfg, line20_cfg, line_cfg):
+    # on line_cfg lambda_i rounds to 1 from about the 50th base on, so the
+    # points of those orbits count as dual-one atoms too
     cases = [(product_cfg, g) for g in product_cfg.group.generators]
-    space = line20_cfg.space
-    cases += [(line20_cfg, op) for op in (identity(space), line_translation(space, 0.3),
-                                          multiplication(space, 1.2))]
+    for cfg in (line20_cfg, line_cfg):
+        space = cfg.space
+        cases += [(cfg, op) for op in (identity(space), line_translation(space, 0.3),
+                                       multiplication(space, 1.2))]
     for cfg, T in cases:
         lookup = _first_slots(cfg)
         tol = cfg.space.resolution + 1e-12

@@ -167,3 +167,22 @@ def test_exhaustion_validation():
             resolution=0.5, isolated=np.zeros(2, dtype=bool),
             metric_form={"form": "matrix"},
         )
+
+
+def test_space_rejects_non_finite_distances():
+    for value in (np.inf, np.nan):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, value], [2.0, value, 0.0]])
+        with pytest.raises(ValueError, match=f"non-finite distance {value} between points 'b' and 'c'"):
+            rl.SampledSpace(
+                name="bad", points=("a", "b", "c"), dmat=d,
+                exhaustion=(CompactSet((0, 1, 2), "all"),),
+                resolution=0.5, isolated=np.zeros(3, dtype=bool),
+                metric_form={"form": "matrix"},
+            )
+
+
+def test_index_names_unknown_id_and_space():
+    sp = builtin_space("circle", count=12)
+    assert sp.index("c003") == 3
+    with pytest.raises(ValueError, match="unknown point id 'c999' in space 'circle'"):
+        sp.index("c999")

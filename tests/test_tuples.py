@@ -137,6 +137,36 @@ def test_registry_canonical_key_orbit_invariant():
     assert c.ordinal != a.ordinal
 
 
+def _canonical_key_loop(word_maps, points):
+    # the per-word loop that the stacked word-map gather replaced
+    pts = np.asarray(points, dtype=np.intp)
+    best = None
+    for w in word_maps:
+        img = tuple(int(i) for i in np.asarray(w)[pts])
+        if best is None or img < best:
+            best = img
+    return best
+
+
+@st.composite
+def _word_maps_and_points(draw):
+    # arbitrary index maps: the word set need not be closed under composition
+    n = draw(st.integers(min_value=1, max_value=12))
+    index = st.integers(min_value=0, max_value=n - 1)
+    maps = draw(st.lists(st.lists(index, min_size=n, max_size=n), min_size=1, max_size=6))
+    points = draw(st.lists(index, min_size=1, max_size=6))
+    return [np.asarray(m) for m in maps], tuple(points)
+
+
+@given(_word_maps_and_points())
+@settings(max_examples=200)
+def test_canonical_key_matches_per_word_loop(case):
+    maps, points = case
+    key = ClassRegistry(maps).canonical_key(points)
+    assert key == _canonical_key_loop(maps, points)
+    assert all(type(i) is int for i in key)
+
+
 def test_b_value_property5_spot():
     # window (2,3,4): m = 5, c = 15, so every exponent is >= 14 >= 3*4 - 4
     reg = ClassRegistry([np.arange(10)])
