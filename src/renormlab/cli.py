@@ -155,7 +155,7 @@ def lipschitz_constant(space: SampledSpace, x: np.ndarray) -> float:
 
 
 def task_build_config(cfg: RenormConfig, scenario: dict) -> dict:
-    metric_report = validate_metric(cfg.space)
+    metric_report = validate_metric(cfg.space, closed_form=True)
     return {
         "ok": bool(metric_report["ok"]),
         "provenance": cfg.provenance(),
@@ -496,8 +496,11 @@ def eval_command(args) -> int:
         elif args.dual:
             ids = [p.strip() for p in args.dual[0].split(",")]
             beta = [float(b) for b in args.dual[1:]]
-            points = tuple(space.index(p) for p in ids)
-            value, fp = dual_norm_atoms(points, beta, cfg)
+            t = cfg.window_tuple(tuple(space.index(p) for p in ids), tol=0)
+            if t is None:
+                raise InputError(f"tuple {','.join(ids)} does not sit on a consecutive base "
+                                 "window; eval accepts only tuples on a consecutive base window")
+            value, fp = dual_norm_atoms(t, beta, cfg)
             out = {"value": value, "fingerprint": [float(v) for v in fp],
                    "provenance": cfg.provenance()}
         else:
@@ -517,7 +520,7 @@ def eval_command(args) -> int:
             out["flagged"] = bgn.flagged
     else:
         out = {"space": space.name, "n": space.n,
-               "metric_report": validate_metric(space)}
+               "metric_report": validate_metric(space, closed_form=True)}
     text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -171,8 +171,18 @@ def function_from_dict(doc: dict, space: SampledSpace) -> np.ndarray:
     return x
 
 
+def _load(kind: str, path: str | Path, parse):
+    """Parse a JSON file, naming the file in any error its contents raise."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise ValueError(f"{kind} file {path}: missing field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{kind} file {path}: {exc}") from None
+
+
 def load_space(path: str | Path) -> SampledSpace:
-    return space_from_dict(json.loads(Path(path).read_text()))
+    return _load("space", path, space_from_dict)
 
 
 def save_space(space: SampledSpace, path: str | Path) -> None:
@@ -180,7 +190,7 @@ def save_space(space: SampledSpace, path: str | Path) -> None:
 
 
 def load_operator(path: str | Path, space: SampledSpace) -> WeightedComposition:
-    return operator_from_dict(json.loads(Path(path).read_text()), space)
+    return _load("operator", path, lambda doc: operator_from_dict(doc, space))
 
 
 def save_operator(op: WeightedComposition, path: str | Path) -> None:
@@ -188,7 +198,7 @@ def save_operator(op: WeightedComposition, path: str | Path) -> None:
 
 
 def load_group(path: str | Path, space: SampledSpace) -> GroupSpec:
-    return group_from_dict(json.loads(Path(path).read_text()), space)
+    return _load("group", path, lambda doc: group_from_dict(doc, space))
 
 
 def save_group(group: GroupSpec, path: str | Path) -> None:
@@ -196,10 +206,7 @@ def save_group(group: GroupSpec, path: str | Path) -> None:
 
 
 def load_function(path: str | Path, space: SampledSpace) -> np.ndarray:
-    try:
-        return function_from_dict(json.loads(Path(path).read_text()), space)
-    except ValueError as exc:
-        raise ValueError(f"function file {path}: {exc}") from None
+    return _load("function", path, lambda doc: function_from_dict(doc, space))
 
 
 def save_function(space: SampledSpace, values: np.ndarray, path: str | Path) -> None:

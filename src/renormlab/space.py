@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -172,7 +172,7 @@ def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> Sample
     exhaustions, resolution the max of resolutions."""
     na, nb = a.n, b.n
     ids = tuple(f"{pa}|{pb}" for pa in a.points for pb in b.points)
-    dmat = np.maximum(np.kron(a.dmat, np.ones((nb, nb))), np.kron(np.ones((na, na)), b.dmat))
+    dmat = _max_dist(a.dmat, b.dmat)
     depth = max(len(a.exhaustion), len(b.exhaustion))
     exhaustion = []
     for m in range(depth):
@@ -193,14 +193,103 @@ def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> Sample
     )
 
 
-def _line(step: float = 0.01, window: tuple[float, float] = (-10.0, 10.0), name: str = "line") -> SampledSpace:
+# ----------------------------------------------------------------------
+# closed-form metrics: the coordinate and distance helpers below are the only
+# copy of each formula, shared by the constructors and by the certificate in
+# validate_metric
+
+
+def _line_coords(step: float, window) -> np.ndarray:
     lo, hi = window
     if not (step > 0 and hi > lo):
         raise ValueError("bad line parameters")
-    count = int(round((hi - lo) / step)) + 1
-    coords = lo + step * np.arange(count)
+    return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+
+
+def _line_dist(coords: np.ndarray) -> np.ndarray:
+    """|x_i - x_j|."""
+    d = np.subtract.outer(coords, coords)
+    return np.abs(d, out=d)
+
+
+def _circle_angles(count: int) -> np.ndarray:
+    if count < 3:
+        raise ValueError("circle needs at least 3 points")
+    return 2 * math.pi * np.arange(count) / count
+
+
+def _circle_dist(angles: np.ndarray) -> np.ndarray:
+    """Arc length min(|a_i - a_j|, 2 pi - |a_i - a_j|)."""
+    d = _line_dist(angles)
+    return np.minimum(d, 2 * math.pi - d, out=d)
+
+
+def _remark25_coords(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and second coordinates: the column (0, 1..n_max), (0, inf),
+    then the block (i, j) row by row."""
+    if n_max < 3:
+        raise ValueError("n_max must be at least 3")
+    ks = np.arange(1.0, n_max + 1)
+    first = np.concatenate([np.zeros(n_max + 1), np.repeat(ks, n_max)])
+    second = np.concatenate([ks, [math.inf], np.tile(ks, n_max)])
+    return first, second
+
+
+def _onepoint01N_levels(n_max: int) -> np.ndarray:
+    """Level k of (0, k) and (1, k), then inf for the point at infinity."""
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    ks = np.arange(1.0, n_max + 1)
+    return np.concatenate([ks, ks, [math.inf]])
+
+
+def _dyadic_dist(level: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
+    """2^-min(level_i, level_j) between distinct points, and 1 when either
+    point has a first coordinate >= 1 (remark25's isolated block)."""
+    d = np.minimum.outer(level, level)
+    np.power(2.0, np.negative(d, out=d), out=d)
+    if first is not None:
+        far = first >= 1
+        d[np.logical_or.outer(far, far)] = 1.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _max_dist(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Max metric on a product whose point (ia, ib) has index ia * nb + ib."""
+    na, nb = len(da), len(db)
+    return np.maximum(da[:, None, :, None], db[None, :, None, :]).reshape(na * nb, na * nb)
+
+
+def _formula(form: dict) -> tuple[int, Callable[[], np.ndarray]] | None:
+    """(point count, distance-matrix builder) of a closed-form metric tag,
+    made from the tag's parameters alone; None for any other tag."""
+    kind = form.get("form")
+    if kind == "line":
+        x = _line_coords(form["step"], form["window"])
+        return len(x), lambda: _line_dist(x)
+    if kind == "circle":
+        x = _circle_angles(form["count"])
+        return len(x), lambda: _circle_dist(x)
+    if kind == "remark25":
+        first, second = _remark25_coords(form["n_max"])
+        return len(first), lambda: _dyadic_dist(second, first)
+    if kind == "onepoint01N":
+        x = _onepoint01N_levels(form["n_max"])
+        return len(x), lambda: _dyadic_dist(x)
+    if kind == "product":
+        fa, fb = _formula(form["a"]), _formula(form["b"])
+        if fa is not None and fb is not None:
+            return fa[0] * fb[0], lambda: _max_dist(fa[1](), fb[1]())
+    return None
+
+
+def _line(step: float = 0.01, window: tuple[float, float] = (-10.0, 10.0), name: str = "line") -> SampledSpace:
+    lo, hi = window
+    coords = _line_coords(step, window)
+    count = len(coords)
     ids = tuple(f"x{c:+.6g}" for c in coords)
-    dmat = np.abs(coords[:, None] - coords[None, :])
+    dmat = _line_dist(coords)
     bound = max(abs(lo), abs(hi))
     exhaustion = []
     m = 1
@@ -226,12 +315,9 @@ def _line(step: float = 0.01, window: tuple[float, float] = (-10.0, 10.0), name:
 
 
 def _circle(count: int = 64, name: str = "circle") -> SampledSpace:
-    if count < 3:
-        raise ValueError("circle needs at least 3 points")
-    angles = 2 * math.pi * np.arange(count) / count
+    angles = _circle_angles(count)
     ids = tuple(f"c{k:03d}" for k in range(count))
-    diff = np.abs(angles[:, None] - angles[None, :])
-    dmat = np.minimum(diff, 2 * math.pi - diff)
+    dmat = _circle_dist(angles)
     return SampledSpace(
         name=name,
         points=ids,
@@ -253,22 +339,11 @@ def _remark25(n_max: int = 50) -> SampledSpace:
     space are finite sets joined with a terminal segment of the column, so
     the exhaustion grows the isolated block while always carrying the column.
     """
-    if n_max < 3:
-        raise ValueError("n_max must be at least 3")
+    a, s = _remark25_coords(n_max)
     ids = [f"(0,{x})" for x in range(1, n_max + 1)] + ["(0,inf)"]
-    firsts = [0] * (n_max + 1)
-    seconds = [float(x) for x in range(1, n_max + 1)] + [math.inf]
-    for i in range(1, n_max + 1):
-        for j in range(1, n_max + 1):
-            ids.append(f"({i},{j})")
-            firsts.append(i)
-            seconds.append(float(j))
-    a = np.asarray(firsts, dtype=float)
-    s = np.asarray(seconds, dtype=float)
+    ids += [f"({i},{j})" for i in range(1, n_max + 1) for j in range(1, n_max + 1)]
     n = len(ids)
-    col_part = np.power(2.0, -np.minimum(s[:, None], s[None, :]))
-    dmat = np.where(np.maximum(a[:, None], a[None, :]) >= 1, 1.0, col_part)
-    np.fill_diagonal(dmat, 0.0)
+    dmat = _dyadic_dist(s, a)
     column = list(range(n_max + 1))
     exhaustion = []
     for m in range(1, n_max + 1):
@@ -298,20 +373,10 @@ def _onepoint01N(n_max: int = 50) -> SampledSpace:
     Metric: d((i,k),(j,m)) = 2^{-min(k,m)} for distinct points and
     d((i,k), inf) = 2^{-k}.  The whole space is compact.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    ids = []
-    ks = []
-    for i in (0, 1):
-        for k in range(1, n_max + 1):
-            ids.append(f"({i},{k})")
-            ks.append(float(k))
-    ids.append("inf")
-    ks.append(math.inf)
-    kv = np.asarray(ks, dtype=float)
-    dmat = np.power(2.0, -np.minimum(kv[:, None], kv[None, :]))
-    np.fill_diagonal(dmat, 0.0)
+    kv = _onepoint01N_levels(n_max)
+    ids = [f"({i},{k})" for i in (0, 1) for k in range(1, n_max + 1)] + ["inf"]
     n = len(ids)
+    dmat = _dyadic_dist(kv)
     isolated = np.ones(n, dtype=bool)
     isolated[-1] = False
     return SampledSpace(
@@ -365,13 +430,26 @@ def validate_metric(
     n_random: int = 100_000,
     seed: int = 0,
     tol: float = 1e-9,
+    *,
+    closed_form: bool = False,
 ) -> dict:
     """Check metric axioms on the sample.
 
     Symmetry and identity of indiscernibles are always checked in full.  The
-    triangle inequality is checked exhaustively on all triples when the
-    sample has at most ``exhaustive_limit`` points, otherwise on
-    ``n_random`` random triples.
+    triangle inequality is checked in one of three modes:
+
+    - ``"closed-form"`` (only with ``closed_form=True``, and only when
+      ``metric_form`` is a line, circle, remark25 or onepoint01N tag, or a
+      max-product of these, whose formula has n points): the formula matrix
+      F is rebuilt from the tag's parameters alone and compared with the
+      sample in O(n^2).  F is a metric in exact arithmetic, and rounding
+      moves each entry by at most 2 eps max F, so every triangle gap
+      ``d(i, j) - d(i, k) - d(k, j)`` on the sample is at most
+      ``triangle_gap_bound = 3 * formula_defect + 8 * eps * max(max d, max F)``
+      with ``formula_defect = max |dmat - F|``.  The triangle inequality is
+      certified when that bound is at most ``tol``; no triple is examined.
+    - ``"exhaustive"``: all n^3 triples, when n <= ``exhaustive_limit``.
+    - ``"random"``: ``n_random`` random triples otherwise.
     """
     d = space.dmat
     n = space.n
@@ -379,8 +457,18 @@ def validate_metric(
         "n": n,
         "symmetric": bool(np.allclose(d, d.T, atol=tol)),
         "identity": bool(np.all(np.abs(np.diag(d)) <= tol)),
-        "mode": "exhaustive" if n <= exhaustive_limit else "random",
     }
+    formula = _formula(space.metric_form) if closed_form else None
+    if formula is not None and formula[0] == n:
+        f = formula[1]()
+        scale = max(float(d.max()), float(f.max()))
+        defect = float(np.abs(np.subtract(d, f, out=f), out=f).max())
+        bound = 3 * defect + 8 * float(np.finfo(float).eps) * scale
+        report.update(mode="closed-form", formula=space.metric_form, formula_defect=defect,
+                      triangle_gap_bound=bound, triples_checked=0, triangle_ok=bound <= tol)
+        report["ok"] = report["symmetric"] and report["identity"] and report["triangle_ok"]
+        return report
+    report["mode"] = "exhaustive" if n <= exhaustive_limit else "random"
     worst = -math.inf
     witness = None
     if n <= exhaustive_limit:

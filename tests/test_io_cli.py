@@ -203,6 +203,49 @@ def test_cli_eval_norm_rejects_bad_function_files(tmp_path, capsys):
         assert str(path) in err and why in err
 
 
+def test_cli_eval_loader_errors_name_the_file(tmp_path, capsys):
+    sp = rl.builtin_space("line", step=0.1, window=(-2, 2))
+    spfile = tmp_path / "space.json"
+    rio.save_space(sp, spfile)
+    bad_space = rio.space_to_dict(sp)
+    bad_space["points"][0] = "x999"
+    op = rio.operator_to_dict(line_translation(sp, 0.3))
+    op["forward"][3] = "x999"
+    group = rio.group_to_dict(rl.GroupSpec.trivial(sp))
+    del group["word_cap"]
+    files = {name: tmp_path / f"{name}.json" for name in ("badspace", "badop", "badgroup")}
+    for name, doc in zip(files, (bad_space, op, group)):
+        files[name].write_text(json.dumps(doc))
+    cases = [
+        (["--space", str(files["badspace"])],
+         f"space file {files['badspace']}: closed-form space does not reproduce the stored points"),
+        (["--space", str(spfile), "--certify", str(files["badop"])],
+         f"operator file {files['badop']}: unknown point id 'x999' in space 'line'"),
+        (["--space", str(spfile), "--group", str(files["badgroup"]), "--orbits", "x+0"],
+         f"group file {files['badgroup']}: missing field 'word_cap'"),
+    ]
+    for argv, why in cases:
+        assert main(["eval", *argv]) == 2
+        assert why in capsys.readouterr().err
+
+
+def test_cli_eval_dual_off_window_tuple_names_ids(tmp_path, capsys):
+    spfile = tmp_path / "space.json"
+    rio.save_space(rl.builtin_space("line", step=0.1, window=(-1, 1)), spfile)
+    assert main(["eval", "--space", str(spfile), "--dual", "x-1,x+1", "1", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "tuple x-1,x+1 does not sit on a consecutive base window" in err
+    assert "eval accepts only tuples on a consecutive base window" in err
+    assert "reference" not in err
+
+
+def test_cli_eval_space_certifies_closed_form_metric(capsys):
+    assert main(["eval", "--space", "circle_x_interval"]) == 0
+    report = json.loads(capsys.readouterr().out)["metric_report"]
+    assert report["mode"] == "closed-form" and report["ok"]
+    assert report["formula"]["form"] == "product" and report["formula_defect"] == 0.0
+
+
 def test_dump_json_rejects_non_finite(tmp_path):
     path = tmp_path / "report.json"
     with pytest.raises(ValueError, match="not JSON compliant"):

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renormlab as rl
 from renormlab.space import CompactSet, builtin_space, fatten, product, validate_metric
@@ -148,6 +152,80 @@ def test_metric_axioms_random_mode(remark_space):
     report = validate_metric(remark_space, exhaustive_limit=1000, n_random=100_000)
     assert report["mode"] == "random"
     assert report["ok"]
+
+
+_TEST_SIZE = [
+    ("line", {"step": 0.05, "window": (-2, 2)}),
+    ("circle", {"count": 48}),
+    ("plane", {"step": 0.5, "window": (-2, 2)}),
+    ("remark25", {"n_max": 10}),
+    ("onepoint01N", {"n_max": 12}),
+    ("circle_x_interval", {"count": 16, "levels": 8}),
+]
+
+
+def _perturbed(sp, i, j, delta):
+    """The space with d(i, j) and d(j, i) moved by delta, metric tag kept."""
+    d = sp.dmat.copy()
+    d[i, j] += delta
+    d[j, i] = d[i, j]
+    return dataclasses.replace(sp, dmat=d)
+
+
+@pytest.mark.parametrize("name,params", _TEST_SIZE)
+def test_closed_form_certificate_agrees_with_exhaustive(name, params):
+    sp = builtin_space(name, **params)
+    cert = validate_metric(sp, closed_form=True)
+    full = validate_metric(sp)
+    assert cert["mode"] == "closed-form" and full["mode"] == "exhaustive"
+    assert cert["formula"] == sp.metric_form and cert["formula_defect"] == 0.0
+    assert cert["triples_checked"] == 0 and "worst_triple" not in cert
+    assert cert["ok"] == full["ok"]
+    assert full["worst_triangle_gap"] <= cert["triangle_gap_bound"]
+
+
+@pytest.mark.parametrize("sp,i,j", [
+    (builtin_space("line", step=1.0, window=(0, 4)), 0, 4),
+    (builtin_space("plane", step=1.0, window=(0, 2)), 0, 8),
+])
+@pytest.mark.parametrize("delta,still_metric", [(0.5, False), (-0.5, True)])
+def test_closed_form_rejects_perturbed_tagged_matrix(sp, i, j, delta, still_metric):
+    bad = _perturbed(sp, i, j, delta)
+    cert = validate_metric(bad, closed_form=True)
+    assert cert["mode"] == "closed-form" and not cert["ok"] and not cert["triangle_ok"]
+    assert cert["formula_defect"] == abs(bad.dmat[i, j] - sp.dmat[i, j]) == pytest.approx(abs(delta))
+    assert validate_metric(bad)["triangle_ok"] == still_metric
+
+
+_SMALL = [builtin_space("line", step=1.0, window=(0, 6)), builtin_space("plane", step=1.0, window=(0, 2)),
+          product(builtin_space("circle", count=4), builtin_space("line", step=0.5, window=(0, 1)))]
+
+
+@given(which=st.integers(0, len(_SMALL) - 1), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.0, 1e-15, 1e-12, 1e-10, 3e-10, 1e-9, 1e-6, 0.1, 0.4]))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_ok_implies_exhaustive_triangle_ok(which, seed, scale):
+    sp = _SMALL[which]
+    noise = np.random.default_rng(seed).uniform(-scale, scale, size=sp.dmat.shape)
+    noise = np.triu(noise, 1)
+    bad = dataclasses.replace(sp, dmat=sp.dmat + noise + noise.T)
+    cert = validate_metric(bad, closed_form=True)
+    full = validate_metric(bad)
+    assert full["worst_triangle_gap"] <= cert["triangle_gap_bound"]
+    if cert["ok"]:
+        assert full["triangle_ok"]
+
+
+@pytest.mark.parametrize("form", [
+    {"form": "matrix"},
+    {"form": "line", "step": 0.1, "window": [0.0, 1.0]},
+    {"form": "product", "a": {"form": "circle", "count": 4}, "b": {"form": "matrix"}},
+])
+def test_closed_form_falls_back_when_the_formula_does_not_fit(form):
+    sp = dataclasses.replace(builtin_space("line", step=1.0, window=(0, 4)), metric_form=form)
+    report = validate_metric(sp, closed_form=True)
+    assert report["mode"] == "exhaustive" and report["ok"]
+    assert report["triples_checked"] == sp.n ** 3
 
 
 def test_exhaustion_validation():
