@@ -474,6 +474,14 @@ def check_sot_convergence(
     A condition passes when every compact has a violation-free terminal run
     within the sampled horizon; the reported witness is the earliest
     violating (stage, compact, point) otherwise.
+
+    The distance to the limit's preimage of K is a min over the columns
+    ``limit.backward[K]`` of the distance matrix.  Along a nested list, such
+    as a space's exhaustion, these column sets are nested too, so each
+    compact folds only the columns new since the previous one into the
+    previous distance vector; a compact whose columns do not contain the
+    previous ones starts over from all of its own.  Both ways give the same
+    minimum, and the stages of one compact are checked in one gather.
     """
     if not seq:
         raise ValueError("empty operator sequence")
@@ -487,32 +495,34 @@ def check_sot_convergence(
     witnesses: dict[str, list[tuple]] = {"phi_uniform": [], "weight_uniform": [], "inverse_images": []}
     thresholds: dict[str, dict] = {"phi_uniform": {}, "weight_uniform": {}, "inverse_images": {}}
 
-    # stage-wise gap fields over the whole space; per-compact checks reduce
-    # to gathers against these
-    gap_phi = [space.dmat[g.forward, limit.forward] for g in seq]
-    gap_w = [np.abs(g.weight - limit.weight) for g in seq]
+    # (stage, point) gap fields over the whole space; per-compact checks
+    # reduce to column gathers against these
+    gap_phi = space.dmat[np.stack([g.forward for g in seq]), limit.forward]
+    gap_w = np.abs(np.stack([g.weight for g in seq]) - limit.weight)
+    backward = np.stack([g.backward for g in seq])
 
+    reached = np.empty(0, dtype=np.intp)  # sorted columns behind dist_to_inv_K
+    dist_to_inv_K = np.full(space.n, np.inf)
     for K in K_list:
         karr = K.as_array()
-        inv_limit_K = limit.backward[karr]
-        dist_to_inv_K = space.dmat[:, inv_limit_K].min(axis=1)
-        v1, v2, v3 = [], [], []
-        for n0, g in enumerate(seq, start=1):
-            gap1 = gap_phi[n0 - 1][karr]
-            if gap1.max() > eps:
-                v1.append(n0)
-                witnesses["phi_uniform"].append((n0, K.label, space.points[int(karr[int(gap1.argmax())])]))
-            gap2 = gap_w[n0 - 1][karr]
-            if gap2.max() > eps:
-                v2.append(n0)
-                witnesses["weight_uniform"].append((n0, K.label, space.points[int(karr[int(gap2.argmax())])]))
-            gap3 = dist_to_inv_K[g.backward[karr]]
-            if gap3.max() > eps:
-                v3.append(n0)
-                witnesses["inverse_images"].append((n0, K.label, space.points[int(karr[int(gap3.argmax())])]))
-        thresholds["phi_uniform"][K.label] = _tail_threshold(v1, horizon)
-        thresholds["weight_uniform"][K.label] = _tail_threshold(v2, horizon)
-        thresholds["inverse_images"][K.label] = _tail_threshold(v3, horizon)
+        cols = np.unique(limit.backward[karr])
+        fresh = np.setdiff1d(cols, reached, assume_unique=True)
+        if cols.size - fresh.size != reached.size:  # not nested: start over
+            fresh, dist_to_inv_K = cols, np.full(space.n, np.inf)
+        if fresh.size:
+            dist_to_inv_K = np.minimum(dist_to_inv_K, np.take(space.dmat, fresh, axis=1).min(axis=1))
+        reached = cols
+        gaps = {
+            "phi_uniform": gap_phi[:, karr],
+            "weight_uniform": gap_w[:, karr],
+            "inverse_images": dist_to_inv_K[backward[:, karr]],
+        }
+        for name, gap in gaps.items():
+            stages = np.flatnonzero(gap.max(axis=1) > eps)
+            worst = gap[stages].argmax(axis=1)
+            witnesses[name] += [(int(s) + 1, K.label, space.points[int(karr[w])])
+                                for s, w in zip(stages, worst)]
+            thresholds[name][K.label] = _tail_threshold((stages + 1).tolist(), horizon)
 
     for name in ("phi_uniform", "weight_uniform", "inverse_images"):
         th = thresholds[name]

@@ -88,17 +88,18 @@ class SampledSpace:
         self.dmat = np.asarray(self.dmat, dtype=float)
         if self.dmat.shape != (n, n):
             raise ValueError("distance matrix shape mismatch")
-        bad = np.argwhere(~np.isfinite(self.dmat))
-        if bad.size:
-            i, j = bad[0]
+        if not np.isfinite(self.dmat).all():
+            i, j = np.argwhere(~np.isfinite(self.dmat))[0]
             raise ValueError(f"non-finite distance {self.dmat[i, j]} between points "
                              f"{self.points[i]!r} and {self.points[j]!r}")
-        if not np.allclose(self.dmat, self.dmat.T, atol=1e-12):
+        if not _symmetric(self.dmat, 1e-12):
             raise ValueError("metric not symmetric on the sample")
-        if np.any(np.abs(np.diag(self.dmat)) > 1e-12):
+        diag = np.diag(self.dmat)
+        if np.any(np.abs(diag) > 1e-12):
             raise ValueError("metric has nonzero diagonal")
-        off = self.dmat[~np.eye(n, dtype=bool)]
-        if off.size and off.min() <= 0:
+        # an off-diagonal entry <= 0 exists iff there are more such entries
+        # than on the diagonal
+        if np.count_nonzero(self.dmat <= 0) > np.count_nonzero(diag <= 0):
             raise ValueError("distinct sample points at zero distance")
         if not self.resolution > 0:
             raise ValueError("resolution must be positive")
@@ -146,6 +147,12 @@ class SampledSpace:
 
     def __repr__(self) -> str:  # short: spaces can hold thousands of points
         return f"SampledSpace({self.name!r}, n={self.n}, resolution={self.resolution})"
+
+
+def _symmetric(d: np.ndarray, atol: float) -> bool:
+    """``np.allclose(d, d.T, atol=atol)``, skipping its temporaries when
+    ``d`` is exactly symmetric."""
+    return bool(np.array_equal(d, d.T) or np.allclose(d, d.T, atol=atol))
 
 
 def fatten(space: SampledSpace, K: CompactSet, delta: float) -> tuple[CompactSet, bool]:
@@ -455,7 +462,7 @@ def validate_metric(
     n = space.n
     report = {
         "n": n,
-        "symmetric": bool(np.allclose(d, d.T, atol=tol)),
+        "symmetric": _symmetric(d, tol),
         "identity": bool(np.all(np.abs(np.diag(d)) <= tol)),
     }
     formula = _formula(space.metric_form) if closed_form else None

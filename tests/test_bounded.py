@@ -82,6 +82,18 @@ def test_group_norm_ratio_window(onepoint_space, swap_group):
         assert sup / bgn.C_G - 1e-12 <= res.value <= bgn.C_G * sup + 1e-12
 
 
+def test_group_norm_word_sup_matches_per_word_loop(onepoint_space, swap_group):
+    bgn = m_weight(swap_group)
+    words = swap_group.words()
+    rng = np.random.default_rng(37)
+    for k in range(40):
+        x = rng.uniform(-1, 1, size=onepoint_space.n)
+        if k % 2:  # sparse bumps put the sup on a single swapped pair
+            x *= rng.uniform(size=onepoint_space.n) < 0.05
+        per_word = max(float(np.max(np.abs(w.apply(x)))) for w in words)
+        assert group_norm(x, bgn).sup_over_words == per_word
+
+
 def test_group_norm_lattice_monotone(onepoint_space, swap_group):
     bgn = m_weight(swap_group)
     rng = np.random.default_rng(29)

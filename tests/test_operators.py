@@ -2,9 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renormlab as rl
 from renormlab.operators import (
+    ConditionReport,
+    SOTVerdict,
+    _tail_threshold,
     check_local_equicontinuity,
     check_sot_convergence,
     circle_rotation,
@@ -17,6 +22,7 @@ from renormlab.operators import (
     onepoint_swap,
     onepoint_swap_group,
     pointwise_implies_sot,
+    remark25_map,
     remark25_sequence,
 )
 
@@ -120,6 +126,110 @@ def test_sot_remark25_conditions_at_every_stage(n_max):
     assert not cond["inverse_images"].passed
     assert cond["inverse_images"].witness is not None
     assert not verdict.converges
+
+
+def sot_reference(seq, limit, K_list, eps):
+    """The per-compact, per-stage checker: a fresh min over the preimage
+    columns for every compact and one reduction per stage and condition."""
+    space = limit.space
+    weight_bound = max(float(g.weight.max()) for g in seq)
+    horizon = len(seq)
+    names = ("phi_uniform", "weight_uniform", "inverse_images")
+    witnesses = {name: [] for name in names}
+    thresholds = {name: {} for name in names}
+    gap_phi = [space.dmat[g.forward, limit.forward] for g in seq]
+    gap_w = [np.abs(g.weight - limit.weight) for g in seq]
+    for K in K_list:
+        karr = K.as_array()
+        dist_to_inv_K = space.dmat[:, limit.backward[karr]].min(axis=1)
+        v = {name: [] for name in names}
+        for n0, g in enumerate(seq, start=1):
+            for name, gap in (("phi_uniform", gap_phi[n0 - 1][karr]),
+                              ("weight_uniform", gap_w[n0 - 1][karr]),
+                              ("inverse_images", dist_to_inv_K[g.backward[karr]])):
+                if gap.max() > eps:
+                    v[name].append(n0)
+                    witnesses[name].append((n0, K.label, space.points[int(karr[int(gap.argmax())])]))
+        for name in names:
+            thresholds[name][K.label] = _tail_threshold(v[name], horizon)
+    reports = []
+    for name in names:
+        th = thresholds[name]
+        passed = all(t is not None for t in th.values())
+        witness = min(witnesses[name]) if (not passed and witnesses[name]) else None
+        reports.append(ConditionReport(name=name, passed=passed, thresholds=th, witness=witness))
+    inv_maps = [g.backward for g in seq]
+    moreover, detail = True, "inverse family locally equicontinuous on all supplied compacts"
+    for K in K_list:
+        eq = check_local_equicontinuity(inv_maps, K, (eps,), space=space)
+        if eq.witnesses:
+            g_i, s, t = eq.witnesses[0][1]
+            moreover = False
+            detail = (f"inverse family not equicontinuous on {K.label or 'K'}: "
+                      f"member {g_i} maps {s},{t} apart")
+            break
+    return SOTVerdict(converges=all(r.passed for r in reports), conditions=reports,
+                      weight_bound=weight_bound, moreover_applicable=moreover,
+                      moreover_detail=detail, horizon=horizon)
+
+
+def _remark25_case():
+    """remark25 at small n_max: its own exhaustion, identity limit."""
+    sp = rl.builtin_space("remark25", n_max=7)
+    return sp, remark25_sequence(sp), identity(sp), list(sp.exhaustion)
+
+
+def _remark25_moved_limit_case():
+    """remark25 with a non-identity limit, whose preimages of the nested
+    exhaustion are nested too, but not the compacts themselves."""
+    sp = rl.builtin_space("remark25", n_max=7)
+    return sp, remark25_sequence(sp), remark25_map(sp, 3), list(sp.exhaustion)
+
+
+def _rotation_case():
+    """Shrinking rotations of a circle against a fixed non-identity rotation,
+    on nested arcs."""
+    circ = rl.builtin_space("circle", count=40)
+    seq = [circle_rotation(circ, steps=5 + max(0, 6 - n)) for n in range(1, 10)]
+    arcs = [circ.compact(range(10 - k, 14 + 2 * k), f"arc{k}") for k in range(5)]
+    return circ, seq, circle_rotation(circ, steps=5), arcs + list(circ.exhaustion)
+
+
+_SOT_CASES = [_remark25_case(), _remark25_moved_limit_case(), _rotation_case()]
+
+
+@st.composite
+def _sot_inputs(draw):
+    sp, seq, limit, nested = draw(st.sampled_from(_SOT_CASES))
+    order = draw(st.sampled_from(["nested", "reversed", "shuffled", "repeated", "subsets"]))
+    if order == "nested":
+        K_list = nested[:draw(st.integers(1, len(nested)))]
+    elif order == "reversed":
+        K_list = nested[::-1]
+    elif order == "shuffled":
+        K_list = draw(st.permutations(nested))
+    elif order == "repeated":
+        K_list = draw(st.lists(st.sampled_from(nested), min_size=1, max_size=8))
+    else:
+        K_list = [sp.compact(m, f"S{i}") for i, m in enumerate(draw(st.lists(
+            st.sets(st.integers(0, sp.n - 1), min_size=1, max_size=12), min_size=1, max_size=5)))]
+    stages = draw(st.integers(1, len(seq)))
+    eps = draw(st.sampled_from([1e-9, 0.01, 0.1, 0.2, 0.3, 0.6, 1.5]))
+    return seq[:stages], limit, K_list, eps
+
+
+@given(_sot_inputs())
+@settings(max_examples=200, deadline=None)
+def test_sot_matches_per_compact_reference(inputs):
+    seq, limit, K_list, eps = inputs
+    assert check_sot_convergence(seq, limit, K_list, eps) == sot_reference(seq, limit, K_list, eps)
+
+
+def test_sot_matches_reference_on_the_gallery_exhaustion(remark_space):
+    seq, lim = remark25_sequence(remark_space), identity(remark_space)
+    K_list = list(remark_space.exhaustion[:-1])
+    for eps in (0.01, 0.3):
+        assert check_sot_convergence(seq, lim, K_list, eps) == sot_reference(seq, lim, K_list, eps)
 
 
 def test_sot_remark25_explicit_function(remark_space):

@@ -259,6 +259,40 @@ def test_space_rejects_non_finite_distances():
             )
 
 
+def _matrix_space(d):
+    n = len(d)
+    return rl.SampledSpace(
+        name="m", points=tuple(f"p{i}" for i in range(n)), dmat=d,
+        exhaustion=(CompactSet(tuple(range(n)), "all"),),
+        resolution=0.5, isolated=np.zeros(n, dtype=bool), metric_form={"form": "matrix"},
+    )
+
+
+@pytest.mark.parametrize("scale,skew,accepted", [
+    (1.0, 1e-13, True),     # within atol
+    (0.01, 1e-6, False),    # beyond atol and rtol * |d|
+    (1e3, 1e-6, True),      # beyond atol, within rtol * |d|
+    (1e3, 1e-1, False),
+])
+def test_symmetry_rule_tolerates_float_dust_only(scale, skew, accepted):
+    d = scale * np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    d[0, 2] += skew
+    if accepted:
+        assert validate_metric(_matrix_space(d))["symmetric"] is True
+    else:
+        with pytest.raises(ValueError, match="metric not symmetric on the sample"):
+            _matrix_space(d)
+        sp = _matrix_space(np.triu(d) + np.triu(d, 1).T)
+        sp.dmat = d  # past the constructor: the report must say it too
+        assert validate_metric(sp)["symmetric"] is False
+
+
+def test_space_rejects_zero_off_diagonal_only():
+    with pytest.raises(ValueError, match="distinct sample points at zero distance"):
+        _matrix_space(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    assert _matrix_space(np.zeros((1, 1))).n == 1
+
+
 def test_index_names_unknown_id_and_space():
     sp = builtin_space("circle", count=12)
     assert sp.index("c003") == 3
