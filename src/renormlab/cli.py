@@ -25,6 +25,7 @@ from .bounded import conjugate, group_norm, m_weight
 from .detector import certify
 from .norm import (
     RenormConfig,
+    TupleBudgetError,
     build_config,
     build_matrix,
     dual_norm_atoms,
@@ -380,18 +381,27 @@ def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
     seed = int(scenario.get("seed", 0)) if seed is None else seed
     rng = np.random.default_rng(seed)
     cfg: RenormConfig | None = None
+    build_error: Exception | None = None
 
     def ensure_cfg() -> RenormConfig:
-        nonlocal cfg
-        if cfg is None:
-            cfg = build_config(
-                space,
-                group,
-                C=float(scenario.get("C", 1.1)),
-                depth=int(scenario.get("depth", 6)),
-                gamma_cap=scenario.get("gamma_cap"),
-                base_count=scenario.get("base_count"),
-            )
+        # one build per run; a failed build fails every task that needs it
+        nonlocal cfg, build_error
+        if cfg is None and build_error is None:
+            try:
+                cfg = build_config(
+                    space,
+                    group,
+                    C=float(scenario.get("C", 1.1)),
+                    depth=int(scenario.get("depth", 6)),
+                    gamma_cap=scenario.get("gamma_cap"),
+                    base_count=scenario.get("base_count"),
+                )
+            except TupleBudgetError as exc:
+                raise InputError(str(exc)) from exc
+            except Exception as exc:
+                build_error = exc
+        if build_error is not None:
+            raise build_error
         return cfg
 
     # each entry looks its task_* function up when it runs, so a rebound

@@ -46,6 +46,7 @@ __all__ = [
     "dual_decompose",
     "RenormConfig",
     "build_config",
+    "TupleBudgetError",
     "rho",
     "triple_norm",
     "gamma_cap_trace",
@@ -154,6 +155,10 @@ def dual_decompose(beta: Sequence[float], T: TriangularSystem) -> tuple[np.ndarr
 # configuration: base points, orbit enumerations, tuple plans
 
 
+class TupleBudgetError(ValueError):
+    """The window tuples of a configuration exceed its max_tuples budget."""
+
+
 @dataclass
 class WindowPlan:
     """Vectorized evaluation block: all enumerated tuples of one length.
@@ -256,6 +261,41 @@ class RenormConfig:
         }
 
 
+def _labels(sizes: np.ndarray) -> np.ndarray:
+    """The labels 0, 1, ..., r - 1 of every size r, concatenated."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _last_slot_weights(registry: ClassRegistry, bc: BCAssignment,
+                       starts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Reciprocal class weight of every full row of a plan block.
+
+    Rows are grouped by (start, canonical key).  Each group is classified
+    once, window by window in the order of its lexicographically smallest
+    row, which is the order a scan over each window's sorted rows first
+    meets the classes in; so new classes get the same ordinals.
+    """
+    T, k = idx.shape
+    if T == 0:
+        return np.empty(0)
+    keys = registry.canonical_keys(idx)
+    # rows by (start, key, row): each group's first row is its smallest
+    order = np.lexsort((*idx.T[::-1], *keys.T[::-1], starts))
+    skeys = keys[order]
+    sstarts = starts[order]
+    first = np.ones(T, dtype=bool)
+    first[1:] = (sstarts[1:] != sstarts[:-1]) | (skeys[1:] != skeys[:-1]).any(axis=1)
+    group = np.cumsum(first) - 1
+    heads = order[first]
+    recip = np.empty(len(heads))
+    for g in np.lexsort((*idx[heads].T[::-1], starts[heads])):
+        row = heads[g]
+        recip[g] = bc.inv_L_pow(registry.classify(int(starts[row]), idx[row].tolist()).exponent)
+    out = np.empty(T)
+    out[order] = recip[group]
+    return out
+
+
 def build_config(
     space: SampledSpace,
     group: GroupSpec,
@@ -279,68 +319,48 @@ def build_config(
     # each base orbit lists its distinct word images in word order
     orbit_enums = [tuple(dict.fromkeys(col)) for col in registry.word_maps[:, list(base)].T.tolist()]
 
-    gamma_capped = False
-    budget = max_tuples
-
-    def build_window(start: int, n: int):
-        nonlocal gamma_capped, budget
-        ranges = []
-        for j in range(n + 1):
-            size = len(orbit_enums[start + j - 1])
-            if gamma_cap is not None and size > gamma_cap:
-                size = gamma_cap
-                gamma_capped = True
-            ranges.append(size)
-        count = math.prod(ranges)
-        budget -= count
-        if budget < 0:
-            raise ValueError(
-                f"tuple budget exceeded at window ({start}..{start + n}); "
-                "lower depth or gamma_cap"
-            )
-        gam = np.array(list(itertools.product(*(range(r) for r in ranges))), dtype=np.intp)
-        gam = gam.reshape(count, n + 1)
-        idx = np.empty_like(gam)
-        for j in range(n + 1):
-            enum = np.asarray(orbit_enums[start + j - 1], dtype=np.intp)
-            idx[:, j] = enum[gam[:, j]]
-        weights = np.empty((count, n + 1))
-        weights[:, 0] = bc.lam(start)
-        for k in range(1, n + 1):
-            uniq, inv = np.unique(idx[:, : k + 1], axis=0, return_inverse=True)
-            vals = np.empty(len(uniq))
-            for u, row in enumerate(uniq):
-                vals[u] = bc.inv_L_pow(registry.classify(start, row).exponent)
-            weights[:, k] = vals[inv]
-        starts = np.full(count, start, dtype=np.intp)
-        return starts, gam, idx, weights
-
-    # windows inside the depth (triangular-enumeration order), every
-    # remaining consecutive pair, and the bare head term of the last base
-    # index, whose pair partner lies beyond the sampled window.  The pair
-    # family makes the sup dominate the plain sup norm wherever the base
-    # orbits cover the sample.
-    raw: dict[int, list] = {}
-    deep = set()
-    for end in range(2, min(depth, len(base)) + 1):
-        for length in range(2, end + 1):
-            start = end - length + 1
-            deep.add((start, length - 1))
-            raw.setdefault(length - 1, []).append(build_window(start, length - 1))
-    for i in range(1, len(base)):
-        if (i, 1) not in deep:
-            raw.setdefault(1, []).append(build_window(i, 1))
-    raw.setdefault(0, []).append(build_window(len(base), 0))
-    plans = [
-        WindowPlan(
-            n=n,
-            starts=np.concatenate([r[0] for r in rows]),
-            gammas=np.concatenate([r[1] for r in rows]),
-            idx=np.concatenate([r[2] for r in rows]),
-            weights=np.concatenate([r[3] for r in rows]),
+    # tuples vary the last slot fastest over the capped orbit sizes; plan 0
+    # is the bare head term of the last base index, whose pair partner lies
+    # beyond the sampled window, plan 1 every consecutive pair, and plan
+    # n >= 2 the windows (start, n) inside the depth.  The pair family
+    # makes the sup dominate the plain sup norm wherever the base orbits
+    # cover the sample.
+    B = len(base)
+    lengths = np.array([len(e) for e in orbit_enums], dtype=np.intp)
+    sizes = lengths if gamma_cap is None else np.minimum(lengths, gamma_cap)
+    gamma_capped = bool((sizes < lengths).any())
+    last_start = {1: B - 1, **{n: depth - n for n in range(2, depth)}}
+    total = int(sizes[B - 1]) + sum(
+        math.prod(int(r) for r in sizes[s - 1 : s + n])
+        for n, last in last_start.items() for s in range(1, last + 1)
+    )
+    if total > max_tuples:
+        raise TupleBudgetError(
+            f"tuple budget exceeded: depth {depth} with gamma_cap {gamma_cap} enumerates "
+            f"{total} window tuples, more than max_tuples {max_tuples}; lower depth or gamma_cap"
         )
-        for n, rows in sorted(raw.items())
-    ]
+
+    # orbit label g of base i (1-based) is the point flat[offset[i - 1] + g]
+    flat = np.fromiter(itertools.chain.from_iterable(orbit_enums), dtype=np.intp)
+    offset = np.cumsum(lengths) - lengths
+    # level 0: the head slot of every start
+    starts = np.repeat(np.arange(1, B + 1, dtype=np.intp), sizes)
+    gam = _labels(sizes)[:, None]
+    idx = flat[offset[starts - 1] + gam[:, 0]][:, None]
+    weights = np.array([bc.lam(i) for i in range(1, B + 1)])[starts - 1][:, None]
+    head = starts == B
+    plans = [WindowPlan(n=0, starts=starts[head], gammas=gam[head], idx=idx[head], weights=weights[head])]
+    for n, last in last_start.items():
+        # window (start, n) repeats every row of its parent window (start,
+        # n-1) once per label of its new last slot
+        keep = int(np.searchsorted(starts, last, side="right"))
+        reps = sizes[starts[:keep] + n - 1]
+        starts, gam, idx, weights = (np.repeat(a[:keep], reps, axis=0) for a in (starts, gam, idx, weights))
+        g = _labels(reps)
+        gam = np.column_stack((gam, g))
+        idx = np.column_stack((idx, flat[offset[starts + n - 1] + g]))
+        weights = np.column_stack((weights, _last_slot_weights(registry, bc, starts, idx)))
+        plans.append(WindowPlan(n=n, starts=starts, gammas=gam, idx=idx, weights=weights))
 
     # each orbit point keeps its first slot; columns in slot order make the
     # first nearest column the nearest slot under the tie rule

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,8 +60,10 @@ class WeightedComposition:
     label: str = ""
     form: dict | None = None
     allowed_defects: frozenset = frozenset()
+    # round-trip defects already measured on these maps, if any
+    measured_defects: InitVar[frozenset | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, measured_defects):
         n = self.space.n
         self.weight = np.asarray(self.weight, dtype=float)
         self.forward = np.asarray(self.forward, dtype=np.intp)
@@ -72,8 +74,9 @@ class WeightedComposition:
         if bad.size:
             raise ValueError(f"weight {self.weight[bad[0]]} at point "
                              f"{self.space.points[bad[0]]!r}: must be positive and finite")
-        stray = sorted(i for i in _roundtrip_defects(self.space, self.forward, self.backward)
-                       if i not in self.allowed_defects)
+        if measured_defects is None:
+            measured_defects = _roundtrip_defects(self.space, self.forward, self.backward)
+        stray = sorted(i for i in measured_defects if i not in self.allowed_defects)
         if stray:
             pid = self.space.points[stray[0]]
             raise ValueError(
@@ -90,10 +93,15 @@ class WeightedComposition:
         return self.weight * f[self.forward]
 
     def key(self) -> bytes:
-        return self.forward.tobytes() + np.round(self.weight, 12).tobytes()
+        return _map_key(self.forward, self.weight)
 
     def __repr__(self) -> str:
         return f"WeightedComposition({self.label or 'op'!r} on {self.space.name})"
+
+
+def _map_key(forward: np.ndarray, weight: np.ndarray) -> bytes:
+    """Dedupe key of an operator: its point map and its rounded weight."""
+    return forward.tobytes() + np.round(weight, 12).tobytes()
 
 
 def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray) -> frozenset[int]:
@@ -102,6 +110,34 @@ def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.nd
     idx = np.arange(space.n)
     gap = np.maximum(space.dmat[backward[forward], idx], space.dmat[forward[backward], idx])
     return frozenset(int(i) for i in np.nonzero(gap > 2 * space.resolution + 1e-12)[0])
+
+
+def _snapped(h: WeightedComposition, g: WeightedComposition, form: dict | None) -> WeightedComposition | None:
+    """The product ``hg`` re-snapped from a composed rotation or translation
+    form, or None when the form is neither."""
+    if form is not None and form.get("kind") == "rotation":
+        return circle_rotation(h.space, angle=form["angle"], label=f"{h.label}*{g.label}")
+    if form is not None and form.get("kind") == "translation":
+        return line_translation(h.space, form["offset"], label=f"{h.label}*{g.label}")
+    return None
+
+
+def _composite(h: WeightedComposition, g: WeightedComposition, weight: np.ndarray,
+               forward: np.ndarray, form: dict | None) -> WeightedComposition:
+    # snapping errors of non-isometric maps amplify under composition; the
+    # composite declares its own round-trip defects, measured once
+    backward = h.backward[g.backward]
+    new_defects = _roundtrip_defects(h.space, forward, backward)
+    return WeightedComposition(
+        space=h.space,
+        weight=weight,
+        forward=forward,
+        backward=backward,
+        label=f"{h.label}*{g.label}" if (h.label and g.label) else (h.label or g.label),
+        form=form,
+        allowed_defects=h.allowed_defects | g.allowed_defects | new_defects,
+        measured_defects=new_defects,
+    )
 
 
 def compose(h: WeightedComposition, g: WeightedComposition) -> WeightedComposition:
@@ -115,25 +151,10 @@ def compose(h: WeightedComposition, g: WeightedComposition) -> WeightedCompositi
     if h.space is not g.space:
         raise ValueError("mismatched spaces")
     form = _compose_forms(h.form, g.form)
-    if form is not None and form.get("kind") == "rotation":
-        return circle_rotation(h.space, angle=form["angle"], label=f"{h.label}*{g.label}")
-    if form is not None and form.get("kind") == "translation":
-        return line_translation(h.space, form["offset"], label=f"{h.label}*{g.label}")
-    weight = h.weight * g.weight[h.forward]
-    forward = g.forward[h.forward]
-    backward = h.backward[g.backward]
-    # snapping errors of non-isometric maps amplify under composition; the
-    # composite declares its own measured round-trip defects
-    new_defects = _roundtrip_defects(h.space, forward, backward)
-    return WeightedComposition(
-        space=h.space,
-        weight=weight,
-        forward=forward,
-        backward=backward,
-        label=f"{h.label}*{g.label}" if (h.label and g.label) else (h.label or g.label),
-        form=form,
-        allowed_defects=h.allowed_defects | g.allowed_defects | new_defects,
-    )
+    snapped = _snapped(h, g, form)
+    if snapped is not None:
+        return snapped
+    return _composite(h, g, h.weight * g.weight[h.forward], g.forward[h.forward], form)
 
 
 def invert(g: WeightedComposition) -> WeightedComposition:
@@ -402,6 +423,8 @@ class GroupSpec:
         cap = self.word_cap if cap is None else cap
         if cap in self._words_cache:
             return self._words_cache[cap]
+        if any(g.space is not self.space for g in self.generators):
+            raise ValueError("mismatched spaces")
         e = identity(self.space)
         out = [e]
         seen = {e.key()}
@@ -410,12 +433,22 @@ class GroupSpec:
             nxt = []
             for w in frontier:
                 for g in self.generators:
-                    c = compose(w, g)
-                    k = c.key()
-                    if k not in seen:
-                        seen.add(k)
-                        out.append(c)
-                        nxt.append(c)
+                    # a composite is built, and its defects measured, only
+                    # when its key is new; re-snapped forms are keyed as built
+                    form = _compose_forms(w.form, g.form)
+                    c = _snapped(w, g, form)
+                    if c is None:
+                        weight, forward = w.weight * g.weight[w.forward], g.forward[w.forward]
+                        k = _map_key(forward, weight)
+                    else:
+                        k = c.key()
+                    if k in seen:
+                        continue
+                    seen.add(k)
+                    if c is None:
+                        c = _composite(w, g, weight, forward, form)
+                    out.append(c)
+                    nxt.append(c)
             frontier = nxt
             if not frontier:
                 break

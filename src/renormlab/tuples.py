@@ -37,6 +37,11 @@ __all__ = [
     "enumeration_tail",
 ]
 
+# int64 entries in one (W, block, k) word-image array: 256 KB.  Freeing
+# larger temporaries raises glibc's dynamic mmap threshold, so later blocks
+# come from the heap and stay resident
+_KEY_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class Window:
@@ -208,9 +213,25 @@ class ClassRegistry:
         self._by_key: dict[tuple[int, tuple[int, ...]], ClassInfo] = {}
         self._by_window: dict[int, list[ClassInfo]] = {}
 
+    def canonical_keys(self, rows: np.ndarray) -> np.ndarray:
+        """Canonical keys of a (T, k) block of point rows, as a (T, k) array.
+
+        Row t's key is its image under the first word whose image is the
+        lexicographic minimum, found by one lexsort over the word axis.
+        Rows are sorted in blocks whose (W, block, k) images stay near 256 KB.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        T, k = rows.shape
+        step = max(1, _KEY_BLOCK // (len(self.word_maps) * k))
+        best = np.empty(T, dtype=np.intp)
+        for a in range(0, T, step):
+            images = self.word_maps[:, rows[a:a + step]]  # (W, t, k)
+            # lexsort's last key is the primary one, so column 0 goes last
+            best[a:a + step] = np.lexsort(images.transpose(2, 1, 0)[::-1], axis=-1)[:, 0]
+        return self.word_maps[best[:, None], rows]
+
     def canonical_key(self, points: Sequence[int]) -> tuple[int, ...]:
-        images = self.word_maps[:, np.asarray(points, dtype=np.intp)]
-        return min(map(tuple, images.tolist()))
+        return tuple(self.canonical_keys(np.asarray(points, dtype=np.intp)[None])[0].tolist())
 
     def _key(self, start: int, points: Sequence[int]) -> tuple[int, tuple[int, ...]]:
         return enumeration_index(window_of(start, len(points) - 1)), self.canonical_key(points)
@@ -237,12 +258,17 @@ class ClassRegistry:
         self._by_window.setdefault(m, []).append(info)
         return info
 
+    def lookup_rows(self, starts: Sequence[int], rows: np.ndarray) -> list[ClassInfo | None]:
+        """Registered class of each window tuple of a (T, k) block, row t
+        starting at base index starts[t], or None; never registers."""
+        rows = np.asarray(rows, dtype=np.intp)
+        n = rows.shape[1] - 1
+        m_of = {s: enumeration_index(window_of(s, n)) for s in set(starts)}
+        keys = self.canonical_keys(rows).tolist()
+        return [self._by_key.get((m_of[s], tuple(key))) for s, key in zip(starts, keys)]
+
     def classes_for_window(self, w: Window) -> list[ClassInfo]:
         return list(self._by_window.get(enumeration_index(w), ()))
-
-    def lookup(self, start: int, points: Sequence[int]) -> ClassInfo | None:
-        """Registered class of a window tuple, or None; never registers."""
-        return self._by_key.get(self._key(start, points))
 
     def all_classes(self) -> list[tuple[int, ClassInfo]]:
         out = []
@@ -303,65 +329,87 @@ def verify_bmap(
     if not bc.tail_sum() < bc.budget():
         report["violations"].append(("property3", "geometric tail exceeds budget"))
 
+    classes = registry.all_classes()
+    windows = {m: enumerate_window(m) for m in {m for m, _ in classes}}
+    # windows beyond depth participate only in property 7 sums
+    in_depth = {m for m, w in windows.items() if w.end <= depth or w.n == 1}
     by_m: dict[int, list[ClassInfo]] = {}
-    for m, info in registry.all_classes():
-        w = enumerate_window(m)
-        if w.end > depth and w.n > 1:
-            continue  # pairs beyond depth participate only in property 7 sums
-        by_m.setdefault(m, []).append(info)
+    for m, info in classes:
+        if m in in_depth:
+            by_m.setdefault(m, []).append(info)
 
+    # an exponent's integer ratio p/q is in lowest terms with q > 0, so exact
+    # comparisons are integer cross products and equal exponents have equal
+    # ratios
     for m, infos in sorted(by_m.items()):
-        w = enumerate_window(m)
+        w = windows[m]
         cm = 3 * m
         if c_value(w) != cm:
             report["violations"].append(("property2", f"window {w} code mismatch"))
-        exps = [info.exponent for info in sorted(infos, key=lambda i: i.ordinal)]
-        for a, b in zip(exps, exps[1:]):
-            if not a < b:
+        exps = [info.exponent.as_integer_ratio() for info in sorted(infos, key=lambda i: i.ordinal)]
+        for (pa, qa), (pb, qb) in zip(exps, exps[1:]):
+            if not pa * qb < pb * qa:
                 report["violations"].append(("property4", f"window m={m}: exponents not strictly increasing"))
         for info in infos:
             report["checked"] += 1
-            k = info.exponent
-            if not (Fraction(cm - 1) <= k <= Fraction(cm)):
+            p, q = info.exponent.as_integer_ratio()
+            if not ((cm - 1) * q <= p <= cm * q):
                 report["violations"].append(("property4", f"m={m} ordinal {info.ordinal}: exponent outside [c-1, c]"))
-            if (not info.attained) and k >= Fraction(cm):
+            if (not info.attained) and p >= cm * q:
                 report["violations"].append(("property4", f"m={m} ordinal {info.ordinal}: supremum attained without declaration"))
-            if k < 3 * w.end - 4:
+            if p < (3 * w.end - 4) * q:
                 report["violations"].append(("property5", f"m={m} ordinal {info.ordinal}: exponent below 3(i+n)-4"))
         seen_exponents = {}
         for info in infos:
-            prev = seen_exponents.get(info.exponent)
+            k = info.exponent.as_integer_ratio()
+            prev = seen_exponents.get(k)
             if prev is not None:
                 report["violations"].append(("property1", f"m={m}: classes {prev} and {info.ordinal} share a weight"))
-            seen_exponents[info.exponent] = info.ordinal
+            seen_exponents[k] = info.ordinal
+
+    # the prefix classes of every representative, rep[:k+1] for k = 1..n,
+    # keyed in one block per representative length and prefix length
+    rep_index = {(m, info.representative): info for m, info in classes}
+    by_len: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for m, rep in rep_index:
+        by_len.setdefault(len(rep), []).append((m, rep))
+    subs: dict[tuple[int, tuple[int, ...]], list] = {key: [] for key in rep_index}
+    for size, keys in by_len.items():
+        reps = np.array([rep for _, rep in keys], dtype=np.intp).reshape(len(keys), size)
+        starts = [windows[m].start for m, _ in keys]
+        for k in range(1, size):
+            for key, sub in zip(keys, registry.lookup_rows(starts, reps[:, : k + 1])):
+                subs[key].append(sub)
 
     # property 6: one-slot extensions grow by strictly more than one L power
-    rep_index = {(m, info.representative): info for m, info in registry.all_classes()}
     for (m, rep), info in rep_index.items():
-        w = enumerate_window(m)
-        if w.n < 2 or (w.end > depth and w.n > 1):
+        if windows[m].n < 2 or m not in in_depth:
             continue
-        pinfo = registry.lookup(w.start, rep[:-1])
+        pinfo = subs[(m, rep)][-2]
         if pinfo is None:
             report["violations"].append(("property6", f"m={m} ordinal {info.ordinal}: prefix class not registered"))
-        elif not info.exponent > pinfo.exponent + 1:
+            continue
+        (p, q), (pp, pq) = info.exponent.as_integer_ratio(), pinfo.exponent.as_integer_ratio()
+        if not p * pq > (pp + pq) * q:  # k > k' + 1
             report["violations"].append(
                 ("property6", f"m={m} ordinal {info.ordinal}: extension does not exceed L * base weight")
             )
 
     # property 7: budget along every registered tuple's prefix chain; the
     # deepest prefix window is the tuple's own, so the tail starts beyond m
+    recip = {id(info): bc.inv_L_pow(info.exponent) for _, info in classes}
+    heads = {m: bc.lam(w.start) for m, w in windows.items()}
+    tails = {m: enumeration_tail(bc, m) for m in windows}
+    report["checked"] += len(rep_index)
     for (m, rep), info in sorted(rep_index.items()):
-        w = enumerate_window(m)
-        subs = [registry.lookup(w.start, rep[: k + 1]) for k in range(1, w.n + 1)]
-        report["checked"] += 1
-        if any(sub is None for sub in subs):
+        chain = subs[(m, rep)]
+        if any(sub is None for sub in chain):
             report["violations"].append(("property7", f"m={m} ordinal {info.ordinal}: prefix class not registered"))
             continue
-        total = bc.lam(w.start)
-        for sub in subs:
-            total += bc.inv_L_pow(sub.exponent)
-        total += enumeration_tail(bc, m)
+        total = heads[m]
+        for sub in chain:
+            total += recip[id(sub)]
+        total += tails[m]
         if not total < bc.C:
             report["violations"].append(("property7", f"m={m} ordinal {info.ordinal}: budget exceeded ({total})"))
 

@@ -34,6 +34,18 @@ def product_cfg(product_space, rotation_group):
 
 
 @pytest.fixture(scope="session")
+def product_capped_cfg(product_space, rotation_group):
+    return rl.build_config(product_space, rotation_group, C=1.1, depth=4, gamma_cap=5)
+
+
+@pytest.fixture(scope="session")
+def product_word_capped_cfg(product_space, rotation_group):
+    # 9 of the 12 rotations: a word list that is not closed under composition
+    group = rl.GroupSpec(rotation_group.generators, word_cap=4, label="rot12-cap4")
+    return rl.build_config(product_space, group, C=1.1, depth=4)
+
+
+@pytest.fixture(scope="session")
 def remark_space():
     return rl.builtin_space("remark25", n_max=50)
 

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import re
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from hypothesis import strategies as st
 
 import renormlab as rl
 from renormlab import io as rio
+from renormlab import cli
 from renormlab.cli import InputError, main, run
+from renormlab.norm import TupleBudgetError
 from renormlab.operators import line_translation, onepoint_swap_group
 
 
@@ -181,6 +186,46 @@ def test_run_rejects_unknown_task_before_writing(tmp_path):
     with pytest.raises(InputError, match="bogus"):
         run(scenario, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_run_over_budget_scenario_exits_2_before_building(tmp_path, capsys):
+    scenario = json.loads((Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+                           / "rotation_product.json").read_text())
+    scenario["depth"] = 9
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(scenario))
+    t0 = time.perf_counter()
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    err = capsys.readouterr().err
+    found = re.search(r"depth 9 with gamma_cap None enumerates (\d+) window tuples", err)
+    assert found and int(found.group(1)) > 2_000_000, err
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
+def test_tuple_budget_counts_every_plan_row(product_space, rotation_group):
+    cfg = rl.build_config(product_space, rotation_group, C=1.1, depth=3, gamma_cap=4)
+    total = sum(plan.count for plan in cfg.plans)
+    rl.build_config(product_space, rotation_group, C=1.1, depth=3, gamma_cap=4, max_tuples=total)
+    with pytest.raises(TupleBudgetError, match=f"gamma_cap 4 enumerates {total} window tuples"):
+        rl.build_config(product_space, rotation_group, C=1.1, depth=3, gamma_cap=4, max_tuples=total - 1)
+
+
+def test_run_builds_a_failing_config_once(tmp_path, monkeypatch):
+    calls = []
+    build = cli.build_config
+    monkeypatch.setattr(cli, "build_config", lambda *a, **k: calls.append(1) or build(*a, **k))
+    scenario = {
+        "space": {"builtin": "line", "params": {"step": 0.5, "window": [-1, 1]}},
+        "depth": 8,
+        "tasks": ["build-config", "verify-bmap", "detect"],
+        "detect": [],
+    }
+    assert run(scenario, tmp_path / "out") == 1
+    assert len(calls) == 1
+    errors = {json.loads((tmp_path / "out" / f"{t}.json").read_text())["error"] for t in scenario["tasks"]}
+    assert len(errors) == 1 and "depth 8 needs" in errors.pop()
 
 
 def test_cli_eval_norm_rejects_bad_function_files(tmp_path, capsys):

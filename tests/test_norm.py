@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import renormlab as rl
 from renormlab.norm import (
     TriangularSystem,
+    _last_slot_weights,
     assemble_comparison,
     build_matrix,
     comparison_matrix,
@@ -26,7 +29,8 @@ from renormlab.norm import (
 )
 from renormlab.detector import check_weight_one
 from renormlab.operators import identity, line_translation, multiplication
-from renormlab.tuples import TupleIndex, c_value, choose_parameters, window_of
+from renormlab.orbits import select_dense_points
+from renormlab.tuples import ClassRegistry, TupleIndex, c_value, choose_parameters, window_of
 
 
 # ----------------------------------------------------------------------
@@ -205,11 +209,6 @@ def _gamma_cap_trace_per_cap(x, cfg, caps):
             best = max(best, float(vals.max()))
         out.append((cap, best))
     return out
-
-
-@pytest.fixture(scope="module")
-def product_capped_cfg(product_space, rotation_group):
-    return rl.build_config(product_space, rotation_group, C=1.1, depth=4, gamma_cap=5)
 
 
 @pytest.mark.parametrize("name", ["product_cfg", "line20_cfg", "product_capped_cfg"])
@@ -485,3 +484,75 @@ def test_comparison_rows_match_class_rows_below_corner():
     T = assemble_comparison(lambdas, segs, 9, bc)
     assert T.zeta[1, 2] == pytest.approx(bc.inv_L_pow(Fraction(5)))
     assert T.zeta[0, 2] == pytest.approx(bc.inv_L_pow(Fraction(9)))
+
+
+def _build_window_by_window(space, group, C, depth, gamma_cap=None):
+    # the per-window build with a per-level np.unique and a per-row
+    # classify that the level-by-level plans replaced
+    bc = choose_parameters(C)
+    base, _ = select_dense_points(space, group)
+    registry = ClassRegistry([w.forward for w in group.words()])
+    orbit_enums = [tuple(dict.fromkeys(col)) for col in registry.word_maps[:, list(base)].T.tolist()]
+
+    def build_window(start, n):
+        ranges = [len(orbit_enums[start + j - 1]) for j in range(n + 1)]
+        if gamma_cap is not None:
+            ranges = [min(r, gamma_cap) for r in ranges]
+        count = math.prod(ranges)
+        gam = np.array(list(itertools.product(*(range(r) for r in ranges))), dtype=np.intp)
+        gam = gam.reshape(count, n + 1)
+        idx = np.empty_like(gam)
+        for j in range(n + 1):
+            idx[:, j] = np.asarray(orbit_enums[start + j - 1], dtype=np.intp)[gam[:, j]]
+        weights = np.empty((count, n + 1))
+        weights[:, 0] = bc.lam(start)
+        for k in range(1, n + 1):
+            uniq, inv = np.unique(idx[:, : k + 1], axis=0, return_inverse=True)
+            vals = np.empty(len(uniq))
+            for u, row in enumerate(uniq):
+                vals[u] = bc.inv_L_pow(registry.classify(start, row).exponent)
+            weights[:, k] = vals[inv]
+        return np.full(count, start, dtype=np.intp), gam, idx, weights
+
+    raw, deep = {}, set()
+    for end in range(2, min(depth, len(base)) + 1):
+        for length in range(2, end + 1):
+            start = end - length + 1
+            deep.add((start, length - 1))
+            raw.setdefault(length - 1, []).append(build_window(start, length - 1))
+    for i in range(1, len(base)):
+        if (i, 1) not in deep:
+            raw.setdefault(1, []).append(build_window(i, 1))
+    raw.setdefault(0, []).append(build_window(len(base), 0))
+    plans = [(n, *(np.concatenate([r[j] for r in rows]) for j in range(4))) for n, rows in sorted(raw.items())]
+    return tuple(base), registry, plans
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "line_cfg", "product_word_capped_cfg", "product_capped_cfg"])
+def test_level_plans_match_window_by_window_build(name, request):
+    # built afresh: the shared configs' registries gain classes as other tests query them
+    shared = request.getfixturevalue(name)
+    cfg = rl.build_config(shared.space, shared.group, C=shared.bc.C, depth=shared.depth,
+                          gamma_cap=shared.gamma_cap)
+    base, registry, plans = _build_window_by_window(cfg.space, cfg.group, cfg.bc.C, cfg.depth, cfg.gamma_cap)
+    assert base == cfg.base_points
+    assert registry.to_records() == cfg.registry.to_records()
+    assert ([(m, i.ordinal, i.exponent, i.attained) for m, i in registry.all_classes()]
+            == [(m, i.ordinal, i.exponent, i.attained) for m, i in cfg.registry.all_classes()])
+    assert [p[0] for p in plans] == [p.n for p in cfg.plans]
+    for ref, plan in zip(plans, cfg.plans):
+        for a, b in zip(ref[1:], (plan.starts, plan.gammas, plan.idx, plan.weights)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (name, plan.n)
+
+
+def test_last_slot_classes_follow_sorted_rows_per_window():
+    # rows out of order, and two windows whose rows coincide
+    registry = ClassRegistry([np.arange(6)])
+    bc = choose_parameters(1.1)
+    starts = np.array([1, 2, 2, 2])
+    idx = np.array([[0, 1], [0, 2], [0, 1], [0, 2]])
+    weights = _last_slot_weights(registry, bc, starts, idx)
+    assert [(r["m"], r["ordinal"], r["representative"]) for r in registry.to_records()] == [
+        (1, 1, [0, 1]), (2, 1, [0, 1]), (2, 2, [0, 2])]
+    assert weights.tolist() == [bc.inv_L_pow(registry.classify(int(s), row).exponent)
+                                for s, row in zip(starts, idx.tolist())]

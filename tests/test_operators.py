@@ -19,6 +19,7 @@ from renormlab.operators import (
     invert,
     lift,
     line_translation,
+    multiplication,
     onepoint_swap,
     onepoint_swap_group,
     pointwise_implies_sot,
@@ -310,6 +311,65 @@ def test_word_enumeration_deterministic(onepoint_space):
     w2 = [w.key() for w in g2.words()]
     assert w1 == w2
     assert len(w1) == 1 + 6 + 15  # identity, swaps, unordered pairs
+
+
+def _words_loop(group, cap):
+    # the enumeration that composed every (word, generator) pair before
+    # deduplicating by key
+    e = identity(group.space)
+    out, seen, frontier = [e], {e.key()}, [e]
+    for _ in range(cap):
+        nxt = []
+        for w in frontier:
+            for g in group.generators:
+                c = compose(w, g)
+                if c.key() not in seen:
+                    seen.add(c.key())
+                    out.append(c)
+                    nxt.append(c)
+        frontier = nxt
+        if not frontier:
+            break
+    return out
+
+
+def _word_groups(onepoint_space, product_space, rotation_group, line_space):
+    circ = product_space.aux["a"]
+    remark = rl.builtin_space("remark25", n_max=7)
+    return {
+        "onepoint swaps": onepoint_swap_group(onepoint_space, word_cap=2, count=12),
+        "lifted rotations": rotation_group,
+        "circle rotations": rl.GroupSpec((circle_rotation(circ, steps=4), circle_rotation(circ, steps=6)),
+                                         word_cap=3),
+        "line translations": rl.GroupSpec((line_translation(line_space, 0.5),), word_cap=4),
+        "remark25 maps": rl.GroupSpec(tuple(remark25_sequence(remark)), word_cap=2),
+        "weighted flips": rl.GroupSpec((interval_flip(product_space.aux["b"]),
+                                        multiplication(product_space.aux["b"], 2.0)), word_cap=3),
+    }
+
+
+def test_words_match_compose_every_pair_loop(onepoint_space, product_space, rotation_group, line_space):
+    for name, group in _word_groups(onepoint_space, product_space, rotation_group, line_space).items():
+        fast = rl.GroupSpec(group.generators, word_cap=group.word_cap).words()
+        slow = _words_loop(group, group.word_cap)
+        assert [w.label for w in fast] == [w.label for w in slow], name
+        assert [w.key() for w in fast] == [w.key() for w in slow], name
+        assert [w.allowed_defects for w in fast] == [w.allowed_defects for w in slow], name
+        assert [w.form for w in fast] == [w.form for w in slow], name
+        assert all(np.array_equal(a.backward, b.backward) for a, b in zip(fast, slow)), name
+
+
+def test_words_measure_each_new_composite_once(onepoint_space, monkeypatch):
+    from renormlab import operators
+
+    group = onepoint_swap_group(onepoint_space, word_cap=2)
+    calls = []
+    measure = operators._roundtrip_defects
+    monkeypatch.setattr(operators, "_roundtrip_defects", lambda *a: calls.append(1) or measure(*a))
+    words = group.words()
+    # the identity plus one measurement per distinct composite
+    assert len(words) == 1 + 50 + 50 * 49 // 2  # identity, swaps, unordered pairs
+    assert len(calls) == len(words)
 
 
 def test_lift_acts_on_one_factor(product_space):

@@ -1,10 +1,13 @@
+import copy
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renormlab import tuples
 from renormlab.tuples import (
     ClassRegistry,
     TupleIndex,
@@ -167,6 +170,34 @@ def test_canonical_key_matches_per_word_loop(case):
     assert all(type(i) is int for i in key)
 
 
+@st.composite
+def _word_maps_and_rows(draw):
+    # a (T, k) block with repeated rows over arbitrary index maps
+    n = draw(st.integers(min_value=1, max_value=12))
+    index = st.integers(min_value=0, max_value=n - 1)
+    maps = draw(st.lists(st.lists(index, min_size=n, max_size=n), min_size=1, max_size=6))
+    k = draw(st.integers(min_value=1, max_value=6))
+    distinct = draw(st.lists(st.lists(index, min_size=k, max_size=k), min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=30))
+    block = draw(st.integers(min_value=1, max_value=40))
+    return [np.asarray(m) for m in maps], np.asarray(rows, dtype=np.intp), block
+
+
+@given(_word_maps_and_rows())
+@settings(max_examples=300)
+def test_canonical_keys_match_per_word_loop(case):
+    maps, rows, block = case
+    reg = ClassRegistry(maps)
+    expected = [_canonical_key_loop(maps, row) for row in rows]
+    # a small block size splits the rows over several lexsorts
+    for size in (tuples._KEY_BLOCK, block):
+        with mock.patch.object(tuples, "_KEY_BLOCK", size):
+            keys = reg.canonical_keys(rows)
+        assert keys.shape == rows.shape
+        assert [tuple(key) for key in keys.tolist()] == expected
+    assert [reg.canonical_key(row) for row in rows.tolist()] == expected
+
+
 def test_b_value_property5_spot():
     # window (2,3,4): m = 5, c = 15, so every exponent is >= 14 >= 3*4 - 4
     reg = ClassRegistry([np.arange(10)])
@@ -174,6 +205,115 @@ def test_b_value_property5_spot():
     k = b_value(t, reg)
     assert k >= 3 * 4 - 4
     assert k == Fraction(14)
+
+
+def _verify_bmap_reference(bc, depth, registry):
+    # the verifier that looked up every prefix of every representative
+    # one tuple at a time
+    def lookup(start, points):
+        return registry._by_key.get(registry._key(start, points))
+
+    report = {"depth": depth, "violations": [], "checked": 0}
+    if not bc.tail_sum() < bc.budget():
+        report["violations"].append(("property3", "geometric tail exceeds budget"))
+    by_m = {}
+    for m, info in registry.all_classes():
+        w = enumerate_window(m)
+        if w.end > depth and w.n > 1:
+            continue
+        by_m.setdefault(m, []).append(info)
+    for m, infos in sorted(by_m.items()):
+        w = enumerate_window(m)
+        cm = 3 * m
+        if c_value(w) != cm:
+            report["violations"].append(("property2", f"window {w} code mismatch"))
+        exps = [info.exponent for info in sorted(infos, key=lambda i: i.ordinal)]
+        for a, b in zip(exps, exps[1:]):
+            if not a < b:
+                report["violations"].append(("property4", f"window m={m}: exponents not strictly increasing"))
+        for info in infos:
+            report["checked"] += 1
+            k = info.exponent
+            if not (Fraction(cm - 1) <= k <= Fraction(cm)):
+                report["violations"].append(("property4", f"m={m} ordinal {info.ordinal}: exponent outside [c-1, c]"))
+            if (not info.attained) and k >= Fraction(cm):
+                report["violations"].append(("property4", f"m={m} ordinal {info.ordinal}: supremum attained without declaration"))
+            if k < 3 * w.end - 4:
+                report["violations"].append(("property5", f"m={m} ordinal {info.ordinal}: exponent below 3(i+n)-4"))
+        seen_exponents = {}
+        for info in infos:
+            prev = seen_exponents.get(info.exponent)
+            if prev is not None:
+                report["violations"].append(("property1", f"m={m}: classes {prev} and {info.ordinal} share a weight"))
+            seen_exponents[info.exponent] = info.ordinal
+    rep_index = {(m, info.representative): info for m, info in registry.all_classes()}
+    for (m, rep), info in rep_index.items():
+        w = enumerate_window(m)
+        if w.n < 2 or (w.end > depth and w.n > 1):
+            continue
+        pinfo = lookup(w.start, rep[:-1])
+        if pinfo is None:
+            report["violations"].append(("property6", f"m={m} ordinal {info.ordinal}: prefix class not registered"))
+        elif not info.exponent > pinfo.exponent + 1:
+            report["violations"].append(
+                ("property6", f"m={m} ordinal {info.ordinal}: extension does not exceed L * base weight")
+            )
+    for (m, rep), info in sorted(rep_index.items()):
+        w = enumerate_window(m)
+        subs = [lookup(w.start, rep[: k + 1]) for k in range(1, w.n + 1)]
+        report["checked"] += 1
+        if any(sub is None for sub in subs):
+            report["violations"].append(("property7", f"m={m} ordinal {info.ordinal}: prefix class not registered"))
+            continue
+        total = bc.lam(w.start)
+        for sub in subs:
+            total += bc.inv_L_pow(sub.exponent)
+        total += enumeration_tail(bc, m)
+        if not total < bc.C:
+            report["violations"].append(("property7", f"m={m} ordinal {info.ordinal}: budget exceeded ({total})"))
+    report["ok"] = not report["violations"]
+    return report
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "line_cfg", "product_word_capped_cfg", "product_capped_cfg"])
+def test_verify_bmap_matches_per_tuple_reference(name, request):
+    cfg = request.getfixturevalue(name)
+    for depth in (cfg.depth, cfg.depth - 1):
+        report = verify_bmap(cfg.bc, depth, cfg.registry)
+        assert report == _verify_bmap_reference(cfg.bc, depth, cfg.registry)
+    assert report["checked"] > 0
+
+
+def _corrupt(registry, m, ordinal, exponent):
+    for info in registry.classes_for_window(enumerate_window(m)):
+        if info.ordinal == ordinal:
+            info.exponent = exponent
+
+
+def test_verify_bmap_matches_reference_on_corrupted_registries(product_cfg):
+    bc = choose_parameters(1.1)
+    dup = ClassRegistry([np.arange(10)])
+    dup.classify(1, (0, 1))
+    dup.classify(1, (0, 2)).exponent = Fraction(2)
+    orphan = ClassRegistry([np.arange(10)])
+    orphan.classify(1, (0, 1, 2))
+    cases = [(dup, 3), (orphan, 3)]
+    # on a copy of a built registry: a pair exponent of 0 breaks the budget
+    # (7), one of 7.6 the one-step growth of its extensions (6); others
+    # leave [c-1, c] (4), undercut 3(i+n)-4 (5), or repeat a weight (1)
+    for m, ordinal, exponent in [(1, 1, Fraction(0)), (1, 1, Fraction(38, 5)), (3, 2, Fraction(9)),
+                                 (3, 3, Fraction(19, 2)), (6, 1, Fraction(1)), (6, 1, Fraction(15, 2)),
+                                 (5, 3, Fraction(29, 2)), (6, 4, Fraction(35, 2))]:
+        reg = copy.deepcopy(product_cfg.registry)
+        _corrupt(reg, m, ordinal, exponent)
+        cases.append((reg, product_cfg.depth))
+    tags = set()
+    for reg, depth in cases:
+        report = verify_bmap(bc, depth, reg)
+        assert report == _verify_bmap_reference(bc, depth, reg)
+        assert not report["ok"]
+        tags |= {tag for tag, _ in report["violations"]}
+    assert tags == {"property1", "property4", "property5", "property6", "property7"}
 
 
 def test_verify_bmap_passes_on_line(line_cfg):
