@@ -52,17 +52,12 @@ def m_weight(
     """
     space = group.space
     cap = group.word_cap if word_cap is None else word_cap
-    trace = []
-    m = None
-    bound = 0.0
-    for c in range(1, cap + 1):
-        words = group.words(c)
-        weights = np.stack([w.weight for w in words])
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("unbounded group at cap: non-finite word weight")
-        m = weights.min(axis=0)
-        bound = float(weights.max())
-        trace.append((c, float(m.min())))
+    weights = group.word_table(cap)[1]
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("unbounded group at cap: non-finite word weight")
+    m = weights.min(axis=0)
+    # the words of length <= c are a prefix of the table
+    trace = [(c, float(weights[: len(group.words(c))].min())) for c in range(1, cap + 1)]
     growth = len(trace) >= 2 and trace[-1][1] < trace[-2][1] - 1e-12
 
     radius = 2 * space.resolution if jump_radius is None else jump_radius
@@ -78,7 +73,7 @@ def m_weight(
         group=group,
         m=m,
         m_G=1.0 / m,
-        C_G=bound,
+        C_G=float(weights.max()),
         cap_trace=trace,
         flagged=flagged,
         jump_tol=jump_tol,
@@ -99,9 +94,7 @@ def group_norm(x: np.ndarray, bgn: BoundedGroupNorm) -> GroupNormResult:
     words; for word sets closed under inversion the two agree exactly."""
     x = np.asarray(x, dtype=float)
     value = float(np.max(np.abs(bgn.m_G * x)))
-    words = bgn.group.words()
-    forward = np.stack([w.forward for w in words])
-    weight = np.stack([w.weight for w in words])
+    forward, weight = bgn.group.word_table()
     sup_words = float(np.max(np.abs(weight * x[forward])))
     return GroupNormResult(value=value, sup_over_words=sup_words,
                            agree=abs(value - sup_words) <= 1e-12 * max(1.0, value))

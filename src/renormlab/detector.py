@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norm import RenormConfig, build_matrix, comparison_matrix, solve_unit
+from .norm import RenormConfig, build_matrix, solve_unit
 from .operators import WeightedComposition
-from .orbits import equivalent
 from .tuples import TupleIndex
 
 log = logging.getLogger(__name__)
@@ -46,18 +45,18 @@ class WeightReport:
 class TupleCheck:
     tuple_points: tuple[str, ...]
     image_points: tuple[str, ...]
-    outcome: str  # same-class | class-mismatch | window-mismatch | off-orbit | comparison-mismatch | comparison-match | unclassified
+    outcome: str  # same-class | class-mismatch | window-mismatch | off-orbit
     fingerprint: tuple[float, ...]
     image_fingerprint: tuple[float, ...] | None
     detail: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.outcome in ("same-class", "comparison-match")
+        return self.outcome == "same-class"
 
     @property
     def mismatch(self) -> bool:
-        return self.outcome in ("class-mismatch", "window-mismatch", "off-orbit", "comparison-mismatch")
+        return self.outcome in ("class-mismatch", "window-mismatch", "off-orbit")
 
 
 @dataclass
@@ -72,9 +71,6 @@ class IsometryVerdict:
     @property
     def certified(self) -> bool:
         return self.verdict == "certified-in-G"
-
-
-_FP_TOL = 1e-9
 
 
 def check_weight_one(T: WeightedComposition, cfg: RenormConfig, tol: float = 1e-9) -> WeightReport:
@@ -119,10 +115,6 @@ def fingerprint(t: TupleIndex, cfg: RenormConfig) -> np.ndarray:
     """Unit solution of the tuple's triangular system; constant on orbit
     classes, so equal fingerprints identify equal classes at registry level."""
     return solve_unit(build_matrix(t, cfg))
-
-
-def _fingerprints_match(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and float(np.max(np.abs(a - b))) <= _FP_TOL
 
 
 def certify(
@@ -184,24 +176,14 @@ def certify(
                 detail=f"image slots land in base orbits {[s[0] for s in slots]}, not a consecutive window",
             )
         else:
-            head_ok = n >= 1 and equivalent(img[:-1], t.points[:-1], cfg.group)
-            tail_ok = n >= 1 and equivalent(img[1:], t.points[1:], cfg.group)
-            if head_ok and tail_ok:
-                try:
-                    system = comparison_matrix(img, t, cfg)
-                    fp_s = solve_unit(system)
-                    outcome = "comparison-match" if _fingerprints_match(fp_t, fp_s) else "comparison-mismatch"
-                    check = TupleCheck(t_ids, img_ids, outcome, tuple(fp_t), tuple(fp_s),
-                                       detail="limiting corner system")
-                except ValueError as exc:
-                    check = TupleCheck(t_ids, img_ids, "unclassified", tuple(fp_t), None,
-                                       detail=str(exc))
-            else:
-                missing = [img_ids[j] for j, s in enumerate(slots) if s is None]
-                check = TupleCheck(
-                    t_ids, img_ids, "off-orbit", tuple(fp_t), None,
-                    detail=f"image points {missing} lie outside every enumerated base orbit",
-                )
+            # no comparison system applies: a point equivalent to a base slot
+            # lies within resolution of a base-orbit entry, so a slot-less
+            # image fails head or tail equivalence
+            missing = [img_ids[j] for j, s in enumerate(slots) if s is None]
+            check = TupleCheck(
+                t_ids, img_ids, "off-orbit", tuple(fp_t), None,
+                detail=f"image points {missing} lie outside every enumerated base orbit",
+            )
         checks.append(check)
         if check.mismatch and witness is None:
             witness = {

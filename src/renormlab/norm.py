@@ -156,7 +156,8 @@ def dual_decompose(beta: Sequence[float], T: TriangularSystem) -> tuple[np.ndarr
 
 
 class TupleBudgetError(ValueError):
-    """The window tuples of a configuration exceed its max_tuples budget."""
+    """The window tuples of a configuration exceed its max_tuples budget,
+    or its gamma_cap admits none."""
 
 
 @dataclass
@@ -309,13 +310,16 @@ def build_config(
     class registry, and verify the weight-map properties at depth."""
     if depth < 2:
         raise ValueError("depth must be at least 2")
+    if gamma_cap is not None and (isinstance(gamma_cap, bool)
+                                  or not isinstance(gamma_cap, (int, np.integer)) or gamma_cap < 1):
+        raise TupleBudgetError(f"gamma_cap must be None or an integer >= 1, got {gamma_cap!r}")
     bc = choose_parameters(C)
     base, audit = select_dense_points(space, group, count=base_count)
     if len(base) < depth:
         raise ValueError(
             f"only {len(base)} base points selectable; depth {depth} needs at least that many"
         )
-    registry = ClassRegistry([w.forward for w in group.words()])
+    registry = ClassRegistry(group.word_table()[0])
     # each base orbit lists its distinct word images in word order
     orbit_enums = [tuple(dict.fromkeys(col)) for col in registry.word_maps[:, list(base)].T.tolist()]
 
@@ -578,14 +582,11 @@ def dual_norm_atoms(
     t,
     beta: Sequence[float],
     cfg: RenormConfig,
-    reference: TupleIndex | None = None,
 ) -> tuple[float, np.ndarray]:
     """Dual norm of a beta-weighted atomic combination over a window tuple.
 
-    ``t`` is a TupleIndex or a raw point tuple equivalent to a registered
-    class (equivalent tuples share the solution vector).  A raw tuple that
-    matches no class routes through the comparison system against
-    ``reference`` when supplied.
+    ``t`` is a TupleIndex or a raw point tuple that sits on a consecutive
+    base window (equivalent tuples share the solution vector).
 
     Returns (value, fingerprint): the value is beta . a(t) and the
     fingerprint a(t) is the class invariant used by the detector.
@@ -594,15 +595,10 @@ def dual_norm_atoms(
     if not np.all((beta >= 0.8 - _ZETA_MARGIN) & (beta <= 1.0 + _ZETA_MARGIN)):
         raise ValueError(f"beta {beta.tolist()} outside the [4/5, 1] window")
     if not isinstance(t, TupleIndex):
-        points = tuple(int(p) for p in t)
-        t = cfg.window_tuple(points, tol=0)
-    if t is not None:
-        system = build_matrix(t, cfg)
-    elif reference is not None:
-        system = comparison_matrix(points, reference, cfg)
-    else:
-        raise ValueError("tuple does not sit on a consecutive base window; "
-                         "supply a reference tuple for the comparison route")
+        t = cfg.window_tuple(tuple(int(p) for p in t), tol=0)
+    if t is None:
+        raise ValueError("tuple does not sit on a consecutive base window")
+    system = build_matrix(t, cfg)
     a = solve_unit(system)
     if beta.shape != (system.size,):
         raise ValueError("beta length mismatch")

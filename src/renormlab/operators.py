@@ -402,7 +402,8 @@ class GroupSpec:
                 gens.append(gi)
                 keys.add(gi.key())
         self.generators = tuple(gens)
-        self._words_cache: dict[int, list[WeightedComposition]] = {}
+        self._words: list[list[WeightedComposition]] | None = None  # [c]: length <= c
+        self._table: tuple[np.ndarray, np.ndarray] | None = None  # set with _words
 
     @property
     def space(self) -> SampledSpace:
@@ -414,22 +415,17 @@ class GroupSpec:
     def trivial(cls, space: SampledSpace, word_cap: int = 1) -> "GroupSpec":
         return cls((identity(space),), word_cap=word_cap, closure_tag=True, label="trivial")
 
-    def words(self, cap: int | None = None) -> list[WeightedComposition]:
-        """All distinct words of length <= cap, breadth first, identity first.
-
-        Deduplication is by (forward map, rounded weight), so the list is a
-        deterministic enumeration of the sampled subgroup.
-        """
-        cap = self.word_cap if cap is None else cap
-        if cap in self._words_cache:
-            return self._words_cache[cap]
+    def _enumerate(self) -> list[list[WeightedComposition]]:
+        """The breadth-first enumeration through ``word_cap`` and, for each
+        c, its prefix of the words of length <= c."""
         if any(g.space is not self.space for g in self.generators):
             raise ValueError("mismatched spaces")
         e = identity(self.space)
         out = [e]
         seen = {e.key()}
         frontier = [e]
-        for _ in range(cap):
+        prefixes = [[e]]
+        for _ in range(self.word_cap):
             nxt = []
             for w in frontier:
                 for g in self.generators:
@@ -450,10 +446,32 @@ class GroupSpec:
                     out.append(c)
                     nxt.append(c)
             frontier = nxt
-            if not frontier:
-                break
-        self._words_cache[cap] = out
-        return out
+            prefixes.append(list(out))
+        return prefixes
+
+    def words(self, cap: int | None = None) -> list[WeightedComposition]:
+        """All distinct words of length <= cap (at most ``word_cap``),
+        breadth first, identity first.
+
+        Deduplication is by (forward map, rounded weight), so the list is a
+        deterministic enumeration of the sampled subgroup.  The words are
+        enumerated once; each cap's list is a prefix of the full one, and
+        repeat calls return the same list object.
+        """
+        cap = self.word_cap if cap is None else cap
+        if not 0 <= cap <= self.word_cap:
+            raise ValueError(f"word cap {cap} outside 0..word_cap {self.word_cap}")
+        if self._words is None:
+            self._words = self._enumerate()
+            full = self._words[-1]
+            self._table = (np.stack([w.forward for w in full]), np.stack([w.weight for w in full]))
+        return self._words[cap]
+
+    def word_table(self, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Point maps and weights of ``words(cap)`` as ``(W, n)`` arrays,
+        row w for word w: prefix views of one table stacked once."""
+        count = len(self.words(cap))
+        return self._table[0][:count], self._table[1][:count]
 
 
 # ----------------------------------------------------------------------
@@ -666,9 +684,9 @@ def pointwise_implies_sot(
     exactly what breaks without it.
     """
     space = group.space
-    words = group.words()
+    forward = group.word_table()[0]
     for K in space.exhaustion:
-        eq = check_local_equicontinuity(words, K, moduli_grid, space=space)
+        eq = check_local_equicontinuity(forward, K, moduli_grid, space=space)
         if eq.witnesses:
             _, (mi, s, t) = eq.witnesses[0]
             raise ValueError(

@@ -56,37 +56,33 @@ def tuple_distance(space: SampledSpace, s: Sequence[int], t: Sequence[int]) -> f
 
 def orbit_closure(group: GroupSpec, t: Sequence[int], cap: int | None = None) -> OrbitClosure:
     """All images of the tuple under words of length <= cap, deduplicated
-    strictly below the 2*resolution scale, sorted for deterministic merging."""
+    strictly below the 2*resolution scale, sorted for deterministic merging.
+
+    Images are taken in word order and an image is dropped when it lies
+    within the scale of an image kept before it; exact repeats are dropped
+    first, so the scale is tested on distinct images only.
+    """
     space = group.space
     base = tuple(int(i) for i in t)
     tol = 2 * space.resolution * (1 - 1e-9)  # keep spacing-separated images distinct
-    defect_sets = [g.allowed_defects for g in group.generators]
-    clipped = False
-    kept: list[tuple[int, ...]] = []
-    for w in group.words(cap):
-        img = tuple(int(w.forward[i]) for i in base)
-        if any(i in ds for ds in defect_sets for i in img):
-            clipped = True
-        is_new = True
-        for k in kept:
-            if img == k or tuple_distance(space, img, k) < tol:
-                is_new = False
-                break
-        if is_new:
-            kept.append(img)
-    if base not in kept:
-        kept.append(base)
+    images = group.word_table(cap)[0][:, base]  # (W, k), row w is word w's image
+    distinct = np.array(list(dict.fromkeys(map(tuple, images.tolist()))), dtype=np.intp)
+    keep = np.zeros(len(distinct), dtype=bool)
+    keep[0] = True
+    for u in range(1, len(distinct)):
+        keep[u] = space.dmat[distinct[keep], distinct[u]].max(axis=1).min() >= tol
+    defects = frozenset().union(*(g.allowed_defects for g in group.generators))
     return OrbitClosure(
         base=base,
-        samples=tuple(sorted(kept)),
+        samples=tuple(sorted({*map(tuple, distinct[keep].tolist()), base})),
         word_cap=cap if cap is not None else group.word_cap,
         hull_tolerance=tol,
-        window_clipped=clipped,
+        window_clipped=not defects.isdisjoint(distinct.ravel().tolist()),
     )
 
 
 def _min_distance_to_orbit(space: SampledSpace, s: Sequence[int], orb: OrbitClosure) -> float:
-    return min(tuple_distance(space, s, k) for k in orb.samples)
+    return float(space.dmat[np.asarray(orb.samples), np.asarray(s)].max(axis=1).min())
 
 
 def equivalent_report(

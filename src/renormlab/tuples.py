@@ -206,9 +206,10 @@ class ClassRegistry:
     family declared complete assigns exactly c_m to its last class.
     """
 
-    def __init__(self, word_maps: Sequence[np.ndarray], declared_totals: dict[int, int] | None = None):
-        # (W, n): row w maps every sample index to its image under word w
-        self.word_maps = np.stack(word_maps).astype(np.intp, copy=False)
+    def __init__(self, word_maps: np.ndarray, declared_totals: dict[int, int] | None = None):
+        # (W, n): row w maps every sample index to its image under word w;
+        # a group's word table is read as given
+        self.word_maps = np.asarray(word_maps, dtype=np.intp)
         self.declared_totals = dict(declared_totals or {})
         self._by_key: dict[tuple[int, tuple[int, ...]], ClassInfo] = {}
         self._by_window: dict[int, list[ClassInfo]] = {}

@@ -11,6 +11,7 @@ from renormlab.operators import (
     line_translation,
     multiplication,
 )
+from renormlab.orbits import equivalent
 from renormlab.tuples import TupleIndex
 
 
@@ -143,3 +144,20 @@ def test_verdict_invariant_under_certified_composition(product_cfg):
         expected = certify(base, product_cfg, test_depth=3).verdict
         got = certify(compose(base, w), product_cfg, test_depth=3).verdict
         assert got == expected
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "line_cfg"])
+def test_points_equivalent_to_a_base_point_have_a_slot(name, request):
+    # why certify needs no comparison system: an image point equivalent to a
+    # base slot lies within resolution of a word image of that base, which
+    # the base orbit enumerates, so a slot-less image fails head or tail
+    # equivalence
+    cfg = request.getfixturevalue(name)
+    res = cfg.space.resolution
+    hits = 0
+    for b in cfg.base_points[:4]:
+        for p in range(cfg.space.n):
+            if equivalent((p,), (b,), cfg.group):
+                hits += 1
+                assert cfg.slot_dist[p] <= 2 * res, (name, cfg.space.points[p])
+    assert hits >= 4

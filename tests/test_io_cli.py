@@ -212,6 +212,33 @@ def test_tuple_budget_counts_every_plan_row(product_space, rotation_group):
         rl.build_config(product_space, rotation_group, C=1.1, depth=3, gamma_cap=4, max_tuples=total - 1)
 
 
+@pytest.mark.parametrize("gamma_cap", [0, -1, 1.5, True, "3"])
+def test_build_config_rejects_gamma_cap_below_one(gamma_cap):
+    sp = rl.builtin_space("line", step=0.25, window=(-2, 2))
+    with pytest.raises(TupleBudgetError, match="gamma_cap must be None or an integer >= 1"):
+        rl.build_config(sp, rl.GroupSpec.trivial(sp), C=1.1, depth=4, gamma_cap=gamma_cap)
+
+
+def test_gamma_cap_zero_exits_2_in_run_and_eval(tmp_path, capsys):
+    scenario = {
+        "space": {"builtin": "line", "params": {"step": 0.25, "window": [-2, 2]}},
+        "depth": 4,
+        "gamma_cap": 0,
+        "tasks": ["build-config", "norm-suite"],
+    }
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "gamma_cap must be None or an integer >= 1, got 0" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.json"))
+    spfile = tmp_path / "space.json"
+    rio.save_space(rl.builtin_space("line", step=0.25, window=(-2, 2)), spfile)
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"values": {p: 0.5 for p in rio.load_space(spfile).points}}))
+    assert main(["eval", "--space", str(spfile), "--norm", str(fn), "--gamma-cap", "0"]) == 2
+    assert "gamma_cap must be None or an integer >= 1, got 0" in capsys.readouterr().err
+
+
 def test_run_builds_a_failing_config_once(tmp_path, monkeypatch):
     calls = []
     build = cli.build_config

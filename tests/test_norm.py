@@ -417,6 +417,12 @@ def test_dual_norm_atoms_invariance_exact(product_cfg):
     assert np.array_equal(fp_s, fp_t)
 
 
+def test_dual_norm_atoms_rejects_raw_tuple_off_a_consecutive_window(product_cfg):
+    b = product_cfg.base_points
+    with pytest.raises(ValueError, match="^tuple does not sit on a consecutive base window$"):
+        dual_norm_atoms((b[0], b[2]), [0.9, 0.95], product_cfg)
+
+
 def test_dual_norm_atoms_window_enforced(line_cfg):
     t = line_cfg.base_tuple(1, 1)
     with pytest.raises(ValueError, match="window"):

@@ -47,6 +47,7 @@ def test_equivalent_rotated_tuple():
     G = rl.GroupSpec((circle_rotation(circ, steps=4),), word_cap=6)
     assert equivalent((8, 12), (0, 4), G)
     assert not equivalent((1, 5), (0, 4), G)
+    assert not equivalent((8, 13), (0, 4), G)  # one slot on the orbit is not enough
 
 
 def test_equivalent_transitive_on_orbit_samples():

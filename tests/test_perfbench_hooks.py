@@ -64,3 +64,20 @@ def test_traced_build_registers_every_class_through_classify(spans, product_spac
     assert metrics["tuples.classify.new"] == metrics["tuples.registry_classes"] == len(cfg.registry.all_classes())
     assert metrics["norm.plan_tuples"] == sum(p.count for p in cfg.plans)
     assert metrics["tuples.verify_bmap.calls"] == 1
+
+
+def test_traced_build_reads_one_word_list(spans, product_space, rotation_group):
+    # the registry, the orbit code and certify all read the words; the
+    # traced count must see the one list once, and every key reads W images
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cfg = renormlab.build_config(product_space, rotation_group, C=1.1, depth=3)
+        renormlab.certify(rotation_group.generators[0], cfg, test_depth=3)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    W = len(rotation_group.words())
+    assert metrics["operators.words.count"] == W
+    assert metrics["tuples.canonical_key.calls"] > 0
+    assert metrics["tuples.canonical_key.images"] == W * metrics["tuples.canonical_key.calls"]
