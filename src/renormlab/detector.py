@@ -88,18 +88,18 @@ def check_weight_one(T: WeightedComposition, cfg: RenormConfig, tol: float = 1e-
 
     # dual_norm_delta == 1 at its default tol, read from the slot table: off
     # every base orbit, or on the orbit of a base whose lambda rounds to one
-    inv_lam = np.array([1.0 / cfg.lam(i) for i in range(1, cfg.base_count + 1)])
-    off_orbit = (cfg.slot_dist > cfg.space.resolution + 1e-12) | (inv_lam[cfg.slot_base - 1] == 1.0)
+    off_orbit = (cfg.slot_dist > cfg.space._resolution_tol) | (cfg.inv_lam[cfg.slot_base - 1] == 1.0)
     paired = off_orbit & off_orbit[T.forward]
     checked = int(paired.sum())
     ratio_dev = float(dev[paired].max()) if checked else None
 
-    containment = []
+    # escape of a base orbit: the largest distance from the image of one of
+    # its points to the orbit, over the orbit's block of point pairs
+    rows, cols, row_start, orbit_start = cfg.orbit_pairs
+    nearest = np.minimum.reduceat(cfg.space.dmat[T.forward[rows], cols], row_start)
+    escapes = np.maximum.reduceat(nearest, orbit_start).tolist()
     tol_orbit = 2 * cfg.space.resolution
-    for bi, enum in enumerate(cfg.orbit_enums, start=1):
-        pts = np.asarray(enum, dtype=np.intp)
-        escape = float(cfg.space.dmat[np.ix_(T.forward[pts], pts)].min(axis=1).max())
-        containment.append((bi, escape <= tol_orbit, escape))
+    containment = [(bi, e <= tol_orbit, e) for bi, e in enumerate(escapes, start=1)]
 
     return WeightReport(
         weight_ok=max_dev <= tol,

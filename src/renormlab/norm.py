@@ -174,6 +174,10 @@ class WindowPlan:
     gammas: np.ndarray   # (T, n+1) orbit labels
     idx: np.ndarray      # (T, n+1) sample indices
     weights: np.ndarray  # (T, n+1) lambda / reciprocal weights
+    # (T,) the row of the level below that row r extends by its last slot:
+    # of the head table for plans 0 and 1 (plan 0 adds no slot), of plan
+    # n-1 for n >= 2; None on the head table itself
+    parent: np.ndarray | None = field(repr=False)
 
     @property
     def count(self) -> int:
@@ -202,6 +206,18 @@ class RenormConfig:
     slot_dist: np.ndarray = field(repr=False)
     slot_base: np.ndarray = field(repr=False)
     slot_gamma: np.ndarray = field(repr=False)
+    # the head slot of every start: the root level of the plan rows' prefix tree
+    heads: WindowPlan = field(repr=False)
+    # every plan row, concatenated in plan order, sorted stably by its
+    # largest orbit label; and those labels, ascending
+    cap_order: np.ndarray = field(repr=False)
+    cap_top: np.ndarray = field(repr=False)
+    # 1 / lambda_i of every base point (0-based)
+    inv_lam: np.ndarray = field(repr=False)
+    # the block-diagonal pairs of base-orbit points: sample indices of the
+    # pairs' row and column points, where each row point's pairs start, and
+    # where each orbit's row points start
+    orbit_pairs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     def lam(self, i: int) -> float:
         return self.bc.lam(i)
@@ -265,6 +281,17 @@ class RenormConfig:
 def _labels(sizes: np.ndarray) -> np.ndarray:
     """The labels 0, 1, ..., r - 1 of every size r, concatenated."""
     return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _extend(block: np.ndarray, parent: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Rows ``block[parent]`` with the column ``last`` appended, stored
+    column-major so that evaluation reads every last column contiguously;
+    gathered column by column, with no row-major copy of the block."""
+    out = np.empty((len(parent), block.shape[1] + 1), dtype=block.dtype, order="F")
+    for j in range(block.shape[1]):
+        out[:, j] = block[:, j].take(parent)
+    out[:, -1] = last
+    return out
 
 
 def _last_slot_weights(registry: ClassRegistry, bc: BCAssignment,
@@ -347,24 +374,40 @@ def build_config(
     # orbit label g of base i (1-based) is the point flat[offset[i - 1] + g]
     flat = np.fromiter(itertools.chain.from_iterable(orbit_enums), dtype=np.intp)
     offset = np.cumsum(lengths) - lengths
-    # level 0: the head slot of every start
+    lams = np.array([bc.lam(i) for i in range(1, B + 1)])
+    # level 0, the head table: the head slot of every start
     starts = np.repeat(np.arange(1, B + 1, dtype=np.intp), sizes)
     gam = _labels(sizes)[:, None]
     idx = flat[offset[starts - 1] + gam[:, 0]][:, None]
-    weights = np.array([bc.lam(i) for i in range(1, B + 1)])[starts - 1][:, None]
-    head = starts == B
-    plans = [WindowPlan(n=0, starts=starts[head], gammas=gam[head], idx=idx[head], weights=weights[head])]
+    weights = lams[starts - 1][:, None]
+    heads = WindowPlan(n=0, starts=starts, gammas=gam, idx=idx, weights=weights, parent=None)
+    top = gam[:, 0]  # largest label of each row
+    head = np.flatnonzero(starts == B)
+    plans = [WindowPlan(n=0, starts=starts[head], gammas=gam[head], idx=idx[head],
+                        weights=weights[head], parent=head)]
+    tops = [top[head]]
     for n, last in last_start.items():
         # window (start, n) repeats every row of its parent window (start,
         # n-1) once per label of its new last slot
         keep = int(np.searchsorted(starts, last, side="right"))
         reps = sizes[starts[:keep] + n - 1]
-        starts, gam, idx, weights = (np.repeat(a[:keep], reps, axis=0) for a in (starts, gam, idx, weights))
+        parent = np.repeat(np.arange(keep), reps)
+        starts = starts[parent]
         g = _labels(reps)
-        gam = np.column_stack((gam, g))
-        idx = np.column_stack((idx, flat[offset[starts + n - 1] + g]))
-        weights = np.column_stack((weights, _last_slot_weights(registry, bc, starts, idx)))
-        plans.append(WindowPlan(n=n, starts=starts, gammas=gam, idx=idx, weights=weights))
+        top = np.maximum(top[parent], g)
+        gam = _extend(gam, parent, g)
+        idx = _extend(idx, parent, flat[offset[starts + n - 1] + g])
+        weights = _extend(weights, parent, _last_slot_weights(registry, bc, starts, idx))
+        plans.append(WindowPlan(n=n, starts=starts, gammas=gam, idx=idx, weights=weights, parent=parent))
+        tops.append(top)
+    top_all = np.concatenate(tops)
+    cap_order = np.argsort(top_all, kind="stable")
+
+    # row r of base orbit b pairs its r-th point with every point of b
+    row_len = np.repeat(lengths, lengths)
+    row_start = np.cumsum(row_len) - row_len
+    pair_cols = flat[np.repeat(np.repeat(offset, lengths), row_len) + _labels(row_len)]
+    orbit_pairs = (np.repeat(flat, row_len), pair_cols, row_start, offset)
 
     # each orbit point keeps its first slot; columns in slot order make the
     # first nearest column the nearest slot under the tie rule
@@ -401,6 +444,11 @@ def build_config(
         slot_dist=slot_dist,
         slot_base=slots[nearest, 0],
         slot_gamma=slots[nearest, 1],
+        heads=heads,
+        cap_order=cap_order,
+        cap_top=top_all[cap_order],
+        inv_lam=1.0 / lams,
+        orbit_pairs=orbit_pairs,
     )
 
 
@@ -445,8 +493,20 @@ def _plan_values(x: np.ndarray, cfg: RenormConfig) -> list[np.ndarray]:
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise ValueError(f"non-finite value {x[bad[0]]} at point {points[bad[0]]!r}")
+    # walk the prefix tree level by level: a row's value is its parent's
+    # plus the term of its last slot, so every row sums left to right
     ax = np.abs(x)
-    return [(ax[plan.idx] * plan.weights).sum(axis=1) for plan in cfg.plans]
+    heads = cfg.heads
+    vals = heads.weights[:, 0] * ax.take(heads.idx[:, 0])
+    plan0, *deeper = cfg.plans
+    out = [vals.take(plan0.parent)]
+    for plan in deeper:
+        term = ax.take(plan.idx[:, -1])
+        term *= plan.weights[:, -1]
+        term += vals.take(plan.parent)
+        vals = term
+        out.append(vals)
+    return out
 
 
 def triple_norm(x: np.ndarray, cfg: RenormConfig) -> NormResult:
@@ -488,10 +548,12 @@ def gamma_cap_trace(x: np.ndarray, cfg: RenormConfig, caps: Sequence[int]) -> li
     instead of a certificate: the trace restricts the enumerated family to
     tuples whose labels all sit below each cap.
     """
-    vals = np.concatenate(_plan_values(x, cfg))
-    top = np.concatenate([plan.gammas.max(axis=1) for plan in cfg.plans])
+    # running maximum over the rows in order of their largest label: the
+    # rows below a cap are a prefix of that order
+    best = np.maximum.accumulate(np.concatenate(_plan_values(x, cfg))[cfg.cap_order])
     caps = sorted(set(int(c) for c in caps))
-    return [(cap, float(vals[top < cap].max(initial=0.0))) for cap in caps]
+    below = np.searchsorted(cfg.cap_top, caps).tolist()
+    return [(cap, float(best[k - 1]) if k else 0.0) for cap, k in zip(caps, below)]
 
 
 # ----------------------------------------------------------------------
@@ -573,9 +635,9 @@ def dual_norm_delta(point: int, cfg: RenormConfig, tol: float | None = None) -> 
     """Dual norm of a unit atom: 1/lambda_i when the nearest base-orbit slot
     within tol belongs to the i-th base point, 1 off every enumerated base
     orbit."""
-    tol = cfg.space.resolution + 1e-12 if tol is None else tol
+    tol = cfg.space._resolution_tol if tol is None else tol
     (hit,) = cfg.classify_slots((point,), tol)
-    return 1.0 if hit is None else 1.0 / cfg.lam(hit[0])
+    return 1.0 if hit is None else float(cfg.inv_lam[hit[0] - 1])
 
 
 def dual_norm_atoms(

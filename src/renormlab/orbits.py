@@ -102,7 +102,7 @@ def equivalent_report(
     if len(s) != len(t):
         raise ValueError("length mismatch")
     space = group.space
-    tol = space.resolution + 1e-12 if tol is None else tol
+    tol = space._resolution_tol if tol is None else tol
     orb_t = orbit_closure(group, t, cap)
     orb_s = orbit_closure(group, s, cap)
     d_fwd = _min_distance_to_orbit(space, s, orb_t)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -144,6 +145,14 @@ class SampledSpace:
     @property
     def top_exhaustion(self) -> CompactSet:
         return self.exhaustion[-1]
+
+    @cached_property
+    def _resolution_tol(self) -> float:
+        """Default tolerance for "within resolution": the resolution plus
+        the float error of a computed distance.  That error scales with the
+        distances, so the slack is 8 eps max d, as in the closed-form metric
+        certificate; an absolute slack would swamp a resolution below it."""
+        return self.resolution + 8 * float(np.finfo(float).eps) * float(self.dmat.max())
 
     def __repr__(self) -> str:  # short: spaces can hold thousands of points
         return f"SampledSpace({self.name!r}, n={self.n}, resolution={self.resolution})"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from renormlab.detector import certify, check_weight_one, fingerprint
+from renormlab.detector import WeightReport, certify, check_weight_one, fingerprint
 from renormlab.operators import (
     circle_rotation,
     compose,
@@ -10,6 +10,7 @@ from renormlab.operators import (
     lift,
     line_translation,
     multiplication,
+    WeightedComposition,
 )
 from renormlab.orbits import equivalent
 from renormlab.tuples import TupleIndex
@@ -161,3 +162,60 @@ def test_points_equivalent_to_a_base_point_have_a_slot(name, request):
                 hits += 1
                 assert cfg.slot_dist[p] <= 2 * res, (name, cfg.space.points[p])
     assert hits >= 4
+
+
+def _check_weight_one_by_orbit(T, cfg, tol=1e-9):
+    # the per-orbit np.ix_ gather and the per-call lambda list that the one
+    # block-diagonal gather replaced
+    dev = np.abs(T.weight - 1.0)
+    max_dev = float(dev.max())
+    inv_lam = np.array([1.0 / cfg.lam(i) for i in range(1, cfg.base_count + 1)])
+    off_orbit = (cfg.slot_dist > cfg.space._resolution_tol) | (inv_lam[cfg.slot_base - 1] == 1.0)
+    paired = off_orbit & off_orbit[T.forward]
+    checked = int(paired.sum())
+    containment = []
+    for bi, enum in enumerate(cfg.orbit_enums, start=1):
+        pts = np.asarray(enum, dtype=np.intp)
+        escape = float(cfg.space.dmat[np.ix_(T.forward[pts], pts)].min(axis=1).max())
+        containment.append((bi, escape <= 2 * cfg.space.resolution, escape))
+    return WeightReport(
+        weight_ok=max_dev <= tol,
+        max_weight_deviation=max_dev,
+        weight_witness=cfg.space.points[int(dev.argmax())] if max_dev > tol else None,
+        dual_ratio_deviation=float(dev[paired].max()) if checked else None,
+        dual_points_checked=checked,
+        orbit_containment=containment,
+    )
+
+
+def _corrupt(T, p, q, scale):
+    # T with the images of p and q swapped and the weight at p scaled: a
+    # homeomorphism still, but base orbits need not map into themselves
+    swap = np.arange(T.space.n)
+    swap[[p, q]] = [q, p]
+    weight = T.weight.copy()
+    weight[p] *= scale
+    defects = T.allowed_defects | {int(swap[i]) for i in T.allowed_defects}
+    return WeightedComposition(T.space, weight, T.forward[swap], swap[T.backward],
+                               label=f"{T.label} corrupted", allowed_defects=defects)
+
+
+def test_block_diagonal_containment_matches_per_orbit_loop(product_cfg, line_cfg):
+    space = product_cfg.space
+    circ, seg = space.aux["a"], space.aux["b"]
+    g = product_cfg.group.generators[0]
+    rotflip = compose(lift(circle_rotation(circ, steps=4), space, "left"), lift(interval_flip(seg), space, "right"))
+    b = product_cfg.base_points
+    cases = [(product_cfg, T) for T in (identity(space), g, rotflip, compose(g, g),
+                                         _corrupt(g, b[0], b[1], 1.0), _corrupt(rotflip, b[2], 5, 1.3),
+                                         _corrupt(identity(space), b[-1], space.n - 1, 0.7))]
+    lb = line_cfg.base_points
+    lspace = line_cfg.space
+    cases += [(line_cfg, T) for T in (identity(lspace), line_translation(lspace, 0.3), multiplication(lspace, 1.2),
+                                      _corrupt(identity(lspace), lb[0], lb[3], 1.0),
+                                      _corrupt(line_translation(lspace, 0.3), lb[1], lspace.n // 2, 2.0))]
+    for cfg, T in cases:
+        rep = check_weight_one(T, cfg)
+        assert rep == _check_weight_one_by_orbit(T, cfg), T.label
+    escapes = [e for cfg, T in cases for _, ok, e in check_weight_one(T, cfg).orbit_containment if not ok]
+    assert escapes and min(escapes) > 0

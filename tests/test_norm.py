@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import renormlab as rl
 from renormlab.norm import (
+    NormResult,
     TriangularSystem,
+    _plan_values,
     _last_slot_weights,
     assemble_comparison,
     build_matrix,
@@ -30,7 +32,14 @@ from renormlab.norm import (
 from renormlab.detector import check_weight_one
 from renormlab.operators import identity, line_translation, multiplication
 from renormlab.orbits import select_dense_points
-from renormlab.tuples import ClassRegistry, TupleIndex, c_value, choose_parameters, window_of
+from renormlab.tuples import (
+    ClassRegistry,
+    TupleIndex,
+    c_value,
+    choose_parameters,
+    enumeration_tail,
+    window_of,
+)
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +229,123 @@ def test_gamma_cap_trace_matches_per_cap_masks(name, request):
         x = rng.uniform(-1, 1, size=cfg.space.n)
         assert gamma_cap_trace(x, cfg, caps) == _gamma_cap_trace_per_cap(x, cfg, caps)
     assert cfg.gamma_capped == (name == "product_capped_cfg")
+
+
+# the per-row gather and row sum that the prefix-tree walk replaced, and
+# triple_norm's argmax rule read off it: the first plan, then the first
+# row, holding the largest value wins
+
+
+def _plan_values_by_row(x, cfg):
+    ax = np.abs(np.asarray(x, dtype=float))
+    return [(ax[plan.idx] * plan.weights).sum(axis=1) for plan in cfg.plans]
+
+
+def _triple_norm_by_row(x, cfg):
+    vals = _plan_values_by_row(x, cfg)
+    best = max(float(v.max()) for v in vals)
+    plan, v = next((plan, v) for plan, v in zip(cfg.plans, vals) if (v == best).any())
+    pos = int(np.flatnonzero(v == best)[0])
+    start = int(plan.starts[pos])
+    return NormResult(
+        value=best,
+        truncation_bound=float(np.abs(x).max()) * enumeration_tail(cfg.bc, cfg.depth * (cfg.depth - 1) // 2),
+        argmax_window=(start, start + plan.n),
+        argmax_gammas=tuple(int(g) for g in plan.gammas[pos]),
+        argmax_points=tuple(cfg.space.points[int(i)] for i in plan.idx[pos]),
+        gamma_capped=cfg.gamma_capped,
+        coverage_defect=cfg.coverage_defect,
+    )
+
+
+@pytest.fixture(scope="module")
+def tree_cfgs(product_cfg, line_cfg, product_capped_cfg, product_word_capped_cfg):
+    return {"product_cfg": product_cfg, "line_cfg": line_cfg,
+            "product_capped_cfg": product_capped_cfg, "product_word_capped_cfg": product_word_capped_cfg}
+
+
+def _function(kind, n, rng, scale):
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "constant":
+        return np.full(n, scale)
+    x = scale * rng.uniform(-1, 1, size=n)
+    return x * (rng.uniform(size=n) < 0.02) if kind == "sparse" else x
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_tree_walk_matches_per_row_gather(tree_cfgs, data):
+    name = data.draw(st.sampled_from(sorted(tree_cfgs)))
+    cfg = tree_cfgs[name]
+    kind = data.draw(st.sampled_from(["dense", "sparse", "zero", "constant"]))
+    scale = data.draw(st.sampled_from([1e-300, 1e-3, 1.0, 7.5, 1e300]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = _function(kind, cfg.space.n, rng, scale)
+    got = _plan_values(x, cfg)
+    want = _plan_values_by_row(x, cfg)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (name, kind)
+    assert triple_norm(x, cfg) == _triple_norm_by_row(x, cfg), (name, kind)
+    top = max(int(p.gammas.max()) for p in cfg.plans)
+    caps = data.draw(st.lists(st.integers(-3, top + 3) | st.sampled_from([2**40, 2**70]), max_size=8))
+    assert gamma_cap_trace(x, cfg, caps) == _gamma_cap_trace_per_cap(x, cfg, caps), (name, kind, caps)
+
+
+@pytest.mark.parametrize("name", ["line_cfg", "product_cfg"])
+def test_constant_functions_keep_the_first_argmax(name, request):
+    # ties everywhere: plan 0 wins on zero, and the first row of the first
+    # best plan on a constant
+    cfg = request.getfixturevalue(name)
+    zero = triple_norm(np.zeros(cfg.space.n), cfg)
+    assert zero.argmax_window == (cfg.base_count, cfg.base_count) and zero.argmax_gammas == (0,)
+    for c in (1.0, -0.5):
+        x = np.full(cfg.space.n, c)
+        assert triple_norm(x, cfg) == _triple_norm_by_row(x, cfg)
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "line_cfg", "product_capped_cfg", "product_word_capped_cfg"])
+def test_parent_links_point_at_row_prefixes(name, request):
+    cfg = request.getfixturevalue(name)
+    heads = cfg.heads
+    assert heads.parent is None and heads.n == 0
+    assert np.array_equal(np.unique(heads.starts), np.arange(1, cfg.base_count + 1))
+    plan0, *deeper = cfg.plans
+    assert (plan0.starts == cfg.base_count).all()
+    for a in ("starts", "gammas", "idx", "weights"):
+        assert np.array_equal(getattr(heads, a)[plan0.parent], getattr(plan0, a))
+    below = heads
+    for plan in deeper:
+        assert plan.parent.shape == plan.starts.shape
+        assert np.array_equal(below.starts[plan.parent], plan.starts), (name, plan.n)
+        for a in ("gammas", "idx", "weights"):
+            assert np.array_equal(getattr(below, a)[plan.parent], getattr(plan, a)[:, :-1]), (name, plan.n, a)
+        # every row of the level below that the plan's windows extend has children
+        assert np.array_equal(np.unique(plan.parent), np.arange(plan.parent.max() + 1))
+        below = plan
+    top = np.concatenate([plan.gammas.max(axis=1) for plan in cfg.plans])
+    assert np.array_equal(top[cfg.cap_order], cfg.cap_top)
+    assert (np.diff(cfg.cap_top) >= 0).all()
+
+
+def test_tree_walk_adds_left_to_right_past_seven_terms(line_space):
+    # depth 8 gives rows of 8 terms, where numpy's row sum turns pairwise;
+    # the walk adds each row left to right, as rho does
+    cfg = rl.build_config(line_space, rl.GroupSpec.trivial(line_space), C=1.1, depth=8, base_count=20)
+    assert cfg.plans[-1].n == 7
+    rng = np.random.default_rng(5)
+    deepest = cfg.plans[-1]
+    pairwise_differs = 0
+    for _ in range(20):
+        # terms of comparable size on the deepest row, so rounding depends on the order
+        x = rng.uniform(-1, 1, size=line_space.n)
+        x[deepest.idx[0]] = rng.uniform(0.5, 1.5, size=deepest.n + 1) / deepest.weights[0]
+        for plan, vals, by_row in zip(cfg.plans, _plan_values(x, cfg), _plan_values_by_row(x, cfg)):
+            for r in range(plan.count):
+                assert vals[r] == rho(cfg.tuple_index(int(plan.starts[r]), plan.gammas[r]), x, cfg), (plan.n, r)
+            pairwise_differs += int((vals != by_row).sum())
+    assert pairwise_differs > 0
 
 
 def test_triple_norm_unit_witness(line_cfg):

@@ -62,6 +62,18 @@ def test_equivalent_transitive_on_orbit_samples():
             assert equivalent(s, u, G)
 
 
+def test_distinct_points_below_an_absolute_slack_stay_inequivalent(onepoint_space):
+    # (0,k) and (1,k) lie 2^-k apart, below 1e-12 from k = 40 on; the
+    # default tolerance's slack scales with the distances, so only the
+    # resolution 2^-50 (and float error far below 2^-48) can merge them
+    G = rl.GroupSpec.trivial(onepoint_space)
+    idx = onepoint_space.index
+    for k in range(30, 49):
+        s, t = (idx(f"(0,{k})"),), (idx(f"(1,{k})"),)
+        assert not equivalent(s, t, G), k
+        assert equivalent(s, s, G), k
+
+
 def test_selected_base_points_inequivalent(line_cfg):
     group = line_cfg.group
     for i in range(4):
