@@ -27,10 +27,8 @@ from .norm import (
     RenormConfig,
     TupleBudgetError,
     build_config,
-    build_matrix,
     dual_norm_atoms,
     dual_norm_delta,
-    solve_unit,
     triple_norm,
     witness_for_tuple,
     witness_function,
@@ -204,7 +202,10 @@ def task_norm_suite(cfg: RenormConfig, scenario: dict, rng: np.random.Generator)
 def task_dual_suite(cfg: RenormConfig, scenario: dict, rng: np.random.Generator) -> dict:
     params = scenario.get("dual_suite", {})
     tuple_budget = int(params.get("tuples", 10))
-    betas = np.linspace(0.8, 1.0, int(params.get("beta_grid", 5)))
+    grid = params.get("beta_grid", 5)
+    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
+        raise InputError(f"dual_suite beta_grid must be an integer >= 1, got {grid!r}")
+    betas = np.linspace(0.8, 1.0, grid)
     entries = []
     ok = True
     picked = 0
@@ -213,14 +214,12 @@ def task_dual_suite(cfg: RenormConfig, scenario: dict, rng: np.random.Generator)
             if picked >= tuple_budget:
                 break
             t = cfg.base_tuple(start, n)
-            fp = solve_unit(build_matrix(t, cfg))
-            vals = []
-            for b in betas:
-                beta = np.full(n + 1, b)
-                v, _ = dual_norm_atoms(t, beta, cfg)
-                vals.append(v)
-                if not (0.8 * (n + 1) * 0.8 - 1e-9 <= v <= (n + 1) + 1e-9):
-                    ok = False
+            # every call solves the same system; the first one's a(t) is the fingerprint
+            duals = [dual_norm_atoms(t, np.full(n + 1, b), cfg) for b in betas]
+            fp = duals[0][1]
+            vals = [v for v, _ in duals]
+            if not all(0.8 * (n + 1) * 0.8 - 1e-9 <= v <= (n + 1) + 1e-9 for v in vals):
+                ok = False
             if any(b2 < b1 - 1e-12 for b1, b2 in zip(vals, vals[1:])):
                 ok = False  # must be monotone in beta
             entries.append({
@@ -262,7 +261,11 @@ def task_detect(cfg: RenormConfig, scenario: dict) -> dict:
     ok = True
     for spec in scenario.get("detect", []):
         op = make_operator(spec, cfg.space, cfg.group)
-        verdict = certify(op, cfg, test_depth=int(spec.get("test_depth", 4)))
+        test_depth = spec.get("test_depth", 4)
+        if isinstance(test_depth, bool) or not isinstance(test_depth, int) or test_depth < 1:
+            raise InputError(f"detect operator {op.label!r}: test_depth must be an integer >= 1, "
+                             f"got {test_depth!r}")
+        verdict = certify(op, cfg, test_depth=test_depth)
         rep = {
             "operator": op.label,
             "verdict": verdict.verdict,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norm import RenormConfig, build_matrix, solve_unit
+from .norm import RenormConfig, _build_system, build_matrix, solve_unit
 from .operators import WeightedComposition
 from .tuples import TupleIndex
 
@@ -94,9 +94,17 @@ def check_weight_one(T: WeightedComposition, cfg: RenormConfig, tol: float = 1e-
     ratio_dev = float(dev[paired].max()) if checked else None
 
     # escape of a base orbit: the largest distance from the image of one of
-    # its points to the orbit, over the orbit's block of point pairs
+    # its points to the orbit.  An image whose nearest slot lies on the
+    # point's own orbit is that slot's distance from the orbit; only when
+    # some image misses are the orbit's blocks of point pairs gathered
     rows, cols, row_start, orbit_start = cfg.orbit_pairs
-    nearest = np.minimum.reduceat(cfg.space.dmat[T.forward[rows], cols], row_start)
+    images = T.forward[rows[row_start]]
+    own = np.zeros(len(row_start), dtype=np.intp)
+    own[orbit_start] = 1
+    if not (cfg.slot_base[images] != own.cumsum()).any():
+        nearest = cfg.slot_dist[images]
+    else:
+        nearest = np.minimum.reduceat(cfg.space.dmat[T.forward[rows], cols], row_start)
     escapes = np.maximum.reduceat(nearest, orbit_start).tolist()
     tol_orbit = 2 * cfg.space.resolution
     containment = [(bi, e <= tol_orbit, e) for bi, e in enumerate(escapes, start=1)]
@@ -117,6 +125,70 @@ def fingerprint(t: TupleIndex, cfg: RenormConfig) -> np.ndarray:
     return solve_unit(build_matrix(t, cfg))
 
 
+def _orbit_checks(T: WeightedComposition, cfg: RenormConfig, depth: int) -> list[TupleCheck]:
+    """Fingerprint checks of the base tuples (1, n), n = 1..depth - 1.
+
+    Each side builds one triangular system, for its longest tuple: a
+    shorter tuple's fingerprint is the unit solution of that system's
+    leading block, and its class is the block's (0, n) segment class.  The
+    image of the base tuple (1, n) is a prefix of the longest image, so it
+    occupies a window exactly when that prefix does, with the same start.
+    """
+    space = cfg.space
+    t = cfg.base_tuple(1, depth - 1)
+    img = tuple(int(p) for p in T.forward[list(t.points)])
+    slots = cfg.classify_slots(img)
+    # the longest image prefix whose slots sit on consecutive base indices
+    size = 0
+    while size < len(slots) and slots[size] is not None and slots[size][0] == slots[0][0] + size:
+        size += 1
+    ti = TupleIndex(slots[0][0], tuple(s[1] for s in slots[:size]), img[:size]) if size > 1 else None
+    # in a window both tuples reach, the per-depth order classified the
+    # later-starting one first (the base tuple on a tie), so building that
+    # one first keeps the ordinals of new classes; equal tuples build once
+    order = (t,) if ti is None else (t, ti) if ti.start == 1 else (ti, t)
+    systems = {u: _build_system(u, cfg) for u in order}
+    base_sys, base_cls = systems[t]
+    img_sys, img_cls = systems.get(ti, (None, None))
+
+    checks: list[TupleCheck] = []
+    for n in range(1, depth):
+        fp_t = tuple(solve_unit(base_sys, n + 1))
+        t_ids = tuple(space.points[p] for p in t.points[: n + 1])
+        img_ids = tuple(space.points[p] for p in img[: n + 1])
+        if n < size:
+            fp_s = tuple(solve_unit(img_sys, n + 1))
+            info_t, info_s = base_cls[n - 1], img_cls[n - 1]
+            if ti.start != 1:
+                check = TupleCheck(
+                    t_ids, img_ids, "window-mismatch", fp_t, fp_s,
+                    detail=f"image occupies base window {ti.start}..{ti.start + n} instead of 1..{n + 1}",
+                )
+            elif info_t.m == info_s.m and info_t.ordinal == info_s.ordinal:
+                check = TupleCheck(t_ids, img_ids, "same-class", fp_t, fp_s)
+            else:
+                check = TupleCheck(
+                    t_ids, img_ids, "class-mismatch", fp_t, fp_s,
+                    detail=f"image lies in class ordinal {info_s.ordinal} != {info_t.ordinal}",
+                )
+        elif all(s is not None for s in slots[: n + 1]):
+            check = TupleCheck(
+                t_ids, img_ids, "off-orbit", fp_t, None,
+                detail=f"image slots land in base orbits {[s[0] for s in slots[: n + 1]]}, not a consecutive window",
+            )
+        else:
+            # no comparison system applies: a point equivalent to a base slot
+            # lies within resolution of a base-orbit entry, so a slot-less
+            # image fails head or tail equivalence
+            missing = [img_ids[j] for j, s in enumerate(slots[: n + 1]) if s is None]
+            check = TupleCheck(
+                t_ids, img_ids, "off-orbit", fp_t, None,
+                detail=f"image points {missing} lie outside every enumerated base orbit",
+            )
+        checks.append(check)
+    return checks
+
+
 def certify(
     T: WeightedComposition,
     cfg: RenormConfig,
@@ -129,14 +201,16 @@ def certify(
     certified-in-G means a word of length at most the group's cap matches
     the candidate map on the tested base points within tolerance; rejected
     verdicts always carry a re-checkable witness; everything else is
-    inconclusive.
+    inconclusive.  ``test_depth`` must be an integer >= 1; it is capped at
+    the number of base points.
     """
+    if isinstance(test_depth, bool) or not isinstance(test_depth, (int, np.integer)) or test_depth < 1:
+        raise ValueError(f"test_depth must be an integer >= 1, got {test_depth!r}")
     space = cfg.space
     word_tol = 2 * space.resolution if word_tol is None else word_tol
-    test_depth = min(test_depth, cfg.base_count)
+    test_depth = min(int(test_depth), cfg.base_count)
     weight = check_weight_one(T, cfg)
 
-    checks: list[TupleCheck] = []
     witness: dict | None = None
     if not weight.weight_ok:
         witness = {
@@ -144,55 +218,16 @@ def certify(
             "point": weight.weight_witness,
             "deviation": weight.max_weight_deviation,
         }
-
-    for n in range(1, test_depth):
-        t = cfg.base_tuple(1, n)
-        fp_t = fingerprint(t, cfg)
-        img = tuple(int(T.forward[p]) for p in t.points)
-        img_ids = tuple(space.points[p] for p in img)
-        t_ids = tuple(space.points[p] for p in t.points)
-        ti = cfg.window_tuple(img)
-        slots = cfg.classify_slots(img)
-        if ti is not None and ti.start == 1:
-            info_t = cfg.registry.classify(t.start, t.points)
-            info_s = cfg.registry.classify(ti.start, ti.points)
-            fp_s = fingerprint(ti, cfg)
-            if info_t.m == info_s.m and info_t.ordinal == info_s.ordinal:
-                check = TupleCheck(t_ids, img_ids, "same-class", tuple(fp_t), tuple(fp_s))
-            else:
-                check = TupleCheck(
-                    t_ids, img_ids, "class-mismatch", tuple(fp_t), tuple(fp_s),
-                    detail=f"image lies in class ordinal {info_s.ordinal} != {info_t.ordinal}",
-                )
-        elif ti is not None:
-            fp_s = fingerprint(ti, cfg)
-            check = TupleCheck(
-                t_ids, img_ids, "window-mismatch", tuple(fp_t), tuple(fp_s),
-                detail=f"image occupies base window {ti.start}..{ti.start + n} instead of 1..{n + 1}",
-            )
-        elif all(s is not None for s in slots):
-            check = TupleCheck(
-                t_ids, img_ids, "off-orbit", tuple(fp_t), None,
-                detail=f"image slots land in base orbits {[s[0] for s in slots]}, not a consecutive window",
-            )
-        else:
-            # no comparison system applies: a point equivalent to a base slot
-            # lies within resolution of a base-orbit entry, so a slot-less
-            # image fails head or tail equivalence
-            missing = [img_ids[j] for j, s in enumerate(slots) if s is None]
-            check = TupleCheck(
-                t_ids, img_ids, "off-orbit", tuple(fp_t), None,
-                detail=f"image points {missing} lie outside every enumerated base orbit",
-            )
-        checks.append(check)
-        if check.mismatch and witness is None:
-            witness = {
-                "kind": "fingerprint",
-                "tuple": check.tuple_points,
-                "image": check.image_points,
-                "outcome": check.outcome,
-                "detail": check.detail,
-            }
+    checks = _orbit_checks(T, cfg, test_depth) if test_depth > 1 else []
+    first = next((c for c in checks if c.mismatch), None)
+    if first is not None and witness is None:
+        witness = {
+            "kind": "fingerprint",
+            "tuple": first.tuple_points,
+            "image": first.image_points,
+            "outcome": first.outcome,
+            "detail": first.detail,
+        }
 
     # registry row k is the k-th group word; the first nearest word wins
     base_pts = np.asarray(cfg.base_points[:test_depth], dtype=np.intp)

@@ -15,6 +15,7 @@ weights; back substitution keeps every entry inside [4/5, 1].
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -29,6 +30,7 @@ from .orbits import equivalent, select_dense_points
 from .space import SampledSpace
 from .tuples import (
     BCAssignment,
+    ClassInfo,
     ClassRegistry,
     TupleIndex,
     c_value,
@@ -70,6 +72,18 @@ def _zeta_column_bound(col: int) -> float:
     return 9.0 ** (4 - 3 * (col + 1))
 
 
+@functools.lru_cache(maxsize=64)
+def _system_masks(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lower triangle, diagonal included, of an s x s system, and the
+    bound of every strictly-upper entry (infinite elsewhere); read-only."""
+    lower = np.tri(s, dtype=bool)
+    bound = np.full((s, s), np.inf)
+    for k in range(1, s):
+        bound[:k, k] = _zeta_column_bound(k) + _ZETA_MARGIN
+    lower.flags.writeable = bound.flags.writeable = False
+    return lower, bound
+
+
 @dataclass
 class TriangularSystem:
     """Upper triangular system with near-one diagonal.
@@ -89,20 +103,22 @@ class TriangularSystem:
         s = self.size
         if self.zeta.shape != (s, s):
             raise ValueError("zeta shape mismatch")
-        if np.any(np.tril(self.zeta) != 0):
+        lower, bound = _system_masks(s)
+        lam = self.lambdas
+        if self.zeta[lower].any():  # any entry != 0, NaN included
             raise ValueError("zeta must be strictly upper triangular")
-        if np.any(self.lambdas < 1.0) or np.any(self.lambdas > 1.1 + _ZETA_MARGIN):
+        if (lam < 1.0).any() or (lam > 1.1 + _ZETA_MARGIN).any():
             raise ValueError("diagonal must lie in [1, 1.1]")
-        if np.any(np.diff(self.lambdas) > _ZETA_MARGIN):
+        if (lam[..., 1:] - lam[..., :-1] > _ZETA_MARGIN).any():
             raise ValueError("diagonal must be non-increasing")
-        if np.any(self.zeta < 0):
+        if (self.zeta < 0).any():
             raise ValueError("zeta entries must be nonnegative")
-        for k in range(1, s):
-            if np.any(self.zeta[:k, k] > _zeta_column_bound(k) + _ZETA_MARGIN):
-                raise ValueError(
-                    f"zeta bound violation in column {k}: "
-                    "entries exceed the hypothesis bound (is L <= 9?)"
-                )
+        over = self.zeta > bound
+        if over.any():
+            raise ValueError(
+                f"zeta bound violation in column {int(over.any(axis=0).argmax())}: "
+                "entries exceed the hypothesis bound (is L <= 9?)"
+            )
 
     @property
     def size(self) -> int:
@@ -112,16 +128,17 @@ class TriangularSystem:
         return np.diag(self.lambdas) + self.zeta
 
 
-def solve_unit(T: TriangularSystem) -> np.ndarray:
-    """Back substitution for the unit right-hand side.
+def solve_unit(T: TriangularSystem, size: int | None = None) -> np.ndarray:
+    """Back substitution for the unit right-hand side, on the leading
+    ``size`` x ``size`` block (the whole system by default).
 
     Entries are asserted to land in [4/5, 1]; anything else indicates the
     hypothesis bounds were violated upstream.
     """
-    s = T.size
+    s = T.size if size is None else size
     z = np.zeros(s)
     for k in range(s - 1, -1, -1):
-        acc = 1.0 - float(T.zeta[k, k + 1 :] @ z[k + 1 :])
+        acc = 1.0 - float(T.zeta[k, k + 1 : s] @ z[k + 1 :])
         z[k] = acc / T.lambdas[k]
         if not (0.8 - _ZETA_MARGIN <= z[k] <= 1.0 + _ZETA_MARGIN):
             raise ValueError(f"hypothesis violation at index {k}: entry {z[k]}")
@@ -560,18 +577,40 @@ def gamma_cap_trace(x: np.ndarray, cfg: RenormConfig, caps: Sequence[int]) -> li
 # dual machinery
 
 
-def build_matrix(t: TupleIndex, cfg: RenormConfig) -> TriangularSystem:
-    """Triangular system whose row k carries lambda_{start+k} on the diagonal
-    and the reciprocal weights of the tuple's inner segments above it."""
+def _build_system(t: TupleIndex, cfg: RenormConfig) -> tuple[TriangularSystem, list[ClassInfo]]:
+    """The tuple's triangular system and the class of each prefix segment
+    (0, k), k = 1..n.
+
+    The segment classes are read with one batched registry lookup per
+    segment length.  A segment the registry lacks registers through
+    ``classify`` in (j, k) order; every segment lies in its own window, so
+    neither the lookup nor that order can move an ordinal.
+    """
     s = t.n + 1
     lambdas = np.array([cfg.lam(t.start + k) for k in range(s)])
     zeta = np.zeros((s, s))
+    registry = cfg.registry
+    pts = t.points
+    classes: dict[tuple[int, int], ClassInfo | None] = {}
+    for d in range(1, s):
+        rows = np.array([pts[j : j + d + 1] for j in range(s - d)], dtype=np.intp)
+        found = registry.lookup_rows(range(t.start, t.start + s - d), rows)
+        classes.update(((j, j + d), info) for j, info in enumerate(found))
     for j in range(s):
         for k in range(j + 1, s):
-            seg = t.segment(j, k)
-            info = cfg.registry.classify(seg.start, seg.points)
+            info = classes[j, k]
+            if info is None:
+                seg = t.segment(j, k)
+                info = classes[j, k] = registry.classify(seg.start, seg.points)
             zeta[j, k] = cfg.bc.inv_L_pow(info.exponent)
-    return TriangularSystem(lambdas=lambdas, zeta=zeta, label=f"T({t.start}..{t.start + t.n})")
+    system = TriangularSystem(lambdas=lambdas, zeta=zeta, label=f"T({t.start}..{t.start + t.n})")
+    return system, [classes[0, k] for k in range(1, s)]
+
+
+def build_matrix(t: TupleIndex, cfg: RenormConfig) -> TriangularSystem:
+    """Triangular system whose row k carries lambda_{start+k} on the diagonal
+    and the reciprocal weights of the tuple's inner segments above it."""
+    return _build_system(t, cfg)[0]
 
 
 def assemble_comparison(
@@ -660,10 +699,9 @@ def dual_norm_atoms(
         t = cfg.window_tuple(tuple(int(p) for p in t), tol=0)
     if t is None:
         raise ValueError("tuple does not sit on a consecutive base window")
-    system = build_matrix(t, cfg)
-    a = solve_unit(system)
-    if beta.shape != (system.size,):
+    if beta.shape != (t.n + 1,):
         raise ValueError("beta length mismatch")
+    a = solve_unit(build_matrix(t, cfg))
     return float(beta @ a), a
 
 

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import pytest
 
 import renormlab as rl
@@ -58,3 +61,15 @@ def onepoint_space():
 @pytest.fixture(scope="session")
 def swap_group(onepoint_space):
     return onepoint_swap_group(onepoint_space, word_cap=2)
+
+
+@pytest.fixture(scope="session")
+def fork():
+    """A copy of a configuration whose class registry can grow apart from
+    the original's; registered classes are never mutated, so they are shared."""
+    def fork(cfg):
+        registry = copy.copy(cfg.registry)
+        registry._by_key = dict(registry._by_key)
+        registry._by_window = {m: list(infos) for m, infos in registry._by_window.items()}
+        return dataclasses.replace(cfg, registry=registry)
+    return fork

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from renormlab.detector import WeightReport, certify, check_weight_one, fingerprint
+from renormlab.detector import IsometryVerdict, TupleCheck, WeightReport, certify, check_weight_one, fingerprint
 from renormlab.operators import (
     circle_rotation,
     compose,
@@ -219,3 +219,156 @@ def test_block_diagonal_containment_matches_per_orbit_loop(product_cfg, line_cfg
         assert rep == _check_weight_one_by_orbit(T, cfg), T.label
     escapes = [e for cfg, T in cases for _, ok, e in check_weight_one(T, cfg).orbit_containment if not ok]
     assert escapes and min(escapes) > 0
+
+
+def _certify_per_depth(T, cfg, test_depth=4):
+    # the certify that one system per side replaced: per depth, two
+    # fingerprints, each its own triangular system, and two classify calls
+    space = cfg.space
+    word_tol = 2 * space.resolution
+    test_depth = min(test_depth, cfg.base_count)
+    weight = _check_weight_one_by_orbit(T, cfg)
+    checks = []
+    witness = None
+    if not weight.weight_ok:
+        witness = {"kind": "weight", "point": weight.weight_witness, "deviation": weight.max_weight_deviation}
+    for n in range(1, test_depth):
+        t = cfg.base_tuple(1, n)
+        fp_t = fingerprint(t, cfg)
+        img = tuple(int(T.forward[p]) for p in t.points)
+        img_ids = tuple(space.points[p] for p in img)
+        t_ids = tuple(space.points[p] for p in t.points)
+        ti = cfg.window_tuple(img)
+        slots = cfg.classify_slots(img)
+        if ti is not None and ti.start == 1:
+            info_t = cfg.registry.classify(t.start, t.points)
+            info_s = cfg.registry.classify(ti.start, ti.points)
+            fp_s = fingerprint(ti, cfg)
+            if info_t.m == info_s.m and info_t.ordinal == info_s.ordinal:
+                check = TupleCheck(t_ids, img_ids, "same-class", tuple(fp_t), tuple(fp_s))
+            else:
+                check = TupleCheck(t_ids, img_ids, "class-mismatch", tuple(fp_t), tuple(fp_s),
+                                   detail=f"image lies in class ordinal {info_s.ordinal} != {info_t.ordinal}")
+        elif ti is not None:
+            fp_s = fingerprint(ti, cfg)
+            check = TupleCheck(t_ids, img_ids, "window-mismatch", tuple(fp_t), tuple(fp_s),
+                               detail=f"image occupies base window {ti.start}..{ti.start + n} instead of 1..{n + 1}")
+        elif all(s is not None for s in slots):
+            check = TupleCheck(t_ids, img_ids, "off-orbit", tuple(fp_t), None,
+                               detail=f"image slots land in base orbits {[s[0] for s in slots]}, not a consecutive window")
+        else:
+            missing = [img_ids[j] for j, s in enumerate(slots) if s is None]
+            check = TupleCheck(t_ids, img_ids, "off-orbit", tuple(fp_t), None,
+                               detail=f"image points {missing} lie outside every enumerated base orbit")
+        checks.append(check)
+        if check.mismatch and witness is None:
+            witness = {"kind": "fingerprint", "tuple": check.tuple_points, "image": check.image_points,
+                       "outcome": check.outcome, "detail": check.detail}
+    base_pts = np.asarray(cfg.base_points[:test_depth], dtype=np.intp)
+    dists = space.dmat[cfg.registry.word_maps[:, base_pts], T.forward[base_pts]].max(axis=1)
+    best = int(dists.argmin())
+    word_matched = float(dists[best]) <= word_tol and weight.weight_ok
+    if witness is not None:
+        verdict = "rejected"
+    elif word_matched and all(c.ok for c in checks):
+        verdict = "certified-in-G"
+    else:
+        verdict = "inconclusive"
+    return IsometryVerdict(
+        verdict=verdict, weight=weight, orbit_checks=checks,
+        approx_group_element=(cfg.group.words()[best].label or "word", float(dists[best])),
+        caps={"test_depth": test_depth, "word_cap": cfg.group.word_cap, "word_tol": word_tol,
+              "note": "certified-in-G means: within tolerance of a word of the capped length"},
+        witness=witness,
+    )
+
+
+def _sending(space, moves, label):
+    # a weight-one point permutation with forward[src] = dst for each move
+    forward = np.arange(space.n)
+    for src, dst in moves:
+        j = int(np.flatnonzero(forward == dst)[0])
+        forward[[src, j]] = forward[[j, src]]
+    return WeightedComposition(space, np.ones(space.n), forward, np.argsort(forward), label=label)
+
+
+def _certify_cases(cfg):
+    space = cfg.space
+    if space.aux.get("kind") != "product":
+        return [identity(space), line_translation(space, 0.3), multiplication(space, 1.2),
+                _corrupt(identity(space), cfg.base_points[1], cfg.base_points[2], 1.0)]
+    circ, seg = space.aux["a"], space.aux["b"]
+    g, gi = cfg.group.generators[:2]
+    rotflip = compose(lift(circle_rotation(circ, steps=4), space, "left"), lift(interval_flip(seg), space, "right"))
+    b = cfg.base_points
+    orbit = cfg.orbit_of_base
+    return [
+        identity(space), g, gi, compose(g, g), compose(compose(g, g), gi), rotflip,
+        _corrupt(g, b[0], b[1], 1.0), _corrupt(rotflip, b[2], 5, 1.3),
+        _corrupt(identity(space), b[-1], space.n - 1, 0.7),
+        # off the group's grid: a one-step rotation and a flip
+        lift(circle_rotation(circ, steps=1), space, "left"), lift(interval_flip(seg), space, "right"),
+        # the base tuple moves one window up, with mixed orbit labels, so
+        # the image tuple starts at base 2 and the two sides register
+        # different new classes in the windows they share
+        _sending(space, [(b[i], orbit(i + 2)[i % 3]) for i in range(6)], "shift"),
+        # same window, mixed labels: class mismatches past the depth
+        _sending(space, [(b[i], orbit(i + 1)[(i * i) % 5]) for i in range(6)], "relabel"),
+        # a consecutive image prefix, then a jump
+        _sending(space, [(b[0], orbit(3)[1]), (b[1], orbit(4)[0]), (b[2], orbit(9)[2]), (b[3], orbit(10)[0])],
+                 "prefix"),
+    ]
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "product_word_capped_cfg", "line_cfg"])
+def test_one_system_per_side_matches_per_depth_certify(name, request, fork):
+    cfg = request.getfixturevalue(name)
+    outcomes = set()
+    for T in _certify_cases(cfg):
+        for depth in range(1, 7):
+            old, new = fork(cfg), fork(cfg)
+            expected = _certify_per_depth(T, old, depth)
+            assert certify(T, new, test_depth=depth) == expected, (T.label, depth)
+            assert new.registry.to_records() == old.registry.to_records(), (T.label, depth)
+            outcomes |= {c.outcome for c in expected.orbit_checks}
+    if name == "product_cfg":
+        assert outcomes == {"same-class", "class-mismatch", "window-mismatch", "off-orbit"}
+
+
+def test_shifted_tuple_registers_new_classes_on_both_sides(product_cfg, fork):
+    # the ordering case: the image starts at base 2, and past the depth both
+    # sides register a new class in the windows they share
+    cfg = fork(product_cfg)
+    shift = next(T for T in _certify_cases(cfg) if T.label == "shift")
+    verdict = certify(shift, cfg, test_depth=6)
+    assert [c.outcome for c in verdict.orbit_checks] == ["window-mismatch"] * 5
+    old = {(r["m"], r["ordinal"]) for r in product_cfg.registry.to_records()}
+    new = [r["m"] for r in cfg.registry.to_records() if (r["m"], r["ordinal"]) not in old]
+    assert any(new.count(m) == 2 for m in new)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 4.0, "4", True, None])
+def test_certify_rejects_a_bad_test_depth(product_cfg, bad):
+    with pytest.raises(ValueError, match="test_depth must be an integer >= 1"):
+        certify(product_cfg.group.generators[0], product_cfg, test_depth=bad)
+
+
+def test_certify_accepts_numpy_integer_test_depth(product_cfg):
+    verdict = certify(product_cfg.group.generators[0], product_cfg, test_depth=np.int64(3))
+    assert verdict.caps["test_depth"] == 3 and type(verdict.caps["test_depth"]) is int
+
+
+def test_containment_fast_path_matches_full_gather(product_cfg, product_word_capped_cfg, line_cfg):
+    # images that all hit their own orbit's slots, that partly hit, and base
+    # orbits that overlap (the word-capped rotation list is not closed)
+    hits = set()
+    for cfg in (product_cfg, product_word_capped_cfg, line_cfg):
+        for T in _certify_cases(cfg):
+            rows, _, row_start, orbit_start = cfg.orbit_pairs
+            own = np.repeat(np.arange(1, cfg.base_count + 1), np.diff(orbit_start, append=len(row_start)))
+            hit = cfg.slot_base[T.forward[rows[row_start]]] == own
+            hits.add((cfg is product_cfg, "all" if hit.all() else "part" if hit.any() else "none"))
+            assert check_weight_one(T, cfg) == _check_weight_one_by_orbit(T, cfg), T.label
+    assert {(True, "all"), (True, "part"), (True, "none"), (False, "part")} <= hits
+    overlap = [p for e in product_word_capped_cfg.orbit_enums for p in e]
+    assert len(set(overlap)) < len(overlap)

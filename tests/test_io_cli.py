@@ -239,6 +239,39 @@ def test_gamma_cap_zero_exits_2_in_run_and_eval(tmp_path, capsys):
     assert "gamma_cap must be None or an integer >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 4.0, "4", True, None])
+def test_bad_test_depth_exits_2_naming_the_operator(tmp_path, capsys, bad):
+    scenario = {
+        "space": {"builtin": "line", "params": {"step": 0.25, "window": [-2, 2]}},
+        "depth": 4,
+        "tasks": ["detect"],
+        "detect": [
+            {"builtin": "identity", "expect": "certified-in-G"},
+            {"builtin": "translation", "offset": 0.5, "test_depth": bad},
+        ],
+    }
+    path = tmp_path / "detect.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"detect operator 'shift+0.5': test_depth must be an integer >= 1, got {bad!r}" in err
+    assert not (tmp_path / "out" / "detect.json").exists()
+
+
+@pytest.mark.parametrize("bad", [0, -2, 2.0, "5", False])
+def test_bad_beta_grid_exits_2(tmp_path, capsys, bad):
+    scenario = {
+        "space": {"builtin": "line", "params": {"step": 0.25, "window": [-2, 2]}},
+        "depth": 4,
+        "tasks": ["dual-suite"],
+        "dual_suite": {"beta_grid": bad},
+    }
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"dual_suite beta_grid must be an integer >= 1, got {bad!r}" in capsys.readouterr().err
+
+
 def test_run_builds_a_failing_config_once(tmp_path, monkeypatch):
     calls = []
     build = cli.build_config

@@ -574,6 +574,124 @@ def test_build_matrix_class_constant(product_cfg):
                           build_matrix(s, product_cfg).matrix())
 
 
+def _validate_by_column(lambdas, zeta):
+    # the per-column TriangularSystem validator that the masked compares
+    # replaced: the message of the first broken rule, or None
+    lambdas = np.asarray(lambdas, dtype=float)
+    zeta = np.asarray(zeta, dtype=float)
+    s = len(lambdas)
+    if zeta.shape != (s, s):
+        return "zeta shape mismatch"
+    if np.any(np.tril(zeta) != 0):
+        return "zeta must be strictly upper triangular"
+    if np.any(lambdas < 1.0) or np.any(lambdas > 1.1 + 1e-12):
+        return "diagonal must lie in [1, 1.1]"
+    if np.any(np.diff(lambdas) > 1e-12):
+        return "diagonal must be non-increasing"
+    if np.any(zeta < 0):
+        return "zeta entries must be nonnegative"
+    for k in range(1, s):
+        if np.any(zeta[:k, k] > 9.0 ** (4 - 3 * (k + 1)) + 1e-12):
+            return (f"zeta bound violation in column {k}: "
+                    "entries exceed the hypothesis bound (is L <= 9?)")
+    return None
+
+
+def _validate_masked(lambdas, zeta):
+    try:
+        TriangularSystem(lambdas=lambdas, zeta=zeta)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_BREAKS = ("lower", "diagonal-low", "diagonal-high", "increasing", "negative",
+           "column", "column-edge", "nan", "shape")
+
+
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10**6),
+       st.lists(st.sampled_from(_BREAKS), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_masked_validator_matches_per_column_validator(s, seed, breaks):
+    rng = np.random.default_rng(seed)
+    T = _random_system(rng, s)
+    lam, zeta = T.lambdas.copy(), T.zeta.copy()
+    upper = [(j, k) for k in range(1, s) for j in range(k)]
+    for rule in breaks:
+        if rule == "lower":
+            j = int(rng.integers(0, s))
+            zeta[j, int(rng.integers(0, j + 1))] = rng.choice([1e-300, 0.25, -1.0, -0.0])
+        elif rule == "diagonal-low":
+            lam[int(rng.integers(0, s))] = rng.choice([1.0 - 1e-15, 0.5])
+        elif rule == "diagonal-high":
+            lam[int(rng.integers(0, s))] = rng.choice([1.1 + 2e-12, 1.1 + 1e-12, 2.0])
+        elif rule == "increasing" and s > 1:
+            i = int(rng.integers(1, s))
+            lam[i] = lam[i - 1] + rng.choice([1e-12, 2e-12, 1e-4])
+        elif rule == "negative" and upper:
+            zeta[upper[int(rng.integers(0, len(upper)))]] = rng.choice([-1e-300, -0.0, -1e-3])
+        elif rule in ("column", "column-edge") and upper:
+            j, k = upper[int(rng.integers(0, len(upper)))]
+            edge = 9.0 ** (4 - 3 * (k + 1)) + 1e-12
+            zeta[j, k] = edge if rule == "column-edge" else edge * (1 + rng.uniform(1e-9, 1.0))
+        elif rule == "nan":
+            zeta[int(rng.integers(0, s)), int(rng.integers(0, s))] = np.nan
+        elif rule == "shape":
+            zeta = np.zeros((s, s + 1))
+    expected = _validate_by_column(lam, zeta)
+    assert _validate_masked(lam, zeta) == expected
+    if not breaks:
+        assert expected is None
+
+
+def _build_matrix_per_segment(t, cfg):
+    # the build that the batched class read replaced: one batch-of-one
+    # classify per segment, in (j, k) order
+    s = t.n + 1
+    lambdas = np.array([cfg.lam(t.start + k) for k in range(s)])
+    zeta = np.zeros((s, s))
+    for j in range(s):
+        for k in range(j + 1, s):
+            seg = t.segment(j, k)
+            zeta[j, k] = cfg.bc.inv_L_pow(cfg.registry.classify(seg.start, seg.points).exponent)
+    return TriangularSystem(lambdas=lambdas, zeta=zeta, label=f"T({t.start}..{t.start + t.n})")
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "line_cfg", "product_capped_cfg", "product_word_capped_cfg"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_batched_build_matches_per_segment_classify(name, data, request, fork):
+    # tuples beyond the depth and labels beyond a gamma cap register new
+    # classes: the two builds must register them with the same ordinals
+    cfg = request.getfixturevalue(name)
+    tuples = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        n = data.draw(st.integers(min_value=0, max_value=cfg.depth + 1))
+        start = data.draw(st.integers(min_value=1, max_value=cfg.base_count - n))
+        gammas = [data.draw(st.integers(min_value=0, max_value=len(cfg.orbit_of_base(start + j)) - 1))
+                  for j in range(n + 1)]
+        tuples.append(cfg.tuple_index(start, gammas))
+    old, new = fork(cfg), fork(cfg)
+    for t in tuples:
+        a, b = _build_matrix_per_segment(t, old), build_matrix(t, new)
+        assert a.lambdas.tobytes() == b.lambdas.tobytes()
+        assert a.zeta.tobytes() == b.zeta.tobytes()
+        assert a.label == b.label
+    assert old.registry.to_records() == new.registry.to_records()
+
+
+def test_dual_norm_atoms_rejects_beta_length_before_registering(product_cfg, fork):
+    cfg = fork(product_cfg)
+    t = cfg.base_tuple(1, cfg.depth)
+    before = cfg.registry.to_records()
+    for beta in ([0.9] * cfg.depth, [0.9] * (cfg.depth + 2), [[0.9] * (cfg.depth + 1)]):
+        with pytest.raises(ValueError, match="^beta length mismatch$"):
+            dual_norm_atoms(t, beta, cfg)
+    assert cfg.registry.to_records() == before
+    dual_norm_atoms(t, [0.9] * (cfg.depth + 1), cfg)
+    assert len(cfg.registry.all_classes()) == len(before) + 3
+
+
 # ----------------------------------------------------------------------
 # comparison systems
 
