@@ -31,24 +31,19 @@ class BoundedGroupNorm:
     C_G: float               # max over words of sup weight
     cap_trace: list[tuple[int, float]]   # (cap, min over sample of m at that cap)
     flagged: list[str]       # non-isolated points with a large sampled jump
-    jump_tol: float
-    jump_radius: float
     growth_warning: bool
 
 
-def m_weight(
-    group: GroupSpec,
-    word_cap: int | None = None,
-    jump_tol: float = 0.25,
-    jump_radius: float | None = None,
-) -> BoundedGroupNorm:
+def m_weight(group: GroupSpec, word_cap: int | None = None) -> BoundedGroupNorm:
     """Pointwise infimum of the enumerated word weights, with a continuity
     report.
 
     The infimum over the full group is approximated by words up to the cap;
     the per-cap trace is monotone and reported so the stabilization is
-    visible.  Discontinuity flags are restricted to non-isolated points:
-    at sample scale only those can witness a genuine jump of m.
+    visible.  A point is flagged when m moves by at least 0.25 within
+    ``2 * resolution`` of it.  Discontinuity flags are restricted to
+    non-isolated points: at sample scale only those can witness a genuine
+    jump of m.
     """
     space = group.space
     cap = group.word_cap if word_cap is None else word_cap
@@ -60,13 +55,13 @@ def m_weight(
     trace = [(c, float(weights[: len(group.words(c))].min())) for c in range(1, cap + 1)]
     growth = len(trace) >= 2 and trace[-1][1] < trace[-2][1] - 1e-12
 
-    radius = 2 * space.resolution if jump_radius is None else jump_radius
+    radius = 2 * space.resolution
     flagged = []
     for p in range(space.n):
         if space.isolated[p]:
             continue
         near = np.nonzero((space.dmat[p] <= radius) & (space.dmat[p] > 0))[0]
-        if near.size and float(np.max(np.abs(m[near] - m[p]))) >= jump_tol:
+        if near.size and float(np.max(np.abs(m[near] - m[p]))) >= 0.25:
             flagged.append(space.points[p])
 
     return BoundedGroupNorm(
@@ -76,8 +71,6 @@ def m_weight(
         C_G=float(weights.max()),
         cap_trace=trace,
         flagged=flagged,
-        jump_tol=jump_tol,
-        jump_radius=radius,
         growth_warning=growth,
     )
 

@@ -143,18 +143,12 @@ def random_piecewise_linear(space: SampledSpace, rng: np.random.Generator, knots
     return (weights * vals).sum(axis=1) / weights.sum(axis=1)
 
 
-def lipschitz_constant(space: SampledSpace, x: np.ndarray) -> float:
-    diff = np.abs(x[:, None] - x[None, :])
-    d = space.dmat + np.eye(space.n)
-    return float((diff / d).max())
-
-
 # ----------------------------------------------------------------------
 # tasks
 
 
 def task_build_config(cfg: RenormConfig, scenario: dict) -> dict:
-    metric_report = validate_metric(cfg.space, closed_form=True)
+    metric_report = validate_metric(cfg.space)
     return {
         "ok": bool(metric_report["ok"]),
         "provenance": cfg.provenance(),
@@ -306,8 +300,7 @@ def task_sot_gallery(space: SampledSpace, scenario: dict) -> dict:
     n_max = space.aux["n_max"]
     tail_col = [space.index(f"(0,{i})") for i in range(3, n_max + 1)] + [space.index("(0,inf)")]
     eq = check_local_equicontinuity(
-        [g.backward for g in seq], space.compact(tail_col, "column-tail"),
-        (0.5,), space=space,
+        [g.backward for g in seq], space.compact(tail_col, "column-tail"), (0.5,), space,
     )
     cond = {c.name: c for c in verdict.conditions}
     ok = (
@@ -470,8 +463,8 @@ def eval_command(args) -> int:
                 "weight_bound": verdict.weight_bound,
             }
         elif args.check == "equicont":
-            rep = check_local_equicontinuity(seq, space.top_exhaustion, (0.5, 0.25, 0.1),
-                                             space=space)
+            rep = check_local_equicontinuity([g.forward for g in seq], space.top_exhaustion,
+                                             (0.5, 0.25, 0.1), space)
             # an unconstrained delta is inf, which JSON cannot hold
             table = [(eps, None if delta == math.inf else delta) for eps, delta in rep.table]
             out = {"equicontinuous": rep.equicontinuous, "table": table,
@@ -533,7 +526,7 @@ def eval_command(args) -> int:
             out["flagged"] = bgn.flagged
     else:
         out = {"space": space.name, "n": space.n,
-               "metric_report": validate_metric(space, closed_form=True)}
+               "metric_report": validate_metric(space)}
     text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n")

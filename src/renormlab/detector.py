@@ -73,14 +73,16 @@ class IsometryVerdict:
         return self.verdict == "certified-in-G"
 
 
-def check_weight_one(T: WeightedComposition, cfg: RenormConfig, tol: float = 1e-9) -> WeightReport:
-    """Examine the candidate weight against one, with dual-norm evidence.
+def check_weight_one(T: WeightedComposition, cfg: RenormConfig) -> WeightReport:
+    """Examine the candidate weight against one at tolerance 1e-9, with
+    dual-norm evidence.
 
     Off the union of base orbits the dual norm of a unit atom pins the
     weight of an isometry to one; that ratio is reported wherever such
     points exist.  Each base orbit is also tested for mapping into itself
     at tolerance.
     """
+    tol = 1e-9
     w = T.weight
     dev = np.abs(w - 1.0)
     max_dev = float(dev.max())
@@ -193,13 +195,13 @@ def certify(
     T: WeightedComposition,
     cfg: RenormConfig,
     test_depth: int = 4,
-    word_tol: float | None = None,
 ) -> IsometryVerdict:
     """Full isometry check: weight, orbit preservation on base tuples via
     fingerprints, and an explicit approximating group word.
 
     certified-in-G means a word of length at most the group's cap matches
-    the candidate map on the tested base points within tolerance; rejected
+    the candidate map on the tested base points within ``2 * resolution``
+    (reported as ``caps["word_tol"]``); rejected
     verdicts always carry a re-checkable witness; everything else is
     inconclusive.  ``test_depth`` must be an integer >= 1; it is capped at
     the number of base points.
@@ -207,7 +209,7 @@ def certify(
     if isinstance(test_depth, bool) or not isinstance(test_depth, (int, np.integer)) or test_depth < 1:
         raise ValueError(f"test_depth must be an integer >= 1, got {test_depth!r}")
     space = cfg.space
-    word_tol = 2 * space.resolution if word_tol is None else word_tol
+    word_tol = 2 * space.resolution
     test_depth = min(int(test_depth), cfg.base_count)
     weight = check_weight_one(T, cfg)
 

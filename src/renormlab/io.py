@@ -30,19 +30,6 @@ def dump_json(obj, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _builtin_form(form: dict) -> dict | None:
-    """Reconstructible closed-form parameters, or None."""
-    kind = form.get("form")
-    if kind in ("line", "circle", "remark25", "onepoint01N"):
-        return form
-    if kind == "product":
-        a = _builtin_form(form["a"])
-        b = _builtin_form(form["b"])
-        if a and b:
-            return {"form": "product", "a": a, "b": b}
-    return None
-
-
 def space_to_dict(space: SampledSpace) -> dict:
     doc = {
         "name": space.name,
@@ -53,9 +40,9 @@ def space_to_dict(space: SampledSpace) -> dict:
             {"label": ks.label, "members": list(ks.members)} for ks in space.exhaustion
         ],
     }
-    form = _builtin_form(space.metric_form)
-    if form is not None:
-        doc["metric"] = form
+    # a tag with a closed-form formula is reconstructible from its parameters
+    if space_mod._formula(space.metric_form) is not None:
+        doc["metric"] = space.metric_form
     else:
         doc["metric"] = {"form": "matrix", "values": np.round(space.dmat, 12).tolist()}
     return doc

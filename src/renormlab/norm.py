@@ -680,14 +680,15 @@ def dual_norm_delta(point: int, cfg: RenormConfig, tol: float | None = None) -> 
 
 
 def dual_norm_atoms(
-    t,
+    t: TupleIndex,
     beta: Sequence[float],
     cfg: RenormConfig,
 ) -> tuple[float, np.ndarray]:
     """Dual norm of a beta-weighted atomic combination over a window tuple.
 
-    ``t`` is a TupleIndex or a raw point tuple that sits on a consecutive
-    base window (equivalent tuples share the solution vector).
+    A point tuple on a consecutive base window resolves to its
+    TupleIndex through :meth:`RenormConfig.window_tuple`; equivalent
+    tuples share the solution vector.
 
     Returns (value, fingerprint): the value is beta . a(t) and the
     fingerprint a(t) is the class invariant used by the detector.
@@ -695,10 +696,6 @@ def dual_norm_atoms(
     beta = np.asarray(beta, dtype=float)
     if not np.all((beta >= 0.8 - _ZETA_MARGIN) & (beta <= 1.0 + _ZETA_MARGIN)):
         raise ValueError(f"beta {beta.tolist()} outside the [4/5, 1] window")
-    if not isinstance(t, TupleIndex):
-        t = cfg.window_tuple(tuple(int(p) for p in t), tol=0)
-    if t is None:
-        raise ValueError("tuple does not sit on a consecutive base window")
     if beta.shape != (t.n + 1,):
         raise ValueError("beta length mismatch")
     a = solve_unit(build_matrix(t, cfg))

@@ -585,7 +585,7 @@ def check_sot_convergence(
     moreover = True
     moreover_detail = "inverse family locally equicontinuous on all supplied compacts"
     for K in K_list:
-        eq = check_local_equicontinuity(inv_maps, K, (eps,), space=space)
+        eq = check_local_equicontinuity(inv_maps, K, (eps,), space)
         if eq.witnesses:
             moreover = False
             g_i, s, t = eq.witnesses[0][1]
@@ -618,28 +618,21 @@ class EquicontinuityReport:
 
 
 def check_local_equicontinuity(
-    family: Sequence,
+    maps: Sequence[np.ndarray],
     K: CompactSet,
     moduli_grid: Sequence[float],
-    space: SampledSpace | None = None,
+    space: SampledSpace,
 ) -> EquicontinuityReport:
     """Per epsilon on the grid, the largest sample-scale delta valid for all
     family members on K, or a witness (member, s, t) with d(s,t) below every
     grid delta while d(member s, member t) >= eps.
 
-    ``family`` holds WeightedComposition operators or raw index maps.
+    ``maps`` holds the members' point maps on ``space`` as index arrays
+    (``[g.forward for g in family]`` for operators).
     """
-    if len(family) == 0:
+    if len(maps) == 0:
         raise ValueError("nonempty family required")
-    maps = []
-    for f in family:
-        if isinstance(f, WeightedComposition):
-            space = space or f.space
-            maps.append(f.forward)
-        else:
-            maps.append(np.asarray(f, dtype=np.intp))
-    if space is None:
-        raise ValueError("space required when family holds raw maps")
+    maps = [np.asarray(f, dtype=np.intp) for f in maps]
     karr = K.as_array()
     src = space.dmat[np.ix_(karr, karr)]
     grid = tuple(sorted(set(float(e) for e in moduli_grid)))
@@ -686,7 +679,7 @@ def pointwise_implies_sot(
     space = group.space
     forward = group.word_table()[0]
     for K in space.exhaustion:
-        eq = check_local_equicontinuity(forward, K, moduli_grid, space=space)
+        eq = check_local_equicontinuity(forward, K, moduli_grid, space)
         if eq.witnesses:
             _, (mi, s, t) = eq.witnesses[0]
             raise ValueError(

@@ -37,7 +37,6 @@ class OrbitClosure:
     base: tuple[int, ...]
     samples: tuple[tuple[int, ...], ...]
     word_cap: int
-    hull_tolerance: float
     window_clipped: bool = False
 
     def __contains__(self, tup) -> bool:
@@ -76,7 +75,6 @@ def orbit_closure(group: GroupSpec, t: Sequence[int], cap: int | None = None) ->
         base=base,
         samples=tuple(sorted({*map(tuple, distinct[keep].tolist()), base})),
         word_cap=cap if cap is not None else group.word_cap,
-        hull_tolerance=tol,
         window_clipped=not defects.isdisjoint(distinct.ravel().tolist()),
     )
 
@@ -85,26 +83,22 @@ def _min_distance_to_orbit(space: SampledSpace, s: Sequence[int], orb: OrbitClos
     return float(space.dmat[np.asarray(orb.samples), np.asarray(s)].max(axis=1).min())
 
 
-def equivalent_report(
-    s: Sequence[int],
-    t: Sequence[int],
-    group: GroupSpec,
-    cap: int | None = None,
-    tol: float | None = None,
-) -> dict:
-    """Both one-sided orbit-membership tests with their distances.
+def equivalent_report(s: Sequence[int], t: Sequence[int], group: GroupSpec) -> dict:
+    """Both one-sided orbit-membership tests with their distances, over the
+    group's full word list.
 
     One-sided testing decides the symmetric relation on the ideal space; a
-    disagreement here is a resolution artifact and is logged.  The default
-    tolerance is the one-snap error bound (the resolution itself); distinct
-    grid neighbors sit at twice that and stay inequivalent.
+    disagreement here is a resolution artifact and is logged.  The
+    tolerance is the one-snap error bound (the resolution itself, plus the
+    float error of a distance); distinct grid neighbors sit at twice that
+    and stay inequivalent.
     """
     if len(s) != len(t):
         raise ValueError("length mismatch")
     space = group.space
-    tol = space._resolution_tol if tol is None else tol
-    orb_t = orbit_closure(group, t, cap)
-    orb_s = orbit_closure(group, s, cap)
+    tol = space._resolution_tol
+    orb_t = orbit_closure(group, t)
+    orb_s = orbit_closure(group, s)
     d_fwd = _min_distance_to_orbit(space, s, orb_t)
     d_rev = _min_distance_to_orbit(space, t, orb_s)
     fwd = d_fwd < tol
@@ -126,16 +120,11 @@ def equivalent_report(
     }
 
 
-def equivalent(
-    s: Sequence[int],
-    t: Sequence[int],
-    group: GroupSpec,
-    cap: int | None = None,
-    tol: float | None = None,
-) -> bool:
-    """True iff some sampled orbit element of t lies strictly within tol of
-    s in the max metric (the one-sided membership test)."""
-    return equivalent_report(s, t, group, cap, tol)["equivalent"]
+def equivalent(s: Sequence[int], t: Sequence[int], group: GroupSpec) -> bool:
+    """True iff some sampled orbit element of t lies strictly within the
+    resolution of s in the max metric (the one-sided membership test of
+    :func:`equivalent_report`)."""
+    return equivalent_report(s, t, group)["equivalent"]
 
 
 def nowhere_dense_check(
@@ -169,18 +158,22 @@ def nowhere_dense_check(
 def select_dense_points(
     space: SampledSpace,
     group: GroupSpec,
-    cap: int | None = None,
     count: int | None = None,
-    avoid_tol: float = 1e-9,
 ) -> tuple[list[int], list[dict]]:
-    """Greedy selection of base points with pairwise disjoint sampled orbits.
+    """Greedy selection of base points, each off the sampled orbits of the
+    points picked before it.
 
     The dense reference sequence is the sample enumeration itself.  Step i
     picks the point closest to the reference point within radius
-    ``max(2^-i, resolution)`` whose distance to every previously selected
-    orbit is at least ``avoid_tol``; ties break by point index.  With
-    ``count=None`` the selection runs until candidates are exhausted;
-    an explicit count raises when unreachable.
+    ``max(2^-i, resolution)`` whose distance to the sampled orbit of every
+    earlier pick, over the group's full word list, is at least 1e-9; ties
+    break by point index.  Only that is checked.  When the word list is
+    closed under composition, a shared orbit entry would make the later
+    pick a word image of the earlier one, so the orbits are pairwise
+    disjoint (up to images that the ``2 * resolution`` dedupe of
+    :func:`orbit_closure` merged); a capped word list can reach an earlier
+    orbit from a later pick.  With ``count=None`` the selection runs until
+    candidates are exhausted; an explicit count raises when unreachable.
 
     Returns the selected indices and the per-step audit trail.
     """
@@ -201,7 +194,7 @@ def select_dense_points(
         cand = cand[np.lexsort((cand, dmat[ref][cand]))]
         pick = None
         for c in cand:
-            if orbit_dist[c] >= avoid_tol:
+            if orbit_dist[c] >= 1e-9:
                 pick = int(c)
                 break
         if pick is None:
@@ -211,7 +204,7 @@ def select_dense_points(
                 )
             continue
         chosen.append(pick)
-        orb = orbit_closure(group, (pick,), cap)
+        orb = orbit_closure(group, (pick,))
         orb_idx = np.asarray(sorted({s[0] for s in orb.samples}), dtype=np.intp)
         orbit_dist = np.minimum(orbit_dist, dmat[:, orb_idx].min(axis=1))
         audit.append({

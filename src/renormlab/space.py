@@ -440,33 +440,27 @@ def builtin_space(name: str, **params) -> SampledSpace:
     raise ValueError(f"unknown builtin space: {name!r}")
 
 
-def validate_metric(
-    space: SampledSpace,
-    exhaustive_limit: int = 2500,
-    n_random: int = 100_000,
-    seed: int = 0,
-    tol: float = 1e-9,
-    *,
-    closed_form: bool = False,
-) -> dict:
+def validate_metric(space: SampledSpace) -> dict:
     """Check metric axioms on the sample.
 
     Symmetry and identity of indiscernibles are always checked in full.  The
-    triangle inequality is checked in one of three modes:
+    triangle inequality is checked in one of three modes, each at tolerance
+    1e-9:
 
-    - ``"closed-form"`` (only with ``closed_form=True``, and only when
-      ``metric_form`` is a line, circle, remark25 or onepoint01N tag, or a
-      max-product of these, whose formula has n points): the formula matrix
-      F is rebuilt from the tag's parameters alone and compared with the
-      sample in O(n^2).  F is a metric in exact arithmetic, and rounding
-      moves each entry by at most 2 eps max F, so every triangle gap
-      ``d(i, j) - d(i, k) - d(k, j)`` on the sample is at most
-      ``triangle_gap_bound = 3 * formula_defect + 8 * eps * max(max d, max F)``
-      with ``formula_defect = max |dmat - F|``.  The triangle inequality is
-      certified when that bound is at most ``tol``; no triple is examined.
-    - ``"exhaustive"``: all n^3 triples, when n <= ``exhaustive_limit``.
-    - ``"random"``: ``n_random`` random triples otherwise.
+    - ``"closed-form"``, when ``metric_form`` is a line, circle, remark25
+      or onepoint01N tag, or a max-product of these, whose formula has n
+      points: the formula matrix F is rebuilt from the tag's parameters
+      alone and compared with the sample in O(n^2).  F is a metric in exact
+      arithmetic, and rounding moves each entry by at most 2 eps max F, so
+      every triangle gap ``d(i, j) - d(i, k) - d(k, j)`` on the sample is at
+      most ``triangle_gap_bound = 3 * formula_defect + 8 * eps * max(max d,
+      max F)`` with ``formula_defect = max |dmat - F|``.  The triangle
+      inequality is certified when that bound is at most the tolerance; no
+      triple is examined.
+    - ``"exhaustive"``: all n^3 triples, when n <= 2500.
+    - ``"random"``: 100,000 random triples, seed 0, otherwise.
     """
+    tol = 1e-9
     d = space.dmat
     n = space.n
     report = {
@@ -474,7 +468,7 @@ def validate_metric(
         "symmetric": _symmetric(d, tol),
         "identity": bool(np.all(np.abs(np.diag(d)) <= tol)),
     }
-    formula = _formula(space.metric_form) if closed_form else None
+    formula = _formula(space.metric_form)
     if formula is not None and formula[0] == n:
         f = formula[1]()
         scale = max(float(d.max()), float(f.max()))
@@ -484,10 +478,11 @@ def validate_metric(
                       triangle_gap_bound=bound, triples_checked=0, triangle_ok=bound <= tol)
         report["ok"] = report["symmetric"] and report["identity"] and report["triangle_ok"]
         return report
-    report["mode"] = "exhaustive" if n <= exhaustive_limit else "random"
+    exhaustive = n <= 2500
+    report["mode"] = "exhaustive" if exhaustive else "random"
     worst = -math.inf
     witness = None
-    if n <= exhaustive_limit:
+    if exhaustive:
         for k in range(n):
             via = d[:, k][:, None] + d[k, :][None, :]
             gap = d - via
@@ -498,13 +493,12 @@ def validate_metric(
                 witness = (int(i), int(j), k)
         report["triples_checked"] = n * n * n
     else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(n_random, 3))
+        idx = np.random.default_rng(0).integers(0, n, size=(100_000, 3))
         gap = d[idx[:, 0], idx[:, 1]] - (d[idx[:, 0], idx[:, 2]] + d[idx[:, 2], idx[:, 1]])
         pos = int(gap.argmax())
         worst = float(gap[pos])
         witness = tuple(int(v) for v in idx[pos])
-        report["triples_checked"] = n_random
+        report["triples_checked"] = len(idx)
     report["triangle_ok"] = bool(worst <= tol)
     report["worst_triangle_gap"] = worst
     report["worst_triple"] = witness

@@ -51,10 +51,7 @@ class Window:
     length: int
 
     def __post_init__(self):
-        if self.start < 1:
-            raise ValueError("start must be >= 1")
-        if self.length < 2:
-            raise ValueError("length must be >= 2")
+        _check_window(self.start, self.length)
 
     @property
     def n(self) -> int:
@@ -83,10 +80,24 @@ def enumerate_window(m: int) -> Window:
     return Window(start=start, length=length)
 
 
+def _check_window(start: int, length: int) -> None:
+    if start < 1:
+        raise ValueError("start must be >= 1")
+    if length < 2:
+        raise ValueError("length must be >= 2")
+
+
+def _window_index(start: int, n: int) -> int:
+    """Enumeration index of the window (start, ..., start + n), checked as
+    a :class:`Window` is, without building one."""
+    _check_window(start, n + 1)
+    r = start + n - 1
+    return r * (r - 1) // 2 + n
+
+
 def enumeration_index(w: Window) -> int:
     """Inverse of :func:`enumerate_window` (exact)."""
-    r = w.end - 1
-    return r * (r - 1) // 2 + w.n
+    return _window_index(w.start, w.n)
 
 
 def window_of(start: int, n: int) -> Window:
@@ -116,10 +127,6 @@ class BCAssignment:
         if i < 1:
             raise ValueError("lambda index must be >= 1")
         return 1.0 + (self.C - 1.0) * 2.0 ** (-i)
-
-    @property
-    def lambda1(self) -> float:
-        return self.lam(1)
 
     def budget(self) -> Fraction:
         """C - lambda_1, exactly."""
@@ -235,7 +242,7 @@ class ClassRegistry:
         return tuple(self.canonical_keys(np.asarray(points, dtype=np.intp)[None])[0].tolist())
 
     def _key(self, start: int, points: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-        return enumeration_index(window_of(start, len(points) - 1)), self.canonical_key(points)
+        return _window_index(start, len(points) - 1), self.canonical_key(points)
 
     def classify(self, start: int, points: Sequence[int]) -> ClassInfo:
         """Class of a window tuple, auto-registering new classes."""
@@ -264,7 +271,7 @@ class ClassRegistry:
         starting at base index starts[t], or None; never registers."""
         rows = np.asarray(rows, dtype=np.intp)
         n = rows.shape[1] - 1
-        m_of = {s: enumeration_index(window_of(s, n)) for s in set(starts)}
+        m_of = {s: _window_index(s, n) for s in set(starts)}
         keys = self.canonical_keys(rows).tolist()
         return [self._by_key.get((m_of[s], tuple(key))) for s, key in zip(starts, keys)]
 

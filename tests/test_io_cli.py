@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -38,6 +39,35 @@ def test_space_round_trip_matrix(tmp_path):
     back = rio.load_space(path)
     assert back.points == sp.points
     assert np.allclose(back.dmat, sp.dmat)
+
+
+def _builtin_form_by_tag_list(form):
+    # the tag list space_to_dict kept before it asked space._formula
+    kind = form.get("form")
+    if kind in ("line", "circle", "remark25", "onepoint01N"):
+        return form
+    if kind == "product":
+        a, b = _builtin_form_by_tag_list(form["a"]), _builtin_form_by_tag_list(form["b"])
+        if a and b:
+            return {"form": "product", "a": a, "b": b}
+    return None
+
+
+def test_space_to_dict_metric_matches_the_tag_list():
+    spaces = [rl.builtin_space(name, **params) for name, params in (
+        ("line", {"step": 0.5, "window": (0, 2)}), ("circle", {"count": 6}),
+        ("plane", {"step": 1.0, "window": (0, 2)}), ("remark25", {"n_max": 4}),
+        ("onepoint01N", {"n_max": 4}), ("circle_x_interval", {"count": 6, "levels": 3}))]
+    matrix_factor = dataclasses.replace(rl.builtin_space("circle", count=4), metric_form={"form": "matrix"})
+    spaces.append(rl.product(matrix_factor, rl.builtin_space("line", step=0.5, window=(0, 1))))
+    forms = []
+    for sp in spaces:
+        form = _builtin_form_by_tag_list(sp.metric_form)
+        expected = form if form is not None else {"form": "matrix", "values": np.round(sp.dmat, 12).tolist()}
+        metric = rio.space_to_dict(sp)["metric"]
+        assert metric == expected
+        forms.append(metric["form"])
+    assert forms == ["line", "circle", "product", "remark25", "onepoint01N", "product", "matrix"]
 
 
 def test_operator_round_trip(tmp_path):

@@ -250,7 +250,7 @@ def test_sot_shrinking_rotations_pass():
 def test_equicontinuity_isometries_delta_equals_eps():
     circ = rl.builtin_space("circle", count=32)
     fam = [circle_rotation(circ, steps=s) for s in range(1, 6)]
-    rep = check_local_equicontinuity(fam, circ.top_exhaustion, (0.5, 0.25, 0.1))
+    rep = check_local_equicontinuity([g.forward for g in fam], circ.top_exhaustion, (0.5, 0.25, 0.1), circ)
     assert rep.equicontinuous
     for eps, delta in rep.table:
         assert delta >= eps - 1e-12
@@ -259,7 +259,7 @@ def test_equicontinuity_isometries_delta_equals_eps():
 def test_equicontinuity_translations_on_line(line_space):
     fam = [line_translation(line_space, c) for c in (-1.0, -0.5, 0.5, 1.0)]
     K = line_space.compact(range(600, 1400), "mid")  # away from the clamped edges
-    rep = check_local_equicontinuity(fam, K, (0.5, 0.25, 0.1), space=line_space)
+    rep = check_local_equicontinuity([g.forward for g in fam], K, (0.5, 0.25, 0.1), line_space)
     assert rep.equicontinuous
     for eps, delta in rep.table:
         assert delta >= eps - 1e-12

@@ -127,6 +127,18 @@ def test_select_product_rotation_stops_at_orbit_count(product_space, rotation_gr
         select_dense_points(product_space, rotation_group, count=65)
 
 
+def test_base_orbits_disjoint_only_under_a_closed_word_list(product_cfg, product_word_capped_cfg):
+    # each pick lies off the earlier picks' orbits; under the closed rot12
+    # list the orbits never share an entry, under its 9-word cap they do
+    for cfg, expected in ((product_cfg, (768, 0)), (product_word_capped_cfg, (1152, 384))):
+        earlier: set[int] = set()
+        for b, enum in zip(cfg.base_points, cfg.orbit_enums):
+            assert b not in earlier
+            earlier.update(enum)
+        entries = sum(len(e) for e in cfg.orbit_enums)
+        assert (entries, entries - len(earlier)) == expected
+
+
 def test_select_swap_group_avoids_paired_points(onepoint_space, swap_group):
     chosen, _ = select_dense_points(onepoint_space, swap_group)
     ids = [onepoint_space.points[c] for c in chosen]

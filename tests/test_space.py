@@ -134,6 +134,12 @@ def test_builtin_unknown_name():
         builtin_space("klein_bottle")
 
 
+def _matrix_twin(sp):
+    """The space with its closed-form tag replaced by the matrix form, so
+    that validate_metric examines triples."""
+    return dataclasses.replace(sp, metric_form={"form": "matrix"})
+
+
 @pytest.mark.parametrize("name,params", [
     ("line", {"step": 0.05, "window": (-2, 2)}),
     ("circle", {"count": 48}),
@@ -142,15 +148,16 @@ def test_builtin_unknown_name():
     ("circle_x_interval", {"count": 16, "levels": 8}),
 ])
 def test_metric_axioms_exhaustive(name, params):
-    sp = builtin_space(name, **params)
+    sp = _matrix_twin(builtin_space(name, **params))
     report = validate_metric(sp)
     assert report["mode"] == "exhaustive"
     assert report["ok"], report
 
 
 def test_metric_axioms_random_mode(remark_space):
-    report = validate_metric(remark_space, exhaustive_limit=1000, n_random=100_000)
+    report = validate_metric(_matrix_twin(remark_space))  # 2,551 points
     assert report["mode"] == "random"
+    assert report["triples_checked"] == 100_000
     assert report["ok"]
 
 
@@ -175,8 +182,8 @@ def _perturbed(sp, i, j, delta):
 @pytest.mark.parametrize("name,params", _TEST_SIZE)
 def test_closed_form_certificate_agrees_with_exhaustive(name, params):
     sp = builtin_space(name, **params)
-    cert = validate_metric(sp, closed_form=True)
-    full = validate_metric(sp)
+    cert = validate_metric(sp)
+    full = validate_metric(_matrix_twin(sp))
     assert cert["mode"] == "closed-form" and full["mode"] == "exhaustive"
     assert cert["formula"] == sp.metric_form and cert["formula_defect"] == 0.0
     assert cert["triples_checked"] == 0 and "worst_triple" not in cert
@@ -191,10 +198,10 @@ def test_closed_form_certificate_agrees_with_exhaustive(name, params):
 @pytest.mark.parametrize("delta,still_metric", [(0.5, False), (-0.5, True)])
 def test_closed_form_rejects_perturbed_tagged_matrix(sp, i, j, delta, still_metric):
     bad = _perturbed(sp, i, j, delta)
-    cert = validate_metric(bad, closed_form=True)
+    cert = validate_metric(bad)
     assert cert["mode"] == "closed-form" and not cert["ok"] and not cert["triangle_ok"]
     assert cert["formula_defect"] == abs(bad.dmat[i, j] - sp.dmat[i, j]) == pytest.approx(abs(delta))
-    assert validate_metric(bad)["triangle_ok"] == still_metric
+    assert validate_metric(_matrix_twin(bad))["triangle_ok"] == still_metric
 
 
 _SMALL = [builtin_space("line", step=1.0, window=(0, 6)), builtin_space("plane", step=1.0, window=(0, 2)),
@@ -209,8 +216,8 @@ def test_closed_form_ok_implies_exhaustive_triangle_ok(which, seed, scale):
     noise = np.random.default_rng(seed).uniform(-scale, scale, size=sp.dmat.shape)
     noise = np.triu(noise, 1)
     bad = dataclasses.replace(sp, dmat=sp.dmat + noise + noise.T)
-    cert = validate_metric(bad, closed_form=True)
-    full = validate_metric(bad)
+    cert = validate_metric(bad)
+    full = validate_metric(_matrix_twin(bad))
     assert full["worst_triangle_gap"] <= cert["triangle_gap_bound"]
     if cert["ok"]:
         assert full["triangle_ok"]
@@ -223,7 +230,7 @@ def test_closed_form_ok_implies_exhaustive_triangle_ok(which, seed, scale):
 ])
 def test_closed_form_falls_back_when_the_formula_does_not_fit(form):
     sp = dataclasses.replace(builtin_space("line", step=1.0, window=(0, 4)), metric_form=form)
-    report = validate_metric(sp, closed_form=True)
+    report = validate_metric(sp)
     assert report["mode"] == "exhaustive" and report["ok"]
     assert report["triples_checked"] == sp.n ** 3
 

@@ -85,6 +85,23 @@ def test_window_validation():
         enumerate_window(0)
 
 
+def test_registry_window_index_matches_enumeration_index():
+    reg = ClassRegistry([np.arange(12)])
+    for start in range(1, 7):
+        for n in range(1, 6):
+            points = tuple(range(n + 1))
+            m = enumeration_index(window_of(start, n))
+            assert reg.classify(start, points).m == m
+            assert reg.lookup_rows([start], np.array([points]))[0].m == m
+    for start, points, message in ((0, (0, 1), "start must be >= 1"), (1, (0,), "length must be >= 2")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reg.classify(start, points)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reg.lookup_rows([start], np.array([points]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            window_of(start, len(points) - 1)
+
+
 def test_choose_parameters_examples():
     bc = choose_parameters(1.1)
     assert bc.L == 22 and bc.lam(1) == pytest.approx(1.05)
