@@ -5,7 +5,7 @@ The criterion is executable: the weight must be one, each base orbit must
 map into itself, and for base tuples the class fingerprint (the unit
 solution of the tuple's triangular system) must be preserved.  A candidate
 is certified only when an enumerated group word matches its point map on
-the base points; inconclusive is a first-class outcome at finite caps.
+every sample point; inconclusive is a first-class outcome at finite caps.
 """
 
 from __future__ import annotations
@@ -200,11 +200,13 @@ def certify(
     fingerprints, and an explicit approximating group word.
 
     certified-in-G means a word of length at most the group's cap matches
-    the candidate map on the tested base points within ``2 * resolution``
-    (reported as ``caps["word_tol"]``); rejected
-    verdicts always carry a re-checkable witness; everything else is
-    inconclusive.  ``test_depth`` must be an integer >= 1; it is capped at
-    the number of base points.
+    the candidate map within ``2 * resolution`` (reported as
+    ``caps["word_tol"]``) on every sample point.  The word is the first
+    nearest one on the tested base points (``approx_group_element``); its
+    index map is compared with the candidate's, and distances are read only
+    where the two differ.  rejected verdicts always carry a re-checkable
+    witness; everything else is inconclusive.  ``test_depth`` must be an
+    integer >= 1; it is capped at the number of base points.
     """
     if isinstance(test_depth, bool) or not isinstance(test_depth, (int, np.integer)) or test_depth < 1:
         raise ValueError(f"test_depth must be an integer >= 1, got {test_depth!r}")
@@ -236,7 +238,13 @@ def certify(
     dists = space.dmat[cfg.registry.word_maps[:, base_pts], T.forward[base_pts]].max(axis=1)
     best = int(dists.argmin())
     best_dist = float(dists[best])
-    word_matched = best_dist <= word_tol and weight.weight_ok
+    word = cfg.registry.word_maps[best]
+    off = np.flatnonzero(word != T.forward)
+    word_matched = (
+        best_dist <= word_tol
+        and weight.weight_ok
+        and bool((space.dmat[word[off], T.forward[off]] <= word_tol).all())
+    )
     approx = (cfg.group.words()[best].label or "word", best_dist)
 
     if witness is not None:

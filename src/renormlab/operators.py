@@ -508,6 +508,52 @@ def _tail_threshold(violations: Sequence[int], horizon: int) -> int | None:
     return last + 1
 
 
+# bytes of the distance matrix one gather of _preimage_distances takes: a
+# block of rows times the columns of one run of compacts
+_GATHER_BYTES = 1 << 18
+
+
+def _preimage_distances(dmat: np.ndarray, backward: np.ndarray, karrs: Sequence[np.ndarray]) -> np.ndarray:
+    """The (n, len(karrs)) table whose column k is the distance from every
+    point to ``backward[karrs[k]]``: the min of ``dmat`` over those columns.
+
+    The compacts ``karrs`` split into maximal nested runs.  Within a run
+    each compact's columns contain the previous compact's, so each compact
+    adds only its fresh columns; a compact whose columns do not contain the
+    previous ones starts a new run with all of its own.  The fresh columns
+    of a run are concatenated once, and each block of rows (about
+    ``_GATHER_BYTES``) is gathered at them, reduced to one min per compact
+    with ``reduceat`` and folded along the run with ``accumulate``.  A
+    compact with no fresh column (a repeat) carries the previous compact's
+    column.  Every entry is a min over the same columns as a direct
+    ``dmat[:, cols].min(axis=1)``, so the table is exact.
+    """
+    n = len(dmat)
+    table = np.empty((n, len(karrs)))
+    runs: list[tuple[int, list[np.ndarray]]] = []  # (first k, fresh columns per compact)
+    reached = np.zeros(n, dtype=bool)  # columns of the previous compact
+    for k, karr in enumerate(karrs):
+        mask = np.zeros(n, dtype=bool)
+        mask[backward[karr]] = True
+        if k == 0 or (reached & ~mask).any():  # not nested: a new run
+            runs.append((k, []))
+            reached = np.zeros(n, dtype=bool)
+        runs[-1][1].append(np.flatnonzero(mask & ~reached))
+        reached = mask
+    for k0, segments in runs:
+        sizes = np.array([seg.size for seg in segments])
+        cols = np.concatenate(segments)
+        starts = (np.cumsum(sizes) - sizes)[sizes > 0]
+        # reduced column of each compact: its own, or a repeat's predecessor's
+        carry = np.cumsum(sizes > 0) - 1
+        rows = max(1, _GATHER_BYTES // (8 * cols.size))
+        for r in range(0, n, rows):
+            mins = np.minimum.reduceat(np.take(dmat[r:r + rows], cols, axis=1), starts, axis=1)
+            np.minimum.accumulate(mins, axis=1, out=mins)
+            table[r:r + rows, k0:k0 + len(segments)] = mins[:, carry]
+    return table
+
+
 def check_sot_convergence(
     seq: Sequence[WeightedComposition],
     limit: WeightedComposition,
@@ -527,12 +573,9 @@ def check_sot_convergence(
     violating (stage, compact, point) otherwise.
 
     The distance to the limit's preimage of K is a min over the columns
-    ``limit.backward[K]`` of the distance matrix.  Along a nested list, such
-    as a space's exhaustion, these column sets are nested too, so each
-    compact folds only the columns new since the previous one into the
-    previous distance vector; a compact whose columns do not contain the
-    previous ones starts over from all of its own.  Both ways give the same
-    minimum, and the stages of one compact are checked in one gather.
+    ``limit.backward[K]`` of the distance matrix; all of them come from one
+    row-major sweep of that matrix (see ``_preimage_distances``).  The stages
+    of one compact are checked in one gather.
     """
     if not seq:
         raise ValueError("empty operator sequence")
@@ -552,25 +595,18 @@ def check_sot_convergence(
     gap_w = np.abs(np.stack([g.weight for g in seq]) - limit.weight)
     backward = np.stack([g.backward for g in seq])
 
-    reached = np.empty(0, dtype=np.intp)  # sorted columns behind dist_to_inv_K
-    dist_to_inv_K = np.full(space.n, np.inf)
-    for K in K_list:
-        karr = K.as_array()
-        cols = np.unique(limit.backward[karr])
-        fresh = np.setdiff1d(cols, reached, assume_unique=True)
-        if cols.size - fresh.size != reached.size:  # not nested: start over
-            fresh, dist_to_inv_K = cols, np.full(space.n, np.inf)
-        if fresh.size:
-            dist_to_inv_K = np.minimum(dist_to_inv_K, np.take(space.dmat, fresh, axis=1).min(axis=1))
-        reached = cols
+    karrs = [K.as_array() for K in K_list]
+    dist_to_inv = _preimage_distances(space.dmat, limit.backward, karrs)
+    for k, (K, karr) in enumerate(zip(K_list, karrs)):
         gaps = {
             "phi_uniform": gap_phi[:, karr],
             "weight_uniform": gap_w[:, karr],
-            "inverse_images": dist_to_inv_K[backward[:, karr]],
+            "inverse_images": dist_to_inv[:, k][backward[:, karr]],
         }
         for name, gap in gaps.items():
-            stages = np.flatnonzero(gap.max(axis=1) > eps)
-            worst = gap[stages].argmax(axis=1)
+            worst = gap.argmax(axis=1)  # the first largest gap of each stage
+            stages = np.flatnonzero(gap[np.arange(len(gap)), worst] > eps)
+            worst = worst[stages]
             witnesses[name] += [(int(s) + 1, K.label, space.points[int(karr[w])])
                                 for s, w in zip(stages, worst)]
             thresholds[name][K.label] = _tail_threshold((stages + 1).tolist(), horizon)

@@ -158,10 +158,30 @@ class SampledSpace:
         return f"SampledSpace({self.name!r}, n={self.n}, resolution={self.resolution})"
 
 
+# edge of the square tiles _symmetric compares: a pair of 256 x 256 float64
+# tiles (1 MB) stays in cache while one of them is read in transposed order
+_SYMMETRY_TILE = 256
+
+
 def _symmetric(d: np.ndarray, atol: float) -> bool:
-    """``np.allclose(d, d.T, atol=atol)``, skipping its temporaries when
-    ``d`` is exactly symmetric."""
-    return bool(np.array_equal(d, d.T) or np.allclose(d, d.T, atol=atol))
+    """``np.allclose(d, d.T, atol=atol)``, tile by tile.
+
+    The tile ``d[I, J]`` is compared with ``d[J, I].T`` for every pair of
+    index ranges I <= J of edge ``_SYMMETRY_TILE``, first exactly and, only
+    where that fails, with ``allclose`` in both directions (its tolerance
+    scales with the second argument, and the full check compares the pair
+    (i, j) once as ``d[i, j]`` against ``d[j, i]`` and once the other way
+    round).  No full transpose is read and no n^2 temporary is made."""
+    n = len(d)
+    step = _SYMMETRY_TILE
+    for i in range(0, n, step):
+        for j in range(i, n, step):
+            a = d[i:i + step, j:j + step]
+            b = d[j:j + step, i:i + step].T
+            if not (np.array_equal(a, b)
+                    or (np.allclose(a, b, atol=atol) and np.allclose(b, a, atol=atol))):
+                return False
+    return True
 
 
 def fatten(space: SampledSpace, K: CompactSet, delta: float) -> tuple[CompactSet, bool]:
@@ -261,12 +281,17 @@ def _onepoint01N_levels(n_max: int) -> np.ndarray:
 
 def _dyadic_dist(level: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
     """2^-min(level_i, level_j) between distinct points, and 1 when either
-    point has a first coordinate >= 1 (remark25's isolated block)."""
-    d = np.minimum.outer(level, level)
-    np.power(2.0, np.negative(d, out=d), out=d)
+    point has a first coordinate >= 1 (remark25's isolated block).
+
+    One n^2 pass: with ``q = 2^-level``, and ``q = 1`` on the isolated
+    block, the matrix is ``max(q_i, q_j)`` off the diagonal.  That is exact:
+    2^-x is decreasing, so ``max(2^-a, 2^-b)`` is the very float
+    ``2^-min(a, b)`` (0 at level inf), and a pair with an isolated point
+    gets ``max(1, q <= 1/2) = 1``."""
+    q = np.power(2.0, np.negative(level))
     if first is not None:
-        far = first >= 1
-        d[np.logical_or.outer(far, far)] = 1.0
+        q[first >= 1] = 1.0
+    d = np.maximum.outer(q, q)
     np.fill_diagonal(d, 0.0)
     return d
 

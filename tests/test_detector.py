@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -267,7 +269,9 @@ def _certify_per_depth(T, cfg, test_depth=4):
     base_pts = np.asarray(cfg.base_points[:test_depth], dtype=np.intp)
     dists = space.dmat[cfg.registry.word_maps[:, base_pts], T.forward[base_pts]].max(axis=1)
     best = int(dists.argmin())
-    word_matched = float(dists[best]) <= word_tol and weight.weight_ok
+    # the matched word must also agree with T on every sample point
+    agree = space.dmat[cfg.registry.word_maps[best], T.forward].max() <= word_tol
+    word_matched = float(dists[best]) <= word_tol and weight.weight_ok and agree
     if witness is not None:
         verdict = "rejected"
     elif word_matched and all(c.ok for c in checks):
@@ -345,6 +349,67 @@ def test_shifted_tuple_registers_new_classes_on_both_sides(product_cfg, fork):
     old = {(r["m"], r["ordinal"]) for r in product_cfg.registry.to_records()}
     new = [r["m"] for r in cfg.registry.to_records() if (r["m"], r["ordinal"]) not in old]
     assert any(new.count(m) == 2 for m in new)
+
+
+def _isometry_census(space):
+    # the 192 metric isometries of circle_x_interval(48, 16), by index
+    # arithmetic: point (j, l) has index j * levels + l, and each map pairs
+    # a circle rotation or reflection j -> s j + r with the identity or the
+    # flip l -> levels - 1 - l of the interval
+    count, levels = space.aux["a"].n, space.aux["b"].n
+    j, l = np.divmod(np.arange(space.n), levels)
+    maps = []
+    for s, r, flip in itertools.product((1, -1), range(count), (False, True)):
+        fc = (s * np.arange(count) + r) % count
+        fs = np.arange(levels)[::-1] if flip else np.arange(levels)
+        maps.append(((s, r, flip), fc[j] * levels + fs[l], fc, fs))
+    return maps
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "product_word_capped_cfg", "line_cfg"])
+def test_a_certified_map_matches_a_word_on_every_point(name, request, fork):
+    cfg = fork(request.getfixturevalue(name))
+    space = cfg.space
+    tol = 2 * space.resolution
+    cases = [*_certify_cases(cfg), *cfg.group.words()]
+    if space.aux.get("kind") == "product":
+        # the reflections that match a rotation on the first base points
+        cases += [WeightedComposition(space, np.ones(space.n), fwd, np.argsort(fwd))
+                  for (s, r, flip), fwd, _, _ in _isometry_census(space) if s == -1 and r % 4 == 0]
+    certified = 0
+    for T in cases:
+        verdict = certify(T, cfg)
+        if verdict.certified:
+            certified += 1
+            gaps = space.dmat[cfg.registry.word_maps, T.forward].max(axis=1)
+            assert gaps.min() <= tol, T.label
+    assert certified > 0
+
+
+def test_isometry_census_certifies_exactly_the_group(product_cfg, fork):
+    # a reflection j -> r - j with r = 0 mod 4 sends the base points where
+    # the rotation by r does, so only the full-sample word match tells them
+    # apart
+    cfg = fork(product_cfg)
+    space = cfg.space
+    circ, seg = space.aux["a"], space.aux["b"]
+    rng = np.random.default_rng(0)
+    pairs = rng.integers(0, space.n, size=(2, 2000))
+    certified = []
+    for (s, r, flip), forward, fc, fs in _isometry_census(space):
+        # an isometry of each factor is one of the max metric, checked in
+        # full on the factors and spot-checked on the product
+        assert np.abs(circ.dmat[np.ix_(fc, fc)] - circ.dmat).max() <= 1e-9
+        assert np.abs(seg.dmat[np.ix_(fs, fs)] - seg.dmat).max() <= 1e-9
+        a, b = pairs
+        assert np.abs(space.dmat[forward[a], forward[b]] - space.dmat[a, b]).max() <= 1e-9
+        T = WeightedComposition(space, np.ones(space.n), forward, np.argsort(forward))
+        verdict = certify(T, cfg)
+        if verdict.certified:
+            certified.append((s, r, flip))
+        else:
+            assert verdict.verdict in ("rejected", "inconclusive")
+    assert sorted(certified) == [(1, r, False) for r in range(0, 48, 4)]
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, 4.0, "4", True, None])

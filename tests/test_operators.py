@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
+from renormlab import operators
 from renormlab.operators import (
     ConditionReport,
     SOTVerdict,
+    _preimage_distances,
     _tail_threshold,
     check_local_equicontinuity,
     check_sot_convergence,
@@ -229,6 +231,40 @@ def test_sot_matches_per_compact_reference(inputs):
 def test_sot_matches_reference_on_the_gallery_exhaustion(remark_space):
     seq, lim = remark25_sequence(remark_space), identity(remark_space)
     K_list = list(remark_space.exhaustion[:-1])
+    for eps in (0.01, 0.3):
+        assert check_sot_convergence(seq, lim, K_list, eps) == sot_reference(seq, lim, K_list, eps)
+
+
+def _repeated_run(sp):
+    # a nested run with repeats, a compact that is not nested (a new run),
+    # then a second run with a repeat
+    K = sp.exhaustion
+    return [K[0], K[0], K[4], K[4], K[4], K[2], K[9], K[9], K[1]]
+
+
+@pytest.mark.parametrize("gather_bytes", [None, 1, 8 * 1000, 8 * 76 * 7])
+def test_preimage_table_matches_direct_minimum(remark_space, monkeypatch, gather_bytes):
+    # row blocks of 1 row, of a few rows, and the default block, none of
+    # which divides n
+    if gather_bytes is not None:
+        monkeypatch.setattr(operators, "_GATHER_BYTES", gather_bytes)
+    K_list = _repeated_run(remark_space)
+    limit = remark25_map(remark_space, 3)
+    karrs = [K.as_array() for K in K_list]
+    # the three runs end at K[4], K[9] and K[1], each compact of which the
+    # map keeps in size
+    for karr in (karrs[4], karrs[7], karrs[8]):
+        rows = max(1, operators._GATHER_BYTES // (8 * np.unique(limit.backward[karr]).size))
+        assert rows == 1 or remark_space.n % rows != 0
+    table = _preimage_distances(remark_space.dmat, limit.backward, karrs)
+    for k, karr in enumerate(karrs):
+        direct = remark_space.dmat[:, np.unique(limit.backward[karr])].min(axis=1)
+        assert table[:, k].tobytes() == direct.tobytes(), k
+
+
+def test_sot_matches_reference_on_repeated_compacts(remark_space):
+    seq, lim = remark25_sequence(remark_space), identity(remark_space)
+    K_list = _repeated_run(remark_space)
     for eps in (0.01, 0.3):
         assert check_sot_convergence(seq, lim, K_list, eps) == sot_reference(seq, lim, K_list, eps)
 

@@ -6,7 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
-from renormlab.space import CompactSet, builtin_space, fatten, product, validate_metric
+from renormlab.space import (
+    _SYMMETRY_TILE,
+    CompactSet,
+    _dyadic_dist,
+    _onepoint01N_levels,
+    _remark25_coords,
+    _symmetric,
+    builtin_space,
+    fatten,
+    product,
+    validate_metric,
+)
 
 
 def grid_fatten_oracle(coords, K_coords, delta):
@@ -305,3 +316,82 @@ def test_index_names_unknown_id_and_space():
     assert sp.index("c003") == 3
     with pytest.raises(ValueError, match="unknown point id 'c999' in space 'circle'"):
         sp.index("c999")
+
+
+def _dyadic_dist_reference(level, first=None):
+    """The four-pass builder the one-pass kernel replaced: min-outer, power,
+    or-outer and a masked write."""
+    d = np.minimum.outer(level, level)
+    np.power(2.0, np.negative(d, out=d), out=d)
+    if first is not None:
+        far = first >= 1
+        d[np.logical_or.outer(far, far)] = 1.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _symmetric_reference(d, atol):
+    """The untiled check the tiled one replaced."""
+    return bool(np.array_equal(d, d.T) or np.allclose(d, d.T, atol=atol))
+
+
+@pytest.mark.parametrize("n_max", [3, 4, 17, 50])
+def test_dyadic_kernel_matches_the_four_pass_builder(n_max):
+    first, second = _remark25_coords(n_max)
+    expected = _dyadic_dist_reference(second, first)
+    assert _dyadic_dist(second, first).tobytes() == expected.tobytes()
+    assert builtin_space("remark25", n_max=n_max).dmat.tobytes() == expected.tobytes()
+    level = _onepoint01N_levels(n_max)
+    expected = _dyadic_dist_reference(level)
+    assert builtin_space("onepoint01N", n_max=n_max).dmat.tobytes() == expected.tobytes()
+
+
+def _one_way_close_pair():
+    # a pair (a, b) with allclose(a, b) but not allclose(b, a): the
+    # tolerance scales with the second argument
+    a, b = 1.0, 1.0 + 1.000005e-5
+    assert np.isclose(a, b, atol=1e-12) and not np.isclose(b, a, atol=1e-12)
+    return a, b
+
+
+_T = _SYMMETRY_TILE
+
+
+@pytest.mark.parametrize("n", [1, 5, _T - 1, _T, _T + 1, 2 * _T + 37])
+def test_tiled_symmetry_matches_allclose(n):
+    rng = np.random.default_rng(n)
+    x = rng.random((n, n))
+    sym = x + x.T
+    edges = sorted({(0, n - 1), (n - 1, 0), (min(_T - 1, n - 1), min(_T, n - 1)),
+                    (min(_T, n - 1), min(_T - 1, n - 1)), (min(1, n - 1), min(2, n - 1))})
+    cases = [sym]
+    for i, j in edges:  # tile edges, the last partial tile and the diagonal tile
+        for delta in (1e-13, 1e-6, 1.0):
+            d = sym.copy()
+            d[i, j] += delta
+            cases.append(d)
+        if i != j:
+            d = sym.copy()
+            d[i, j], d[j, i] = _one_way_close_pair()
+            cases.append(d)
+            d = sym.copy()
+            d[j, i], d[i, j] = _one_way_close_pair()
+            cases.append(d)
+    verdicts = set()
+    for d in cases:
+        for atol in (1e-12, 1e-9):
+            expected = bool(np.allclose(d, d.T, atol=atol))
+            assert _symmetric(d, atol) == _symmetric_reference(d, atol) == expected
+            verdicts.add(expected)
+    assert verdicts == ({True} if n == 1 else {True, False})
+
+
+def test_tiled_symmetry_sees_a_nan_set_past_the_constructor():
+    n = _T + 9
+    x = np.random.default_rng(1).random((n, n)) + 1.0
+    d = np.triu(x, 1) + np.triu(x, 1).T
+    for i, j in ((0, n - 1), (_T - 1, _T), (n - 1, n - 1), (3, 3)):
+        sp = _matrix_space(d.copy())
+        sp.dmat[i, j] = np.nan  # the validate_metric path
+        assert validate_metric(sp)["symmetric"] is False
+        assert _symmetric(sp.dmat, 1e-9) == _symmetric_reference(sp.dmat, 1e-9) is False
