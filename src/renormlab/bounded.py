@@ -51,8 +51,7 @@ def m_weight(group: GroupSpec, word_cap: int | None = None) -> BoundedGroupNorm:
     if not np.all(np.isfinite(weights)):
         raise ValueError("unbounded group at cap: non-finite word weight")
     m = weights.min(axis=0)
-    # the words of length <= c are a prefix of the table
-    trace = [(c, float(weights[: len(group.words(c))].min())) for c in range(1, cap + 1)]
+    trace = [(c, float(group.word_table(c)[1].min())) for c in range(1, cap + 1)]
     growth = len(trace) >= 2 and trace[-1][1] < trace[-2][1] - 1e-12
 
     radius = 2 * space.resolution

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import InitVar, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,12 +70,10 @@ class WeightedComposition:
         self.backward = np.asarray(self.backward, dtype=np.intp)
         if self.weight.shape != (n,) or self.forward.shape != (n,) or self.backward.shape != (n,):
             raise ValueError("operator arrays must match the space size")
-        bad = np.flatnonzero(~(np.isfinite(self.weight) & (self.weight > 0)))
-        if bad.size:
-            raise ValueError(f"weight {self.weight[bad[0]]} at point "
-                             f"{self.space.points[bad[0]]!r}: must be positive and finite")
+        if not (np.isfinite(self.weight) & (self.weight > 0)).all():
+            raise _weight_error(self.space, self.weight)
         if measured_defects is None:
-            measured_defects = _roundtrip_defects(self.space, self.forward, self.backward)
+            measured_defects = _roundtrip_defects(self.space, self.forward[None], self.backward[None])[0]
         stray = sorted(i for i in measured_defects if i not in self.allowed_defects)
         if stray:
             pid = self.space.points[stray[0]]
@@ -104,22 +102,41 @@ def _map_key(forward: np.ndarray, weight: np.ndarray) -> bytes:
     return forward.tobytes() + np.round(weight, 12).tobytes()
 
 
-def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray) -> frozenset[int]:
-    """Points that a round trip through the two index maps, in either order,
-    displaces by more than ``2 * resolution``."""
-    idx = np.arange(space.n)
-    gap = np.maximum(space.dmat[backward[forward], idx], space.dmat[forward[backward], idx])
-    return frozenset(int(i) for i in np.nonzero(gap > 2 * space.resolution + 1e-12)[0])
+def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray) -> list[frozenset[int]]:
+    """For each row of the ``(B, n)`` index maps, the points that a round
+    trip through the row's two maps, in either order, displaces by more
+    than ``2 * resolution``; all rows are measured in one gather."""
+    n = space.n
+    # flat indices: entry j of row r of a (B, n) array is at r * n + j
+    offsets = (np.arange(len(forward)) * n)[:, None]
+    idx = np.arange(n)
+    gap = np.maximum(space.dmat[backward.ravel()[forward + offsets], idx],
+                     space.dmat[forward.ravel()[backward + offsets], idx])
+    far = gap > 2 * space.resolution + 1e-12
+    out = [frozenset()] * len(gap)
+    for r in np.flatnonzero(far.any(axis=1)).tolist():
+        out[r] = frozenset(np.flatnonzero(far[r]).tolist())
+    return out
 
 
-def _snapped(h: WeightedComposition, g: WeightedComposition, form: dict | None) -> WeightedComposition | None:
-    """The product ``hg`` re-snapped from a composed rotation or translation
-    form, or None when the form is neither."""
+def _snapped(space: SampledSpace, form: dict | None, label: str) -> WeightedComposition | None:
+    """The product re-snapped from a composed rotation or translation form,
+    or None when the form is neither."""
     if form is not None and form.get("kind") == "rotation":
-        return circle_rotation(h.space, angle=form["angle"], label=f"{h.label}*{g.label}")
+        return circle_rotation(space, angle=form["angle"], label=label)
     if form is not None and form.get("kind") == "translation":
-        return line_translation(h.space, form["offset"], label=f"{h.label}*{g.label}")
+        return line_translation(space, form["offset"], label=label)
     return None
+
+
+def _weight_error(space: SampledSpace, weight: np.ndarray) -> ValueError:
+    bad = np.flatnonzero(~(np.isfinite(weight) & (weight > 0)))
+    return ValueError(f"weight {weight[bad[0]]} at point "
+                      f"{space.points[bad[0]]!r}: must be positive and finite")
+
+
+def _product_label(h: str, g: str) -> str:
+    return f"{h}*{g}" if (h and g) else (h or g)
 
 
 def _composite(h: WeightedComposition, g: WeightedComposition, weight: np.ndarray,
@@ -127,13 +144,13 @@ def _composite(h: WeightedComposition, g: WeightedComposition, weight: np.ndarra
     # snapping errors of non-isometric maps amplify under composition; the
     # composite declares its own round-trip defects, measured once
     backward = h.backward[g.backward]
-    new_defects = _roundtrip_defects(h.space, forward, backward)
+    new_defects = _roundtrip_defects(h.space, forward[None], backward[None])[0]
     return WeightedComposition(
         space=h.space,
         weight=weight,
         forward=forward,
         backward=backward,
-        label=f"{h.label}*{g.label}" if (h.label and g.label) else (h.label or g.label),
+        label=_product_label(h.label, g.label),
         form=form,
         allowed_defects=h.allowed_defects | g.allowed_defects | new_defects,
         measured_defects=new_defects,
@@ -151,7 +168,7 @@ def compose(h: WeightedComposition, g: WeightedComposition) -> WeightedCompositi
     if h.space is not g.space:
         raise ValueError("mismatched spaces")
     form = _compose_forms(h.form, g.form)
-    snapped = _snapped(h, g, form)
+    snapped = _snapped(h.space, form, f"{h.label}*{g.label}")
     if snapped is not None:
         return snapped
     return _composite(h, g, h.weight * g.weight[h.forward], g.forward[h.forward], form)
@@ -334,7 +351,7 @@ def remark25_map(space: SampledSpace, n: int) -> WeightedComposition:
     # edge are measured and declared
     return WeightedComposition(
         space, np.ones(N), fwd, bwd, label=f"phi_{n}",
-        allowed_defects=_roundtrip_defects(space, fwd, bwd),
+        allowed_defects=_roundtrip_defects(space, fwd[None], bwd[None])[0],
     )
 
 
@@ -377,6 +394,96 @@ def onepoint_swap_group(space: SampledSpace, word_cap: int = 2,
 # groups as generator lists with word enumeration
 
 
+# entries of one (block, n) array of candidate words in _next_level: 256 KB
+# of int64, so a level's temporaries stay bounded however wide its frontier
+_WORD_BLOCK = 1 << 15
+
+
+class _WordRows(NamedTuple):
+    """Words as table rows: point maps, weights and inverse maps as
+    ``(W, n)`` arrays, with each row's label, form and declared defects."""
+
+    forward: np.ndarray
+    weight: np.ndarray
+    backward: np.ndarray
+    labels: list[str]
+    forms: list[dict | None]
+    allowed: list[frozenset]
+
+    @classmethod
+    def of(cls, ops: Sequence[WeightedComposition]) -> "_WordRows":
+        return cls(np.stack([g.forward for g in ops]), np.stack([g.weight for g in ops]),
+                   np.stack([g.backward for g in ops]), [g.label for g in ops],
+                   [g.form for g in ops], [g.allowed_defects for g in ops])
+
+    @classmethod
+    def concat(cls, parts: Sequence["_WordRows"]) -> "_WordRows":
+        return cls(*(np.concatenate([p[f] for p in parts]) for f in range(3)),
+                   *([x for p in parts for x in p[f]] for f in range(3, 6)))
+
+
+def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, seen: set[bytes]) -> _WordRows:
+    """The words that extend a frontier word by one generator and whose
+    keys are not in ``seen``, first occurrences in (frontier word,
+    generator) order; ``seen`` grows by their keys.
+
+    Candidates are taken in blocks of about ``_WORD_BLOCK`` entries per
+    array: one gather composes the block's point maps and weights, and its
+    keys (``_map_key`` of every row) come from one buffer.  A pair whose
+    composed form is a rotation or translation is re-snapped from it
+    (``_snapped``) and keyed as built.  A kept composite must have a
+    positive finite weight, or the first such word raises as its
+    ``WeightedComposition`` would; the round-trip defects of the kept
+    composites are measured in one gather and declared.
+    """
+    n, K = space.n, len(gens.labels)
+    total = len(frontier.labels) * K
+    step = max(1, _WORD_BLOCK // n)
+    parts = [_WordRows(frontier.forward[:0], frontier.weight[:0], frontier.backward[:0], [], [], [])]
+    for a in range(0, total, step):
+        h_idx, g_idx = np.divmod(np.arange(a, min(a + step, total)), K)
+        # flat indices into the generator rows: entry j of row g is at g * n + j
+        at = frontier.forward[h_idx] + (g_idx * n)[:, None]
+        fwd = np.take(gens.forward, at)
+        wt = frontier.weight[h_idx] * np.take(gens.weight, at)
+        valid = (np.isfinite(wt) & (wt > 0)).all(axis=1)
+        keys = np.concatenate([fwd.view(np.uint8), np.round(wt, 12).view(np.uint8)], axis=1)
+        width, keys = keys.shape[1], keys.tobytes()
+        keep, forms, snaps = [], [], {}
+        for j, (h, g) in enumerate(zip(h_idx.tolist(), g_idx.tolist())):
+            form = _compose_forms(frontier.forms[h], gens.forms[g])
+            c = None if form is None else _snapped(space, form, f"{frontier.labels[h]}*{gens.labels[g]}")
+            key = keys[j * width:(j + 1) * width] if c is None else c.key()
+            if key in seen:
+                continue
+            seen.add(key)
+            if c is None and not valid[j]:
+                raise _weight_error(space, wt[j])
+            if c is not None:
+                snaps[len(keep)] = c
+            keep.append(j)
+            forms.append(form)
+        h_idx, g_idx = h_idx[keep], g_idx[keep]
+        fwd, wt = fwd[keep], wt[keep]
+        bwd = np.take(frontier.backward, gens.backward[g_idx] + (h_idx * n)[:, None])
+        for r, c in snaps.items():
+            fwd[r], wt[r], bwd[r] = c.forward, c.weight, c.backward
+        plain = [r for r in range(len(keep)) if r not in snaps]
+        measured = iter(_roundtrip_defects(space, fwd[plain], bwd[plain]))
+        labels, allowed = [], []
+        for r, (h, g) in enumerate(zip(h_idx.tolist(), g_idx.tolist())):
+            c = snaps.get(r)
+            if c is None:
+                labels.append(_product_label(frontier.labels[h], gens.labels[g]))
+                allowed.append(frontier.allowed[h] | gens.allowed[g] | next(measured))
+            else:
+                labels.append(c.label)
+                forms[r] = c.form
+                allowed.append(c.allowed_defects)
+        parts.append(_WordRows(fwd, wt, bwd, labels, forms, allowed))
+    return _WordRows.concat(parts)
+
+
 @dataclass(eq=False)
 class GroupSpec:
     """A group given by generators, enumerated as words up to ``word_cap``.
@@ -402,8 +509,9 @@ class GroupSpec:
                 gens.append(gi)
                 keys.add(gi.key())
         self.generators = tuple(gens)
+        self._table: _WordRows | None = None
+        self._counts: list[int] = []  # [c]: rows of the words of length <= c
         self._words: list[list[WeightedComposition]] | None = None  # [c]: length <= c
-        self._table: tuple[np.ndarray, np.ndarray] | None = None  # set with _words
 
     @property
     def space(self) -> SampledSpace:
@@ -415,39 +523,26 @@ class GroupSpec:
     def trivial(cls, space: SampledSpace, word_cap: int = 1) -> "GroupSpec":
         return cls((identity(space),), word_cap=word_cap, closure_tag=True, label="trivial")
 
-    def _enumerate(self) -> list[list[WeightedComposition]]:
-        """The breadth-first enumeration through ``word_cap`` and, for each
-        c, its prefix of the words of length <= c."""
-        if any(g.space is not self.space for g in self.generators):
-            raise ValueError("mismatched spaces")
-        e = identity(self.space)
-        out = [e]
-        seen = {e.key()}
-        frontier = [e]
-        prefixes = [[e]]
-        for _ in range(self.word_cap):
-            nxt = []
-            for w in frontier:
-                for g in self.generators:
-                    # a composite is built, and its defects measured, only
-                    # when its key is new; re-snapped forms are keyed as built
-                    form = _compose_forms(w.form, g.form)
-                    c = _snapped(w, g, form)
-                    if c is None:
-                        weight, forward = w.weight * g.weight[w.forward], g.forward[w.forward]
-                        k = _map_key(forward, weight)
-                    else:
-                        k = c.key()
-                    if k in seen:
-                        continue
-                    seen.add(k)
-                    if c is None:
-                        c = _composite(w, g, weight, forward, form)
-                    out.append(c)
-                    nxt.append(c)
-            frontier = nxt
-            prefixes.append(list(out))
-        return prefixes
+    def _cap(self, cap: int | None) -> int:
+        """The checked cap; the word table is built on first use, breadth
+        first, one level per ``_next_level`` call."""
+        cap = self.word_cap if cap is None else cap
+        if not 0 <= cap <= self.word_cap:
+            raise ValueError(f"word cap {cap} outside 0..word_cap {self.word_cap}")
+        if self._table is None:
+            space = self.space
+            if any(g.space is not space for g in self.generators):
+                raise ValueError("mismatched spaces")
+            e = identity(space)
+            gens = _WordRows.of(self.generators)
+            seen = {e.key()}
+            levels = [_WordRows.of([e])]
+            counts = [1]
+            for _ in range(self.word_cap):
+                levels.append(_next_level(space, levels[-1], gens, seen))
+                counts.append(counts[-1] + len(levels[-1].labels))
+            self._table, self._counts = _WordRows.concat(levels), counts
+        return cap
 
     def words(self, cap: int | None = None) -> list[WeightedComposition]:
         """All distinct words of length <= cap (at most ``word_cap``),
@@ -455,23 +550,28 @@ class GroupSpec:
 
         Deduplication is by (forward map, rounded weight), so the list is a
         deterministic enumeration of the sampled subgroup.  The words are
-        enumerated once; each cap's list is a prefix of the full one, and
-        repeat calls return the same list object.
+        enumerated once, as the rows of ``word_table``; their operator
+        objects are built on the first call, each cap's list is a prefix of
+        the full one, and repeat calls return the same list object.
         """
-        cap = self.word_cap if cap is None else cap
-        if not 0 <= cap <= self.word_cap:
-            raise ValueError(f"word cap {cap} outside 0..word_cap {self.word_cap}")
+        cap = self._cap(cap)
         if self._words is None:
-            self._words = self._enumerate()
-            full = self._words[-1]
-            self._table = (np.stack([w.forward for w in full]), np.stack([w.weight for w in full]))
+            t = self._table
+            # the objects share one copy of the table, not the table itself;
+            # each row's defects were measured and declared as it was built
+            fwd, wt, bwd = t.forward.copy(), t.weight.copy(), t.backward.copy()
+            full = [WeightedComposition(self.space, wt[r], fwd[r], bwd[r], label=label, form=form,
+                                        allowed_defects=allowed, measured_defects=allowed)
+                    for r, (label, form, allowed) in enumerate(zip(t.labels, t.forms, t.allowed))]
+            self._words = [full[:count] for count in self._counts[:-1]] + [full]
         return self._words[cap]
 
     def word_table(self, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Point maps and weights of ``words(cap)`` as ``(W, n)`` arrays,
-        row w for word w: prefix views of one table stacked once."""
-        count = len(self.words(cap))
-        return self._table[0][:count], self._table[1][:count]
+        row w for word w: prefix views of the one table."""
+        cap = self._cap(cap)
+        count = self._counts[cap]
+        return self._table.forward[:count], self._table.weight[:count]
 
 
 # ----------------------------------------------------------------------
@@ -586,6 +686,7 @@ def check_sot_convergence(
     horizon = len(seq)
 
     reports = []
+    # per condition, each violating compact's first violating stage
     witnesses: dict[str, list[tuple]] = {"phi_uniform": [], "weight_uniform": [], "inverse_images": []}
     thresholds: dict[str, dict] = {"phi_uniform": {}, "weight_uniform": {}, "inverse_images": {}}
 
@@ -597,18 +698,28 @@ def check_sot_convergence(
 
     karrs = [K.as_array() for K in K_list]
     dist_to_inv = _preimage_distances(space.dmat, limit.backward, karrs)
+    # each compact's (stage, member) gathers reuse two buffers, so no compact
+    # maps and faults in fresh pages.  mode="wrap" writes straight into them
+    # (the default mode copies through a temporary); it changes no result,
+    # as every index is in range: _preimage_distances has indexed by each
+    # karr, and operators index by their backward maps when built
+    size = horizon * max((karr.size for karr in karrs), default=0)
+    vals, pts = np.empty(size), np.empty(size, dtype=np.intp)
     for k, (K, karr) in enumerate(zip(K_list, karrs)):
-        gaps = {
-            "phi_uniform": gap_phi[:, karr],
-            "weight_uniform": gap_w[:, karr],
-            "inverse_images": dist_to_inv[:, k][backward[:, karr]],
-        }
-        for name, gap in gaps.items():
+        shape, m = (horizon, karr.size), horizon * karr.size
+        out = vals[:m].reshape(shape)
+        images = np.take(backward, karr, axis=1, out=pts[:m].reshape(shape), mode="wrap")
+        for name, field, at, axis in (("phi_uniform", gap_phi, karr, 1),
+                                      ("weight_uniform", gap_w, karr, 1),
+                                      ("inverse_images", dist_to_inv[:, k], images, None)):
+            gap = np.take(field, at, axis=axis, out=out, mode="wrap")
             worst = gap.argmax(axis=1)  # the first largest gap of each stage
             stages = np.flatnonzero(gap[np.arange(len(gap)), worst] > eps)
-            worst = worst[stages]
-            witnesses[name] += [(int(s) + 1, K.label, space.points[int(karr[w])])
-                                for s, w in zip(stages, worst)]
+            if stages.size:
+                # a compact's witnesses share its label and differ in stage,
+                # so its least is its first violating stage
+                s = int(stages[0])
+                witnesses[name].append((s + 1, K.label, space.points[int(karr[worst[s]])]))
             thresholds[name][K.label] = _tail_threshold((stages + 1).tolist(), horizon)
 
     for name in ("phi_uniform", "weight_uniform", "inverse_images"):

@@ -89,18 +89,28 @@ class SampledSpace:
         self.dmat = np.asarray(self.dmat, dtype=float)
         if self.dmat.shape != (n, n):
             raise ValueError("distance matrix shape mismatch")
-        if not np.isfinite(self.dmat).all():
-            i, j = np.argwhere(~np.isfinite(self.dmat))[0]
-            raise ValueError(f"non-finite distance {self.dmat[i, j]} between points "
-                             f"{self.points[i]!r} and {self.points[j]!r}")
-        if not _symmetric(self.dmat, 1e-12):
+        # one walk over the mirrored tile pairs checks finiteness and
+        # symmetry and counts the entries <= 0; a non-finite entry outranks
+        # an asymmetry met in an earlier tile, so the walk goes on past one
+        symmetric, nonpositive = True, 0
+        for a, b, diagonal in _mirror_tiles(self.dmat):
+            tiles = (a,) if diagonal else (a, b)
+            ends = [end(t) for t in tiles for end in (np.min, np.max)]
+            if not np.isfinite(ends).all():
+                i, j = np.argwhere(~np.isfinite(self.dmat))[0]
+                raise ValueError(f"non-finite distance {self.dmat[i, j]} between points "
+                                 f"{self.points[i]!r} and {self.points[j]!r}")
+            symmetric = symmetric and _tiles_close(a, b, 1e-12)
+            if min(ends) <= 0:
+                nonpositive += sum(np.count_nonzero(t <= 0) for t in tiles)
+        if not symmetric:
             raise ValueError("metric not symmetric on the sample")
         diag = np.diag(self.dmat)
         if np.any(np.abs(diag) > 1e-12):
             raise ValueError("metric has nonzero diagonal")
         # an off-diagonal entry <= 0 exists iff there are more such entries
         # than on the diagonal
-        if np.count_nonzero(self.dmat <= 0) > np.count_nonzero(diag <= 0):
+        if nonpositive > np.count_nonzero(diag <= 0):
             raise ValueError("distinct sample points at zero distance")
         if not self.resolution > 0:
             raise ValueError("resolution must be positive")
@@ -163,25 +173,31 @@ class SampledSpace:
 _SYMMETRY_TILE = 256
 
 
-def _symmetric(d: np.ndarray, atol: float) -> bool:
-    """``np.allclose(d, d.T, atol=atol)``, tile by tile.
-
-    The tile ``d[I, J]`` is compared with ``d[J, I].T`` for every pair of
-    index ranges I <= J of edge ``_SYMMETRY_TILE``, first exactly and, only
-    where that fails, with ``allclose`` in both directions (its tolerance
-    scales with the second argument, and the full check compares the pair
-    (i, j) once as ``d[i, j]`` against ``d[j, i]`` and once the other way
-    round).  No full transpose is read and no n^2 temporary is made."""
+def _mirror_tiles(d: np.ndarray):
+    """The tile ``d[I, J]`` with its mirror ``d[J, I].T`` for every pair of
+    index ranges I <= J of edge ``_SYMMETRY_TILE``, and whether I = J (the
+    mirror of a diagonal tile is its own transpose).  The tiles and the
+    mirrors of the off-diagonal ones cover ``d`` once; no full transpose
+    is read."""
     n = len(d)
     step = _SYMMETRY_TILE
     for i in range(0, n, step):
         for j in range(i, n, step):
-            a = d[i:i + step, j:j + step]
-            b = d[j:j + step, i:i + step].T
-            if not (np.array_equal(a, b)
-                    or (np.allclose(a, b, atol=atol) and np.allclose(b, a, atol=atol))):
-                return False
-    return True
+            yield d[i:i + step, j:j + step], d[j:j + step, i:i + step].T, i == j
+
+
+def _tiles_close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """A tile against its mirror, first exactly and, only where that fails,
+    with ``allclose`` in both directions (its tolerance scales with the
+    second argument, and the full check compares the pair (i, j) once as
+    ``d[i, j]`` against ``d[j, i]`` and once the other way round)."""
+    return np.array_equal(a, b) or (np.allclose(a, b, atol=atol) and np.allclose(b, a, atol=atol))
+
+
+def _symmetric(d: np.ndarray, atol: float) -> bool:
+    """``np.allclose(d, d.T, atol=atol)``, tile by tile, with no n^2
+    temporary."""
+    return all(_tiles_close(a, b, atol) for a, b, _ in _mirror_tiles(d))
 
 
 def fatten(space: SampledSpace, K: CompactSet, delta: float) -> tuple[CompactSet, bool]:

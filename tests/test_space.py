@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
+from renormlab import space as space_mod
 from renormlab.space import (
     _SYMMETRY_TILE,
     CompactSet,
@@ -395,3 +397,53 @@ def test_tiled_symmetry_sees_a_nan_set_past_the_constructor():
         sp.dmat[i, j] = np.nan  # the validate_metric path
         assert validate_metric(sp)["symmetric"] is False
         assert _symmetric(sp.dmat, 1e-9) == _symmetric_reference(sp.dmat, 1e-9) is False
+
+
+def _constructor_checks_reference(d, points):
+    # the full-matrix passes the tile walk replaced, in their order
+    if not np.isfinite(d).all():
+        i, j = np.argwhere(~np.isfinite(d))[0]
+        return f"non-finite distance {d[i, j]} between points {points[i]!r} and {points[j]!r}"
+    if not np.allclose(d, d.T, atol=1e-12):
+        return "metric not symmetric on the sample"
+    diag = np.diag(d)
+    if np.any(np.abs(diag) > 1e-12):
+        return "metric has nonzero diagonal"
+    if np.count_nonzero(d <= 0) > np.count_nonzero(diag <= 0):
+        return "distinct sample points at zero distance"
+    return None
+
+
+_DEFECTS = {
+    "inf": lambda d, i, j: d.__setitem__((i, j), np.inf),
+    "-inf": lambda d, i, j: d.__setitem__((i, j), -np.inf),
+    "nan": lambda d, i, j: d.__setitem__((i, j), np.nan),
+    "skew": lambda d, i, j: d.__setitem__((i, j), d[i, j] + 0.5),
+    "zero pair": lambda d, i, j: (d.__setitem__((i, j), 0.0), d.__setitem__((j, i), 0.0)),
+    "negative pair": lambda d, i, j: (d.__setitem__((i, j), -1.0), d.__setitem__((j, i), -1.0)),
+    "diagonal": lambda d, i, j: d.__setitem__((i, i), 1e-6),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_constructor_tile_walk_keeps_message_and_precedence(data):
+    # many small tiles, so defects land in different tiles and in either
+    # order along the walk
+    n = data.draw(st.integers(2, 11))
+    tile = data.draw(st.sampled_from([1, 2, 3, 4, _T]))
+    x = np.random.default_rng(n).random((n, n)) + 1.0
+    d = np.triu(x, 1) + np.triu(x, 1).T
+    defects = data.draw(st.lists(st.tuples(st.sampled_from(sorted(_DEFECTS)), st.integers(0, n - 1),
+                                           st.integers(0, n - 1)), max_size=3))
+    for kind, i, j in defects:
+        _DEFECTS[kind](d, i, j)
+    points = tuple(f"p{i}" for i in range(n))
+    expected = _constructor_checks_reference(d, points)
+    with mock.patch.object(space_mod, "_SYMMETRY_TILE", tile):
+        if expected is None:
+            assert _matrix_space(d).n == n
+        else:
+            with pytest.raises(ValueError) as err:
+                _matrix_space(d)
+            assert str(err.value) == expected

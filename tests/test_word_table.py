@@ -1,15 +1,89 @@
 """The one word table of a group against the per-word and per-cap loops
 that its consumers ran before they read it."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
+from renormlab import operators
 from renormlab.bounded import group_norm, m_weight
-from renormlab.operators import WeightedComposition, line_translation, multiplication, onepoint_swap
+from renormlab.operators import (
+    WeightedComposition,
+    _composite,
+    _compose_forms,
+    _map_key,
+    _snapped,
+    circle_rotation,
+    identity,
+    interval_flip,
+    line_translation,
+    multiplication,
+    onepoint_swap,
+    remark25_sequence,
+)
 from renormlab.orbits import orbit_closure, tuple_distance
+
+
+def _enumerate_per_word(group):
+    # the breadth-first enumeration that built one WeightedComposition per
+    # new word; returns, for each c, the words of length <= c
+    if any(g.space is not group.space for g in group.generators):
+        raise ValueError("mismatched spaces")
+    e = identity(group.space)
+    out = [e]
+    seen = {e.key()}
+    frontier = [e]
+    prefixes = [[e]]
+    for _ in range(group.word_cap):
+        nxt = []
+        for w in frontier:
+            for g in group.generators:
+                # a composite is built, and its defects measured, only
+                # when its key is new; re-snapped forms are keyed as built
+                form = _compose_forms(w.form, g.form)
+                c = _snapped(w.space, form, f"{w.label}*{g.label}")
+                if c is None:
+                    weight, forward = w.weight * g.weight[w.forward], g.forward[w.forward]
+                    k = _map_key(forward, weight)
+                else:
+                    k = c.key()
+                if k in seen:
+                    continue
+                seen.add(k)
+                if c is None:
+                    c = _composite(w, g, weight, forward, form)
+                out.append(c)
+                nxt.append(c)
+        frontier = nxt
+        prefixes.append(list(out))
+    return prefixes
+
+
+def _assert_matches_oracle(group, name):
+    # every cap's table rows, row counts and word objects, bitwise
+    prefixes = _enumerate_per_word(group)
+    forward, weight = group.word_table()
+    for c, oracle in enumerate(prefixes):
+        fwd_c, wt_c = group.word_table(c)
+        assert len(fwd_c) == len(wt_c) == len(oracle), (name, c)
+        assert np.array_equal(fwd_c, np.stack([w.forward for w in oracle])), (name, c)
+        assert fwd_c.dtype == np.intp and wt_c.dtype == np.float64, (name, c)
+        # bitwise: equal float bytes, so -0.0 and NaN payloads count too
+        assert wt_c.tobytes() == np.stack([w.weight for w in oracle]).tobytes(), (name, c)
+        words = group.words(c)
+        assert len(words) == len(oracle), (name, c)
+        for w, o in zip(words, oracle):
+            assert (w.label, w.form, w.allowed_defects) == (o.label, o.form, o.allowed_defects), (name, c, o.label)
+            for field in ("forward", "weight", "backward"):
+                a, b = getattr(w, field), getattr(o, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, c, o.label, field)
+    for w in group.words():
+        # the objects own their arrays: writing through one leaves the table
+        assert not np.shares_memory(w.forward, forward) and not np.shares_memory(w.weight, weight), name
 
 
 def _orbit_closure_loop(group, t, cap=None):
@@ -137,3 +211,53 @@ def test_words_of_each_cap_prefix_the_one_enumeration(gallery):
             assert np.array_equal(wt_c, np.stack([w.weight for w in words])), (name, c)
         with pytest.raises(ValueError, match="word cap"):
             group.words(group.word_cap + 1)
+
+
+def _more_groups(product_space):
+    # snapped rotations, measured round-trip defects and composed weights
+    circ, seg = product_space.aux["a"], product_space.aux["b"]
+    return {
+        "circle rotations": rl.GroupSpec((circle_rotation(circ, steps=4), circle_rotation(circ, steps=6)),
+                                         word_cap=3),
+        "remark25 maps": rl.GroupSpec(tuple(remark25_sequence(rl.builtin_space("remark25", n_max=7))),
+                                      word_cap=2),
+        "weighted flips": rl.GroupSpec((interval_flip(seg), multiplication(seg, 2.0)), word_cap=3),
+    }
+
+
+def test_batched_table_matches_per_word_oracle(gallery, product_space):
+    groups = {**gallery, **_more_groups(product_space)}
+    assert any(w.allowed_defects for w in groups["remark25 maps"].words()[len(groups["remark25 maps"].generators):])
+    for name, group in groups.items():
+        for cap in range(1, group.word_cap + 1):
+            # a fresh group builds the table for this cap; its words are then
+            # built from the table
+            _assert_matches_oracle(rl.GroupSpec(group.generators, word_cap=cap), f"{name} cap {cap}")
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_batched_table_matches_oracle_on_swap_subsets(onepoint_space, data):
+    gens = [onepoint_swap(onepoint_space, m)
+            for m in data.draw(st.lists(st.integers(1, 50), min_size=1, max_size=8, unique=True))]
+    cap = data.draw(st.integers(1, 3))
+    # one candidate per block up to all of a level in one block
+    block = data.draw(st.sampled_from([1, 3 * onepoint_space.n, operators._WORD_BLOCK]))
+    with mock.patch.object(operators, "_WORD_BLOCK", block):
+        _assert_matches_oracle(rl.GroupSpec(tuple(gens), word_cap=cap), (sorted(g.label for g in gens), cap))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_first_bad_composite_weight_raises_as_the_oracle(onepoint_space, scale):
+    # level 2 squares the weight: it overflows to inf or underflows to 0
+    group = rl.GroupSpec((multiplication(onepoint_space, scale),), word_cap=2)
+    with pytest.raises(ValueError) as oracle:
+        _enumerate_per_word(group)
+    assert "must be positive and finite" in str(oracle.value)
+    for call in (group.word_table, group.words):
+        with pytest.raises(ValueError) as batched:
+            call()
+        assert str(batched.value) == str(oracle.value)
+    # a good level 1 of the same group
+    _assert_matches_oracle(rl.GroupSpec(group.generators, word_cap=1), scale)
