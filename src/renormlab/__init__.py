@@ -37,7 +37,6 @@ from .norm import (
     WitnessSpec,
     build_config,
     build_matrix,
-    comparison_matrix,
     dual_decompose,
     dual_norm_atoms,
     dual_norm_delta,

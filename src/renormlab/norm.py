@@ -20,20 +20,18 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .operators import GroupSpec
-from .orbits import equivalent, select_dense_points
+from .orbits import select_dense_points
 from .space import SampledSpace
 from .tuples import (
     BCAssignment,
     ClassInfo,
     ClassRegistry,
     TupleIndex,
-    c_value,
     choose_parameters,
     enumeration_tail,
     exceptional_classes,
@@ -54,8 +52,6 @@ __all__ = [
     "gamma_cap_trace",
     "NormResult",
     "build_matrix",
-    "comparison_matrix",
-    "assemble_comparison",
     "dual_norm_delta",
     "dual_norm_atoms",
     "WitnessSpec",
@@ -195,6 +191,20 @@ class WindowPlan:
     # of the head table for plans 0 and 1 (plan 0 adds no slot), of plan
     # n-1 for n >= 2; None on the head table itself
     parent: np.ndarray | None = field(repr=False)
+    # the rows sorted stably by their largest orbit label, the distinct
+    # labels ascending, and where each label's rows start in that order:
+    # the rows below a cap are a prefix of it
+    cap_order: np.ndarray = field(init=False, repr=False)
+    cap_labels: np.ndarray = field(init=False, repr=False)
+    cap_starts: np.ndarray = field(init=False, repr=False)
+    # the largest weight of the last slot, which bounds the level's terms
+    last_max: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        top = self.gammas.max(axis=1)
+        self.cap_order = np.argsort(top, kind="stable")
+        self.cap_labels, self.cap_starts = np.unique(top[self.cap_order], return_index=True)
+        self.last_max = float(self.weights[:, -1].max())
 
     @property
     def count(self) -> int:
@@ -225,10 +235,6 @@ class RenormConfig:
     slot_gamma: np.ndarray = field(repr=False)
     # the head slot of every start: the root level of the plan rows' prefix tree
     heads: WindowPlan = field(repr=False)
-    # every plan row, concatenated in plan order, sorted stably by its
-    # largest orbit label; and those labels, ascending
-    cap_order: np.ndarray = field(repr=False)
-    cap_top: np.ndarray = field(repr=False)
     # 1 / lambda_i of every base point (0-based)
     inv_lam: np.ndarray = field(repr=False)
     # the block-diagonal pairs of base-orbit points: sample indices of the
@@ -398,11 +404,9 @@ def build_config(
     idx = flat[offset[starts - 1] + gam[:, 0]][:, None]
     weights = lams[starts - 1][:, None]
     heads = WindowPlan(n=0, starts=starts, gammas=gam, idx=idx, weights=weights, parent=None)
-    top = gam[:, 0]  # largest label of each row
     head = np.flatnonzero(starts == B)
     plans = [WindowPlan(n=0, starts=starts[head], gammas=gam[head], idx=idx[head],
                         weights=weights[head], parent=head)]
-    tops = [top[head]]
     for n, last in last_start.items():
         # window (start, n) repeats every row of its parent window (start,
         # n-1) once per label of its new last slot
@@ -411,14 +415,10 @@ def build_config(
         parent = np.repeat(np.arange(keep), reps)
         starts = starts[parent]
         g = _labels(reps)
-        top = np.maximum(top[parent], g)
         gam = _extend(gam, parent, g)
         idx = _extend(idx, parent, flat[offset[starts + n - 1] + g])
         weights = _extend(weights, parent, _last_slot_weights(registry, bc, starts, idx))
         plans.append(WindowPlan(n=n, starts=starts, gammas=gam, idx=idx, weights=weights, parent=parent))
-        tops.append(top)
-    top_all = np.concatenate(tops)
-    cap_order = np.argsort(top_all, kind="stable")
 
     # row r of base orbit b pairs its r-th point with every point of b
     row_len = np.repeat(lengths, lengths)
@@ -462,8 +462,6 @@ def build_config(
         slot_base=slots[nearest, 0],
         slot_gamma=slots[nearest, 1],
         heads=heads,
-        cap_order=cap_order,
-        cap_top=top_all[cap_order],
         inv_lam=1.0 / lams,
         orbit_pairs=orbit_pairs,
     )
@@ -498,57 +496,92 @@ class NormResult:
         return self.value + self.truncation_bound
 
 
-def _plan_values(x: np.ndarray, cfg: RenormConfig) -> list[np.ndarray]:
-    """Seminorm value of every plan row, one array per plan; x must hold
-    one finite value per sample point."""
+def _abs_values(x: np.ndarray, cfg: RenormConfig) -> tuple[np.ndarray, float]:
+    """|x| and its max, for an x holding one finite value per sample point."""
     x = np.asarray(x, dtype=float)
     points = cfg.space.points
     if x.shape != (len(points),):
         first = points[x.size] if x.ndim == 1 and x.size < len(points) else None
         raise ValueError(f"function of shape {x.shape} for {len(points)} points; "
                          f"first point without a value: {first!r}")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValueError(f"non-finite value {x[bad[0]]} at point {points[bad[0]]!r}")
-    # walk the prefix tree level by level: a row's value is its parent's
-    # plus the term of its last slot, so every row sums left to right
     ax = np.abs(x)
+    sup = float(ax.max())  # NaN or inf exactly when some value is
+    if not math.isfinite(sup):
+        bad = np.flatnonzero(~np.isfinite(x))[0]
+        raise ValueError(f"non-finite value {x[bad]} at point {points[bad]!r}")
+    return ax, sup
+
+
+def _walk(ax: np.ndarray, sup: float, cfg: RenormConfig, level_max):
+    """Walk the plan rows' prefix tree level by level, as deep as a level
+    can still raise the running max.
+
+    ``sup`` is the max of ``ax``, the absolute values of the function.
+    ``level_max(plan, values)`` reduces one level to what the caller
+    maximises, a numpy scalar or an array compared elementwise; the head
+    table, the parent level of plan 1, goes through it too.  Returns the
+    visited plans in plan order as (plan, values, level max), and the
+    largest of those maxima.
+
+    A row's value is its parent's plus the term of its last slot,
+    fl(fl(|x_last| w) + v_parent), so every row sums left to right, as
+    ``rho`` does.  IEEE rounding is monotone on non-negative operands, so
+    no row of plan n exceeds B_n = fl(fl(sup|x| w_n) + B_{n-1}), where w_n
+    is the plan's largest last-slot weight and B_{n-1} the max of the
+    parent level, or that level's own B when it is not visited.  The chain
+    only grows, so once its end at the deepest plan is at most the running
+    max, no row from the current level down can exceed that max.
+    """
     heads = cfg.heads
     vals = heads.weights[:, 0] * ax.take(heads.idx[:, 0])
     plan0, *deeper = cfg.plans
-    out = [vals.take(plan0.parent)]
-    for plan in deeper:
+    first = vals.take(plan0.parent)
+    best = level_max(plan0, first)
+    levels = [(plan0, first, best)]
+    below = level_max(heads, vals)
+    for i, plan in enumerate(deeper):
+        bound = below
+        for later in deeper[i:]:
+            bound = sup * later.last_max + bound
+        if (bound <= best).all():
+            break
         term = ax.take(plan.idx[:, -1])
         term *= plan.weights[:, -1]
         term += vals.take(plan.parent)
         vals = term
-        out.append(vals)
-    return out
+        below = level_max(plan, vals)
+        best = np.maximum(best, below)
+        levels.append((plan, vals, below))
+    return levels, best
 
 
 def triple_norm(x: np.ndarray, cfg: RenormConfig) -> NormResult:
     """Max of the seminorms over the enumerated tuples, with an additive
     certificate for the omitted deeper windows.
 
+    The plans are evaluated level by level down the prefix tree and only as
+    deep as a level can still beat the running max.  Rounding is monotone
+    on non-negative operands, so fl(fl(sup|x| w_n) + B), with w_n plan n's
+    largest last-slot weight and B the parent level's max, bounds every
+    row of plan n as it is computed; chained down to the deepest plan, a
+    bound at most the running max rules out every deeper row.  The first
+    plan, then the first row, holding the max wins, so skipped rows, which
+    can at most tie, never move the argmax.
+
     The certificate sums the geometric tail of window weights beyond the
     enumeration index of the last in-depth window; when orbit enumerations
     were gamma-capped the tail does not cover the missing labels and the
     result is flagged instead.
     """
-    best = -math.inf
-    arg = None
-    for plan, vals in zip(cfg.plans, _plan_values(x, cfg)):
-        pos = int(vals.argmax())
-        if vals[pos] > best:
-            best = float(vals[pos])
-            arg = (plan, pos)
-    sup_x = float(np.abs(x).max())
+    ax, sup = _abs_values(x, cfg)
+    levels, best = _walk(ax, sup, cfg, lambda plan, vals: vals.max())
+    plan, vals = next((plan, vals) for plan, vals, top in levels if top == best)
+    pos = int(vals.argmax())
     ell_depth = cfg.depth * (cfg.depth - 1) // 2
-    bound = sup_x * enumeration_tail(cfg.bc, ell_depth)
-    plan, pos = arg
+    bound = sup * enumeration_tail(cfg.bc, ell_depth)
     start = int(plan.starts[pos])
     return NormResult(
-        value=best,
+        value=float(best),
         truncation_bound=bound,
         argmax_window=(start, start + plan.n),
         argmax_gammas=tuple(int(g) for g in plan.gammas[pos]),
@@ -564,13 +597,27 @@ def gamma_cap_trace(x: np.ndarray, cfg: RenormConfig, caps: Sequence[int]) -> li
     No closed-form tail over orbit labels exists, so sensitivity is reported
     instead of a certificate: the trace restricts the enumerated family to
     tuples whose labels all sit below each cap.
+
+    The walk is ``triple_norm``'s, per cap.  A row's largest label is at
+    least its parent's, so a row below a cap extends a parent below it, and
+    the monotone-rounding bound chained from the parent level's max below
+    the cap bounds every deeper row below it.  The walk stops once that
+    bound is at most the running max of every cap.
     """
-    # running maximum over the rows in order of their largest label: the
-    # rows below a cap are a prefix of that order
-    best = np.maximum.accumulate(np.concatenate(_plan_values(x, cfg))[cfg.cap_order])
+    ax, sup = _abs_values(x, cfg)
     caps = sorted(set(int(c) for c in caps))
-    below = np.searchsorted(cfg.cap_top, caps).tolist()
-    return [(cap, float(best[k - 1]) if k else 0.0) for cap, k in zip(caps, below)]
+    # a cap past the largest label keeps every row
+    hi = int(cfg.heads.cap_labels[-1]) + 1
+    at = np.array([min(max(c, 0), hi) for c in caps], dtype=np.intp)
+
+    def below_caps(plan: WindowPlan, vals: np.ndarray) -> np.ndarray:
+        # the max of each largest label's rows, then of all rows up to it
+        upto = np.maximum.accumulate(np.maximum.reduceat(vals.take(plan.cap_order), plan.cap_starts))
+        k = np.searchsorted(plan.cap_labels, at)  # the labels below each cap
+        return np.where(k > 0, upto.take(k - 1), -math.inf)
+
+    best = _walk(ax, sup, cfg, below_caps)[1]
+    return [(cap, v if v > -math.inf else 0.0) for cap, v in zip(caps, best.tolist())]
 
 
 # ----------------------------------------------------------------------
@@ -611,63 +658,6 @@ def build_matrix(t: TupleIndex, cfg: RenormConfig) -> TriangularSystem:
     """Triangular system whose row k carries lambda_{start+k} on the diagonal
     and the reciprocal weights of the tuple's inner segments above it."""
     return _build_system(t, cfg)[0]
-
-
-def assemble_comparison(
-    lambdas: Sequence[float],
-    seg_exponents: dict[tuple[int, int], Fraction],
-    c_t: int,
-    bc: BCAssignment,
-    label: str = "",
-) -> TriangularSystem:
-    """Comparison system: segment reciprocal weights everywhere except the
-    corner entry, which is pinned to the limiting value L^-c(t)."""
-    s = len(lambdas)
-    zeta = np.zeros((s, s))
-    for (j, k), exp in seg_exponents.items():
-        zeta[j, k] = bc.inv_L_pow(exp)
-    zeta[0, s - 1] = bc.inv_L_pow(Fraction(c_t))
-    return TriangularSystem(lambdas=np.asarray(lambdas, float), zeta=zeta, label=label)
-
-
-def comparison_matrix(s_points: Sequence[int], t: TupleIndex, cfg: RenormConfig) -> TriangularSystem:
-    """Comparison system for a tuple that matches t on both overlapping
-    sub-windows yet lies in no enumerated end-label class.
-
-    Preconditions are tested with the sampled orbit machinery; the error
-    names which equivalence held when they fail.
-    """
-    s_points = tuple(int(p) for p in s_points)
-    if len(s_points) != t.n + 1:
-        raise ValueError("length mismatch")
-    n = t.n
-    head_ok = equivalent(s_points[:-1], t.points[:-1], cfg.group)
-    tail_ok = equivalent(s_points[1:], t.points[1:], cfg.group)
-    if not (head_ok and tail_ok):
-        raise ValueError(
-            "not almost equivalent: "
-            f"head equivalence {'held' if head_ok else 'failed'}, "
-            f"tail equivalence {'held' if tail_ok else 'failed'}"
-        )
-    end_enum = cfg.orbit_of_base(t.start + n)
-    for gamma, end_pt in enumerate(end_enum):
-        candidate = t.points[:-1] + (end_pt,)
-        if equivalent(s_points, candidate, cfg.group):
-            raise ValueError(
-                f"tuple is equivalent to the end-label {gamma} class; "
-                "the plain class system applies"
-            )
-    lambdas = [cfg.lam(t.start + k) for k in range(n + 1)]
-    seg_exponents: dict[tuple[int, int], Fraction] = {}
-    for j in range(n + 1):
-        for k in range(j + 1, n + 1):
-            if j == 0 and k == n:
-                continue
-            sub = s_points[j : k + 1]
-            info = cfg.registry.classify(t.start + j, sub)
-            seg_exponents[(j, k)] = info.exponent
-    return assemble_comparison(lambdas, seg_exponents, c_value(t.window), cfg.bc,
-                               label=f"Tcomp({t.start}..{t.start + n})")
 
 
 def dual_norm_delta(point: int, cfg: RenormConfig, tol: float | None = None) -> float:

@@ -20,7 +20,6 @@ OPTIONS = {
     "detector.certify(test_depth)",
     "norm.RenormConfig.classify_slots(tol)",
     "norm.RenormConfig.window_tuple(tol)",
-    "norm.assemble_comparison(label)",
     "norm.build_config(C)",
     "norm.build_config(base_count)",
     "norm.build_config(depth)",
@@ -81,4 +80,4 @@ def test_public_options_match_the_table():
     found = public_options()
     assert sorted(found - OPTIONS) == [], "new options: add them to OPTIONS on purpose"
     assert sorted(OPTIONS - found) == [], "removed options: drop them from OPTIONS"
-    assert len(OPTIONS) == 40
+    assert len(OPTIONS) == 39

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -12,11 +13,8 @@ import renormlab as rl
 from renormlab.norm import (
     NormResult,
     TriangularSystem,
-    _plan_values,
     _last_slot_weights,
-    assemble_comparison,
     build_matrix,
-    comparison_matrix,
     dual_decompose,
     dual_norm_atoms,
     dual_norm_delta,
@@ -31,7 +29,7 @@ from renormlab.norm import (
 )
 from renormlab.detector import check_weight_one
 from renormlab.operators import identity, line_translation, multiplication
-from renormlab.orbits import select_dense_points
+from renormlab.orbits import equivalent, select_dense_points
 from renormlab.tuples import (
     ClassRegistry,
     TupleIndex,
@@ -241,8 +239,24 @@ def _plan_values_by_row(x, cfg):
     return [(ax[plan.idx] * plan.weights).sum(axis=1) for plan in cfg.plans]
 
 
-def _triple_norm_by_row(x, cfg):
-    vals = _plan_values_by_row(x, cfg)
+def _plan_values(x, cfg):
+    # the full prefix-tree walk that the bounded walk stops early: every
+    # row is its parent's value plus the term of its last slot
+    ax = np.abs(np.asarray(x, dtype=float))
+    heads = cfg.heads
+    vals = heads.weights[:, 0] * ax.take(heads.idx[:, 0])
+    plan0, *deeper = cfg.plans
+    out = [vals.take(plan0.parent)]
+    for plan in deeper:
+        term = ax.take(plan.idx[:, -1])
+        term *= plan.weights[:, -1]
+        term += vals.take(plan.parent)
+        vals = term
+        out.append(vals)
+    return out
+
+
+def _norm_result(x, cfg, vals):
     best = max(float(v.max()) for v in vals)
     plan, v = next((plan, v) for plan, v in zip(cfg.plans, vals) if (v == best).any())
     pos = int(np.flatnonzero(v == best)[0])
@@ -258,39 +272,173 @@ def _triple_norm_by_row(x, cfg):
     )
 
 
+def _triple_norm_by_row(x, cfg):
+    return _norm_result(x, cfg, _plan_values_by_row(x, cfg))
+
+
+def _triple_norm_full(x, cfg):
+    return _norm_result(x, cfg, _plan_values(x, cfg))
+
+
+def _gamma_cap_trace_full(x, cfg, caps):
+    # every plan row, masked by its largest label per cap
+    vals = np.concatenate(_plan_values(x, cfg))
+    top = np.concatenate([plan.gammas.max(axis=1) for plan in cfg.plans])
+    out = []
+    for cap in sorted(set(int(c) for c in caps)):
+        below = vals[top < min(cap, int(top.max()) + 1)]
+        out.append((cap, float(below.max()) if below.size else 0.0))
+    return out
+
+
+def _reweighted(cfg, scales, rng, low=0.5):
+    # cfg with the last-slot weights of plans 1, 2, ... redrawn as its scale
+    # times uniform(low, 1), the earlier columns following the parents: the
+    # bounded walk must not lean on the shipped weights' decay
+    below, plans = cfg.heads, [cfg.plans[0]]
+    for plan, scale in zip(cfg.plans[1:], scales, strict=True):
+        last = scale * rng.uniform(low, 1.0, size=plan.count)
+        below = dataclasses.replace(plan, weights=np.column_stack([below.weights[plan.parent], last]))
+        plans.append(below)
+    return dataclasses.replace(cfg, plans=plans)
+
+
 @pytest.fixture(scope="module")
-def tree_cfgs(product_cfg, line_cfg, product_capped_cfg, product_word_capped_cfg):
+def line8_cfg(line_space):
+    # rows of 8 terms, where numpy's row sum turns pairwise
+    return rl.build_config(line_space, rl.GroupSpec.trivial(line_space), C=1.1, depth=8, base_count=20)
+
+
+@pytest.fixture(scope="module")
+def product5_cfg(product_space, rotation_group):
+    return rl.build_config(product_space, rotation_group, C=1.1, depth=5)
+
+
+@pytest.fixture(scope="module")
+def tree_cfgs(product_cfg, line_cfg, product_capped_cfg, product_word_capped_cfg, line8_cfg, product5_cfg):
     return {"product_cfg": product_cfg, "line_cfg": line_cfg,
-            "product_capped_cfg": product_capped_cfg, "product_word_capped_cfg": product_word_capped_cfg}
+            "product_capped_cfg": product_capped_cfg, "product_word_capped_cfg": product_word_capped_cfg,
+            "line8_cfg": line8_cfg, "product5_cfg": product5_cfg}
 
 
-def _function(kind, n, rng, scale):
+def _function(kind, cfg, rng, scale, level):
+    n = cfg.space.n
     if kind == "zero":
         return np.zeros(n)
     if kind == "constant":
         return np.full(n, scale)
     x = scale * rng.uniform(-1, 1, size=n)
-    return x * (rng.uniform(size=n) < 0.02) if kind == "sparse" else x
+    if kind == "sparse":
+        return x * (rng.uniform(size=n) < 0.02)
+    if kind == "dense":
+        return x
+    plan = cfg.plans[level]
+    r = int(rng.integers(plan.count))
+    x *= 1e-6
+    with np.errstate(divide="ignore", over="ignore"):  # weights that underflowed to 0
+        if kind == "deep":
+            # a row's slots scaled by 1/weight: terms of comparable size
+            x[plan.idx[r]] = scale * rng.uniform(0.5, 1.5, size=plan.n + 1) / plan.weights[r]
+        else:
+            # "half-ulp": the row's last term near half an ulp of its parent's value
+            x[plan.idx[r, :-1]] = scale * rng.uniform(0.5, 1.5, size=plan.n)
+            parent = float(np.abs(x[plan.idx[r, 0]])) * float(plan.weights[r, 0])
+            for k in range(1, plan.n):
+                parent = float(np.abs(x[plan.idx[r, k]])) * float(plan.weights[r, k]) + parent
+            nudge = 1.0 + int(rng.integers(-2, 3)) * 2.0 ** -52
+            x[plan.idx[r, -1]] = math.ulp(parent) / 2 * nudge / plan.weights[r, -1]
+    return np.clip(x, -1e300, 1e300)
 
 
 @given(data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_tree_walk_matches_per_row_gather(tree_cfgs, data):
     name = data.draw(st.sampled_from(sorted(tree_cfgs)))
     cfg = tree_cfgs[name]
-    kind = data.draw(st.sampled_from(["dense", "sparse", "zero", "constant"]))
-    scale = data.draw(st.sampled_from([1e-300, 1e-3, 1.0, 7.5, 1e300]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    x = _function(kind, cfg.space.n, rng, scale)
+    weights = data.draw(st.sampled_from(["shipped", "flat", "mixed"]))
+    if weights != "shipped":
+        scales = [1.0 if weights == "flat" else data.draw(st.sampled_from([1e-30, 1e-9, 1e-3, 1.0]))
+                  for _ in cfg.plans[1:]]
+        cfg = _reweighted(cfg, scales, rng)
+    kind = data.draw(st.sampled_from(["dense", "sparse", "zero", "constant", "deep", "half-ulp"]))
+    scale = data.draw(st.sampled_from([1e-300, 1e-3, 1.0, 7.5, 1e300]))
+    level = data.draw(st.integers(1, len(cfg.plans) - 1))
+    x = _function(kind, cfg, rng, scale, level)
     got = _plan_values(x, cfg)
-    want = _plan_values_by_row(x, cfg)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (name, kind)
-    assert triple_norm(x, cfg) == _triple_norm_by_row(x, cfg), (name, kind)
+    if cfg.depth < 8:
+        want = _plan_values_by_row(x, cfg)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (name, kind)
+    assert triple_norm(x, cfg) == _triple_norm_full(x, cfg), (name, weights, kind)
     top = max(int(p.gammas.max()) for p in cfg.plans)
     caps = data.draw(st.lists(st.integers(-3, top + 3) | st.sampled_from([2**40, 2**70]), max_size=8))
-    assert gamma_cap_trace(x, cfg, caps) == _gamma_cap_trace_per_cap(x, cfg, caps), (name, kind, caps)
+    trace = gamma_cap_trace(x, cfg, caps)
+    assert trace == _gamma_cap_trace_full(x, cfg, caps), (name, weights, kind, caps)
+    if cfg.depth < 8:
+        assert trace == _gamma_cap_trace_per_cap(x, cfg, caps), (name, weights, kind, caps)
+
+
+def _indicator(cfg, plan, r, value=1.0):
+    x = np.zeros(cfg.space.n)
+    x[plan.idx[r]] = value
+    return x
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "line8_cfg", "product5_cfg", "product_word_capped_cfg"])
+def test_bounded_walk_reaches_every_level(name, request):
+    # on unit weights the first row over a function's support holds the
+    # argmax, at any level; on the shipped weights a term below half an ulp
+    # of its row cannot lift it, so the argmax stays in the first levels
+    base = request.getfixturevalue(name)
+    cfg = _reweighted(base, [1.0] * (len(base.plans) - 1), np.random.default_rng(3), low=1.0)
+    caps = (1, 2, 3, 5, 100)
+    for plan in cfg.plans[1:]:
+        r = int(np.flatnonzero((plan.starts == 1) & (plan.gammas == 0).all(axis=1))[0])
+        x = _indicator(cfg, plan, r)
+        res = triple_norm(x, cfg)
+        assert res == _triple_norm_full(x, cfg)
+        assert res.argmax_window == (1, 1 + plan.n) and res.argmax_gammas == (0,) * (plan.n + 1)
+        assert gamma_cap_trace(x, cfg, caps) == _gamma_cap_trace_full(x, cfg, caps)
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "line8_cfg", "product5_cfg"])
+def test_bounded_walk_chains_the_bound_to_the_deepest_plan(name, request):
+    # plan 0 holds a max that tops every row of plan 2 by more than plan 2's
+    # terms, but the deepest plan's heavy last slot lifts its row past it:
+    # only the bound chained to the deepest plan keeps plan 2 in the walk
+    base = request.getfixturevalue(name)
+    depth_scales = [1e-3] + [1e-9] * (len(base.plans) - 3) + [1.0]
+    cfg = _reweighted(base, depth_scales, np.random.default_rng(4))
+    deepest = cfg.plans[-1]
+    x = _indicator(cfg, deepest, 0)
+    vals = _plan_values(x, cfg)
+    lifted, plan1_max = float(vals[-1].max()), float(vals[1].max())
+    assert lifted > plan1_max + 0.25
+    q = int(cfg.plans[0].idx[0, 0])  # the head of the last base
+    assert x[q] == 0.0
+    x[q] = (plan1_max + lifted) / 2 / float(cfg.plans[0].weights[0, 0])
+    res = triple_norm(x, cfg)
+    assert res == _triple_norm_full(x, cfg)
+    assert res.argmax_window == (1, 1 + deepest.n)
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "product5_cfg"])
+def test_cap_trace_bounds_each_cap_by_its_own_max(name, request):
+    # a heavy label-1 point caps no bound below cap 1, where the deepest
+    # plan still lifts the base tuple's row
+    base = request.getfixturevalue(name)
+    cfg = _reweighted(base, [1e-3] + [1e-9] * (len(base.plans) - 3) + [1e-2], np.random.default_rng(5))
+    deepest = cfg.plans[-1]
+    x = _indicator(cfg, deepest, 0)
+    plan0 = cfg.plans[0]
+    x[int(plan0.idx[1, 0])] = 5.0  # label 1 of the last base
+    caps = (1, 2, 12)
+    trace = gamma_cap_trace(x, cfg, caps)
+    assert trace == _gamma_cap_trace_full(x, cfg, caps)
+    vals = _plan_values(x, cfg)
+    assert trace[0][1] == float(vals[-1][0]) > max(float(v.max()) for v in vals[1:-1])
 
 
 @pytest.mark.parametrize("name", ["line_cfg", "product_cfg"])
@@ -324,27 +472,37 @@ def test_parent_links_point_at_row_prefixes(name, request):
         # every row of the level below that the plan's windows extend has children
         assert np.array_equal(np.unique(plan.parent), np.arange(plan.parent.max() + 1))
         below = plan
-    top = np.concatenate([plan.gammas.max(axis=1) for plan in cfg.plans])
-    assert np.array_equal(top[cfg.cap_order], cfg.cap_top)
-    assert (np.diff(cfg.cap_top) >= 0).all()
+    # each level, the head table included, sorts its rows stably by their
+    # largest label, and a row's largest label is at least its parent's
+    for plan in (heads, *cfg.plans):
+        top = plan.gammas.max(axis=1)
+        assert np.array_equal(plan.cap_order, np.argsort(top, kind="stable"))
+        sizes = np.diff(plan.cap_starts, append=plan.count)
+        assert (np.diff(plan.cap_labels) > 0).all() and (sizes > 0).all() and plan.cap_starts[0] == 0
+        assert np.array_equal(top[plan.cap_order], np.repeat(plan.cap_labels, sizes))
+        assert plan.last_max == plan.weights[:, -1].max()
+        if plan.parent is not None:
+            parent_level = heads if plan.n <= 1 else cfg.plans[plan.n - 1]
+            assert (top >= parent_level.gammas.max(axis=1)[plan.parent]).all()
 
 
-def test_tree_walk_adds_left_to_right_past_seven_terms(line_space):
+def test_tree_walk_adds_left_to_right_past_seven_terms(line8_cfg):
     # depth 8 gives rows of 8 terms, where numpy's row sum turns pairwise;
     # the walk adds each row left to right, as rho does
-    cfg = rl.build_config(line_space, rl.GroupSpec.trivial(line_space), C=1.1, depth=8, base_count=20)
+    cfg = line8_cfg
     assert cfg.plans[-1].n == 7
     rng = np.random.default_rng(5)
     deepest = cfg.plans[-1]
     pairwise_differs = 0
     for _ in range(20):
         # terms of comparable size on the deepest row, so rounding depends on the order
-        x = rng.uniform(-1, 1, size=line_space.n)
+        x = rng.uniform(-1, 1, size=cfg.space.n)
         x[deepest.idx[0]] = rng.uniform(0.5, 1.5, size=deepest.n + 1) / deepest.weights[0]
         for plan, vals, by_row in zip(cfg.plans, _plan_values(x, cfg), _plan_values_by_row(x, cfg)):
             for r in range(plan.count):
                 assert vals[r] == rho(cfg.tuple_index(int(plan.starts[r]), plan.gammas[r]), x, cfg), (plan.n, r)
             pairwise_differs += int((vals != by_row).sum())
+        assert triple_norm(x, cfg) == _triple_norm_full(x, cfg)
     assert pairwise_differs > 0
 
 
@@ -687,7 +845,51 @@ def test_dual_norm_atoms_rejects_beta_length_before_registering(product_cfg, for
 
 
 # ----------------------------------------------------------------------
-# comparison systems
+# comparison systems: a tuple that matches t on both overlapping sub-windows
+# yet lies in no enumerated end-label class gets t's class system with the
+# corner entry pinned to the limiting value L^-c(t); nothing in the library
+# builds one since certify's comparison branch went, so the systems live here
+# as oracles of the class systems' entry structure
+
+
+def assemble_comparison(lambdas, seg_exponents, c_t, bc, label=""):
+    s = len(lambdas)
+    zeta = np.zeros((s, s))
+    for (j, k), exp in seg_exponents.items():
+        zeta[j, k] = bc.inv_L_pow(exp)
+    zeta[0, s - 1] = bc.inv_L_pow(Fraction(c_t))
+    return TriangularSystem(lambdas=np.asarray(lambdas, float), zeta=zeta, label=label)
+
+
+def comparison_matrix(s_points, t, cfg):
+    # the preconditions are tested with the sampled orbit machinery; the
+    # error names which equivalence held when they fail
+    s_points = tuple(int(p) for p in s_points)
+    if len(s_points) != t.n + 1:
+        raise ValueError("length mismatch")
+    n = t.n
+    head_ok = equivalent(s_points[:-1], t.points[:-1], cfg.group)
+    tail_ok = equivalent(s_points[1:], t.points[1:], cfg.group)
+    if not (head_ok and tail_ok):
+        raise ValueError(
+            "not almost equivalent: "
+            f"head equivalence {'held' if head_ok else 'failed'}, "
+            f"tail equivalence {'held' if tail_ok else 'failed'}"
+        )
+    for gamma, end_pt in enumerate(cfg.orbit_of_base(t.start + n)):
+        if equivalent(s_points, t.points[:-1] + (end_pt,), cfg.group):
+            raise ValueError(
+                f"tuple is equivalent to the end-label {gamma} class; "
+                "the plain class system applies"
+            )
+    lambdas = [cfg.lam(t.start + k) for k in range(n + 1)]
+    seg_exponents = {
+        (j, k): cfg.registry.classify(t.start + j, s_points[j : k + 1]).exponent
+        for j in range(n + 1) for k in range(j + 1, n + 1) if (j, k) != (0, n)
+    }
+    return assemble_comparison(lambdas, seg_exponents, c_value(t.window), cfg.bc,
+                               label=f"Tcomp({t.start}..{t.start + n})")
+
 
 
 def test_comparison_synthetic_entry_difference():
