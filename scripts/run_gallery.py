@@ -11,18 +11,16 @@ from pathlib import Path
 
 from renormlab.cli import run
 
-SCENARIOS = ("line_trivial", "rotation_product", "remark25_gallery", "onepoint_bounded")
-
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="reports")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
-    here = Path(__file__).parent / "scenarios"
     worst = 0
-    for name in SCENARIOS:
-        scenario = json.loads((here / f"{name}.json").read_text())
+    for path in sorted((Path(__file__).parent / "scenarios").glob("*.json")):
+        name = path.stem
+        scenario = json.loads(path.read_text())
         out = Path(args.out) / name
         code = run(scenario, out, seed=args.seed)
         summary = json.loads((out / "summary.json").read_text())

@@ -6,7 +6,7 @@ dual-norm triangular solves, an isometry detector, and the bounded-group
 reduction, plus a scenario-driven CLI (``renorm-lab``).
 """
 
-from .space import CompactSet, SampledSpace, builtin_space, fatten, product, validate_metric
+from .space import CompactSet, SampledSpace, builtin_space, product, validate_metric
 from .operators import (
     GroupSpec,
     WeightedComposition,
@@ -15,15 +15,13 @@ from .operators import (
     compose,
     identity,
     invert,
-    pointwise_implies_sot,
 )
-from .orbits import OrbitClosure, equivalent, nowhere_dense_check, orbit_closure, select_dense_points
+from .orbits import OrbitClosure, equivalent, orbit_closure, select_dense_points
 from .tuples import (
     BCAssignment,
     ClassRegistry,
     TupleIndex,
     Window,
-    b_value,
     c_value,
     choose_parameters,
     enumerate_window,
@@ -37,7 +35,6 @@ from .norm import (
     WitnessSpec,
     build_config,
     build_matrix,
-    dual_decompose,
     dual_norm_atoms,
     dual_norm_delta,
     gamma_cap_trace,

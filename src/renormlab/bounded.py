@@ -34,24 +34,23 @@ class BoundedGroupNorm:
     growth_warning: bool
 
 
-def m_weight(group: GroupSpec, word_cap: int | None = None) -> BoundedGroupNorm:
+def m_weight(group: GroupSpec) -> BoundedGroupNorm:
     """Pointwise infimum of the enumerated word weights, with a continuity
     report.
 
-    The infimum over the full group is approximated by words up to the cap;
-    the per-cap trace is monotone and reported so the stabilization is
-    visible.  A point is flagged when m moves by at least 0.25 within
+    The infimum over the full group is approximated by words up to the
+    group's word cap; the per-cap trace is monotone and reported so the
+    stabilization is visible.  A point is flagged when m moves by at least 0.25 within
     ``2 * resolution`` of it.  Discontinuity flags are restricted to
     non-isolated points: at sample scale only those can witness a genuine
     jump of m.
     """
     space = group.space
-    cap = group.word_cap if word_cap is None else word_cap
-    weights = group.word_table(cap)[1]
+    weights = group.word_table()[1]
     if not np.all(np.isfinite(weights)):
         raise ValueError("unbounded group at cap: non-finite word weight")
     m = weights.min(axis=0)
-    trace = [(c, float(group.word_table(c)[1].min())) for c in range(1, cap + 1)]
+    trace = [(c, float(group.word_table(c)[1].min())) for c in range(1, group.word_cap + 1)]
     growth = len(trace) >= 2 and trace[-1][1] < trace[-2][1] - 1e-12
 
     radius = 2 * space.resolution

@@ -24,6 +24,7 @@ from . import io as rio
 from .bounded import conjugate, group_norm, m_weight
 from .detector import certify
 from .norm import (
+    WITNESS_EPS,
     RenormConfig,
     TupleBudgetError,
     build_config,
@@ -49,7 +50,7 @@ from .operators import (
 )
 from .orbits import orbit_closure
 from .space import SampledSpace, builtin_space, validate_metric
-from .tuples import verify_bmap
+from .tuples import choose_parameters, verify_bmap
 
 
 class InputError(Exception):
@@ -74,7 +75,7 @@ def make_group(spec: dict, space: SampledSpace) -> GroupSpec:
     kind = spec.get("builtin")
     word_cap = int(spec.get("word_cap", 6))
     if kind == "trivial":
-        return GroupSpec.trivial(space, word_cap=1)
+        return GroupSpec.trivial(space)
     if kind == "rotation":
         q = int(spec.get("q", 12))
         if space.aux.get("kind") == "circle":
@@ -92,7 +93,7 @@ def make_group(spec: dict, space: SampledSpace) -> GroupSpec:
     raise InputError(f"unknown group spec {spec!r}")
 
 
-def make_operator(spec: dict, space: SampledSpace, group: GroupSpec | None = None):
+def make_operator(spec: dict, space: SampledSpace, group: GroupSpec):
     if "file" in spec:
         return rio.load_operator(spec["file"], space)
     kind = spec.get("builtin")
@@ -103,8 +104,6 @@ def make_operator(spec: dict, space: SampledSpace, group: GroupSpec | None = Non
     if kind == "multiplication":
         return compose(multiplication(space, float(spec["factor"])), identity(space))
     if kind == "generator_word":
-        if group is None:
-            raise InputError("generator_word needs a group")
         op = identity(space)
         for gi in spec.get("indices", [0]):
             op = compose(op, group.generators[int(gi)])
@@ -127,16 +126,19 @@ def make_operator(spec: dict, space: SampledSpace, group: GroupSpec | None = Non
 # ----------------------------------------------------------------------
 # random test functions
 
+# knots of a random piecewise-linear function on a line, anchors elsewhere
+_KNOTS = 12
 
-def random_piecewise_linear(space: SampledSpace, rng: np.random.Generator, knots: int = 12) -> np.ndarray:
+
+def random_piecewise_linear(space: SampledSpace, rng: np.random.Generator) -> np.ndarray:
     aux = space.aux
     if aux.get("kind") == "line":
         coords = aux["coords"]
-        kx = np.sort(rng.choice(coords, size=min(knots, len(coords)), replace=False))
+        kx = np.sort(rng.choice(coords, size=min(_KNOTS, len(coords)), replace=False))
         ky = rng.uniform(-1.0, 1.0, size=len(kx))
         return np.interp(coords, kx, ky)
     # generic fallback: smooth-ish random field via a few anchor points
-    anchors = rng.integers(0, space.n, size=min(knots, space.n))
+    anchors = rng.integers(0, space.n, size=min(_KNOTS, space.n))
     vals = rng.uniform(-1.0, 1.0, size=len(anchors))
     scale = max(space.dmat.max() / 4, space.resolution)
     weights = np.exp(-space.dmat[:, anchors] / scale)
@@ -147,7 +149,7 @@ def random_piecewise_linear(space: SampledSpace, rng: np.random.Generator, knots
 # tasks
 
 
-def task_build_config(cfg: RenormConfig, scenario: dict) -> dict:
+def task_build_config(cfg: RenormConfig) -> dict:
     metric_report = validate_metric(cfg.space)
     return {
         "ok": bool(metric_report["ok"]),
@@ -161,14 +163,13 @@ def task_build_config(cfg: RenormConfig, scenario: dict) -> dict:
     }
 
 
-def task_verify_bmap(cfg: RenormConfig, scenario: dict) -> dict:
+def task_verify_bmap(cfg: RenormConfig) -> dict:
     report = verify_bmap(cfg.bc, cfg.depth, cfg.registry)
     return {"ok": report["ok"], "report": {k: v for k, v in report.items()},
             "provenance": cfg.provenance()}
 
 
-def task_norm_suite(cfg: RenormConfig, scenario: dict, rng: np.random.Generator) -> dict:
-    count = int(scenario.get("norm_suite", {}).get("count", 50))
+def task_norm_suite(cfg: RenormConfig, count: int, rng: np.random.Generator) -> dict:
     worst_lower = 0.0
     worst_upper = 0.0
     worst_bound = 0.0
@@ -193,12 +194,7 @@ def task_norm_suite(cfg: RenormConfig, scenario: dict, rng: np.random.Generator)
     }
 
 
-def task_dual_suite(cfg: RenormConfig, scenario: dict, rng: np.random.Generator) -> dict:
-    params = scenario.get("dual_suite", {})
-    tuple_budget = int(params.get("tuples", 10))
-    grid = params.get("beta_grid", 5)
-    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
-        raise InputError(f"dual_suite beta_grid must be an integer >= 1, got {grid!r}")
+def task_dual_suite(cfg: RenormConfig, tuple_budget: int, grid: int) -> dict:
     betas = np.linspace(0.8, 1.0, grid)
     entries = []
     ok = True
@@ -234,11 +230,11 @@ def task_dual_suite(cfg: RenormConfig, scenario: dict, rng: np.random.Generator)
         try:
             t = cfg.base_tuple(i, 1) if i < cfg.base_count else cfg.base_tuple(i - 1, 1)
             u = (1.0 / cfg.lam(t.start), 1.0 / cfg.lam(t.start + 1))
-            spec = witness_for_tuple(t, cfg, u, eps=0.02)
+            spec = witness_for_tuple(t, cfg, u)
             x, _ = witness_function(spec, cfg)
             ratio = float(x[p]) / triple_norm(x, cfg).value
             check["bump_lower_bound"] = ratio
-            if ratio < (1 - 0.02) * check["dual"]:
+            if ratio < (1 - WITNESS_EPS) * check["dual"]:
                 ok = False
         except ValueError as exc:
             check["bump_lower_bound"] = None
@@ -250,15 +246,11 @@ def task_dual_suite(cfg: RenormConfig, scenario: dict, rng: np.random.Generator)
             "provenance": cfg.provenance()}
 
 
-def task_detect(cfg: RenormConfig, scenario: dict) -> dict:
+def task_detect(cfg: RenormConfig, operators: list) -> dict:
+    """Certify each (operator, test_depth, expected verdict or None)."""
     reports = []
     ok = True
-    for spec in scenario.get("detect", []):
-        op = make_operator(spec, cfg.space, cfg.group)
-        test_depth = spec.get("test_depth", 4)
-        if isinstance(test_depth, bool) or not isinstance(test_depth, int) or test_depth < 1:
-            raise InputError(f"detect operator {op.label!r}: test_depth must be an integer >= 1, "
-                             f"got {test_depth!r}")
+    for op, test_depth, expect in operators:
         verdict = certify(op, cfg, test_depth=test_depth)
         rep = {
             "operator": op.label,
@@ -274,7 +266,6 @@ def task_detect(cfg: RenormConfig, scenario: dict) -> dict:
                 for c in verdict.orbit_checks
             ],
         }
-        expect = spec.get("expect")
         if expect is not None:
             rep["expect"] = expect
             if verdict.verdict != expect:
@@ -327,8 +318,7 @@ def task_sot_gallery(space: SampledSpace, scenario: dict) -> dict:
     }
 
 
-def task_bounded_suite(space: SampledSpace, group: GroupSpec, scenario: dict,
-                       rng: np.random.Generator) -> dict:
+def task_bounded_suite(space: SampledSpace, group: GroupSpec, rng: np.random.Generator) -> dict:
     if space.aux.get("kind") != "onepoint01N":
         raise InputError("bounded-suite runs on the onepoint01N space")
     bgn = m_weight(group)
@@ -373,6 +363,14 @@ def task_bounded_suite(space: SampledSpace, group: GroupSpec, scenario: dict,
 # runner
 
 
+def _integer(value, name: str, least: int) -> int:
+    """A scenario field that must be an integer >= least; anything else is
+    an input error naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
     seed = int(scenario.get("seed", 0)) if seed is None else seed
     rng = np.random.default_rng(seed)
@@ -384,14 +382,8 @@ def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
         nonlocal cfg, build_error
         if cfg is None and build_error is None:
             try:
-                cfg = build_config(
-                    space,
-                    group,
-                    C=float(scenario.get("C", 1.1)),
-                    depth=int(scenario.get("depth", 6)),
-                    gamma_cap=scenario.get("gamma_cap"),
-                    base_count=scenario.get("base_count"),
-                )
+                cfg = build_config(space, group, C=C, depth=depth,
+                                   gamma_cap=scenario.get("gamma_cap"), base_count=base_count)
             except TupleBudgetError as exc:
                 raise InputError(str(exc)) from exc
             except Exception as exc:
@@ -403,23 +395,43 @@ def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
     # each entry looks its task_* function up when it runs, so a rebound
     # module attribute takes effect
     table = {
-        "build-config": lambda: task_build_config(ensure_cfg(), scenario),
-        "verify-bmap": lambda: task_verify_bmap(ensure_cfg(), scenario),
-        "norm-suite": lambda: task_norm_suite(ensure_cfg(), scenario, rng),
-        "dual-suite": lambda: task_dual_suite(ensure_cfg(), scenario, rng),
-        "detect": lambda: task_detect(ensure_cfg(), scenario),
+        "build-config": lambda: task_build_config(ensure_cfg()),
+        "verify-bmap": lambda: task_verify_bmap(ensure_cfg()),
+        "norm-suite": lambda: task_norm_suite(ensure_cfg(), count, rng),
+        "dual-suite": lambda: task_dual_suite(ensure_cfg(), tuple_budget, grid),
+        "detect": lambda: task_detect(ensure_cfg(), operators),
         "sot-gallery": lambda: task_sot_gallery(space, scenario),
-        "bounded-suite": lambda: task_bounded_suite(space, group, scenario, rng),
+        "bounded-suite": lambda: task_bounded_suite(space, group, rng),
     }
     tasks = scenario.get("tasks", [])
     for task in tasks:
         if task not in table:
             raise InputError(f"unknown task {task!r}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {"seed": seed, "tasks": {}, "scenario": scenario}
+    # every field is read and checked here, before any report is written
+    C = float(scenario.get("C", 1.1))
+    try:
+        choose_parameters(C)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    depth = _integer(scenario.get("depth", 6), "depth", 2)
+    base_count = scenario.get("base_count")
+    if base_count is not None:
+        _integer(base_count, "base_count", depth)
+    count = _integer(scenario.get("norm_suite", {}).get("count", 50), "norm_suite count", 1)
+    dual = scenario.get("dual_suite", {})
+    tuple_budget = _integer(dual.get("tuples", 10), "dual_suite tuples", 1)
+    grid = _integer(dual.get("beta_grid", 5), "dual_suite beta_grid", 1)
     space = make_space(scenario["space"])
     group = make_group(scenario.get("group", {"builtin": "trivial"}), space)
+    operators = []
+    if "detect" in tasks:
+        for spec in scenario.get("detect", []):
+            op = make_operator(spec, space, group)
+            test_depth = _integer(spec.get("test_depth", 4), f"detect operator {op.label!r}: test_depth", 1)
+            operators.append((op, test_depth, spec.get("expect")))
 
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary = {"seed": seed, "tasks": {}, "scenario": scenario}
     exit_code = 0
     for task in tasks:
         try:
@@ -502,7 +514,7 @@ def eval_command(args) -> int:
         elif args.dual:
             ids = [p.strip() for p in args.dual[0].split(",")]
             beta = [float(b) for b in args.dual[1:]]
-            t = cfg.window_tuple(tuple(space.index(p) for p in ids), tol=0)
+            t = cfg.window_tuple(tuple(space.index(p) for p in ids))
             if t is None:
                 raise InputError(f"tuple {','.join(ids)} does not sit on a consecutive base "
                                  "window; eval accepts only tuples on a consecutive base window")
@@ -557,7 +569,6 @@ def main(argv=None) -> int:
     p_eval.add_argument("--depth", type=int, default=4)
     p_eval.add_argument("--C", type=float, default=1.1)
     p_eval.add_argument("--gamma-cap", dest="gamma_cap", type=int, default=None)
-    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out")
 
     args = parser.parse_args(argv)

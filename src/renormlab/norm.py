@@ -43,7 +43,6 @@ log = logging.getLogger(__name__)
 __all__ = [
     "TriangularSystem",
     "solve_unit",
-    "dual_decompose",
     "RenormConfig",
     "build_config",
     "TupleBudgetError",
@@ -141,36 +140,17 @@ def solve_unit(T: TriangularSystem, size: int | None = None) -> np.ndarray:
     return z
 
 
-def dual_decompose(beta: Sequence[float], T: TriangularSystem) -> tuple[np.ndarray, float]:
-    """Forward substitution expressing beta over the system rows.
-
-    Requires beta inside the [4/5, 6/5] window; returns the nonnegative
-    coefficients (all below 2) and the predicted dual norm beta . z0, which
-    equals the coefficient sum by the unit equation.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (T.size,):
-        raise ValueError("beta size mismatch")
-    if np.any(beta < 0.8 - _ZETA_MARGIN) or np.any(beta > 1.2 + _ZETA_MARGIN):
-        raise ValueError("beta outside the [4/5, 6/5] window; no guarantee applies")
-    s = T.size
-    alpha = np.zeros(s)
-    for k in range(s):
-        acc = beta[k] - float(alpha[:k] @ T.zeta[:k, k])
-        alpha[k] = acc / T.lambdas[k]
-        if not (-_ZETA_MARGIN <= alpha[k] < 2.0):
-            raise ValueError(f"decomposition out of range at index {k}: {alpha[k]}")
-    z0 = solve_unit(T)
-    return alpha, float(beta @ z0)
-
-
 # ----------------------------------------------------------------------
 # configuration: base points, orbit enumerations, tuple plans
 
 
+# the most window tuples a configuration may enumerate
+MAX_TUPLES = 2_000_000
+
+
 class TupleBudgetError(ValueError):
-    """The window tuples of a configuration exceed its max_tuples budget,
-    or its gamma_cap admits none."""
+    """The window tuples of a configuration exceed ``MAX_TUPLES``, or its
+    gamma_cap admits none."""
 
 
 @dataclass
@@ -274,11 +254,11 @@ class RenormConfig:
             for p in points
         ]
 
-    def window_tuple(self, points: Sequence[int], tol: float | None = None) -> TupleIndex | None:
-        """The window tuple the points occupy, read from each point's nearest
-        base-orbit slot within tol; None when a point has no slot or the
-        slots' base indices are not consecutive."""
-        slots = self.classify_slots(points, tol)
+    def window_tuple(self, points: Sequence[int]) -> TupleIndex | None:
+        """The window tuple the points occupy: each point must be a base-orbit
+        slot itself; None when a point is not one or the slots' base indices
+        are not consecutive."""
+        slots = self.classify_slots(points, 0)
         if any(s is None for s in slots):
             return None
         start = slots[0][0]
@@ -354,7 +334,6 @@ def build_config(
     depth: int = 6,
     gamma_cap: int | None = None,
     base_count: int | None = None,
-    max_tuples: int = 2_000_000,
 ) -> RenormConfig:
     """Select base points, enumerate orbits and window tuples, populate the
     class registry, and verify the weight-map properties at depth."""
@@ -388,10 +367,10 @@ def build_config(
         math.prod(int(r) for r in sizes[s - 1 : s + n])
         for n, last in last_start.items() for s in range(1, last + 1)
     )
-    if total > max_tuples:
+    if total > MAX_TUPLES:
         raise TupleBudgetError(
             f"tuple budget exceeded: depth {depth} with gamma_cap {gamma_cap} enumerates "
-            f"{total} window tuples, more than max_tuples {max_tuples}; lower depth or gamma_cap"
+            f"{total} window tuples, more than max_tuples {MAX_TUPLES}; lower depth or gamma_cap"
         )
 
     # orbit label g of base i (1-based) is the point flat[offset[i - 1] + g]
@@ -660,12 +639,11 @@ def build_matrix(t: TupleIndex, cfg: RenormConfig) -> TriangularSystem:
     return _build_system(t, cfg)[0]
 
 
-def dual_norm_delta(point: int, cfg: RenormConfig, tol: float | None = None) -> float:
+def dual_norm_delta(point: int, cfg: RenormConfig) -> float:
     """Dual norm of a unit atom: 1/lambda_i when the nearest base-orbit slot
-    within tol belongs to the i-th base point, 1 off every enumerated base
-    orbit."""
-    tol = cfg.space._resolution_tol if tol is None else tol
-    (hit,) = cfg.classify_slots((point,), tol)
+    within the space's resolution tolerance belongs to the i-th base point,
+    1 off every enumerated base orbit."""
+    (hit,) = cfg.classify_slots((point,), cfg.space._resolution_tol)
     return 1.0 if hit is None else float(cfg.inv_lam[hit[0] - 1])
 
 
@@ -694,6 +672,10 @@ def dual_norm_atoms(
 
 # ----------------------------------------------------------------------
 # witness bumps
+
+# the slack of a witness bump's cutoff, and of the lower bound it gives a
+# unit atom's dual norm
+WITNESS_EPS = 0.02
 
 
 @dataclass
@@ -762,7 +744,7 @@ def witness_function(spec: WitnessSpec, cfg: RenormConfig) -> tuple[np.ndarray, 
         sup_sets = [set(int(v) for v in s) for s in supports]
         for p in range(t.start, t.start + t.n):
             for q in range(1, t.start + t.n - p + 1):
-                for info in exceptional_classes(t, p, q, cfg.registry, cfg.bc):
+                for info in exceptional_classes(t, p, q, cfg.registry):
                     audit["r2_checked"] += 1
                     for pts in cfg.registry.word_maps[:, list(info.representative)].tolist():
                         if all(
@@ -783,17 +765,13 @@ def witness_function(spec: WitnessSpec, cfg: RenormConfig) -> tuple[np.ndarray, 
     return x, audit
 
 
-def witness_for_tuple(
-    t: TupleIndex,
-    cfg: RenormConfig,
-    values: Sequence[float],
-    eps: float = 0.05,
-) -> WitnessSpec:
+def witness_for_tuple(t: TupleIndex, cfg: RenormConfig, values: Sequence[float]) -> WitnessSpec:
     """Feasible witness spec for a window tuple: radii shrink to clear the
-    forbidden orbits and the other targets, floored at the resolution."""
+    forbidden orbits and the other targets, floored at the resolution; the
+    cutoff is ``find_cutoff`` at ``WITNESS_EPS``."""
     if len(values) != t.n + 1:
         raise ValueError("one value per slot required")
-    M = find_cutoff(cfg, t.start + t.n, eps)
+    M = find_cutoff(cfg, t.start + t.n, WITNESS_EPS)
     space = cfg.space
     radii = []
     for k, p in enumerate(t.points):

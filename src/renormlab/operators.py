@@ -37,7 +37,6 @@ __all__ = [
     "onepoint_swap_group",
     "check_sot_convergence",
     "check_local_equicontinuity",
-    "pointwise_implies_sot",
     "SOTVerdict",
     "ConditionReport",
     "EquicontinuityReport",
@@ -81,10 +80,6 @@ class WeightedComposition:
                 f"map round trip displaces {len(stray)} points beyond 2*resolution "
                 f"(first: {pid}); declare truncation-edge defects explicitly"
             )
-
-    @property
-    def is_weight_one(self) -> bool:
-        return bool(np.max(np.abs(self.weight - 1.0)) <= 1e-12)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
@@ -212,16 +207,16 @@ def _compose_forms(fh: dict | None, fg: dict | None) -> dict | None:
 # concrete operator constructors
 
 
-def identity(space: SampledSpace, label: str = "id") -> WeightedComposition:
+def identity(space: SampledSpace) -> WeightedComposition:
     idx = np.arange(space.n)
-    return WeightedComposition(space, np.ones(space.n), idx, idx, label=label,
+    return WeightedComposition(space, np.ones(space.n), idx, idx, label="id",
                                form={"kind": "identity"})
 
 
-def multiplication(space: SampledSpace, weight, label: str = "mult") -> WeightedComposition:
+def multiplication(space: SampledSpace, weight) -> WeightedComposition:
     w = np.full(space.n, float(weight)) if np.isscalar(weight) else np.asarray(weight, float)
     idx = np.arange(space.n)
-    return WeightedComposition(space, w, idx, idx, label=label)
+    return WeightedComposition(space, w, idx, idx, label="mult")
 
 
 def line_translation(space: SampledSpace, offset: float, label: str = "") -> WeightedComposition:
@@ -269,7 +264,7 @@ def circle_rotation(space: SampledSpace, angle: float | None = None,
     )
 
 
-def interval_flip(space: SampledSpace, label: str = "flip") -> WeightedComposition:
+def interval_flip(space: SampledSpace) -> WeightedComposition:
     """The involution ``s -> 1 - s`` on a [0, 1] grid (exact on uniform grids)."""
     aux = space.aux
     if aux.get("kind") != "line":
@@ -277,11 +272,10 @@ def interval_flip(space: SampledSpace, label: str = "flip") -> WeightedCompositi
     n = space.n
     idx = np.arange(n)
     fwd = (n - 1) - idx
-    return WeightedComposition(space, np.ones(n), fwd, fwd.copy(), label=label)
+    return WeightedComposition(space, np.ones(n), fwd, fwd.copy(), label="flip")
 
 
-def lift(op: WeightedComposition, prod: SampledSpace, side: str = "left",
-         label: str = "") -> WeightedComposition:
+def lift(op: WeightedComposition, prod: SampledSpace, side: str = "left") -> WeightedComposition:
     """Lift an operator on a factor to a product space, acting trivially on
     the other factor: ``psi(k, l) = (phi(k), l)`` for a left lift."""
     aux = prod.aux
@@ -304,7 +298,7 @@ def lift(op: WeightedComposition, prod: SampledSpace, side: str = "left",
         w = np.tile(op.weight, na)
     else:
         raise ValueError("side must be 'left' or 'right'")
-    return WeightedComposition(prod, w, fwd, bwd, label=label or f"{op.label}@{side}")
+    return WeightedComposition(prod, w, fwd, bwd, label=f"{op.label}@{side}")
 
 
 def remark25_map(space: SampledSpace, n: int) -> WeightedComposition:
@@ -376,10 +370,8 @@ def onepoint_swap(space: SampledSpace, n: int) -> WeightedComposition:
     return WeightedComposition(space, w, fwd, fwd.copy(), label=f"g_{n}")
 
 
-def remark25_sequence(space: SampledSpace, count: int | None = None) -> list[WeightedComposition]:
-    n_max = space.aux["n_max"]
-    count = count or n_max
-    return [remark25_map(space, n) for n in range(1, min(count, n_max) + 1)]
+def remark25_sequence(space: SampledSpace) -> list[WeightedComposition]:
+    return [remark25_map(space, n) for n in range(1, space.aux["n_max"] + 1)]
 
 
 def onepoint_swap_group(space: SampledSpace, word_cap: int = 2,
@@ -511,7 +503,7 @@ class GroupSpec:
         self.generators = tuple(gens)
         self._table: _WordRows | None = None
         self._counts: list[int] = []  # [c]: rows of the words of length <= c
-        self._words: list[list[WeightedComposition]] | None = None  # [c]: length <= c
+        self._words: list[WeightedComposition] | None = None
 
     @property
     def space(self) -> SampledSpace:
@@ -520,8 +512,8 @@ class GroupSpec:
         return self.generators[0].space
 
     @classmethod
-    def trivial(cls, space: SampledSpace, word_cap: int = 1) -> "GroupSpec":
-        return cls((identity(space),), word_cap=word_cap, closure_tag=True, label="trivial")
+    def trivial(cls, space: SampledSpace) -> "GroupSpec":
+        return cls((identity(space),), word_cap=1, closure_tag=True, label="trivial")
 
     def _cap(self, cap: int | None) -> int:
         """The checked cap; the word table is built on first use, breadth
@@ -544,31 +536,31 @@ class GroupSpec:
             self._table, self._counts = _WordRows.concat(levels), counts
         return cap
 
-    def words(self, cap: int | None = None) -> list[WeightedComposition]:
-        """All distinct words of length <= cap (at most ``word_cap``),
-        breadth first, identity first.
+    def words(self) -> list[WeightedComposition]:
+        """All distinct words of length <= ``word_cap``, breadth first,
+        identity first.
 
         Deduplication is by (forward map, rounded weight), so the list is a
         deterministic enumeration of the sampled subgroup.  The words are
         enumerated once, as the rows of ``word_table``; their operator
-        objects are built on the first call, each cap's list is a prefix of
-        the full one, and repeat calls return the same list object.
+        objects are built on the first call, and repeat calls return the
+        same list object.
         """
-        cap = self._cap(cap)
+        self._cap(None)
         if self._words is None:
             t = self._table
             # the objects share one copy of the table, not the table itself;
             # each row's defects were measured and declared as it was built
             fwd, wt, bwd = t.forward.copy(), t.weight.copy(), t.backward.copy()
-            full = [WeightedComposition(self.space, wt[r], fwd[r], bwd[r], label=label, form=form,
-                                        allowed_defects=allowed, measured_defects=allowed)
-                    for r, (label, form, allowed) in enumerate(zip(t.labels, t.forms, t.allowed))]
-            self._words = [full[:count] for count in self._counts[:-1]] + [full]
-        return self._words[cap]
+            self._words = [WeightedComposition(self.space, wt[r], fwd[r], bwd[r], label=label, form=form,
+                                               allowed_defects=allowed, measured_defects=allowed)
+                           for r, (label, form, allowed) in enumerate(zip(t.labels, t.forms, t.allowed))]
+        return self._words
 
     def word_table(self, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Point maps and weights of ``words(cap)`` as ``(W, n)`` arrays,
-        row w for word w: prefix views of the one table."""
+        """Point maps and weights of the words of length <= cap (at most
+        ``word_cap``) as ``(W, n)`` arrays, row w for word w: prefix views
+        of the one table."""
         cap = self._cap(cap)
         count = self._counts[cap]
         return self._table.forward[:count], self._table.weight[:count]
@@ -808,44 +800,3 @@ def check_local_equicontinuity(
         if best_delta < min_grid_delta - slack and witness is not None:
             witnesses.append((eps, witness))
     return EquicontinuityReport(table=table, witnesses=witnesses, grid=grid)
-
-
-def pointwise_implies_sot(
-    group: GroupSpec,
-    seq: Sequence[WeightedComposition],
-    limit: WeightedComposition,
-    eps: float = 1e-2,
-    moduli_grid: Sequence[float] = (0.5, 0.25, 0.1),
-) -> dict:
-    """Check that pointwise convergence of the maps and SOT convergence agree,
-    under the local-equicontinuity hypothesis on the group family.
-
-    Raises when the hypothesis fails, naming the witness: the equivalence is
-    exactly what breaks without it.
-    """
-    space = group.space
-    forward = group.word_table()[0]
-    for K in space.exhaustion:
-        eq = check_local_equicontinuity(forward, K, moduli_grid, space)
-        if eq.witnesses:
-            _, (mi, s, t) = eq.witnesses[0]
-            raise ValueError(
-                f"group family not locally equicontinuous on {K.label or 'K'}: "
-                f"word {mi} separates {s} and {t}"
-            )
-    horizon = len(seq)
-    viol = []
-    for n0, g in enumerate(seq, start=1):
-        gap = space.dmat[g.forward, limit.forward].max()
-        if gap > eps:
-            viol.append(n0)
-    pw_threshold = _tail_threshold(viol, horizon)
-    pointwise = pw_threshold is not None
-    sot = check_sot_convergence(seq, limit, list(space.exhaustion), eps)
-    return {
-        "pointwise": pointwise,
-        "pointwise_threshold": pw_threshold,
-        "sot": sot.converges,
-        "equivalence_held": pointwise == sot.converges,
-        "sot_verdict": sot,
-    }

@@ -24,9 +24,7 @@ __all__ = [
     "orbit_closure",
     "equivalent",
     "equivalent_report",
-    "nowhere_dense_check",
     "select_dense_points",
-    "tuple_distance",
 ]
 
 
@@ -46,15 +44,8 @@ class OrbitClosure:
         return len(self.samples)
 
 
-def tuple_distance(space: SampledSpace, s: Sequence[int], t: Sequence[int]) -> float:
-    """Max metric on tuples of sample indices."""
-    if len(s) != len(t):
-        raise ValueError("length mismatch")
-    return max(float(space.dmat[a, b]) for a, b in zip(s, t))
-
-
-def orbit_closure(group: GroupSpec, t: Sequence[int], cap: int | None = None) -> OrbitClosure:
-    """All images of the tuple under words of length <= cap, deduplicated
+def orbit_closure(group: GroupSpec, t: Sequence[int]) -> OrbitClosure:
+    """All images of the tuple under the group's words, deduplicated
     strictly below the 2*resolution scale, sorted for deterministic merging.
 
     Images are taken in word order and an image is dropped when it lies
@@ -64,7 +55,7 @@ def orbit_closure(group: GroupSpec, t: Sequence[int], cap: int | None = None) ->
     space = group.space
     base = tuple(int(i) for i in t)
     tol = 2 * space.resolution * (1 - 1e-9)  # keep spacing-separated images distinct
-    images = group.word_table(cap)[0][:, base]  # (W, k), row w is word w's image
+    images = group.word_table()[0][:, base]  # (W, k), row w is word w's image
     distinct = np.array(list(dict.fromkeys(map(tuple, images.tolist()))), dtype=np.intp)
     keep = np.zeros(len(distinct), dtype=bool)
     keep[0] = True
@@ -74,7 +65,7 @@ def orbit_closure(group: GroupSpec, t: Sequence[int], cap: int | None = None) ->
     return OrbitClosure(
         base=base,
         samples=tuple(sorted({*map(tuple, distinct[keep].tolist()), base})),
-        word_cap=cap if cap is not None else group.word_cap,
+        word_cap=group.word_cap,
         window_clipped=not defects.isdisjoint(distinct.ravel().tolist()),
     )
 
@@ -125,34 +116,6 @@ def equivalent(s: Sequence[int], t: Sequence[int], group: GroupSpec) -> bool:
     resolution of s in the max metric (the one-sided membership test of
     :func:`equivalent_report`)."""
     return equivalent_report(s, t, group)["equivalent"]
-
-
-def nowhere_dense_check(
-    orbit: OrbitClosure,
-    space: SampledSpace,
-    probe_radius: float,
-) -> dict:
-    """For every sampled ball of ``probe_radius``, verify the ball is not
-    covered by the orbit sample fattened by the resolution.
-
-    Only single-point orbits are probed (the hypothesis under test lives on
-    the space itself, which may be a product).
-    """
-    if any(len(s) != 1 for s in orbit.samples):
-        raise ValueError("nowhere_dense_check probes orbits of single points")
-    orb = np.asarray(sorted({s[0] for s in orbit.samples}), dtype=np.intp)
-    near_orbit = space.dmat[:, orb].min(axis=1) <= space.resolution + 1e-15
-    in_ball = space.dmat <= probe_radius + 1e-15
-    uncovered = in_ball & ~near_orbit[None, :]
-    ball_covered = ~uncovered.any(axis=1)
-    if ball_covered.any():
-        witness = int(np.nonzero(ball_covered)[0][0])
-        return {
-            "nowhere_dense": False,
-            "witness_center": space.points[witness],
-            "probe_radius": probe_radius,
-        }
-    return {"nowhere_dense": True, "witness_center": None, "probe_radius": probe_radius}
 
 
 def select_dense_points(

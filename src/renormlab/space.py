@@ -23,7 +23,6 @@ __all__ = [
     "CompactSet",
     "SampledSpace",
     "builtin_space",
-    "fatten",
     "product",
     "validate_metric",
     "BUILTIN_NAMES",
@@ -198,25 +197,6 @@ def _symmetric(d: np.ndarray, atol: float) -> bool:
     """``np.allclose(d, d.T, atol=atol)``, tile by tile, with no n^2
     temporary."""
     return all(_tiles_close(a, b, atol) for a, b, _ in _mirror_tiles(d))
-
-
-def fatten(space: SampledSpace, K: CompactSet, delta: float) -> tuple[CompactSet, bool]:
-    """Return ``{t : d(t, K) <= delta}`` and a containment flag.
-
-    The flag reports whether the fattening stayed inside the top exhaustion
-    element, the sample-scale proxy for compactness.  With a covering
-    exhaustion the flag is trivially true; it turns informative only for
-    spaces whose declared exhaustion is a strict filtration of the window.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if len(K.members) == 0:
-        raise ValueError("empty compact set")
-    dist_to_K = space.dmat[:, K.as_array()].min(axis=1)
-    members = np.nonzero(dist_to_K <= delta + 1e-15)[0]
-    fat = space.compact(members, label=f"{K.label or 'K'}+{delta:g}")
-    inside_top = set(fat.members) <= set(space.top_exhaustion.members)
-    return fat, inside_top
 
 
 def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> SampledSpace:

@@ -31,7 +31,6 @@ __all__ = [
     "TupleIndex",
     "ClassRegistry",
     "ClassInfo",
-    "b_value",
     "verify_bmap",
     "exceptional_classes",
     "enumeration_tail",
@@ -181,10 +180,6 @@ class TupleIndex:
     def window(self) -> Window:
         return window_of(self.start, self.n)
 
-    def prefix(self, k: int) -> "TupleIndex":
-        """The restriction to slots 0..k."""
-        return TupleIndex(self.start, self.gammas[: k + 1], self.points[: k + 1])
-
     def segment(self, a: int, b: int) -> "TupleIndex":
         """The restriction to slots a..b (start index shifts accordingly)."""
         return TupleIndex(self.start + a, self.gammas[a : b + 1], self.points[a : b + 1])
@@ -285,23 +280,18 @@ class ClassRegistry:
                 out.append((m, info))
         return out
 
-    def to_records(self, points: Sequence[str] | None = None) -> list[dict]:
+    def to_records(self, points: Sequence[str]) -> list[dict]:
+        """One record per class, its representative as the given point ids."""
         recs = []
         for m, info in self.all_classes():
-            rep = list(info.representative)
             recs.append({
                 "m": m,
                 "ordinal": info.ordinal,
-                "representative": [points[i] for i in rep] if points else rep,
+                "representative": [points[i] for i in info.representative],
                 "exponent": str(info.exponent),
                 "attained": info.attained,
             })
         return recs
-
-
-def b_value(t: TupleIndex, registry: ClassRegistry) -> Fraction:
-    """Exponent of the class weight b = L^k for the tuple's orbit class."""
-    return registry.classify(t.start, t.points).exponent
 
 
 def enumeration_tail(bc: BCAssignment, beyond_m: int) -> float:
@@ -425,22 +415,9 @@ def verify_bmap(
     return report
 
 
-def exceptional_classes(
-    t: TupleIndex,
-    p: int,
-    q: int,
-    registry: ClassRegistry,
-    bc: BCAssignment,
-    eps: float | None = None,
-) -> list[ClassInfo]:
+def exceptional_classes(t: TupleIndex, p: int, q: int, registry: ClassRegistry) -> list[ClassInfo]:
     """Registered classes over the window (p, ..., p+q) whose weight
-    undercuts the weight of t's matching sub-tuple.
-
-    Without eps this is the plain comparison b(class) < b(sub-tuple).  With
-    eps, the full-window case (p, q) = (start, n) switches to the threshold
-    b(class) < L^c(t) / (1 + eps); the overlapping index ranges in the two
-    defining bullets are resolved by letting the full-window clause win.
-    """
+    undercuts the weight of t's matching sub-tuple: b(class) < b(sub-tuple)."""
     i, n = t.start, t.n
     if not (i <= p and p + q <= i + n and q >= 1):
         raise ValueError("exceptional window out of range")
@@ -448,17 +425,4 @@ def exceptional_classes(
         raise ValueError("exceptional window must start before the tuple end")
     sub = t.segment(p - i, p - i + q)
     sub_info = registry.classify(sub.start, sub.points)
-    w = window_of(p, q)
-    out = []
-    full_window = (p == i and q == n)
-    if eps is not None and full_window:
-        cutoff = Fraction(c_value(t.window))
-        log_shift = math.log1p(eps) / math.log(bc.L)
-        for info in registry.classes_for_window(w):
-            if float(info.exponent) < float(cutoff) - log_shift:
-                out.append(info)
-        return out
-    for info in registry.classes_for_window(w):
-        if info.exponent < sub_info.exponent:
-            out.append(info)
-    return out
+    return [info for info in registry.classes_for_window(window_of(p, q)) if info.exponent < sub_info.exponent]

@@ -240,8 +240,11 @@ def _certify_per_depth(T, cfg, test_depth=4):
         img = tuple(int(T.forward[p]) for p in t.points)
         img_ids = tuple(space.points[p] for p in img)
         t_ids = tuple(space.points[p] for p in t.points)
-        ti = cfg.window_tuple(img)
         slots = cfg.classify_slots(img)
+        # the window the image occupies, read from slots within 2 * resolution
+        on_window = (all(s is not None for s in slots)
+                     and [s[0] for s in slots] == list(range(slots[0][0], slots[0][0] + len(slots))))
+        ti = TupleIndex(slots[0][0], tuple(s[1] for s in slots), img) if on_window else None
         if ti is not None and ti.start == 1:
             info_t = cfg.registry.classify(t.start, t.points)
             info_s = cfg.registry.classify(ti.start, ti.points)
@@ -333,7 +336,7 @@ def test_one_system_per_side_matches_per_depth_certify(name, request, fork):
             old, new = fork(cfg), fork(cfg)
             expected = _certify_per_depth(T, old, depth)
             assert certify(T, new, test_depth=depth) == expected, (T.label, depth)
-            assert new.registry.to_records() == old.registry.to_records(), (T.label, depth)
+            assert new.registry.all_classes() == old.registry.all_classes(), (T.label, depth)
             outcomes |= {c.outcome for c in expected.orbit_checks}
     if name == "product_cfg":
         assert outcomes == {"same-class", "class-mismatch", "window-mismatch", "off-orbit"}
@@ -346,8 +349,8 @@ def test_shifted_tuple_registers_new_classes_on_both_sides(product_cfg, fork):
     shift = next(T for T in _certify_cases(cfg) if T.label == "shift")
     verdict = certify(shift, cfg, test_depth=6)
     assert [c.outcome for c in verdict.orbit_checks] == ["window-mismatch"] * 5
-    old = {(r["m"], r["ordinal"]) for r in product_cfg.registry.to_records()}
-    new = [r["m"] for r in cfg.registry.to_records() if (r["m"], r["ordinal"]) not in old]
+    old = {(m, info.ordinal) for m, info in product_cfg.registry.all_classes()}
+    new = [m for m, info in cfg.registry.all_classes() if (m, info.ordinal) not in old]
     assert any(new.count(m) == 2 for m in new)
 
 

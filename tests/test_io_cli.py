@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import renormlab as rl
 from renormlab import io as rio
-from renormlab import cli
+from renormlab import cli, norm
 from renormlab.cli import InputError, main, run
 from renormlab.norm import TupleBudgetError
 from renormlab.operators import line_translation, onepoint_swap_group
@@ -234,12 +234,15 @@ def test_run_over_budget_scenario_exits_2_before_building(tmp_path, capsys):
     assert not list((tmp_path / "out").glob("*.json"))
 
 
-def test_tuple_budget_counts_every_plan_row(product_space, rotation_group):
+def test_tuple_budget_counts_every_plan_row(product_space, rotation_group, monkeypatch):
     cfg = rl.build_config(product_space, rotation_group, C=1.1, depth=3, gamma_cap=4)
     total = sum(plan.count for plan in cfg.plans)
-    rl.build_config(product_space, rotation_group, C=1.1, depth=3, gamma_cap=4, max_tuples=total)
-    with pytest.raises(TupleBudgetError, match=f"gamma_cap 4 enumerates {total} window tuples"):
-        rl.build_config(product_space, rotation_group, C=1.1, depth=3, gamma_cap=4, max_tuples=total - 1)
+    monkeypatch.setattr(norm, "MAX_TUPLES", total)
+    rl.build_config(product_space, rotation_group, C=1.1, depth=3, gamma_cap=4)
+    monkeypatch.setattr(norm, "MAX_TUPLES", total - 1)
+    with pytest.raises(TupleBudgetError, match=f"gamma_cap 4 enumerates {total} window tuples, "
+                                               f"more than max_tuples {total - 1}"):
+        rl.build_config(product_space, rotation_group, C=1.1, depth=3, gamma_cap=4)
 
 
 @pytest.mark.parametrize("gamma_cap", [0, -1, 1.5, True, "3"])
@@ -300,6 +303,28 @@ def test_bad_beta_grid_exits_2(tmp_path, capsys, bad):
     path.write_text(json.dumps(scenario))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"dual_suite beta_grid must be an integer >= 1, got {bad!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("norm_suite", {"count": -5}, "norm_suite count must be an integer >= 1, got -5"),
+    ("dual_suite", {"tuples": -3}, "dual_suite tuples must be an integer >= 1, got -3"),
+    ("depth", 4.7, "depth must be an integer >= 2, got 4.7"),
+    ("depth", 1, "depth must be an integer >= 2, got 1"),
+    ("C", 2.0, "C must lie in (1, 1.1], got 2.0"),
+    ("base_count", 0, "base_count must be an integer >= 4, got 0"),
+])
+def test_bad_scenario_field_exits_2_before_any_report(tmp_path, capsys, field, bad, message):
+    scenario = {
+        "space": {"builtin": "line", "params": {"step": 0.25, "window": [-2, 2]}},
+        "depth": 4,
+        "tasks": ["build-config", "norm-suite", "dual-suite"],
+        field: bad,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.json"))
 
 
 def test_run_builds_a_failing_config_once(tmp_path, monkeypatch):

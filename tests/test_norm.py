@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import renormlab as rl
 from renormlab.norm import (
+    WITNESS_EPS,
     NormResult,
     TriangularSystem,
     _last_slot_weights,
     build_matrix,
-    dual_decompose,
     dual_norm_atoms,
     dual_norm_delta,
     find_cutoff,
@@ -71,31 +71,6 @@ def test_solve_unit_residual():
     assert np.max(np.abs(T.matrix() @ z - 1.0)) <= 1e-12
 
 
-def test_dual_decompose_oracle():
-    # frozen by direct forward substitution
-    al0 = 1 / 1.05
-    al1 = (1 - al0 / 81) / 1.025
-    T = TriangularSystem(lambdas=[1.05, 1.025], zeta=[[0, 1 / 81], [0, 0]])
-    alpha, norm = dual_decompose([1.0, 1.0], T)
-    assert alpha[0] == pytest.approx(al0, abs=1e-15)
-    assert alpha[1] == pytest.approx(al1, abs=1e-15)
-    assert alpha[1] == pytest.approx(0.9641387419165198, abs=1e-12)
-    assert norm == pytest.approx(alpha.sum(), abs=1e-12)
-
-
-def test_dual_decompose_diagonal_is_scaled_beta():
-    T = TriangularSystem(lambdas=[1.08, 1.04, 1.01], zeta=np.zeros((3, 3)))
-    beta = np.array([0.9, 1.0, 1.1])
-    alpha, _ = dual_decompose(beta, T)
-    assert np.allclose(alpha, beta / np.array([1.08, 1.04, 1.01]))
-
-
-def test_dual_decompose_window_enforced():
-    T = TriangularSystem(lambdas=[1.05], zeta=np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="window"):
-        dual_decompose([0.5], T)
-
-
 def test_triangular_hypothesis_bounds():
     with pytest.raises(ValueError, match="zeta bound violation"):
         TriangularSystem(lambdas=[1.05, 1.02], zeta=[[0, 0.5], [0, 0]])
@@ -118,10 +93,6 @@ def test_solve_unit_bounds_property(n, seed):
     T = _random_system(np.random.default_rng(seed), n)
     z = solve_unit(T)
     assert np.all(z >= 0.8) and np.all(z <= 1.0 + 1e-12)
-    beta = np.random.default_rng(seed + 1).uniform(0.8, 1.2, size=n)
-    alpha, norm = dual_decompose(beta, T)
-    assert np.all(alpha >= 0) and np.all(alpha < 2)
-    assert abs(float(beta @ z) - float(alpha.sum())) <= 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +491,7 @@ def test_triple_norm_unit_witness(line_cfg):
 def test_witness_function_norm_close_to_quotient_formula(line_cfg):
     t = line_cfg.base_tuple(2, 2)
     a = solve_unit(build_matrix(t, line_cfg))
-    spec = witness_for_tuple(t, line_cfg, a, eps=0.05)
+    spec = witness_for_tuple(t, line_cfg, a)
     x, audit = witness_function(spec, line_cfg)
     for k, p in enumerate(t.points):
         assert x[p] == pytest.approx(a[k])
@@ -535,7 +506,7 @@ def test_witness_on_product_checks_exceptional_orbits(product_cfg):
     t = product_cfg.tuple_index(1, (0, 3))
     assert product_cfg.registry.classify(1, t.points).ordinal > 1
     a = solve_unit(build_matrix(t, product_cfg))
-    spec = witness_for_tuple(t, product_cfg, a, eps=0.05)
+    spec = witness_for_tuple(t, product_cfg, a)
     x, audit = witness_function(spec, product_cfg)
     assert audit["r2_checked"] > 0
     assert triple_norm(x, product_cfg).value <= 1.05 + 1e-12
@@ -584,11 +555,11 @@ def test_dual_norm_delta_numeric_cross_check(line_cfg):
     # bump maximization gives a lower-bound ratio within 2 percent
     i = 3
     t = line_cfg.base_tuple(i, 1)
-    spec = witness_for_tuple(t, line_cfg, (1 / line_cfg.lam(i), 1 / line_cfg.lam(i + 1)), eps=0.02)
+    spec = witness_for_tuple(t, line_cfg, (1 / line_cfg.lam(i), 1 / line_cfg.lam(i + 1)))
     x, _ = witness_function(spec, line_cfg)
     value = triple_norm(x, line_cfg).value
     ratio = x[t.points[0]] / value
-    assert ratio >= (1 - 0.02) * dual_norm_delta(t.points[0], line_cfg)
+    assert ratio >= (1 - WITNESS_EPS) * dual_norm_delta(t.points[0], line_cfg)
 
 
 # the per-orbit searches that the base-orbit slot table replaced, kept as
@@ -649,9 +620,9 @@ def test_slot_table_matches_orbit_search(name, request):
         assert cfg.classify_slots(points, tol) == [
             _classify_slots_oracle(cfg, lookup, p, tol) for p in points
         ]
-        assert [dual_norm_delta(p, cfg, tol) for p in points] == [
-            _dual_norm_delta_oracle(cfg, lookup, p, tol) for p in points
-        ]
+    assert [dual_norm_delta(p, cfg) for p in points] == [
+        _dual_norm_delta_oracle(cfg, lookup, p, cfg.space._resolution_tol) for p in points
+    ]
     dist = cfg.space.dmat[:, sorted(lookup)].min(axis=1)
     assert cfg.coverage_defect == float(dist.max())
 
@@ -695,7 +666,7 @@ def test_dual_norm_atoms_invariance_exact(product_cfg):
     t = product_cfg.base_tuple(1, 1)
     beta = np.array([0.9, 0.95])
     v_t, fp_t = dual_norm_atoms(t, beta, product_cfg)
-    moved = product_cfg.window_tuple(tuple(int(g.forward[p]) for p in t.points), tol=0)
+    moved = product_cfg.window_tuple(tuple(int(g.forward[p]) for p in t.points))
     v_s, fp_s = dual_norm_atoms(moved, beta, product_cfg)
     assert v_s == v_t
     assert np.array_equal(fp_s, fp_t)
@@ -829,17 +800,17 @@ def test_batched_build_matches_per_segment_classify(name, data, request, fork):
         assert a.lambdas.tobytes() == b.lambdas.tobytes()
         assert a.zeta.tobytes() == b.zeta.tobytes()
         assert a.label == b.label
-    assert old.registry.to_records() == new.registry.to_records()
+    assert old.registry.to_records(cfg.space.points) == new.registry.to_records(cfg.space.points)
 
 
 def test_dual_norm_atoms_rejects_beta_length_before_registering(product_cfg, fork):
     cfg = fork(product_cfg)
     t = cfg.base_tuple(1, cfg.depth)
-    before = cfg.registry.to_records()
+    before = cfg.registry.to_records(cfg.space.points)
     for beta in ([0.9] * cfg.depth, [0.9] * (cfg.depth + 2), [[0.9] * (cfg.depth + 1)]):
         with pytest.raises(ValueError, match="^beta length mismatch$"):
             dual_norm_atoms(t, beta, cfg)
-    assert cfg.registry.to_records() == before
+    assert cfg.registry.to_records(cfg.space.points) == before
     dual_norm_atoms(t, [0.9] * (cfg.depth + 1), cfg)
     assert len(cfg.registry.all_classes()) == len(before) + 3
 
@@ -982,7 +953,7 @@ def test_level_plans_match_window_by_window_build(name, request):
                           gamma_cap=shared.gamma_cap)
     base, registry, plans = _build_window_by_window(cfg.space, cfg.group, cfg.bc.C, cfg.depth, cfg.gamma_cap)
     assert base == cfg.base_points
-    assert registry.to_records() == cfg.registry.to_records()
+    assert registry.to_records(cfg.space.points) == cfg.registry.to_records(cfg.space.points)
     assert ([(m, i.ordinal, i.exponent, i.attained) for m, i in registry.all_classes()]
             == [(m, i.ordinal, i.exponent, i.attained) for m, i in cfg.registry.all_classes()])
     assert [p[0] for p in plans] == [p.n for p in cfg.plans]
@@ -998,7 +969,7 @@ def test_last_slot_classes_follow_sorted_rows_per_window():
     starts = np.array([1, 2, 2, 2])
     idx = np.array([[0, 1], [0, 2], [0, 1], [0, 2]])
     weights = _last_slot_weights(registry, bc, starts, idx)
-    assert [(r["m"], r["ordinal"], r["representative"]) for r in registry.to_records()] == [
+    assert [(r["m"], r["ordinal"], r["representative"]) for r in registry.to_records(range(6))] == [
         (1, 1, [0, 1]), (2, 1, [0, 1]), (2, 2, [0, 2])]
     assert weights.tolist() == [bc.inv_L_pow(registry.classify(int(s), row).exponent)
                                 for s, row in zip(starts, idx.tolist())]

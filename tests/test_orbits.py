@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import renormlab as rl
@@ -5,10 +6,8 @@ from renormlab.operators import circle_rotation
 from renormlab.orbits import (
     equivalent,
     equivalent_report,
-    nowhere_dense_check,
     orbit_closure,
     select_dense_points,
-    tuple_distance,
 )
 
 
@@ -83,26 +82,32 @@ def test_selected_base_points_inequivalent(line_cfg):
             )
 
 
+def _covered_ball(orbit, space, probe_radius):
+    """The first point whose ball of probe_radius the single-point orbit
+    sample, fattened by the resolution, covers; None when the orbit is
+    nowhere dense at that scale."""
+    orb = sorted({s[0] for s in orbit.samples})
+    near_orbit = space.dmat[:, orb].min(axis=1) <= space.resolution + 1e-15
+    covered = ~((space.dmat <= probe_radius + 1e-15) & ~near_orbit).any(axis=1)
+    return space.points[int(np.argmax(covered))] if covered.any() else None
+
+
 def test_nowhere_dense_trivial_singleton(line_space):
     G = rl.GroupSpec.trivial(line_space)
     orb = orbit_closure(G, (1000,))
-    verdict = nowhere_dense_check(orb, line_space, probe_radius=0.1)
-    assert verdict["nowhere_dense"]
+    assert _covered_ball(orb, line_space, 0.1) is None
 
 
 def test_nowhere_dense_fails_for_snapped_irrational_rotation():
     circ = rl.builtin_space("circle", count=48)
     G = rl.GroupSpec((circle_rotation(circ, angle=1.0),), word_cap=400)
     orb = orbit_closure(G, (0,))
-    verdict = nowhere_dense_check(orb, circ, probe_radius=0.2)
-    assert not verdict["nowhere_dense"]
-    assert verdict["witness_center"] is not None
+    assert _covered_ball(orb, circ, 0.2) is not None
 
 
 def test_nowhere_dense_product_rotation(product_space, rotation_group):
     orb = orbit_closure(rotation_group, (0,))
-    verdict = nowhere_dense_check(orb, product_space, probe_radius=0.2)
-    assert verdict["nowhere_dense"]
+    assert _covered_ball(orb, product_space, 0.2) is None
 
 
 def test_select_trivial_group_takes_enumeration(line_space):
@@ -157,11 +162,3 @@ def test_orbit_closure_invariant_under_generator(product_space, rotation_group):
     orb2 = orbit_closure(rotation_group, moved)
     assert orb1.samples == orb2.samples
 
-
-def test_tuple_distance_max_metric(product_space):
-    assert tuple_distance(product_space, (0, 1), (0, 1)) == 0.0
-    d1 = product_space.d(0, 17)
-    d2 = product_space.d(1, 30)
-    assert tuple_distance(product_space, (0, 1), (17, 30)) == pytest.approx(max(d1, d2))
-    with pytest.raises(ValueError, match="length mismatch"):
-        tuple_distance(product_space, (0,), (1, 2))

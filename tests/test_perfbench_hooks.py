@@ -1,7 +1,9 @@
 """The library names that the traced benchmark (perfbench/spans.py) wraps
-and reads must keep existing, so that a refactor which breaks the traced
-benchmark fails here first."""
+and reads, and that the benchmark worker (perfbench/worker.py) calls, must
+keep existing, so that a refactor which breaks the benchmark fails here
+first."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -10,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import renormlab
-from renormlab import norm
+from renormlab import cli, detector, norm
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+WORKER_PY = SPANS_PY.with_name("worker.py")
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +48,18 @@ def test_tracer_install_and_uninstall_leave_no_wrapper(spans):
         tracer.uninstall()
     assert spans.leftover_wrappers() == []
     assert {name: getattr(renormlab, name) for name in before} == before
+
+
+def test_every_library_name_the_worker_reads_resolves():
+    # read from the source: importing the worker would import the tracer
+    # and the workload documents with it
+    modules = {"cli": cli, "detector": detector, "norm": norm}
+    read = {(node.value.id, node.attr) for node in ast.walk(ast.parse(WORKER_PY.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert {mod for mod, _ in read} == set(modules)
+    missing = sorted(f"{mod}.{attr}" for mod, attr in read if not hasattr(modules[mod], attr))
+    assert missing == []
 
 
 def test_window_plan_keeps_the_fields_the_observers_read():

@@ -16,62 +16,9 @@ from renormlab.space import (
     _remark25_coords,
     _symmetric,
     builtin_space,
-    fatten,
     product,
     validate_metric,
 )
-
-
-def grid_fatten_oracle(coords, K_coords, delta):
-    """Direct set comprehension over the grid."""
-    return {i for i, c in enumerate(coords)
-            if min(abs(c - k) for k in K_coords) <= delta + 1e-12}
-
-
-def test_fatten_grid_matches_comprehension():
-    sp = builtin_space("line", step=0.01, window=(0, 3))
-    coords = sp.aux["coords"]
-    K = sp.compact([i for i, c in enumerate(coords) if c <= 1.0 + 1e-12], "unit")
-    fat, inside_top = fatten(sp, K, 0.1)
-    expected = grid_fatten_oracle(coords, [coords[i] for i in K.members], 0.1)
-    assert set(fat.members) == expected
-    assert coords[max(fat.members)] == pytest.approx(1.1)
-    assert inside_top
-
-
-def test_fatten_contains_K_and_zero_radius_is_identity():
-    sp = builtin_space("line", step=0.1, window=(0, 2))
-    K = sp.compact(range(3, 8), "K")
-    for delta in (0.05, 0.1, 0.5, 1.0):
-        fat, _ = fatten(sp, K, delta)
-        assert set(K.members) <= set(fat.members)
-    # radius below the grid step returns K itself
-    tiny, _ = fatten(sp, K, 0.04)
-    assert set(tiny.members) == set(K.members)
-
-
-def test_fatten_monotone_in_delta_and_K():
-    sp = builtin_space("line", step=0.1, window=(0, 2))
-    K_small = sp.compact(range(4, 6), "s")
-    K_big = sp.compact(range(3, 9), "b")
-    prev = set()
-    for delta in np.arange(0.05, 1.0, 0.05):
-        cur = set(fatten(sp, K_small, float(delta))[0].members)
-        assert prev <= cur
-        prev = cur
-        assert cur <= set(fatten(sp, K_big, float(delta))[0].members)
-
-
-def test_fatten_remark25_column_tail():
-    sp = builtin_space("remark25", n_max=8)
-    ids = [f"(0,{i})" for i in range(3, 9)] + ["(0,inf)"]
-    K = sp.compact([sp.index(p) for p in ids], "tail")
-    fat, _ = fatten(sp, K, 0.2)
-    # d((0,x),(0,y)) = 2^-min: points with x <= 2 sit at distance >= 0.25,
-    # every (i,j) at distance 1, so the fattening is K itself
-    assert set(fat.members) == set(K.members)
-    fat2, _ = fatten(sp, K, 0.25)
-    assert set(fat2.members) == set(K.members) | {sp.index("(0,2)")}
 
 
 def test_fatten_rejects_empty():

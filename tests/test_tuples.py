@@ -12,7 +12,6 @@ from renormlab.tuples import (
     ClassRegistry,
     TupleIndex,
     Window,
-    b_value,
     c_value,
     choose_parameters,
     enumerate_window,
@@ -219,7 +218,7 @@ def test_b_value_property5_spot():
     # window (2,3,4): m = 5, c = 15, so every exponent is >= 14 >= 3*4 - 4
     reg = ClassRegistry([np.arange(10)])
     t = TupleIndex(2, (0, 0, 0), (4, 5, 6))
-    k = b_value(t, reg)
+    k = reg.classify(t.start, t.points).exponent
     assert k >= 3 * 4 - 4
     assert k == Fraction(14)
 
@@ -358,9 +357,9 @@ def test_verify_bmap_reads_registry_only():
     # a 3-slot class whose 2-slot prefix was never registered
     reg = ClassRegistry([np.arange(10)])
     reg.classify(1, (0, 1, 2))
-    before = reg.to_records()
+    before = reg.to_records(range(10))
     report = verify_bmap(choose_parameters(1.1), 3, reg)
-    assert reg.to_records() == before
+    assert reg.to_records(range(10)) == before
     assert not report["ok"]
     assert {tag for tag, _ in report["violations"]} == {"property6", "property7"}
     assert all("prefix class not registered" in msg for _, msg in report["violations"])
@@ -382,8 +381,8 @@ def test_enumeration_tail_certificate():
 
 def test_exceptional_classes_single_class_empty(line_cfg):
     t = line_cfg.base_tuple(1, 2)
-    assert exceptional_classes(t, 1, 1, line_cfg.registry, line_cfg.bc) == []
-    assert exceptional_classes(t, 2, 1, line_cfg.registry, line_cfg.bc) == []
+    assert exceptional_classes(t, 1, 1, line_cfg.registry) == []
+    assert exceptional_classes(t, 2, 1, line_cfg.registry) == []
 
 
 def test_exceptional_classes_smaller_b_listed():
@@ -391,24 +390,12 @@ def test_exceptional_classes_smaller_b_listed():
     first = reg.classify(2, (5, 6))      # ordinal 1, exponent c-1
     second = reg.classify(2, (5, 7))     # ordinal 2, larger exponent
     t = TupleIndex(2, (0, 0), (5, 7))    # the tuple in the *second* class
-    exc = exceptional_classes(t, 2, 1, reg, choose_parameters(1.1))
+    exc = exceptional_classes(t, 2, 1, reg)
     assert [e.ordinal for e in exc] == [first.ordinal]
-
-
-def test_exceptional_classes_eps_variant_full_window():
-    reg = ClassRegistry([np.arange(10)])
-    bc = choose_parameters(1.1)
-    cls1 = reg.classify(1, (0, 1))        # exponent c-1 = 2
-    t = TupleIndex(1, (0, 0), (0, 1))
-    # b = L^{c-1} < L^c / 1.1, so the class is (p,q,eps)-exceptional at eps=0.1
-    exc = exceptional_classes(t, 1, 1, reg, bc, eps=0.1)
-    assert [e.ordinal for e in exc] == [cls1.ordinal]
-    # but not under the plain comparison against its own sub-tuple
-    assert exceptional_classes(t, 1, 1, reg, bc) == []
 
 
 def test_exceptional_classes_bounds():
     reg = ClassRegistry([np.arange(10)])
     t = TupleIndex(1, (0, 0), (0, 1))
     with pytest.raises(ValueError):
-        exceptional_classes(t, 2, 1, reg, choose_parameters(1.1))
+        exceptional_classes(t, 2, 1, reg)

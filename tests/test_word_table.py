@@ -25,7 +25,7 @@ from renormlab.operators import (
     onepoint_swap,
     remark25_sequence,
 )
-from renormlab.orbits import orbit_closure, tuple_distance
+from renormlab.orbits import orbit_closure
 
 
 def _enumerate_per_word(group):
@@ -64,7 +64,7 @@ def _enumerate_per_word(group):
 
 
 def _assert_matches_oracle(group, name):
-    # every cap's table rows, row counts and word objects, bitwise
+    # every cap's table rows and row counts, and the word objects, bitwise
     prefixes = _enumerate_per_word(group)
     forward, weight = group.word_table()
     for c, oracle in enumerate(prefixes):
@@ -74,19 +74,18 @@ def _assert_matches_oracle(group, name):
         assert fwd_c.dtype == np.intp and wt_c.dtype == np.float64, (name, c)
         # bitwise: equal float bytes, so -0.0 and NaN payloads count too
         assert wt_c.tobytes() == np.stack([w.weight for w in oracle]).tobytes(), (name, c)
-        words = group.words(c)
-        assert len(words) == len(oracle), (name, c)
-        for w, o in zip(words, oracle):
-            assert (w.label, w.form, w.allowed_defects) == (o.label, o.form, o.allowed_defects), (name, c, o.label)
-            for field in ("forward", "weight", "backward"):
-                a, b = getattr(w, field), getattr(o, field)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, c, o.label, field)
-    for w in group.words():
+    words = group.words()
+    assert len(words) == len(prefixes[-1]), name
+    for w, o in zip(words, prefixes[-1]):
+        assert (w.label, w.form, w.allowed_defects) == (o.label, o.form, o.allowed_defects), (name, o.label)
+        for field in ("forward", "weight", "backward"):
+            a, b = getattr(w, field), getattr(o, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, o.label, field)
         # the objects own their arrays: writing through one leaves the table
         assert not np.shares_memory(w.forward, forward) and not np.shares_memory(w.weight, weight), name
 
 
-def _orbit_closure_loop(group, t, cap=None):
+def _orbit_closure_loop(group, t):
     # one pass over the words, each image compared with every kept one
     space = group.space
     base = tuple(int(i) for i in t)
@@ -94,22 +93,28 @@ def _orbit_closure_loop(group, t, cap=None):
     defect_sets = [g.allowed_defects for g in group.generators]
     clipped = False
     kept = []
-    for w in group.words(cap):
+    for w in group.words():
         img = tuple(int(w.forward[i]) for i in base)
         if any(i in ds for ds in defect_sets for i in img):
             clipped = True
-        if all(img != k and tuple_distance(space, img, k) >= tol for k in kept):
+        # the max metric on tuples
+        if all(img != k and max(space.d(a, b) for a, b in zip(img, k)) >= tol for k in kept):
             kept.append(img)
     if base not in kept:
         kept.append(base)
     return tuple(sorted(kept)), clipped
 
 
-def _m_weight_loop(group, cap):
+def _capped(group, cap):
+    # a fresh group capped at cap: its words are a prefix of the group's
+    return rl.GroupSpec(group.generators, word_cap=cap)
+
+
+def _m_weight_loop(group):
     # one weight stack per cap
     trace, m, bound = [], None, 0.0
-    for c in range(1, cap + 1):
-        weights = np.stack([w.weight for w in group.words(c)])
+    for c in range(1, group.word_cap + 1):
+        weights = np.stack([w.weight for w in _capped(group, c).words()])
         m = weights.min(axis=0)
         bound = float(weights.max())
         trace.append((c, float(m.min())))
@@ -137,16 +142,22 @@ def bounded(gallery):
     return {name: m_weight(group) for name, group in gallery.items()}
 
 
+@pytest.fixture(scope="module")
+def capped(gallery):
+    return {name: {c: _capped(group, c) for c in range(1, group.word_cap + 1)}
+            for name, group in gallery.items()}
+
+
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
-def test_table_consumers_match_per_word_loops(gallery, bounded, data):
+def test_table_consumers_match_per_word_loops(gallery, bounded, capped, data):
     name = data.draw(st.sampled_from(sorted(gallery)))
     group = gallery[name]
     n = group.space.n
     t = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
-    cap = data.draw(st.one_of(st.none(), st.integers(0, group.word_cap)))
-    orb = orbit_closure(group, t, cap)
-    samples, clipped = _orbit_closure_loop(group, t, cap)
+    cap = data.draw(st.integers(1, group.word_cap))
+    orb = orbit_closure(capped[name][cap], t)
+    samples, clipped = _orbit_closure_loop(capped[name][cap], t)
     assert orb.samples == samples, (name, t, cap)
     assert orb.window_clipped == clipped, (name, t, cap)
 
@@ -186,8 +197,9 @@ def test_m_weight_matches_per_cap_stacks(gallery):
     doubling = rl.GroupSpec((multiplication(seg, 2.0),), word_cap=3)
     for name, group in {**gallery, "doubling": doubling}.items():
         for cap in range(1, group.word_cap + 1):
-            bgn = m_weight(group, word_cap=cap)
-            m, bound, trace = _m_weight_loop(group, cap)
+            prefix = _capped(group, cap)
+            bgn = m_weight(prefix)
+            m, bound, trace = _m_weight_loop(prefix)
             assert np.array_equal(bgn.m, m), (name, cap)
             assert bgn.C_G == bound, (name, cap)
             assert bgn.cap_trace == trace, (name, cap)
@@ -197,20 +209,18 @@ def test_words_of_each_cap_prefix_the_one_enumeration(gallery):
     for name, group in gallery.items():
         full = group.words()
         forward, weight = group.word_table()
-        assert group.words() is full and group.words(group.word_cap) is full, name
-        for c in range(group.word_cap + 1):
-            words = group.words(c)
-            assert group.words(c) is words, (name, c)
-            assert words == full[: len(words)], (name, c)
-            # a fresh group capped at c enumerates exactly that prefix
-            fresh = rl.GroupSpec(group.generators, word_cap=max(c, 1)).words(c)
-            assert [w.key() for w in fresh] == [w.key() for w in words], (name, c)
+        assert group.words() is full, name
+        for c in range(1, group.word_cap + 1):
             fwd_c, wt_c = group.word_table(c)
+            words = full[: len(fwd_c)]
+            # a fresh group capped at c enumerates exactly that prefix
+            fresh = _capped(group, c).words()
+            assert [w.key() for w in fresh] == [w.key() for w in words], (name, c)
             assert np.shares_memory(fwd_c, forward) and np.shares_memory(wt_c, weight), (name, c)
             assert np.array_equal(fwd_c, np.stack([w.forward for w in words])), (name, c)
             assert np.array_equal(wt_c, np.stack([w.weight for w in words])), (name, c)
         with pytest.raises(ValueError, match="word cap"):
-            group.words(group.word_cap + 1)
+            group.word_table(group.word_cap + 1)
 
 
 def _more_groups(product_space):
