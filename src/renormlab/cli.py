@@ -73,11 +73,11 @@ def make_group(spec: dict, space: SampledSpace) -> GroupSpec:
     if "file" in spec:
         return rio.load_group(spec["file"], space)
     kind = spec.get("builtin")
-    word_cap = int(spec.get("word_cap", 6))
+    word_cap = _integer(spec.get("word_cap", 2 if kind == "onepoint_swaps" else 6), "group word_cap", 1)
     if kind == "trivial":
         return GroupSpec.trivial(space)
     if kind == "rotation":
-        q = int(spec.get("q", 12))
+        q = _integer(spec.get("q", 12), "group q", 1)
         if space.aux.get("kind") == "circle":
             gen = circle_rotation(space, steps=space.aux["count"] // q, label=f"rot2pi/{q}")
             return GroupSpec((gen,), word_cap=word_cap, closure_tag=True, label=f"rot{q}")
@@ -88,8 +88,10 @@ def make_group(spec: dict, space: SampledSpace) -> GroupSpec:
                              closure_tag=True, label=f"rot{q}-lift")
         raise InputError("rotation group needs a circle or circle-product space")
     if kind == "onepoint_swaps":
-        return onepoint_swap_group(space, word_cap=int(spec.get("word_cap", 2)),
-                                   count=spec.get("count"))
+        count = spec.get("count")
+        if count is not None:
+            _integer(count, "group count", 1)
+        return onepoint_swap_group(space, word_cap=word_cap, count=count)
     raise InputError(f"unknown group spec {spec!r}")
 
 
@@ -157,7 +159,7 @@ def task_build_config(cfg: RenormConfig) -> dict:
         "metric_report": metric_report,
         "base_points": [cfg.space.points[i] for i in cfg.base_points],
         "selection_audit": cfg.selection_audit[:20],
-        "registry_size": len(cfg.registry.all_classes()),
+        "registry_size": len(cfg.registry),
         "registry": cfg.registry.to_records(cfg.space.points)[:200],
         "compactness_note": "compactness at sample scale means containment in an exhaustion element",
     }
@@ -274,11 +276,9 @@ def task_detect(cfg: RenormConfig, operators: list) -> dict:
     return {"ok": bool(ok), "operators": reports, "provenance": cfg.provenance()}
 
 
-def task_sot_gallery(space: SampledSpace, scenario: dict) -> dict:
+def task_sot_gallery(space: SampledSpace, eps: float) -> dict:
     if space.aux.get("kind") != "remark25":
         raise InputError("sot-gallery runs on the remark25 space")
-    params = scenario.get("sot_gallery", {})
-    eps = float(params.get("eps", 0.01))
     seq = remark25_sequence(space)
     lim = identity(space)
     # the top exhaustion element is the whole truncated sample: its
@@ -372,7 +372,7 @@ def _integer(value, name: str, least: int) -> int:
 
 
 def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
-    seed = int(scenario.get("seed", 0)) if seed is None else seed
+    seed = _integer(scenario.get("seed", 0), "seed", 0) if seed is None else seed
     rng = np.random.default_rng(seed)
     cfg: RenormConfig | None = None
     build_error: Exception | None = None
@@ -383,7 +383,7 @@ def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
         if cfg is None and build_error is None:
             try:
                 cfg = build_config(space, group, C=C, depth=depth,
-                                   gamma_cap=scenario.get("gamma_cap"), base_count=base_count)
+                                   gamma_cap=gamma_cap, base_count=base_count)
             except TupleBudgetError as exc:
                 raise InputError(str(exc)) from exc
             except Exception as exc:
@@ -400,7 +400,7 @@ def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
         "norm-suite": lambda: task_norm_suite(ensure_cfg(), count, rng),
         "dual-suite": lambda: task_dual_suite(ensure_cfg(), tuple_budget, grid),
         "detect": lambda: task_detect(ensure_cfg(), operators),
-        "sot-gallery": lambda: task_sot_gallery(space, scenario),
+        "sot-gallery": lambda: task_sot_gallery(space, eps),
         "bounded-suite": lambda: task_bounded_suite(space, group, rng),
     }
     tasks = scenario.get("tasks", [])
@@ -417,10 +417,17 @@ def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
     base_count = scenario.get("base_count")
     if base_count is not None:
         _integer(base_count, "base_count", depth)
+    gamma_cap = scenario.get("gamma_cap")
+    if gamma_cap is not None:
+        _integer(gamma_cap, "gamma_cap", 1)
     count = _integer(scenario.get("norm_suite", {}).get("count", 50), "norm_suite count", 1)
     dual = scenario.get("dual_suite", {})
     tuple_budget = _integer(dual.get("tuples", 10), "dual_suite tuples", 1)
     grid = _integer(dual.get("beta_grid", 5), "dual_suite beta_grid", 1)
+    eps = scenario.get("sot_gallery", {}).get("eps", 0.01)
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps < math.inf:
+        raise InputError(f"sot_gallery eps must be a finite number > 0, got {eps!r}")
+    eps = float(eps)
     space = make_space(scenario["space"])
     group = make_group(scenario.get("group", {"builtin": "trivial"}), space)
     operators = []

@@ -319,9 +319,11 @@ def _last_slot_weights(registry: ClassRegistry, bc: BCAssignment,
     group = np.cumsum(first) - 1
     heads = order[first]
     recip = np.empty(len(heads))
-    for g in np.lexsort((*idx[heads].T[::-1], starts[heads])):
-        row = heads[g]
-        recip[g] = bc.inv_L_pow(registry.classify(int(starts[row]), idx[row].tolist()).exponent)
+    seq = np.lexsort((*idx[heads].T[::-1], starts[heads]))
+    rows = heads[seq]
+    for g, start, row in zip(seq.tolist(), starts[rows].tolist(), idx[rows].tolist()):
+        p, q = registry.classify(start, row).ratio
+        recip[g] = bc.inv_L_pow(p / q)  # p / q rounds once, as float(Fraction) does
     out = np.empty(T)
     out[order] = recip[group]
     return out
@@ -455,8 +457,8 @@ def rho(t: TupleIndex, x: np.ndarray, cfg: RenormConfig) -> float:
     x = np.asarray(x, dtype=float)
     total = cfg.lam(t.start) * abs(float(x[t.points[0]]))
     for k in range(1, t.n + 1):
-        info = cfg.registry.classify(t.start, t.points[: k + 1])
-        total += abs(float(x[t.points[k]])) * cfg.bc.inv_L_pow(info.exponent)
+        p, q = cfg.registry.classify(t.start, t.points[: k + 1]).ratio
+        total += abs(float(x[t.points[k]])) * cfg.bc.inv_L_pow(p / q)
     return total
 
 
@@ -628,7 +630,8 @@ def _build_system(t: TupleIndex, cfg: RenormConfig) -> tuple[TriangularSystem, l
             if info is None:
                 seg = t.segment(j, k)
                 info = classes[j, k] = registry.classify(seg.start, seg.points)
-            zeta[j, k] = cfg.bc.inv_L_pow(info.exponent)
+            p, q = info.ratio
+            zeta[j, k] = cfg.bc.inv_L_pow(p / q)
     system = TriangularSystem(lambdas=lambdas, zeta=zeta, label=f"T({t.start}..{t.start + t.n})")
     return system, [classes[0, k] for k in range(1, s)]
 

@@ -7,8 +7,9 @@ code c = 3m, and each orbit-equivalence class of tuples over a window gets
 an exponent k in [c-1, c]; the class weight is b = L^k with L chosen so
 that the geometric tail sum stays below the norm budget C - lambda_1.
 
-Exponents are kept as exact rationals; all weight comparisons happen on
-exponents, and only the reciprocals 1/b enter floating-point sums.
+Exponents are kept as exact rationals, integer pairs p/q in lowest terms;
+all weight comparisons happen on exponents, and only the reciprocals 1/b
+enter floating-point sums.
 """
 
 from __future__ import annotations
@@ -185,13 +186,72 @@ class TupleIndex:
         return TupleIndex(self.start + a, self.gammas[a : b + 1], self.points[a : b + 1])
 
 
-@dataclass
 class ClassInfo:
-    m: int
-    ordinal: int
-    exponent: Fraction
-    representative: tuple[int, ...]
-    attained: bool = False  # True when the finite-family rule assigned c_m
+    """One registered class: a view of its row in the registry's columns.
+
+    ``exponent`` is built from the row's integer pair on each read.
+    Assigning ``ordinal``, ``exponent`` or ``attained`` writes the row; that
+    is how a test corrupts a registry for :func:`verify_bmap` to find.
+    """
+
+    __slots__ = ("_registry", "_row")
+
+    def __init__(self, registry: "ClassRegistry", row: int):
+        self._registry = registry
+        self._row = row
+
+    @property
+    def m(self) -> int:
+        return self._registry._m[self._row]
+
+    @property
+    def representative(self) -> tuple[int, ...]:
+        return self._registry._rep[self._row]
+
+    @property
+    def ordinal(self) -> int:
+        return self._registry._ordinal[self._row]
+
+    @ordinal.setter
+    def ordinal(self, value: int) -> None:
+        self._registry._ordinal[self._row] = value
+
+    @property
+    def attained(self) -> bool:
+        """True when the finite-family rule assigned c_m."""
+        return self._registry._attained[self._row]
+
+    @attained.setter
+    def attained(self, value: bool) -> None:
+        self._registry._attained[self._row] = value
+
+    @property
+    def ratio(self) -> tuple[int, int]:
+        """The exponent as integers (p, q) in lowest terms with q > 0."""
+        return self._registry._p[self._row], self._registry._q[self._row]
+
+    @property
+    def exponent(self) -> Fraction:
+        return Fraction(*self.ratio)
+
+    @exponent.setter
+    def exponent(self, value: Fraction | int) -> None:
+        self._registry._p[self._row], self._registry._q[self._row] = Fraction(value).as_integer_ratio()
+
+    def _fields(self) -> tuple:
+        return self.m, self.ordinal, self.exponent, self.representative, self.attained
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassInfo):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        m, ordinal, exponent, rep, attained = self._fields()
+        return (f"ClassInfo(m={m}, ordinal={ordinal}, exponent={exponent!r}, "
+                f"representative={rep}, attained={attained})")
 
 
 class ClassRegistry:
@@ -206,6 +266,13 @@ class ClassRegistry:
     first-query order, which is deterministic given the construction order,
     so the exponent k_m^i = c_m - 1/i is a stable function across runs.  A
     family declared complete assigns exactly c_m to its last class.
+
+    The classes are stored as columns, one row per class in registration
+    order: window index m, ordinal, the exponent as the integer pair
+    (3m*ordinal - 1, ordinal), or (3m, 1) where attained, the attained flag
+    and the representative.  A prefix of a lexicographically smallest word
+    image is the smallest image of the prefix, for any word list, so the
+    class of a representative's prefix rep[:k+1] is read by that key alone.
     """
 
     def __init__(self, word_maps: np.ndarray, declared_totals: dict[int, int] | None = None):
@@ -213,8 +280,21 @@ class ClassRegistry:
         # a group's word table is read as given
         self.word_maps = np.asarray(word_maps, dtype=np.intp)
         self.declared_totals = dict(declared_totals or {})
-        self._by_key: dict[tuple[int, tuple[int, ...]], ClassInfo] = {}
-        self._by_window: dict[int, list[ClassInfo]] = {}
+        # the W word images of every sample point, for one-row keys
+        self._images = self.word_maps.T.tolist()
+        self._m: list[int] = []
+        self._ordinal: list[int] = []
+        self._p: list[int] = []
+        self._q: list[int] = []
+        self._attained: list[bool] = []
+        self._rep: list[tuple[int, ...]] = []
+        # the view classify returns for each row, one per class
+        self._infos: list[ClassInfo] = []
+        self._index: dict[tuple[int, tuple[int, ...]], int] = {}  # (m, key) -> row
+        self._by_window: dict[int, list[int]] = {}  # m -> rows, in registration order
+
+    def __len__(self) -> int:
+        return len(self._m)
 
     def canonical_keys(self, rows: np.ndarray) -> np.ndarray:
         """Canonical keys of a (T, k) block of point rows, as a (T, k) array.
@@ -234,32 +314,34 @@ class ClassRegistry:
         return self.word_maps[best[:, None], rows]
 
     def canonical_key(self, points: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.canonical_keys(np.asarray(points, dtype=np.intp)[None])[0].tolist())
-
-    def _key(self, start: int, points: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-        return _window_index(start, len(points) - 1), self.canonical_key(points)
+        """The smallest of the W word images of one tuple, read from the
+        per-point image table."""
+        images = self._images
+        return min(zip(*[images[p] for p in points]))
 
     def classify(self, start: int, points: Sequence[int]) -> ClassInfo:
         """Class of a window tuple, auto-registering new classes."""
-        key = self._key(start, points)
-        info = self._by_key.get(key)
-        if info is not None:
-            return info
-        m = key[0]
-        ordinal = len(self._by_window.get(m, ())) + 1
-        cm = 3 * m
-        total = self.declared_totals.get(m)
-        if total is not None and ordinal == total:
-            exponent = Fraction(cm)
-            attained = True
-        else:
-            exponent = Fraction(cm) - Fraction(1, ordinal)
-            attained = False
-        info = ClassInfo(m=m, ordinal=ordinal, exponent=exponent,
-                         representative=key[1], attained=attained)
-        self._by_key[key] = info
-        self._by_window.setdefault(m, []).append(info)
-        return info
+        key = _window_index(start, len(points) - 1), self.canonical_key(points)
+        row = self._index.get(key)
+        if row is None:
+            row = self._register(*key)
+        return self._infos[row]
+
+    def _register(self, m: int, rep: tuple[int, ...]) -> int:
+        rows = self._by_window.setdefault(m, [])
+        ordinal = len(rows) + 1
+        attained = self.declared_totals.get(m) == ordinal
+        row = len(self._m)
+        self._m.append(m)
+        self._ordinal.append(ordinal)
+        self._p.append(3 * m if attained else 3 * m * ordinal - 1)
+        self._q.append(1 if attained else ordinal)
+        self._attained.append(attained)
+        self._rep.append(rep)
+        self._infos.append(ClassInfo(self, row))
+        self._index[m, rep] = row
+        rows.append(row)
+        return row
 
     def lookup_rows(self, starts: Sequence[int], rows: np.ndarray) -> list[ClassInfo | None]:
         """Registered class of each window tuple of a (T, k) block, row t
@@ -268,30 +350,29 @@ class ClassRegistry:
         n = rows.shape[1] - 1
         m_of = {s: _window_index(s, n) for s in set(starts)}
         keys = self.canonical_keys(rows).tolist()
-        return [self._by_key.get((m_of[s], tuple(key))) for s, key in zip(starts, keys)]
+        found = [self._index.get((m_of[s], tuple(key))) for s, key in zip(starts, keys)]
+        return [None if row is None else self._infos[row] for row in found]
 
     def classes_for_window(self, w: Window) -> list[ClassInfo]:
-        return list(self._by_window.get(enumeration_index(w), ()))
+        return [self._infos[row] for row in self._by_window.get(enumeration_index(w), ())]
+
+    def _rows(self) -> list[int]:
+        """Every row, by window index and in registration order within one."""
+        return [row for m in sorted(self._by_window) for row in self._by_window[m]]
 
     def all_classes(self) -> list[tuple[int, ClassInfo]]:
-        out = []
-        for m in sorted(self._by_window):
-            for info in self._by_window[m]:
-                out.append((m, info))
-        return out
+        return [(self._m[row], self._infos[row]) for row in self._rows()]
 
     def to_records(self, points: Sequence[str]) -> list[dict]:
         """One record per class, its representative as the given point ids."""
-        recs = []
-        for m, info in self.all_classes():
-            recs.append({
-                "m": m,
-                "ordinal": info.ordinal,
-                "representative": [points[i] for i in info.representative],
-                "exponent": str(info.exponent),
-                "attained": info.attained,
-            })
-        return recs
+        return [{
+            "m": self._m[row],
+            "ordinal": self._ordinal[row],
+            "representative": [points[i] for i in self._rep[row]],
+            # the pair is in lowest terms, so this is str(Fraction(p, q))
+            "exponent": f"{self._p[row]}/{self._q[row]}" if self._q[row] != 1 else str(self._p[row]),
+            "attained": self._attained[row],
+        } for row in self._rows()]
 
 
 def enumeration_tail(bc: BCAssignment, beyond_m: int) -> float:
@@ -303,6 +384,11 @@ def enumeration_tail(bc: BCAssignment, beyond_m: int) -> float:
     """
     first = bc.inv_L_pow(3 * (beyond_m + 1) - 1)
     return first / (1.0 - bc.L ** (-3)) * (1.0 + 1e-9)
+
+
+# int64 holds every product the exact checks form while
+# (max|p| + max q + 3 max m) * max q stays below this bound
+_INT64_BOUND = 2**62
 
 
 def verify_bmap(
@@ -320,98 +406,132 @@ def verify_bmap(
     The budget property (7) is checked as lambda_i + finite prefix sums +
     tail < C for every registered tuple.
 
-    The registry is only read: a prefix class that properties 6 and 7 need
-    but that is not registered counts as a violation.
+    The checks run as array passes over the registry's columns: exact
+    integer comparisons of the exponent pairs, in int64 while every product
+    fits and on Python integers otherwise.  The prefix classes of a
+    representative rep are the classes keyed rep[:k+1]; the budget sums
+    add them in the order head, prefixes from the shortest, tail.  The
+    registry is only read: a prefix class that properties 6 and 7 need but
+    that is not registered counts as a violation.
     """
     report: dict = {"depth": depth, "violations": [], "checked": 0}
+    violations = report["violations"]
     if not bc.tail_sum() < bc.budget():
-        report["violations"].append(("property3", "geometric tail exceeds budget"))
+        violations.append(("property3", "geometric tail exceeds budget"))
+    rows = registry._rows()
+    R = len(rows)
+    if R == 0:
+        report["ok"] = not violations
+        return report
 
-    classes = registry.all_classes()
-    windows = {m: enumerate_window(m) for m in {m for m, _ in classes}}
-    # windows beyond depth participate only in property 7 sums
-    in_depth = {m for m, w in windows.items() if w.end <= depth or w.n == 1}
-    by_m: dict[int, list[ClassInfo]] = {}
-    for m, info in classes:
-        if m in in_depth:
-            by_m.setdefault(m, []).append(info)
+    # positions 0..R-1 follow all_classes(): by window, then registration
+    # order; position R stands for a missing class
+    ms = sorted(registry._by_window)
+    wins = [enumerate_window(m) for m in ms]
+    sizes = [len(registry._by_window[m]) for m in ms]
+    M = np.repeat(np.array(ms, dtype=np.int64), sizes)
+    N = np.repeat([w.n for w in wins], sizes)
+    end = np.repeat(np.array([w.end for w in wins], dtype=np.int64), sizes)
+    inside = [w.end <= depth or w.n == 1 for w in wins]
+    in_depth = np.repeat(inside, sizes)
+    fits = (max(map(abs, registry._p)) + max(registry._q) + 3 * ms[-1]) * max(registry._q) < _INT64_BOUND
+    exact = np.int64 if fits else object
+    at = np.array(rows + rows[:1], dtype=np.intp)  # the missing class reads any row
+    P = np.array(registry._p, dtype=exact)[at]
+    Q = np.array(registry._q, dtype=exact)[at]
+    ordinal = np.array(registry._ordinal, dtype=np.int64)[at]
+    attained = np.array(registry._attained, dtype=bool)[at]
 
-    # an exponent's integer ratio p/q is in lowest terms with q > 0, so exact
-    # comparisons are integer cross products and equal exponents have equal
-    # ratios
-    for m, infos in sorted(by_m.items()):
-        w = windows[m]
-        cm = 3 * m
-        if c_value(w) != cm:
-            report["violations"].append(("property2", f"window {w} code mismatch"))
-        exps = [info.exponent.as_integer_ratio() for info in sorted(infos, key=lambda i: i.ordinal)]
-        for (pa, qa), (pb, qb) in zip(exps, exps[1:]):
-            if not pa * qb < pb * qa:
-                report["violations"].append(("property4", f"window m={m}: exponents not strictly increasing"))
-        for info in infos:
-            report["checked"] += 1
-            p, q = info.exponent.as_integer_ratio()
-            if not ((cm - 1) * q <= p <= cm * q):
-                report["violations"].append(("property4", f"m={m} ordinal {info.ordinal}: exponent outside [c-1, c]"))
-            if (not info.attained) and p >= cm * q:
-                report["violations"].append(("property4", f"m={m} ordinal {info.ordinal}: supremum attained without declaration"))
-            if p < (3 * w.end - 4) * q:
-                report["violations"].append(("property5", f"m={m} ordinal {info.ordinal}: exponent below 3(i+n)-4"))
-        seen_exponents = {}
-        for info in infos:
-            k = info.exponent.as_integer_ratio()
-            prev = seen_exponents.get(k)
-            if prev is not None:
-                report["violations"].append(("property1", f"m={m}: classes {prev} and {info.ordinal} share a weight"))
-            seen_exponents[k] = info.ordinal
+    # properties 2, 4, 5 and 1 on the windows inside the depth, as
+    # (m, section, position, check, tag, message) in report order
+    found = []
+    for m, w, keep in zip(ms, wins, inside):
+        if keep and c_value(w) != 3 * m:
+            found.append((m, 0, 0, 0, "property2", f"window {w} code mismatch"))
+    d = np.flatnonzero(in_depth)
+    Pd, Qd, cm = P[d], Q[d], 3 * M[d]
+    # strict growth along each window's classes by ordinal
+    g = d[np.lexsort((ordinal[d], M[d]))]
+    a, b = g[:-1], g[1:]
+    for k in np.flatnonzero((M[a] == M[b]) & ~(P[a] * Q[b] < P[b] * Q[a])).tolist():
+        m = int(M[a[k]])
+        found.append((m, 1, 0, 0, "property4", f"window m={m}: exponents not strictly increasing"))
+    flags = np.stack([
+        ~(((cm - 1) * Qd <= Pd) & (Pd <= cm * Qd)),
+        ~attained[d] & (Pd >= cm * Qd),
+        Pd < (3 * end[d] - 4) * Qd,
+    ], axis=1)
+    texts = [("property4", "exponent outside [c-1, c]"),
+             ("property4", "supremum attained without declaration"),
+             ("property5", "exponent below 3(i+n)-4")]
+    for k, check in zip(*(i.tolist() for i in np.nonzero(flags))):
+        r = int(d[k])
+        m = int(M[r])
+        tag, text = texts[check]
+        found.append((m, 2, r, check, tag, f"m={m} ordinal {int(ordinal[r])}: {text}"))
+    # equal exponents in a window: each repeat names the latest earlier one
+    s = d[np.lexsort((Q[d], P[d], M[d]))]
+    a, b = s[:-1], s[1:]
+    for k in np.flatnonzero((M[a] == M[b]) & (P[a] == P[b]) & (Q[a] == Q[b])).tolist():
+        r = int(b[k])
+        m = int(M[r])
+        found.append((m, 3, r, 0, "property1",
+                      f"m={m}: classes {int(ordinal[a[k]])} and {int(ordinal[r])} share a weight"))
+    found.sort(key=lambda v: v[:4])
+    violations.extend(v[4:] for v in found)
+    report["checked"] += len(d)
 
-    # the prefix classes of every representative, rep[:k+1] for k = 1..n,
-    # keyed in one block per representative length and prefix length
-    rep_index = {(m, info.representative): info for m, info in classes}
-    by_len: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for m, rep in rep_index:
-        by_len.setdefault(len(rep), []).append((m, rep))
-    subs: dict[tuple[int, tuple[int, ...]], list] = {key: [] for key in rep_index}
-    for size, keys in by_len.items():
-        reps = np.array([rep for _, rep in keys], dtype=np.intp).reshape(len(keys), size)
-        starts = [windows[m].start for m, _ in keys]
-        for k in range(1, size):
-            for key, sub in zip(keys, registry.lookup_rows(starts, reps[:, : k + 1])):
-                subs[key].append(sub)
+    # the position of each class's one-slot-shorter prefix class, read by
+    # its key rep[:-1]; pairs have none
+    position = np.empty(len(registry._m) + 1, dtype=np.intp)
+    position[rows] = np.arange(R)
+    position[-1] = R
+    parent = np.full(R + 1, R, dtype=np.intp)
+    index, reps = registry._index, registry._rep
+    offset = 0
+    for m, w, size in zip(ms, wins, sizes):
+        if w.n >= 2:
+            pm = _window_index(w.start, w.n - 1)
+            block = registry._by_window[m]
+            parent[offset:offset + size] = position[[index.get((pm, reps[r][:-1]), -1) for r in block]]
+        offset += size
 
     # property 6: one-slot extensions grow by strictly more than one L power
-    for (m, rep), info in rep_index.items():
-        if windows[m].n < 2 or m not in in_depth:
-            continue
-        pinfo = subs[(m, rep)][-2]
-        if pinfo is None:
-            report["violations"].append(("property6", f"m={m} ordinal {info.ordinal}: prefix class not registered"))
-            continue
-        (p, q), (pp, pq) = info.exponent.as_integer_ratio(), pinfo.exponent.as_integer_ratio()
-        if not p * pq > (pp + pq) * q:  # k > k' + 1
-            report["violations"].append(
-                ("property6", f"m={m} ordinal {info.ordinal}: extension does not exceed L * base weight")
-            )
+    six = np.flatnonzero(in_depth & (N >= 2))
+    pp = parent[six]
+    missing = pp == R
+    weak = ~(P[six] * Q[pp] > (P[pp] + Q[pp]) * Q[six])  # not k > k' + 1
+    for k in np.flatnonzero(missing | weak).tolist():
+        r = int(six[k])
+        why = "prefix class not registered" if missing[k] else "extension does not exceed L * base weight"
+        violations.append(("property6", f"m={int(M[r])} ordinal {int(ordinal[r])}: {why}"))
 
-    # property 7: budget along every registered tuple's prefix chain; the
-    # deepest prefix window is the tuple's own, so the tail starts beyond m
-    recip = {id(info): bc.inv_L_pow(info.exponent) for _, info in classes}
-    heads = {m: bc.lam(w.start) for m, w in windows.items()}
-    tails = {m: enumeration_tail(bc, m) for m in windows}
-    report["checked"] += len(rep_index)
-    for (m, rep), info in sorted(rep_index.items()):
-        chain = subs[(m, rep)]
-        if any(sub is None for sub in chain):
-            report["violations"].append(("property7", f"m={m} ordinal {info.ordinal}: prefix class not registered"))
-            continue
-        total = heads[m]
-        for sub in chain:
-            total += recip[id(sub)]
-        total += tails[m]
-        if not total < bc.C:
-            report["violations"].append(("property7", f"m={m} ordinal {info.ordinal}: budget exceeded ({total})"))
+    # property 7: budget along every class's prefix chain, rep[:k+1] for
+    # k = 1..n; the deepest prefix window is the class's own, so the tail
+    # starts beyond m.  Violations are reported by (m, representative)
+    recip = np.array([bc.inv_L_pow(p / q) for p, q in zip(P.tolist(), Q.tolist())])
+    head = np.repeat([bc.lam(w.start) for w in wins], sizes)
+    tail = np.repeat([enumeration_tail(bc, m) for m in ms], sizes)
+    late = []
+    for n in sorted(set(N.tolist())):
+        own = np.flatnonzero(N == n)
+        chain = [own]
+        for _ in range(n - 1):
+            chain.append(parent[chain[-1]])
+        total = head[own]
+        for sub in reversed(chain):
+            total = total + recip[sub]
+        total = total + tail[own]
+        broken = np.any(np.stack(chain) == R, axis=0)
+        for k in np.flatnonzero(broken | ~(total < bc.C)).tolist():
+            r = int(own[k])
+            why = "prefix class not registered" if broken[k] else f"budget exceeded ({float(total[k])})"
+            late.append(((int(M[r]), reps[rows[r]]), f"m={int(M[r])} ordinal {int(ordinal[r])}: {why}"))
+    late.sort(key=lambda v: v[0])
+    violations.extend(("property7", text) for _, text in late)
+    report["checked"] += R
 
-    report["ok"] = not report["violations"]
+    report["ok"] = not violations
     return report
 
 

@@ -69,7 +69,9 @@ def fork():
     the original's; registered classes are never mutated, so they are shared."""
     def fork(cfg):
         registry = copy.copy(cfg.registry)
-        registry._by_key = dict(registry._by_key)
-        registry._by_window = {m: list(infos) for m, infos in registry._by_window.items()}
+        for column in ("_m", "_ordinal", "_p", "_q", "_attained", "_rep", "_infos"):
+            setattr(registry, column, list(getattr(registry, column)))
+        registry._index = dict(registry._index)
+        registry._by_window = {m: list(rows) for m, rows in registry._by_window.items()}
         return dataclasses.replace(cfg, registry=registry)
     return fork

@@ -262,7 +262,7 @@ def test_gamma_cap_zero_exits_2_in_run_and_eval(tmp_path, capsys):
     path = tmp_path / "capped.json"
     path.write_text(json.dumps(scenario))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "gamma_cap must be None or an integer >= 1, got 0" in capsys.readouterr().err
+    assert "gamma_cap must be an integer >= 1, got 0" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.json"))
     spfile = tmp_path / "space.json"
     rio.save_space(rl.builtin_space("line", step=0.25, window=(-2, 2)), spfile)
@@ -270,6 +270,22 @@ def test_gamma_cap_zero_exits_2_in_run_and_eval(tmp_path, capsys):
     fn.write_text(json.dumps({"values": {p: 0.5 for p in rio.load_space(spfile).points}}))
     assert main(["eval", "--space", str(spfile), "--norm", str(fn), "--gamma-cap", "0"]) == 2
     assert "gamma_cap must be None or an integer >= 1, got 0" in capsys.readouterr().err
+
+
+def test_gamma_cap_is_checked_before_a_task_that_needs_no_config(tmp_path, capsys):
+    # sot-gallery runs without the configuration, so a bad gamma_cap read
+    # only by the build would come after its report
+    scenario = {
+        "space": {"builtin": "remark25", "params": {"n_max": 8}},
+        "depth": 4,
+        "gamma_cap": 0,
+        "tasks": ["sot-gallery", "build-config"],
+    }
+    path = tmp_path / "gallery.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "gamma_cap must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.json"))
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, 4.0, "4", True, None])
@@ -312,6 +328,14 @@ def test_bad_beta_grid_exits_2(tmp_path, capsys, bad):
     ("depth", 1, "depth must be an integer >= 2, got 1"),
     ("C", 2.0, "C must lie in (1, 1.1], got 2.0"),
     ("base_count", 0, "base_count must be an integer >= 4, got 0"),
+    ("gamma_cap", 1.5, "gamma_cap must be an integer >= 1, got 1.5"),
+    ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
+    ("group", {"builtin": "trivial", "word_cap": 6.9}, "group word_cap must be an integer >= 1, got 6.9"),
+    ("group", {"builtin": "rotation", "q": 2.5}, "group q must be an integer >= 1, got 2.5"),
+    ("group", {"builtin": "onepoint_swaps", "count": 1.5}, "group count must be an integer >= 1, got 1.5"),
+    ("sot_gallery", {"eps": -1}, "sot_gallery eps must be a finite number > 0, got -1"),
+    ("sot_gallery", {"eps": "0.01"}, "sot_gallery eps must be a finite number > 0, got '0.01'"),
 ])
 def test_bad_scenario_field_exits_2_before_any_report(tmp_path, capsys, field, bad, message):
     scenario = {

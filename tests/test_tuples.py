@@ -227,7 +227,7 @@ def _verify_bmap_reference(bc, depth, registry):
     # the verifier that looked up every prefix of every representative
     # one tuple at a time
     def lookup(start, points):
-        return registry._by_key.get(registry._key(start, points))
+        return registry.lookup_rows([start], np.array([points]))[0]
 
     report = {"depth": depth, "violations": [], "checked": 0}
     if not bc.tail_sum() < bc.budget():
