@@ -44,7 +44,7 @@ from .norm import (
     witness_for_tuple,
     witness_function,
 )
-from .detector import IsometryVerdict, certify, check_weight_one, fingerprint
+from .detector import IsometryVerdict, certify, check_weight_one
 from .bounded import BoundedGroupNorm, conjugate, group_norm, m_weight
 
 __version__ = "0.1.0"

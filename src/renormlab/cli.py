@@ -12,8 +12,10 @@ embed the parameter provenance so every number is replayable.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -160,7 +162,7 @@ def task_build_config(cfg: RenormConfig) -> dict:
         "base_points": [cfg.space.points[i] for i in cfg.base_points],
         "selection_audit": cfg.selection_audit[:20],
         "registry_size": len(cfg.registry),
-        "registry": cfg.registry.to_records(cfg.space.points)[:200],
+        "registry": list(itertools.islice(cfg.registry.to_records(cfg.space.points), 200)),
         "compactness_note": "compactness at sample scale means containment in an exhaustion element",
     }
 
@@ -459,6 +461,12 @@ def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
 # one-shot evaluation
 
 
+def _point_ids(text: str) -> list[str]:
+    """The comma-separated point ids of a flag; a comma inside parentheses
+    belongs to its id, as in ``(1,50)``."""
+    return [p.strip() for p in re.split(r",(?![^()]*\))", text)]
+
+
 def eval_command(args) -> int:
     if args.space is None:
         raise InputError("--space is required")
@@ -493,7 +501,7 @@ def eval_command(args) -> int:
     elif args.orbits:
         if group is None:
             raise InputError("--orbits needs --group")
-        points = tuple(space.index(p.strip()) for p in args.orbits.split(","))
+        points = tuple(space.index(p) for p in _point_ids(args.orbits))
         orb = orbit_closure(group, points)
         out = {
             "base": [space.points[i] for i in orb.base],
@@ -519,7 +527,7 @@ def eval_command(args) -> int:
                 "provenance": cfg.provenance(),
             }
         elif args.dual:
-            ids = [p.strip() for p in args.dual[0].split(",")]
+            ids = _point_ids(args.dual[0])
             beta = [float(b) for b in args.dual[1:]]
             t = cfg.window_tuple(tuple(space.index(p) for p in ids))
             if t is None:

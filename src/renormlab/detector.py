@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norm import RenormConfig, _build_system, build_matrix, solve_unit
+from .norm import RenormConfig, _build_system, solve_unit
 from .operators import WeightedComposition
 from .tuples import TupleIndex
 
@@ -26,7 +26,6 @@ __all__ = [
     "TupleCheck",
     "IsometryVerdict",
     "check_weight_one",
-    "fingerprint",
     "certify",
 ]
 
@@ -119,12 +118,6 @@ def check_weight_one(T: WeightedComposition, cfg: RenormConfig) -> WeightReport:
         dual_points_checked=checked,
         orbit_containment=containment,
     )
-
-
-def fingerprint(t: TupleIndex, cfg: RenormConfig) -> np.ndarray:
-    """Unit solution of the tuple's triangular system; constant on orbit
-    classes, so equal fingerprints identify equal classes at registry level."""
-    return solve_unit(build_matrix(t, cfg))
 
 
 def _orbit_checks(T: WeightedComposition, cfg: RenormConfig, depth: int) -> list[TupleCheck]:

@@ -297,36 +297,31 @@ def _extend(block: np.ndarray, parent: np.ndarray, last: np.ndarray) -> np.ndarr
     return out
 
 
-def _last_slot_weights(registry: ClassRegistry, bc: BCAssignment,
-                       starts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _dense(values: np.ndarray) -> np.ndarray:
+    """The rank of each value among the distinct values."""
+    return np.unique(values, return_inverse=True)[1]
+
+
+def _class_weights(registry: ClassRegistry, bc: BCAssignment, starts: np.ndarray,
+                   idx: np.ndarray, cls: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Reciprocal class weight of every full row of a plan block.
 
-    Rows are grouped by (start, canonical key).  Each group is classified
-    once, window by window in the order of its lexicographically smallest
-    row, which is the order a scan over each window's sorted rows first
-    meets the classes in; so new classes get the same ordinals.
+    Rows of one class share ``cls``, and ``rank`` orders the rows by
+    (start, idx).  Each class is classified once, through its smallest-rank
+    row and in rank order, which is the order a scan over each window's
+    sorted rows first meets the classes in; so new classes get the same
+    ordinals as that scan gives them.
     """
-    T, k = idx.shape
-    if T == 0:
-        return np.empty(0)
-    keys = registry.canonical_keys(idx)
-    # rows by (start, key, row): each group's first row is its smallest
-    order = np.lexsort((*idx.T[::-1], *keys.T[::-1], starts))
-    skeys = keys[order]
-    sstarts = starts[order]
-    first = np.ones(T, dtype=bool)
-    first[1:] = (sstarts[1:] != sstarts[:-1]) | (skeys[1:] != skeys[:-1]).any(axis=1)
-    group = np.cumsum(first) - 1
-    heads = order[first]
-    recip = np.empty(len(heads))
-    seq = np.lexsort((*idx[heads].T[::-1], starts[heads]))
-    rows = heads[seq]
-    for g, start, row in zip(seq.tolist(), starts[rows].tolist(), idx[rows].tolist()):
+    head = np.full(int(cls.max()) + 1, len(rank))
+    np.minimum.at(head, cls, rank)
+    row_of = np.empty_like(rank)
+    row_of[rank] = np.arange(len(rank))
+    rows = row_of[np.sort(head)]
+    recip = np.empty(len(head))
+    for c, start, row in zip(cls[rows].tolist(), starts[rows].tolist(), idx[rows].tolist()):
         p, q = registry.classify(start, row).ratio
-        recip[g] = bc.inv_L_pow(p / q)  # p / q rounds once, as float(Fraction) does
-    out = np.empty(T)
-    out[order] = recip[group]
-    return out
+        recip[c] = bc.inv_L_pow(p / q)  # p / q rounds once, as float(Fraction) does
+    return recip[cls]
 
 
 def build_config(
@@ -388,6 +383,14 @@ def build_config(
     head = np.flatnonzero(starts == B)
     plans = [WindowPlan(n=0, starts=starts[head], gammas=gam[head], idx=idx[head],
                         weights=weights[head], parent=head)]
+    # the level state: the words whose image of each row is its key, the
+    # row's class among the (start, key) pairs, and its rank in (start,
+    # idx) order, each level refined from its parent's
+    N = space.n
+    words = np.ones((len(registry.word_maps), len(idx)), dtype=bool)
+    entry, words = registry.extend_keys(idx[:, 0], words)
+    cls = _dense(starts * N + entry)
+    rank = _dense(starts * N + idx[:, 0])
     for n, last in last_start.items():
         # window (start, n) repeats every row of its parent window (start,
         # n-1) once per label of its new last slot
@@ -398,8 +401,12 @@ def build_config(
         g = _labels(reps)
         gam = _extend(gam, parent, g)
         idx = _extend(idx, parent, flat[offset[starts + n - 1] + g])
-        weights = _extend(weights, parent, _last_slot_weights(registry, bc, starts, idx))
+        entry, words = registry.extend_keys(idx[:, -1], words[:, parent])
+        cls = _dense(cls[parent] * N + entry)
+        rank = _dense(rank[parent] * N + idx[:, -1])
+        weights = _extend(weights, parent, _class_weights(registry, bc, starts, idx, cls, rank))
         plans.append(WindowPlan(n=n, starts=starts, gammas=gam, idx=idx, weights=weights, parent=parent))
+    del words, entry, cls, rank
 
     # row r of base orbit b pairs its r-th point with every point of b
     row_len = np.repeat(lengths, lengths)
@@ -609,21 +616,19 @@ def _build_system(t: TupleIndex, cfg: RenormConfig) -> tuple[TriangularSystem, l
     """The tuple's triangular system and the class of each prefix segment
     (0, k), k = 1..n.
 
-    The segment classes are read with one batched registry lookup per
-    segment length.  A segment the registry lacks registers through
-    ``classify`` in (j, k) order; every segment lies in its own window, so
-    neither the lookup nor that order can move an ordinal.
+    Segment (j, k) is a prefix of the suffix t[j:], so its class is read
+    from that suffix's one key.  A segment the registry lacks registers
+    through ``classify`` in (j, k) order; every segment lies in its own
+    window, so neither the read nor that order can move an ordinal.
     """
     s = t.n + 1
     lambdas = np.array([cfg.lam(t.start + k) for k in range(s)])
     zeta = np.zeros((s, s))
     registry = cfg.registry
-    pts = t.points
     classes: dict[tuple[int, int], ClassInfo | None] = {}
-    for d in range(1, s):
-        rows = np.array([pts[j : j + d + 1] for j in range(s - d)], dtype=np.intp)
-        found = registry.lookup_rows(range(t.start, t.start + s - d), rows)
-        classes.update(((j, j + d), info) for j, info in enumerate(found))
+    for j in range(s - 1):
+        found = registry.prefix_classes(t.start + j, t.points[j:])
+        classes.update(((j, k), info) for k, info in enumerate(found, start=j + 1))
     for j in range(s):
         for k in range(j + 1, s):
             info = classes[j, k]

@@ -1,9 +1,8 @@
 """Orbit closures of a group action at sample scale.
 
 Tuples of sample points are acted on diagonally by group words.  Orbit
-samples are exact index images (operators store index maps), deduplicated
-at the 2*resolution scale, and orbit-closure membership is tested in the
-max metric.
+samples are the distinct exact index images (operators store index maps),
+and orbit-closure membership is tested in the max metric.
 """
 
 from __future__ import annotations
@@ -45,28 +44,16 @@ class OrbitClosure:
 
 
 def orbit_closure(group: GroupSpec, t: Sequence[int]) -> OrbitClosure:
-    """All images of the tuple under the group's words, deduplicated
-    strictly below the 2*resolution scale, sorted for deterministic merging.
-
-    Images are taken in word order and an image is dropped when it lies
-    within the scale of an image kept before it; exact repeats are dropped
-    first, so the scale is tested on distinct images only.
-    """
-    space = group.space
+    """The distinct images of the tuple under the group's words, the tuple
+    itself included, sorted."""
     base = tuple(int(i) for i in t)
-    tol = 2 * space.resolution * (1 - 1e-9)  # keep spacing-separated images distinct
-    images = group.word_table()[0][:, base]  # (W, k), row w is word w's image
-    distinct = np.array(list(dict.fromkeys(map(tuple, images.tolist()))), dtype=np.intp)
-    keep = np.zeros(len(distinct), dtype=bool)
-    keep[0] = True
-    for u in range(1, len(distinct)):
-        keep[u] = space.dmat[distinct[keep], distinct[u]].max(axis=1).min() >= tol
+    images = group.word_table()[0][:, base].tolist()  # row w is word w's image
     defects = frozenset().union(*(g.allowed_defects for g in group.generators))
     return OrbitClosure(
         base=base,
-        samples=tuple(sorted({*map(tuple, distinct[keep].tolist()), base})),
+        samples=tuple(sorted({*map(tuple, images), base})),
         word_cap=group.word_cap,
-        window_clipped=not defects.isdisjoint(distinct.ravel().tolist()),
+        window_clipped=any(not defects.isdisjoint(img) for img in images),
     )
 
 
@@ -130,18 +117,19 @@ def select_dense_points(
     picks the point closest to the reference point within radius
     ``max(2^-i, resolution)`` whose distance to the sampled orbit of every
     earlier pick, over the group's full word list, is at least 1e-9; ties
-    break by point index.  Only that is checked.  When the word list is
-    closed under composition, a shared orbit entry would make the later
-    pick a word image of the earlier one, so the orbits are pairwise
-    disjoint (up to images that the ``2 * resolution`` dedupe of
-    :func:`orbit_closure` merged); a capped word list can reach an earlier
-    orbit from a later pick.  With ``count=None`` the selection runs until
+    break by point index.  Only that is checked.  A pick's sampled orbit is
+    its word-table column, the orbit ``build_config`` enumerates.  When the
+    word list is closed under composition, a shared orbit entry would make
+    the later pick a word image of the earlier one, so the orbits are
+    pairwise disjoint; a capped word list can reach an earlier orbit from a
+    later pick.  With ``count=None`` the selection runs until
     candidates are exhausted; an explicit count raises when unreachable.
 
     Returns the selected indices and the per-step audit trail.
     """
     n = space.n
     dmat = space.dmat
+    table = group.word_table()[0]
     chosen: list[int] = []
     audit: list[dict] = []
     # distance from each sample point to the union of selected orbit samples
@@ -167,9 +155,8 @@ def select_dense_points(
                 )
             continue
         chosen.append(pick)
-        orb = orbit_closure(group, (pick,))
-        orb_idx = np.asarray(sorted({s[0] for s in orb.samples}), dtype=np.intp)
-        orbit_dist = np.minimum(orbit_dist, dmat[:, orb_idx].min(axis=1))
+        orbit = list(dict.fromkeys(table[:, pick].tolist()))
+        orbit_dist = np.minimum(orbit_dist, dmat[:, orbit].min(axis=1))
         audit.append({
             "step": step,
             "reference": space.points[ref],

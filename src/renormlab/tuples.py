@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,12 +36,6 @@ __all__ = [
     "exceptional_classes",
     "enumeration_tail",
 ]
-
-# int64 entries in one (W, block, k) word-image array: 256 KB.  Freeing
-# larger temporaries raises glibc's dynamic mmap threshold, so later blocks
-# come from the heap and stay resident
-_KEY_BLOCK = 1 << 15
-
 
 @dataclass(frozen=True)
 class Window:
@@ -273,6 +267,10 @@ class ClassRegistry:
     and the representative.  A prefix of a lexicographically smallest word
     image is the smallest image of the prefix, for any word list, so the
     class of a representative's prefix rep[:k+1] is read by that key alone.
+    The same identity is the only way a key is derived from another: a
+    tuple's prefixes read their classes from its key
+    (:meth:`prefix_classes`), and a one-point extension's key is its
+    parent's plus one entry (:meth:`extend_keys`).
     """
 
     def __init__(self, word_maps: np.ndarray, declared_totals: dict[int, int] | None = None):
@@ -296,28 +294,42 @@ class ClassRegistry:
     def __len__(self) -> int:
         return len(self._m)
 
-    def canonical_keys(self, rows: np.ndarray) -> np.ndarray:
-        """Canonical keys of a (T, k) block of point rows, as a (T, k) array.
-
-        Row t's key is its image under the first word whose image is the
-        lexicographic minimum, found by one lexsort over the word axis.
-        Rows are sorted in blocks whose (W, block, k) images stay near 256 KB.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        T, k = rows.shape
-        step = max(1, _KEY_BLOCK // (len(self.word_maps) * k))
-        best = np.empty(T, dtype=np.intp)
-        for a in range(0, T, step):
-            images = self.word_maps[:, rows[a:a + step]]  # (W, t, k)
-            # lexsort's last key is the primary one, so column 0 goes last
-            best[a:a + step] = np.lexsort(images.transpose(2, 1, 0)[::-1], axis=-1)[:, 0]
-        return self.word_maps[best[:, None], rows]
-
     def canonical_key(self, points: Sequence[int]) -> tuple[int, ...]:
         """The smallest of the W word images of one tuple, read from the
         per-point image table."""
         images = self._images
         return min(zip(*[images[p] for p in points]))
+
+    def extend_keys(self, points: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One level of keys by the prefix identity.
+
+        Row t extends a tuple whose key is its image under every word w
+        with ``words[w, t]`` set by the point ``points[t]``: the extension's
+        key is the parent's plus the smallest image of that point under
+        those words, and the words attaining it are the extension's.  A
+        head point extends the empty tuple, whose words are all of them.
+        Returns the new key entry of each row and the (W, T) bool mask of
+        the extensions' words, which is ``words`` updated in place.
+        """
+        points = np.asarray(points, dtype=np.intp)
+        image = np.empty(len(points), dtype=np.intp)
+        same = np.empty(len(points), dtype=bool)
+        best = np.full(len(points), np.iinfo(np.intp).max, dtype=np.intp)
+        # one word at a time into one buffer: no (W, T) image array
+        for w, row in enumerate(self.word_maps):
+            np.minimum(best, row.take(points, out=image, mode="clip"), out=best, where=words[w])
+        for w, row in enumerate(self.word_maps):
+            words[w] &= np.equal(row.take(points, out=image, mode="clip"), best, out=same)
+        return best, words
+
+    def prefix_classes(self, start: int, points: Sequence[int]) -> list[ClassInfo | None]:
+        """The registered class of each prefix points[:k+1], k = 1..n, over
+        the window (start, k), or None; read from the one key of the whole
+        tuple, never registering."""
+        _check_window(start, len(points))
+        key = self.canonical_key(points)
+        found = [self._index.get((_window_index(start, k), key[:k + 1])) for k in range(1, len(points))]
+        return [None if row is None else self._infos[row] for row in found]
 
     def classify(self, start: int, points: Sequence[int]) -> ClassInfo:
         """Class of a window tuple, auto-registering new classes."""
@@ -343,16 +355,6 @@ class ClassRegistry:
         rows.append(row)
         return row
 
-    def lookup_rows(self, starts: Sequence[int], rows: np.ndarray) -> list[ClassInfo | None]:
-        """Registered class of each window tuple of a (T, k) block, row t
-        starting at base index starts[t], or None; never registers."""
-        rows = np.asarray(rows, dtype=np.intp)
-        n = rows.shape[1] - 1
-        m_of = {s: _window_index(s, n) for s in set(starts)}
-        keys = self.canonical_keys(rows).tolist()
-        found = [self._index.get((m_of[s], tuple(key))) for s, key in zip(starts, keys)]
-        return [None if row is None else self._infos[row] for row in found]
-
     def classes_for_window(self, w: Window) -> list[ClassInfo]:
         return [self._infos[row] for row in self._by_window.get(enumeration_index(w), ())]
 
@@ -363,16 +365,17 @@ class ClassRegistry:
     def all_classes(self) -> list[tuple[int, ClassInfo]]:
         return [(self._m[row], self._infos[row]) for row in self._rows()]
 
-    def to_records(self, points: Sequence[str]) -> list[dict]:
-        """One record per class, its representative as the given point ids."""
-        return [{
+    def to_records(self, points: Sequence[str]) -> Iterator[dict]:
+        """One record per class, its representative as the given point ids,
+        built as they are read."""
+        return ({
             "m": self._m[row],
             "ordinal": self._ordinal[row],
             "representative": [points[i] for i in self._rep[row]],
             # the pair is in lowest terms, so this is str(Fraction(p, q))
             "exponent": f"{self._p[row]}/{self._q[row]}" if self._q[row] != 1 else str(self._p[row]),
             "attained": self._attained[row],
-        } for row in self._rows()]
+        } for row in self._rows())
 
 
 def enumeration_tail(bc: BCAssignment, beyond_m: int) -> float:

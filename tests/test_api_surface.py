@@ -82,8 +82,9 @@ def references() -> tuple[dict[str, set[str]], dict[str, set[str]]]:
     """Where each name is read in src/, scripts/ and perfbench/: as an
     attribute, and as a bare name, each mapped to the scopes it is read in
     (``module.Class.function`` in the library, the file path elsewhere).
-    perfbench wraps library functions by name, so its strings count as
-    attribute reads."""
+    Only reads count: a name that is only bound or stored, such as a
+    dataclass field, calls nothing.  perfbench wraps library functions by
+    name, so its strings count as attribute reads."""
     attrs: dict[str, set[str]] = {}
     names: dict[str, set[str]] = {}
     for path in sorted(p for top in ("src", "scripts", "perfbench") for p in (ROOT / top).rglob("*.py")):
@@ -93,9 +94,9 @@ def references() -> tuple[dict[str, set[str]], dict[str, set[str]]]:
         def visit(node, scope):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 scope = f"{scope}.{node.name}"
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.setdefault(node.id, set()).add(scope)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attrs.setdefault(node.attr, set()).add(scope)
             elif by_string and isinstance(node, ast.Constant) and isinstance(node.value, str):
                 for part in node.value.split("."):

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from renormlab.detector import IsometryVerdict, TupleCheck, WeightReport, certify, check_weight_one, fingerprint
+from renormlab.detector import IsometryVerdict, TupleCheck, WeightReport, certify, check_weight_one
+from renormlab.norm import build_matrix, solve_unit
 from renormlab.operators import (
     circle_rotation,
     compose,
@@ -48,12 +49,12 @@ def test_fingerprint_class_invariant(product_cfg):
     moved = tuple(int(g.forward[p]) for p in t.points)
     slots = product_cfg.classify_slots(moved, tol=0)
     s = TupleIndex(1, tuple(x[1] for x in slots), moved)
-    assert np.array_equal(fingerprint(t, product_cfg), fingerprint(s, product_cfg))
+    assert np.array_equal(solve_unit(build_matrix(t, product_cfg)), solve_unit(build_matrix(s, product_cfg)))
 
 
 def test_fingerprint_singleton(line_cfg):
     t = TupleIndex(5, (0,), (line_cfg.base_points[4],))
-    fp = fingerprint(t, line_cfg)
+    fp = solve_unit(build_matrix(t, line_cfg))
     assert fp.shape == (1,)
     assert fp[0] == pytest.approx(1 / line_cfg.lam(5))
 
@@ -61,8 +62,8 @@ def test_fingerprint_singleton(line_cfg):
 def test_fingerprints_distinct_classes_differ_in_head(product_cfg):
     t0 = product_cfg.tuple_index(1, (0, 0))
     t1 = product_cfg.tuple_index(1, (0, 1))
-    fp0 = fingerprint(t0, product_cfg)
-    fp1 = fingerprint(t1, product_cfg)
+    fp0 = solve_unit(build_matrix(t0, product_cfg))
+    fp1 = solve_unit(build_matrix(t1, product_cfg))
     assert fp0[1] == fp1[1]
     assert abs(fp0[0] - fp1[0]) > 1e-9
 
@@ -236,7 +237,7 @@ def _certify_per_depth(T, cfg, test_depth=4):
         witness = {"kind": "weight", "point": weight.weight_witness, "deviation": weight.max_weight_deviation}
     for n in range(1, test_depth):
         t = cfg.base_tuple(1, n)
-        fp_t = fingerprint(t, cfg)
+        fp_t = solve_unit(build_matrix(t, cfg))
         img = tuple(int(T.forward[p]) for p in t.points)
         img_ids = tuple(space.points[p] for p in img)
         t_ids = tuple(space.points[p] for p in t.points)
@@ -248,14 +249,14 @@ def _certify_per_depth(T, cfg, test_depth=4):
         if ti is not None and ti.start == 1:
             info_t = cfg.registry.classify(t.start, t.points)
             info_s = cfg.registry.classify(ti.start, ti.points)
-            fp_s = fingerprint(ti, cfg)
+            fp_s = solve_unit(build_matrix(ti, cfg))
             if info_t.m == info_s.m and info_t.ordinal == info_s.ordinal:
                 check = TupleCheck(t_ids, img_ids, "same-class", tuple(fp_t), tuple(fp_s))
             else:
                 check = TupleCheck(t_ids, img_ids, "class-mismatch", tuple(fp_t), tuple(fp_s),
                                    detail=f"image lies in class ordinal {info_s.ordinal} != {info_t.ordinal}")
         elif ti is not None:
-            fp_s = fingerprint(ti, cfg)
+            fp_s = solve_unit(build_matrix(ti, cfg))
             check = TupleCheck(t_ids, img_ids, "window-mismatch", tuple(fp_t), tuple(fp_s),
                                detail=f"image occupies base window {ti.start}..{ti.start + n} instead of 1..{n + 1}")
         elif all(s is not None for s in slots):

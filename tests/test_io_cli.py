@@ -182,6 +182,26 @@ def test_cli_eval_orbits(tmp_path, capsys):
     assert len(out["samples"]) == 13
 
 
+@pytest.mark.parametrize("ids, samples", [
+    ("(1,50)", [["(0,50)"], ["(1,50)"]]),
+    ("(1,50), (0,49)", [["(0,50)", "(0,49)"], ["(0,50)", "(1,49)"], ["(1,50)", "(0,49)"], ["(1,50)", "(1,49)"]]),
+])
+def test_cli_eval_orbits_reads_ids_with_commas(capsys, ids, samples):
+    # a comma inside parentheses belongs to its id
+    assert main(["eval", "--space", "onepoint01N", "--group", "onepoint_swaps", "--orbits", ids]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["base"] == [p.strip() for p in ids.split(", ")]
+    assert out["samples"] == samples
+
+
+@pytest.mark.parametrize("ids, beta", [("(0,1)", ["0.9"]), ("(0,1),(0,2)", ["0.9", "0.9"])])
+def test_cli_eval_dual_reads_ids_with_commas(capsys, ids, beta):
+    assert main(["eval", "--space", "onepoint01N", "--dual", ids, *beta]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["fingerprint"]) == len(beta)
+    assert 0 < out["value"] <= len(beta)
+
+
 def test_cli_eval_norm(tmp_path):
     sp = rl.builtin_space("line", step=0.05, window=(-2, 2))
     x = np.sin(sp.aux["coords"])

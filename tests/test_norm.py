@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
+from key_oracles import last_slot_weights
 from renormlab.norm import (
     WITNESS_EPS,
     NormResult,
     TriangularSystem,
-    _last_slot_weights,
     build_matrix,
     dual_norm_atoms,
     dual_norm_delta,
@@ -26,6 +26,8 @@ from renormlab.norm import (
     witness_for_tuple,
     witness_function,
     WitnessSpec,
+    _class_weights,
+    _dense,
 )
 from renormlab.detector import check_weight_one
 from renormlab.operators import identity, line_translation, multiplication
@@ -800,17 +802,17 @@ def test_batched_build_matches_per_segment_classify(name, data, request, fork):
         assert a.lambdas.tobytes() == b.lambdas.tobytes()
         assert a.zeta.tobytes() == b.zeta.tobytes()
         assert a.label == b.label
-    assert old.registry.to_records(cfg.space.points) == new.registry.to_records(cfg.space.points)
+    assert list(old.registry.to_records(cfg.space.points)) == list(new.registry.to_records(cfg.space.points))
 
 
 def test_dual_norm_atoms_rejects_beta_length_before_registering(product_cfg, fork):
     cfg = fork(product_cfg)
     t = cfg.base_tuple(1, cfg.depth)
-    before = cfg.registry.to_records(cfg.space.points)
+    before = list(cfg.registry.to_records(cfg.space.points))
     for beta in ([0.9] * cfg.depth, [0.9] * (cfg.depth + 2), [[0.9] * (cfg.depth + 1)]):
         with pytest.raises(ValueError, match="^beta length mismatch$"):
             dual_norm_atoms(t, beta, cfg)
-    assert cfg.registry.to_records(cfg.space.points) == before
+    assert list(cfg.registry.to_records(cfg.space.points)) == before
     dual_norm_atoms(t, [0.9] * (cfg.depth + 1), cfg)
     assert len(cfg.registry.all_classes()) == len(before) + 3
 
@@ -953,7 +955,7 @@ def test_level_plans_match_window_by_window_build(name, request):
                           gamma_cap=shared.gamma_cap)
     base, registry, plans = _build_window_by_window(cfg.space, cfg.group, cfg.bc.C, cfg.depth, cfg.gamma_cap)
     assert base == cfg.base_points
-    assert registry.to_records(cfg.space.points) == cfg.registry.to_records(cfg.space.points)
+    assert list(registry.to_records(cfg.space.points)) == list(cfg.registry.to_records(cfg.space.points))
     assert ([(m, i.ordinal, i.exponent, i.attained) for m, i in registry.all_classes()]
             == [(m, i.ordinal, i.exponent, i.attained) for m, i in cfg.registry.all_classes()])
     assert [p[0] for p in plans] == [p.n for p in cfg.plans]
@@ -968,8 +970,15 @@ def test_last_slot_classes_follow_sorted_rows_per_window():
     bc = choose_parameters(1.1)
     starts = np.array([1, 2, 2, 2])
     idx = np.array([[0, 1], [0, 2], [0, 1], [0, 2]])
-    weights = _last_slot_weights(registry, bc, starts, idx)
-    assert [(r["m"], r["ordinal"], r["representative"]) for r in registry.to_records(range(6))] == [
+    # the identity keys each row by itself: a row's class is its (start,
+    # idx) rank
+    rank = _dense((starts * 6 + idx[:, 0]) * 6 + idx[:, 1])
+    weights = _class_weights(registry, bc, starts, idx, rank, rank)
+    records = list(registry.to_records(range(6)))
+    assert [(r["m"], r["ordinal"], r["representative"]) for r in records] == [
         (1, 1, [0, 1]), (2, 1, [0, 1]), (2, 2, [0, 2])]
     assert weights.tolist() == [bc.inv_L_pow(registry.classify(int(s), row).exponent)
                                 for s, row in zip(starts, idx.tolist())]
+    oracle = ClassRegistry([np.arange(6)])
+    assert last_slot_weights(oracle, bc, starts, idx).tobytes() == weights.tobytes()
+    assert list(oracle.to_records(range(6))) == records

@@ -1,8 +1,8 @@
 """The columnar class registry against the row-at-a-time code it replaced.
 
 The oracles below are the single-row lexsort key and the verifier that read
-ClassInfo objects and re-keyed every representative prefix through
-``lookup_rows``.  On word lists closed under composition a prefix of a
+ClassInfo objects and re-keyed every representative prefix through the
+``lookup_rows`` oracle.  On word lists closed under composition a prefix of a
 canonical key is its own key, so both verifiers must give the same report,
 violation order included; on capped word lists only the new one reads the
 chain the norm sums (see ``test_plan_weights_are_the_prefix_classes_of_each_key``).
@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
+from key_oracles import canonical_keys, lookup_rows
 from renormlab import tuples
 from renormlab.tuples import (
     ClassInfo,
@@ -34,7 +35,7 @@ from renormlab.tuples import (
 
 def _canonical_key_lexsort(registry, points):
     # the single-row key that one lexsort over the word axis gave
-    return tuple(registry.canonical_keys(np.asarray(points, dtype=np.intp)[None])[0].tolist())
+    return tuple(canonical_keys(registry, np.asarray(points, dtype=np.intp)[None])[0].tolist())
 
 
 def _verify_bmap_batched(bc, depth, registry):
@@ -86,7 +87,7 @@ def _verify_bmap_batched(bc, depth, registry):
         reps = np.array([rep for _, rep in keys], dtype=np.intp).reshape(len(keys), size)
         starts = [windows[m].start for m, _ in keys]
         for k in range(1, size):
-            for key, sub in zip(keys, registry.lookup_rows(starts, reps[:, : k + 1])):
+            for key, sub in zip(keys, lookup_rows(registry, starts, reps[:, : k + 1])):
                 subs[key].append(sub)
 
     for (m, rep), info in rep_index.items():
@@ -297,7 +298,7 @@ def test_class_views_read_and_write_their_row():
 
 
 def test_to_records_writes_each_exponent_as_its_fraction(product_cfg):
-    records = product_cfg.registry.to_records(product_cfg.space.points)
+    records = list(product_cfg.registry.to_records(product_cfg.space.points))
     infos = product_cfg.registry.all_classes()
     assert len(records) == len(infos) == len(product_cfg.registry)
     assert [r["exponent"] for r in records] == [str(info.exponent) for _, info in infos]
@@ -336,7 +337,7 @@ def _prefix_weights_hold(cfg):
     registry, bc = cfg.registry, cfg.bc
     for plan in cfg.plans[1:]:
         starts = plan.starts.tolist()
-        keys = registry.canonical_keys(plan.idx).tolist()
+        keys = canonical_keys(registry, plan.idx).tolist()
         assert plan.weights[:, 0].tolist() == [bc.lam(s) for s in starts]
         for k in range(1, plan.n + 1):
             ms = {s: enumeration_index(window_of(s, k)) for s in set(starts)}

@@ -86,10 +86,8 @@ def _assert_matches_oracle(group, name):
 
 
 def _orbit_closure_loop(group, t):
-    # one pass over the words, each image compared with every kept one
-    space = group.space
+    # one pass over the words, each image kept unless it repeats one
     base = tuple(int(i) for i in t)
-    tol = 2 * space.resolution * (1 - 1e-9)
     defect_sets = [g.allowed_defects for g in group.generators]
     clipped = False
     kept = []
@@ -97,8 +95,7 @@ def _orbit_closure_loop(group, t):
         img = tuple(int(w.forward[i]) for i in base)
         if any(i in ds for ds in defect_sets for i in img):
             clipped = True
-        # the max metric on tuples
-        if all(img != k and max(space.d(a, b) for a, b in zip(img, k)) >= tol for k in kept):
+        if img not in kept:
             kept.append(img)
     if base not in kept:
         kept.append(base)
@@ -167,26 +164,27 @@ def test_table_consumers_match_per_word_loops(gallery, bounded, capped, data):
     assert group_norm(x, bounded[name]).sup_over_words == _sup_over_words_loop(group, x)
 
 
-def test_orbit_dedupe_keeps_the_first_image_within_the_scale(onepoint_space, swap_group):
+def test_orbit_keeps_distinct_images_closer_than_the_scale(onepoint_space, swap_group):
     # near inf the swapped pair (0, 50), (1, 50) is closer than twice the
-    # resolution: the image met first in word order, the base itself, is kept
+    # resolution, and each is the other's image: both are in either orbit
     i0, i1 = onepoint_space.index("(0,50)"), onepoint_space.index("(1,50)")
     i2 = onepoint_space.index("(0,49)")
-    assert orbit_closure(swap_group, (i0,)).samples == ((i0,),)
-    assert orbit_closure(swap_group, (i1,)).samples == ((i1,),)
+    assert orbit_closure(swap_group, (i0,)).samples == ((i0,), (i1,))
+    assert orbit_closure(swap_group, (i1,)).samples == ((i0,), (i1,))
+    assert onepoint_space.dmat[i0, i1] < 2 * onepoint_space.resolution
     for t in [(i1, i2), (i2, i1), (i1, i0)]:
         assert orbit_closure(swap_group, t).samples == _orbit_closure_loop(swap_group, t)[0], t
 
 
-def test_orbit_dropped_image_still_clips(onepoint_space):
-    # a declared defect met only by an image the scale dedupe drops
+def test_orbit_image_on_a_declared_defect_clips(onepoint_space):
+    # a declared defect met only by an image closer than the scale
     i0, i1 = onepoint_space.index("(0,50)"), onepoint_space.index("(1,50)")
     g = onepoint_swap(onepoint_space, 50)
     clipped = WeightedComposition(onepoint_space, g.weight, g.forward, g.backward,
                                   label="g_50", allowed_defects=frozenset({i1}))
     group = rl.GroupSpec((clipped,), word_cap=2)
     orb = orbit_closure(group, (i0,))
-    assert orb.samples == ((i0,),)
+    assert orb.samples == ((i0,), (i1,))
     assert orb.window_clipped
     assert (orb.samples, orb.window_clipped) == _orbit_closure_loop(group, (i0,))
 
