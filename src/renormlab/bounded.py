@@ -31,7 +31,6 @@ class BoundedGroupNorm:
     C_G: float               # max over words of sup weight
     cap_trace: list[tuple[int, float]]   # (cap, min over sample of m at that cap)
     flagged: list[str]       # non-isolated points with a large sampled jump
-    growth_warning: bool
 
 
 def m_weight(group: GroupSpec) -> BoundedGroupNorm:
@@ -51,7 +50,6 @@ def m_weight(group: GroupSpec) -> BoundedGroupNorm:
         raise ValueError("unbounded group at cap: non-finite word weight")
     m = weights.min(axis=0)
     trace = [(c, float(group.word_table(c)[1].min())) for c in range(1, group.word_cap + 1)]
-    growth = len(trace) >= 2 and trace[-1][1] < trace[-2][1] - 1e-12
 
     radius = 2 * space.resolution
     flagged = []
@@ -69,7 +67,6 @@ def m_weight(group: GroupSpec) -> BoundedGroupNorm:
         C_G=float(weights.max()),
         cap_trace=trace,
         flagged=flagged,
-        growth_warning=growth,
     )
 
 

@@ -108,17 +108,22 @@ def make_operator(spec: dict, space: SampledSpace, group: GroupSpec):
     if kind == "multiplication":
         return compose(multiplication(space, float(spec["factor"])), identity(space))
     if kind == "generator_word":
+        indices = spec.get("indices", [0])
         op = identity(space)
-        for gi in spec.get("indices", [0]):
-            op = compose(op, group.generators[int(gi)])
-        op.label = "word:" + ",".join(str(i) for i in spec.get("indices", [0]))
+        for j, gi in enumerate(indices):
+            gi = _integer(gi, f"detect operator generator_word: indices[{j}]", 0)
+            if gi >= len(group.generators):
+                raise InputError(f"detect operator generator_word: indices[{j}] must be below "
+                                 f"{len(group.generators)}, the group's generator count, got {gi}")
+            op = compose(op, group.generators[gi])
+        op.label = "word:" + ",".join(str(i) for i in indices)
         return op
     if kind == "rotation_flip":
         aux = space.aux
         if aux.get("kind") != "product":
             raise InputError("rotation_flip needs a product space")
         circ, seg = aux["a"], aux["b"]
-        q = int(spec.get("q", 12))
+        q = _integer(spec.get("q", 12), "detect operator rotation_flip: q", 1)
         rot = lift(circle_rotation(circ, steps=circ.aux["count"] // q), space, "left")
         flip = lift(interval_flip(seg), space, "right")
         out = compose(rot, flip)

@@ -2,9 +2,12 @@
 space.
 
 The criterion is executable: the weight must be one, each base orbit must
-map into itself, and for base tuples the class fingerprint (the unit
-solution of the tuple's triangular system) must be preserved.  A candidate
-is certified only when an enumerated group word matches its point map on
+map into itself, and each tested base tuple's image must lie in the
+tuple's class, compared by canonical key (the smallest word image) in the
+registry's own terms but without writing to it.  A mismatch is a witness
+of kind ``fingerprint`` that names the tuple, its image and, for a class
+mismatch, both classes' representatives as point ids.  A candidate is
+certified only when an enumerated group word matches its point map on
 every sample point; inconclusive is a first-class outcome at finite caps.
 """
 
@@ -15,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norm import RenormConfig, _build_system, solve_unit
+from .norm import RenormConfig
 from .operators import WeightedComposition
-from .tuples import TupleIndex
 
 log = logging.getLogger(__name__)
 
@@ -45,8 +47,6 @@ class TupleCheck:
     tuple_points: tuple[str, ...]
     image_points: tuple[str, ...]
     outcome: str  # same-class | class-mismatch | window-mismatch | off-orbit
-    fingerprint: tuple[float, ...]
-    image_fingerprint: tuple[float, ...] | None
     detail: str = ""
 
     @property
@@ -66,10 +66,6 @@ class IsometryVerdict:
     approx_group_element: tuple[str, float] | None
     caps: dict
     witness: dict | None = None
-
-    @property
-    def certified(self) -> bool:
-        return self.verdict == "certified-in-G"
 
 
 def check_weight_one(T: WeightedComposition, cfg: RenormConfig) -> WeightReport:
@@ -121,54 +117,49 @@ def check_weight_one(T: WeightedComposition, cfg: RenormConfig) -> WeightReport:
 
 
 def _orbit_checks(T: WeightedComposition, cfg: RenormConfig, depth: int) -> list[TupleCheck]:
-    """Fingerprint checks of the base tuples (1, n), n = 1..depth - 1.
+    """Class checks of the base tuples (1, n), n = 1..depth - 1.
 
-    Each side builds one triangular system, for its longest tuple: a
-    shorter tuple's fingerprint is the unit solution of that system's
-    leading block, and its class is the block's (0, n) segment class.  The
-    image of the base tuple (1, n) is a prefix of the longest image, so it
-    occupies a window exactly when that prefix does, with the same start.
+    A tuple's class in its window is its canonical key, and a prefix's key
+    is the prefix of the key, so each side is keyed once: the longest base
+    tuple, and the longest image prefix that sits on consecutive base
+    indices.  The image of the base tuple (1, n) is a prefix of the longest
+    image, so it occupies a window exactly when that prefix does, with the
+    same start.  The registry is only read.
     """
     space = cfg.space
-    t = cfg.base_tuple(1, depth - 1)
-    img = tuple(int(p) for p in T.forward[list(t.points)])
+    t = cfg.base_tuple(1, depth - 1).points
+    img = tuple(int(p) for p in T.forward[list(t)])
     slots = cfg.classify_slots(img)
     # the longest image prefix whose slots sit on consecutive base indices
     size = 0
     while size < len(slots) and slots[size] is not None and slots[size][0] == slots[0][0] + size:
         size += 1
-    ti = TupleIndex(slots[0][0], tuple(s[1] for s in slots[:size]), img[:size]) if size > 1 else None
-    # in a window both tuples reach, the per-depth order classified the
-    # later-starting one first (the base tuple on a tie), so building that
-    # one first keeps the ordinals of new classes; equal tuples build once
-    order = (t,) if ti is None else (t, ti) if ti.start == 1 else (ti, t)
-    systems = {u: _build_system(u, cfg) for u in order}
-    base_sys, base_cls = systems[t]
-    img_sys, img_cls = systems.get(ti, (None, None))
+    key_t = cfg.registry.canonical_key(t)
+    key_s = cfg.registry.canonical_key(img[:size]) if size > 1 else ()
 
     checks: list[TupleCheck] = []
     for n in range(1, depth):
-        fp_t = tuple(solve_unit(base_sys, n + 1))
-        t_ids = tuple(space.points[p] for p in t.points[: n + 1])
+        t_ids = tuple(space.points[p] for p in t[: n + 1])
         img_ids = tuple(space.points[p] for p in img[: n + 1])
         if n < size:
-            fp_s = tuple(solve_unit(img_sys, n + 1))
-            info_t, info_s = base_cls[n - 1], img_cls[n - 1]
-            if ti.start != 1:
+            start = slots[0][0]
+            if start != 1:
                 check = TupleCheck(
-                    t_ids, img_ids, "window-mismatch", fp_t, fp_s,
-                    detail=f"image occupies base window {ti.start}..{ti.start + n} instead of 1..{n + 1}",
+                    t_ids, img_ids, "window-mismatch",
+                    detail=f"image occupies base window {start}..{start + n} instead of 1..{n + 1}",
                 )
-            elif info_t.m == info_s.m and info_t.ordinal == info_s.ordinal:
-                check = TupleCheck(t_ids, img_ids, "same-class", fp_t, fp_s)
+            elif key_s[: n + 1] == key_t[: n + 1]:
+                check = TupleCheck(t_ids, img_ids, "same-class")
             else:
+                rep_s = [space.points[p] for p in key_s[: n + 1]]
+                rep_t = [space.points[p] for p in key_t[: n + 1]]
                 check = TupleCheck(
-                    t_ids, img_ids, "class-mismatch", fp_t, fp_s,
-                    detail=f"image lies in class ordinal {info_s.ordinal} != {info_t.ordinal}",
+                    t_ids, img_ids, "class-mismatch",
+                    detail=f"image lies in the class of {rep_s}, not of {rep_t}",
                 )
         elif all(s is not None for s in slots[: n + 1]):
             check = TupleCheck(
-                t_ids, img_ids, "off-orbit", fp_t, None,
+                t_ids, img_ids, "off-orbit",
                 detail=f"image slots land in base orbits {[s[0] for s in slots[: n + 1]]}, not a consecutive window",
             )
         else:
@@ -177,7 +168,7 @@ def _orbit_checks(T: WeightedComposition, cfg: RenormConfig, depth: int) -> list
             # image fails head or tail equivalence
             missing = [img_ids[j] for j, s in enumerate(slots[: n + 1]) if s is None]
             check = TupleCheck(
-                t_ids, img_ids, "off-orbit", fp_t, None,
+                t_ids, img_ids, "off-orbit",
                 detail=f"image points {missing} lie outside every enumerated base orbit",
             )
         checks.append(check)
@@ -189,8 +180,8 @@ def certify(
     cfg: RenormConfig,
     test_depth: int = 4,
 ) -> IsometryVerdict:
-    """Full isometry check: weight, orbit preservation on base tuples via
-    fingerprints, and an explicit approximating group word.
+    """Full isometry check: weight, orbit preservation on base tuples by
+    canonical class key, and an explicit approximating group word.
 
     certified-in-G means a word of length at most the group's cap matches
     the candidate map within ``2 * resolution`` (reported as

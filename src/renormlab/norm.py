@@ -29,7 +29,6 @@ from .orbits import select_dense_points
 from .space import SampledSpace
 from .tuples import (
     BCAssignment,
-    ClassInfo,
     ClassRegistry,
     TupleIndex,
     choose_parameters,
@@ -90,7 +89,6 @@ class TriangularSystem:
 
     lambdas: np.ndarray
     zeta: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
@@ -123,14 +121,13 @@ class TriangularSystem:
         return np.diag(self.lambdas) + self.zeta
 
 
-def solve_unit(T: TriangularSystem, size: int | None = None) -> np.ndarray:
-    """Back substitution for the unit right-hand side, on the leading
-    ``size`` x ``size`` block (the whole system by default).
+def solve_unit(T: TriangularSystem) -> np.ndarray:
+    """Back substitution for the unit right-hand side.
 
     Entries are asserted to land in [4/5, 1]; anything else indicates the
     hypothesis bounds were violated upstream.
     """
-    s = T.size if size is None else size
+    s = T.size
     z = np.zeros(s)
     for k in range(s - 1, -1, -1):
         acc = 1.0 - float(T.zeta[k, k + 1 : s] @ z[k + 1 :])
@@ -612,9 +609,9 @@ def gamma_cap_trace(x: np.ndarray, cfg: RenormConfig, caps: Sequence[int]) -> li
 # dual machinery
 
 
-def _build_system(t: TupleIndex, cfg: RenormConfig) -> tuple[TriangularSystem, list[ClassInfo]]:
-    """The tuple's triangular system and the class of each prefix segment
-    (0, k), k = 1..n.
+def build_matrix(t: TupleIndex, cfg: RenormConfig) -> TriangularSystem:
+    """Triangular system whose row k carries lambda_{start+k} on the diagonal
+    and the reciprocal weights of the tuple's inner segments above it.
 
     Segment (j, k) is a prefix of the suffix t[j:], so its class is read
     from that suffix's one key.  A segment the registry lacks registers
@@ -625,26 +622,14 @@ def _build_system(t: TupleIndex, cfg: RenormConfig) -> tuple[TriangularSystem, l
     lambdas = np.array([cfg.lam(t.start + k) for k in range(s)])
     zeta = np.zeros((s, s))
     registry = cfg.registry
-    classes: dict[tuple[int, int], ClassInfo | None] = {}
     for j in range(s - 1):
         found = registry.prefix_classes(t.start + j, t.points[j:])
-        classes.update(((j, k), info) for k, info in enumerate(found, start=j + 1))
-    for j in range(s):
-        for k in range(j + 1, s):
-            info = classes[j, k]
+        for k, info in enumerate(found, start=j + 1):
             if info is None:
-                seg = t.segment(j, k)
-                info = classes[j, k] = registry.classify(seg.start, seg.points)
+                info = registry.classify(t.start + j, t.points[j : k + 1])
             p, q = info.ratio
             zeta[j, k] = cfg.bc.inv_L_pow(p / q)
-    system = TriangularSystem(lambdas=lambdas, zeta=zeta, label=f"T({t.start}..{t.start + t.n})")
-    return system, [classes[0, k] for k in range(1, s)]
-
-
-def build_matrix(t: TupleIndex, cfg: RenormConfig) -> TriangularSystem:
-    """Triangular system whose row k carries lambda_{start+k} on the diagonal
-    and the reciprocal weights of the tuple's inner segments above it."""
-    return _build_system(t, cfg)[0]
+    return TriangularSystem(lambdas=lambdas, zeta=zeta)
 
 
 def dual_norm_delta(point: int, cfg: RenormConfig) -> float:
@@ -666,8 +651,8 @@ def dual_norm_atoms(
     TupleIndex through :meth:`RenormConfig.window_tuple`; equivalent
     tuples share the solution vector.
 
-    Returns (value, fingerprint): the value is beta . a(t) and the
-    fingerprint a(t) is the class invariant used by the detector.
+    Returns (value, fingerprint): the value is beta . a(t), and the
+    fingerprint a(t) is the unit solution of the tuple's system.
     """
     beta = np.asarray(beta, dtype=float)
     if not np.all((beta >= 0.8 - _ZETA_MARGIN) & (beta <= 1.0 + _ZETA_MARGIN)):

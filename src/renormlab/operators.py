@@ -586,7 +586,6 @@ class SOTVerdict:
     weight_bound: float
     moreover_applicable: bool
     moreover_detail: str
-    horizon: int
 
 
 def _tail_threshold(violations: Sequence[int], horizon: int) -> int | None:
@@ -741,7 +740,6 @@ def check_sot_convergence(
         weight_bound=weight_bound,
         moreover_applicable=moreover,
         moreover_detail=moreover_detail,
-        horizon=horizon,
     )
 
 
@@ -749,7 +747,6 @@ def check_sot_convergence(
 class EquicontinuityReport:
     table: list[tuple[float, float]]          # (eps, largest valid delta); inf when unconstrained
     witnesses: list[tuple[float, tuple]]      # (eps, (member, point s, point t)) when no grid delta works
-    grid: tuple[float, ...]
 
     @property
     def equicontinuous(self) -> bool:
@@ -799,4 +796,4 @@ def check_local_equicontinuity(
         table.append((eps, best_delta))
         if best_delta < min_grid_delta - slack and witness is not None:
             witnesses.append((eps, witness))
-    return EquicontinuityReport(table=table, witnesses=witnesses, grid=grid)
+    return EquicontinuityReport(table=table, witnesses=witnesses)

@@ -92,4 +92,4 @@ def build_system_by_lookup(t, cfg):
                 info = classes[j, k] = registry.classify(seg.start, seg.points)
             p, q = info.ratio
             zeta[j, k] = cfg.bc.inv_L_pow(p / q)
-    return TriangularSystem(lambdas=lambdas, zeta=zeta, label=f"T({t.start}..{t.start + t.n})")
+    return TriangularSystem(lambdas=lambdas, zeta=zeta)

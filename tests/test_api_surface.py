@@ -6,10 +6,13 @@ is the whole set; a new option fails here until it is added on purpose.
 
 Every public function or method must also have a caller in ``src/``,
 ``scripts/`` or ``perfbench/``, outside its own body, or an entry with its
-reason in ``UNREACHED``.
+reason in ``UNREACHED``.  Likewise every public property must be read there
+outside its own body, and every dataclass field must be read there at all,
+or have an entry with its reason in ``UNREAD``.  Both checks match by name.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -28,7 +31,6 @@ OPTIONS = {
     "norm.build_config(base_count)",
     "norm.build_config(depth)",
     "norm.build_config(gamma_cap)",
-    "norm.solve_unit(size)",
     "operators.GroupSpec.word_table(cap)",
     "operators.circle_rotation(angle)",
     "operators.circle_rotation(label)",
@@ -56,21 +58,54 @@ UNREACHED = {
 }
 
 
-def public_functions():
-    """(module.name or module.Class.name, function) of every public function
-    and method defined in a renormlab module."""
+# public properties and dataclass fields that nothing outside tests/ reads,
+# and why each stays
+UNREAD = {
+    "norm.NormResult.upper": "the upper end of the norm sandwich value <= true <= value + bound",
+    "bounded.GroupNormResult.sup_over_words": "the direct sup over the word table, which agree compares with value",
+    "detector.WeightReport.dual_ratio_deviation": "dual-norm evidence that the weight is one off the base orbits",
+    "detector.WeightReport.dual_points_checked": "how many points the dual-norm evidence covers",
+    "detector.WeightReport.orbit_containment": "per-base escapes, which a containment witness will read (ROADMAP 3(b))",
+    "norm.RenormConfig.bmap_report": "the build's verify_bmap result, which the verify-bmap task will return (ROADMAP 1(b))",
+}
+
+
+def public_objects():
+    """(module name, name, object) of every public function and class
+    defined in a renormlab module."""
     for info in pkgutil.iter_modules(renormlab.__path__):
         mod = importlib.import_module(f"renormlab.{info.name}")
         for name, obj in vars(mod).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
-                continue
-            if inspect.isfunction(obj):
-                yield f"{info.name}.{name}", obj
-            elif inspect.isclass(obj):
-                for attr, member in vars(obj).items():
-                    fn = getattr(member, "__func__", member)  # static and class methods
-                    if not attr.startswith("_") and inspect.isfunction(fn):
-                        yield f"{info.name}.{name}.{attr}", fn
+            if not name.startswith("_") and getattr(obj, "__module__", None) == mod.__name__:
+                yield info.name, name, obj
+
+
+def public_functions():
+    """(module.name or module.Class.name, function) of every public function
+    and method defined in a renormlab module."""
+    for module, name, obj in public_objects():
+        if inspect.isfunction(obj):
+            yield f"{module}.{name}", obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                fn = getattr(member, "__func__", member)  # static and class methods
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    yield f"{module}.{name}.{attr}", fn
+
+
+def public_attributes():
+    """(module.Class.name, is a field) of every public property and every
+    dataclass field of a class defined in a renormlab module."""
+    for module, name, obj in public_objects():
+        if not inspect.isclass(obj):
+            continue
+        for attr, member in vars(obj).items():
+            if not attr.startswith("_") and isinstance(member, property):
+                yield f"{module}.{name}.{attr}", False
+        if dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                if not f.name.startswith("_"):
+                    yield f"{module}.{name}.{f.name}", True
 
 
 def public_options() -> set[str]:
@@ -112,7 +147,7 @@ def test_public_options_match_the_table():
     found = public_options()
     assert sorted(found - OPTIONS) == [], "new options: add them to OPTIONS on purpose"
     assert sorted(OPTIONS - found) == [], "removed options: drop them from OPTIONS"
-    assert len(OPTIONS) == 20
+    assert len(OPTIONS) == 19
 
 
 def test_every_public_function_has_a_caller():
@@ -126,3 +161,15 @@ def test_every_public_function_has_a_caller():
         if not any(s != qualname and not s.startswith(qualname + ".") for s in scopes):
             unreached.append(qualname)
     assert sorted(unreached) == sorted(UNREACHED), "call the name, retire it, or add it to UNREACHED with a reason"
+
+
+def test_every_public_attribute_is_read():
+    # a property is read outside its own body; a field anywhere, its own
+    # class included
+    attrs, _ = references()
+    unread = []
+    for qualname, is_field in public_attributes():
+        scopes = attrs.get(qualname.rsplit(".", 1)[1], set())
+        if not any(is_field or (s != qualname and not s.startswith(qualname + ".")) for s in scopes):
+            unread.append(qualname)
+    assert sorted(unread) == sorted(UNREAD), "read the name, retire it, or add it to UNREAD with a reason"

@@ -81,10 +81,26 @@ def test_certify_translation_rejected_with_reproducible_witness(line_cfg):
     assert v1.verdict == "rejected"
     assert v1.witness == v2.witness
     assert v1.witness["kind"] == "fingerprint"
-    # the mismatch is re-checkable: the image window differs from the base window
-    first = next(c for c in v1.orbit_checks if c.mismatch)
-    assert first.outcome in ("window-mismatch", "class-mismatch", "off-orbit")
-    assert first.fingerprint != first.image_fingerprint
+    # the mismatch is re-checkable from the witness's point ids alone
+    assert v1.witness["outcome"] == "window-mismatch"
+    assert _recheck_witness(v1.witness, T, line_cfg) == "window-mismatch"
+
+
+def _recheck_witness(witness, T, cfg):
+    # the outcome of a fingerprint witness, recomputed from its point ids:
+    # the tuple is a base tuple, the image is T's image of it, and the
+    # image's slots and canonical key decide the rest
+    space = cfg.space
+    t = [space.index(p) for p in witness["tuple"]]
+    img = [space.index(p) for p in witness["image"]]
+    assert t == list(cfg.base_points[: len(t)])
+    assert img == T.forward[t].tolist()
+    slots = cfg.classify_slots(img)
+    if any(s is None for s in slots) or [s[0] for s in slots] != list(range(slots[0][0], slots[0][0] + len(t))):
+        return "off-orbit"
+    if slots[0][0] != 1:
+        return "window-mismatch"
+    return "same-class" if cfg.registry.canonical_key(img) == cfg.registry.canonical_key(t) else "class-mismatch"
 
 
 def test_certify_all_generator_words(product_cfg):
@@ -225,8 +241,8 @@ def test_block_diagonal_containment_matches_per_orbit_loop(product_cfg, line_cfg
 
 
 def _certify_per_depth(T, cfg, test_depth=4):
-    # the certify that one system per side replaced: per depth, two
-    # fingerprints, each its own triangular system, and two classify calls
+    # the certify that one key per side replaced: per depth, two classify
+    # calls, which register the classes they miss, so cfg must be a fork
     space = cfg.space
     word_tol = 2 * space.resolution
     test_depth = min(test_depth, cfg.base_count)
@@ -237,7 +253,6 @@ def _certify_per_depth(T, cfg, test_depth=4):
         witness = {"kind": "weight", "point": weight.weight_witness, "deviation": weight.max_weight_deviation}
     for n in range(1, test_depth):
         t = cfg.base_tuple(1, n)
-        fp_t = solve_unit(build_matrix(t, cfg))
         img = tuple(int(T.forward[p]) for p in t.points)
         img_ids = tuple(space.points[p] for p in img)
         t_ids = tuple(space.points[p] for p in t.points)
@@ -249,22 +264,22 @@ def _certify_per_depth(T, cfg, test_depth=4):
         if ti is not None and ti.start == 1:
             info_t = cfg.registry.classify(t.start, t.points)
             info_s = cfg.registry.classify(ti.start, ti.points)
-            fp_s = solve_unit(build_matrix(ti, cfg))
             if info_t.m == info_s.m and info_t.ordinal == info_s.ordinal:
-                check = TupleCheck(t_ids, img_ids, "same-class", tuple(fp_t), tuple(fp_s))
+                check = TupleCheck(t_ids, img_ids, "same-class")
             else:
-                check = TupleCheck(t_ids, img_ids, "class-mismatch", tuple(fp_t), tuple(fp_s),
-                                   detail=f"image lies in class ordinal {info_s.ordinal} != {info_t.ordinal}")
+                rep_s = [space.points[p] for p in info_s.representative]
+                rep_t = [space.points[p] for p in info_t.representative]
+                check = TupleCheck(t_ids, img_ids, "class-mismatch",
+                                   detail=f"image lies in the class of {rep_s}, not of {rep_t}")
         elif ti is not None:
-            fp_s = solve_unit(build_matrix(ti, cfg))
-            check = TupleCheck(t_ids, img_ids, "window-mismatch", tuple(fp_t), tuple(fp_s),
+            check = TupleCheck(t_ids, img_ids, "window-mismatch",
                                detail=f"image occupies base window {ti.start}..{ti.start + n} instead of 1..{n + 1}")
         elif all(s is not None for s in slots):
-            check = TupleCheck(t_ids, img_ids, "off-orbit", tuple(fp_t), None,
+            check = TupleCheck(t_ids, img_ids, "off-orbit",
                                detail=f"image slots land in base orbits {[s[0] for s in slots]}, not a consecutive window")
         else:
             missing = [img_ids[j] for j, s in enumerate(slots) if s is None]
-            check = TupleCheck(t_ids, img_ids, "off-orbit", tuple(fp_t), None,
+            check = TupleCheck(t_ids, img_ids, "off-orbit",
                                detail=f"image points {missing} lie outside every enumerated base orbit")
         checks.append(check)
         if check.mismatch and witness is None:
@@ -317,8 +332,8 @@ def _certify_cases(cfg):
         # off the group's grid: a one-step rotation and a flip
         lift(circle_rotation(circ, steps=1), space, "left"), lift(interval_flip(seg), space, "right"),
         # the base tuple moves one window up, with mixed orbit labels, so
-        # the image tuple starts at base 2 and the two sides register
-        # different new classes in the windows they share
+        # the image tuple starts at base 2 and the two sides have classes
+        # the registry lacks in the windows they share
         _sending(space, [(b[i], orbit(i + 2)[i % 3]) for i in range(6)], "shift"),
         # same window, mixed labels: class mismatches past the depth
         _sending(space, [(b[i], orbit(i + 1)[(i * i) % 5]) for i in range(6)], "relabel"),
@@ -329,30 +344,56 @@ def _certify_cases(cfg):
 
 
 @pytest.mark.parametrize("name", ["product_cfg", "product_word_capped_cfg", "line_cfg"])
-def test_one_system_per_side_matches_per_depth_certify(name, request, fork):
+def test_one_key_per_side_matches_per_depth_certify(name, request, fork):
     cfg = request.getfixturevalue(name)
     outcomes = set()
     for T in _certify_cases(cfg):
         for depth in range(1, 7):
-            old, new = fork(cfg), fork(cfg)
-            expected = _certify_per_depth(T, old, depth)
+            new = fork(cfg)
+            expected = _certify_per_depth(T, fork(cfg), depth)
             assert certify(T, new, test_depth=depth) == expected, (T.label, depth)
-            assert new.registry.all_classes() == old.registry.all_classes(), (T.label, depth)
+            assert new.registry.all_classes() == cfg.registry.all_classes(), (T.label, depth)
             outcomes |= {c.outcome for c in expected.orbit_checks}
     if name == "product_cfg":
         assert outcomes == {"same-class", "class-mismatch", "window-mismatch", "off-orbit"}
 
 
-def test_shifted_tuple_registers_new_classes_on_both_sides(product_cfg, fork):
-    # the ordering case: the image starts at base 2, and past the depth both
-    # sides register a new class in the windows they share
+@pytest.mark.parametrize("name", ["product_cfg", "product_word_capped_cfg", "line_cfg"])
+def test_certify_never_writes_the_registry(name, request, fork):
+    # every call on one config, the group's own words included
+    cfg = fork(request.getfixturevalue(name))
+    before = cfg.registry.all_classes()
+    for T in [*_certify_cases(cfg), *cfg.group.words()]:
+        for depth in range(1, 7):
+            certify(T, cfg, test_depth=depth)
+            assert cfg.registry.all_classes() == before, (T.label, depth)
+
+
+def test_shifted_tuple_registers_no_class(product_cfg, fork):
+    # the image starts at base 2, and past the depth neither side's class
+    # is registered in the windows they share: certify reads keys only
     cfg = fork(product_cfg)
     shift = next(T for T in _certify_cases(cfg) if T.label == "shift")
     verdict = certify(shift, cfg, test_depth=6)
     assert [c.outcome for c in verdict.orbit_checks] == ["window-mismatch"] * 5
-    old = {(m, info.ordinal) for m, info in product_cfg.registry.all_classes()}
-    new = [m for m, info in cfg.registry.all_classes() if (m, info.ordinal) not in old]
-    assert any(new.count(m) == 2 for m in new)
+    assert cfg.registry.all_classes() == product_cfg.registry.all_classes()
+
+
+def test_class_mismatch_names_both_canonical_representatives(product_cfg):
+    # same window, mixed labels: the detail's representatives are the
+    # canonical keys of the base prefix and of the image prefix
+    cfg = product_cfg
+    space = cfg.space
+    relabel = next(T for T in _certify_cases(cfg) if T.label == "relabel")
+    verdict = certify(relabel, cfg, test_depth=6)
+    mismatches = [c for c in verdict.orbit_checks if c.outcome == "class-mismatch"]
+    assert mismatches and verdict.witness["outcome"] == "class-mismatch"
+    assert _recheck_witness(verdict.witness, relabel, cfg) == "class-mismatch"
+    for check in mismatches:
+        rep_s, rep_t = ([space.points[p] for p in cfg.registry.canonical_key([space.index(i) for i in ids])]
+                        for ids in (check.image_points, check.tuple_points))
+        assert rep_s != rep_t
+        assert check.detail == f"image lies in the class of {rep_s}, not of {rep_t}"
 
 
 def _isometry_census(space):
@@ -383,7 +424,7 @@ def test_a_certified_map_matches_a_word_on_every_point(name, request, fork):
     certified = 0
     for T in cases:
         verdict = certify(T, cfg)
-        if verdict.certified:
+        if verdict.verdict == "certified-in-G":
             certified += 1
             gaps = space.dmat[cfg.registry.word_maps, T.forward].max(axis=1)
             assert gaps.min() <= tol, T.label
@@ -409,7 +450,7 @@ def test_isometry_census_certifies_exactly_the_group(product_cfg, fork):
         assert np.abs(space.dmat[forward[a], forward[b]] - space.dmat[a, b]).max() <= 1e-9
         T = WeightedComposition(space, np.ones(space.n), forward, np.argsort(forward))
         verdict = certify(T, cfg)
-        if verdict.certified:
+        if verdict.verdict == "certified-in-G":
             certified.append((s, r, flip))
         else:
             assert verdict.verdict in ("rejected", "inconclusive")

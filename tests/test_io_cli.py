@@ -327,6 +327,30 @@ def test_bad_test_depth_exits_2_naming_the_operator(tmp_path, capsys, bad):
     assert not (tmp_path / "out" / "detect.json").exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"builtin": "rotation_flip", "q": 4.5}, "detect operator rotation_flip: q must be an integer >= 1, got 4.5"),
+    ({"builtin": "rotation_flip", "q": 0}, "detect operator rotation_flip: q must be an integer >= 1, got 0"),
+    ({"builtin": "generator_word", "indices": [0.9]},
+     "detect operator generator_word: indices[0] must be an integer >= 0, got 0.9"),
+    ({"builtin": "generator_word", "indices": [0, 7]},
+     "detect operator generator_word: indices[1] must be below 2, the group's generator count, got 7"),
+])
+def test_bad_operator_spec_exits_2_naming_the_field(tmp_path, capsys, spec, message):
+    scenario = {
+        "space": {"builtin": "circle_x_interval", "params": {"count": 12, "levels": 4}},
+        "group": {"builtin": "rotation", "q": 4, "word_cap": 4},
+        "depth": 3,
+        "tasks": ["build-config", "detect"],
+        "detect": [{"builtin": "identity", "expect": "certified-in-G"}, spec],
+    }
+    path = tmp_path / "detect.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
 @pytest.mark.parametrize("bad", [0, -2, 2.0, "5", False])
 def test_bad_beta_grid_exits_2(tmp_path, capsys, bad):
     scenario = {

@@ -779,7 +779,7 @@ def _build_matrix_per_segment(t, cfg):
         for k in range(j + 1, s):
             seg = t.segment(j, k)
             zeta[j, k] = cfg.bc.inv_L_pow(cfg.registry.classify(seg.start, seg.points).exponent)
-    return TriangularSystem(lambdas=lambdas, zeta=zeta, label=f"T({t.start}..{t.start + t.n})")
+    return TriangularSystem(lambdas=lambdas, zeta=zeta)
 
 
 @pytest.mark.parametrize("name", ["product_cfg", "line_cfg", "product_capped_cfg", "product_word_capped_cfg"])
@@ -801,7 +801,6 @@ def test_batched_build_matches_per_segment_classify(name, data, request, fork):
         a, b = _build_matrix_per_segment(t, old), build_matrix(t, new)
         assert a.lambdas.tobytes() == b.lambdas.tobytes()
         assert a.zeta.tobytes() == b.zeta.tobytes()
-        assert a.label == b.label
     assert list(old.registry.to_records(cfg.space.points)) == list(new.registry.to_records(cfg.space.points))
 
 
@@ -825,13 +824,13 @@ def test_dual_norm_atoms_rejects_beta_length_before_registering(product_cfg, for
 # as oracles of the class systems' entry structure
 
 
-def assemble_comparison(lambdas, seg_exponents, c_t, bc, label=""):
+def assemble_comparison(lambdas, seg_exponents, c_t, bc):
     s = len(lambdas)
     zeta = np.zeros((s, s))
     for (j, k), exp in seg_exponents.items():
         zeta[j, k] = bc.inv_L_pow(exp)
     zeta[0, s - 1] = bc.inv_L_pow(Fraction(c_t))
-    return TriangularSystem(lambdas=np.asarray(lambdas, float), zeta=zeta, label=label)
+    return TriangularSystem(lambdas=np.asarray(lambdas, float), zeta=zeta)
 
 
 def comparison_matrix(s_points, t, cfg):
@@ -860,8 +859,7 @@ def comparison_matrix(s_points, t, cfg):
         (j, k): cfg.registry.classify(t.start + j, s_points[j : k + 1]).exponent
         for j in range(n + 1) for k in range(j + 1, n + 1) if (j, k) != (0, n)
     }
-    return assemble_comparison(lambdas, seg_exponents, c_value(t.window), cfg.bc,
-                               label=f"Tcomp({t.start}..{t.start + n})")
+    return assemble_comparison(lambdas, seg_exponents, c_value(t.window), cfg.bc)
 
 
 

@@ -172,7 +172,7 @@ def sot_reference(seq, limit, K_list, eps):
             break
     return SOTVerdict(converges=all(r.passed for r in reports), conditions=reports,
                       weight_bound=weight_bound, moreover_applicable=moreover,
-                      moreover_detail=detail, horizon=horizon)
+                      moreover_detail=detail)
 
 
 def _remark25_case():
