@@ -51,7 +51,7 @@ from .operators import (
     remark25_sequence,
 )
 from .orbits import orbit_closure
-from .space import SampledSpace, builtin_space, validate_metric
+from .space import SampledSpace, _integer, builtin_space, validate_metric
 from .tuples import choose_parameters, verify_bmap
 
 
@@ -80,21 +80,27 @@ def make_group(spec: dict, space: SampledSpace) -> GroupSpec:
         return GroupSpec.trivial(space)
     if kind == "rotation":
         q = _integer(spec.get("q", 12), "group q", 1)
-        if space.aux.get("kind") == "circle":
-            gen = circle_rotation(space, steps=space.aux["count"] // q, label=f"rot2pi/{q}")
-            return GroupSpec((gen,), word_cap=word_cap, closure_tag=True, label=f"rot{q}")
-        if space.aux.get("kind") == "product" and space.aux["a"].aux.get("kind") == "circle":
-            circ = space.aux["a"]
-            gen = circle_rotation(circ, steps=circ.aux["count"] // q, label=f"rot2pi/{q}")
-            return GroupSpec((lift(gen, space, "left"),), word_cap=word_cap,
-                             closure_tag=True, label=f"rot{q}-lift")
-        raise InputError("rotation group needs a circle or circle-product space")
+        lifted = space.aux.get("kind") == "product"
+        circ = space.aux["a"] if lifted else space
+        if circ.aux.get("kind") != "circle":
+            raise InputError("rotation group needs a circle or circle-product space")
+        gen = circle_rotation(circ, steps=_rotation_steps(circ, q, "group q"), label=f"rot2pi/{q}")
+        return GroupSpec((lift(gen, space, "left") if lifted else gen,), word_cap=word_cap,
+                         closure_tag=True, label=f"rot{q}-lift" if lifted else f"rot{q}")
     if kind == "onepoint_swaps":
         count = spec.get("count")
         if count is not None:
             _integer(count, "group count", 1)
         return onepoint_swap_group(space, word_cap=word_cap, count=count)
     raise InputError(f"unknown group spec {spec!r}")
+
+
+def _rotation_steps(circ: SampledSpace, q: int, name: str) -> int:
+    """Steps of the rotation by 2 pi / q, snapped to the circle's sample."""
+    count = circ.aux["count"]
+    if q > count:
+        raise InputError(f"{name} must be at most the circle's point count {count}, got {q}")
+    return count // q
 
 
 def make_operator(spec: dict, space: SampledSpace, group: GroupSpec):
@@ -124,7 +130,8 @@ def make_operator(spec: dict, space: SampledSpace, group: GroupSpec):
             raise InputError("rotation_flip needs a product space")
         circ, seg = aux["a"], aux["b"]
         q = _integer(spec.get("q", 12), "detect operator rotation_flip: q", 1)
-        rot = lift(circle_rotation(circ, steps=circ.aux["count"] // q), space, "left")
+        steps = _rotation_steps(circ, q, "detect operator rotation_flip: q")
+        rot = lift(circle_rotation(circ, steps=steps), space, "left")
         flip = lift(interval_flip(seg), space, "right")
         out = compose(rot, flip)
         out.label = "rotation+flip"
@@ -368,14 +375,6 @@ def task_bounded_suite(space: SampledSpace, group: GroupSpec, rng: np.random.Gen
 
 # ----------------------------------------------------------------------
 # runner
-
-
-def _integer(value, name: str, least: int) -> int:
-    """A scenario field that must be an integer >= least; anything else is
-    an input error naming the field."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
-    return value
 
 
 def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import space as space_mod
 from .operators import GroupSpec, WeightedComposition
-from .space import CompactSet, SampledSpace, product
+from .space import CompactSet, SampledSpace
 
 __all__ = [
     "space_to_dict", "space_from_dict", "load_space", "save_space",
@@ -48,25 +48,10 @@ def space_to_dict(space: SampledSpace) -> dict:
     return doc
 
 
-def _space_from_form(form: dict) -> SampledSpace:
-    kind = form["form"]
-    if kind == "line":
-        return space_mod._line(step=form["step"], window=tuple(form["window"]))
-    if kind == "circle":
-        return space_mod._circle(count=form["count"])
-    if kind == "remark25":
-        return space_mod._remark25(n_max=form["n_max"])
-    if kind == "onepoint01N":
-        return space_mod._onepoint01N(n_max=form["n_max"])
-    if kind == "product":
-        return product(_space_from_form(form["a"]), _space_from_form(form["b"]))
-    raise ValueError(f"unknown metric form {kind!r}")
-
-
 def space_from_dict(doc: dict) -> SampledSpace:
     metric = doc["metric"]
     if metric.get("form") != "matrix":
-        space = _space_from_form(metric)
+        space = space_mod._from_tag(metric, doc.get("name"))
         if list(space.points) != list(doc["points"]):
             raise ValueError("closed-form space does not reproduce the stored points")
         return space

@@ -419,10 +419,13 @@ def build_config(
             first_slot.setdefault(p, (bi, gpos))
     cols = np.asarray(list(first_slot), dtype=np.intp)
     slots = np.asarray(list(first_slot.values()), dtype=np.intp)
-    gather = np.take(space.dmat, cols, axis=1)  # C order: argmin makes no copy
-    nearest = gather.argmin(axis=1)
-    slot_dist = gather[np.arange(space.n), nearest]
-    del gather
+    # an orbit point is its own nearest slot, since the space keeps distinct
+    # points at positive distance; only the other rows are gathered
+    nearest = np.full(space.n, -1, dtype=np.intp)
+    nearest[cols] = np.arange(len(cols))
+    rest = np.flatnonzero(nearest < 0)
+    nearest[rest] = space.dmat[np.ix_(rest, cols)].argmin(axis=1)
+    slot_dist = space.dmat[np.arange(space.n), cols[nearest]]
     coverage_defect = float(slot_dist.max())
 
     report = verify_bmap(bc, depth, registry)

@@ -334,6 +334,8 @@ def test_bad_test_depth_exits_2_naming_the_operator(tmp_path, capsys, bad):
      "detect operator generator_word: indices[0] must be an integer >= 0, got 0.9"),
     ({"builtin": "generator_word", "indices": [0, 7]},
      "detect operator generator_word: indices[1] must be below 2, the group's generator count, got 7"),
+    ({"builtin": "rotation_flip", "q": 100},
+     "detect operator rotation_flip: q must be at most the circle's point count 12, got 100"),
 ])
 def test_bad_operator_spec_exits_2_naming_the_field(tmp_path, capsys, spec, message):
     scenario = {
@@ -392,6 +394,49 @@ def test_bad_scenario_field_exits_2_before_any_report(tmp_path, capsys, field, b
     path.write_text(json.dumps(scenario))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
+@pytest.mark.parametrize("space, params, message", [
+    ("circle_x_interval", {"levels": 2.5}, "circle_x_interval levels must be an integer >= 2, got 2.5"),
+    ("circle_x_interval", {"levels": 1}, "circle_x_interval levels must be an integer >= 2, got 1"),
+    ("circle_x_interval", {"count": 2}, "circle count must be an integer >= 3, got 2"),
+    ("circle", {"cnt": 12}, "builtin space 'circle': unknown param 'cnt'; it takes count"),
+    ("circle", {"count": 12.5}, "circle count must be an integer >= 3, got 12.5"),
+    ("circle", {"count": True}, "circle count must be an integer >= 3, got True"),
+    ("remark25", {"n_max": 2}, "remark25 n_max must be an integer >= 3, got 2"),
+    ("onepoint01N", {"n_max": 1}, "onepoint01N n_max must be an integer >= 2, got 1"),
+    ("line", {"resolution": 0.1}, "builtin space 'line': unknown param 'resolution'; it takes step, window"),
+    ("line", {"step": 0}, "line step must be a finite number > 0, got 0"),
+    ("line", {"step": "0.1"}, "line step must be a finite number > 0, got '0.1'"),
+    ("line", {"step": math.inf}, "line step must be a finite number > 0, got inf"),
+    ("plane", {"step": -0.5}, "line step must be a finite number > 0, got -0.5"),
+    ("line", {"window": [1, -1]}, "line window must be two finite numbers lo < hi, got [1, -1]"),
+    ("line", {"window": 5}, "line window must be two finite numbers lo < hi, got 5"),
+    ("plane", {"window": [0, "1"]}, "line window must be two finite numbers lo < hi, got [0, '1']"),
+])
+def test_bad_builtin_space_param_exits_2_naming_it(tmp_path, capsys, space, params, message):
+    scenario = {"space": {"builtin": space, "params": params}, "depth": 3, "tasks": ["build-config"]}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
+@pytest.mark.parametrize("space", [
+    {"builtin": "circle", "params": {"count": 12}},
+    {"builtin": "circle_x_interval", "params": {"count": 12, "levels": 4}},
+])
+def test_rotation_q_above_the_point_count_exits_2(tmp_path, capsys, space):
+    # count // q would be a rotation by 0 steps, the identity
+    scenario = {"space": space, "group": {"builtin": "rotation", "q": 100}, "depth": 3,
+                "tasks": ["build-config"]}
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "group q must be at most the circle's point count 12, got 100" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.json"))
 
 
@@ -472,6 +517,22 @@ def test_cli_eval_space_certifies_closed_form_metric(capsys):
     report = json.loads(capsys.readouterr().out)["metric_report"]
     assert report["mode"] == "closed-form" and report["ok"]
     assert report["formula"]["form"] == "product" and report["formula_defect"] == 0.0
+
+
+@pytest.mark.parametrize("name, params", [
+    ("circle_x_interval", {"count": 6, "levels": 3}),
+    ("plane", {"step": 1.0, "window": (0, 2)}),
+])
+def test_saved_builtin_space_keeps_its_name(tmp_path, capsys, name, params):
+    sp = rl.builtin_space(name, **params)
+    path = tmp_path / "space.json"
+    rio.save_space(sp, path)
+    back = rio.load_space(path)
+    assert back.name == name and back.points == sp.points
+    assert back.metric_form == sp.metric_form and back.dmat.tobytes() == sp.dmat.tobytes()
+    assert main(["eval", "--space", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["space"] == name and out["metric_report"]["mode"] == "closed-form"
 
 
 def test_dump_json_rejects_non_finite(tmp_path):

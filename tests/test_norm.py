@@ -629,6 +629,31 @@ def test_slot_table_matches_orbit_search(name, request):
     assert cfg.coverage_defect == float(dist.max())
 
 
+def _slot_table_full_gather(cfg):
+    """The slot table from every row against the slot columns, as the build
+    made it before orbit points took their own slot."""
+    first_slot = {}
+    for bi, enum in enumerate(cfg.orbit_enums, start=1):
+        for gpos, p in enumerate(enum):
+            first_slot.setdefault(p, (bi, gpos))
+    slots = np.asarray(list(first_slot.values()), dtype=np.intp)
+    gather = np.take(cfg.space.dmat, list(first_slot), axis=1)
+    nearest = gather.argmin(axis=1)
+    return gather[np.arange(cfg.space.n), nearest], slots[nearest, 0], slots[nearest, 1]
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "product_word_capped_cfg", "line_cfg", "line20_cfg",
+                                  "product8_cfg"])
+def test_slot_table_matches_the_full_gather(name, request):
+    cfg = request.getfixturevalue(name)
+    dist, base, gamma = _slot_table_full_gather(cfg)
+    assert cfg.slot_dist.tobytes() == dist.tobytes()
+    assert np.array_equal(cfg.slot_base, base) and np.array_equal(cfg.slot_gamma, gamma)
+    assert cfg.coverage_defect == float(dist.max())
+    if name == "line20_cfg":  # base_count-limited: most points are off the orbits
+        assert cfg.coverage_defect > 0
+
+
 def test_check_weight_one_matches_pointwise_dual_loop(product_cfg, line20_cfg, line_cfg):
     # on line_cfg lambda_i rounds to 1 from about the 50th base on, so the
     # points of those orbits count as dual-one atoms too
