@@ -53,10 +53,10 @@ def m_weight(group: GroupSpec) -> BoundedGroupNorm:
 
     radius = 2 * space.resolution
     flagged = []
-    for p in range(space.n):
-        if space.isolated[p]:
-            continue
-        near = np.nonzero((space.dmat[p] <= radius) & (space.dmat[p] > 0))[0]
+    idx = np.arange(space.n)
+    for p in np.flatnonzero(~space.isolated).tolist():
+        row = space.metric.pair(p, idx)
+        near = np.nonzero((row <= radius) & (row > 0))[0]
         if near.size and float(np.max(np.abs(m[near] - m[p]))) >= 0.25:
             flagged.append(space.points[p])
 

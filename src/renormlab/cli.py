@@ -156,7 +156,7 @@ def random_piecewise_linear(space: SampledSpace, rng: np.random.Generator) -> np
     # generic fallback: smooth-ish random field via a few anchor points
     anchors = rng.integers(0, space.n, size=min(_KNOTS, space.n))
     vals = rng.uniform(-1.0, 1.0, size=len(anchors))
-    scale = max(space.dmat.max() / 4, space.resolution)
+    scale = max(space.metric.diameter / 4, space.resolution)
     weights = np.exp(-space.dmat[:, anchors] / scale)
     return (weights * vals).sum(axis=1) / weights.sum(axis=1)
 

@@ -41,7 +41,7 @@ def space_to_dict(space: SampledSpace) -> dict:
         ],
     }
     # a tag with a closed-form formula is reconstructible from its parameters
-    if space_mod._formula(space.metric_form) is not None:
+    if not isinstance(space.metric, space_mod._Dense):
         doc["metric"] = space.metric_form
     else:
         doc["metric"] = {"form": "matrix", "values": np.round(space.dmat, 12).tolist()}

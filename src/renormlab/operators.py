@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .space import CompactSet, SampledSpace
+from .space import CompactSet, Metric, SampledSpace
 
 log = logging.getLogger(__name__)
 
@@ -105,8 +105,8 @@ def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.nd
     # flat indices: entry j of row r of a (B, n) array is at r * n + j
     offsets = (np.arange(len(forward)) * n)[:, None]
     idx = np.arange(n)
-    gap = np.maximum(space.dmat[backward.ravel()[forward + offsets], idx],
-                     space.dmat[forward.ravel()[backward + offsets], idx])
+    gap = np.maximum(space.metric.pair(backward.ravel()[forward + offsets], idx),
+                     space.metric.pair(forward.ravel()[backward + offsets], idx))
     far = gap > 2 * space.resolution + 1e-12
     out = [frozenset()] * len(gap)
     for r in np.flatnonzero(far.any(axis=1)).tolist():
@@ -343,10 +343,9 @@ def remark25_map(space: SampledSpace, n: int) -> WeightedComposition:
     # bwd[row(n, n_max)] stays put: the ideal preimage (n, n_max + 1) has no
     # nearby sample point; the resulting round-trip defects at the truncation
     # edge are measured and declared
-    return WeightedComposition(
-        space, np.ones(N), fwd, bwd, label=f"phi_{n}",
-        allowed_defects=_roundtrip_defects(space, fwd[None], bwd[None])[0],
-    )
+    defects = _roundtrip_defects(space, fwd[None], bwd[None])[0]
+    return WeightedComposition(space, np.ones(N), fwd, bwd, label=f"phi_{n}",
+                               allowed_defects=defects, measured_defects=defects)
 
 
 def onepoint_swap(space: SampledSpace, n: int) -> WeightedComposition:
@@ -599,27 +598,30 @@ def _tail_threshold(violations: Sequence[int], horizon: int) -> int | None:
     return last + 1
 
 
-# bytes of the distance matrix one gather of _preimage_distances takes: a
-# block of rows times the columns of one run of compacts
+# bytes of one distance block of _preimage_distances: a block of rows times
+# the columns of one run of compacts
 _GATHER_BYTES = 1 << 18
 
 
-def _preimage_distances(dmat: np.ndarray, backward: np.ndarray, karrs: Sequence[np.ndarray]) -> np.ndarray:
+def _preimage_distances(metric: Metric, backward: np.ndarray, karrs: Sequence[np.ndarray]) -> np.ndarray:
     """The (n, len(karrs)) table whose column k is the distance from every
-    point to ``backward[karrs[k]]``: the min of ``dmat`` over those columns.
+    point to ``backward[karrs[k]]``: the min of the distances to those
+    points.
 
     The compacts ``karrs`` split into maximal nested runs.  Within a run
     each compact's columns contain the previous compact's, so each compact
     adds only its fresh columns; a compact whose columns do not contain the
     previous ones starts a new run with all of its own.  The fresh columns
     of a run are concatenated once, and each block of rows (about
-    ``_GATHER_BYTES``) is gathered at them, reduced to one min per compact
-    with ``reduceat`` and folded along the run with ``accumulate``.  A
-    compact with no fresh column (a repeat) carries the previous compact's
-    column.  Every entry is a min over the same columns as a direct
-    ``dmat[:, cols].min(axis=1)``, so the table is exact.
+    ``_GATHER_BYTES``) is computed at them as in ``metric.cross``, reduced to
+    one min per compact with ``reduceat`` and folded along the run with
+    ``accumulate``.  Every block is written into one buffer per call, so no
+    block maps and faults in fresh pages.  A compact with no fresh column
+    (a repeat) carries the previous compact's column.  Every entry is a min
+    over the same columns as a direct ``dmat[:, cols].min(axis=1)``, so the
+    table is exact.
     """
-    n = len(dmat)
+    n = metric.n
     table = np.empty((n, len(karrs)))
     runs: list[tuple[int, list[np.ndarray]]] = []  # (first k, fresh columns per compact)
     reached = np.zeros(n, dtype=bool)  # columns of the previous compact
@@ -631,6 +633,9 @@ def _preimage_distances(dmat: np.ndarray, backward: np.ndarray, karrs: Sequence[
             reached = np.zeros(n, dtype=bool)
         runs[-1][1].append(np.flatnonzero(mask & ~reached))
         reached = mask
+    # a block is at most _GATHER_BYTES, or one row of at most n columns
+    buf = np.empty(max(min(_GATHER_BYTES // 8, n * n), n))
+    idx = np.arange(n)
     for k0, segments in runs:
         sizes = np.array([seg.size for seg in segments])
         cols = np.concatenate(segments)
@@ -639,7 +644,9 @@ def _preimage_distances(dmat: np.ndarray, backward: np.ndarray, karrs: Sequence[
         carry = np.cumsum(sizes > 0) - 1
         rows = max(1, _GATHER_BYTES // (8 * cols.size))
         for r in range(0, n, rows):
-            mins = np.minimum.reduceat(np.take(dmat[r:r + rows], cols, axis=1), starts, axis=1)
+            block = idx[r:r + rows]
+            out = buf[:block.size * cols.size].reshape(block.size, cols.size)
+            mins = np.minimum.reduceat(metric._cross(block, cols, out), starts, axis=1)
             np.minimum.accumulate(mins, axis=1, out=mins)
             table[r:r + rows, k0:k0 + len(segments)] = mins[:, carry]
     return table
@@ -663,10 +670,10 @@ def check_sot_convergence(
     within the sampled horizon; the reported witness is the earliest
     violating (stage, compact, point) otherwise.
 
-    The distance to the limit's preimage of K is a min over the columns
-    ``limit.backward[K]`` of the distance matrix; all of them come from one
-    row-major sweep of that matrix (see ``_preimage_distances``).  The stages
-    of one compact are checked in one gather.
+    The distance to the limit's preimage of K is a min over the points
+    ``limit.backward[K]``; all of them come from one sweep of row blocks of
+    the metric (see ``_preimage_distances``).  The stages of one compact are
+    checked in one gather.
     """
     if not seq:
         raise ValueError("empty operator sequence")
@@ -683,12 +690,12 @@ def check_sot_convergence(
 
     # (stage, point) gap fields over the whole space; per-compact checks
     # reduce to column gathers against these
-    gap_phi = space.dmat[np.stack([g.forward for g in seq]), limit.forward]
+    gap_phi = space.metric.pair(np.stack([g.forward for g in seq]), limit.forward)
     gap_w = np.abs(np.stack([g.weight for g in seq]) - limit.weight)
     backward = np.stack([g.backward for g in seq])
 
     karrs = [K.as_array() for K in K_list]
-    dist_to_inv = _preimage_distances(space.dmat, limit.backward, karrs)
+    dist_to_inv = _preimage_distances(space.metric, limit.backward, karrs)
     # each compact's (stage, member) gathers reuse two buffers, so no compact
     # maps and faults in fresh pages.  mode="wrap" writes straight into them
     # (the default mode copies through a temporary); it changes no result,
@@ -770,7 +777,7 @@ def check_local_equicontinuity(
         raise ValueError("nonempty family required")
     maps = [np.asarray(f, dtype=np.intp) for f in maps]
     karr = K.as_array()
-    src = space.dmat[np.ix_(karr, karr)]
+    src = space.metric.cross(karr, karr)
     grid = tuple(sorted(set(float(e) for e in moduli_grid)))
     min_grid_delta = min(grid) if grid else 0.0
 
@@ -781,7 +788,7 @@ def check_local_equicontinuity(
         best_delta = math.inf
         witness = None
         for mi, mp in enumerate(maps):
-            img = space.dmat[np.ix_(mp[karr], mp[karr])]
+            img = space.metric.cross(mp[karr], mp[karr])
             mask = img >= eps + slack
             np.fill_diagonal(mask, False)
             if mask.any():

@@ -1,10 +1,15 @@
 """Finite point samples of locally compact metric spaces.
 
 A :class:`SampledSpace` is a finite, desk-scale stand-in for a locally
-compact Polish space: a tuple of point ids, a full distance matrix, a
-nested compact exhaustion, and a declared ``resolution`` bounding how far
-an unmodeled point of the ideal space can sit from the sample.  All
+compact Polish space: a tuple of point ids, a metric on them, a nested
+compact exhaustion, and a declared ``resolution`` bounding how far an
+unmodeled point of the ideal space can sit from the sample.  All
 downstream tolerances are stated in terms of ``resolution``.
+
+The metric is a :class:`Metric`: distances on demand.  A closed-form
+metric computes them from O(n) coordinates; a matrix-form one wraps its
+checked matrix.  ``space.dmat``, the full matrix, exists only once a
+reader asks for it.
 
 Compactness at sample scale is a proxy: a set counts as compact when it is
 contained in an exhaustion element.  Reports carry this caveat verbatim.
@@ -15,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "CompactSet",
+    "Metric",
     "SampledSpace",
     "builtin_space",
     "product",
@@ -57,13 +63,14 @@ class CompactSet:
 @dataclass(frozen=True, eq=False)
 class SampledSpace:
     """Finite sample of a locally compact Polish space, immutable: the
-    constructor's checks on ``dmat`` hold for the life of the space.
+    constructor's checks on the metric hold for the life of the space.
 
     Attributes:
         name: short human-readable tag.
         points: point ids (strings), index position is the canonical index.
-        dmat: full (n, n) distance matrix, read-only.  None with a
-            closed-form ``metric_form``, whose formula builds it.
+        dmat: full (n, n) distance matrix, read-only.  Given only with a
+            matrix ``metric_form``; a closed-form space is built with None
+            and computes the matrix from its metric on first read.
         exhaustion: increasing compact subsets whose union is the sample.
         resolution: max distance from any ideal point of the modeled space
             to the sample (a declared, conservative bound).
@@ -72,6 +79,9 @@ class SampledSpace:
         metric_form: serializable description of the metric (closed-form tag
             with parameters, or "matrix").
         aux: non-serialized construction metadata (coordinates, factors).
+
+    The constructor also sets ``metric``, the :class:`Metric` that every
+    distance comes from.
     """
 
     name: str
@@ -87,49 +97,23 @@ class SampledSpace:
         n = len(self.points)
         if len(set(self.points)) != n:
             raise ValueError("duplicate point ids")
-        formula = _formula(self.metric_form)
-        if formula is not None:
+        factors = (self.aux["a"], self.aux["b"]) if self.aux.get("kind") == "product" else ()
+        metric = _closed_form(self.metric_form, factors)
+        if metric is not None:
             if self.dmat is not None:
                 raise ValueError(f"metric tag {self.metric_form.get('form')!r} builds its own "
                                  "distance matrix; pass dmat=None")
-            if formula[0] != n:
-                raise ValueError(f"metric tag has {formula[0]} points, the sample {n}")
-            dmat = formula[1]()
+            if metric.n != n:
+                raise ValueError(f"metric tag has {metric.n} points, the sample {n}")
         else:
             dmat = np.array(self.dmat, dtype=float)  # the caller's array stays writeable
-        dmat.flags.writeable = False
-        object.__setattr__(self, "dmat", dmat)
-        if dmat.shape != (n, n):
-            raise ValueError("distance matrix shape mismatch")
-        # one walk over the tile d[I, J] and its mirror d[J, I].T for every
-        # pair of index ranges I <= J checks finiteness and symmetry and
-        # counts the entries <= 0; no full transpose is read.  A non-finite
-        # entry outranks an asymmetry met in an earlier tile, so the walk
-        # goes on past one
-        symmetric, nonpositive, step = True, 0, _SYMMETRY_TILE
-        for lo, hi in ((i, j) for i in range(0, n, step) for j in range(i, n, step)):
-            a, b = dmat[lo:lo + step, hi:hi + step], dmat[hi:hi + step, lo:lo + step].T
-            tiles = (a,) if lo == hi else (a, b)
-            ends = [end(t) for t in tiles for end in (np.min, np.max)]
-            if not np.isfinite(ends).all():
-                i, j = np.argwhere(~np.isfinite(dmat))[0]
-                raise ValueError(f"non-finite distance {dmat[i, j]} between points "
-                                 f"{self.points[i]!r} and {self.points[j]!r}")
-            # exactly or, where that fails, allclose in both directions (its
-            # tolerance scales with the second argument)
-            symmetric = symmetric and (np.array_equal(a, b) or (
-                np.allclose(a, b, atol=1e-12) and np.allclose(b, a, atol=1e-12)))
-            if min(ends) <= 0:
-                nonpositive += sum(np.count_nonzero(t <= 0) for t in tiles)
-        if not symmetric:
-            raise ValueError("metric not symmetric on the sample")
-        diag = np.diag(dmat)
-        if np.any(np.abs(diag) > 1e-12):
-            raise ValueError("metric has nonzero diagonal")
-        # an off-diagonal entry <= 0 exists iff there are more such entries
-        # than on the diagonal
-        if nonpositive > np.count_nonzero(diag <= 0):
-            raise ValueError("distinct sample points at zero distance")
+            if dmat.shape != (n, n):
+                raise ValueError("distance matrix shape mismatch")
+            metric = _Dense(dmat)
+        metric._certify(self.points)
+        # dmat is not stored: a read goes to __getattr__, which asks the metric
+        object.__setattr__(self, "metric", metric)
+        object.__delattr__(self, "dmat")
         if not self.resolution > 0:
             raise ValueError("resolution must be positive")
         object.__setattr__(self, "isolated", np.asarray(self.isolated, dtype=bool))
@@ -149,12 +133,19 @@ class SampledSpace:
             raise ValueError("exhaustion does not cover the sample")
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
 
+    def __getattr__(self, name: str):
+        # only reached for names not set on the instance: dmat, which the
+        # metric builds once, on first read
+        if name == "dmat":
+            return self.metric.dense
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
     @property
     def n(self) -> int:
         return len(self.points)
 
     def d(self, i: int, j: int) -> float:
-        return float(self.dmat[i, j])
+        return float(self.metric.pair(i, j))
 
     def index(self, point_id: str) -> int:
         try:
@@ -180,7 +171,7 @@ class SampledSpace:
         the float error of a computed distance.  That error scales with the
         distances, so the slack is 8 eps max d, as in the closed-form metric
         certificate; an absolute slack would swamp a resolution below it."""
-        return self.resolution + 8 * float(np.finfo(float).eps) * float(self.dmat.max())
+        return self.resolution + 8 * float(np.finfo(float).eps) * self.metric.diameter
 
     def __repr__(self) -> str:  # short: spaces can hold thousands of points
         return f"SampledSpace({self.name!r}, n={self.n}, resolution={self.resolution})"
@@ -189,6 +180,206 @@ class SampledSpace:
 # edge of the square tiles the constructor compares: a pair of 256 x 256 float64
 # tiles (1 MB) stays in cache while one of them is read in transposed order
 _SYMMETRY_TILE = 256
+
+
+def _tile_walk(dmat: np.ndarray, points: Sequence[str]) -> None:
+    """The constructor's checks on a given matrix: finite, symmetric (at
+    1e-12), zero diagonal, distinct points apart; a ValueError names the
+    first failure.
+
+    One walk over the tile d[I, J] and its mirror d[J, I].T for every pair
+    of index ranges I <= J checks finiteness and symmetry and counts the
+    entries <= 0; no full transpose is read.  A non-finite entry outranks an
+    asymmetry met in an earlier tile, so the walk goes on past one."""
+    n = len(dmat)
+    symmetric, nonpositive, step = True, 0, _SYMMETRY_TILE
+    for lo, hi in ((i, j) for i in range(0, n, step) for j in range(i, n, step)):
+        a, b = dmat[lo:lo + step, hi:hi + step], dmat[hi:hi + step, lo:lo + step].T
+        tiles = (a,) if lo == hi else (a, b)
+        ends = [end(t) for t in tiles for end in (np.min, np.max)]
+        if not np.isfinite(ends).all():
+            i, j = np.argwhere(~np.isfinite(dmat))[0]
+            raise ValueError(f"non-finite distance {dmat[i, j]} between points "
+                             f"{points[i]!r} and {points[j]!r}")
+        # exactly or, where that fails, allclose in both directions (its
+        # tolerance scales with the second argument)
+        symmetric = symmetric and (np.array_equal(a, b) or (
+            np.allclose(a, b, atol=1e-12) and np.allclose(b, a, atol=1e-12)))
+        if min(ends) <= 0:
+            nonpositive += sum(np.count_nonzero(t <= 0) for t in tiles)
+    if not symmetric:
+        raise ValueError("metric not symmetric on the sample")
+    diag = np.diag(dmat)
+    if np.any(np.abs(diag) > 1e-12):
+        raise ValueError("metric has nonzero diagonal")
+    # an off-diagonal entry <= 0 exists iff there are more such entries than
+    # on the diagonal
+    if nonpositive > np.count_nonzero(diag <= 0):
+        raise ValueError("distinct sample points at zero distance")
+
+
+class Metric:
+    """The distances of an n-point sample, computed where a reader asks.
+
+    ``pair(I, J)`` is d(I, J) elementwise over broadcast index arrays,
+    ``cross(I, J)`` the block d(I[:, None], J[None, :]), ``diameter`` the
+    largest distance and ``dense`` the full (n, n) matrix, built on first
+    read and read-only.  A closed-form metric computes every entry from
+    O(n) coordinate arrays, bitwise equal to the entry of its ``dense``; the
+    matrix-form metric wraps the matrix that the constructor checked.
+    """
+
+    n: int
+
+    def pair(self, I, J) -> np.ndarray:
+        I, J = np.asarray(I), np.asarray(J)
+        return self._pair(I, J, np.empty(np.broadcast_shapes(I.shape, J.shape)))
+
+    def cross(self, I, J) -> np.ndarray:
+        I, J = np.asarray(I), np.asarray(J)
+        return self._cross(I, J, np.empty((I.size, J.size)))
+
+    def _cross(self, I: np.ndarray, J: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``cross(I, J)`` written into ``out``, for a reader that reuses one buffer."""
+        return self._pair(I[:, None], J[None, :], out)
+
+    def _pair(self, I: np.ndarray, J: np.ndarray, out: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @cached_property
+    def diameter(self) -> float:
+        """The largest distance, bitwise ``dense.max()``.  This default
+        scans blocks of rows, so no matrix is held."""
+        idx, step = np.arange(self.n), _SYMMETRY_TILE
+        return max(float(self.cross(idx[r:r + step], idx).max()) for r in range(0, self.n, step))
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        d = self._matrix()
+        d.flags.writeable = False
+        return d
+
+    def _matrix(self) -> np.ndarray:
+        idx = np.arange(self.n)
+        return self.cross(idx, idx)
+
+    def _certify(self, points: Sequence[str]) -> None:
+        """The tile walk's checks for a closed-form metric, from O(n) data
+        and with the walk's messages.  Symmetry and the zero diagonal hold
+        by each formula.  A non-finite entry exists iff row 0 holds one, so
+        the walk's first one (in row-major order) is row 0's first: a
+        circle or dyadic entry is always finite; a line's coordinates are
+        nondecreasing, so fl(x_j - x_0) >= fl(x_j - x_i) for i <= j; and a
+        product's entry is non-finite iff a factor's is."""
+        row = self.pair(0, np.arange(self.n))
+        bad = np.flatnonzero(~np.isfinite(row))
+        if bad.size:
+            raise ValueError(f"non-finite distance {row[bad[0]]} between points "
+                             f"{points[0]!r} and {points[bad[0]]!r}")
+        if not self._apart():
+            raise ValueError("distinct sample points at zero distance")
+
+    def _apart(self) -> bool:
+        """Whether every two distinct points are at a positive distance."""
+        raise NotImplementedError
+
+
+class _Dense(Metric):
+    """A given (n, n) matrix; its certificate is the tile walk."""
+
+    def __init__(self, matrix: np.ndarray):
+        matrix.flags.writeable = False
+        self.values, self.n = matrix, len(matrix)
+
+    def _pair(self, I, J, out):
+        out[...] = self.values[I, J]
+        return out
+
+    @cached_property
+    def diameter(self) -> float:
+        return float(self.values.max())
+
+    def _matrix(self) -> np.ndarray:
+        return self.values
+
+    def _certify(self, points: Sequence[str]) -> None:
+        _tile_walk(self.values, points)
+
+
+class _Line(Metric):
+    def __init__(self, coords: np.ndarray):
+        self.x, self.n = coords, len(coords)
+
+    def _pair(self, I, J, out):
+        return _line_dist(self.x[I], self.x[J], out)
+
+    @cached_property
+    def diameter(self) -> float:
+        # fl is monotone, so no difference of two coordinates rounds above
+        # fl(max - min)
+        return float(self.x.max() - self.x.min())
+
+    def _apart(self) -> bool:
+        # distinct floats have a nonzero difference
+        return _distinct(self.x)
+
+
+class _Circle(Metric):
+    def __init__(self, angles: np.ndarray):
+        self.x, self.n = angles, len(angles)
+
+    def _pair(self, I, J, out):
+        return _circle_dist(self.x[I], self.x[J], out)
+
+    def _apart(self) -> bool:
+        # two distinct angles in [0, 2 pi) are less than 2 pi apart
+        return _distinct(self.x)
+
+
+def _distinct(x: np.ndarray) -> bool:
+    return bool((np.diff(np.sort(x)) > 0).all())
+
+
+class _Dyadic(Metric):
+    def __init__(self, q: np.ndarray):
+        self.q, self.n = q, len(q)
+
+    def _pair(self, I, J, out):
+        return _dyadic_dist(self.q[I], self.q[J], I == J, out)
+
+    @cached_property
+    def diameter(self) -> float:
+        # the largest q is the distance from its point to any other
+        return float(self.q.max())
+
+    def _apart(self) -> bool:
+        # q >= 0, so max(q_i, q_j) is 0 only where both are
+        return np.count_nonzero(self.q == 0) <= 1
+
+
+class _Max(Metric):
+    """The max metric on a product whose point (ia, ib) has index ia * nb + ib."""
+
+    def __init__(self, a: Metric, b: Metric):
+        self.a, self.b, self.n = a, b, a.n * b.n
+
+    def _pair(self, I, J, out):
+        ia, ib = np.divmod(I, self.b.n)
+        ja, jb = np.divmod(J, self.b.n)
+        return _max_dist(self.a.pair(ia, ja), self.b.pair(ib, jb), out)
+
+    @cached_property
+    def diameter(self) -> float:
+        return max(self.a.diameter, self.b.diameter)
+
+    def _matrix(self) -> np.ndarray:
+        # from the factors' own matrices, each built at most once
+        na, nb = self.a.n, self.b.n
+        out = np.empty((na, nb, na, nb))
+        return _max_dist(self.a.dense[:, None, :, None], self.b.dense[None, :, None, :], out).reshape(self.n, self.n)
+
+    def _apart(self) -> bool:
+        return self.a._apart() and self.b._apart()
 
 
 def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> SampledSpace:
@@ -208,8 +399,8 @@ def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> Sample
     return SampledSpace(
         name=name or f"{a.name}x{b.name}",
         points=ids,
-        # the tag of two closed-form factors builds the matrix itself
-        dmat=None if _formula(form) is not None else _max_dist(a.dmat, b.dmat),
+        # with two closed-form factors the product's metric composes theirs
+        dmat=None if _closed_form(form, (a, b)) is not None else _Max(a.metric, b.metric).dense,
         exhaustion=tuple(exhaustion),
         resolution=max(a.resolution, b.resolution),
         isolated=isolated,
@@ -220,8 +411,9 @@ def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> Sample
 
 # ----------------------------------------------------------------------
 # closed-form metrics: the coordinate and distance helpers below are the only
-# copy of each formula; the SampledSpace constructor builds a closed-form
-# space's matrix through _formula, once.  Each coordinate helper checks the
+# copy of each formula.  The distance helpers work elementwise on broadcast
+# coordinate arrays and write into ``out``, so a pair, a block and the full
+# matrix come from the same arithmetic.  Each coordinate helper checks the
 # tag params it reads, so a builtin, a space file and a direct constructor
 # call meet the same checks
 
@@ -247,10 +439,10 @@ def _line_coords(step: float, window) -> np.ndarray:
     return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
 
 
-def _line_dist(coords: np.ndarray) -> np.ndarray:
+def _line_dist(xi: np.ndarray, xj: np.ndarray, out: np.ndarray) -> np.ndarray:
     """|x_i - x_j|."""
-    d = np.subtract.outer(coords, coords)
-    return np.abs(d, out=d)
+    np.subtract(xi, xj, out=out)
+    return np.abs(out, out=out)
 
 
 def _circle_angles(count: int) -> np.ndarray:
@@ -258,9 +450,9 @@ def _circle_angles(count: int) -> np.ndarray:
     return 2 * math.pi * np.arange(count) / count
 
 
-def _circle_dist(angles: np.ndarray) -> np.ndarray:
+def _circle_dist(ai: np.ndarray, aj: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Arc length min(|a_i - a_j|, 2 pi - |a_i - a_j|)."""
-    d = _line_dist(angles)
+    d = _line_dist(ai, aj, out)
     return np.minimum(d, 2 * math.pi - d, out=d)
 
 
@@ -281,50 +473,67 @@ def _onepoint01N_levels(n_max: int) -> np.ndarray:
     return np.concatenate([ks, ks, [math.inf]])
 
 
-def _dyadic_dist(level: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
-    """2^-min(level_i, level_j) between distinct points, and 1 when either
-    point has a first coordinate >= 1 (remark25's isolated block).
-
-    One n^2 pass: with ``q = 2^-level``, and ``q = 1`` on the isolated
-    block, the matrix is ``max(q_i, q_j)`` off the diagonal.  That is exact:
-    2^-x is decreasing, so ``max(2^-a, 2^-b)`` is the very float
-    ``2^-min(a, b)`` (0 at level inf), and a pair with an isolated point
-    gets ``max(1, q <= 1/2) = 1``."""
+def _dyadic_q(level: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
+    """q = 2^-level, and q = 1 where the first coordinate is >= 1
+    (remark25's isolated block)."""
     q = np.power(2.0, np.negative(level))
     if first is not None:
         q[first >= 1] = 1.0
-    d = np.maximum.outer(q, q)
-    np.fill_diagonal(d, 0.0)
-    return d
+    return q
 
 
-def _max_dist(da: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """Max metric on a product whose point (ia, ib) has index ia * nb + ib."""
-    na, nb = len(da), len(db)
-    return np.maximum(da[:, None, :, None], db[None, :, None, :]).reshape(na * nb, na * nb)
+def _dyadic_dist(qi: np.ndarray, qj: np.ndarray, same: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """2^-min(level_i, level_j) between distinct points, and 1 when either
+    point is in remark25's isolated block: ``max(q_i, q_j)``, and 0 where
+    ``same``.  That is exact: 2^-x is decreasing, so ``max(2^-a, 2^-b)`` is
+    the very float ``2^-min(a, b)`` (0 at level inf), and a pair with an
+    isolated point gets ``max(1, q <= 1/2) = 1``."""
+    np.maximum(qi, qj, out=out)
+    np.copyto(out, 0.0, where=same)
+    return out
 
 
-def _formula(form: dict) -> tuple[int, Callable[[], np.ndarray]] | None:
-    """(point count, distance-matrix builder) of a closed-form metric tag,
-    made from the tag's parameters alone; None for any other tag."""
+def _max_dist(da: np.ndarray, db: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Max metric: max(d_a, d_b) of the factor distances."""
+    return np.maximum(da, db, out=out)
+
+
+def _closed_form(form: dict, factors: Sequence[SampledSpace] = ()) -> Metric | None:
+    """The metric of a closed-form tag, made from the tag's parameters; a
+    product made by ``product`` composes its factor spaces' metrics.  None
+    for any other tag."""
     kind = form.get("form")
     if kind == "line":
-        x = _line_coords(form["step"], form["window"])
-        return len(x), lambda: _line_dist(x)
+        return _Line(_line_coords(form["step"], form["window"]))
     if kind == "circle":
-        x = _circle_angles(form["count"])
-        return len(x), lambda: _circle_dist(x)
+        return _Circle(_circle_angles(form["count"]))
     if kind == "remark25":
         first, second = _remark25_coords(form["n_max"])
-        return len(first), lambda: _dyadic_dist(second, first)
+        return _Dyadic(_dyadic_q(second, first))
     if kind == "onepoint01N":
-        x = _onepoint01N_levels(form["n_max"])
-        return len(x), lambda: _dyadic_dist(x)
+        return _Dyadic(_dyadic_q(_onepoint01N_levels(form["n_max"])))
     if kind == "product":
-        fa, fb = _formula(form["a"]), _formula(form["b"])
-        if fa is not None and fb is not None:
-            return fa[0] * fb[0], lambda: _max_dist(fa[1](), fb[1]())
+        spaces = dict(zip("ab", factors))
+        a, b = (spaces[k].metric if k in spaces and spaces[k].metric_form == form[k]
+                else _closed_form(form[k]) for k in "ab")
+        if not any(m is None or isinstance(m, _Dense) for m in (a, b)):
+            return _Max(a, b)
     return None
+
+
+def _line_entries(radii: np.ndarray, bound: float) -> np.ndarray:
+    """For each point at |x| = radius, the first m = 1, 2, ..., up to the
+    first m >= bound, with radius <= min(m, bound) + 1e-12: the set
+    [-m, m] of the line's exhaustion that first holds it; inf when none
+    does.  Below k = ceil(radius) - 1 no m holds the point, and k + 1 does
+    unless the bound caps it, so only k and k + 1 are tried."""
+    last = max(1, math.ceil(bound))
+    k = np.clip(np.ceil(radii) - 1, 1, last)
+    enter = np.full(radii.shape, np.inf)
+    for m in (np.minimum(k + 1, last), k):  # the second try, k, wins where both hold
+        hit = radii <= np.minimum(m, bound) + 1e-12
+        enter[hit] = m[hit]
+    return enter
 
 
 def _line(step: float, window: tuple[float, float], name: str) -> SampledSpace:
@@ -332,16 +541,10 @@ def _line(step: float, window: tuple[float, float], name: str) -> SampledSpace:
     lo, hi = window
     count = len(coords)
     ids = tuple(f"x{c:+.6g}" for c in coords)
-    bound = max(abs(lo), abs(hi))
-    exhaustion = []
-    m = 1
-    while True:
-        members = np.nonzero(np.abs(coords) <= min(m, bound) + 1e-12)[0]
-        if members.size:
-            exhaustion.append(CompactSet(tuple(int(i) for i in members), label=f"[-{m},{m}]"))
-        if m >= bound:
-            break
-        m += 1
+    enter = _line_entries(np.abs(coords), max(abs(lo), abs(hi)))
+    # one set per distinct member set, labelled with the first m that reaches it
+    exhaustion = [CompactSet(tuple(np.flatnonzero(enter <= m).tolist()), label=f"[-{m},{m}]")
+                  for m in map(int, sorted(set(enter[np.isfinite(enter)].tolist())))]
     if not exhaustion or len(exhaustion[-1]) != count:
         exhaustion.append(CompactSet(tuple(range(count)), label="window"))
     return SampledSpace(
@@ -491,26 +694,27 @@ def validate_metric(space: SampledSpace) -> dict:
     inequality is checked in one of three modes, each at tolerance 1e-9:
 
     - ``"closed-form"``, when ``metric_form`` is a line, circle, remark25
-      or onepoint01N tag, or a max-product of these: the constructor built
-      the matrix from the tag's formula F, so ``formula_defect = max |dmat
-      - F|`` is 0.  F is a metric in exact arithmetic, and rounding moves
+      or onepoint01N tag, or a max-product of these: every distance is
+      computed from the tag's formula F, so ``formula_defect = max |d -
+      F|`` is 0.  F is a metric in exact arithmetic, and rounding moves
       each entry by at most 2 eps max F, so every triangle gap ``d(i, j) -
       d(i, k) - d(k, j)`` on the sample is at most ``triangle_gap_bound =
-      8 * eps * max d``.  The triangle inequality is certified when that
-      bound is at most the tolerance; no triple is examined.
+      8 * eps * max d`` (``max d`` is the metric's ``diameter``).  The
+      triangle inequality is certified when that bound is at most the
+      tolerance; no triple is examined and no matrix is built.
     - ``"exhaustive"``: all n^3 triples, when n <= 2500.
     - ``"random"``: 100,000 random triples, seed 0, otherwise.
     """
     tol = 1e-9
-    d = space.dmat
     n = space.n
     report = {"n": n, "symmetric": True, "identity": True}
-    if _formula(space.metric_form) is not None:
-        bound = 8 * float(np.finfo(float).eps) * float(d.max())
+    if not isinstance(space.metric, _Dense):
+        bound = 8 * float(np.finfo(float).eps) * space.metric.diameter
         report.update(mode="closed-form", formula=space.metric_form, formula_defect=0.0,
                       triangle_gap_bound=bound, triples_checked=0, triangle_ok=bound <= tol,
                       ok=bound <= tol)
         return report
+    d = space.dmat
     exhaustive = n <= 2500
     report["mode"] = "exhaustive" if exhaustive else "random"
     worst = -math.inf

@@ -42,7 +42,7 @@ def test_space_round_trip_matrix(tmp_path):
 
 
 def _builtin_form_by_tag_list(form):
-    # the tag list space_to_dict kept before it asked space._formula
+    # the tag list space_to_dict kept before it asked whether the metric is closed-form
     kind = form.get("form")
     if kind in ("line", "circle", "remark25", "onepoint01N"):
         return form

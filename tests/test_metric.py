@@ -1,0 +1,209 @@
+"""The metric object of a sampled space: closed-form distances computed from
+coordinates, the O(n) constructor certificate, and the readers that never
+build a matrix."""
+
+import json
+import math
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+
+import renormlab as rl
+from renormlab import cli
+from renormlab import space as space_mod
+from renormlab.space import CompactSet, builtin_space
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_BUILTINS = [
+    ("line", {"step": 0.05, "window": (-2, 2)}),
+    ("circle", {"count": 48}),
+    ("plane", {"step": 0.5, "window": (-2, 2)}),
+    ("remark25", {"n_max": 10}),
+    ("onepoint01N", {"n_max": 12}),
+    ("circle_x_interval", {"count": 16, "levels": 8}),
+]
+
+
+def _reference(form):
+    """The full matrix of a closed-form tag, from the whole-matrix formulas
+    that the metric's elementwise helpers replaced."""
+    kind = form["form"]
+    if kind == "line":
+        x = space_mod._line_coords(form["step"], form["window"])
+        return np.abs(np.subtract.outer(x, x))
+    if kind == "circle":
+        d = np.abs(np.subtract.outer(*[space_mod._circle_angles(form["count"])] * 2))
+        return np.minimum(d, 2 * math.pi - d)
+    if kind in ("remark25", "onepoint01N"):
+        if kind == "remark25":
+            first, level = space_mod._remark25_coords(form["n_max"])
+        else:
+            first, level = None, space_mod._onepoint01N_levels(form["n_max"])
+        q = np.power(2.0, -level)
+        if first is not None:
+            q[first >= 1] = 1.0
+        d = np.maximum.outer(q, q)
+        np.fill_diagonal(d, 0.0)
+        return d
+    da, db = _reference(form["a"]), _reference(form["b"])
+    n = len(da) * len(db)
+    return np.maximum(da[:, None, :, None], db[None, :, None, :]).reshape(n, n)
+
+
+@pytest.mark.parametrize("name,params", _BUILTINS)
+def test_closed_form_entries_are_bitwise_the_formula(name, params):
+    sp = builtin_space(name, **params)
+    ref = _reference(sp.metric_form)
+    metric = sp.metric
+    rng = np.random.default_rng(len(ref))
+    I, J = rng.integers(0, sp.n, size=(2, 3, 57))
+    assert metric.pair(I, J).tobytes() == ref[I, J].tobytes()
+    assert metric.pair(I[0], 5).tobytes() == ref[I[0], 5].tobytes()
+    assert sp.d(3, 1) == ref[3, 1]
+    rows, cols = I[0], np.concatenate([J[1], [0, sp.n - 1]])
+    assert metric.cross(rows, cols).tobytes() == ref[np.ix_(rows, cols)].tobytes()
+    assert metric.diameter == ref.max()
+    assert sp.dmat.tobytes() == ref.tobytes()
+    if name == "plane":  # equal factors share one factor space and one metric
+        assert sp.aux["a"] is sp.aux["b"] and metric.a is metric.b is sp.aux["a"].metric
+
+
+@pytest.mark.parametrize("name", space_mod.BUILTIN_NAMES)
+def test_diameter_is_bitwise_the_matrix_max(name):
+    sp = builtin_space(name)
+    assert sp.metric.diameter == sp.dmat.max()
+    assert sp._resolution_tol == sp.resolution + 8 * np.finfo(float).eps * sp.dmat.max()
+
+
+def test_matrix_is_built_once_on_first_read_and_read_only():
+    sp = builtin_space("remark25", n_max=6)
+    assert "dense" not in vars(sp.metric)
+    assert rl.validate_metric(sp)["mode"] == "closed-form"
+    assert "dense" not in vars(sp.metric)
+    d = sp.dmat
+    assert sp.dmat is d and not d.flags.writeable
+
+
+def test_circle_x_interval_builds_each_factor_matrix_at_most_once():
+    with mock.patch.object(space_mod, "_line_dist", wraps=space_mod._line_dist) as spy:
+        sp = builtin_space("circle_x_interval")
+        circ, seg = sp.aux["a"], sp.aux["b"]
+        for space in (sp, circ, seg, sp):
+            assert space.dmat.shape == (space.n, space.n)
+    shapes = [np.broadcast_shapes(np.shape(c.args[0]), np.shape(c.args[1])) for c in spy.call_args_list]
+    # the circle's matrix goes through _line_dist once, the interval's once;
+    # every other call computes one row of a constructor's certificate
+    assert shapes.count((circ.n, circ.n)) == 1 and shapes.count((seg.n, seg.n)) == 1
+    assert all(len(s) == 1 and s[0] in (circ.n, seg.n, sp.n) for s in shapes
+               if s not in ((circ.n, circ.n), (seg.n, seg.n)))
+    assert sp.metric.a is circ.metric and sp.metric.b is seg.metric
+
+
+# ----------------------------------------------------------------------
+# the O(n) certificate against the tile walk
+
+
+def _walk_verdict(metric, points):
+    try:
+        space_mod._tile_walk(metric.dense, points)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _constructor_verdict(form, points):
+    try:
+        rl.SampledSpace(name="s", points=points, dmat=None,
+                        exhaustion=(CompactSet(tuple(range(len(points))), "all"),),
+                        resolution=1.0, isolated=np.zeros(len(points), dtype=bool), metric_form=form)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# windows whose coordinates collide (1e16 + 1 rounds to 1e16), overflow to
+# inf, or whose spread overflows; the rest draw ordinary grids
+_EDGE_LINES = [
+    {"form": "line", "step": 1.0, "window": [1e16, 1e16 + 8]},
+    {"form": "line", "step": 0.5, "window": [2.0**53, 2.0**53 + 8]},
+    {"form": "line", "step": 1e308, "window": [0.0, 1.7e308]},
+    {"form": "line", "step": 1e308, "window": [-1e308, 0.7e308]},
+    {"form": "line", "step": 1e307, "window": [1e308, 1.5e308]},
+    {"form": "line", "step": 1e307, "window": [1.7e308, 1.79e308]},
+    {"form": "line", "step": 3.0, "window": [-1.0, 0.5]},
+]
+
+
+@st.composite
+def _line_tags(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_EDGE_LINES))
+    lo = draw(st.sampled_from([0.0, -3.0, 2.5, 1e15, -1e16, 1e300]))
+    step = draw(st.sampled_from([1.0, 0.5, 0.3, 4.0, 1e-3, abs(lo) * 1e-16 or 1.0]))
+    width = step * draw(st.integers(1, 24)) + draw(st.sampled_from([0.0, 0.4 * step]))
+    return {"form": "line", "step": step, "window": [lo, lo + width]}
+
+
+_FACTORS = st.one_of(
+    _line_tags(),
+    st.integers(3, 20).map(lambda c: {"form": "circle", "count": c}),
+    st.integers(2, 12).map(lambda n: {"form": "onepoint01N", "n_max": n}),
+    st.integers(3, 5).map(lambda n: {"form": "remark25", "n_max": n}),
+)
+_TAGS = st.one_of(_FACTORS, st.builds(lambda a, b: {"form": "product", "a": a, "b": b}, _FACTORS, _FACTORS))
+
+
+@given(form=_TAGS)
+@settings(max_examples=150, deadline=None)
+@np.errstate(invalid="ignore", over="ignore")
+def test_certificate_refuses_exactly_where_the_tile_walk_does(form):
+    try:
+        metric = space_mod._closed_form(form)
+    except (ValueError, OverflowError):  # the tag itself is refused, before any check
+        assume(False)
+    assume(metric.n <= 900)
+    points = tuple(f"p{i}" for i in range(metric.n))
+    expected = _walk_verdict(metric, points)
+    event(f"refusal: {expected}")
+    assert _constructor_verdict(form, points) == expected
+
+
+@pytest.mark.parametrize("form,refusal", [
+    ({"form": "line", "step": 1.0, "window": [1e16, 1e16 + 8]}, "distinct sample points at zero distance"),
+    ({"form": "line", "step": 1e308, "window": [0.0, 1.7e308]},
+     "non-finite distance inf between points 'p0' and 'p2'"),
+    ({"form": "line", "step": 1e308, "window": [-1e308, 0.7e308]},
+     "non-finite distance inf between points 'p0' and 'p2'"),
+    # 2^-1075 underflows to 0: (0,1075), (1,1075) and inf all sit at q = 0
+    ({"form": "onepoint01N", "n_max": 1075}, "distinct sample points at zero distance"),
+    ({"form": "onepoint01N", "n_max": 1074}, None),
+    ({"form": "product", "a": {"form": "circle", "count": 3},
+      "b": {"form": "line", "step": 1.0, "window": [1e16, 1e16 + 4]}}, "distinct sample points at zero distance"),
+])
+@np.errstate(invalid="ignore", over="ignore")
+def test_certificate_edge_tags(form, refusal):
+    metric = space_mod._closed_form(form)
+    points = tuple(f"p{i}" for i in range(metric.n))
+    assert _walk_verdict(metric, points) == refusal
+    assert _constructor_verdict(form, points) == refusal
+
+
+# ----------------------------------------------------------------------
+# the counterexamples gallery computes every distance from coordinates
+
+
+@pytest.mark.parametrize("name", ["remark25_gallery", "onepoint_bounded"])
+def test_counterexample_scenarios_never_build_a_matrix(name, tmp_path):
+    def refuse(metric):
+        raise AssertionError(f"{type(metric).__name__} built its dense matrix")
+
+    scenario = json.loads((ROOT / "scripts" / "scenarios" / f"{name}.json").read_text())
+    with mock.patch.object(space_mod.Metric, "dense", property(refuse)):
+        assert cli.run(scenario, tmp_path) == 0
+    for report in (ROOT / "tests" / "golden" / name).glob("*.json"):
+        assert (tmp_path / report.name).read_bytes() == report.read_bytes(), report.name

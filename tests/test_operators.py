@@ -255,7 +255,7 @@ def test_preimage_table_matches_direct_minimum(remark_space, monkeypatch, gather
     for karr in (karrs[4], karrs[7], karrs[8]):
         rows = max(1, operators._GATHER_BYTES // (8 * np.unique(limit.backward[karr]).size))
         assert rows == 1 or remark_space.n % rows != 0
-    table = _preimage_distances(remark_space.dmat, limit.backward, karrs)
+    table = _preimage_distances(remark_space.metric, limit.backward, karrs)
     for k, karr in enumerate(karrs):
         direct = remark_space.dmat[:, np.unique(limit.backward[karr])].min(axis=1)
         assert table[:, k].tobytes() == direct.tobytes(), k
@@ -445,3 +445,15 @@ def test_unbounded_weight_rejected(line_space):
     idx = np.arange(n)
     with pytest.raises(ValueError, match="positive and finite"):
         rl.WeightedComposition(line_space, np.full(n, np.inf), idx, idx)
+
+
+def test_remark25_map_measures_its_round_trip_defects_once(remark_space, monkeypatch):
+    # the measured defects are both the declared ones and the constructor's
+    # check, so each map gathers them once
+    calls = []
+    measure = operators._roundtrip_defects
+    monkeypatch.setattr(operators, "_roundtrip_defects",
+                        lambda space, fwd, bwd: calls.append(len(fwd)) or measure(space, fwd, bwd))
+    seq = remark25_sequence(remark_space)
+    assert calls == [1] * len(seq) == [1] * remark_space.aux["n_max"]
+    assert seq[-1].allowed_defects  # row n_max's truncation edge

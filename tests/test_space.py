@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from renormlab.space import (
     _SYMMETRY_TILE,
     CompactSet,
     _dyadic_dist,
+    _dyadic_q,
     _onepoint01N_levels,
     _remark25_coords,
     builtin_space,
@@ -233,13 +235,16 @@ def test_closed_form_falls_back_when_the_formula_does_not_fit(form):
 
 
 def test_one_run_builds_the_closed_form_matrix_once(tmp_path):
-    # the constructor builds the line's matrix; validate_metric and the
-    # slot table read it
+    # the slot table's first read builds the line's matrix; the constructor,
+    # validate_metric and the round-trip checks compute single rows and
+    # entries from the coordinates
     scenario = {"space": {"builtin": "line", "params": {"step": 0.05, "window": [-2, 2]}},
                 "depth": 4, "tasks": ["build-config"]}
     with mock.patch.object(space_mod, "_line_dist", wraps=space_mod._line_dist) as spy:
         assert cli.run(scenario, tmp_path) == 0
-    assert spy.call_count == 1
+    shapes = [np.broadcast_shapes(np.shape(c.args[0]), np.shape(c.args[1])) for c in spy.call_args_list]
+    assert shapes.count((81, 81)) == 1
+    assert all(np.prod(s) <= 81 for s in shapes if s != (81, 81))  # one row at most
     report = json.loads((tmp_path / "build-config.json").read_text())["metric_report"]
     assert report["mode"] == "closed-form" and report["ok"]
 
@@ -329,7 +334,8 @@ def _dyadic_dist_reference(level, first=None):
 def test_dyadic_kernel_matches_the_four_pass_builder(n_max):
     first, second = _remark25_coords(n_max)
     expected = _dyadic_dist_reference(second, first)
-    assert _dyadic_dist(second, first).tobytes() == expected.tobytes()
+    q, n = _dyadic_q(second, first), len(first)
+    assert _dyadic_dist(q[:, None], q, np.eye(n, dtype=bool), np.empty((n, n))).tobytes() == expected.tobytes()
     assert builtin_space("remark25", n_max=n_max).dmat.tobytes() == expected.tobytes()
     level = _onepoint01N_levels(n_max)
     expected = _dyadic_dist_reference(level)
@@ -447,3 +453,41 @@ def test_constructor_tile_walk_keeps_message_and_precedence(data):
             with pytest.raises(ValueError) as err:
                 _matrix_space(d)
             assert str(err.value) == expected
+
+
+def _loop_exhaustion(coords, lo, hi):
+    """The line's exhaustion as a loop over every integer m up to the
+    window's bound builds it, keeping the first m of each distinct set."""
+    bound, sets, m = max(abs(lo), abs(hi)), [], 1
+    while True:
+        members = tuple(np.nonzero(np.abs(coords) <= min(m, bound) + 1e-12)[0].tolist())
+        if members and (not sets or sets[-1][0] != members):
+            sets.append((members, f"[-{m},{m}]"))
+        if m >= bound:
+            break
+        m += 1
+    return sets
+
+
+@given(lo=st.sampled_from([-7.5, -3, -1, -0.25, 0, 0.5, 2, 6.0]),
+       width=st.sampled_from([0.5, 1, 2.25, 3, 8, 13.5]),
+       step=st.sampled_from([0.05, 0.25, 0.3, 1.0, 1.5, 2.0, 4.0]))
+@settings(max_examples=80, deadline=None)
+def test_line_exhaustion_keeps_the_first_m_of_each_distinct_set(lo, width, step):
+    sp = builtin_space("line", step=step, window=(lo, lo + width))
+    sets = [(k.members, k.label) for k in sp.exhaustion]
+    expected = _loop_exhaustion(sp.aux["coords"], lo, lo + width)
+    if not expected or len(expected[-1][0]) != sp.n:
+        expected.append((tuple(range(sp.n)), "window"))
+    assert sets == expected
+    assert len(sp.exhaustion) <= sp.n + 1
+
+
+def test_wide_line_window_builds_one_set_per_point():
+    # the loop over every integer m up to 1e9 never finished
+    start = time.perf_counter()
+    sp = builtin_space("line", step=1e8, window=(0, 1e9))
+    assert time.perf_counter() - start < 0.5
+    assert sp.n == 11 and len(sp.exhaustion) <= sp.n + 1
+    assert [k.label for k in sp.exhaustion] == ["[-1,1]"] + [f"[-{m},{m}]" for m in range(10**8, 10**9 + 1, 10**8)]
+    assert [len(k) for k in sp.exhaustion] == list(range(1, 12))
