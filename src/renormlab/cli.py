@@ -51,7 +51,7 @@ from .operators import (
     remark25_sequence,
 )
 from .orbits import orbit_closure
-from .space import SampledSpace, _integer, builtin_space, validate_metric
+from .space import SampledSpace, _integer, _line_coords, builtin_space, validate_metric
 from .tuples import choose_parameters, verify_bmap
 
 
@@ -80,9 +80,9 @@ def make_group(spec: dict, space: SampledSpace) -> GroupSpec:
         return GroupSpec.trivial(space)
     if kind == "rotation":
         q = _integer(spec.get("q", 12), "group q", 1)
-        lifted = space.aux.get("kind") == "product"
-        circ = space.aux["a"] if lifted else space
-        if circ.aux.get("kind") != "circle":
+        lifted = bool(space.factors)
+        circ = space.factors[0] if lifted else space
+        if circ.metric_form.get("form") != "circle":
             raise InputError("rotation group needs a circle or circle-product space")
         gen = circle_rotation(circ, steps=_rotation_steps(circ, q, "group q"), label=f"rot2pi/{q}")
         return GroupSpec((lift(gen, space, "left") if lifted else gen,), word_cap=word_cap,
@@ -97,7 +97,7 @@ def make_group(spec: dict, space: SampledSpace) -> GroupSpec:
 
 def _rotation_steps(circ: SampledSpace, q: int, name: str) -> int:
     """Steps of the rotation by 2 pi / q, snapped to the circle's sample."""
-    count = circ.aux["count"]
+    count = circ.metric_form["count"]
     if q > count:
         raise InputError(f"{name} must be at most the circle's point count {count}, got {q}")
     return count // q
@@ -125,10 +125,9 @@ def make_operator(spec: dict, space: SampledSpace, group: GroupSpec):
         op.label = "word:" + ",".join(str(i) for i in indices)
         return op
     if kind == "rotation_flip":
-        aux = space.aux
-        if aux.get("kind") != "product":
-            raise InputError("rotation_flip needs a product space")
-        circ, seg = aux["a"], aux["b"]
+        if [f.metric_form.get("form") for f in space.factors] != ["circle", "line"]:
+            raise InputError("rotation_flip needs a circle x line product space")
+        circ, seg = space.factors
         q = _integer(spec.get("q", 12), "detect operator rotation_flip: q", 1)
         steps = _rotation_steps(circ, q, "detect operator rotation_flip: q")
         rot = lift(circle_rotation(circ, steps=steps), space, "left")
@@ -147,9 +146,9 @@ _KNOTS = 12
 
 
 def random_piecewise_linear(space: SampledSpace, rng: np.random.Generator) -> np.ndarray:
-    aux = space.aux
-    if aux.get("kind") == "line":
-        coords = aux["coords"]
+    form = space.metric_form
+    if form.get("form") == "line":
+        coords = _line_coords(form["step"], form["window"])
         kx = np.sort(rng.choice(coords, size=min(_KNOTS, len(coords)), replace=False))
         ky = rng.uniform(-1.0, 1.0, size=len(kx))
         return np.interp(coords, kx, ky)
@@ -291,8 +290,10 @@ def task_detect(cfg: RenormConfig, operators: list) -> dict:
 
 
 def task_sot_gallery(space: SampledSpace, eps: float) -> dict:
-    if space.aux.get("kind") != "remark25":
+    if space.metric_form.get("form") != "remark25":
         raise InputError("sot-gallery runs on the remark25 space")
+    n_max = space.metric_form["n_max"]
+    column = [space.index(f"(0,{i})") for i in range(1, n_max + 1)] + [space.index("(0,inf)")]
     seq = remark25_sequence(space)
     lim = identity(space)
     # the top exhaustion element is the whole truncated sample: its
@@ -300,12 +301,11 @@ def task_sot_gallery(space: SampledSpace, eps: float) -> dict:
     # gallery checks the compacts whose thresholds are in-horizon
     K_list = list(space.exhaustion[:-1])
     verdict = check_sot_convergence(seq, lim, K_list, eps)
-    x = (np.asarray(space.aux["first"]) == 0).astype(float)
+    x = np.zeros(space.n)
+    x[column] = 1.0  # the column's indicator
     gaps = [float(np.max(np.abs(g.apply(x) - x))) for g in seq]
-    n_max = space.aux["n_max"]
-    tail_col = [space.index(f"(0,{i})") for i in range(3, n_max + 1)] + [space.index("(0,inf)")]
     eq = check_local_equicontinuity(
-        [g.backward for g in seq], space.compact(tail_col, "column-tail"), (0.5,), space,
+        [g.backward for g in seq], space.compact(column[2:], "column-tail"), (0.5,), space,
     )
     cond = {c.name: c for c in verdict.conditions}
     ok = (
@@ -333,10 +333,10 @@ def task_sot_gallery(space: SampledSpace, eps: float) -> dict:
 
 
 def task_bounded_suite(space: SampledSpace, group: GroupSpec, rng: np.random.Generator) -> dict:
-    if space.aux.get("kind") != "onepoint01N":
+    if space.metric_form.get("form") != "onepoint01N":
         raise InputError("bounded-suite runs on the onepoint01N space")
     bgn = m_weight(group)
-    n_max = space.aux["n_max"]
+    n_max = space.metric_form["n_max"]
     inf_idx = space.index("inf")
     ok = bgn.m[inf_idx] == 1.0
     m_checks = {"inf": float(bgn.m[inf_idx])}

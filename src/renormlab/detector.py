@@ -20,6 +20,7 @@ import numpy as np
 
 from .norm import RenormConfig
 from .operators import WeightedComposition
+from .space import _integer
 
 log = logging.getLogger(__name__)
 
@@ -192,8 +193,7 @@ def certify(
     witness; everything else is inconclusive.  ``test_depth`` must be an
     integer >= 1; it is capped at the number of base points.
     """
-    if isinstance(test_depth, bool) or not isinstance(test_depth, (int, np.integer)) or test_depth < 1:
-        raise ValueError(f"test_depth must be an integer >= 1, got {test_depth!r}")
+    _integer(test_depth, "test_depth", 1)
     space = cfg.space
     word_tol = 2 * space.resolution
     test_depth = min(int(test_depth), cfg.base_count)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .operators import GroupSpec
 from .orbits import select_dense_points
-from .space import SampledSpace
+from .space import SampledSpace, _integer
 from .tuples import (
     BCAssignment,
     ClassRegistry,
@@ -331,8 +331,7 @@ def build_config(
 ) -> RenormConfig:
     """Select base points, enumerate orbits and window tuples, populate the
     class registry, and verify the weight-map properties at depth."""
-    if depth < 2:
-        raise ValueError("depth must be at least 2")
+    _integer(depth, "depth", 2)
     if gamma_cap is not None and (isinstance(gamma_cap, bool)
                                   or not isinstance(gamma_cap, (int, np.integer)) or gamma_cap < 1):
         raise TupleBudgetError(f"gamma_cap must be None or an integer >= 1, got {gamma_cap!r}")

@@ -207,6 +207,14 @@ def _compose_forms(fh: dict | None, fg: dict | None) -> dict | None:
 # concrete operator constructors
 
 
+def _tag(space: SampledSpace, form: str, refusal: str) -> dict:
+    """The space's metric tag, which says what the space is; a ValueError
+    with ``refusal`` when it is not of the given form."""
+    if space.metric_form.get("form") != form:
+        raise ValueError(refusal)
+    return space.metric_form
+
+
 def identity(space: SampledSpace) -> WeightedComposition:
     idx = np.arange(space.n)
     return WeightedComposition(space, np.ones(space.n), idx, idx, label="id",
@@ -222,10 +230,7 @@ def multiplication(space: SampledSpace, weight) -> WeightedComposition:
 def line_translation(space: SampledSpace, offset: float, label: str = "") -> WeightedComposition:
     """Translation ``t -> t + offset`` snapped to the grid, clamped at the
     window edges (edge points are declared defects of the truncation)."""
-    aux = space.aux
-    if aux.get("kind") != "line":
-        raise ValueError("line_translation requires a line space")
-    coords, step = aux["coords"], aux["step"]
+    step = _tag(space, "line", "line_translation requires a line space")["step"]
     n = space.n
     shift = int(round(offset / step))
     idx = np.arange(n)
@@ -243,10 +248,7 @@ def line_translation(space: SampledSpace, offset: float, label: str = "") -> Wei
 
 def circle_rotation(space: SampledSpace, angle: float | None = None,
                     steps: int | None = None, label: str = "") -> WeightedComposition:
-    aux = space.aux
-    if aux.get("kind") != "circle":
-        raise ValueError("circle_rotation requires a circle space")
-    n = aux["count"]
+    n = _tag(space, "circle", "circle_rotation requires a circle space")["count"]
     if steps is None:
         if angle is None:
             raise ValueError("need angle or steps")
@@ -266,9 +268,7 @@ def circle_rotation(space: SampledSpace, angle: float | None = None,
 
 def interval_flip(space: SampledSpace) -> WeightedComposition:
     """The involution ``s -> 1 - s`` on a [0, 1] grid (exact on uniform grids)."""
-    aux = space.aux
-    if aux.get("kind") != "line":
-        raise ValueError("interval_flip requires a line space")
+    _tag(space, "line", "interval_flip requires a line space")
     n = space.n
     idx = np.arange(n)
     fwd = (n - 1) - idx
@@ -278,10 +278,9 @@ def interval_flip(space: SampledSpace) -> WeightedComposition:
 def lift(op: WeightedComposition, prod: SampledSpace, side: str = "left") -> WeightedComposition:
     """Lift an operator on a factor to a product space, acting trivially on
     the other factor: ``psi(k, l) = (phi(k), l)`` for a left lift."""
-    aux = prod.aux
-    if aux.get("kind") != "product":
-        raise ValueError("lift target must be a product space")
-    a, b = aux["a"], aux["b"]
+    if not prod.factors:
+        raise ValueError("lift target must be a product space with its factor spaces")
+    a, b = prod.factors
     na, nb = a.n, b.n
     if side == "left":
         if op.space is not a:
@@ -310,10 +309,7 @@ def remark25_map(space: SampledSpace, n: int) -> WeightedComposition:
     truncation edge of row n cannot be modeled bijectively and is declared
     as a defect.
     """
-    aux = space.aux
-    if aux.get("kind") != "remark25":
-        raise ValueError("remark25_map requires the remark25 space")
-    n_max = aux["n_max"]
+    n_max = _tag(space, "remark25", "remark25_map requires the remark25 space")["n_max"]
     if not 1 <= n <= n_max:
         raise ValueError("map index out of range")
     N = space.n
@@ -352,10 +348,7 @@ def onepoint_swap(space: SampledSpace, n: int) -> WeightedComposition:
     """Self-inverse swap (0, n) <-> (1, n) with weight 2 at (0, n) and 1/2 at
     (1, n); the lone non-isometric generator family of the compactified
     two-row space."""
-    aux = space.aux
-    if aux.get("kind") != "onepoint01N":
-        raise ValueError("onepoint_swap requires the onepoint01N space")
-    n_max = aux["n_max"]
+    n_max = _tag(space, "onepoint01N", "onepoint_swap requires the onepoint01N space")["n_max"]
     if not 1 <= n <= n_max:
         raise ValueError("swap index out of range")
     N = space.n
@@ -370,12 +363,13 @@ def onepoint_swap(space: SampledSpace, n: int) -> WeightedComposition:
 
 
 def remark25_sequence(space: SampledSpace) -> list[WeightedComposition]:
-    return [remark25_map(space, n) for n in range(1, space.aux["n_max"] + 1)]
+    n_max = _tag(space, "remark25", "remark25_sequence requires the remark25 space")["n_max"]
+    return [remark25_map(space, n) for n in range(1, n_max + 1)]
 
 
 def onepoint_swap_group(space: SampledSpace, word_cap: int = 2,
                         count: int | None = None) -> "GroupSpec":
-    n_max = space.aux["n_max"]
+    n_max = _tag(space, "onepoint01N", "onepoint_swap_group requires the onepoint01N space")["n_max"]
     count = count or n_max
     gens = [onepoint_swap(space, n) for n in range(1, min(count, n_max) + 1)]
     return GroupSpec(tuple(gens), word_cap=word_cap, label="onepoint-swaps")

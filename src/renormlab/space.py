@@ -18,7 +18,7 @@ contained in an exhaustion element.  Reports carry this caveat verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -77,11 +77,14 @@ class SampledSpace:
         isolated: per-point flag, True when the underlying (ideal) space has
             an isolated point there.
         metric_form: serializable description of the metric (closed-form tag
-            with parameters, or "matrix").
-        aux: non-serialized construction metadata (coordinates, factors).
+            with parameters, or "matrix"): what the space is.  Its kind and
+            parameters are read from here and nowhere else.
+        factors: a product's two factor spaces, as ``product`` sets them,
+            whose tags must be the product tag's ``a`` and ``b``; () for any
+            other space.
 
-    The constructor also sets ``metric``, the :class:`Metric` that every
-    distance comes from.
+    The constructor also sets ``metric``, the :class:`Metric` that computes
+    the distances.
     """
 
     name: str
@@ -91,17 +94,20 @@ class SampledSpace:
     resolution: float
     isolated: np.ndarray
     metric_form: dict
-    aux: dict = field(default_factory=dict, repr=False)
+    factors: tuple[SampledSpace, ...] = ()
 
     def __post_init__(self):
         n = len(self.points)
         if len(set(self.points)) != n:
             raise ValueError("duplicate point ids")
-        factors = (self.aux["a"], self.aux["b"]) if self.aux.get("kind") == "product" else ()
-        metric = _closed_form(self.metric_form, factors)
+        form = self.metric_form
+        if self.factors and (form.get("form") != "product"
+                             or [f.metric_form for f in self.factors] != [form.get("a"), form.get("b")]):
+            raise ValueError("factor spaces must carry the product tag's 'a' and 'b'")
+        metric = _closed_form(form, self.factors)
         if metric is not None:
             if self.dmat is not None:
-                raise ValueError(f"metric tag {self.metric_form.get('form')!r} builds its own "
+                raise ValueError(f"metric tag {form.get('form')!r} builds its own "
                                  "distance matrix; pass dmat=None")
             if metric.n != n:
                 raise ValueError(f"metric tag has {metric.n} points, the sample {n}")
@@ -143,9 +149,6 @@ class SampledSpace:
     @property
     def n(self) -> int:
         return len(self.points)
-
-    def d(self, i: int, j: int) -> float:
-        return float(self.metric.pair(i, j))
 
     def index(self, point_id: str) -> int:
         try:
@@ -405,7 +408,7 @@ def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> Sample
         resolution=max(a.resolution, b.resolution),
         isolated=isolated,
         metric_form=form,
-        aux={"kind": "product", "a": a, "b": b},
+        factors=(a, b),
     )
 
 
@@ -500,8 +503,8 @@ def _max_dist(da: np.ndarray, db: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _closed_form(form: dict, factors: Sequence[SampledSpace] = ()) -> Metric | None:
     """The metric of a closed-form tag, made from the tag's parameters; a
-    product made by ``product`` composes its factor spaces' metrics.  None
-    for any other tag."""
+    product with its factor spaces (whose tags are the product tag's parts)
+    composes their metrics.  None for any other tag."""
     kind = form.get("form")
     if kind == "line":
         return _Line(_line_coords(form["step"], form["window"]))
@@ -513,9 +516,7 @@ def _closed_form(form: dict, factors: Sequence[SampledSpace] = ()) -> Metric | N
     if kind == "onepoint01N":
         return _Dyadic(_dyadic_q(_onepoint01N_levels(form["n_max"])))
     if kind == "product":
-        spaces = dict(zip("ab", factors))
-        a, b = (spaces[k].metric if k in spaces and spaces[k].metric_form == form[k]
-                else _closed_form(form[k]) for k in "ab")
+        a, b = (f.metric for f in factors) if factors else (_closed_form(form[k]) for k in "ab")
         if not any(m is None or isinstance(m, _Dense) for m in (a, b)):
             return _Max(a, b)
     return None
@@ -555,7 +556,6 @@ def _line(step: float, window: tuple[float, float], name: str) -> SampledSpace:
         resolution=step / 2,  # every ideal window point is within half a step
         isolated=np.zeros(count, dtype=bool),
         metric_form={"form": "line", "step": step, "window": [lo, hi]},
-        aux={"kind": "line", "coords": coords, "step": step, "window": (lo, hi)},
     )
 
 
@@ -568,9 +568,8 @@ def _circle(count: int, name: str) -> SampledSpace:
         dmat=None,
         exhaustion=(CompactSet(tuple(range(count)), label="circle"),),
         resolution=math.pi / count,  # half the arc spacing
-        isolated=np.zeros(count, dtype=bool),
+        isolated=np.zeros_like(angles, dtype=bool),
         metric_form={"form": "circle", "count": count},
-        aux={"kind": "circle", "angles": angles, "count": count},
     )
 
 
@@ -583,10 +582,8 @@ def _remark25(n_max: int, name: str) -> SampledSpace:
     space are finite sets joined with a terminal segment of the column, so
     the exhaustion grows the isolated block while always carrying the column.
     """
-    a, s = _remark25_coords(n_max)
-    ids = [f"(0,{x})" for x in range(1, n_max + 1)] + ["(0,inf)"]
-    ids += [f"({i},{j})" for i in range(1, n_max + 1) for j in range(1, n_max + 1)]
-    n = len(ids)
+    first, second = _remark25_coords(n_max)
+    ids = tuple(f"({a:g},{b:g})" for a, b in zip(first.tolist(), second.tolist()))
     column = list(range(n_max + 1))
     exhaustion = []
     for m in range(1, n_max + 1):
@@ -596,17 +593,14 @@ def _remark25(n_max: int, name: str) -> SampledSpace:
             for j in range(1, m + 1)
         ]
         exhaustion.append(CompactSet(tuple(sorted(column + block)), label=f"K{m}"))
-    isolated = np.ones(n, dtype=bool)
-    isolated[n_max] = False  # (0, inf) is the lone accumulation point
     return SampledSpace(
         name=name,
-        points=tuple(ids),
+        points=ids,
         dmat=None,
         exhaustion=tuple(exhaustion),
         resolution=2.0 ** (-n_max),
-        isolated=isolated,
+        isolated=np.isfinite(second),  # (0, inf) is the lone accumulation point
         metric_form={"form": "remark25", "n_max": n_max},
-        aux={"kind": "remark25", "n_max": n_max, "first": a, "second": s},
     )
 
 
@@ -616,20 +610,16 @@ def _onepoint01N(n_max: int, name: str) -> SampledSpace:
     Metric: d((i,k),(j,m)) = 2^{-min(k,m)} for distinct points and
     d((i,k), inf) = 2^{-k}.  The whole space is compact.
     """
-    kv = _onepoint01N_levels(n_max)
+    levels = _onepoint01N_levels(n_max)
     ids = [f"({i},{k})" for i in (0, 1) for k in range(1, n_max + 1)] + ["inf"]
-    n = len(ids)
-    isolated = np.ones(n, dtype=bool)
-    isolated[-1] = False
     return SampledSpace(
         name=name,
         points=tuple(ids),
         dmat=None,
-        exhaustion=(CompactSet(tuple(range(n)), label="all"),),
+        exhaustion=(CompactSet(tuple(range(len(ids))), label="all"),),
         resolution=2.0 ** (-n_max),
-        isolated=isolated,
+        isolated=np.isfinite(levels),  # inf is the lone accumulation point
         metric_form={"form": "onepoint01N", "n_max": n_max},
-        aux={"kind": "onepoint01N", "n_max": n_max, "level": kv},
     )
 
 

@@ -57,7 +57,7 @@ def test_criterion_1_bmap_suite():
     assert rep_line["ok"], rep_line["violations"][:3]
 
     prod = rl.builtin_space("circle_x_interval", count=48, levels=16)
-    circ = prod.aux["a"]
+    circ = prod.factors[0]
     gen = lift(circle_rotation(circ, steps=4), prod, "left")
     rot = rl.GroupSpec((gen,), word_cap=6, closure_tag=True)
     cfg_rot = rl.build_config(prod, rot, C=1.1, depth=6, gamma_cap=2)
@@ -223,7 +223,7 @@ def test_criterion_6_sot_counterexample(remark_space):
     assert not cond["inverse_images"].passed
     assert cond["inverse_images"].witness is not None
     assert not verdict.converges
-    x = (np.asarray(space.aux["first"]) == 0).astype(float)
+    x = np.array([p.startswith("(0,") for p in space.points], dtype=float)  # the column
     gaps = [float(np.max(np.abs(g.apply(x) - x))) for g in seq]
     assert gaps == [1.0] * 50
     _report(6, f"uniform maps pass on {len(K_list)} compacts, inverse-image "
@@ -235,7 +235,7 @@ def test_criterion_7_bounded_group_example(onepoint_space, swap_group):
     space = onepoint_space
     bgn = m_weight(swap_group)
     assert bgn.m[space.index("inf")] == 1.0
-    for n in range(1, space.aux["n_max"] + 1):
+    for n in range(1, space.metric_form["n_max"] + 1):
         assert bgn.m[space.index(f"(1,{n})")] == 0.5
     assert "inf" in bgn.flagged
     rng = np.random.default_rng(99)
@@ -274,7 +274,7 @@ def test_criterion_8_detector(line_cfg, product_cfg):
             assert v.verdict == "certified-in-G"
             verdicts.append(v)
     space = product_cfg.space
-    circ, seg = space.aux["a"], space.aux["b"]
+    circ, seg = space.factors
     rotflip = compose(lift(circle_rotation(circ, steps=4), space, "left"),
                       lift(interval_flip(seg), space, "right"))
     v = certify(rotflip, product_cfg, test_depth=4)

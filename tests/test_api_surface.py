@@ -52,7 +52,6 @@ UNREACHED = {
     "io.save_operator": "a README-documented JSON writer; tests/test_io_cli.py writes fixtures with it",
     "io.save_group": "a README-documented JSON writer; tests/test_io_cli.py writes fixtures with it",
     "io.save_function": "a README-documented JSON writer; tests/test_io_cli.py writes fixtures with it",
-    "space.SampledSpace.d": "the one-pair distance that tests read as an oracle",
     "tuples.Window.indices": "the window's index block, which tests read as an oracle",
     "norm.TriangularSystem.matrix": "the dense system, which tests read as an oracle",
 }

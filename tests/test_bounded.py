@@ -19,7 +19,7 @@ def test_isometric_group_gives_sup_norm():
 
 def test_swap_group_extremal_weight(onepoint_space, swap_group):
     bgn = m_weight(swap_group)
-    n_max = onepoint_space.aux["n_max"]
+    n_max = onepoint_space.metric_form["n_max"]
     assert bgn.m[onepoint_space.index("inf")] == 1.0
     for n in range(1, n_max + 1):
         assert bgn.m[onepoint_space.index(f"(1,{n})")] == 0.5
@@ -35,7 +35,7 @@ def _single_generator_group(word_cap):
     expands the first quarter threefold and its weight peaks at 2 inside the
     squeezed middle band."""
     seg = rl.builtin_space("line", step=1 / 64, window=(0, 1))
-    coords = seg.aux["coords"]
+    coords = seg.metric.x
     n = seg.n
 
     def phi(t):

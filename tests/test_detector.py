@@ -123,7 +123,7 @@ def test_soundness_every_enumerated_word_certified(product_cfg):
 
 def test_certify_rotation_flip_rejected(product_cfg):
     space = product_cfg.space
-    circ, seg = space.aux["a"], space.aux["b"]
+    circ, seg = space.factors
     rot = lift(circle_rotation(circ, steps=4), space, "left")
     flip = lift(interval_flip(seg), space, "right")
     verdict = certify(compose(rot, flip), product_cfg, test_depth=4)
@@ -139,7 +139,7 @@ def test_certify_multiplication_rejected_on_weight(line_cfg):
 
 def test_no_inconclusive_on_acceptance_scenarios(line_cfg, product_cfg):
     space = product_cfg.space
-    circ, seg = space.aux["a"], space.aux["b"]
+    circ, seg = space.factors
     candidates = [
         (line_cfg, identity(line_cfg.space)),
         (line_cfg, line_translation(line_cfg.space, 0.3)),
@@ -153,7 +153,7 @@ def test_no_inconclusive_on_acceptance_scenarios(line_cfg, product_cfg):
 
 def test_verdict_invariant_under_certified_composition(product_cfg):
     space = product_cfg.space
-    circ, seg = space.aux["a"], space.aux["b"]
+    circ, seg = space.factors
     rotflip = compose(lift(circle_rotation(circ, steps=4), space, "left"),
                       lift(interval_flip(seg), space, "right"))
     words = product_cfg.group.words()
@@ -221,7 +221,7 @@ def _corrupt(T, p, q, scale):
 
 def test_block_diagonal_containment_matches_per_orbit_loop(product_cfg, line_cfg):
     space = product_cfg.space
-    circ, seg = space.aux["a"], space.aux["b"]
+    circ, seg = space.factors
     g = product_cfg.group.generators[0]
     rotflip = compose(lift(circle_rotation(circ, steps=4), space, "left"), lift(interval_flip(seg), space, "right"))
     b = product_cfg.base_points
@@ -317,10 +317,10 @@ def _sending(space, moves, label):
 
 def _certify_cases(cfg):
     space = cfg.space
-    if space.aux.get("kind") != "product":
+    if not space.factors:
         return [identity(space), line_translation(space, 0.3), multiplication(space, 1.2),
                 _corrupt(identity(space), cfg.base_points[1], cfg.base_points[2], 1.0)]
-    circ, seg = space.aux["a"], space.aux["b"]
+    circ, seg = space.factors
     g, gi = cfg.group.generators[:2]
     rotflip = compose(lift(circle_rotation(circ, steps=4), space, "left"), lift(interval_flip(seg), space, "right"))
     b = cfg.base_points
@@ -401,7 +401,7 @@ def _isometry_census(space):
     # arithmetic: point (j, l) has index j * levels + l, and each map pairs
     # a circle rotation or reflection j -> s j + r with the identity or the
     # flip l -> levels - 1 - l of the interval
-    count, levels = space.aux["a"].n, space.aux["b"].n
+    count, levels = space.factors[0].n, space.factors[1].n
     j, l = np.divmod(np.arange(space.n), levels)
     maps = []
     for s, r, flip in itertools.product((1, -1), range(count), (False, True)):
@@ -417,7 +417,7 @@ def test_a_certified_map_matches_a_word_on_every_point(name, request, fork):
     space = cfg.space
     tol = 2 * space.resolution
     cases = [*_certify_cases(cfg), *cfg.group.words()]
-    if space.aux.get("kind") == "product":
+    if space.factors:
         # the reflections that match a rotation on the first base points
         cases += [WeightedComposition(space, np.ones(space.n), fwd, np.argsort(fwd))
                   for (s, r, flip), fwd, _, _ in _isometry_census(space) if s == -1 and r % 4 == 0]
@@ -437,7 +437,7 @@ def test_isometry_census_certifies_exactly_the_group(product_cfg, fork):
     # apart
     cfg = fork(product_cfg)
     space = cfg.space
-    circ, seg = space.aux["a"], space.aux["b"]
+    circ, seg = space.factors
     rng = np.random.default_rng(0)
     pairs = rng.integers(0, space.n, size=(2, 2000))
     certified = []

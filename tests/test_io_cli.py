@@ -17,7 +17,7 @@ from renormlab import io as rio
 from renormlab import cli, norm
 from renormlab.cli import InputError, main, run
 from renormlab.norm import TupleBudgetError
-from renormlab.operators import line_translation, onepoint_swap_group
+from renormlab.operators import interval_flip, line_translation, onepoint_swap_group
 
 
 def test_space_round_trip_builtin(tmp_path):
@@ -68,6 +68,23 @@ def test_space_to_dict_metric_matches_the_tag_list():
         assert metric == expected
         forms.append(metric["form"])
     assert forms == ["line", "circle", "product", "remark25", "onepoint01N", "product", "matrix"]
+
+
+def test_a_space_acts_the_same_before_and_after_a_round_trip(tmp_path):
+    # what a space is comes from its tag alone: a line is a line on both
+    # sides of save_space/load_space, and its matrix twin is one on neither
+    line = rl.builtin_space("line", step=0.25, window=(0, 1))
+    twin = dataclasses.replace(line, metric_form={"form": "matrix"})
+    rio.save_space(line, tmp_path / "line.json")
+    rio.save_space(twin, tmp_path / "twin.json")
+    back = rio.load_space(tmp_path / "line.json")
+    assert np.array_equal(line_translation(back, 0.25).forward, line_translation(line, 0.25).forward)
+    assert np.array_equal(interval_flip(back).forward, interval_flip(line).forward)
+    for space in (twin, rio.load_space(tmp_path / "twin.json")):
+        with pytest.raises(ValueError, match="line_translation requires a line space"):
+            line_translation(space, 0.25)
+        with pytest.raises(ValueError, match="interval_flip requires a line space"):
+            interval_flip(space)
 
 
 def test_operator_round_trip(tmp_path):
@@ -204,7 +221,7 @@ def test_cli_eval_dual_reads_ids_with_commas(capsys, ids, beta):
 
 def test_cli_eval_norm(tmp_path):
     sp = rl.builtin_space("line", step=0.05, window=(-2, 2))
-    x = np.sin(sp.aux["coords"])
+    x = np.sin(sp.metric.x)
     fn = tmp_path / "fn.json"
     rio.save_function(sp, x, fn)
     spfile = tmp_path / "space.json"
@@ -263,6 +280,22 @@ def test_tuple_budget_counts_every_plan_row(product_space, rotation_group, monke
     with pytest.raises(TupleBudgetError, match=f"gamma_cap 4 enumerates {total} window tuples, "
                                                f"more than max_tuples {total - 1}"):
         rl.build_config(product_space, rotation_group, C=1.1, depth=3, gamma_cap=4)
+
+
+@pytest.mark.parametrize("depth", [3.0, 1, True, "4"])
+def test_build_config_refuses_a_depth_that_is_not_an_integer_at_least_2(depth):
+    sp = rl.builtin_space("line", step=0.25, window=(-2, 2))
+    with pytest.raises(ValueError, match=re.escape(f"depth must be an integer >= 2, got {depth!r}")):
+        rl.build_config(sp, rl.GroupSpec.trivial(sp), C=1.1, depth=depth)
+
+
+def test_eval_depth_below_2_exits_2_naming_the_depth(tmp_path, capsys):
+    sp = rl.builtin_space("line", step=0.25, window=(-2, 2))
+    fn = tmp_path / "fn.json"
+    rio.save_function(sp, np.ones(sp.n), fn)
+    argv = ["eval", "--space", "line", "--norm", str(fn), "--depth", "1"]
+    assert main(argv) == 2
+    assert "depth must be an integer >= 2, got 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("gamma_cap", [0, -1, 1.5, True, "3"])
@@ -530,6 +563,8 @@ def test_saved_builtin_space_keeps_its_name(tmp_path, capsys, name, params):
     back = rio.load_space(path)
     assert back.name == name and back.points == sp.points
     assert back.metric_form == sp.metric_form and back.dmat.tobytes() == sp.dmat.tobytes()
+    assert ([f.metric_form for f in back.factors] == [sp.metric_form["a"], sp.metric_form["b"]]
+            and (back.factors[0] is back.factors[1]) == (name == "plane"))
     assert main(["eval", "--space", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["space"] == name and out["metric_report"]["mode"] == "closed-form"

@@ -64,13 +64,13 @@ def test_closed_form_entries_are_bitwise_the_formula(name, params):
     I, J = rng.integers(0, sp.n, size=(2, 3, 57))
     assert metric.pair(I, J).tobytes() == ref[I, J].tobytes()
     assert metric.pair(I[0], 5).tobytes() == ref[I[0], 5].tobytes()
-    assert sp.d(3, 1) == ref[3, 1]
+    assert sp.metric.pair(3, 1) == ref[3, 1]
     rows, cols = I[0], np.concatenate([J[1], [0, sp.n - 1]])
     assert metric.cross(rows, cols).tobytes() == ref[np.ix_(rows, cols)].tobytes()
     assert metric.diameter == ref.max()
     assert sp.dmat.tobytes() == ref.tobytes()
     if name == "plane":  # equal factors share one factor space and one metric
-        assert sp.aux["a"] is sp.aux["b"] and metric.a is metric.b is sp.aux["a"].metric
+        assert sp.factors[0] is sp.factors[1] and metric.a is metric.b is sp.factors[0].metric
 
 
 @pytest.mark.parametrize("name", space_mod.BUILTIN_NAMES)
@@ -92,7 +92,7 @@ def test_matrix_is_built_once_on_first_read_and_read_only():
 def test_circle_x_interval_builds_each_factor_matrix_at_most_once():
     with mock.patch.object(space_mod, "_line_dist", wraps=space_mod._line_dist) as spy:
         sp = builtin_space("circle_x_interval")
-        circ, seg = sp.aux["a"], sp.aux["b"]
+        circ, seg = sp.factors
         for space in (sp, circ, seg, sp):
             assert space.dmat.shape == (space.n, space.n)
     shapes = [np.broadcast_shapes(np.shape(c.args[0]), np.shape(c.args[1])) for c in spy.call_args_list]

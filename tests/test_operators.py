@@ -31,7 +31,7 @@ from renormlab.operators import (
 
 def test_apply_identity(line_space):
     op = identity(line_space)
-    f = np.sin(line_space.aux["coords"])
+    f = np.sin(line_space.metric.x)
     assert np.array_equal(op.apply(f), f)
 
 
@@ -269,7 +269,7 @@ def test_sot_matches_reference_on_repeated_compacts(remark_space):
 
 
 def test_sot_remark25_explicit_function(remark_space):
-    x = (np.asarray(remark_space.aux["first"]) == 0).astype(float)
+    x = np.array([p.startswith("(0,") for p in remark_space.points], dtype=float)  # the column
     for g in remark25_sequence(remark_space):
         assert np.max(np.abs(g.apply(x) - x)) == 1.0
 
@@ -314,7 +314,7 @@ def test_equicontinuity_remark25_inverse_family_fails(remark_space):
     # the witness pair is re-checkable
     g = seq[member]
     si, ti = remark_space.index(s), remark_space.index(t)
-    assert remark_space.d(int(g.backward[si]), int(g.backward[ti])) >= 0.5
+    assert remark_space.metric.pair(int(g.backward[si]), int(g.backward[ti])) >= 0.5
 
 
 def pointwise_implies_sot(group, seq, limit, eps):
@@ -387,7 +387,7 @@ def _words_loop(group, cap):
 
 
 def _word_groups(onepoint_space, product_space, rotation_group, line_space):
-    circ = product_space.aux["a"]
+    circ = product_space.factors[0]
     remark = rl.builtin_space("remark25", n_max=7)
     return {
         "onepoint swaps": onepoint_swap_group(onepoint_space, word_cap=2, count=12),
@@ -396,8 +396,8 @@ def _word_groups(onepoint_space, product_space, rotation_group, line_space):
                                          word_cap=3),
         "line translations": rl.GroupSpec((line_translation(line_space, 0.5),), word_cap=4),
         "remark25 maps": rl.GroupSpec(tuple(remark25_sequence(remark)), word_cap=2),
-        "weighted flips": rl.GroupSpec((interval_flip(product_space.aux["b"]),
-                                        multiplication(product_space.aux["b"], 2.0)), word_cap=3),
+        "weighted flips": rl.GroupSpec((interval_flip(product_space.factors[1]),
+                                        multiplication(product_space.factors[1], 2.0)), word_cap=3),
     }
 
 
@@ -429,7 +429,7 @@ def test_words_measure_each_new_composite_once(onepoint_space, monkeypatch):
 
 
 def test_lift_acts_on_one_factor(product_space):
-    circ, seg = product_space.aux["a"], product_space.aux["b"]
+    circ, seg = product_space.factors
     rot = circle_rotation(circ, steps=4)
     lifted = lift(rot, product_space, "left")
     nb = seg.n
@@ -455,5 +455,5 @@ def test_remark25_map_measures_its_round_trip_defects_once(remark_space, monkeyp
     monkeypatch.setattr(operators, "_roundtrip_defects",
                         lambda space, fwd, bwd: calls.append(len(fwd)) or measure(space, fwd, bwd))
     seq = remark25_sequence(remark_space)
-    assert calls == [1] * len(seq) == [1] * remark_space.aux["n_max"]
+    assert calls == [1] * len(seq) == [1] * remark_space.metric_form["n_max"]
     assert seq[-1].allowed_defects  # row n_max's truncation edge

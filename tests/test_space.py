@@ -39,8 +39,8 @@ def test_product_max_metric():
         for ib in range(b.n):
             for ja in range(a.n):
                 for jb in range(b.n):
-                    got = prod.d(ia * b.n + ib, ja * b.n + jb)
-                    assert got == pytest.approx(max(a.d(ia, ja), b.d(ib, jb)))
+                    got = prod.metric.pair(ia * b.n + ib, ja * b.n + jb)
+                    assert got == pytest.approx(max(a.metric.pair(ia, ja), b.metric.pair(ib, jb)))
 
 
 def test_product_with_singleton_is_isometric():
@@ -55,6 +55,21 @@ def test_product_with_singleton_is_isometric():
     assert np.allclose(prod.dmat, a.dmat)
 
 
+def test_factors_must_carry_the_product_tags_parts():
+    a, b = builtin_space("circle", count=4), builtin_space("line", step=0.5, window=(0, 1))
+    prod = product(a, b)
+    assert prod.factors == (a, b)
+    refused = "factor spaces must carry the product tag's 'a' and 'b'"
+    for changes in ({"factors": (b, a)}, {"factors": (a,)}, {"factors": (a, b, b)},
+                    {"metric_form": {"form": "matrix"}}):  # a new tag keeps the old factors
+        with pytest.raises(ValueError, match=refused):
+            dataclasses.replace(prod, **changes)
+    with pytest.raises(ValueError, match=refused):
+        dataclasses.replace(a, factors=(a, a))  # not a product tag
+    twin = dataclasses.replace(prod, metric_form={"form": "matrix"}, factors=())
+    assert twin.factors == () and twin.dmat.tobytes() == prod.dmat.tobytes()
+
+
 def test_product_circle_interval_audit():
     circ = builtin_space("circle", count=64)
     seg = builtin_space("line", step=1 / 15, window=(0, 1))
@@ -67,19 +82,19 @@ def test_product_circle_interval_audit():
 def test_builtin_remark25_small():
     sp = builtin_space("remark25", n_max=5)
     assert len(sp.points) == 6 + 25
-    d = sp.d(sp.index("(0,2)"), sp.index("(0,4)"))
+    d = sp.metric.pair(sp.index("(0,2)"), sp.index("(0,4)"))
     assert d == pytest.approx(2.0 ** -2)
     # any pair involving first coordinate >= 1 sits at distance 1
-    assert sp.d(sp.index("(3,2)"), sp.index("(0,4)")) == 1.0
-    assert sp.d(sp.index("(3,2)"), sp.index("(1,2)")) == 1.0
-    assert sp.d(sp.index("(0,3)"), sp.index("(0,inf)")) == pytest.approx(2.0 ** -3)
+    assert sp.metric.pair(sp.index("(3,2)"), sp.index("(0,4)")) == 1.0
+    assert sp.metric.pair(sp.index("(3,2)"), sp.index("(1,2)")) == 1.0
+    assert sp.metric.pair(sp.index("(0,3)"), sp.index("(0,inf)")) == pytest.approx(2.0 ** -3)
 
 
 def test_builtin_onepoint_small():
     sp = builtin_space("onepoint01N", n_max=4)
     assert len(sp.points) == 9
-    assert sp.d(sp.index("(0,2)"), sp.index("(1,3)")) == pytest.approx(2.0 ** -2)
-    assert sp.d(sp.index("(1,3)"), sp.index("inf")) == pytest.approx(2.0 ** -3)
+    assert sp.metric.pair(sp.index("(0,2)"), sp.index("(1,3)")) == pytest.approx(2.0 ** -2)
+    assert sp.metric.pair(sp.index("(1,3)"), sp.index("inf")) == pytest.approx(2.0 ** -3)
     assert not sp.isolated[sp.index("inf")]
     assert sp.isolated[sp.index("(0,2)")]
 
@@ -100,7 +115,7 @@ def test_builtin_unknown_name():
 def _matrix_twin(sp):
     """The space with its closed-form tag replaced by the matrix form, so
     that validate_metric examines triples."""
-    return dataclasses.replace(sp, metric_form={"form": "matrix"})
+    return dataclasses.replace(sp, metric_form={"form": "matrix"}, factors=())
 
 
 @pytest.mark.parametrize("name,params", [
@@ -139,7 +154,7 @@ def _perturbed(sp, i, j, delta):
     d = sp.dmat.copy()
     d[i, j] += delta
     d[j, i] = d[i, j]
-    return dataclasses.replace(sp, dmat=d, metric_form={"form": "matrix"})
+    return dataclasses.replace(sp, dmat=d, metric_form={"form": "matrix"}, factors=())
 
 
 @pytest.mark.parametrize("name,params", _TEST_SIZE)
@@ -214,7 +229,7 @@ def test_closed_form_ok_implies_exhaustive_triangle_ok(which, seed, scale):
     sp = _SMALL[which]
     noise = np.random.default_rng(seed).uniform(-scale, scale, size=sp.dmat.shape)
     noise = np.triu(noise, 1)
-    bad = dataclasses.replace(sp, dmat=sp.dmat + noise + noise.T, metric_form={"form": "matrix"})
+    bad = dataclasses.replace(sp, dmat=sp.dmat + noise + noise.T, metric_form={"form": "matrix"}, factors=())
     cert = validate_metric(sp)
     full = validate_metric(bad)
     assert full["worst_triangle_gap"] <= 3 * scale + cert["triangle_gap_bound"]
@@ -476,7 +491,7 @@ def _loop_exhaustion(coords, lo, hi):
 def test_line_exhaustion_keeps_the_first_m_of_each_distinct_set(lo, width, step):
     sp = builtin_space("line", step=step, window=(lo, lo + width))
     sets = [(k.members, k.label) for k in sp.exhaustion]
-    expected = _loop_exhaustion(sp.aux["coords"], lo, lo + width)
+    expected = _loop_exhaustion(sp.metric.x, lo, lo + width)
     if not expected or len(expected[-1][0]) != sp.n:
         expected.append((tuple(range(sp.n)), "window"))
     assert sets == expected

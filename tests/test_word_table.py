@@ -223,7 +223,7 @@ def test_words_of_each_cap_prefix_the_one_enumeration(gallery):
 
 def _more_groups(product_space):
     # snapped rotations, measured round-trip defects and composed weights
-    circ, seg = product_space.aux["a"], product_space.aux["b"]
+    circ, seg = product_space.factors
     return {
         "circle rotations": rl.GroupSpec((circle_rotation(circ, steps=4), circle_rotation(circ, steps=6)),
                                          word_cap=3),
