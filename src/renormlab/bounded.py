@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import GroupSpec, WeightedComposition
+from .space import same_space
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +97,7 @@ def conjugate(g: WeightedComposition, bgn: BoundedGroupNorm) -> WeightedComposit
     a deterministic battery of test functions.  Flagged discontinuities
     downgrade the assertion to a warning.
     """
-    if g.space is not bgn.group.space:
+    if not same_space(g.space, bgn.group.space):
         raise ValueError("operator and group act on different spaces")
     weight = bgn.m_G * g.weight / bgn.m_G[g.forward]
     out = WeightedComposition(

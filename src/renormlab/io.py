@@ -1,9 +1,11 @@
 """Structured-text (JSON) round trips for spaces, operators, groups,
 functions, and class registries.
 
-Spaces serialize either as a closed-form tag with parameters (builtins and
-products of builtins) or as an explicit matrix; operators carry the weight
-as a constant or vector and the maps as point-id lists.
+Spaces serialize as a closed-form tag with parameters (builtins and
+products of builtins), as a product tag with each factor's own document
+under ``a`` and ``b`` (a product with a matrix factor), or as an explicit
+matrix; operators carry the weight as a constant or vector and the maps as
+point-id lists.
 """
 
 from __future__ import annotations
@@ -40,9 +42,13 @@ def space_to_dict(space: SampledSpace) -> dict:
             {"label": ks.label, "members": list(ks.members)} for ks in space.exhaustion
         ],
     }
-    # a tag with a closed-form formula is reconstructible from its parameters
+    # a tag with a closed-form formula is reconstructible from its parameters,
+    # a product from its factors
     if not isinstance(space.metric, space_mod._Dense):
         doc["metric"] = space.metric_form
+    elif space.factors:
+        doc["metric"] = {"form": "product", "a": space_to_dict(space.factors[0]),
+                         "b": space_to_dict(space.factors[1])}
     else:
         doc["metric"] = {"form": "matrix", "values": np.round(space.dmat, 12).tolist()}
     return doc
@@ -51,9 +57,13 @@ def space_to_dict(space: SampledSpace) -> dict:
 def space_from_dict(doc: dict) -> SampledSpace:
     metric = doc["metric"]
     if metric.get("form") != "matrix":
-        space = space_mod._from_tag(metric, doc.get("name"))
+        if metric.get("form") == "product" and "metric" in metric["a"]:  # the factors' own documents
+            kind = "product"
+            space = space_mod.product(space_from_dict(metric["a"]), space_from_dict(metric["b"]), doc.get("name"))
+        else:
+            kind, space = "closed-form", space_mod._from_tag(metric, doc.get("name"))
         if list(space.points) != list(doc["points"]):
-            raise ValueError("closed-form space does not reproduce the stored points")
+            raise ValueError(f"{kind} space does not reproduce the stored points")
         return space
     points = tuple(doc["points"])
     exhaustion = tuple(
@@ -113,7 +123,7 @@ def group_from_dict(doc: dict, space: SampledSpace) -> GroupSpec:
     gens = tuple(operator_from_dict(g, space) for g in doc["generators"])
     return GroupSpec(
         generators=gens,
-        word_cap=int(doc["word_cap"]),
+        word_cap=space_mod._integer(doc["word_cap"], "group word_cap", 1),
         closure_tag=bool(doc.get("closure_tag", False)),
         label=doc.get("label", ""),
     )

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .space import CompactSet, Metric, SampledSpace
+from .space import CompactSet, Metric, SampledSpace, _finite, same_space
 
 log = logging.getLogger(__name__)
 
@@ -160,7 +160,7 @@ def compose(h: WeightedComposition, g: WeightedComposition) -> WeightedCompositi
     or translation forms, the composite map is re-snapped from the summed
     form so that long words do not accumulate grid error.
     """
-    if h.space is not g.space:
+    if not same_space(h.space, g.space):
         raise ValueError("mismatched spaces")
     form = _compose_forms(h.form, g.form)
     snapped = _snapped(h.space, form, f"{h.label}*{g.label}")
@@ -231,6 +231,8 @@ def line_translation(space: SampledSpace, offset: float, label: str = "") -> Wei
     """Translation ``t -> t + offset`` snapped to the grid, clamped at the
     window edges (edge points are declared defects of the truncation)."""
     step = _tag(space, "line", "line_translation requires a line space")["step"]
+    if not _finite(offset):
+        raise ValueError(f"line_translation offset must be a finite number, got {offset!r}")
     n = space.n
     shift = int(round(offset / step))
     idx = np.arange(n)
@@ -252,6 +254,8 @@ def circle_rotation(space: SampledSpace, angle: float | None = None,
     if steps is None:
         if angle is None:
             raise ValueError("need angle or steps")
+        if not _finite(angle):
+            raise ValueError(f"circle_rotation angle must be a finite number, got {angle!r}")
         exact_angle = angle
     else:
         exact_angle = steps * 2 * math.pi / n
@@ -283,13 +287,13 @@ def lift(op: WeightedComposition, prod: SampledSpace, side: str = "left") -> Wei
     a, b = prod.factors
     na, nb = a.n, b.n
     if side == "left":
-        if op.space is not a:
+        if not same_space(op.space, a):
             raise ValueError("operator does not act on the left factor")
         fwd = (op.forward[:, None] * nb + np.arange(nb)[None, :]).ravel()
         bwd = (op.backward[:, None] * nb + np.arange(nb)[None, :]).ravel()
         w = np.repeat(op.weight, nb)
     elif side == "right":
-        if op.space is not b:
+        if not same_space(op.space, b):
             raise ValueError("operator does not act on the right factor")
         base = np.arange(na)[:, None] * nb
         fwd = (base + op.forward[None, :]).ravel()
@@ -516,7 +520,7 @@ class GroupSpec:
             raise ValueError(f"word cap {cap} outside 0..word_cap {self.word_cap}")
         if self._table is None:
             space = self.space
-            if any(g.space is not space for g in self.generators):
+            if not all(same_space(g.space, space) for g in self.generators):
                 raise ValueError("mismatched spaces")
             e = identity(space)
             gens = _WordRows.of(self.generators)

@@ -30,6 +30,7 @@ __all__ = [
     "SampledSpace",
     "builtin_space",
     "product",
+    "same_space",
     "validate_metric",
     "BUILTIN_NAMES",
 ]
@@ -385,6 +386,18 @@ class _Max(Metric):
         return self.a._apart() and self.b._apart()
 
 
+def same_space(a: SampledSpace, b: SampledSpace) -> bool:
+    """Whether ``a`` and ``b`` are the same space, the one rule by which
+    spaces are compared: equal point ids (a direct constructor call may give
+    a closed-form tag any) and tags, and for a space with no closed form
+    equal matrix bytes.  The tag says which, so both metrics are or neither is."""
+    if a is b:
+        return True
+    if a.points != b.points or a.metric_form != b.metric_form:
+        return False
+    return not isinstance(a.metric, _Dense) or np.array_equal(a.dmat.view(np.uint64), b.dmat.view(np.uint64))
+
+
 def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> SampledSpace:
     """Cartesian product with the max metric; exhaustion is the product of
     exhaustions, resolution the max of resolutions."""
@@ -635,8 +648,8 @@ def _from_tag(form: dict, name: str | None) -> SampledSpace:
     if kind == "onepoint01N":
         return _onepoint01N(form["n_max"], name or "onepoint01N")
     if kind == "product":  # equal factors (plane) share one factor space
-        a = _from_tag(form["a"], None)
-        return product(a, a if form["b"] == form["a"] else _from_tag(form["b"], None), name)
+        a, b = _from_tag(form["a"], None), _from_tag(form["b"], None)
+        return product(a, a if same_space(a, b) else b, name)
     raise ValueError(f"unknown metric form {kind!r}")
 
 

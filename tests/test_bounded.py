@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
+import pytest
 
 import renormlab as rl
 from renormlab.bounded import conjugate, group_norm, m_weight
-from renormlab.operators import GroupSpec, WeightedComposition, circle_rotation
+from renormlab.operators import GroupSpec, WeightedComposition, circle_rotation, identity
 
 
 def test_isometric_group_gives_sup_norm():
@@ -141,3 +144,18 @@ def test_conjugate_sup_isometric_on_random_functions(onepoint_space, swap_group)
     for _ in range(50):
         f = rng.uniform(-1, 1, size=onepoint_space.n)
         assert abs(np.max(np.abs(cg.apply(f))) - np.max(np.abs(f))) <= 1e-12
+
+
+def test_conjugate_accepts_an_operator_on_an_equal_space_and_refuses_others():
+    line = rl.builtin_space("line", step=0.5, window=(0, 1))
+    twin = dataclasses.replace(line, metric_form={"form": "matrix"})
+    rotations = m_weight(GroupSpec((circle_rotation(rl.builtin_space("circle", count=12), steps=1),), word_cap=2))
+    trivial = m_weight(GroupSpec.trivial(line))
+    for g, bgn in ((circle_rotation(rl.builtin_space("circle", count=12), steps=3), rotations),
+                   (identity(rl.builtin_space("line", step=0.5, window=(0, 1))), trivial)):
+        out = conjugate(g, bgn)
+        assert np.array_equal(out.forward, g.forward) and np.all(out.weight == 1.0)
+    for g, bgn in ((circle_rotation(rl.builtin_space("circle", count=24), steps=2), rotations),
+                   (identity(twin), trivial)):
+        with pytest.raises(ValueError, match="operator and group act on different spaces"):
+            conjugate(g, bgn)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import renormlab as rl
 from renormlab import io as rio
 from renormlab import cli, norm
+from renormlab import space as space_mod
 from renormlab.cli import InputError, main, run
 from renormlab.norm import TupleBudgetError
 from renormlab.operators import interval_flip, line_translation, onepoint_swap_group
@@ -58,16 +59,102 @@ def test_space_to_dict_metric_matches_the_tag_list():
         ("line", {"step": 0.5, "window": (0, 2)}), ("circle", {"count": 6}),
         ("plane", {"step": 1.0, "window": (0, 2)}), ("remark25", {"n_max": 4}),
         ("onepoint01N", {"n_max": 4}), ("circle_x_interval", {"count": 6, "levels": 3}))]
-    matrix_factor = dataclasses.replace(rl.builtin_space("circle", count=4), metric_form={"form": "matrix"})
-    spaces.append(rl.product(matrix_factor, rl.builtin_space("line", step=0.5, window=(0, 1))))
+    matrix_factor = _matrix_twin(rl.builtin_space("circle", count=4))
+    line = rl.builtin_space("line", step=0.5, window=(0, 1))
+    spaces += [rl.product(matrix_factor, line), matrix_factor]
     forms = []
     for sp in spaces:
         form = _builtin_form_by_tag_list(sp.metric_form)
+        if form is None and sp.factors:  # each factor nested as its own document
+            form = {"form": "product", "a": rio.space_to_dict(sp.factors[0]), "b": rio.space_to_dict(sp.factors[1])}
         expected = form if form is not None else {"form": "matrix", "values": np.round(sp.dmat, 12).tolist()}
         metric = rio.space_to_dict(sp)["metric"]
         assert metric == expected
         forms.append(metric["form"])
-    assert forms == ["line", "circle", "product", "remark25", "onepoint01N", "product", "matrix"]
+    assert forms == ["line", "circle", "product", "remark25", "onepoint01N", "product", "product", "matrix"]
+    nested = rio.space_to_dict(spaces[-2])["metric"]
+    assert nested["a"]["metric"]["form"] == "matrix" and nested["b"]["metric"] == line.metric_form
+
+
+def _matrix_twin(space):
+    """The space with its closed-form tag replaced by the matrix form."""
+    return dataclasses.replace(space, metric_form={"form": "matrix"}, factors=())
+
+
+def test_a_product_with_a_matrix_factor_reloads_with_its_factors(tmp_path):
+    sp = rl.product(rl.builtin_space("circle", count=12), _matrix_twin(rl.builtin_space("line", step=0.5, window=(0, 1))))
+    assert cli.make_group({"builtin": "rotation"}, sp).label == "rot12-lift"
+    rio.save_space(sp, tmp_path / "cxm.json")
+    back = rio.load_space(tmp_path / "cxm.json")
+    assert back.name == sp.name and back.metric_form == sp.metric_form
+    assert [f.metric_form for f in back.factors] == [f.metric_form for f in sp.factors]
+    assert space_mod.same_space(back, sp)  # the line's distances 0, 0.5 and 1 save exactly
+    assert cli.make_group({"builtin": "rotation"}, back).label == "rot12-lift"
+    doc = rio.space_to_dict(sp)
+    doc["points"][0] = "c999|x+0"
+    rio.dump_json(doc, tmp_path / "moved.json")
+    with pytest.raises(ValueError, match="product space does not reproduce the stored points"):
+        rio.load_space(tmp_path / "moved.json")
+    # such a product saved as one plain matrix still loads, as that matrix
+    doc = rio.space_to_dict(sp)
+    doc["metric"] = {"form": "matrix", "values": np.round(sp.dmat, 12).tolist()}
+    rio.dump_json(doc, tmp_path / "plain.json")
+    plain = rio.load_space(tmp_path / "plain.json")
+    assert plain.factors == () and plain.points == sp.points and np.allclose(plain.dmat, sp.dmat)
+
+
+_ROUND_TRIP_GROUPS = [{"builtin": "trivial"}, {"builtin": "rotation", "q": 4, "word_cap": 3},
+                      {"builtin": "onepoint_swaps", "count": 2}]
+_ROUND_TRIP_OPERATORS = [{"builtin": "identity"}, {"builtin": "translation", "offset": 0.5},
+                         {"builtin": "multiplication", "factor": 2.0},
+                         {"builtin": "generator_word", "indices": [0, 0]}, {"builtin": "rotation_flip", "q": 4}]
+
+
+def _round_trip_spaces():
+    circle, line = rl.builtin_space("circle", count=12), rl.builtin_space("line", step=0.5, window=(0, 1))
+    yield from (rl.builtin_space(name, **params) for name, params in (
+        ("line", {"step": 0.5, "window": (0, 2)}), ("circle", {"count": 12}),
+        ("plane", {"step": 1.0, "window": (0, 2)}), ("remark25", {"n_max": 4}),
+        ("onepoint01N", {"n_max": 4}), ("circle_x_interval", {"count": 12, "levels": 4})))
+    yield from (rl.product(circle, _matrix_twin(line)), rl.product(_matrix_twin(line), circle),
+                rl.product(_matrix_twin(circle), line), rl.product(_matrix_twin(line), _matrix_twin(line)),
+                _matrix_twin(line))
+
+
+def _builder_outcomes(space):
+    """What every group and operator builder of the cli makes of the space:
+    each result's maps and weights, or its refusal."""
+
+    def outcome(build):
+        try:
+            made = build()
+        except (InputError, ValueError) as exc:
+            return None, f"refused: {exc}"
+        ops = made.generators if isinstance(made, rl.GroupSpec) else (made,)
+        return made, [(op.label, op.forward.tolist(), op.backward.tolist(), op.weight.tolist()) for op in ops]
+
+    out = {}
+    for gspec in _ROUND_TRIP_GROUPS:
+        group, out[str(gspec)] = outcome(lambda: cli.make_group(gspec, space))
+        group = group or rl.GroupSpec.trivial(space)
+        for ospec in _ROUND_TRIP_OPERATORS:
+            out[str(gspec), str(ospec)] = outcome(lambda: cli.make_operator(ospec, space, group))[1]
+    return out
+
+
+def _tag_id(form):
+    return f"{_tag_id(form['a'])}x{_tag_id(form['b'])}" if form["form"] == "product" else form["form"]
+
+
+@pytest.mark.parametrize("space", list(_round_trip_spaces()), ids=lambda sp: _tag_id(sp.metric_form))
+def test_builders_act_the_same_before_and_after_a_round_trip(tmp_path, space):
+    rio.save_space(space, tmp_path / "space.json")
+    back = rio.load_space(tmp_path / "space.json")
+    assert back.points == space.points and back.metric_form == space.metric_form
+    assert [f.metric_form for f in back.factors] == [f.metric_form for f in space.factors]
+    before, after = _builder_outcomes(space), _builder_outcomes(back)
+    assert after == before
+    assert any(not isinstance(o, str) for o in before.values())
 
 
 def test_a_space_acts_the_same_before_and_after_a_round_trip(tmp_path):
@@ -85,6 +172,18 @@ def test_a_space_acts_the_same_before_and_after_a_round_trip(tmp_path):
             line_translation(space, 0.25)
         with pytest.raises(ValueError, match="interval_flip requires a line space"):
             interval_flip(space)
+
+
+@pytest.mark.parametrize("bad", [2.9, True, 0, "3", None])
+def test_group_file_word_cap_must_be_an_integer(tmp_path, bad):
+    sp = rl.builtin_space("line", step=0.5, window=(0, 2))
+    doc = rio.group_to_dict(rl.GroupSpec.trivial(sp))
+    doc["word_cap"] = bad
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        rio.load_group(path, sp)
+    assert str(err.value) == f"group file {path}: group word_cap must be an integer >= 1, got {bad!r}"
 
 
 def test_operator_round_trip(tmp_path):
@@ -384,6 +483,17 @@ def test_bad_operator_spec_exits_2_naming_the_field(tmp_path, capsys, spec, mess
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not list((tmp_path / "out").glob("*.json"))
+
+
+@pytest.mark.parametrize("offset", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_translation_offset_exits_2_naming_it(tmp_path, capsys, offset):
+    path = tmp_path / "detect.json"
+    path.write_text('{"space": {"builtin": "line", "params": {"step": 0.25, "window": [-2, 2]}}, '
+                    '"tasks": ["detect"], "detect": [{"builtin": "translation", "offset": %s}]}' % offset)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"line_translation offset must be a finite number, got {float(offset)!r}" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad", [0, -2, 2.0, "5", False])

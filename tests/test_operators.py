@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -438,6 +440,56 @@ def test_lift_acts_on_one_factor(product_space):
             assert lifted.forward[ia * nb + ib] == ((ia + 4) % circ.n) * nb + ib
     flip = lift(interval_flip(seg), product_space, "right")
     assert flip.forward[0 * nb + 0] == 0 * nb + (nb - 1)
+
+
+def test_lift_accepts_an_operator_on_an_equal_separately_built_factor():
+    prod = rl.builtin_space("circle_x_interval")
+    lifted = lift(circle_rotation(rl.builtin_space("circle", count=48), steps=4), prod, "left")
+    own = lift(circle_rotation(prod.factors[0], steps=4), prod, "left")
+    assert lifted.space is prod
+    assert np.array_equal(lifted.forward, own.forward) and np.array_equal(lifted.weight, own.weight)
+    seg = rl.builtin_space("line", step=1 / 15, window=(0, 1))
+    assert np.array_equal(lift(interval_flip(seg), prod, "right").forward,
+                          lift(interval_flip(prod.factors[1]), prod, "right").forward)
+    with pytest.raises(ValueError, match="operator does not act on the left factor"):
+        lift(circle_rotation(rl.builtin_space("circle", count=24), steps=2), prod, "left")
+    twin = dataclasses.replace(seg, metric_form={"form": "matrix"})
+    with pytest.raises(ValueError, match="operator does not act on the right factor"):
+        lift(identity(twin), prod, "right")
+
+
+def _same_space_pairs():
+    """(operator, operator on a separately built equal space, operators on
+    other spaces): a circle of 12 and the line on [0, 1] with step 0.5."""
+    line = rl.builtin_space("line", step=0.5, window=(0, 1))
+    twin = dataclasses.replace(line, metric_form={"form": "matrix"})
+    circle = rl.builtin_space("circle", count=12)
+    return [
+        (circle_rotation(circle, steps=1), circle_rotation(rl.builtin_space("circle", count=12), steps=2),
+         [circle_rotation(rl.builtin_space("circle", count=24), steps=2)]),
+        (line_translation(line, 0.5), line_translation(rl.builtin_space("line", step=0.5, window=(0, 1)), 0.5),
+         [identity(twin)]),
+    ]
+
+
+def test_compose_and_groups_accept_equal_spaces_and_refuse_others():
+    for g, h, others in _same_space_pairs():
+        assert np.array_equal(compose(g, h).forward, h.forward[g.forward])
+        words = rl.GroupSpec((g, h), word_cap=2).word_table()[0]
+        assert len(words) > 1
+        for other in others:
+            with pytest.raises(ValueError, match="mismatched spaces"):
+                compose(g, other)
+            with pytest.raises(ValueError, match="mismatched spaces"):
+                rl.GroupSpec((g, other), word_cap=2).word_table()
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_or_offset_is_refused_naming_it(angle):
+    with pytest.raises(ValueError, match=f"circle_rotation angle must be a finite number, got {angle!r}"):
+        circle_rotation(rl.builtin_space("circle", count=12), angle=angle)
+    with pytest.raises(ValueError, match=f"line_translation offset must be a finite number, got {angle!r}"):
+        line_translation(rl.builtin_space("line", step=0.5, window=(0, 1)), angle)
 
 
 def test_unbounded_weight_rejected(line_space):

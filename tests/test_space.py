@@ -70,6 +70,23 @@ def test_factors_must_carry_the_product_tags_parts():
     assert twin.factors == () and twin.dmat.tobytes() == prod.dmat.tobytes()
 
 
+def test_same_space_compares_points_tags_and_matrix_bytes():
+    # equal points and tags, and for a matrix-form space equal bytes: the
+    # one rule by which operators, groups and products compare spaces
+    circle, line = builtin_space("circle", count=12), builtin_space("line", step=0.5, window=(0, 1))
+    twin = _matrix_twin(line)
+    assert space_mod.same_space(circle, builtin_space("circle", count=12))
+    assert space_mod.same_space(twin, _matrix_twin(builtin_space("line", step=0.5, window=(0, 1))))
+    assert space_mod.same_space(product(twin, circle), product(_matrix_twin(line), builtin_space("circle", count=12)))
+    renamed = dataclasses.replace(circle, points=tuple(f"p{i}" for i in range(12)), dmat=None)
+    stretched = dataclasses.replace(twin, dmat=2 * twin.dmat)
+    for a, b in ((circle, builtin_space("circle", count=24)), (line, twin), (circle, renamed),
+                 (twin, stretched), (product(twin, circle), product(stretched, circle))):
+        assert not space_mod.same_space(a, b) and not space_mod.same_space(b, a)
+    plane = builtin_space("plane", step=1.0, window=(0, 2))
+    assert plane.factors[0] is plane.factors[1]  # equal factor tags share one space
+
+
 def test_product_circle_interval_audit():
     circ = builtin_space("circle", count=64)
     seg = builtin_space("line", step=1 / 15, window=(0, 1))

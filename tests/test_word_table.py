@@ -31,7 +31,7 @@ from renormlab.orbits import orbit_closure
 def _enumerate_per_word(group):
     # the breadth-first enumeration that built one WeightedComposition per
     # new word; returns, for each c, the words of length <= c
-    if any(g.space is not group.space for g in group.generators):
+    if not all(rl.space.same_space(g.space, group.space) for g in group.generators):
         raise ValueError("mismatched spaces")
     e = identity(group.space)
     out = [e]
