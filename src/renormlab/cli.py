@@ -51,7 +51,7 @@ from .operators import (
     remark25_sequence,
 )
 from .orbits import orbit_closure
-from .space import SampledSpace, _integer, _line_coords, builtin_space, validate_metric
+from .space import SampledSpace, _integer, builtin_space, validate_metric
 from .tuples import choose_parameters, verify_bmap
 
 
@@ -146,9 +146,8 @@ _KNOTS = 12
 
 
 def random_piecewise_linear(space: SampledSpace, rng: np.random.Generator) -> np.ndarray:
-    form = space.metric_form
-    if form.get("form") == "line":
-        coords = _line_coords(form["step"], form["window"])
+    if space.metric_form.get("form") == "line":
+        coords = space.metric.x
         kx = np.sort(rng.choice(coords, size=min(_KNOTS, len(coords)), replace=False))
         ky = rng.uniform(-1.0, 1.0, size=len(kx))
         return np.interp(coords, kx, ky)
@@ -471,15 +470,16 @@ def _point_ids(text: str) -> list[str]:
     return [p.strip() for p in re.split(r",(?![^()]*\))", text)]
 
 
+def _spec(arg: str) -> dict:
+    """The spec of a flag that takes a builtin name or a .json file."""
+    return {"file": arg} if arg.endswith(".json") else {"builtin": arg}
+
+
 def eval_command(args) -> int:
     if args.space is None:
         raise InputError("--space is required")
-    spec = {"file": args.space} if args.space.endswith(".json") else {"builtin": args.space}
-    space = make_space(spec)
-    group = None
-    if args.group:
-        gspec = {"file": args.group} if args.group.endswith(".json") else {"builtin": args.group}
-        group = make_group(gspec, space)
+    space = make_space(_spec(args.space))
+    group = make_group(_spec(args.group), space) if args.group else None
     out: dict = {}
     if args.check:
         if group is None:
@@ -547,13 +547,10 @@ def eval_command(args) -> int:
                    "approx_group_element": verdict.approx_group_element,
                    "caps": verdict.caps}
     elif args.bounded_group:
-        bspace = space
-        bgroup = rio.load_group(args.bounded_group, bspace) if args.bounded_group.endswith(".json") \
-            else onepoint_swap_group(bspace)
-        bgn = m_weight(bgroup)
+        bgn = m_weight(make_group(_spec(args.bounded_group), space))
         out = {"C_G": bgn.C_G, "cap_trace": bgn.cap_trace}
         if args.mg_report:
-            out["m"] = {bspace.points[i]: float(v) for i, v in enumerate(bgn.m)}
+            out["m"] = {space.points[i]: float(v) for i, v in enumerate(bgn.m)}
             out["flagged"] = bgn.flagged
     else:
         out = {"space": space.name, "n": space.n,
@@ -578,12 +575,13 @@ def main(argv=None) -> int:
     p_eval = sub.add_parser("eval", help="one-shot evaluations")
     p_eval.add_argument("--space", help="builtin name or space file")
     p_eval.add_argument("--group", help="builtin name or group file")
-    p_eval.add_argument("--check", choices=["sot", "equicont"])
-    p_eval.add_argument("--orbits", help="comma-separated point ids")
-    p_eval.add_argument("--norm", help="function file")
-    p_eval.add_argument("--dual", nargs="+", help="tuple-ids beta0 beta1 ...")
-    p_eval.add_argument("--certify", help="operator file")
-    p_eval.add_argument("--bounded-group", dest="bounded_group")
+    action = p_eval.add_mutually_exclusive_group()  # one query per call
+    action.add_argument("--check", choices=["sot", "equicont"])
+    action.add_argument("--orbits", help="comma-separated point ids")
+    action.add_argument("--norm", help="function file")
+    action.add_argument("--dual", nargs="+", help="tuple-ids beta0 beta1 ...")
+    action.add_argument("--certify", help="operator file")
+    action.add_argument("--bounded-group", dest="bounded_group", help="builtin name or group file")
     p_eval.add_argument("--mg-report", dest="mg_report", action="store_true")
     p_eval.add_argument("--depth", type=int, default=4)
     p_eval.add_argument("--C", type=float, default=1.1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .norm import RenormConfig
 from .operators import WeightedComposition
-from .space import _integer
+from .space import _acts_on, _integer
 
 log = logging.getLogger(__name__)
 
@@ -195,6 +195,7 @@ def certify(
     """
     _integer(test_depth, "test_depth", 1)
     space = cfg.space
+    _acts_on(T.space, space, "operator")
     word_tol = 2 * space.resolution
     test_depth = min(int(test_depth), cfg.base_count)
     weight = check_weight_one(T, cfg)

@@ -50,7 +50,8 @@ def space_to_dict(space: SampledSpace) -> dict:
         doc["metric"] = {"form": "product", "a": space_to_dict(space.factors[0]),
                          "b": space_to_dict(space.factors[1])}
     else:
-        doc["metric"] = {"form": "matrix", "values": np.round(space.dmat, 12).tolist()}
+        # exact: JSON writes each float64 by repr, which reads back bit for bit
+        doc["metric"] = {"form": "matrix", "values": space.dmat.tolist()}
     return doc
 
 

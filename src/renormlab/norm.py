@@ -26,7 +26,7 @@ import numpy as np
 
 from .operators import GroupSpec
 from .orbits import select_dense_points
-from .space import SampledSpace, _integer
+from .space import SampledSpace, _acts_on, _integer
 from .tuples import (
     BCAssignment,
     ClassRegistry,
@@ -336,6 +336,7 @@ def build_config(
                                   or not isinstance(gamma_cap, (int, np.integer)) or gamma_cap < 1):
         raise TupleBudgetError(f"gamma_cap must be None or an integer >= 1, got {gamma_cap!r}")
     bc = choose_parameters(C)
+    _acts_on(group.space, space, "group")
     base, audit = select_dense_points(space, group, count=base_count)
     if len(base) < depth:
         raise ValueError(

@@ -35,9 +35,6 @@ __all__ = [
     "BUILTIN_NAMES",
 ]
 
-BUILTIN_NAMES = ("line", "circle", "plane", "remark25", "onepoint01N", "circle_x_interval")
-
-
 @dataclass(frozen=True)
 class CompactSet:
     """A labeled subset of sample indices standing in for a compact set."""
@@ -310,57 +307,6 @@ class _Dense(Metric):
         _tile_walk(self.values, points)
 
 
-class _Line(Metric):
-    def __init__(self, coords: np.ndarray):
-        self.x, self.n = coords, len(coords)
-
-    def _pair(self, I, J, out):
-        return _line_dist(self.x[I], self.x[J], out)
-
-    @cached_property
-    def diameter(self) -> float:
-        # fl is monotone, so no difference of two coordinates rounds above
-        # fl(max - min)
-        return float(self.x.max() - self.x.min())
-
-    def _apart(self) -> bool:
-        # distinct floats have a nonzero difference
-        return _distinct(self.x)
-
-
-class _Circle(Metric):
-    def __init__(self, angles: np.ndarray):
-        self.x, self.n = angles, len(angles)
-
-    def _pair(self, I, J, out):
-        return _circle_dist(self.x[I], self.x[J], out)
-
-    def _apart(self) -> bool:
-        # two distinct angles in [0, 2 pi) are less than 2 pi apart
-        return _distinct(self.x)
-
-
-def _distinct(x: np.ndarray) -> bool:
-    return bool((np.diff(np.sort(x)) > 0).all())
-
-
-class _Dyadic(Metric):
-    def __init__(self, q: np.ndarray):
-        self.q, self.n = q, len(q)
-
-    def _pair(self, I, J, out):
-        return _dyadic_dist(self.q[I], self.q[J], I == J, out)
-
-    @cached_property
-    def diameter(self) -> float:
-        # the largest q is the distance from its point to any other
-        return float(self.q.max())
-
-    def _apart(self) -> bool:
-        # q >= 0, so max(q_i, q_j) is 0 only where both are
-        return np.count_nonzero(self.q == 0) <= 1
-
-
 class _Max(Metric):
     """The max metric on a product whose point (ia, ib) has index ia * nb + ib."""
 
@@ -370,7 +316,7 @@ class _Max(Metric):
     def _pair(self, I, J, out):
         ia, ib = np.divmod(I, self.b.n)
         ja, jb = np.divmod(J, self.b.n)
-        return _max_dist(self.a.pair(ia, ja), self.b.pair(ib, jb), out)
+        return np.maximum(self.a.pair(ia, ja), self.b.pair(ib, jb), out=out)
 
     @cached_property
     def diameter(self) -> float:
@@ -380,7 +326,8 @@ class _Max(Metric):
         # from the factors' own matrices, each built at most once
         na, nb = self.a.n, self.b.n
         out = np.empty((na, nb, na, nb))
-        return _max_dist(self.a.dense[:, None, :, None], self.b.dense[None, :, None, :], out).reshape(self.n, self.n)
+        np.maximum(self.a.dense[:, None, :, None], self.b.dense[None, :, None, :], out=out)
+        return out.reshape(self.n, self.n)
 
     def _apart(self) -> bool:
         return self.a._apart() and self.b._apart()
@@ -396,6 +343,14 @@ def same_space(a: SampledSpace, b: SampledSpace) -> bool:
     if a.points != b.points or a.metric_form != b.metric_form:
         return False
     return not isinstance(a.metric, _Dense) or np.array_equal(a.dmat.view(np.uint64), b.dmat.view(np.uint64))
+
+
+def _acts_on(space: SampledSpace, target: SampledSpace, what: str) -> None:
+    """Refuse a ``what`` (group or operator) on ``space`` where one on the
+    config's space ``target`` is needed, naming both spaces and their sizes."""
+    if not same_space(space, target):
+        raise ValueError(f"{what} acts on space {space.name!r} ({space.n} points), "
+                         f"not on the config's space {target.name!r} ({target.n} points)")
 
 
 def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> SampledSpace:
@@ -426,12 +381,14 @@ def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> Sample
 
 
 # ----------------------------------------------------------------------
-# closed-form metrics: the coordinate and distance helpers below are the only
-# copy of each formula.  The distance helpers work elementwise on broadcast
-# coordinate arrays and write into ``out``, so a pair, a block and the full
-# matrix come from the same arithmetic.  Each coordinate helper checks the
-# tag params it reads, so a builtin, a space file and a direct constructor
-# call meet the same checks
+# closed-form kinds: each is one Metric subclass.  Its constructor takes the
+# tag, checks the params it reads (so a builtin, a space file and a direct
+# constructor call meet the same checks), computes the O(n) coordinates and
+# keeps the canonical tag.  ``_pair`` is the only copy of its formula: it
+# works elementwise on broadcast index arrays and writes into ``out``, so a
+# pair, a block and the full matrix come from the same arithmetic.
+# ``_layout()`` gives the sample's point ids, exhaustion, resolution and
+# isolated flags.  ``_KINDS`` is the one place a kind name is dispatched
 
 
 def _integer(value, name: str, least: int) -> int:
@@ -445,94 +402,49 @@ def _finite(value) -> bool:
     return isinstance(value, (int, float, np.number)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _line_coords(step: float, window) -> np.ndarray:
-    if not (_finite(step) and step > 0):
-        raise ValueError(f"line step must be a finite number > 0, got {step!r}")
-    if not (isinstance(window, (list, tuple)) and len(window) == 2 and all(map(_finite, window))
-            and window[0] < window[1]):
-        raise ValueError(f"line window must be two finite numbers lo < hi, got {window!r}")
-    lo, hi = window
-    return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+def _distinct(x: np.ndarray) -> bool:
+    return bool((np.diff(np.sort(x)) > 0).all())
 
 
-def _line_dist(xi: np.ndarray, xj: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|x_i - x_j|."""
-    np.subtract(xi, xj, out=out)
-    return np.abs(out, out=out)
+class _Line(Metric):
+    """|x_i - x_j| on the grid x = lo + step * k of the window [lo, hi]."""
 
+    def __init__(self, form: dict):
+        step, window = form["step"], form["window"]
+        if not (_finite(step) and step > 0):
+            raise ValueError(f"line step must be a finite number > 0, got {step!r}")
+        if not (isinstance(window, (list, tuple)) and len(window) == 2 and all(map(_finite, window))
+                and window[0] < window[1]):
+            raise ValueError(f"line window must be two finite numbers lo < hi, got {window!r}")
+        lo, hi = window
+        self.x = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+        self.n, self.tag = len(self.x), {"form": "line", "step": step, "window": [lo, hi]}
 
-def _circle_angles(count: int) -> np.ndarray:
-    count = _integer(count, "circle count", 3)
-    return 2 * math.pi * np.arange(count) / count
+    def _pair(self, I, J, out):
+        np.subtract(self.x[I], self.x[J], out=out)
+        return np.abs(out, out=out)
 
+    @cached_property
+    def diameter(self) -> float:
+        # fl is monotone, so no difference of two coordinates rounds above
+        # fl(max - min)
+        return float(self.x.max() - self.x.min())
 
-def _circle_dist(ai: np.ndarray, aj: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Arc length min(|a_i - a_j|, 2 pi - |a_i - a_j|)."""
-    d = _line_dist(ai, aj, out)
-    return np.minimum(d, 2 * math.pi - d, out=d)
+    def _apart(self) -> bool:
+        # distinct floats have a nonzero difference
+        return _distinct(self.x)
 
-
-def _remark25_coords(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and second coordinates: the column (0, 1..n_max), (0, inf),
-    then the block (i, j) row by row."""
-    n_max = _integer(n_max, "remark25 n_max", 3)
-    ks = np.arange(1.0, n_max + 1)
-    first = np.concatenate([np.zeros(n_max + 1), np.repeat(ks, n_max)])
-    second = np.concatenate([ks, [math.inf], np.tile(ks, n_max)])
-    return first, second
-
-
-def _onepoint01N_levels(n_max: int) -> np.ndarray:
-    """Level k of (0, k) and (1, k), then inf for the point at infinity."""
-    n_max = _integer(n_max, "onepoint01N n_max", 2)
-    ks = np.arange(1.0, n_max + 1)
-    return np.concatenate([ks, ks, [math.inf]])
-
-
-def _dyadic_q(level: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
-    """q = 2^-level, and q = 1 where the first coordinate is >= 1
-    (remark25's isolated block)."""
-    q = np.power(2.0, np.negative(level))
-    if first is not None:
-        q[first >= 1] = 1.0
-    return q
-
-
-def _dyadic_dist(qi: np.ndarray, qj: np.ndarray, same: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """2^-min(level_i, level_j) between distinct points, and 1 when either
-    point is in remark25's isolated block: ``max(q_i, q_j)``, and 0 where
-    ``same``.  That is exact: 2^-x is decreasing, so ``max(2^-a, 2^-b)`` is
-    the very float ``2^-min(a, b)`` (0 at level inf), and a pair with an
-    isolated point gets ``max(1, q <= 1/2) = 1``."""
-    np.maximum(qi, qj, out=out)
-    np.copyto(out, 0.0, where=same)
-    return out
-
-
-def _max_dist(da: np.ndarray, db: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Max metric: max(d_a, d_b) of the factor distances."""
-    return np.maximum(da, db, out=out)
-
-
-def _closed_form(form: dict, factors: Sequence[SampledSpace] = ()) -> Metric | None:
-    """The metric of a closed-form tag, made from the tag's parameters; a
-    product with its factor spaces (whose tags are the product tag's parts)
-    composes their metrics.  None for any other tag."""
-    kind = form.get("form")
-    if kind == "line":
-        return _Line(_line_coords(form["step"], form["window"]))
-    if kind == "circle":
-        return _Circle(_circle_angles(form["count"]))
-    if kind == "remark25":
-        first, second = _remark25_coords(form["n_max"])
-        return _Dyadic(_dyadic_q(second, first))
-    if kind == "onepoint01N":
-        return _Dyadic(_dyadic_q(_onepoint01N_levels(form["n_max"])))
-    if kind == "product":
-        a, b = (f.metric for f in factors) if factors else (_closed_form(form[k]) for k in "ab")
-        if not any(m is None or isinstance(m, _Dense) for m in (a, b)):
-            return _Max(a, b)
-    return None
+    def _layout(self) -> dict:
+        lo, hi = self.tag["window"]
+        enter = _line_entries(np.abs(self.x), max(abs(lo), abs(hi)))
+        # one set per distinct member set, labelled with the first m that reaches it
+        exhaustion = [CompactSet(tuple(np.flatnonzero(enter <= m).tolist()), label=f"[-{m},{m}]")
+                      for m in map(int, sorted(set(enter[np.isfinite(enter)].tolist())))]
+        if not exhaustion or len(exhaustion[-1]) != self.n:
+            exhaustion.append(CompactSet(tuple(range(self.n)), label="window"))
+        return dict(points=tuple(f"x{c:+.6g}" for c in self.x), exhaustion=tuple(exhaustion),
+                    resolution=self.tag["step"] / 2,  # every ideal window point is within half a step
+                    isolated=np.zeros(self.n, dtype=bool))
 
 
 def _line_entries(radii: np.ndarray, bound: float) -> np.ndarray:
@@ -550,43 +462,60 @@ def _line_entries(radii: np.ndarray, bound: float) -> np.ndarray:
     return enter
 
 
-def _line(step: float, window: tuple[float, float], name: str) -> SampledSpace:
-    coords = _line_coords(step, window)
-    lo, hi = window
-    count = len(coords)
-    ids = tuple(f"x{c:+.6g}" for c in coords)
-    enter = _line_entries(np.abs(coords), max(abs(lo), abs(hi)))
-    # one set per distinct member set, labelled with the first m that reaches it
-    exhaustion = [CompactSet(tuple(np.flatnonzero(enter <= m).tolist()), label=f"[-{m},{m}]")
-                  for m in map(int, sorted(set(enter[np.isfinite(enter)].tolist())))]
-    if not exhaustion or len(exhaustion[-1]) != count:
-        exhaustion.append(CompactSet(tuple(range(count)), label="window"))
-    return SampledSpace(
-        name=name,
-        points=ids,
-        dmat=None,
-        exhaustion=tuple(exhaustion),
-        resolution=step / 2,  # every ideal window point is within half a step
-        isolated=np.zeros(count, dtype=bool),
-        metric_form={"form": "line", "step": step, "window": [lo, hi]},
-    )
+class _Circle(Metric):
+    """Arc length min(|a_i - a_j|, 2 pi - |a_i - a_j|) between count equally
+    spaced angles a."""
+
+    def __init__(self, form: dict):
+        count = _integer(form["count"], "circle count", 3)
+        self.x = 2 * math.pi * np.arange(count) / count
+        self.n, self.tag = count, {"form": "circle", "count": count}
+
+    def _pair(self, I, J, out):
+        d = np.abs(np.subtract(self.x[I], self.x[J], out=out), out=out)
+        return np.minimum(d, 2 * math.pi - d, out=d)
+
+    def _apart(self) -> bool:
+        # two distinct angles in [0, 2 pi) are less than 2 pi apart
+        return _distinct(self.x)
+
+    def _layout(self) -> dict:
+        return dict(points=tuple(f"c{k:03d}" for k in range(self.n)),
+                    exhaustion=(CompactSet(tuple(range(self.n)), label="circle"),),
+                    resolution=math.pi / self.n,  # half the arc spacing
+                    isolated=np.zeros(self.n, dtype=bool))
 
 
-def _circle(count: int, name: str) -> SampledSpace:
-    angles = _circle_angles(count)
-    ids = tuple(f"c{k:03d}" for k in range(count))
-    return SampledSpace(
-        name=name,
-        points=ids,
-        dmat=None,
-        exhaustion=(CompactSet(tuple(range(count)), label="circle"),),
-        resolution=math.pi / count,  # half the arc spacing
-        isolated=np.zeros_like(angles, dtype=bool),
-        metric_form={"form": "circle", "count": count},
-    )
+class _Dyadic(Metric):
+    """2^-min(level_i, level_j) between distinct points, and 1 when either
+    point is in remark25's isolated block: ``max(q_i, q_j)`` with q =
+    2^-level (q = 1 on the block), and 0 where I == J.  That is exact: 2^-x
+    is decreasing, so ``max(2^-a, 2^-b)`` is the very float ``2^-min(a, b)``
+    (0 at level inf), and a pair with an isolated point gets ``max(1, q <=
+    1/2) = 1``.  Level inf marks the lone accumulation point."""
+
+    def __init__(self, level: np.ndarray, block: np.ndarray | None = None):
+        self.level, self.n = level, len(level)
+        self.q = np.power(2.0, np.negative(level))
+        if block is not None:
+            self.q[block] = 1.0
+
+    def _pair(self, I, J, out):
+        np.maximum(self.q[I], self.q[J], out=out)
+        np.copyto(out, 0.0, where=I == J)
+        return out
+
+    @cached_property
+    def diameter(self) -> float:
+        # the largest q is the distance from its point to any other
+        return float(self.q.max())
+
+    def _apart(self) -> bool:
+        # q >= 0, so max(q_i, q_j) is 0 only where both are
+        return np.count_nonzero(self.q == 0) <= 1
 
 
-def _remark25(n_max: int, name: str) -> SampledSpace:
+class _Remark25(_Dyadic):
     """Two-part space: a column of pairs (0, x) for x in 1..n_max plus a
     point at infinity, and an n_max-by-n_max block of isolated pairs (i, j).
 
@@ -595,62 +524,76 @@ def _remark25(n_max: int, name: str) -> SampledSpace:
     space are finite sets joined with a terminal segment of the column, so
     the exhaustion grows the isolated block while always carrying the column.
     """
-    first, second = _remark25_coords(n_max)
-    ids = tuple(f"({a:g},{b:g})" for a, b in zip(first.tolist(), second.tolist()))
-    column = list(range(n_max + 1))
-    exhaustion = []
-    for m in range(1, n_max + 1):
-        block = [
-            (n_max + 1) + (i - 1) * n_max + (j - 1)
-            for i in range(1, m + 1)
-            for j in range(1, m + 1)
-        ]
-        exhaustion.append(CompactSet(tuple(sorted(column + block)), label=f"K{m}"))
-    return SampledSpace(
-        name=name,
-        points=ids,
-        dmat=None,
-        exhaustion=tuple(exhaustion),
-        resolution=2.0 ** (-n_max),
-        isolated=np.isfinite(second),  # (0, inf) is the lone accumulation point
-        metric_form={"form": "remark25", "n_max": n_max},
-    )
+
+    def __init__(self, form: dict):
+        n_max = _integer(form["n_max"], "remark25 n_max", 3)
+        # first and second coordinates: the column (0, 1..n_max), (0, inf),
+        # then the block (i, j) row by row
+        ks = np.arange(1.0, n_max + 1)
+        self.first = np.concatenate([np.zeros(n_max + 1), np.repeat(ks, n_max)])
+        super().__init__(np.concatenate([ks, [math.inf], np.tile(ks, n_max)]), self.first >= 1)
+        self.tag = {"form": "remark25", "n_max": n_max}
+
+    def _layout(self) -> dict:
+        n_max = self.tag["n_max"]
+        column = list(range(n_max + 1))
+        exhaustion = []
+        for m in range(1, n_max + 1):
+            block = [
+                (n_max + 1) + (i - 1) * n_max + (j - 1)
+                for i in range(1, m + 1)
+                for j in range(1, m + 1)
+            ]
+            exhaustion.append(CompactSet(tuple(sorted(column + block)), label=f"K{m}"))
+        return dict(points=tuple(f"({a:g},{b:g})" for a, b in zip(self.first.tolist(), self.level.tolist())),
+                    exhaustion=tuple(exhaustion), resolution=2.0 ** (-n_max),
+                    isolated=np.isfinite(self.level))
 
 
-def _onepoint01N(n_max: int, name: str) -> SampledSpace:
+class _Onepoint01N(_Dyadic):
     """One-point compactification of {0,1} x N, truncated at n_max.
 
     Metric: d((i,k),(j,m)) = 2^{-min(k,m)} for distinct points and
     d((i,k), inf) = 2^{-k}.  The whole space is compact.
     """
-    levels = _onepoint01N_levels(n_max)
-    ids = [f"({i},{k})" for i in (0, 1) for k in range(1, n_max + 1)] + ["inf"]
-    return SampledSpace(
-        name=name,
-        points=tuple(ids),
-        dmat=None,
-        exhaustion=(CompactSet(tuple(range(len(ids))), label="all"),),
-        resolution=2.0 ** (-n_max),
-        isolated=np.isfinite(levels),  # inf is the lone accumulation point
-        metric_form={"form": "onepoint01N", "n_max": n_max},
-    )
+
+    def __init__(self, form: dict):
+        n_max = _integer(form["n_max"], "onepoint01N n_max", 2)
+        ks = np.arange(1.0, n_max + 1)
+        super().__init__(np.concatenate([ks, ks, [math.inf]]))  # (0, k), (1, k), then inf
+        self.tag = {"form": "onepoint01N", "n_max": n_max}
+
+    def _layout(self) -> dict:
+        n_max = self.tag["n_max"]
+        ids = [f"({i},{k})" for i in (0, 1) for k in range(1, n_max + 1)] + ["inf"]
+        return dict(points=tuple(ids), exhaustion=(CompactSet(tuple(range(self.n)), label="all"),),
+                    resolution=2.0 ** (-n_max), isolated=np.isfinite(self.level))
+
+
+_KINDS = {"line": _Line, "circle": _Circle, "remark25": _Remark25, "onepoint01N": _Onepoint01N}
+
+
+def _closed_form(form: dict, factors: Sequence[SampledSpace] = ()) -> Metric | None:
+    """The metric of a closed-form tag, made from the tag's parameters; a
+    product with its factor spaces (whose tags are the product tag's parts)
+    composes their metrics.  None for any other tag."""
+    kind = form.get("form")
+    if kind == "product":
+        a, b = (f.metric for f in factors) if factors else (_closed_form(form[k]) for k in "ab")
+        return None if any(m is None or isinstance(m, _Dense) for m in (a, b)) else _Max(a, b)
+    return _KINDS[kind](form) if isinstance(kind, str) and kind in _KINDS else None
 
 
 def _from_tag(form: dict, name: str | None) -> SampledSpace:
     """The space of a closed-form tag; a product without a name is named after its factors."""
     kind = form.get("form")
-    if kind == "line":
-        return _line(form["step"], form["window"], name or "line")
-    if kind == "circle":
-        return _circle(form["count"], name or "circle")
-    if kind == "remark25":
-        return _remark25(form["n_max"], name or "remark25")
-    if kind == "onepoint01N":
-        return _onepoint01N(form["n_max"], name or "onepoint01N")
     if kind == "product":  # equal factors (plane) share one factor space
         a, b = _from_tag(form["a"], None), _from_tag(form["b"], None)
         return product(a, a if same_space(a, b) else b, name)
-    raise ValueError(f"unknown metric form {kind!r}")
+    metric = _closed_form(form)
+    if metric is None:
+        raise ValueError(f"unknown metric form {kind!r}")
+    return SampledSpace(name=name or kind, dmat=None, metric_form=metric.tag, **metric._layout())
 
 
 # the params of each builtin space with their defaults; any other key is an
@@ -663,6 +606,7 @@ _BUILTIN_PARAMS = {
     "onepoint01N": {"n_max": 50},
     "circle_x_interval": {"count": 48, "levels": 16},
 }
+BUILTIN_NAMES = tuple(_BUILTIN_PARAMS)
 
 
 def builtin_space(name: str, **params) -> SampledSpace:

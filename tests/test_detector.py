@@ -1,8 +1,10 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+import renormlab as rl
 from renormlab.detector import IsometryVerdict, TupleCheck, WeightReport, certify, check_weight_one
 from renormlab.norm import build_matrix, solve_unit
 from renormlab.operators import (
@@ -17,6 +19,16 @@ from renormlab.operators import (
 )
 from renormlab.orbits import equivalent
 from renormlab.tuples import TupleIndex
+
+
+def test_certify_refuses_an_operator_on_another_space():
+    circle12 = rl.builtin_space("circle", count=12)
+    cfg = rl.build_config(circle12, rl.GroupSpec.trivial(circle12), C=1.1, depth=3)
+    with pytest.raises(ValueError, match=re.escape(
+            "operator acts on space 'circle' (6 points), not on the config's space 'circle' (12 points)")):
+        certify(circle_rotation(rl.builtin_space("circle", count=6), steps=1), cfg)
+    # an operator on a separately built equal circle acts on this one
+    assert certify(identity(rl.builtin_space("circle", count=12)), cfg).verdict == "certified-in-G"
 
 
 def test_weight_report_generator(product_cfg):

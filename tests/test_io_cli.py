@@ -42,6 +42,20 @@ def test_space_round_trip_matrix(tmp_path):
     assert np.allclose(back.dmat, sp.dmat)
 
 
+def test_a_saved_matrix_space_reloads_as_the_same_space(tmp_path):
+    # the circle's distances are not 12-decimal numbers; the file keeps every bit
+    twin = _matrix_twin(rl.builtin_space("circle", count=12))
+    rio.save_space(twin, tmp_path / "twin.json")
+    back = rio.load_space(tmp_path / "twin.json")
+    assert back.dmat.tobytes() == twin.dmat.tobytes() and space_mod.same_space(back, twin)
+    assert np.array_equal(rl.compose(rl.identity(twin), rl.identity(back)).forward, np.arange(twin.n))
+    # a file with rounded distances still loads
+    doc = rio.space_to_dict(twin)
+    doc["metric"]["values"] = np.round(twin.dmat, 12).tolist()
+    rio.dump_json(doc, tmp_path / "rounded.json")
+    assert rio.load_space(tmp_path / "rounded.json").points == twin.points
+
+
 def _builtin_form_by_tag_list(form):
     # the tag list space_to_dict kept before it asked whether the metric is closed-form
     kind = form.get("form")
@@ -67,7 +81,7 @@ def test_space_to_dict_metric_matches_the_tag_list():
         form = _builtin_form_by_tag_list(sp.metric_form)
         if form is None and sp.factors:  # each factor nested as its own document
             form = {"form": "product", "a": rio.space_to_dict(sp.factors[0]), "b": rio.space_to_dict(sp.factors[1])}
-        expected = form if form is not None else {"form": "matrix", "values": np.round(sp.dmat, 12).tolist()}
+        expected = form if form is not None else {"form": "matrix", "values": sp.dmat.tolist()}
         metric = rio.space_to_dict(sp)["metric"]
         assert metric == expected
         forms.append(metric["form"])
@@ -342,6 +356,20 @@ def test_cli_eval_bounded_group(capsys):
     assert out["C_G"] == 2.0
     assert out["flagged"] == ["inf"]
     assert out["m"]["inf"] == 1.0
+
+
+def test_cli_eval_bounded_group_builds_the_named_group(capsys):
+    code = main(["eval", "--space", "circle", "--bounded-group", "rotation"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["C_G"] == 1.0
+    code, err = _eval_exit(["--space", "circle", "--bounded-group", "nosuch"])
+    assert code == 2 and "unknown group spec {'builtin': 'nosuch'}" in err
+
+
+def test_cli_eval_takes_one_action_flag():
+    code, err = _eval_exit(["--space", "circle", "--group", "rotation", "--orbits", "c000", "--check", "sot"])
+    assert code == 2
+    assert "argument --check: not allowed with argument --orbits" in err
 
 
 def test_run_rejects_unknown_task_before_writing(tmp_path):

@@ -34,16 +34,17 @@ def _reference(form):
     that the metric's elementwise helpers replaced."""
     kind = form["form"]
     if kind == "line":
-        x = space_mod._line_coords(form["step"], form["window"])
+        x = space_mod._Line(form).x
         return np.abs(np.subtract.outer(x, x))
     if kind == "circle":
-        d = np.abs(np.subtract.outer(*[space_mod._circle_angles(form["count"])] * 2))
+        d = np.abs(np.subtract.outer(*[space_mod._Circle(form).x] * 2))
         return np.minimum(d, 2 * math.pi - d)
     if kind in ("remark25", "onepoint01N"):
         if kind == "remark25":
-            first, level = space_mod._remark25_coords(form["n_max"])
+            metric = space_mod._Remark25(form)
+            first, level = metric.first, metric.level
         else:
-            first, level = None, space_mod._onepoint01N_levels(form["n_max"])
+            first, level = None, space_mod._Onepoint01N(form).level
         q = np.power(2.0, -level)
         if first is not None:
             q[first >= 1] = 1.0
@@ -90,14 +91,17 @@ def test_matrix_is_built_once_on_first_read_and_read_only():
 
 
 def test_circle_x_interval_builds_each_factor_matrix_at_most_once():
-    with mock.patch.object(space_mod, "_line_dist", wraps=space_mod._line_dist) as spy:
+    Circle, Line = space_mod._Circle, space_mod._Line
+    with mock.patch.object(Circle, "_pair", autospec=True, side_effect=Circle._pair) as circ_spy, \
+            mock.patch.object(Line, "_pair", autospec=True, side_effect=Line._pair) as seg_spy:
         sp = builtin_space("circle_x_interval")
         circ, seg = sp.factors
         for space in (sp, circ, seg, sp):
             assert space.dmat.shape == (space.n, space.n)
-    shapes = [np.broadcast_shapes(np.shape(c.args[0]), np.shape(c.args[1])) for c in spy.call_args_list]
-    # the circle's matrix goes through _line_dist once, the interval's once;
-    # every other call computes one row of a constructor's certificate
+    calls = circ_spy.call_args_list + seg_spy.call_args_list
+    shapes = [np.broadcast_shapes(np.shape(c.args[1]), np.shape(c.args[2])) for c in calls]
+    # the circle's matrix is computed once, the interval's once; every other
+    # call computes one row of a constructor's certificate
     assert shapes.count((circ.n, circ.n)) == 1 and shapes.count((seg.n, seg.n)) == 1
     assert all(len(s) == 1 and s[0] in (circ.n, seg.n, sp.n) for s in shapes
                if s not in ((circ.n, circ.n), (seg.n, seg.n)))

@@ -30,7 +30,7 @@ from renormlab.norm import (
     _dense,
 )
 from renormlab.detector import check_weight_one
-from renormlab.operators import identity, line_translation, multiplication
+from renormlab.operators import circle_rotation, identity, line_translation, multiplication
 from renormlab.orbits import equivalent, select_dense_points
 from renormlab.tuples import (
     ClassRegistry,
@@ -99,6 +99,17 @@ def test_solve_unit_bounds_property(n, seed):
 
 # ----------------------------------------------------------------------
 # seminorms and the certified sup
+
+
+def test_build_config_refuses_a_group_on_another_space():
+    circle12 = rl.builtin_space("circle", count=12)
+    group = rl.GroupSpec((circle_rotation(rl.builtin_space("circle", count=24), steps=2),), word_cap=3)
+    with pytest.raises(ValueError, match=re.escape(
+            "group acts on space 'circle' (24 points), not on the config's space 'circle' (12 points)")):
+        rl.build_config(circle12, group, C=1.1, depth=3)
+    # a group on a separately built equal circle acts on this one
+    equal = rl.GroupSpec((circle_rotation(rl.builtin_space("circle", count=12), steps=1),), word_cap=3)
+    assert rl.build_config(circle12, equal, C=1.1, depth=3).space is circle12
 
 
 def test_rho_zero_function(line_cfg):

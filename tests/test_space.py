@@ -14,10 +14,9 @@ from renormlab import space as space_mod
 from renormlab.space import (
     _SYMMETRY_TILE,
     CompactSet,
-    _dyadic_dist,
-    _dyadic_q,
-    _onepoint01N_levels,
-    _remark25_coords,
+    _Line,
+    _Onepoint01N,
+    _Remark25,
     builtin_space,
     product,
     validate_metric,
@@ -272,9 +271,9 @@ def test_one_run_builds_the_closed_form_matrix_once(tmp_path):
     # entries from the coordinates
     scenario = {"space": {"builtin": "line", "params": {"step": 0.05, "window": [-2, 2]}},
                 "depth": 4, "tasks": ["build-config"]}
-    with mock.patch.object(space_mod, "_line_dist", wraps=space_mod._line_dist) as spy:
+    with mock.patch.object(_Line, "_pair", autospec=True, side_effect=_Line._pair) as spy:
         assert cli.run(scenario, tmp_path) == 0
-    shapes = [np.broadcast_shapes(np.shape(c.args[0]), np.shape(c.args[1])) for c in spy.call_args_list]
+    shapes = [np.broadcast_shapes(np.shape(c.args[1]), np.shape(c.args[2])) for c in spy.call_args_list]
     assert shapes.count((81, 81)) == 1
     assert all(np.prod(s) <= 81 for s in shapes if s != (81, 81))  # one row at most
     report = json.loads((tmp_path / "build-config.json").read_text())["metric_report"]
@@ -364,13 +363,12 @@ def _dyadic_dist_reference(level, first=None):
 
 @pytest.mark.parametrize("n_max", [3, 4, 17, 50])
 def test_dyadic_kernel_matches_the_four_pass_builder(n_max):
-    first, second = _remark25_coords(n_max)
-    expected = _dyadic_dist_reference(second, first)
-    q, n = _dyadic_q(second, first), len(first)
-    assert _dyadic_dist(q[:, None], q, np.eye(n, dtype=bool), np.empty((n, n))).tobytes() == expected.tobytes()
+    metric = _Remark25({"form": "remark25", "n_max": n_max})
+    expected = _dyadic_dist_reference(metric.level, metric.first)
+    idx, n = np.arange(metric.n), metric.n
+    assert metric._pair(idx[:, None], idx, np.empty((n, n))).tobytes() == expected.tobytes()
     assert builtin_space("remark25", n_max=n_max).dmat.tobytes() == expected.tobytes()
-    level = _onepoint01N_levels(n_max)
-    expected = _dyadic_dist_reference(level)
+    expected = _dyadic_dist_reference(_Onepoint01N({"form": "onepoint01N", "n_max": n_max}).level)
     assert builtin_space("onepoint01N", n_max=n_max).dmat.tobytes() == expected.tobytes()
 
 
