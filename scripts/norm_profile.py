@@ -37,7 +37,7 @@ def main():
     prod = rl.builtin_space("circle_x_interval", count=48, levels=16)
     from renormlab.operators import circle_rotation, lift
     gen = lift(circle_rotation(prod.factors[0], steps=4), prod, "left")
-    group = rl.GroupSpec((gen,), word_cap=6, closure_tag=True)
+    group = rl.GroupSpec((gen,), word_cap=6)
     pcfg = rl.build_config(prod, group, C=1.1, depth=4)
     x = rng.uniform(-1, 1, size=prod.n)
     print("orbit-label cap sensitivity on the product space:")

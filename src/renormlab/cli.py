@@ -86,7 +86,7 @@ def make_group(spec: dict, space: SampledSpace) -> GroupSpec:
             raise InputError("rotation group needs a circle or circle-product space")
         gen = circle_rotation(circ, steps=_rotation_steps(circ, q, "group q"), label=f"rot2pi/{q}")
         return GroupSpec((lift(gen, space, "left") if lifted else gen,), word_cap=word_cap,
-                         closure_tag=True, label=f"rot{q}-lift" if lifted else f"rot{q}")
+                         label=f"rot{q}-lift" if lifted else f"rot{q}")
     if kind == "onepoint_swaps":
         count = spec.get("count")
         if count is not None:
@@ -478,6 +478,8 @@ def _spec(arg: str) -> dict:
 def eval_command(args) -> int:
     if args.space is None:
         raise InputError("--space is required")
+    if args.mg_report and not args.bounded_group:
+        raise InputError("--mg-report needs --bounded-group")
     space = make_space(_spec(args.space))
     group = make_group(_spec(args.group), space) if args.group else None
     out: dict = {}

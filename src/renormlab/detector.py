@@ -38,8 +38,6 @@ class WeightReport:
     weight_ok: bool
     max_weight_deviation: float
     weight_witness: str | None
-    dual_ratio_deviation: float | None
-    dual_points_checked: int
     orbit_containment: list[tuple[int, bool, float]]  # (base index, ok, worst escape)
 
 
@@ -70,26 +68,12 @@ class IsometryVerdict:
 
 
 def check_weight_one(T: WeightedComposition, cfg: RenormConfig) -> WeightReport:
-    """Examine the candidate weight against one at tolerance 1e-9, with
-    dual-norm evidence.
-
-    Off the union of base orbits the dual norm of a unit atom pins the
-    weight of an isometry to one; that ratio is reported wherever such
-    points exist.  Each base orbit is also tested for mapping into itself
-    at tolerance.
-    """
+    """Examine the candidate weight against one at tolerance 1e-9, and test
+    each base orbit for mapping into itself at tolerance."""
     tol = 1e-9
-    w = T.weight
-    dev = np.abs(w - 1.0)
+    dev = np.abs(T.weight - 1.0)
     max_dev = float(dev.max())
     witness = cfg.space.points[int(dev.argmax())] if max_dev > tol else None
-
-    # dual_norm_delta == 1 at its default tol, read from the slot table: off
-    # every base orbit, or on the orbit of a base whose lambda rounds to one
-    off_orbit = (cfg.slot_dist > cfg.space._resolution_tol) | (cfg.inv_lam[cfg.slot_base - 1] == 1.0)
-    paired = off_orbit & off_orbit[T.forward]
-    checked = int(paired.sum())
-    ratio_dev = float(dev[paired].max()) if checked else None
 
     # escape of a base orbit: the largest distance from the image of one of
     # its points to the orbit.  An image whose nearest slot lies on the
@@ -111,8 +95,6 @@ def check_weight_one(T: WeightedComposition, cfg: RenormConfig) -> WeightReport:
         weight_ok=max_dev <= tol,
         max_weight_deviation=max_dev,
         weight_witness=witness,
-        dual_ratio_deviation=ratio_dev,
-        dual_points_checked=checked,
         orbit_containment=containment,
     )
 

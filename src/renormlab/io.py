@@ -115,7 +115,6 @@ def group_to_dict(group: GroupSpec) -> dict:
     return {
         "label": group.label,
         "word_cap": group.word_cap,
-        "closure_tag": group.closure_tag,
         "generators": [operator_to_dict(g) for g in group.generators],
     }
 
@@ -125,7 +124,6 @@ def group_from_dict(doc: dict, space: SampledSpace) -> GroupSpec:
     return GroupSpec(
         generators=gens,
         word_cap=space_mod._integer(doc["word_cap"], "group word_cap", 1),
-        closure_tag=bool(doc.get("closure_tag", False)),
         label=doc.get("label", ""),
     )
 

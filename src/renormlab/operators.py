@@ -49,7 +49,8 @@ class WeightedComposition:
 
     ``forward`` and ``backward`` are index maps approximating a
     homeomorphism and its inverse; round trips must stay within
-    ``2 * resolution`` except at declared truncation-edge defects.
+    ``2 * resolution``, plus relative float slack, except at declared
+    truncation-edge defects.
     """
 
     space: SampledSpace
@@ -100,14 +101,15 @@ def _map_key(forward: np.ndarray, weight: np.ndarray) -> bytes:
 def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray) -> list[frozenset[int]]:
     """For each row of the ``(B, n)`` index maps, the points that a round
     trip through the row's two maps, in either order, displaces by more
-    than ``2 * resolution``; all rows are measured in one gather."""
+    than ``2 * resolution`` plus the relative float slack of
+    ``_resolution_tol``; all rows are measured in one gather."""
     n = space.n
     # flat indices: entry j of row r of a (B, n) array is at r * n + j
     offsets = (np.arange(len(forward)) * n)[:, None]
     idx = np.arange(n)
     gap = np.maximum(space.metric.pair(backward.ravel()[forward + offsets], idx),
                      space.metric.pair(forward.ravel()[backward + offsets], idx))
-    far = gap > 2 * space.resolution + 1e-12
+    far = gap > space.resolution + space._resolution_tol
     out = [frozenset()] * len(gap)
     for r in np.flatnonzero(far.any(axis=1)).tolist():
         out[r] = frozenset(np.flatnonzero(far[r]).tolist())
@@ -478,13 +480,10 @@ class GroupSpec:
     """A group given by generators, enumerated as words up to ``word_cap``.
 
     The generator list is closed under formal inversion on construction.
-    ``closure_tag`` records a declared (not proved) relative SOT-closedness;
-    the checker treats it as evidence only.
     """
 
     generators: tuple[WeightedComposition, ...]
     word_cap: int
-    closure_tag: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -510,7 +509,7 @@ class GroupSpec:
 
     @classmethod
     def trivial(cls, space: SampledSpace) -> "GroupSpec":
-        return cls((identity(space),), word_cap=1, closure_tag=True, label="trivial")
+        return cls((identity(space),), word_cap=1, label="trivial")
 
     def _cap(self, cap: int | None) -> int:
         """The checked cap; the word table is built on first use, breadth
@@ -573,7 +572,6 @@ class ConditionReport:
     passed: bool
     thresholds: dict
     witness: tuple | None  # (n, K label, point id)
-    detail: str = ""
 
 
 @dataclass

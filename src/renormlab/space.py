@@ -51,9 +51,6 @@ class CompactSet:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.members, dtype=np.intp)
 
-    def __contains__(self, idx: int) -> bool:
-        return idx in set(self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 

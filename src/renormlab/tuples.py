@@ -171,21 +171,14 @@ class TupleIndex:
     def n(self) -> int:
         return len(self.points) - 1
 
-    @property
-    def window(self) -> Window:
-        return window_of(self.start, self.n)
-
     def segment(self, a: int, b: int) -> "TupleIndex":
         """The restriction to slots a..b (start index shifts accordingly)."""
         return TupleIndex(self.start + a, self.gammas[a : b + 1], self.points[a : b + 1])
 
 
 class ClassInfo:
-    """One registered class: a view of its row in the registry's columns.
-
-    ``exponent`` is built from the row's integer pair on each read.
-    Assigning ``ordinal``, ``exponent`` or ``attained`` writes the row; that
-    is how a test corrupts a registry for :func:`verify_bmap` to find.
+    """One registered class: a read-only view of its row in the registry's
+    columns.  ``exponent`` is built from the row's integer pair on each read.
     """
 
     __slots__ = ("_registry", "_row")
@@ -206,19 +199,6 @@ class ClassInfo:
     def ordinal(self) -> int:
         return self._registry._ordinal[self._row]
 
-    @ordinal.setter
-    def ordinal(self, value: int) -> None:
-        self._registry._ordinal[self._row] = value
-
-    @property
-    def attained(self) -> bool:
-        """True when the finite-family rule assigned c_m."""
-        return self._registry._attained[self._row]
-
-    @attained.setter
-    def attained(self, value: bool) -> None:
-        self._registry._attained[self._row] = value
-
     @property
     def ratio(self) -> tuple[int, int]:
         """The exponent as integers (p, q) in lowest terms with q > 0."""
@@ -228,12 +208,8 @@ class ClassInfo:
     def exponent(self) -> Fraction:
         return Fraction(*self.ratio)
 
-    @exponent.setter
-    def exponent(self, value: Fraction | int) -> None:
-        self._registry._p[self._row], self._registry._q[self._row] = Fraction(value).as_integer_ratio()
-
     def _fields(self) -> tuple:
-        return self.m, self.ordinal, self.exponent, self.representative, self.attained
+        return self.m, self.ordinal, self.exponent, self.representative
 
     def __eq__(self, other):
         if not isinstance(other, ClassInfo):
@@ -243,9 +219,8 @@ class ClassInfo:
     __hash__ = None
 
     def __repr__(self) -> str:
-        m, ordinal, exponent, rep, attained = self._fields()
-        return (f"ClassInfo(m={m}, ordinal={ordinal}, exponent={exponent!r}, "
-                f"representative={rep}, attained={attained})")
+        m, ordinal, exponent, rep = self._fields()
+        return f"ClassInfo(m={m}, ordinal={ordinal}, exponent={exponent!r}, representative={rep})"
 
 
 class ClassRegistry:
@@ -258,33 +233,31 @@ class ClassRegistry:
     for capped word lists it is the G'-at-cap approximation, which is the
     declared semantics of every downstream claim.  Ordinals are assigned in
     first-query order, which is deterministic given the construction order,
-    so the exponent k_m^i = c_m - 1/i is a stable function across runs.  A
-    family declared complete assigns exactly c_m to its last class.
+    so the exponent k_m^i = c_m - 1/i is a stable function across runs; it
+    stays below c_m, which no class attains.
 
     The classes are stored as columns, one row per class in registration
     order: window index m, ordinal, the exponent as the integer pair
-    (3m*ordinal - 1, ordinal), or (3m, 1) where attained, the attained flag
-    and the representative.  A prefix of a lexicographically smallest word
-    image is the smallest image of the prefix, for any word list, so the
-    class of a representative's prefix rep[:k+1] is read by that key alone.
+    (3m*ordinal - 1, ordinal) and the representative.  A prefix of a
+    lexicographically smallest word image is the smallest image of the
+    prefix, for any word list, so the class of a representative's prefix
+    rep[:k+1] is read by that key alone.
     The same identity is the only way a key is derived from another: a
     tuple's prefixes read their classes from its key
     (:meth:`prefix_classes`), and a one-point extension's key is its
     parent's plus one entry (:meth:`extend_keys`).
     """
 
-    def __init__(self, word_maps: np.ndarray, declared_totals: dict[int, int] | None = None):
+    def __init__(self, word_maps: np.ndarray):
         # (W, n): row w maps every sample index to its image under word w;
         # a group's word table is read as given
         self.word_maps = np.asarray(word_maps, dtype=np.intp)
-        self.declared_totals = dict(declared_totals or {})
         # the W word images of every sample point, for one-row keys
         self._images = self.word_maps.T.tolist()
         self._m: list[int] = []
         self._ordinal: list[int] = []
         self._p: list[int] = []
         self._q: list[int] = []
-        self._attained: list[bool] = []
         self._rep: list[tuple[int, ...]] = []
         # the view classify returns for each row, one per class
         self._infos: list[ClassInfo] = []
@@ -342,13 +315,11 @@ class ClassRegistry:
     def _register(self, m: int, rep: tuple[int, ...]) -> int:
         rows = self._by_window.setdefault(m, [])
         ordinal = len(rows) + 1
-        attained = self.declared_totals.get(m) == ordinal
         row = len(self._m)
         self._m.append(m)
         self._ordinal.append(ordinal)
-        self._p.append(3 * m if attained else 3 * m * ordinal - 1)
-        self._q.append(1 if attained else ordinal)
-        self._attained.append(attained)
+        self._p.append(3 * m * ordinal - 1)
+        self._q.append(ordinal)
         self._rep.append(rep)
         self._infos.append(ClassInfo(self, row))
         self._index[m, rep] = row
@@ -374,7 +345,8 @@ class ClassRegistry:
             "representative": [points[i] for i in self._rep[row]],
             # the pair is in lowest terms, so this is str(Fraction(p, q))
             "exponent": f"{self._p[row]}/{self._q[row]}" if self._q[row] != 1 else str(self._p[row]),
-            "attained": self._attained[row],
+            # no class attains c_m; the key keeps saved build-config reports unchanged
+            "attained": False,
         } for row in self._rows())
 
 
@@ -443,7 +415,6 @@ def verify_bmap(
     P = np.array(registry._p, dtype=exact)[at]
     Q = np.array(registry._q, dtype=exact)[at]
     ordinal = np.array(registry._ordinal, dtype=np.int64)[at]
-    attained = np.array(registry._attained, dtype=bool)[at]
 
     # properties 2, 4, 5 and 1 on the windows inside the depth, as
     # (m, section, position, check, tag, message) in report order
@@ -461,7 +432,7 @@ def verify_bmap(
         found.append((m, 1, 0, 0, "property4", f"window m={m}: exponents not strictly increasing"))
     flags = np.stack([
         ~(((cm - 1) * Qd <= Pd) & (Pd <= cm * Qd)),
-        ~attained[d] & (Pd >= cm * Qd),
+        Pd >= cm * Qd,
         Pd < (3 * end[d] - 4) * Qd,
     ], axis=1)
     texts = [("property4", "exponent outside [c-1, c]"),

@@ -27,8 +27,7 @@ def product_space():
 def rotation_group(product_space):
     circ = product_space.factors[0]
     gen = circle_rotation(circ, steps=circ.metric_form["count"] // 12, label="rot2pi/12")
-    return rl.GroupSpec((lift(gen, product_space, "left"),), word_cap=6,
-                        closure_tag=True, label="rot12")
+    return rl.GroupSpec((lift(gen, product_space, "left"),), word_cap=6, label="rot12")
 
 
 @pytest.fixture(scope="session")
@@ -69,7 +68,7 @@ def fork():
     the original's; registered classes are never mutated, so they are shared."""
     def fork(cfg):
         registry = copy.copy(cfg.registry)
-        for column in ("_m", "_ordinal", "_p", "_q", "_attained", "_rep", "_infos"):
+        for column in ("_m", "_ordinal", "_p", "_q", "_rep", "_infos"):
             setattr(registry, column, list(getattr(registry, column)))
         registry._index = dict(registry._index)
         registry._by_window = {m: list(rows) for m, rows in registry._by_window.items()}

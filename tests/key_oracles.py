@@ -1,5 +1,5 @@
 """The block-lexsort key path that the prefix identity replaced, kept as
-test oracles.
+test oracles, and the one writer of a registry's class columns.
 
 ``canonical_keys`` keys every row of a (T, k) block from scratch, with one
 lexsort over the word axis per block of rows; ``lookup_rows`` reads each
@@ -7,6 +7,8 @@ row's registered class through those keys; ``last_slot_weights`` is the
 plan build's per-level class weights and ``build_system_by_lookup`` the
 dual system build that keyed every row and segment that way.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -93,3 +95,13 @@ def build_system_by_lookup(t, cfg):
             p, q = info.ratio
             zeta[j, k] = cfg.bc.inv_L_pow(p / q)
     return TriangularSystem(lambdas=lambdas, zeta=zeta)
+
+
+def set_class(info, ordinal=None, exponent=None):
+    """Write the registry row behind a read-only class view: how a test
+    corrupts a registry for verify_bmap to find."""
+    registry, row = info._registry, info._row
+    if ordinal is not None:
+        registry._ordinal[row] = ordinal
+    if exponent is not None:
+        registry._p[row], registry._q[row] = Fraction(exponent).as_integer_ratio()

@@ -59,7 +59,7 @@ def test_criterion_1_bmap_suite():
     prod = rl.builtin_space("circle_x_interval", count=48, levels=16)
     circ = prod.factors[0]
     gen = lift(circle_rotation(circ, steps=4), prod, "left")
-    rot = rl.GroupSpec((gen,), word_cap=6, closure_tag=True)
+    rot = rl.GroupSpec((gen,), word_cap=6)
     cfg_rot = rl.build_config(prod, rot, C=1.1, depth=6, gamma_cap=2)
     rep_rot = verify_bmap(cfg_rot.bc, 6, cfg_rot.registry)
     assert rep_rot["ok"], rep_rot["violations"][:3]

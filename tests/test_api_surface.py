@@ -1,8 +1,10 @@
 """The surface of the public API.
 
-Every defaulted parameter of a public function or public method defined in
-a ``renormlab`` module is an option that tests must cover.  The table below
-is the whole set; a new option fails here until it is added on purpose.
+Every defaulted parameter of a public function, public method or public
+class constructor defined in a ``renormlab`` module is an option that tests
+must cover; a constructor's options, generated dataclass ones included, are
+named ``module.Class(param)``.  The table below is the whole set; a new
+option fails here until it is added on purpose.
 
 Every public function or method must also have a caller in ``src/``,
 ``scripts/`` or ``perfbench/``, outside its own body, or an entry with its
@@ -25,13 +27,21 @@ ROOT = Path(__file__).resolve().parent.parent
 OPTIONS = {
     "cli.main(argv)",
     "cli.run(seed)",
+    "detector.IsometryVerdict(witness)",
+    "detector.TupleCheck(detail)",
     "detector.certify(test_depth)",
     "norm.RenormConfig.classify_slots(tol)",
+    "norm.WitnessSpec(tuple_ref)",
     "norm.build_config(C)",
     "norm.build_config(base_count)",
     "norm.build_config(depth)",
     "norm.build_config(gamma_cap)",
+    "operators.GroupSpec(label)",
     "operators.GroupSpec.word_table(cap)",
+    "operators.WeightedComposition(allowed_defects)",
+    "operators.WeightedComposition(form)",
+    "operators.WeightedComposition(label)",
+    "operators.WeightedComposition(measured_defects)",
     "operators.circle_rotation(angle)",
     "operators.circle_rotation(label)",
     "operators.circle_rotation(steps)",
@@ -39,7 +49,10 @@ OPTIONS = {
     "operators.line_translation(label)",
     "operators.onepoint_swap_group(count)",
     "operators.onepoint_swap_group(word_cap)",
+    "orbits.OrbitClosure(window_clipped)",
     "orbits.select_dense_points(count)",
+    "space.CompactSet(label)",
+    "space.SampledSpace(factors)",
     "space.SampledSpace.compact(label)",
     "space.product(name)",
 }
@@ -62,8 +75,6 @@ UNREACHED = {
 UNREAD = {
     "norm.NormResult.upper": "the upper end of the norm sandwich value <= true <= value + bound",
     "bounded.GroupNormResult.sup_over_words": "the direct sup over the word table, which agree compares with value",
-    "detector.WeightReport.dual_ratio_deviation": "dual-norm evidence that the weight is one off the base orbits",
-    "detector.WeightReport.dual_points_checked": "how many points the dual-norm evidence covers",
     "detector.WeightReport.orbit_containment": "per-base escapes, which a containment witness will read (ROADMAP 3(b))",
     "norm.RenormConfig.bmap_report": "the build's verify_bmap result, which the verify-bmap task will return (ROADMAP 1(b))",
 }
@@ -107,8 +118,16 @@ def public_attributes():
                     yield f"{module}.{name}.{f.name}", True
 
 
+def public_constructors():
+    """(module.Class, __init__) of every public class defined in a
+    renormlab module that defines its own constructor."""
+    for module, name, obj in public_objects():
+        if inspect.isclass(obj) and "__init__" in vars(obj):
+            yield f"{module}.{name}", obj.__init__
+
+
 def public_options() -> set[str]:
-    return {f"{qualname}({p.name})" for qualname, fn in public_functions()
+    return {f"{qualname}({p.name})" for qualname, fn in (*public_functions(), *public_constructors())
             for p in inspect.signature(fn).parameters.values() if p.default is not p.empty}
 
 
@@ -146,7 +165,7 @@ def test_public_options_match_the_table():
     found = public_options()
     assert sorted(found - OPTIONS) == [], "new options: add them to OPTIONS on purpose"
     assert sorted(OPTIONS - found) == [], "removed options: drop them from OPTIONS"
-    assert len(OPTIONS) == 19
+    assert len(OPTIONS) == 30
 
 
 def test_every_public_function_has_a_caller():

@@ -224,6 +224,21 @@ def test_group_round_trip(tmp_path):
         assert a.key() == b.key()
 
 
+def test_group_file_with_a_closure_tag_still_loads(tmp_path):
+    # files saved before the key was retired carry "closure_tag"; a load
+    # ignores it and a save no longer writes it
+    sp = rl.builtin_space("circle", count=12)
+    G = cli.make_group({"builtin": "rotation"}, sp)
+    doc = rio.group_to_dict(G)
+    assert "closure_tag" not in doc
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({**doc, "closure_tag": True}))
+    back = rio.load_group(path, sp)
+    assert (back.label, back.word_cap) == (G.label, G.word_cap)
+    assert [g.key() for g in back.generators] == [g.key() for g in G.generators]
+    assert rio.group_to_dict(back) == doc
+
+
 def test_function_round_trip(tmp_path):
     sp = rl.builtin_space("circle", count=12)
     x = np.linspace(-1, 1, sp.n)
@@ -370,6 +385,13 @@ def test_cli_eval_takes_one_action_flag():
     code, err = _eval_exit(["--space", "circle", "--group", "rotation", "--orbits", "c000", "--check", "sot"])
     assert code == 2
     assert "argument --check: not allowed with argument --orbits" in err
+
+
+def test_cli_eval_mg_report_needs_bounded_group():
+    # the flag only adds to the --bounded-group report, so alone it is refused
+    code, err = _eval_exit(["--space", "circle", "--group", "rotation", "--orbits", "c000", "--mg-report"])
+    assert code == 2
+    assert "--mg-report needs --bounded-group" in err
 
 
 def test_run_rejects_unknown_task_before_writing(tmp_path):

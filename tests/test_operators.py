@@ -106,6 +106,20 @@ def test_operator_validation_rejects_bad_roundtrip(line_space):
         rl.WeightedComposition(line_space, np.ones(n), fwd, bwd)
 
 
+@pytest.mark.parametrize("k", [30, 40])
+def test_round_trip_slack_scales_with_the_resolution(onepoint_space, k):
+    # at n_max 50 the resolution is 2^-50; moving (0,k) onto inf moves its
+    # round trip by 2^-k, far beyond 2*resolution even where it is below
+    # an absolute 1e-12 (k = 40)
+    s = onepoint_space
+    fwd = np.arange(s.n)
+    fwd[s.index(f"(0,{k})")] = s.index("inf")
+    with pytest.raises(ValueError, match=r"round trip displaces 1 points .*\(first: \(0,%d\)\)" % k):
+        rl.WeightedComposition(s, np.ones(s.n), fwd, np.arange(s.n))
+    assert operators._roundtrip_defects(s, fwd[None], np.arange(s.n)[None]) == [
+        frozenset({s.index(f"(0,{k})")})]
+
+
 def test_sot_constant_sequence_passes(product_space, rotation_group):
     g = rotation_group.generators[0]
     verdict = check_sot_convergence([g] * 6, g, list(product_space.exhaustion), 1e-6)

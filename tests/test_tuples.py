@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from key_oracles import KEY_BLOCK, canonical_keys, lookup_rows
+from key_oracles import KEY_BLOCK, canonical_keys, lookup_rows, set_class
 from renormlab.tuples import (
     ClassRegistry,
     TupleIndex,
@@ -135,13 +135,6 @@ def test_registry_ordinals_increase_and_stay_below_sup():
     assert all(Fraction(2) <= e < Fraction(3) for e in exps)
 
 
-def test_registry_declared_finite_family_attains_sup():
-    reg = ClassRegistry([np.arange(10)], declared_totals={1: 2})
-    reg.classify(1, (0, 1))
-    last = reg.classify(1, (0, 2))
-    assert last.exponent == Fraction(3) and last.attained
-
-
 def test_registry_canonical_key_orbit_invariant():
     # composition-closed word set: the full 3-cycle group on {0,1,2}
     cyc = np.arange(6)
@@ -250,7 +243,7 @@ def _verify_bmap_reference(bc, depth, registry):
             k = info.exponent
             if not (Fraction(cm - 1) <= k <= Fraction(cm)):
                 report["violations"].append(("property4", f"m={m} ordinal {info.ordinal}: exponent outside [c-1, c]"))
-            if (not info.attained) and k >= Fraction(cm):
+            if k >= Fraction(cm):
                 report["violations"].append(("property4", f"m={m} ordinal {info.ordinal}: supremum attained without declaration"))
             if k < 3 * w.end - 4:
                 report["violations"].append(("property5", f"m={m} ordinal {info.ordinal}: exponent below 3(i+n)-4"))
@@ -301,14 +294,14 @@ def test_verify_bmap_matches_per_tuple_reference(name, request):
 def _corrupt(registry, m, ordinal, exponent):
     for info in registry.classes_for_window(enumerate_window(m)):
         if info.ordinal == ordinal:
-            info.exponent = exponent
+            set_class(info, exponent=exponent)
 
 
 def test_verify_bmap_matches_reference_on_corrupted_registries(product_cfg):
     bc = choose_parameters(1.1)
     dup = ClassRegistry([np.arange(10)])
     dup.classify(1, (0, 1))
-    dup.classify(1, (0, 2)).exponent = Fraction(2)
+    set_class(dup.classify(1, (0, 2)), exponent=Fraction(2))
     orphan = ClassRegistry([np.arange(10)])
     orphan.classify(1, (0, 1, 2))
     cases = [(dup, 3), (orphan, 3)]
@@ -344,7 +337,7 @@ def test_verify_bmap_detects_duplicate_exponent():
     reg = ClassRegistry([np.arange(10)])
     reg.classify(1, (0, 1))
     corrupt = reg.classify(1, (0, 2))
-    corrupt.exponent = Fraction(2)  # collide with the first class
+    set_class(corrupt, exponent=Fraction(2))  # collide with the first class
     bc = choose_parameters(1.1)
     report = verify_bmap(bc, 3, reg)
     assert not report["ok"]
