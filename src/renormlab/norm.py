@@ -268,6 +268,7 @@ class RenormConfig:
             "C": self.bc.C,
             "L": self.bc.L,
             "lambda_rule": "1 + (C-1) * 2^-i",
+            # the text predates the one rule; kept so saved reports stay byte-identical
             "class_exponent_rule": "3m - 1/ordinal (last class of a declared-finite family gets 3m)",
             "depth": self.depth,
             "gamma_cap": self.gamma_cap,

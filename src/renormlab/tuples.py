@@ -345,7 +345,7 @@ class ClassRegistry:
             "representative": [points[i] for i in self._rep[row]],
             # the pair is in lowest terms, so this is str(Fraction(p, q))
             "exponent": f"{self._p[row]}/{self._q[row]}" if self._q[row] != 1 else str(self._p[row]),
-            # no class attains c_m; the key keeps saved build-config reports unchanged
+            # no class attains c_m; the key keeps saved reports byte-identical
             "attained": False,
         } for row in self._rows())
 
