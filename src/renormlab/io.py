@@ -39,7 +39,7 @@ def space_to_dict(space: SampledSpace) -> dict:
         "resolution": space.resolution,
         "isolated": [bool(b) for b in space.isolated],
         "exhaustion": [
-            {"label": ks.label, "members": list(ks.members)} for ks in space.exhaustion
+            {"label": ks.label, "members": ks.members.tolist()} for ks in space.exhaustion
         ],
     }
     # a tag with a closed-form formula is reconstructible from its parameters,
@@ -67,9 +67,7 @@ def space_from_dict(doc: dict) -> SampledSpace:
             raise ValueError(f"{kind} space does not reproduce the stored points")
         return space
     points = tuple(doc["points"])
-    exhaustion = tuple(
-        CompactSet(tuple(e["members"]), e.get("label", "")) for e in doc["exhaustion"]
-    )
+    exhaustion = tuple(CompactSet(e["members"], e.get("label", "")) for e in doc["exhaustion"])
     return SampledSpace(
         name=doc.get("name", "space"),
         points=points,

@@ -319,32 +319,21 @@ def remark25_map(space: SampledSpace, n: int) -> WeightedComposition:
     if not 1 <= n <= n_max:
         raise ValueError("map index out of range")
     N = space.n
-    fwd = np.arange(N)
-    bwd = np.arange(N)
+    fwd, bwd = np.arange(N), np.arange(N)
+    # (0, x) is at index x - 1 and (0, inf) at n_max; row n's (n, j) is at row[j - 1]
+    row = np.arange(n_max + 1, N).reshape(n_max, n_max)[n - 1]
+    # (0, i) -> (0, i+1) for i >= n; the ideal image (0, n_max + 1) of
+    # (0, n_max) snaps to (0, inf)
+    fwd[n - 1:n_max] = np.arange(n, n_max + 1)
+    fwd[row[n - 1]] = n - 1  # (n, n) -> (0, n)
+    fwd[row[n:]] = row[n - 1:-1]  # (n, i) -> (n, i-1) for i > n
 
-    def col(x: int) -> int:
-        return x - 1  # (0, x) for x in 1..n_max
-
-    inf_idx = n_max  # (0, inf)
-
-    def row(i: int, j: int) -> int:
-        return (n_max + 1) + (i - 1) * n_max + (j - 1)
-
-    for i in range(n, n_max):
-        fwd[col(i)] = col(i + 1)
-    fwd[col(n_max)] = inf_idx  # ideal image (0, n_max + 1) snaps to (0, inf)
-    fwd[row(n, n)] = col(n)
-    for i in range(n + 1, n_max + 1):
-        fwd[row(n, i)] = row(n, i - 1)
-
-    for i in range(n + 1, n_max + 1):
-        bwd[col(i)] = col(i - 1)
-    bwd[col(n)] = row(n, n)
-    for i in range(n, n_max):
-        bwd[row(n, i)] = row(n, i + 1)
-    # bwd[row(n, n_max)] stays put: the ideal preimage (n, n_max + 1) has no
-    # nearby sample point; the resulting round-trip defects at the truncation
-    # edge are measured and declared
+    bwd[n:n_max] = np.arange(n - 1, n_max - 1)  # (0, i) -> (0, i-1) for i > n
+    bwd[n - 1] = row[n - 1]  # (0, n) -> (n, n)
+    bwd[row[n - 1:-1]] = row[n:]  # (n, i) -> (n, i+1) for n <= i < n_max
+    # (n, n_max) stays put: its ideal preimage (n, n_max + 1) has no nearby
+    # sample point; the resulting round-trip defects at the truncation edge
+    # are measured and declared
     defects = _roundtrip_defects(space, fwd[None], bwd[None])[0]
     return WeightedComposition(space, np.ones(N), fwd, bwd, label=f"phi_{n}",
                                allowed_defects=defects, measured_defects=defects)
@@ -690,7 +679,7 @@ def check_sot_convergence(
     gap_w = np.abs(np.stack([g.weight for g in seq]) - limit.weight)
     backward = np.stack([g.backward for g in seq])
 
-    karrs = [K.as_array() for K in K_list]
+    karrs = [K.members for K in K_list]
     dist_to_inv = _preimage_distances(space.metric, limit.backward, karrs)
     # each compact's (stage, member) gathers reuse two buffers, so no compact
     # maps and faults in fresh pages.  mode="wrap" writes straight into them
@@ -772,7 +761,7 @@ def check_local_equicontinuity(
     if len(maps) == 0:
         raise ValueError("nonempty family required")
     maps = [np.asarray(f, dtype=np.intp) for f in maps]
-    karr = K.as_array()
+    karr = K.members
     src = space.metric.cross(karr, karr)
     grid = tuple(sorted(set(float(e) for e in moduli_grid)))
     min_grid_delta = min(grid) if grid else 0.0

@@ -36,9 +36,6 @@ class OrbitClosure:
     word_cap: int
     window_clipped: bool = False
 
-    def __contains__(self, tup) -> bool:
-        return tuple(tup) in set(self.samples)
-
     def __len__(self) -> int:
         return len(self.samples)
 

@@ -35,24 +35,41 @@ __all__ = [
     "BUILTIN_NAMES",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompactSet:
-    """A labeled subset of sample indices standing in for a compact set."""
+    """A labeled subset of sample indices standing in for a compact set.
 
-    members: tuple[int, ...]
+    ``members`` is a sorted, duplicate-free, read-only ``np.intp`` array,
+    built once from any iterable of integers (tuple, list, range, set or
+    array).  A member that is not an integer (a float, a bool, a string),
+    or one no index can hold, is refused with a ValueError naming it.
+    Arrays do not compare as booleans, so compact sets have no ``==``."""
+
+    members: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        if len(self.members) == 0:
+        values = self.members
+        if not (isinstance(values, np.ndarray) and values.dtype.kind == "i"):
+            values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise ValueError(f"compact set member {v!r} is not an integer")
+        try:
+            members = np.array(values, dtype=np.intp).ravel()  # a copy: the caller's array stays as it is
+        except OverflowError:
+            lim = np.iinfo(np.intp)
+            big = next(v for v in values if not lim.min <= v <= lim.max)
+            raise ValueError(f"compact set member {big!r} is out of range") from None
+        if (members[1:] <= members[:-1]).any():  # not strictly increasing
+            members = np.unique(members)
+        if members.size == 0:
             raise ValueError("empty compact set")
-        if list(self.members) != sorted(set(self.members)):
-            object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.members, dtype=np.intp)
+        members.flags.writeable = False
+        object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.members.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,15 +139,15 @@ class SampledSpace:
             raise ValueError("isolated flag shape mismatch")
         if not self.exhaustion:
             raise ValueError("exhaustion must be nonempty")
-        prev: set[int] = set()
+        prev = np.empty(0, dtype=np.intp)
         for ks in self.exhaustion:
-            cur = set(ks.members)
-            if not prev <= cur:
+            cur = ks.members  # sorted and unique
+            if not np.isin(prev, cur, assume_unique=True).all():
                 raise ValueError("exhaustion sets are not nested")
-            if max(cur) >= n or min(cur) < 0:
+            if cur[-1] >= n or cur[0] < 0:
                 raise ValueError("exhaustion member out of range")
             prev = cur
-        if prev != set(range(n)):
+        if prev.size != n:  # n distinct members in range(n) are all of it
             raise ValueError("exhaustion does not cover the sample")
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
 
@@ -152,12 +169,10 @@ class SampledSpace:
             raise ValueError(f"unknown point id {point_id!r} in space {self.name!r}") from None
 
     def compact(self, members: Iterable[int], label: str = "") -> CompactSet:
-        ms = tuple(sorted(set(int(m) for m in members)))
-        if not ms:
-            raise ValueError("empty compact set")
-        if ms[0] < 0 or ms[-1] >= self.n:
+        ks = CompactSet(members, label)
+        if ks.members[0] < 0 or ks.members[-1] >= self.n:
             raise ValueError("compact set member outside space")
-        return CompactSet(ms, label)
+        return ks
 
     @property
     def top_exhaustion(self) -> CompactSet:
@@ -361,8 +376,8 @@ def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> Sample
     for m in range(depth):
         ka = a.exhaustion[min(m, len(a.exhaustion) - 1)]
         kb = b.exhaustion[min(m, len(b.exhaustion) - 1)]
-        members = [ia * nb + ib for ia in ka.members for ib in kb.members]
-        exhaustion.append(CompactSet(tuple(sorted(members)), label=f"{ka.label}x{kb.label}"))
+        members = ka.members[:, None] * nb + kb.members  # row-major, so already sorted
+        exhaustion.append(CompactSet(members.ravel(), label=f"{ka.label}x{kb.label}"))
     isolated = np.repeat(a.isolated, nb) & np.tile(b.isolated, na)
     return SampledSpace(
         name=name or f"{a.name}x{b.name}",
@@ -435,10 +450,10 @@ class _Line(Metric):
         lo, hi = self.tag["window"]
         enter = _line_entries(np.abs(self.x), max(abs(lo), abs(hi)))
         # one set per distinct member set, labelled with the first m that reaches it
-        exhaustion = [CompactSet(tuple(np.flatnonzero(enter <= m).tolist()), label=f"[-{m},{m}]")
+        exhaustion = [CompactSet(np.flatnonzero(enter <= m), label=f"[-{m},{m}]")
                       for m in map(int, sorted(set(enter[np.isfinite(enter)].tolist())))]
         if not exhaustion or len(exhaustion[-1]) != self.n:
-            exhaustion.append(CompactSet(tuple(range(self.n)), label="window"))
+            exhaustion.append(CompactSet(np.arange(self.n), label="window"))
         return dict(points=tuple(f"x{c:+.6g}" for c in self.x), exhaustion=tuple(exhaustion),
                     resolution=self.tag["step"] / 2,  # every ideal window point is within half a step
                     isolated=np.zeros(self.n, dtype=bool))
@@ -478,7 +493,7 @@ class _Circle(Metric):
 
     def _layout(self) -> dict:
         return dict(points=tuple(f"c{k:03d}" for k in range(self.n)),
-                    exhaustion=(CompactSet(tuple(range(self.n)), label="circle"),),
+                    exhaustion=(CompactSet(np.arange(self.n), label="circle"),),
                     resolution=math.pi / self.n,  # half the arc spacing
                     isolated=np.zeros(self.n, dtype=bool))
 
@@ -533,17 +548,12 @@ class _Remark25(_Dyadic):
 
     def _layout(self) -> dict:
         n_max = self.tag["n_max"]
-        column = list(range(n_max + 1))
-        exhaustion = []
-        for m in range(1, n_max + 1):
-            block = [
-                (n_max + 1) + (i - 1) * n_max + (j - 1)
-                for i in range(1, m + 1)
-                for j in range(1, m + 1)
-            ]
-            exhaustion.append(CompactSet(tuple(sorted(column + block)), label=f"K{m}"))
+        # K_m is the column plus the block's (i, j) for i, j <= m: grid[i - 1, j - 1]
+        column, grid = np.arange(n_max + 1), np.arange(n_max + 1, self.n).reshape(n_max, n_max)
+        exhaustion = tuple(CompactSet(np.concatenate([column, grid[:m, :m].ravel()]), label=f"K{m}")
+                           for m in range(1, n_max + 1))
         return dict(points=tuple(f"({a:g},{b:g})" for a, b in zip(self.first.tolist(), self.level.tolist())),
-                    exhaustion=tuple(exhaustion), resolution=2.0 ** (-n_max),
+                    exhaustion=exhaustion, resolution=2.0 ** (-n_max),
                     isolated=np.isfinite(self.level))
 
 
@@ -563,7 +573,7 @@ class _Onepoint01N(_Dyadic):
     def _layout(self) -> dict:
         n_max = self.tag["n_max"]
         ids = [f"({i},{k})" for i in (0, 1) for k in range(1, n_max + 1)] + ["inf"]
-        return dict(points=tuple(ids), exhaustion=(CompactSet(tuple(range(self.n)), label="all"),),
+        return dict(points=tuple(ids), exhaustion=(CompactSet(np.arange(self.n), label="all"),),
                     resolution=2.0 ** (-n_max), isolated=np.isfinite(self.level))
 
 

@@ -56,6 +56,15 @@ def test_a_saved_matrix_space_reloads_as_the_same_space(tmp_path):
     assert rio.load_space(tmp_path / "rounded.json").points == twin.points
 
 
+def test_cli_eval_refuses_a_space_file_with_a_fractional_exhaustion_member(tmp_path, capsys):
+    doc = rio.space_to_dict(_matrix_twin(rl.builtin_space("line", step=0.5, window=(0, 1))))
+    doc["exhaustion"][0]["members"][0] = 0.5
+    path = tmp_path / "fractional.json"
+    rio.dump_json(doc, path)
+    assert main(["eval", "--space", str(path)]) == 2
+    assert f"space file {path}: compact set member 0.5 is not an integer" in capsys.readouterr().err
+
+
 def _builtin_form_by_tag_list(form):
     # the tag list space_to_dict kept before it asked whether the metric is closed-form
     kind = form.get("form")

@@ -158,7 +158,7 @@ def sot_reference(seq, limit, K_list, eps):
     gap_phi = [space.dmat[g.forward, limit.forward] for g in seq]
     gap_w = [np.abs(g.weight - limit.weight) for g in seq]
     for K in K_list:
-        karr = K.as_array()
+        karr = K.members
         dist_to_inv_K = space.dmat[:, limit.backward[karr]].min(axis=1)
         v = {name: [] for name in names}
         for n0, g in enumerate(seq, start=1):
@@ -265,7 +265,7 @@ def test_preimage_table_matches_direct_minimum(remark_space, monkeypatch, gather
         monkeypatch.setattr(operators, "_GATHER_BYTES", gather_bytes)
     K_list = _repeated_run(remark_space)
     limit = remark25_map(remark_space, 3)
-    karrs = [K.as_array() for K in K_list]
+    karrs = [K.members for K in K_list]
     # the three runs end at K[4], K[9] and K[1], each compact of which the
     # map keeps in size
     for karr in (karrs[4], karrs[7], karrs[8]):

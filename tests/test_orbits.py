@@ -15,7 +15,7 @@ def test_trivial_group_orbit_is_singleton(line_space):
     G = rl.GroupSpec.trivial(line_space)
     orb = orbit_closure(G, (42,))
     assert orb.samples == ((42,),)
-    assert orb.base in orb
+    assert orb.base in orb.samples
 
 
 def test_rational_rotation_orbit_size():
