@@ -84,7 +84,8 @@ def make_group(spec: dict, space: SampledSpace) -> GroupSpec:
         circ = space.factors[0] if lifted else space
         if circ.metric_form.get("form") != "circle":
             raise InputError("rotation group needs a circle or circle-product space")
-        gen = circle_rotation(circ, steps=_rotation_steps(circ, q, "group q"), label=f"rot2pi/{q}")
+        gen = circle_rotation(circ, steps=_rotation_steps(circ, q, "group q"))
+        gen.label = f"rot2pi/{q}"
         return GroupSpec((lift(gen, space, "left") if lifted else gen,), word_cap=word_cap,
                          label=f"rot{q}-lift" if lifted else f"rot{q}")
     if kind == "onepoint_swaps":

@@ -231,6 +231,9 @@ class RenormConfig:
         return self.orbit_enums[i - 1]
 
     def tuple_index(self, start: int, gammas: Sequence[int]) -> TupleIndex:
+        if not 1 <= start <= start + len(gammas) - 1 <= self.base_count:
+            raise ValueError(f"window of {len(gammas)} bases from base {start} "
+                             f"outside bases 1..{self.base_count}")
         pts = []
         for j, g in enumerate(gammas):
             enum = self.orbit_of_base(start + j)

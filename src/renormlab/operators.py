@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import InitVar, dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,18 +84,26 @@ class WeightedComposition:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
+        if f.shape != (self.space.n,):
+            raise ValueError(f"function of shape {f.shape} for {self.space.n} points")
         return self.weight * f[self.forward]
 
     def key(self) -> bytes:
-        return _map_key(self.forward, self.weight)
+        return next(_map_key(self.forward[None], self.weight[None]))
 
     def __repr__(self) -> str:
         return f"WeightedComposition({self.label or 'op'!r} on {self.space.name})"
 
 
-def _map_key(forward: np.ndarray, weight: np.ndarray) -> bytes:
-    """Dedupe key of an operator: its point map and its rounded weight."""
-    return forward.tobytes() + np.round(weight, 12).tobytes()
+def _map_key(forward: np.ndarray, weight: np.ndarray) -> Iterator[bytes]:
+    """Dedupe keys of the rows of ``(B, n)`` point maps and weights: each
+    row's map bytes, then its weight's bytes rounded to 12 decimals, one
+    bytes object per row, cut from one buffer as it is read.  Holding a
+    block's keys at once fragments the heap so that later large temporaries
+    (``bounded.group_norm``'s) page-fault on every call."""
+    keys = np.concatenate([forward, np.round(weight, 12).view(np.intp)], axis=1).view(np.uint8)
+    width, buf = keys.shape[1], keys.tobytes()
+    return (buf[j:j + width] for j in range(0, len(buf), width))
 
 
 def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray) -> list[frozenset[int]]:
@@ -116,13 +124,13 @@ def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.nd
     return out
 
 
-def _snapped(space: SampledSpace, form: dict | None, label: str) -> WeightedComposition | None:
+def _snapped(space: SampledSpace, form: dict | None) -> WeightedComposition | None:
     """The product re-snapped from a composed rotation or translation form,
     or None when the form is neither."""
     if form is not None and form.get("kind") == "rotation":
-        return circle_rotation(space, angle=form["angle"], label=label)
+        return circle_rotation(space, angle=form["angle"])
     if form is not None and form.get("kind") == "translation":
-        return line_translation(space, form["offset"], label=label)
+        return line_translation(space, form["offset"])
     return None
 
 
@@ -136,39 +144,19 @@ def _product_label(h: str, g: str) -> str:
     return f"{h}*{g}" if (h and g) else (h or g)
 
 
-def _composite(h: WeightedComposition, g: WeightedComposition, weight: np.ndarray,
-               forward: np.ndarray, form: dict | None) -> WeightedComposition:
-    # snapping errors of non-isometric maps amplify under composition; the
-    # composite declares its own round-trip defects, measured once
-    backward = h.backward[g.backward]
-    new_defects = _roundtrip_defects(h.space, forward[None], backward[None])[0]
-    return WeightedComposition(
-        space=h.space,
-        weight=weight,
-        forward=forward,
-        backward=backward,
-        label=_product_label(h.label, g.label),
-        form=form,
-        allowed_defects=h.allowed_defects | g.allowed_defects | new_defects,
-        measured_defects=new_defects,
-    )
-
-
 def compose(h: WeightedComposition, g: WeightedComposition) -> WeightedComposition:
     """The product ``hg`` acting as ``f -> h(g(f))``.
 
     The point map composes as ``phi_g o phi_h`` and the weight as
     ``a_h * (a_g o phi_h)``.  When both operands carry compatible rotation
     or translation forms, the composite map is re-snapped from the summed
-    form so that long words do not accumulate grid error.
+    form so that long words do not accumulate grid error.  The product is
+    the one word of a level of the word table (``_next_level``) whose
+    frontier is ``h`` and whose generator is ``g``.
     """
     if not same_space(h.space, g.space):
         raise ValueError("mismatched spaces")
-    form = _compose_forms(h.form, g.form)
-    snapped = _snapped(h.space, form, f"{h.label}*{g.label}")
-    if snapped is not None:
-        return snapped
-    return _composite(h, g, h.weight * g.weight[h.forward], g.forward[h.forward], form)
+    return _next_level(h.space, _WordRows.of([h]), _WordRows.of([g]), set()).operator(h.space, 0)
 
 
 def invert(g: WeightedComposition) -> WeightedComposition:
@@ -229,7 +217,7 @@ def multiplication(space: SampledSpace, weight) -> WeightedComposition:
     return WeightedComposition(space, w, idx, idx, label="mult")
 
 
-def line_translation(space: SampledSpace, offset: float, label: str = "") -> WeightedComposition:
+def line_translation(space: SampledSpace, offset: float) -> WeightedComposition:
     """Translation ``t -> t + offset`` snapped to the grid, clamped at the
     window edges (edge points are declared defects of the truncation)."""
     step = _tag(space, "line", "line_translation requires a line space")["step"]
@@ -244,18 +232,19 @@ def line_translation(space: SampledSpace, offset: float, label: str = "") -> Wei
                           | (idx - shift > n - 1) | (idx - shift < 0))[0].tolist())
     return WeightedComposition(
         space, np.ones(n), fwd, bwd,
-        label=label or f"shift{offset:+g}",
+        label=f"shift{offset:+g}",
         form={"kind": "translation", "offset": shift * step},
         allowed_defects=frozenset(int(i) for i in edge),
     )
 
 
 def circle_rotation(space: SampledSpace, angle: float | None = None,
-                    steps: int | None = None, label: str = "") -> WeightedComposition:
+                    steps: int | None = None) -> WeightedComposition:
     n = _tag(space, "circle", "circle_rotation requires a circle space")["count"]
+    if (angle is None) == (steps is None):
+        raise ValueError(f"circle_rotation needs one of angle and steps, "
+                         f"got angle={angle!r}, steps={steps!r}")
     if steps is None:
-        if angle is None:
-            raise ValueError("need angle or steps")
         if not _finite(angle):
             raise ValueError(f"circle_rotation angle must be a finite number, got {angle!r}")
         exact_angle = angle
@@ -267,7 +256,7 @@ def circle_rotation(space: SampledSpace, angle: float | None = None,
     bwd = (idx - shift) % n
     return WeightedComposition(
         space, np.ones(n), fwd, bwd,
-        label=label or f"rot{exact_angle:+.4g}",
+        label=f"rot{exact_angle:+.4g}",
         form={"kind": "rotation", "angle": exact_angle},
     )
 
@@ -398,8 +387,16 @@ class _WordRows(NamedTuple):
 
     @classmethod
     def concat(cls, parts: Sequence["_WordRows"]) -> "_WordRows":
-        return cls(*(np.concatenate([p[f] for p in parts]) for f in range(3)),
-                   *([x for p in parts for x in p[f]] for f in range(3, 6)))
+        arrays = {f: np.concatenate([getattr(p, f) for p in parts]) for f in ("forward", "weight", "backward")}
+        lists = {f: [x for p in parts for x in getattr(p, f)] for f in ("labels", "forms", "allowed")}
+        return cls(**arrays, **lists)
+
+    def operator(self, space: SampledSpace, r: int) -> WeightedComposition:
+        """Row r as an operator on its arrays; the row's defects were
+        measured and declared as it was built."""
+        return WeightedComposition(space, self.weight[r], self.forward[r], self.backward[r],
+                                   label=self.labels[r], form=self.forms[r],
+                                   allowed_defects=self.allowed[r], measured_defects=self.allowed[r])
 
 
 def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, seen: set[bytes]) -> _WordRows:
@@ -408,13 +405,14 @@ def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, seen:
     generator) order; ``seen`` grows by their keys.
 
     Candidates are taken in blocks of about ``_WORD_BLOCK`` entries per
-    array: one gather composes the block's point maps and weights, and its
-    keys (``_map_key`` of every row) come from one buffer.  A pair whose
-    composed form is a rotation or translation is re-snapped from it
-    (``_snapped``) and keyed as built.  A kept composite must have a
-    positive finite weight, or the first such word raises as its
-    ``WeightedComposition`` would; the round-trip defects of the kept
-    composites are measured in one gather and declared.
+    array: one gather composes the block's point maps and weights, and one
+    ``_map_key`` call keys its rows.  A pair whose composed form is a
+    rotation or translation is re-snapped from it (``_snapped``) and keyed
+    as built.  A kept composite must have a positive finite weight, or the
+    first such word raises as its ``WeightedComposition`` would; the
+    round-trip defects of the kept composites are measured in one gather
+    and declared.  Every word is labelled ``_product_label`` of its
+    frontier word's and its generator's labels.
     """
     n, K = space.n, len(gens.labels)
     total = len(frontier.labels) * K
@@ -427,13 +425,11 @@ def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, seen:
         fwd = np.take(gens.forward, at)
         wt = frontier.weight[h_idx] * np.take(gens.weight, at)
         valid = (np.isfinite(wt) & (wt > 0)).all(axis=1)
-        keys = np.concatenate([fwd.view(np.uint8), np.round(wt, 12).view(np.uint8)], axis=1)
-        width, keys = keys.shape[1], keys.tobytes()
         keep, forms, snaps = [], [], {}
-        for j, (h, g) in enumerate(zip(h_idx.tolist(), g_idx.tolist())):
+        for j, (h, g, key) in enumerate(zip(h_idx.tolist(), g_idx.tolist(), _map_key(fwd, wt))):
             form = _compose_forms(frontier.forms[h], gens.forms[g])
-            c = None if form is None else _snapped(space, form, f"{frontier.labels[h]}*{gens.labels[g]}")
-            key = keys[j * width:(j + 1) * width] if c is None else c.key()
+            c = None if form is None else _snapped(space, form)
+            key = key if c is None else c.key()
             if key in seen:
                 continue
             seen.add(key)
@@ -452,12 +448,11 @@ def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, seen:
         measured = iter(_roundtrip_defects(space, fwd[plain], bwd[plain]))
         labels, allowed = [], []
         for r, (h, g) in enumerate(zip(h_idx.tolist(), g_idx.tolist())):
+            labels.append(_product_label(frontier.labels[h], gens.labels[g]))
             c = snaps.get(r)
             if c is None:
-                labels.append(_product_label(frontier.labels[h], gens.labels[g]))
                 allowed.append(frontier.allowed[h] | gens.allowed[g] | next(measured))
             else:
-                labels.append(c.label)
                 forms[r] = c.form
                 allowed.append(c.allowed_defects)
         parts.append(_WordRows(fwd, wt, bwd, labels, forms, allowed))
@@ -478,6 +473,8 @@ class GroupSpec:
     def __post_init__(self):
         if self.word_cap < 1:
             raise ValueError("word_cap must be at least 1")
+        if not self.generators:
+            raise ValueError("a group needs at least one generator")
         gens = list(self.generators)
         keys = {g.key() for g in gens}
         for g in list(gens):
@@ -492,8 +489,6 @@ class GroupSpec:
 
     @property
     def space(self) -> SampledSpace:
-        if not self.generators:
-            raise ValueError("empty group")
         return self.generators[0].space
 
     @classmethod
@@ -534,12 +529,9 @@ class GroupSpec:
         self._cap(None)
         if self._words is None:
             t = self._table
-            # the objects share one copy of the table, not the table itself;
-            # each row's defects were measured and declared as it was built
-            fwd, wt, bwd = t.forward.copy(), t.weight.copy(), t.backward.copy()
-            self._words = [WeightedComposition(self.space, wt[r], fwd[r], bwd[r], label=label, form=form,
-                                               allowed_defects=allowed, measured_defects=allowed)
-                           for r, (label, form, allowed) in enumerate(zip(t.labels, t.forms, t.allowed))]
+            # the objects share one copy of the table, not the table itself
+            copy = t._replace(forward=t.forward.copy(), weight=t.weight.copy(), backward=t.backward.copy())
+            self._words = [copy.operator(self.space, r) for r in range(len(t.labels))]
         return self._words
 
     def word_table(self, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:

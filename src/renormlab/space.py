@@ -110,8 +110,12 @@ class SampledSpace:
 
     def __post_init__(self):
         n = len(self.points)
-        if len(set(self.points)) != n:
-            raise ValueError("duplicate point ids")
+        index = {p: i for i, p in enumerate(self.points)}  # the last position of each id
+        if len(index) != n:
+            first = next(i for i, p in enumerate(self.points) if index[p] != i)
+            raise ValueError(f"duplicate point id {self.points[first]!r} at positions "
+                             f"{first} and {index[self.points[first]]}")
+        object.__setattr__(self, "_index", index)
         form = self.metric_form
         if self.factors and (form.get("form") != "product"
                              or [f.metric_form for f in self.factors] != [form.get("a"), form.get("b")]):
@@ -149,7 +153,6 @@ class SampledSpace:
             prev = cur
         if prev.size != n:  # n distinct members in range(n) are all of it
             raise ValueError("exhaustion does not cover the sample")
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
 
     def __getattr__(self, name: str):
         # only reached for names not set on the instance: dmat, which the

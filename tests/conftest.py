@@ -26,7 +26,8 @@ def product_space():
 @pytest.fixture(scope="session")
 def rotation_group(product_space):
     circ = product_space.factors[0]
-    gen = circle_rotation(circ, steps=circ.metric_form["count"] // 12, label="rot2pi/12")
+    gen = circle_rotation(circ, steps=circ.metric_form["count"] // 12)
+    gen.label = "rot2pi/12"
     return rl.GroupSpec((lift(gen, product_space, "left"),), word_cap=6, label="rot12")
 
 

@@ -43,10 +43,8 @@ OPTIONS = {
     "operators.WeightedComposition(label)",
     "operators.WeightedComposition(measured_defects)",
     "operators.circle_rotation(angle)",
-    "operators.circle_rotation(label)",
     "operators.circle_rotation(steps)",
     "operators.lift(side)",
-    "operators.line_translation(label)",
     "operators.onepoint_swap_group(count)",
     "operators.onepoint_swap_group(word_cap)",
     "orbits.OrbitClosure(window_clipped)",
@@ -165,7 +163,7 @@ def test_public_options_match_the_table():
     found = public_options()
     assert sorted(found - OPTIONS) == [], "new options: add them to OPTIONS on purpose"
     assert sorted(OPTIONS - found) == [], "removed options: drop them from OPTIONS"
-    assert len(OPTIONS) == 30
+    assert len(OPTIONS) == 28
 
 
 def test_every_public_function_has_a_caller():

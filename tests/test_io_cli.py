@@ -209,6 +209,20 @@ def test_group_file_word_cap_must_be_an_integer(tmp_path, bad):
     assert str(err.value) == f"group file {path}: group word_cap must be an integer >= 1, got {bad!r}"
 
 
+def test_a_group_file_without_generators_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"label": "", "word_cap": 2, "generators": []}))
+    message = f"group file {path}: a group needs at least one generator"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"space": {"builtin": "circle"}, "group": {"file": str(path)},
+                                    "tasks": ["build-config"]}))
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.json"))
+    assert main(["eval", "--space", "circle", "--group", str(path), "--orbits", "c000"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_operator_round_trip(tmp_path):
     sp = rl.builtin_space("line", step=0.1, window=(0, 2))
     op = line_translation(sp, 0.3)

@@ -168,6 +168,18 @@ def test_gamma_cap_trace_monotone(product_cfg):
     assert values[-1] == pytest.approx(triple_norm(x, product_cfg).value)
 
 
+def test_a_window_outside_the_bases_is_refused(product_cfg):
+    count = product_cfg.base_count
+    assert product_cfg.base_tuple(count - 1, 1).start == count - 1
+    for call, (start, length) in ((lambda: product_cfg.tuple_index(0, (0,)), (0, 1)),
+                                  (lambda: product_cfg.tuple_index(count + 1, ()), (count + 1, 0)),
+                                  (lambda: product_cfg.base_tuple(count, 1), (count, 2)),
+                                  (lambda: product_cfg.base_tuple(-1, 3), (-1, 4))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"window of {length} bases from base {start} outside bases 1..{count}")):
+            call()
+
+
 def test_plan_evaluation_rejects_bad_functions(line_cfg):
     points = line_cfg.space.points
     x = np.sin(np.arange(line_cfg.space.n, dtype=float))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -504,6 +505,25 @@ def test_non_finite_angle_or_offset_is_refused_naming_it(angle):
         circle_rotation(rl.builtin_space("circle", count=12), angle=angle)
     with pytest.raises(ValueError, match=f"line_translation offset must be a finite number, got {angle!r}"):
         line_translation(rl.builtin_space("line", step=0.5, window=(0, 1)), angle)
+
+
+@pytest.mark.parametrize("shape", [lambda n: (n + 5,), lambda n: (n - 1,), lambda n: (n, 1), lambda n: ()],
+                         ids=["longer", "shorter", "column", "scalar"])
+def test_apply_refuses_a_function_of_another_shape(line_space, shape):
+    # unchecked, a longer function is cut short, a column broadcasts to
+    # (n, n) and a shorter one is indexed past its end
+    n = line_space.n
+    f = np.zeros(shape(n))
+    with pytest.raises(ValueError, match=re.escape(f"function of shape {f.shape} for {n} points")):
+        line_translation(line_space, 0.5).apply(f)
+
+
+@pytest.mark.parametrize("kwargs", [{"angle": 1.0, "steps": 3}, {}])
+def test_circle_rotation_takes_exactly_one_of_angle_and_steps(kwargs):
+    circle = rl.builtin_space("circle", count=12)
+    got = f"got angle={kwargs.get('angle')!r}, steps={kwargs.get('steps')!r}"
+    with pytest.raises(ValueError, match=f"circle_rotation needs one of angle and steps, {got}"):
+        circle_rotation(circle, **kwargs)
 
 
 def test_unbounded_weight_rejected(line_space):

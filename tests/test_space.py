@@ -123,6 +123,15 @@ def test_builtin_line_window():
     assert sp.exhaustion[-1].members.tolist() == list(range(sp.n))
 
 
+def test_duplicate_point_ids_are_named_with_two_positions():
+    # the .6g ids of a step far below the window's magnitude collide
+    with pytest.raises(ValueError, match=r"duplicate point id 'x\+1' at positions 0 and 49"):
+        builtin_space("line", step=1e-7, window=[1, 1.00001])
+    sp = builtin_space("line", step=0.5, window=(0, 1))
+    with pytest.raises(ValueError, match="duplicate point id 'b' at positions 1 and 2"):
+        dataclasses.replace(sp, points=("a", "b", "b"), metric_form={"form": "matrix"}, dmat=sp.dmat)
+
+
 def test_builtin_unknown_name():
     with pytest.raises(ValueError, match="unknown builtin"):
         builtin_space("klein_bottle")

@@ -1,6 +1,7 @@
 """The one word table of a group against the per-word and per-cap loops
 that its consumers ran before they read it."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -9,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
+from renormlab import io as rio
 from renormlab import operators
 from renormlab.bounded import group_norm, m_weight
 from renormlab.operators import (
     WeightedComposition,
-    _composite,
     _compose_forms,
-    _map_key,
-    _snapped,
+    _roundtrip_defects,
     circle_rotation,
     identity,
     interval_flip,
@@ -26,6 +26,52 @@ from renormlab.operators import (
     remark25_sequence,
 )
 from renormlab.orbits import orbit_closure
+
+
+def _map_key(forward, weight):
+    return forward.tobytes() + np.round(weight, 12).tobytes()
+
+
+def _label(h, g):
+    return f"{h}*{g}" if (h and g) else (h or g)
+
+
+def _snapped(space, form, label):
+    if form is not None and form.get("kind") == "rotation":
+        op = circle_rotation(space, angle=form["angle"])
+    elif form is not None and form.get("kind") == "translation":
+        op = line_translation(space, form["offset"])
+    else:
+        return None
+    op.label = label
+    return op
+
+
+def _composite(h, g, weight, forward, form):
+    # snapping errors of non-isometric maps amplify under composition; the
+    # composite declares its own round-trip defects, measured once
+    backward = h.backward[g.backward]
+    new_defects = _roundtrip_defects(h.space, forward[None], backward[None])[0]
+    return WeightedComposition(
+        space=h.space,
+        weight=weight,
+        forward=forward,
+        backward=backward,
+        label=_label(h.label, g.label),
+        form=form,
+        allowed_defects=h.allowed_defects | g.allowed_defects | new_defects,
+        measured_defects=new_defects,
+    )
+
+
+def _compose(h, g):
+    # the scalar product of one pair: re-snapped from a rotation or
+    # translation form, else composed point by point
+    form = _compose_forms(h.form, g.form)
+    snapped = _snapped(h.space, form, _label(h.label, g.label))
+    if snapped is not None:
+        return snapped
+    return _composite(h, g, h.weight * g.weight[h.forward], g.forward[h.forward], form)
 
 
 def _enumerate_per_word(group):
@@ -45,7 +91,7 @@ def _enumerate_per_word(group):
                 # a composite is built, and its defects measured, only
                 # when its key is new; re-snapped forms are keyed as built
                 form = _compose_forms(w.form, g.form)
-                c = _snapped(w.space, form, f"{w.label}*{g.label}")
+                c = _snapped(w.space, form, _label(w.label, g.label))
                 if c is None:
                     weight, forward = w.weight * g.weight[w.forward], g.forward[w.forward]
                     k = _map_key(forward, weight)
@@ -269,3 +315,60 @@ def test_first_bad_composite_weight_raises_as_the_oracle(onepoint_space, scale):
         assert str(batched.value) == str(oracle.value)
     # a good level 1 of the same group
     _assert_matches_oracle(rl.GroupSpec(group.generators, word_cap=1), scale)
+
+
+@pytest.fixture(scope="module")
+def compose_pools(rotation_group, product_space, line_space, onepoint_space, tmp_path_factory):
+    # operators on one space per pool: snapped forms, edge defects, weights
+    # that overflow or underflow when squared, and reloaded empty labels
+    circ, seg = product_space.factors
+    folder = tmp_path_factory.mktemp("ops")
+
+    def reloaded(op):
+        path = folder / f"{len(list(folder.iterdir()))}.json"
+        rio.save_operator(op, path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "label": ""}))
+        return rio.load_operator(path, op.space)
+
+    words = rotation_group.words()
+    pools = {
+        "rot12 lift": [*words[:6], operators.lift(interval_flip(seg), product_space, "right"),
+                       reloaded(words[3]), multiplication(product_space, 1.5)],
+        "plain circle": [circle_rotation(circ, angle=1.0), circle_rotation(circ, angle=-0.3),
+                         circle_rotation(circ, steps=5), reloaded(circle_rotation(circ, angle=1.0)),
+                         reloaded(circle_rotation(circ, steps=2)), multiplication(circ, 2.0)],
+        "line edges": [line_translation(line_space, 0.5), line_translation(line_space, -7.25),
+                       line_translation(line_space, 19.995), reloaded(line_translation(line_space, 3.0)),
+                       multiplication(line_space, 0.5), identity(line_space)],
+        "onepoint swaps": [onepoint_swap(onepoint_space, 1), onepoint_swap(onepoint_space, 50),
+                           reloaded(onepoint_swap(onepoint_space, 7)), multiplication(onepoint_space, 1e200),
+                           multiplication(onepoint_space, 1e-200)],
+    }
+    for ops in pools.values():
+        ops.extend(operators.invert(op) for op in list(ops))
+    return pools
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_compose_matches_the_scalar_product(compose_pools, data):
+    pool = compose_pools[data.draw(st.sampled_from(sorted(compose_pools)))]
+    h, g = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    try:
+        oracle = _compose(h, g)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            rl.compose(h, g)
+        assert "must be positive and finite" in str(exc)
+        assert str(got.value) == str(exc)
+        return
+    got = rl.compose(h, g)
+    for field in ("forward", "backward", "weight"):
+        a, b = getattr(got, field), getattr(oracle, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert (got.form, got.allowed_defects, got.key()) == (oracle.form, oracle.allowed_defects, oracle.key())
+    assert got.key() == _map_key(oracle.forward, oracle.weight)
+    # one label rule, re-snapped or not: an empty label drops out
+    assert got.label == oracle.label == _label(h.label, g.label)
