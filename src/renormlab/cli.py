@@ -219,10 +219,10 @@ def task_dual_suite(cfg: RenormConfig, tuple_budget: int, grid: int) -> dict:
             if picked >= tuple_budget:
                 break
             t = cfg.base_tuple(start, n)
-            # every call solves the same system; the first one's a(t) is the fingerprint
-            duals = [dual_norm_atoms(t, np.full(n + 1, b), cfg) for b in betas]
-            fp = duals[0][1]
-            vals = [v for v, _ in duals]
+            # one solve: a(t) is the fingerprint, and each beta's value is
+            # beta . a(t), the float dual_norm_atoms returns for it
+            fp = dual_norm_atoms(t, np.full(n + 1, betas[0]), cfg)[1]
+            vals = [float(np.full(n + 1, b) @ fp) for b in betas]
             if not all(0.8 * (n + 1) * 0.8 - 1e-9 <= v <= (n + 1) + 1e-9 for v in vals):
                 ok = False
             if any(b2 < b1 - 1e-12 for b1, b2 in zip(vals, vals[1:])):

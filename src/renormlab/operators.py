@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .space import CompactSet, Metric, SampledSpace, _finite, same_space
+from .space import CompactSet, SampledSpace, _finite, same_space
 
 log = logging.getLogger(__name__)
 
@@ -575,58 +575,38 @@ def _tail_threshold(violations: Sequence[int], horizon: int) -> int | None:
     return last + 1
 
 
-# bytes of one distance block of _preimage_distances: a block of rows times
-# the columns of one run of compacts
-_GATHER_BYTES = 1 << 18
+# entries of one (stages, members) block of check_sot_convergence's fields:
+# 64 KB of float64, under glibc's default 128 KB mmap threshold, so a block's
+# temporaries reuse heap pages where larger ones would map and fault in fresh
+# pages (3,055 minor faults per check on the shipped remark25 gallery at 2 MB
+# blocks, 383 at 64 KB)
+_STAGE_BLOCK = 1 << 13
 
 
-def _preimage_distances(metric: Metric, backward: np.ndarray, karrs: Sequence[np.ndarray]) -> np.ndarray:
-    """The (n, len(karrs)) table whose column k is the distance from every
-    point to ``backward[karrs[k]]``: the min of the distances to those
-    points.
+def _nested_runs(karrs: Sequence[np.ndarray], n: int) -> list[tuple[int, int]]:
+    """(first, end) of each maximal run of compacts, of an n-point space, in
+    which every compact contains the one before; a compact that does not
+    starts a new run."""
+    starts, held = [0], np.zeros(n, dtype=bool)
+    for k in range(1, len(karrs)):
+        held[karrs[k]] = True
+        if not held[karrs[k - 1]].all():
+            starts.append(k)
+        held[karrs[k]] = False
+    return list(zip(starts, starts[1:] + [len(karrs)]))
 
-    The compacts ``karrs`` split into maximal nested runs.  Within a run
-    each compact's columns contain the previous compact's, so each compact
-    adds only its fresh columns; a compact whose columns do not contain the
-    previous ones starts a new run with all of its own.  The fresh columns
-    of a run are concatenated once, and each block of rows (about
-    ``_GATHER_BYTES``) is computed at them as in ``metric.cross``, reduced to
-    one min per compact with ``reduceat`` and folded along the run with
-    ``accumulate``.  Every block is written into one buffer per call, so no
-    block maps and faults in fresh pages.  A compact with no fresh column
-    (a repeat) carries the previous compact's column.  Every entry is a min
-    over the same columns as a direct ``dmat[:, cols].min(axis=1)``, so the
-    table is exact.
-    """
-    n = metric.n
-    table = np.empty((n, len(karrs)))
-    runs: list[tuple[int, list[np.ndarray]]] = []  # (first k, fresh columns per compact)
-    reached = np.zeros(n, dtype=bool)  # columns of the previous compact
-    for k, karr in enumerate(karrs):
-        mask = np.zeros(n, dtype=bool)
-        mask[backward[karr]] = True
-        if k == 0 or (reached & ~mask).any():  # not nested: a new run
-            runs.append((k, []))
-            reached = np.zeros(n, dtype=bool)
-        runs[-1][1].append(np.flatnonzero(mask & ~reached))
-        reached = mask
-    # a block is at most _GATHER_BYTES, or one row of at most n columns
-    buf = np.empty(max(min(_GATHER_BYTES // 8, n * n), n))
-    idx = np.arange(n)
-    for k0, segments in runs:
-        sizes = np.array([seg.size for seg in segments])
-        cols = np.concatenate(segments)
-        starts = (np.cumsum(sizes) - sizes)[sizes > 0]
-        # reduced column of each compact: its own, or a repeat's predecessor's
-        carry = np.cumsum(sizes > 0) - 1
-        rows = max(1, _GATHER_BYTES // (8 * cols.size))
-        for r in range(0, n, rows):
-            block = idx[r:r + rows]
-            out = buf[:block.size * cols.size].reshape(block.size, cols.size)
-            mins = np.minimum.reduceat(metric._cross(block, cols, out), starts, axis=1)
-            np.minimum.accumulate(mins, axis=1, out=mins)
-            table[r:r + rows, k0:k0 + len(segments)] = mins[:, carry]
-    return table
+
+def _covered(start: np.ndarray, stop: np.ndarray, width: int) -> np.ndarray:
+    """The (B, width) mask of the compacts 0..width-1 of a run that row b
+    covers with some interval [start[j], stop[b, j]): a difference array per
+    row, +1 at each nonempty interval's start and -1 at its stop, summed
+    along the row."""
+    flat = np.flatnonzero(start < stop)  # a 2-D nonzero scans many times slower
+    rows, cols = np.divmod(flat, start.size)
+    at, size = rows * (width + 1), len(stop) * (width + 1)
+    diff = (np.bincount(at + start[cols], minlength=size)
+            - np.bincount(at + stop.ravel()[flat], minlength=size))
+    return np.cumsum(diff.reshape(len(stop), width + 1), axis=1)[:, :width] > 0
 
 
 def check_sot_convergence(
@@ -647,61 +627,79 @@ def check_sot_convergence(
     within the sampled horizon; the reported witness is the earliest
     violating (stage, compact, point) otherwise.
 
-    The distance to the limit's preimage of K is a min over the points
-    ``limit.backward[K]``; all of them come from one sweep of row blocks of
-    the metric (see ``_preimage_distances``).  The stages of one compact are
-    checked in one gather.
+    The distance to the limit's preimage S_k = ``limit.backward[K_k]`` of
+    each compact is a column of ``metric.set_distances``.  The compacts
+    split into maximal nested runs (``_nested_runs``), each checked in
+    blocks of stages over the points of its last compact, with no gather
+    per compact.  Within a run K_k grows, so S_k grows with it, and the
+    column d(., S_k), a min over a superset of the same floats, does not
+    increase with k.  With e(x) the first compact of the run that holds x
+    and F(y) the first with d(y, S_k) <= eps, stage s violates on compact k
+
+    - ``inverse_images`` for each point x whose preimage b_s(x) is too far,
+      exactly the compacts in [e(x), F(b_s(x)));
+    - ``phi_uniform`` and ``weight_uniform`` for each point x whose gap
+      exceeds eps, every compact from e(x) on.
+
+    One difference array per stage (``_covered``) turns these intervals
+    into the compacts each stage violates.  The thresholds read only each
+    compact's last violating stage; the witness is the first largest gap,
+    in ``members`` order, at the earliest (stage, compact), computed there.
     """
     if not seq:
         raise ValueError("empty operator sequence")
-    space = limit.space
+    space, metric = limit.space, limit.space.metric
     weight_bound = max(float(g.weight.max()) for g in seq)
     if not math.isfinite(weight_bound):
         raise ValueError("uniform boundedness violated")
     horizon = len(seq)
 
-    reports = []
-    # per condition, each violating compact's first violating stage
-    witnesses: dict[str, list[tuple]] = {"phi_uniform": [], "weight_uniform": [], "inverse_images": []}
-    thresholds: dict[str, dict] = {"phi_uniform": {}, "weight_uniform": {}, "inverse_images": {}}
-
-    # (stage, point) gap fields over the whole space; per-compact checks
-    # reduce to column gathers against these
-    gap_phi = space.metric.pair(np.stack([g.forward for g in seq]), limit.forward)
-    gap_w = np.abs(np.stack([g.weight for g in seq]) - limit.weight)
-    backward = np.stack([g.backward for g in seq])
-
     karrs = [K.members for K in K_list]
-    dist_to_inv = _preimage_distances(space.metric, limit.backward, karrs)
-    # each compact's (stage, member) gathers reuse two buffers, so no compact
-    # maps and faults in fresh pages.  mode="wrap" writes straight into them
-    # (the default mode copies through a temporary); it changes no result,
-    # as every index is in range: _preimage_distances has indexed by each
-    # karr, and operators index by their backward maps when built
-    size = horizon * max((karr.size for karr in karrs), default=0)
-    vals, pts = np.empty(size), np.empty(size, dtype=np.intp)
-    for k, (K, karr) in enumerate(zip(K_list, karrs)):
-        shape, m = (horizon, karr.size), horizon * karr.size
-        out = vals[:m].reshape(shape)
-        images = np.take(backward, karr, axis=1, out=pts[:m].reshape(shape), mode="wrap")
-        for name, field, at, axis in (("phi_uniform", gap_phi, karr, 1),
-                                      ("weight_uniform", gap_w, karr, 1),
-                                      ("inverse_images", dist_to_inv[:, k], images, None)):
-            gap = np.take(field, at, axis=axis, out=out, mode="wrap")
-            worst = gap.argmax(axis=1)  # the first largest gap of each stage
-            stages = np.flatnonzero(gap[np.arange(len(gap)), worst] > eps)
-            if stages.size:
-                # a compact's witnesses share its label and differ in stage,
-                # so its least is its first violating stage
-                s = int(stages[0])
-                witnesses[name].append((s + 1, K.label, space.points[int(karr[worst[s]])]))
-            thresholds[name][K.label] = _tail_threshold((stages + 1).tolist(), horizon)
+    table = metric.set_distances([limit.backward[karr] for karr in karrs])
+    # per condition and compact, the first and the last violating stage
+    # (from 0); horizon and -1 when none
+    first = np.full((3, len(karrs)), horizon)
+    last = np.full((3, len(karrs)), -1)
+    for k0, k1 in _nested_runs(karrs, space.n):
+        width, top = k1 - k0, karrs[k1 - 1]  # the run's last compact holds all of it
+        enter = np.empty(space.n, dtype=np.intp)
+        for k in range(k1 - 1, k0 - 1, -1):
+            enter[karrs[k]] = k - k0
+        enter = enter[top]  # e(x), from the run's first compact
+        reach = np.count_nonzero(table[:, k0:k1] > eps, axis=1)  # F(y), as the columns fall
+        step, fwd_lim, wt_lim = max(1, _STAGE_BLOCK // top.size), limit.forward[top], limit.weight[top]
+        for a in range(0, horizon, step):
+            block = seq[a:a + step]
+            fwd = np.stack([g.forward[top] for g in block])
+            wt = np.stack([g.weight[top] for g in block])
+            bwd = np.stack([g.backward[top] for g in block])
+            stops = (np.where(metric.pair(fwd, fwd_lim) > eps, width, enter),
+                     np.where(np.abs(wt - wt_lim) > eps, width, enter),
+                     reach[bwd])
+            stages = np.arange(a, a + len(block))[:, None]
+            for c, stop in enumerate(stops):
+                hit = _covered(enter, stop, width)
+                np.minimum(first[c, k0:k1], np.where(hit, stages, horizon).min(axis=0), out=first[c, k0:k1])
+                np.maximum(last[c, k0:k1], np.where(hit, stages, -1).max(axis=0), out=last[c, k0:k1])
 
-    for name in ("phi_uniform", "weight_uniform", "inverse_images"):
-        th = thresholds[name]
+    reports = []
+    for c, name in enumerate(("phi_uniform", "weight_uniform", "inverse_images")):
+        th = {K.label: _tail_threshold([] if s < 0 else [s + 1], horizon)
+              for K, s in zip(K_list, last[c].tolist())}
         passed = all(v is not None for v in th.values())
-        first_witness = min(witnesses[name]) if (not passed and witnesses[name]) else None
-        reports.append(ConditionReport(name=name, passed=passed, thresholds=th, witness=first_witness))
+        witness = None
+        if not passed:
+            # the least witness is at the earliest stage, among its compacts
+            s = int(first[c].min())
+            g, candidates = seq[s], []
+            for k in np.flatnonzero(first[c] == s).tolist():
+                at = karrs[k]
+                gap = (metric.pair(g.forward[at], limit.forward[at]) if c == 0
+                       else np.abs(g.weight[at] - limit.weight[at]) if c == 1
+                       else table[g.backward[at], k])
+                candidates.append((s + 1, K_list[k].label, space.points[int(at[gap.argmax()])]))
+            witness = min(candidates)
+        reports.append(ConditionReport(name=name, passed=passed, thresholds=th, witness=witness))
 
     inv_maps = [g.backward for g in seq]
     moreover = True

@@ -197,6 +197,10 @@ class SampledSpace:
 # tiles (1 MB) stays in cache while one of them is read in transposed order
 _SYMMETRY_TILE = 256
 
+# bytes of one distance block of Metric.set_distances' sweep: a block of rows
+# times the columns of one run of sets
+_GATHER_BYTES = 1 << 18
+
 
 def _tile_walk(dmat: np.ndarray, points: Sequence[str]) -> None:
     """The constructor's checks on a given matrix: finite, symmetric (at
@@ -238,9 +242,10 @@ class Metric:
     """The distances of an n-point sample, computed where a reader asks.
 
     ``pair(I, J)`` is d(I, J) elementwise over broadcast index arrays,
-    ``cross(I, J)`` the block d(I[:, None], J[None, :]), ``diameter`` the
-    largest distance and ``dense`` the full (n, n) matrix, built on first
-    read and read-only.  A closed-form metric computes every entry from
+    ``cross(I, J)`` the block d(I[:, None], J[None, :]), ``set_distances``
+    the distances from every point to each of a list of sets, ``diameter``
+    the largest distance and ``dense`` the full (n, n) matrix, built on
+    first read and read-only.  A closed-form metric computes every entry from
     O(n) coordinate arrays, bitwise equal to the entry of its ``dense``; the
     matrix-form metric wraps the matrix that the constructor checked.
     """
@@ -261,6 +266,54 @@ class Metric:
 
     def _pair(self, I: np.ndarray, J: np.ndarray, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def set_distances(self, sets: Sequence[np.ndarray]) -> np.ndarray:
+        """The (n, len(sets)) table whose column k is the distance from every
+        point to the points ``sets[k]`` (an index array; repeats allowed):
+        the min of the distances to them, bitwise a direct
+        ``dense[:, sets[k]].min(axis=1)``.
+
+        This default sweeps row blocks.  The sets split into maximal nested
+        runs: within a run each set contains the previous one, so each set
+        adds only its fresh columns; a set that does not contain the previous
+        one starts a new run with all of its own.  The fresh columns of a run
+        are concatenated once, and each block of rows (about
+        ``_GATHER_BYTES``) is computed at them as in ``cross``, reduced to
+        one min per set with ``reduceat`` and folded along the run with
+        ``accumulate``.  Every block is written into one buffer per call, so
+        no block maps and faults in fresh pages.  A set with no fresh column
+        (a repeat) carries the previous set's column.  Every entry is a min
+        over the same columns as the direct one, so the table is exact.
+        """
+        n = self.n
+        table = np.empty((n, len(sets)))
+        runs: list[tuple[int, list[np.ndarray]]] = []  # (first k, fresh columns per set)
+        reached = np.zeros(n, dtype=bool)  # columns of the previous set
+        for k, s in enumerate(sets):
+            mask = np.zeros(n, dtype=bool)
+            mask[s] = True
+            if k == 0 or (reached & ~mask).any():  # not nested: a new run
+                runs.append((k, []))
+                reached = np.zeros(n, dtype=bool)
+            runs[-1][1].append(np.flatnonzero(mask & ~reached))
+            reached = mask
+        # a block is at most _GATHER_BYTES, or one row of at most n columns
+        buf = np.empty(max(min(_GATHER_BYTES // 8, n * n), n))
+        idx = np.arange(n)
+        for k0, segments in runs:
+            sizes = np.array([seg.size for seg in segments])
+            cols = np.concatenate(segments)
+            starts = (np.cumsum(sizes) - sizes)[sizes > 0]
+            # reduced column of each set: its own, or a repeat's predecessor's
+            carry = np.cumsum(sizes > 0) - 1
+            rows = max(1, _GATHER_BYTES // (8 * cols.size))
+            for r in range(0, n, rows):
+                block = idx[r:r + rows]
+                out = buf[:block.size * cols.size].reshape(block.size, cols.size)
+                mins = np.minimum.reduceat(self._cross(block, cols, out), starts, axis=1)
+                np.minimum.accumulate(mins, axis=1, out=mins)
+                table[r:r + rows, k0:k0 + len(segments)] = mins[:, carry]
+        return table
 
     @cached_property
     def diameter(self) -> float:
@@ -519,6 +572,18 @@ class _Dyadic(Metric):
         np.maximum(self.q[I], self.q[J], out=out)
         np.copyto(out, 0.0, where=I == J)
         return out
+
+    def set_distances(self, sets: Sequence[np.ndarray]) -> np.ndarray:
+        """Closed form, O(n) per set: d(i, S) is 0 on S and ``max(q_i,
+        min q[S])`` off it.  For i outside S that is exactly the sweep's min
+        of ``max(q_i, q_j)`` over j in S, since ``max(q_i, .)`` is monotone
+        and max and min return one of their floats.  Each column is
+        contiguous, so the table is the transpose of a (sets, n) array."""
+        table = np.empty((len(sets), self.n))
+        for row, s in zip(table, sets):
+            np.maximum(self.q, self.q[s].min(), out=row)
+            row[s] = 0.0
+        return table.T
 
     @cached_property
     def diameter(self) -> float:

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import renormlab as rl
+from renormlab import bounded
 from renormlab.bounded import conjugate, group_norm, m_weight
 from renormlab.operators import GroupSpec, WeightedComposition, circle_rotation, identity
 
@@ -159,3 +161,23 @@ def test_conjugate_accepts_an_operator_on_an_equal_space_and_refuses_others():
                    (identity(twin), trivial)):
         with pytest.raises(ValueError, match="operator and group act on different spaces"):
             conjugate(g, bgn)
+
+
+@pytest.mark.parametrize("block", [None, 101 * 7, 101 * 1275, 1])
+def test_group_norm_blocks_equal_the_direct_formula(onepoint_space, swap_group, monkeypatch, block):
+    # the default block, 7 rows (1,276 is no multiple of 7), all rows but
+    # one, and one row per block
+    if block is not None:
+        monkeypatch.setattr(bounded, "_NORM_BLOCK", block)
+    bgn = m_weight(swap_group)
+    forward, weight = swap_group.word_table()
+    rows = max(1, bounded._NORM_BLOCK // onepoint_space.n)
+    assert rows == 1 or len(forward) % rows != 0
+    rng = np.random.default_rng(41)
+    for k in range(12):
+        x = rng.uniform(-1, 1, size=onepoint_space.n) * (rng.uniform(size=onepoint_space.n) < 0.1 * k)
+        direct = np.max(np.abs(weight * x[forward]))
+        assert np.float64(group_norm(x, bgn).sup_over_words).tobytes() == direct.tobytes()
+    x[3] = np.nan  # a NaN in x is the sup, as it is the direct formula's
+    assert math.isnan(np.max(np.abs(weight * x[forward])))
+    assert math.isnan(group_norm(x, bgn).sup_over_words)

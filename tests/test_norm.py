@@ -1007,3 +1007,19 @@ def test_last_slot_classes_follow_sorted_rows_per_window():
     oracle = ClassRegistry([np.arange(6)])
     assert last_slot_weights(oracle, bc, starts, idx).tobytes() == weights.tobytes()
     assert list(oracle.to_records(range(6))) == records
+
+
+def test_dual_suite_solves_each_tuple_once(line_cfg, monkeypatch):
+    from renormlab import cli, norm
+
+    sizes = []
+    solve = norm.solve_unit
+    monkeypatch.setattr(norm, "solve_unit", lambda T: sizes.append(T.size) or solve(T))
+    report = cli.task_dual_suite(line_cfg, tuple_budget=6, grid=5)
+    entries = report["entries"]
+    assert [len(e["tuple"]) for e in entries] == sizes  # one solve per tuple, of its size
+    # each beta's value is the one a solve per beta gives
+    for e in entries:
+        t = line_cfg.window_tuple([line_cfg.space.index(p) for p in e["tuple"]])
+        betas = np.linspace(0.8, 1.0, 5)
+        assert e["values"] == [dual_norm_atoms(t, np.full(len(e["tuple"]), b), line_cfg)[0] for b in betas]

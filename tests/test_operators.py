@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
-from renormlab import operators
+from renormlab import cli, operators
+from renormlab import space as space_mod
 from renormlab.operators import (
     ConditionReport,
     SOTVerdict,
-    _preimage_distances,
     _tail_threshold,
     check_local_equicontinuity,
     check_sot_convergence,
@@ -214,7 +214,28 @@ def _rotation_case():
     return circ, seq, circle_rotation(circ, steps=5), arcs + list(circ.exhaustion)
 
 
-_SOT_CASES = [_remark25_case(), _remark25_moved_limit_case(), _rotation_case()]
+def _onepoint_case():
+    """Swaps of onepoint01N, whose weights 2 and 1/2 move out along the
+    rows, against the identity, on nested sets that grow along both rows."""
+    sp = rl.builtin_space("onepoint01N", n_max=9)
+    grow = [sp.compact(np.r_[0:m, 9:9 + m], f"C{m}") for m in (1, 3, 6)]
+    return sp, [onepoint_swap(sp, n) for n in range(1, 10)], identity(sp), grow + list(sp.exhaustion)
+
+
+def _remark25_matrix_case():
+    """The moved-limit remark25 case on a matrix-form twin of its space,
+    whose set distances come from the sweep, not the closed form."""
+    sp, seq, limit, nested = _remark25_moved_limit_case()
+    twin = dataclasses.replace(sp, metric_form={"form": "matrix"})
+
+    def on_twin(g):
+        return operators.WeightedComposition(twin, g.weight, g.forward, g.backward,
+                                             allowed_defects=g.allowed_defects)
+    return twin, [on_twin(g) for g in seq], on_twin(limit), [twin.compact(K.members, K.label) for K in nested]
+
+
+_SOT_CASES = [_remark25_case(), _remark25_moved_limit_case(), _rotation_case(), _onepoint_case(),
+              _remark25_matrix_case()]
 
 
 @st.composite
@@ -260,22 +281,47 @@ def _repeated_run(sp):
 
 @pytest.mark.parametrize("gather_bytes", [None, 1, 8 * 1000, 8 * 76 * 7])
 def test_preimage_table_matches_direct_minimum(remark_space, monkeypatch, gather_bytes):
-    # row blocks of 1 row, of a few rows, and the default block, none of
+    # the default sweep of Metric.set_distances, on a metric that overrides
+    # it: row blocks of 1 row, of a few rows, and the default block, none of
     # which divides n
     if gather_bytes is not None:
-        monkeypatch.setattr(operators, "_GATHER_BYTES", gather_bytes)
+        monkeypatch.setattr(space_mod, "_GATHER_BYTES", gather_bytes)
     K_list = _repeated_run(remark_space)
     limit = remark25_map(remark_space, 3)
-    karrs = [K.members for K in K_list]
+    sets = [limit.backward[K.members] for K in K_list]
     # the three runs end at K[4], K[9] and K[1], each compact of which the
     # map keeps in size
-    for karr in (karrs[4], karrs[7], karrs[8]):
-        rows = max(1, operators._GATHER_BYTES // (8 * np.unique(limit.backward[karr]).size))
+    for s in (sets[4], sets[7], sets[8]):
+        rows = max(1, space_mod._GATHER_BYTES // (8 * np.unique(s).size))
         assert rows == 1 or remark_space.n % rows != 0
-    table = _preimage_distances(remark_space.metric, limit.backward, karrs)
-    for k, karr in enumerate(karrs):
-        direct = remark_space.dmat[:, np.unique(limit.backward[karr])].min(axis=1)
+    table = space_mod.Metric.set_distances(remark_space.metric, sets)
+    for k, s in enumerate(sets):
+        direct = remark_space.dmat[:, np.unique(s)].min(axis=1)
         assert table[:, k].tobytes() == direct.tobytes(), k
+
+
+def _set_lists(sp):
+    """Nested, repeated and non-nested lists of compacts of a dyadic space."""
+    K, n = sp.exhaustion, sp.n
+    if len(K) > 1:  # remark25
+        return [list(K), _repeated_run(sp), [K[5], K[1], K[3], K[3], K[0]]]
+    half = (n - 1) // 2  # onepoint01N: (0, k) at k - 1, (1, k) at half + k - 1, inf last
+    grow = [sp.compact(np.r_[0:m, half:half + m], f"C{m}") for m in (1, 4, 9)]
+    return [grow + [K[0]], [grow[1], grow[1], K[0], grow[0], grow[2]],
+            [sp.compact([n - 1], "inf"), sp.compact([0, 3], "pair")]]
+
+
+@pytest.mark.parametrize("kind", ["remark25", "onepoint01N"])
+def test_dyadic_set_distances_equal_the_sweep(kind):
+    sp = rl.builtin_space(kind, n_max=20)
+    limits = [identity(sp)] + ([remark25_map(sp, 3)] if kind == "remark25" else [onepoint_swap(sp, 4)])
+    for K_list, limit in itertools.product(_set_lists(sp), limits):
+        sets = [limit.backward[K.members] for K in K_list]
+        closed = sp.metric.set_distances(sets)
+        swept = space_mod.Metric.set_distances(sp.metric, sets)
+        assert closed.shape == swept.shape == (sp.n, len(sets))
+        for k in range(len(sets)):
+            assert closed[:, k].tobytes() == swept[:, k].tobytes(), (kind, k)
 
 
 def test_sot_matches_reference_on_repeated_compacts(remark_space):
@@ -283,6 +329,17 @@ def test_sot_matches_reference_on_repeated_compacts(remark_space):
     K_list = _repeated_run(remark_space)
     for eps in (0.01, 0.3):
         assert check_sot_convergence(seq, lim, K_list, eps) == sot_reference(seq, lim, K_list, eps)
+
+
+def test_sot_gallery_at_n_max_200_builds_no_dense_matrix(monkeypatch):
+    # 40,201 points: the matrix would be 12.9 GB; every distance the
+    # gallery reads comes from coordinates
+    def refuse(metric):
+        raise AssertionError(f"dense matrix of {metric.n} points built")
+
+    monkeypatch.setattr(space_mod.Metric, "dense", property(refuse))
+    report = cli.task_sot_gallery(rl.builtin_space("remark25", n_max=200), 0.01)
+    assert report["ok"]
 
 
 def test_sot_remark25_explicit_function(remark_space):
