@@ -1,14 +1,14 @@
 """Certify whether a weighted composition is an isometry of the renormed
 space.
 
-The criterion is executable: the weight must be one, each base orbit must
-map into itself, and each tested base tuple's image must lie in the
-tuple's class, compared by canonical key (the smallest word image) in the
-registry's own terms but without writing to it.  A mismatch is a witness
-of kind ``fingerprint`` that names the tuple, its image and, for a class
-mismatch, both classes' representatives as point ids.  A candidate is
-certified only when an enumerated group word matches its point map on
-every sample point; inconclusive is a first-class outcome at finite caps.
+The criterion is executable: the weight must be one, and each tested base
+tuple's image must lie in the tuple's class, compared by canonical key (the
+smallest word image) in the registry's own terms but without writing to
+it.  A mismatch is a witness of kind ``fingerprint`` that names the tuple,
+its image and, for a class mismatch, both classes' representatives as
+point ids.  A candidate is certified only when an enumerated group word
+matches its point map on every sample point; inconclusive is a
+first-class outcome at finite caps.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class WeightReport:
     weight_ok: bool
     max_weight_deviation: float
     weight_witness: str | None
-    orbit_containment: list[tuple[int, bool, float]]  # (base index, ok, worst escape)
 
 
 @dataclass
@@ -68,35 +67,12 @@ class IsometryVerdict:
 
 
 def check_weight_one(T: WeightedComposition, cfg: RenormConfig) -> WeightReport:
-    """Examine the candidate weight against one at tolerance 1e-9, and test
-    each base orbit for mapping into itself at tolerance."""
+    """Examine the candidate weight against one at tolerance 1e-9."""
     tol = 1e-9
     dev = np.abs(T.weight - 1.0)
     max_dev = float(dev.max())
     witness = cfg.space.points[int(dev.argmax())] if max_dev > tol else None
-
-    # escape of a base orbit: the largest distance from the image of one of
-    # its points to the orbit.  An image whose nearest slot lies on the
-    # point's own orbit is that slot's distance from the orbit; only when
-    # some image misses are the orbit's blocks of point pairs gathered
-    rows, cols, row_start, orbit_start = cfg.orbit_pairs
-    images = T.forward[rows[row_start]]
-    own = np.zeros(len(row_start), dtype=np.intp)
-    own[orbit_start] = 1
-    if not (cfg.slot_base[images] != own.cumsum()).any():
-        nearest = cfg.slot_dist[images]
-    else:
-        nearest = np.minimum.reduceat(cfg.space.dmat[T.forward[rows], cols], row_start)
-    escapes = np.maximum.reduceat(nearest, orbit_start).tolist()
-    tol_orbit = 2 * cfg.space.resolution
-    containment = [(bi, e <= tol_orbit, e) for bi, e in enumerate(escapes, start=1)]
-
-    return WeightReport(
-        weight_ok=max_dev <= tol,
-        max_weight_deviation=max_dev,
-        weight_witness=witness,
-        orbit_containment=containment,
-    )
+    return WeightReport(weight_ok=max_dev <= tol, max_weight_deviation=max_dev, weight_witness=witness)
 
 
 def _orbit_checks(T: WeightedComposition, cfg: RenormConfig, depth: int) -> list[TupleCheck]:

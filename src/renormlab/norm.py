@@ -214,10 +214,6 @@ class RenormConfig:
     heads: WindowPlan = field(repr=False)
     # 1 / lambda_i of every base point (0-based)
     inv_lam: np.ndarray = field(repr=False)
-    # the block-diagonal pairs of base-orbit points: sample indices of the
-    # pairs' row and column points, where each row point's pairs start, and
-    # where each orbit's row points start
-    orbit_pairs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     def lam(self, i: int) -> float:
         return self.bc.lam(i)
@@ -409,12 +405,6 @@ def build_config(
         plans.append(WindowPlan(n=n, starts=starts, gammas=gam, idx=idx, weights=weights, parent=parent))
     del words, entry, cls, rank
 
-    # row r of base orbit b pairs its r-th point with every point of b
-    row_len = np.repeat(lengths, lengths)
-    row_start = np.cumsum(row_len) - row_len
-    pair_cols = flat[np.repeat(np.repeat(offset, lengths), row_len) + _labels(row_len)]
-    orbit_pairs = (np.repeat(flat, row_len), pair_cols, row_start, offset)
-
     # each orbit point keeps its first slot; columns in slot order make the
     # first nearest column the nearest slot under the tie rule
     first_slot: dict[int, tuple[int, int]] = {}
@@ -455,7 +445,6 @@ def build_config(
         slot_gamma=slots[nearest, 1],
         heads=heads,
         inv_lam=1.0 / lams,
-        orbit_pairs=orbit_pairs,
     )
 
 
@@ -504,21 +493,22 @@ def _abs_values(x: np.ndarray, cfg: RenormConfig) -> tuple[np.ndarray, float]:
     return ax, sup
 
 
-def _walk(ax: np.ndarray, sup: float, cfg: RenormConfig, level_max):
+def _walk(ax: np.ndarray, sup, cfg: RenormConfig, level_max):
     """Walk the plan rows' prefix tree level by level, as deep as a level
     can still raise the running max.
 
-    ``sup`` is the max of ``ax``, the absolute values of the function.
-    ``level_max(plan, values)`` reduces one level to what the caller
-    maximises, a numpy scalar or an array compared elementwise; the head
-    table, the parent level of plan 1, goes through it too.  Returns the
-    visited plans in plan order as (plan, values, level max), and the
-    largest of those maxima.
+    ``ax`` holds the absolute values of the function.  ``level_max(plan,
+    values)`` reduces one level to what the caller maximises, a numpy
+    scalar or an array compared elementwise; the head table, the parent
+    level of plan 1, goes through it too.  ``sup`` is a scalar or such an
+    array that bounds ``ax`` on the slots of the rows each entry reduces.
+    Returns the visited plans in plan order as (plan, values, level max),
+    and the largest of those maxima.
 
     A row's value is its parent's plus the term of its last slot,
     fl(fl(|x_last| w) + v_parent), so every row sums left to right, as
     ``rho`` does.  IEEE rounding is monotone on non-negative operands, so
-    no row of plan n exceeds B_n = fl(fl(sup|x| w_n) + B_{n-1}), where w_n
+    no row of plan n exceeds B_n = fl(fl(sup w_n) + B_{n-1}), where w_n
     is the plan's largest last-slot weight and B_{n-1} the max of the
     parent level, or that level's own B when it is not visited.  The chain
     only grows, so once its end at the deepest plan is at most the running
@@ -593,13 +583,16 @@ def gamma_cap_trace(x: np.ndarray, cfg: RenormConfig, caps: Sequence[int]) -> li
     The walk is ``triple_norm``'s, per cap.  A row's largest label is at
     least its parent's, so a row below a cap extends a parent below it, and
     the monotone-rounding bound chained from the parent level's max below
-    the cap bounds every deeper row below it.  The walk stops once that
-    bound is at most the running max of every cap.
+    the cap bounds every deeper row below it.  Each cap's bound takes |x|
+    at its own sup: the largest |x| over the orbit points of the labels
+    below the cap, which are the only points its rows reach.  The walk
+    stops once that bound is at most the running max of every cap.
     """
-    ax, sup = _abs_values(x, cfg)
+    ax = _abs_values(x, cfg)[0]
     caps = sorted(set(int(c) for c in caps))
+    heads = cfg.heads
     # a cap past the largest label keeps every row
-    hi = int(cfg.heads.cap_labels[-1]) + 1
+    hi = int(heads.cap_labels[-1]) + 1
     at = np.array([min(max(c, 0), hi) for c in caps], dtype=np.intp)
 
     def below_caps(plan: WindowPlan, vals: np.ndarray) -> np.ndarray:
@@ -608,6 +601,8 @@ def gamma_cap_trace(x: np.ndarray, cfg: RenormConfig, caps: Sequence[int]) -> li
         k = np.searchsorted(plan.cap_labels, at)  # the labels below each cap
         return np.where(k > 0, upto.take(k - 1), -math.inf)
 
+    # the head table holds every orbit point once per base, with its label
+    sup = np.maximum(below_caps(heads, ax.take(heads.idx[:, 0])), 0.0)
     best = _walk(ax, sup, cfg, below_caps)[1]
     return [(cap, v if v > -math.inf else 0.0) for cap, v in zip(caps, best.tolist())]
 

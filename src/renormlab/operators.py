@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .space import CompactSet, SampledSpace, _finite, same_space
+from .space import CompactSet, SampledSpace, _Dense, _finite, same_space
 
 log = logging.getLogger(__name__)
 
@@ -110,17 +110,28 @@ def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.nd
     """For each row of the ``(B, n)`` index maps, the points that a round
     trip through the row's two maps, in either order, displaces by more
     than ``2 * resolution`` plus the relative float slack of
-    ``_resolution_tol``; all rows are measured in one gather."""
+    ``_resolution_tol``; all rows are measured in one gather.
+
+    A point that both round trips return to itself is displaced by d(i, i),
+    which is 0 in every closed form, so distances are read only where a
+    round trip moves a point, and on a matrix-form space also where the
+    diagonal is not 0."""
     n = space.n
     # flat indices: entry j of row r of a (B, n) array is at r * n + j
     offsets = (np.arange(len(forward)) * n)[:, None]
     idx = np.arange(n)
-    gap = np.maximum(space.metric.pair(backward.ravel()[forward + offsets], idx),
-                     space.metric.pair(forward.ravel()[backward + offsets], idx))
+    there, back = backward.ravel()[forward + offsets], forward.ravel()[backward + offsets]
+    moved = (there != idx) | (back != idx)
+    if isinstance(space.metric, _Dense):
+        moved |= np.diagonal(space.dmat) != 0
+    rows, cols = np.nonzero(moved)  # row-major, so each row's points are sorted
+    gap = np.maximum(space.metric.pair(there[rows, cols], cols), space.metric.pair(back[rows, cols], cols))
     far = gap > space.resolution + space._resolution_tol
-    out = [frozenset()] * len(gap)
-    for r in np.flatnonzero(far.any(axis=1)).tolist():
-        out[r] = frozenset(np.flatnonzero(far[r]).tolist())
+    rows, cols = rows[far], cols[far]
+    ends = np.searchsorted(rows, np.arange(len(forward) + 1))
+    out = [frozenset()] * len(forward)
+    for r in np.flatnonzero(np.diff(ends)).tolist():
+        out[r] = frozenset(cols[ends[r]:ends[r + 1]].tolist())
     return out
 
 
@@ -176,6 +187,9 @@ def invert(g: WeightedComposition) -> WeightedComposition:
         label=f"{g.label}^-1" if g.label else "",
         form=form,
         allowed_defects=g.allowed_defects,
+        # g's round trips in the other order: g's measured defects, which
+        # its allowed ones hold
+        measured_defects=g.allowed_defects,
     )
 
 

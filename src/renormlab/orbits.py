@@ -120,7 +120,8 @@ def select_dense_points(
     the later pick a word image of the earlier one, so the orbits are
     pairwise disjoint; a capped word list can reach an earlier orbit from a
     later pick.  With ``count=None`` the selection runs until
-    candidates are exhausted; an explicit count raises when unreachable.
+    candidates are exhausted, and stops once every point lies within 1e-9
+    of a picked orbit; an explicit count raises when unreachable.
 
     Returns the selected indices and the per-step audit trail.
     """
@@ -161,6 +162,8 @@ def select_dense_points(
             "distance": float(dmat[ref, pick]),
             "radius": radius,
         })
+        if not (orbit_dist >= 1e-9).any():
+            break  # every point is blocked, so no later step picks
     if count is not None and len(chosen) < count:
         raise ValueError(
             f"resolution too coarse for disjointness at step {step + 1}"

@@ -73,7 +73,6 @@ UNREACHED = {
 UNREAD = {
     "norm.NormResult.upper": "the upper end of the norm sandwich value <= true <= value + bound",
     "bounded.GroupNormResult.sup_over_words": "the direct sup over the word table, which agree compares with value",
-    "detector.WeightReport.orbit_containment": "per-base escapes, which a containment witness will read (ROADMAP 3(b))",
     "norm.RenormConfig.bmap_report": "the build's verify_bmap result, which the verify-bmap task will return (ROADMAP 1(b))",
 }
 

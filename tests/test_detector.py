@@ -35,8 +35,7 @@ def test_weight_report_generator(product_cfg):
     g = product_cfg.group.generators[0]
     rep = check_weight_one(g, product_cfg)
     assert rep.weight_ok
-    assert rep.max_weight_deviation == 0.0
-    assert all(ok for _, ok, _ in rep.orbit_containment)
+    assert rep.max_weight_deviation == 0.0 and rep.weight_witness is None
 
 
 def test_weight_report_multiplication(line_cfg):
@@ -51,8 +50,8 @@ def test_weight_report_translation_defers_to_fingerprints(line_cfg):
     T = line_translation(line_cfg.space, 0.3)
     rep = check_weight_one(T, line_cfg)
     assert rep.weight_ok
-    # base orbits are singletons and the translation moves them
-    assert any(not ok for _, ok, _ in rep.orbit_containment)
+    # the weight passes, so the rejection rests on a base tuple's fingerprint
+    assert certify(T, line_cfg).witness["kind"] == "fingerprint"
 
 
 def test_fingerprint_class_invariant(product_cfg):
@@ -195,23 +194,6 @@ def test_points_equivalent_to_a_base_point_have_a_slot(name, request):
     assert hits >= 4
 
 
-def _check_weight_one_by_orbit(T, cfg, tol=1e-9):
-    # the per-orbit np.ix_ gather that the one block-diagonal gather replaced
-    dev = np.abs(T.weight - 1.0)
-    max_dev = float(dev.max())
-    containment = []
-    for bi, enum in enumerate(cfg.orbit_enums, start=1):
-        pts = np.asarray(enum, dtype=np.intp)
-        escape = float(cfg.space.dmat[np.ix_(T.forward[pts], pts)].min(axis=1).max())
-        containment.append((bi, escape <= 2 * cfg.space.resolution, escape))
-    return WeightReport(
-        weight_ok=max_dev <= tol,
-        max_weight_deviation=max_dev,
-        weight_witness=cfg.space.points[int(dev.argmax())] if max_dev > tol else None,
-        orbit_containment=containment,
-    )
-
-
 def _corrupt(T, p, q, scale):
     # T with the images of p and q swapped and the weight at p scaled: a
     # homeomorphism still, but base orbits need not map into themselves
@@ -224,34 +206,15 @@ def _corrupt(T, p, q, scale):
                                label=f"{T.label} corrupted", allowed_defects=defects)
 
 
-def test_block_diagonal_containment_matches_per_orbit_loop(product_cfg, line_cfg):
-    space = product_cfg.space
-    circ, seg = space.factors
-    g = product_cfg.group.generators[0]
-    rotflip = compose(lift(circle_rotation(circ, steps=4), space, "left"), lift(interval_flip(seg), space, "right"))
-    b = product_cfg.base_points
-    cases = [(product_cfg, T) for T in (identity(space), g, rotflip, compose(g, g),
-                                         _corrupt(g, b[0], b[1], 1.0), _corrupt(rotflip, b[2], 5, 1.3),
-                                         _corrupt(identity(space), b[-1], space.n - 1, 0.7))]
-    lb = line_cfg.base_points
-    lspace = line_cfg.space
-    cases += [(line_cfg, T) for T in (identity(lspace), line_translation(lspace, 0.3), multiplication(lspace, 1.2),
-                                      _corrupt(identity(lspace), lb[0], lb[3], 1.0),
-                                      _corrupt(line_translation(lspace, 0.3), lb[1], lspace.n // 2, 2.0))]
-    for cfg, T in cases:
-        rep = check_weight_one(T, cfg)
-        assert rep == _check_weight_one_by_orbit(T, cfg), T.label
-    escapes = [e for cfg, T in cases for _, ok, e in check_weight_one(T, cfg).orbit_containment if not ok]
-    assert escapes and min(escapes) > 0
-
-
 def _certify_per_depth(T, cfg, test_depth=4):
     # the certify that one key per side replaced: per depth, two classify
     # calls, which register the classes they miss, so cfg must be a fork
     space = cfg.space
     word_tol = 2 * space.resolution
     test_depth = min(test_depth, cfg.base_count)
-    weight = _check_weight_one_by_orbit(T, cfg)
+    dev = np.abs(T.weight - 1.0)
+    weight = WeightReport(weight_ok=dev.max() <= 1e-9, max_weight_deviation=float(dev.max()),
+                          weight_witness=space.points[int(dev.argmax())] if dev.max() > 1e-9 else None)
     checks = []
     witness = None
     if not weight.weight_ok:
@@ -462,6 +425,37 @@ def test_isometry_census_certifies_exactly_the_group(product_cfg, fork):
     assert sorted(certified) == [(1, r, False) for r in range(0, 48, 4)]
 
 
+@pytest.mark.parametrize("name, counts, twelfths", [
+    ("product_cfg", (12, 168, 12), range(12)),
+    # a word list capped at 4 reaches 9 of the 12 rotations: those by 5, 6
+    # and 7 twelfths of a turn lie in G but are rejected, which here means
+    # "not an isometry of the configured norm"
+    ("product_word_capped_cfg", (9, 174, 9), [0, 1, 2, 3, 4, 8, 9, 10, 11]),
+])
+def test_isometry_census_verdicts(name, counts, twelfths, request):
+    # every verdict of the 192-map census: the rotations by a word certify,
+    # the reflections j -> r - j that match such a rotation on the base
+    # points stay inconclusive (ROADMAP item 6's norm witness is to move
+    # them to rejected), and every other map is rejected with a fingerprint
+    # witness that re-checks
+    cfg = request.getfixturevalue(name)
+    space = cfg.space
+    verdicts = {}
+    for key, forward, _, _ in _isometry_census(space):
+        T = WeightedComposition(space, np.ones(space.n), forward, np.argsort(forward))
+        verdict = certify(T, cfg)
+        verdicts[key] = verdict.verdict
+        if verdict.verdict == "rejected":
+            assert verdict.witness["kind"] == "fingerprint", key
+            assert _recheck_witness(verdict.witness, T, cfg) == verdict.witness["outcome"], key
+        else:
+            assert verdict.witness is None, key
+    got = tuple(sum(v == kind for v in verdicts.values()) for kind in ("certified-in-G", "rejected", "inconclusive"))
+    assert got == counts
+    for k in twelfths:
+        assert verdicts[1, 4 * k, False] == "certified-in-G" and verdicts[-1, 4 * k, False] == "inconclusive"
+
+
 @pytest.mark.parametrize("bad", [0, -1, 2.5, 4.0, "4", True, None])
 def test_certify_rejects_a_bad_test_depth(product_cfg, bad):
     with pytest.raises(ValueError, match="test_depth must be an integer >= 1"):
@@ -471,19 +465,3 @@ def test_certify_rejects_a_bad_test_depth(product_cfg, bad):
 def test_certify_accepts_numpy_integer_test_depth(product_cfg):
     verdict = certify(product_cfg.group.generators[0], product_cfg, test_depth=np.int64(3))
     assert verdict.caps["test_depth"] == 3 and type(verdict.caps["test_depth"]) is int
-
-
-def test_containment_fast_path_matches_full_gather(product_cfg, product_word_capped_cfg, line_cfg):
-    # images that all hit their own orbit's slots, that partly hit, and base
-    # orbits that overlap (the word-capped rotation list is not closed)
-    hits = set()
-    for cfg in (product_cfg, product_word_capped_cfg, line_cfg):
-        for T in _certify_cases(cfg):
-            rows, _, row_start, orbit_start = cfg.orbit_pairs
-            own = np.repeat(np.arange(1, cfg.base_count + 1), np.diff(orbit_start, append=len(row_start)))
-            hit = cfg.slot_base[T.forward[rows[row_start]]] == own
-            hits.add((cfg is product_cfg, "all" if hit.all() else "part" if hit.any() else "none"))
-            assert check_weight_one(T, cfg) == _check_weight_one_by_orbit(T, cfg), T.label
-    assert {(True, "all"), (True, "part"), (True, "none"), (False, "part")} <= hits
-    overlap = [p for e in product_word_capped_cfg.orbit_enums for p in e]
-    assert len(set(overlap)) < len(overlap)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
+from renormlab import norm
 from key_oracles import last_slot_weights
 from renormlab.norm import (
     WITNESS_EPS,
@@ -434,6 +435,28 @@ def test_cap_trace_bounds_each_cap_by_its_own_max(name, request):
     assert trace == _gamma_cap_trace_full(x, cfg, caps)
     vals = _plan_values(x, cfg)
     assert trace[0][1] == float(vals[-1][0]) > max(float(v.max()) for v in vals[1:-1])
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "product5_cfg", "product_word_capped_cfg", "line8_cfg"])
+def test_cap_trace_settles_caps_over_vanishing_points_early(name, request, monkeypatch):
+    # a function that vanishes on the orbit points of every label below a
+    # small cap holds that cap's rows at 0.0; the cap's own sup, 0.0, then
+    # settles it, so the walk stops before the deepest plan (a bound by the
+    # sup over the whole sample would keep it going)
+    cfg = request.getfixturevalue(name)
+    heads = cfg.heads
+    depths = []
+    walk = norm._walk
+    monkeypatch.setattr(norm, "_walk", lambda *args: depths.append(len((out := walk(*args))[0])) or out)
+    rng = np.random.default_rng(7)
+    caps = (1, 2, 3, 4, 6, 8, 12)
+    for low in (1, 2, 3):
+        x = rng.uniform(-1, 1, size=cfg.space.n)
+        x[heads.idx[heads.gammas[:, 0] < low, 0]] = 0.0
+        trace = gamma_cap_trace(x, cfg, caps)
+        assert trace == _gamma_cap_trace_full(x, cfg, caps), (name, low)
+        assert trace[0] == (1, 0.0)
+    assert max(depths) < len(cfg.plans), depths
 
 
 @pytest.mark.parametrize("name", ["line_cfg", "product_cfg"])

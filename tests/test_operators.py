@@ -121,6 +121,76 @@ def test_round_trip_slack_scales_with_the_resolution(onepoint_space, k):
         frozenset({s.index(f"(0,{k})")})]
 
 
+def _roundtrip_defects_everywhere(space, forward, backward):
+    # the round trip measured at every point, the fixed ones included
+    n = space.n
+    offsets = (np.arange(len(forward)) * n)[:, None]
+    idx = np.arange(n)
+    gap = np.maximum(space.metric.pair(backward.ravel()[forward + offsets], idx),
+                     space.metric.pair(forward.ravel()[backward + offsets], idx))
+    far = gap > space.resolution + space._resolution_tol
+    return [frozenset(np.flatnonzero(row).tolist()) for row in far]
+
+
+def _scrambled(n, rng, rows=6):
+    # identity maps with a few entries of each side sent anywhere
+    fwd, bwd = np.tile(np.arange(n), (2, rows, 1))
+    for maps in (fwd, bwd):
+        for row in maps:
+            at = rng.integers(0, n, size=3)
+            row[at] = rng.integers(0, n, size=3)
+    return fwd, bwd
+
+
+def _roundtrip_cases():
+    rng = np.random.default_rng(11)
+    for n_max in (3, 4, 7, 50):
+        sp = rl.builtin_space("remark25", n_max=n_max)
+        seq = remark25_sequence(sp)
+        yield f"remark25 {n_max}", sp, np.stack([g.forward for g in seq]), np.stack([g.backward for g in seq])
+        yield f"remark25 {n_max} scrambled", sp, *_scrambled(sp.n, rng)
+    sp = rl.builtin_space("onepoint01N", n_max=50)
+    words = onepoint_swap_group(sp, word_cap=2).words()
+    yield "onepoint words", sp, np.stack([g.forward for g in words]), np.stack([g.backward for g in words])
+    yield "onepoint scrambled", sp, *_scrambled(sp.n, rng)
+    # a matrix twin whose diagonal holds values up to the constructor's
+    # 1e-12 above a resolution of 1e-13: its fixed points can be defects
+    sp = rl.builtin_space("remark25", n_max=7)
+    dmat = sp.dmat.copy()
+    np.fill_diagonal(dmat, rng.choice([0.0, 1e-13, 1e-12], size=sp.n))
+    twin = dataclasses.replace(sp, dmat=dmat, resolution=1e-13, metric_form={"form": "matrix"})
+    seq = remark25_sequence(sp)
+    idx = np.arange(sp.n)
+    yield "matrix twin", twin, np.stack([idx, *(g.forward for g in seq)]), np.stack([idx, *(g.backward for g in seq)])
+    yield "matrix twin scrambled", twin, *_scrambled(sp.n, rng)
+
+
+def test_roundtrip_defects_read_only_moved_points():
+    for label, sp, fwd, bwd in _roundtrip_cases():
+        got = operators._roundtrip_defects(sp, fwd, bwd)
+        assert got == _roundtrip_defects_everywhere(sp, fwd, bwd), label
+        if label == "matrix twin":
+            # the identity's defects are exactly the points of a large diagonal
+            assert got[0] == frozenset(np.flatnonzero(np.diagonal(sp.dmat) == 1e-12).tolist()) != frozenset()
+        if "scrambled" in label:
+            assert any(got), label
+
+
+@pytest.mark.parametrize("n_max", [3, 4, 7, 50])
+def test_remark25_maps_and_inverses_declare_their_measured_defects(n_max):
+    # the inverse's round trips are the map's in the other order, so the
+    # map's defects are the inverse's measured ones
+    sp = rl.builtin_space("remark25", n_max=n_max)
+    for g in remark25_sequence(sp):
+        defects = _roundtrip_defects_everywhere(sp, g.forward[None], g.backward[None])[0]
+        assert g.allowed_defects == defects
+        assert _roundtrip_defects_everywhere(sp, g.backward[None], g.forward[None])[0] == defects
+        inv = invert(g)
+        assert inv.allowed_defects == defects
+        assert np.array_equal(inv.forward, g.backward) and np.array_equal(inv.backward, g.forward)
+    assert defects  # row n_max's truncation edge
+
+
 def test_sot_constant_sequence_passes(product_space, rotation_group):
     g = rotation_group.generators[0]
     verdict = check_sot_convergence([g] * 6, g, list(product_space.exhaustion), 1e-6)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import renormlab as rl
+from renormlab import cli
 from renormlab.operators import circle_rotation
 from renormlab.orbits import (
     equivalent,
@@ -130,6 +131,73 @@ def test_select_product_rotation_stops_at_orbit_count(product_space, rotation_gr
     assert len(chosen) == 64  # 4 circle residues x 16 interval levels
     with pytest.raises(ValueError, match="resolution too coarse"):
         select_dense_points(product_space, rotation_group, count=65)
+
+
+def _select_every_step(space, group, count=None):
+    # the selection that runs every step, past the point where every
+    # sample point lies within 1e-9 of a picked orbit
+    dmat = space.dmat
+    table = group.word_table()[0]
+    chosen, audit = [], []
+    orbit_dist = np.full(space.n, np.inf)
+    target = count if count is not None else space.n
+    step = 0
+    for ref in range(space.n):
+        if len(chosen) >= target:
+            break
+        step += 1
+        radius = max(2.0 ** (-step), space.resolution)
+        cand = np.nonzero(dmat[ref] <= radius + 1e-15)[0]
+        cand = cand[np.lexsort((cand, dmat[ref][cand]))]
+        pick = next((int(c) for c in cand if orbit_dist[c] >= 1e-9), None)
+        if pick is None:
+            if count is not None:
+                raise ValueError(f"resolution too coarse for disjointness at step {step}")
+            continue
+        chosen.append(pick)
+        orbit = list(dict.fromkeys(table[:, pick].tolist()))
+        orbit_dist = np.minimum(orbit_dist, dmat[:, orbit].min(axis=1))
+        audit.append({"step": step, "reference": space.points[ref], "selected": space.points[pick],
+                      "distance": float(dmat[ref, pick]), "radius": radius})
+    if count is not None and len(chosen) < count:
+        raise ValueError(f"resolution too coarse for disjointness at step {step + 1}")
+    return chosen, audit
+
+
+def _selection_cases():
+    # every builtin under the trivial group, and the rotation and swap
+    # groups with closed and capped word lists
+    for name in rl.space.BUILTIN_NAMES:
+        space = rl.builtin_space(name)
+        yield name, rl.GroupSpec.trivial(space)
+        if name in ("circle", "circle_x_interval"):
+            for cap in (6, 4, 2):
+                yield f"{name} rot12 cap {cap}", cli.make_group({"builtin": "rotation", "word_cap": cap}, space)
+        if name == "onepoint01N":
+            for cap in (2, 1):
+                yield f"{name} swaps cap {cap}", cli.make_group({"builtin": "onepoint_swaps", "word_cap": cap}, space)
+
+
+def _outcome(fn, space, group, count):
+    try:
+        return fn(space, group, count=count)
+    except ValueError as e:
+        return str(e)
+
+
+def test_select_stops_once_every_point_is_blocked():
+    # same picks, audit and refusal as the selection that runs every step
+    stopped_early = 0
+    for label, group in _selection_cases():
+        space = group.space
+        chosen, audit = select_dense_points(space, group)
+        assert (chosen, audit) == _select_every_step(space, group), label
+        stopped_early += audit[-1]["step"] < space.n
+        for count in (1, len(chosen) // 2 + 1, len(chosen), len(chosen) + 1):
+            got = _outcome(select_dense_points, space, group, count)
+            assert got == _outcome(_select_every_step, space, group, count), (label, count)
+        assert got.startswith("resolution too coarse for disjointness at step"), label
+    assert stopped_early
 
 
 def test_base_orbits_disjoint_only_under_a_closed_word_list(product_cfg, product_word_capped_cfg):
