@@ -51,7 +51,7 @@ from .operators import (
     remark25_sequence,
 )
 from .orbits import orbit_closure
-from .space import SampledSpace, _integer, builtin_space, validate_metric
+from .space import SampledSpace, _integer, _positive, builtin_space, validate_metric
 from .tuples import choose_parameters, verify_bmap
 
 
@@ -430,10 +430,7 @@ def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
     dual = scenario.get("dual_suite", {})
     tuple_budget = _integer(dual.get("tuples", 10), "dual_suite tuples", 1)
     grid = _integer(dual.get("beta_grid", 5), "dual_suite beta_grid", 1)
-    eps = scenario.get("sot_gallery", {}).get("eps", 0.01)
-    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps < math.inf:
-        raise InputError(f"sot_gallery eps must be a finite number > 0, got {eps!r}")
-    eps = float(eps)
+    eps = float(_positive(scenario.get("sot_gallery", {}).get("eps", 0.01), "sot_gallery eps"))
     space = make_space(scenario["space"])
     group = make_group(scenario.get("group", {"builtin": "trivial"}), space)
     operators = []

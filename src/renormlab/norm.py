@@ -26,7 +26,7 @@ import numpy as np
 
 from .operators import GroupSpec
 from .orbits import select_dense_points
-from .space import SampledSpace, _acts_on, _integer
+from .space import SampledSpace, _acts_on, _integer, _positive
 from .tuples import (
     BCAssignment,
     ClassRegistry,
@@ -100,12 +100,15 @@ class TriangularSystem:
         lam = self.lambdas
         if self.zeta[lower].any():  # any entry != 0, NaN included
             raise ValueError("zeta must be strictly upper triangular")
-        if (lam < 1.0).any() or (lam > 1.1 + _ZETA_MARGIN).any():
-            raise ValueError("diagonal must lie in [1, 1.1]")
-        if (lam[..., 1:] - lam[..., :-1] > _ZETA_MARGIN).any():
+        off = np.flatnonzero(~((lam >= 1.0) & (lam <= 1.1 + _ZETA_MARGIN)))  # NaN fails too
+        if off.size:
+            raise ValueError(f"diagonal must lie in [1, 1.1]: entry {off[0]} is {lam[off[0]]}")
+        if (lam[1:] - lam[:-1] > _ZETA_MARGIN).any():
             raise ValueError("diagonal must be non-increasing")
-        if (self.zeta < 0).any():
-            raise ValueError("zeta entries must be nonnegative")
+        negative = np.argwhere(~(self.zeta >= 0))  # NaN fails too
+        if negative.size:
+            j, k = negative[0]
+            raise ValueError(f"zeta entries must be nonnegative: entry ({j}, {k}) is {self.zeta[j, k]}")
         over = self.zeta > bound
         if over.any():
             raise ValueError(
@@ -332,6 +335,8 @@ def build_config(
     """Select base points, enumerate orbits and window tuples, populate the
     class registry, and verify the weight-map properties at depth."""
     _integer(depth, "depth", 2)
+    if base_count is not None:
+        _integer(base_count, "base_count", depth)
     if gamma_cap is not None and (isinstance(gamma_cap, bool)
                                   or not isinstance(gamma_cap, (int, np.integer)) or gamma_cap < 1):
         raise TupleBudgetError(f"gamma_cap must be None or an integer >= 1, got {gamma_cap!r}")
@@ -685,8 +690,8 @@ class WitnessSpec:
     def __post_init__(self):
         if len(self.targets) != len(self.ball_radii):
             raise ValueError("radii count mismatch")
-        if any(r <= 0 for r in self.ball_radii):
-            raise ValueError("radii must be positive")
+        for r in self.ball_radii:
+            _positive(r, "ball radius")
 
 
 def find_cutoff(cfg: RenormConfig, end: int, eps: float) -> int:

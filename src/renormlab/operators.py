@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .space import CompactSet, SampledSpace, _Dense, _finite, same_space
+from .space import CompactSet, SampledSpace, _Dense, _finite, _positive, same_space
 
 log = logging.getLogger(__name__)
 
@@ -662,6 +662,7 @@ def check_sot_convergence(
     """
     if not seq:
         raise ValueError("empty operator sequence")
+    _positive(eps, "eps")
     space, metric = limit.space, limit.space.metric
     weight_bound = max(float(g.weight.max()) for g in seq)
     if not math.isfinite(weight_bound):
@@ -764,6 +765,8 @@ def check_local_equicontinuity(
     """
     if len(maps) == 0:
         raise ValueError("nonempty family required")
+    for eps in moduli_grid:
+        _positive(eps, "moduli grid eps")
     maps = [np.asarray(f, dtype=np.intp) for f in maps]
     karr = K.members
     src = space.metric.cross(karr, karr)

@@ -7,7 +7,6 @@ and orbit-closure membership is tested in the max metric.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,13 +15,10 @@ import numpy as np
 from .operators import GroupSpec
 from .space import SampledSpace
 
-log = logging.getLogger(__name__)
-
 __all__ = [
     "OrbitClosure",
     "orbit_closure",
     "equivalent",
-    "equivalent_report",
     "select_dense_points",
 ]
 
@@ -34,7 +30,7 @@ class OrbitClosure:
     base: tuple[int, ...]
     samples: tuple[tuple[int, ...], ...]
     word_cap: int
-    window_clipped: bool = False
+    window_clipped: bool
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -54,52 +50,17 @@ def orbit_closure(group: GroupSpec, t: Sequence[int]) -> OrbitClosure:
     )
 
 
-def _min_distance_to_orbit(space: SampledSpace, s: Sequence[int], orb: OrbitClosure) -> float:
-    return float(space.dmat[np.asarray(orb.samples), np.asarray(s)].max(axis=1).min())
-
-
-def equivalent_report(s: Sequence[int], t: Sequence[int], group: GroupSpec) -> dict:
-    """Both one-sided orbit-membership tests with their distances, over the
-    group's full word list.
-
-    One-sided testing decides the symmetric relation on the ideal space; a
-    disagreement here is a resolution artifact and is logged.  The
-    tolerance is the one-snap error bound (the resolution itself, plus the
-    float error of a distance); distinct grid neighbors sit at twice that
-    and stay inequivalent.
-    """
+def equivalent(s: Sequence[int], t: Sequence[int], group: GroupSpec) -> bool:
+    """True iff some image of t under the group's full word list lies
+    strictly within the resolution of s in the max metric.  The images are
+    the word table's columns at t (row 0, the identity, included), measured
+    through the metric.  The tolerance is the one-snap error bound, so
+    distinct grid neighbors, at twice it, stay inequivalent."""
     if len(s) != len(t):
         raise ValueError("length mismatch")
     space = group.space
-    tol = space._resolution_tol
-    orb_t = orbit_closure(group, t)
-    orb_s = orbit_closure(group, s)
-    d_fwd = _min_distance_to_orbit(space, s, orb_t)
-    d_rev = _min_distance_to_orbit(space, t, orb_s)
-    fwd = d_fwd < tol
-    rev = d_rev < tol
-    if fwd != rev:
-        log.warning(
-            "one-sided orbit tests disagree at tolerance %g (fwd=%s rev=%s); "
-            "resolution artifact",
-            tol, fwd, rev,
-        )
-    return {
-        "equivalent": fwd,
-        "forward": fwd,
-        "reverse": rev,
-        "agree": fwd == rev,
-        "d_forward": d_fwd,
-        "d_reverse": d_rev,
-        "tol": tol,
-    }
-
-
-def equivalent(s: Sequence[int], t: Sequence[int], group: GroupSpec) -> bool:
-    """True iff some sampled orbit element of t lies strictly within the
-    resolution of s in the max metric (the one-sided membership test of
-    :func:`equivalent_report`)."""
-    return equivalent_report(s, t, group)["equivalent"]
+    images = group.word_table()[0][:, list(t)]
+    return bool(space.metric.pair(images, list(s)).max(axis=1).min() < space._resolution_tol)
 
 
 def select_dense_points(
@@ -139,14 +100,9 @@ def select_dense_points(
             break
         step += 1
         radius = max(2.0 ** (-step), space.resolution)
-        cand = np.nonzero(dmat[ref] <= radius + 1e-15)[0]
-        cand = cand[np.lexsort((cand, dmat[ref][cand]))]
-        pick = None
-        for c in cand:
-            if orbit_dist[c] >= 1e-9:
-                pick = int(c)
-                break
-        if pick is None:
+        d = np.where(orbit_dist >= 1e-9, dmat[ref], np.inf)
+        pick = int(d.argmin())  # the nearest unblocked point, ties by index
+        if d[pick] > radius + 1e-15:
             if count is not None:
                 raise ValueError(
                     f"resolution too coarse for disjointness at step {step}"

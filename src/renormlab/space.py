@@ -470,6 +470,14 @@ def _finite(value) -> bool:
     return isinstance(value, (int, float, np.number)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _positive(value, name: str):
+    """A param that must be a finite number > 0 (NaN fails), or an input
+    error naming it."""
+    if not (_finite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    return value
+
+
 def _distinct(x: np.ndarray) -> bool:
     return bool((np.diff(np.sort(x)) > 0).all())
 
@@ -479,8 +487,7 @@ class _Line(Metric):
 
     def __init__(self, form: dict):
         step, window = form["step"], form["window"]
-        if not (_finite(step) and step > 0):
-            raise ValueError(f"line step must be a finite number > 0, got {step!r}")
+        _positive(step, "line step")
         if not (isinstance(window, (list, tuple)) and len(window) == 2 and all(map(_finite, window))
                 and window[0] < window[1]):
             raise ValueError(f"line window must be two finite numbers lo < hi, got {window!r}")

@@ -47,7 +47,6 @@ OPTIONS = {
     "operators.lift(side)",
     "operators.onepoint_swap_group(count)",
     "operators.onepoint_swap_group(word_cap)",
-    "orbits.OrbitClosure(window_clipped)",
     "orbits.select_dense_points(count)",
     "space.CompactSet(label)",
     "space.SampledSpace(factors)",
@@ -162,7 +161,7 @@ def test_public_options_match_the_table():
     found = public_options()
     assert sorted(found - OPTIONS) == [], "new options: add them to OPTIONS on purpose"
     assert sorted(OPTIONS - found) == [], "removed options: drop them from OPTIONS"
-    assert len(OPTIONS) == 28
+    assert len(OPTIONS) == 27
 
 
 def test_every_public_function_has_a_caller():

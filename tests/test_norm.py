@@ -80,6 +80,13 @@ def test_triangular_hypothesis_bounds():
         TriangularSystem(lambdas=[1.2, 1.1], zeta=np.zeros((2, 2)))
 
 
+def test_triangular_system_refuses_nan_by_entry():
+    with pytest.raises(ValueError, match=r"diagonal must lie in \[1, 1.1\]: entry 1 is nan"):
+        TriangularSystem(lambdas=[1.05, np.nan], zeta=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"zeta entries must be nonnegative: entry \(0, 2\) is nan"):
+        TriangularSystem(lambdas=[1.05, 1.04, 1.03], zeta=[[0, 1e-3, np.nan], [0, 0, 0], [0, 0, 0]])
+
+
 def _random_system(rng, n):
     lam = np.sort(rng.uniform(1.0005, 1.0995, size=n))[::-1]
     zeta = np.zeros((n, n))
@@ -110,6 +117,15 @@ def test_build_config_refuses_a_group_on_another_space():
     # a group on a separately built equal circle acts on this one
     equal = rl.GroupSpec((circle_rotation(rl.builtin_space("circle", count=12), steps=1),), word_cap=3)
     assert rl.build_config(circle12, equal, C=1.1, depth=3).space is circle12
+
+
+@pytest.mark.parametrize("base_count, message", [(2.5, "got 2.5"), (1, "got 1"), (True, "got True")])
+def test_build_config_refuses_a_bad_base_count_by_name(base_count, message):
+    space = rl.builtin_space("line", step=0.5)
+    group = rl.GroupSpec.trivial(space)
+    assert len(rl.build_config(space, group, depth=2, base_count=3).base_points) == 3
+    with pytest.raises(ValueError, match=f"base_count must be an integer >= 2, {message}"):
+        rl.build_config(space, group, depth=2, base_count=base_count)
 
 
 def test_rho_zero_function(line_cfg):
@@ -574,6 +590,13 @@ def test_witness_function_names_colliding_orbit(line_cfg):
         witness_function(spec, line_cfg)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.1])
+def test_witness_spec_refuses_a_radius_that_is_not_a_finite_positive_number(line_cfg, radius):
+    p, q = line_cfg.base_points[:2]
+    with pytest.raises(ValueError, match=re.escape(f"ball radius must be a finite number > 0, got {radius!r}")):
+        WitnessSpec(targets=((p, 0.9), (q, 0.9)), ball_radii=(0.1, radius), cutoff_M=8)
+
+
 def test_find_cutoff_inequality(line_cfg):
     M = find_cutoff(line_cfg, 3, 0.05)
     lamM = line_cfg.lam(M)
@@ -751,7 +774,8 @@ def test_build_matrix_class_constant(product_cfg):
 
 def _validate_by_column(lambdas, zeta):
     # the per-column TriangularSystem validator that the masked compares
-    # replaced: the message of the first broken rule, or None
+    # replaced: the message of the first broken rule, or None; a NaN on the
+    # diagonal or above it breaks the range or the sign rule
     lambdas = np.asarray(lambdas, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     s = len(lambdas)
@@ -759,12 +783,15 @@ def _validate_by_column(lambdas, zeta):
         return "zeta shape mismatch"
     if np.any(np.tril(zeta) != 0):
         return "zeta must be strictly upper triangular"
-    if np.any(lambdas < 1.0) or np.any(lambdas > 1.1 + 1e-12):
-        return "diagonal must lie in [1, 1.1]"
+    for k in range(s):
+        if not 1.0 <= lambdas[k] <= 1.1 + 1e-12:
+            return f"diagonal must lie in [1, 1.1]: entry {k} is {lambdas[k]}"
     if np.any(np.diff(lambdas) > 1e-12):
         return "diagonal must be non-increasing"
-    if np.any(zeta < 0):
-        return "zeta entries must be nonnegative"
+    for j in range(s):
+        for k in range(s):
+            if not zeta[j, k] >= 0:
+                return f"zeta entries must be nonnegative: entry ({j}, {k}) is {zeta[j, k]}"
     for k in range(1, s):
         if np.any(zeta[:k, k] > 9.0 ** (4 - 3 * (k + 1)) + 1e-12):
             return (f"zeta bound violation in column {k}: "
@@ -781,7 +808,7 @@ def _validate_masked(lambdas, zeta):
 
 
 _BREAKS = ("lower", "diagonal-low", "diagonal-high", "increasing", "negative",
-           "column", "column-edge", "nan", "shape")
+           "column", "column-edge", "nan", "nan-diagonal", "shape")
 
 
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10**6),
@@ -811,6 +838,8 @@ def test_masked_validator_matches_per_column_validator(s, seed, breaks):
             zeta[j, k] = edge if rule == "column-edge" else edge * (1 + rng.uniform(1e-9, 1.0))
         elif rule == "nan":
             zeta[int(rng.integers(0, s)), int(rng.integers(0, s))] = np.nan
+        elif rule == "nan-diagonal":
+            lam[int(rng.integers(0, s))] = np.nan
         elif rule == "shape":
             zeta = np.zeros((s, s + 1))
     expected = _validate_by_column(lam, zeta)

@@ -204,6 +204,32 @@ def test_sot_constant_weighted_sequence_passes(onepoint_space):
     assert verdict.converges
 
 
+def _remark25_gallery_inputs():
+    # the gallery's inputs at n_max 10: its sequence, the exhaustion minus
+    # its top compact, and the column tail
+    sp = rl.builtin_space("remark25", n_max=10)
+    tail = [sp.index(f"(0,{i})") for i in range(3, 11)] + [sp.index("(0,inf)")]
+    return sp, remark25_sequence(sp), list(sp.exhaustion[:-1]), sp.compact(tail, "column-tail")
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.01, True, "0.01"])
+def test_sot_refuses_an_eps_that_is_not_a_finite_positive_number(eps):
+    sp, seq, K_list, _ = _remark25_gallery_inputs()
+    cond = {c.name: c.passed for c in check_sot_convergence(seq, identity(sp), K_list, 0.01).conditions}
+    assert not cond["inverse_images"]
+    with pytest.raises(ValueError, match=re.escape(f"eps must be a finite number > 0, got {eps!r}")):
+        check_sot_convergence(seq, identity(sp), K_list, eps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5])
+def test_equicontinuity_refuses_a_grid_entry_that_is_not_a_finite_positive_number(bad):
+    sp, seq, _, tail = _remark25_gallery_inputs()
+    maps = [g.backward for g in seq]
+    assert not check_local_equicontinuity(maps, tail, (0.5,), sp).equicontinuous
+    with pytest.raises(ValueError, match=re.escape(f"moduli grid eps must be a finite number > 0, got {bad!r}")):
+        check_local_equicontinuity(maps, tail, (0.5, bad), sp)
+
+
 @pytest.mark.parametrize("n_max", [3, 6, 12])
 def test_sot_remark25_conditions_at_every_stage(n_max):
     sp = rl.builtin_space("remark25", n_max=n_max)

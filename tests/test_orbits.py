@@ -1,15 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import renormlab as rl
 from renormlab import cli
+from renormlab import space as space_mod
 from renormlab.operators import circle_rotation
-from renormlab.orbits import (
-    equivalent,
-    equivalent_report,
-    orbit_closure,
-    select_dense_points,
-)
+from renormlab.orbits import equivalent, orbit_closure, select_dense_points
 
 
 def test_trivial_group_orbit_is_singleton(line_space):
@@ -38,8 +36,9 @@ def test_equivalent_reflexive_and_symmetric(product_cfg):
     pts = [product_cfg.base_points[i] for i in range(4)]
     for p in pts:
         assert equivalent((p,), (p,), group)
-    rep = equivalent_report((pts[0],), (pts[1],), group)
-    assert rep["agree"]
+    for p in pts:
+        for q in pts:
+            assert equivalent((p,), (q,), group) == equivalent((q,), (p,), group)
 
 
 def test_equivalent_rotated_tuple():
@@ -72,6 +71,68 @@ def test_distinct_points_below_an_absolute_slack_stay_inequivalent(onepoint_spac
         s, t = (idx(f"(0,{k})"),), (idx(f"(1,{k})"),)
         assert not equivalent(s, t, G), k
         assert equivalent(s, s, G), k
+
+
+def _equivalent_by_closure(s, t, group):
+    # the forward test that the metric read replaced: the orbit_closure
+    # samples of t, read through the dense matrix
+    space = group.space
+    d = space.dmat[np.asarray(orbit_closure(group, t).samples), np.asarray(s)]
+    return bool(d.max(axis=1).min() < space._resolution_tol)
+
+
+def _tuple_pairs(group, rng, size, count):
+    # pairs (s, t) of tuples: s a word image of t (equivalent), s = t with
+    # one slot moved to a nearby point, and s drawn at random
+    space = group.space
+    table = group.word_table()[0]
+    for _ in range(count):
+        t = rng.integers(0, space.n, size=size)
+        image = table[int(rng.integers(0, len(table))), t]
+        moved = image.copy()
+        slot = int(rng.integers(0, size))
+        moved[slot] = int(np.argsort(space.dmat[moved[slot]])[1])
+        for s in (image, moved, rng.integers(0, space.n, size=size)):
+            yield tuple(s.tolist()), tuple(t.tolist())
+
+
+def _onepoint_pairs(space):
+    idx = space.index
+    pts = [idx(f"({side},{k})") for k in range(30, 49) for side in (0, 1)]
+    return [((p,), (q,)) for p in pts for q in pts]
+
+
+def test_equivalent_agrees_with_the_orbit_closure_test(product_space, rotation_group, swap_group,
+                                                       line_space, onepoint_space):
+    rng = np.random.default_rng(0)
+    capped = rl.GroupSpec(rotation_group.generators, word_cap=4)
+    cases = [(group, list(_tuple_pairs(group, rng, size, 60)))
+             for group in (rotation_group, capped) for size in (1, 2, 3)]
+    n = onepoint_space.n
+    cases.append((swap_group, [((p,), (q,)) for p in range(n) for q in range(0, n, 7)]))
+    trivial_line = rl.GroupSpec.trivial(line_space)
+    cases.append((trivial_line, list(_tuple_pairs(trivial_line, rng, 2, 100))))
+    for group in (rl.GroupSpec.trivial(onepoint_space), swap_group):
+        cases.append((group, _onepoint_pairs(onepoint_space)))
+    for group, pairs in cases:
+        hits = [equivalent(s, t, group) for s, t in pairs]
+        assert hits == [_equivalent_by_closure(s, t, group) for s, t in pairs], group.label
+        assert any(hits) and not all(hits), group.label
+
+
+@pytest.mark.parametrize("name, group_spec", [("remark25", {"builtin": "trivial"}),
+                                              ("onepoint01N", {"builtin": "onepoint_swaps"})])
+def test_equivalent_builds_no_dense_matrix(name, group_spec):
+    def refuse(metric):
+        raise AssertionError(f"{type(metric).__name__} built its dense matrix")
+
+    space = rl.builtin_space(name, n_max=50)
+    group = cli.make_group(group_spec, space)
+    p, q = space.index("(0,40)"), space.index("(1,40)")
+    with mock.patch.object(space_mod.Metric, "dense", property(refuse)):
+        assert equivalent((p, q), (p, q), group)
+        assert not equivalent((p,), (q,), rl.GroupSpec.trivial(space))
+        assert equivalent((p,), (q,), group) == (name == "onepoint01N")
 
 
 def test_selected_base_points_inequivalent(line_cfg):
