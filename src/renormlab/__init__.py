@@ -22,7 +22,6 @@ from .tuples import (
     ClassRegistry,
     TupleIndex,
     Window,
-    c_value,
     choose_parameters,
     enumerate_window,
     enumeration_index,

@@ -89,10 +89,7 @@ def make_group(spec: dict, space: SampledSpace) -> GroupSpec:
         return GroupSpec((lift(gen, space, "left") if lifted else gen,), word_cap=word_cap,
                          label=f"rot{q}-lift" if lifted else f"rot{q}")
     if kind == "onepoint_swaps":
-        count = spec.get("count")
-        if count is not None:
-            _integer(count, "group count", 1)
-        return onepoint_swap_group(space, word_cap=word_cap, count=count)
+        return onepoint_swap_group(space, word_cap=word_cap, count=spec.get("count"))
     raise InputError(f"unknown group spec {spec!r}")
 
 

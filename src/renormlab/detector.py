@@ -13,7 +13,6 @@ first-class outcome at finite caps.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,6 @@ import numpy as np
 from .norm import RenormConfig
 from .operators import WeightedComposition
 from .space import _acts_on, _integer
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "WeightReport",
@@ -50,10 +47,6 @@ class TupleCheck:
     @property
     def ok(self) -> bool:
         return self.outcome == "same-class"
-
-    @property
-    def mismatch(self) -> bool:
-        return self.outcome in ("class-mismatch", "window-mismatch", "off-orbit")
 
 
 @dataclass
@@ -166,7 +159,7 @@ def certify(
             "deviation": weight.max_weight_deviation,
         }
     checks = _orbit_checks(T, cfg, test_depth) if test_depth > 1 else []
-    first = next((c for c in checks if c.mismatch), None)
+    first = next((c for c in checks if not c.ok), None)
     if first is not None and witness is None:
         witness = {
             "kind": "fingerprint",

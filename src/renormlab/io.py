@@ -121,7 +121,7 @@ def group_from_dict(doc: dict, space: SampledSpace) -> GroupSpec:
     gens = tuple(operator_from_dict(g, space) for g in doc["generators"])
     return GroupSpec(
         generators=gens,
-        word_cap=space_mod._integer(doc["word_cap"], "group word_cap", 1),
+        word_cap=doc["word_cap"],
         label=doc.get("label", ""),
     )
 

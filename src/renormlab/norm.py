@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -36,8 +35,6 @@ from .tuples import (
     exceptional_classes,
     verify_bmap,
 )
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "TriangularSystem",
@@ -319,8 +316,7 @@ def _class_weights(registry: ClassRegistry, bc: BCAssignment, starts: np.ndarray
     rows = row_of[np.sort(head)]
     recip = np.empty(len(head))
     for c, start, row in zip(cls[rows].tolist(), starts[rows].tolist(), idx[rows].tolist()):
-        p, q = registry.classify(start, row).ratio
-        recip[c] = bc.inv_L_pow(p / q)  # p / q rounds once, as float(Fraction) does
+        recip[c] = bc.class_recip(*registry.classify(start, row).ratio)
     return recip[cls]
 
 
@@ -462,8 +458,8 @@ def rho(t: TupleIndex, x: np.ndarray, cfg: RenormConfig) -> float:
     x = np.asarray(x, dtype=float)
     total = cfg.lam(t.start) * abs(float(x[t.points[0]]))
     for k in range(1, t.n + 1):
-        p, q = cfg.registry.classify(t.start, t.points[: k + 1]).ratio
-        total += abs(float(x[t.points[k]])) * cfg.bc.inv_L_pow(p / q)
+        info = cfg.registry.classify(t.start, t.points[: k + 1])
+        total += abs(float(x[t.points[k]])) * cfg.bc.class_recip(*info.ratio)
     return total
 
 
@@ -634,8 +630,7 @@ def build_matrix(t: TupleIndex, cfg: RenormConfig) -> TriangularSystem:
         for k, info in enumerate(found, start=j + 1):
             if info is None:
                 info = registry.classify(t.start + j, t.points[j : k + 1])
-            p, q = info.ratio
-            zeta[j, k] = cfg.bc.inv_L_pow(p / q)
+            zeta[j, k] = cfg.bc.class_recip(*info.ratio)
     return TriangularSystem(lambdas=lambdas, zeta=zeta)
 
 

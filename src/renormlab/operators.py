@@ -9,16 +9,13 @@ nearest-sample errors).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import InitVar, dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .space import CompactSet, SampledSpace, _Dense, _finite, _positive, same_space
-
-log = logging.getLogger(__name__)
+from .space import CompactSet, SampledSpace, _Dense, _finite, _integer, _positive, same_space
 
 __all__ = [
     "WeightedComposition",
@@ -367,8 +364,10 @@ def remark25_sequence(space: SampledSpace) -> list[WeightedComposition]:
 
 def onepoint_swap_group(space: SampledSpace, word_cap: int = 2,
                         count: int | None = None) -> "GroupSpec":
+    if count is not None:
+        _integer(count, "group count", 1)
     n_max = _tag(space, "onepoint01N", "onepoint_swap_group requires the onepoint01N space")["n_max"]
-    count = count or n_max
+    count = n_max if count is None else count
     gens = [onepoint_swap(space, n) for n in range(1, min(count, n_max) + 1)]
     return GroupSpec(tuple(gens), word_cap=word_cap, label="onepoint-swaps")
 
@@ -485,8 +484,7 @@ class GroupSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.word_cap < 1:
-            raise ValueError("word_cap must be at least 1")
+        _integer(self.word_cap, "group word_cap", 1)
         if not self.generators:
             raise ValueError("a group needs at least one generator")
         gens = list(self.generators)

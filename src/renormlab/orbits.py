@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import GroupSpec
-from .space import SampledSpace
+from .space import SampledSpace, _integer
 
 __all__ = [
     "OrbitClosure",
@@ -86,6 +86,8 @@ def select_dense_points(
 
     Returns the selected indices and the per-step audit trail.
     """
+    if count is not None:
+        _integer(count, "count", 1)
     n = space.n
     dmat = space.dmat
     table = group.word_table()[0]

@@ -197,8 +197,8 @@ class SampledSpace:
 # tiles (1 MB) stays in cache while one of them is read in transposed order
 _SYMMETRY_TILE = 256
 
-# bytes of one distance block of Metric.set_distances' sweep: a block of rows
-# times the columns of one run of sets
+# bytes of one distance block of Metric.set_distances: a block of rows times
+# the columns of one set
 _GATHER_BYTES = 1 << 18
 
 
@@ -273,46 +273,22 @@ class Metric:
         the min of the distances to them, bitwise a direct
         ``dense[:, sets[k]].min(axis=1)``.
 
-        This default sweeps row blocks.  The sets split into maximal nested
-        runs: within a run each set contains the previous one, so each set
-        adds only its fresh columns; a set that does not contain the previous
-        one starts a new run with all of its own.  The fresh columns of a run
-        are concatenated once, and each block of rows (about
-        ``_GATHER_BYTES``) is computed at them as in ``cross``, reduced to
-        one min per set with ``reduceat`` and folded along the run with
-        ``accumulate``.  Every block is written into one buffer per call, so
-        no block maps and faults in fresh pages.  A set with no fresh column
-        (a repeat) carries the previous set's column.  Every entry is a min
-        over the same columns as the direct one, so the table is exact.
-        """
+        This default computes each column in blocks of rows, each block
+        (about ``_GATHER_BYTES``) as in ``cross`` and written into one
+        buffer per call, so no block maps and faults in fresh pages.  The
+        min is exact, so the table is too."""
         n = self.n
+        sets = [np.asarray(s, dtype=np.intp) for s in sets]
         table = np.empty((n, len(sets)))
-        runs: list[tuple[int, list[np.ndarray]]] = []  # (first k, fresh columns per set)
-        reached = np.zeros(n, dtype=bool)  # columns of the previous set
-        for k, s in enumerate(sets):
-            mask = np.zeros(n, dtype=bool)
-            mask[s] = True
-            if k == 0 or (reached & ~mask).any():  # not nested: a new run
-                runs.append((k, []))
-                reached = np.zeros(n, dtype=bool)
-            runs[-1][1].append(np.flatnonzero(mask & ~reached))
-            reached = mask
-        # a block is at most _GATHER_BYTES, or one row of at most n columns
-        buf = np.empty(max(min(_GATHER_BYTES // 8, n * n), n))
+        # a block is at most _GATHER_BYTES, or one row of one set
+        buf = np.empty(max([_GATHER_BYTES // 8] + [s.size for s in sets]))
         idx = np.arange(n)
-        for k0, segments in runs:
-            sizes = np.array([seg.size for seg in segments])
-            cols = np.concatenate(segments)
-            starts = (np.cumsum(sizes) - sizes)[sizes > 0]
-            # reduced column of each set: its own, or a repeat's predecessor's
-            carry = np.cumsum(sizes > 0) - 1
-            rows = max(1, _GATHER_BYTES // (8 * cols.size))
+        for k, s in enumerate(sets):
+            rows = max(1, _GATHER_BYTES // (8 * s.size))
             for r in range(0, n, rows):
                 block = idx[r:r + rows]
-                out = buf[:block.size * cols.size].reshape(block.size, cols.size)
-                mins = np.minimum.reduceat(self._cross(block, cols, out), starts, axis=1)
-                np.minimum.accumulate(mins, axis=1, out=mins)
-                table[r:r + rows, k0:k0 + len(segments)] = mins[:, carry]
+                out = buf[:block.size * s.size].reshape(block.size, s.size)
+                table[r:r + rows, k] = self._cross(block, s, out).min(axis=1)
         return table
 
     @cached_property
@@ -582,7 +558,7 @@ class _Dyadic(Metric):
 
     def set_distances(self, sets: Sequence[np.ndarray]) -> np.ndarray:
         """Closed form, O(n) per set: d(i, S) is 0 on S and ``max(q_i,
-        min q[S])`` off it.  For i outside S that is exactly the sweep's min
+        min q[S])`` off it.  For i outside S that is exactly the default's min
         of ``max(q_i, q_j)`` over j in S, since ``max(q_i, .)`` is monotone
         and max and min return one of their floats.  Each column is
         contiguous, so the table is the transpose of a (sets, n) array."""

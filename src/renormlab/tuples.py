@@ -25,8 +25,6 @@ __all__ = [
     "Window",
     "enumerate_window",
     "enumeration_index",
-    "window_of",
-    "c_value",
     "BCAssignment",
     "choose_parameters",
     "TupleIndex",
@@ -81,26 +79,13 @@ def _check_window(start: int, length: int) -> None:
         raise ValueError("length must be >= 2")
 
 
-def _window_index(start: int, n: int) -> int:
+def enumeration_index(start: int, n: int) -> int:
     """Enumeration index of the window (start, ..., start + n), checked as
-    a :class:`Window` is, without building one."""
+    a :class:`Window` is, without building one; :func:`enumerate_window`
+    is its exact inverse."""
     _check_window(start, n + 1)
     r = start + n - 1
     return r * (r - 1) // 2 + n
-
-
-def enumeration_index(w: Window) -> int:
-    """Inverse of :func:`enumerate_window` (exact)."""
-    return _window_index(w.start, w.n)
-
-
-def window_of(start: int, n: int) -> Window:
-    return Window(start=start, length=n + 1)
-
-
-def c_value(w: Window) -> int:
-    """Comparability code 3m; equal exactly on equal windows."""
-    return 3 * enumeration_index(w)
 
 
 @dataclass(frozen=True)
@@ -135,6 +120,11 @@ class BCAssignment:
         if x * math.log(self.L) > 745.0:
             return 0.0
         return math.pow(self.L, -x)
+
+    def class_recip(self, p: int, q: int) -> float:
+        """The reciprocal weight L^-(p/q) of the class whose exponent is the
+        integer pair (p, q); p / q rounds once, as float(Fraction) does."""
+        return self.inv_L_pow(p / q)
 
 
 def choose_parameters(C: float) -> BCAssignment:
@@ -301,12 +291,12 @@ class ClassRegistry:
         tuple, never registering."""
         _check_window(start, len(points))
         key = self.canonical_key(points)
-        found = [self._index.get((_window_index(start, k), key[:k + 1])) for k in range(1, len(points))]
+        found = [self._index.get((enumeration_index(start, k), key[:k + 1])) for k in range(1, len(points))]
         return [None if row is None else self._infos[row] for row in found]
 
     def classify(self, start: int, points: Sequence[int]) -> ClassInfo:
         """Class of a window tuple, auto-registering new classes."""
-        key = _window_index(start, len(points) - 1), self.canonical_key(points)
+        key = enumeration_index(start, len(points) - 1), self.canonical_key(points)
         row = self._index.get(key)
         if row is None:
             row = self._register(*key)
@@ -325,9 +315,6 @@ class ClassRegistry:
         self._index[m, rep] = row
         rows.append(row)
         return row
-
-    def classes_for_window(self, w: Window) -> list[ClassInfo]:
-        return [self._infos[row] for row in self._by_window.get(enumeration_index(w), ())]
 
     def _rows(self) -> list[int]:
         """Every row, by window index and in registration order within one."""
@@ -420,7 +407,7 @@ def verify_bmap(
     # (m, section, position, check, tag, message) in report order
     found = []
     for m, w, keep in zip(ms, wins, inside):
-        if keep and c_value(w) != 3 * m:
+        if keep and enumeration_index(w.start, w.n) != m:
             found.append((m, 0, 0, 0, "property2", f"window {w} code mismatch"))
     d = np.flatnonzero(in_depth)
     Pd, Qd, cm = P[d], Q[d], 3 * M[d]
@@ -465,7 +452,7 @@ def verify_bmap(
     offset = 0
     for m, w, size in zip(ms, wins, sizes):
         if w.n >= 2:
-            pm = _window_index(w.start, w.n - 1)
+            pm = enumeration_index(w.start, w.n - 1)
             block = registry._by_window[m]
             parent[offset:offset + size] = position[[index.get((pm, reps[r][:-1]), -1) for r in block]]
         offset += size
@@ -483,7 +470,7 @@ def verify_bmap(
     # property 7: budget along every class's prefix chain, rep[:k+1] for
     # k = 1..n; the deepest prefix window is the class's own, so the tail
     # starts beyond m.  Violations are reported by (m, representative)
-    recip = np.array([bc.inv_L_pow(p / q) for p, q in zip(P.tolist(), Q.tolist())])
+    recip = np.array([bc.class_recip(p, q) for p, q in zip(P.tolist(), Q.tolist())])
     head = np.repeat([bc.lam(w.start) for w in wins], sizes)
     tail = np.repeat([enumeration_tail(bc, m) for m in ms], sizes)
     late = []
@@ -511,12 +498,18 @@ def verify_bmap(
 
 def exceptional_classes(t: TupleIndex, p: int, q: int, registry: ClassRegistry) -> list[ClassInfo]:
     """Registered classes over the window (p, ..., p+q) whose weight
-    undercuts the weight of t's matching sub-tuple: b(class) < b(sub-tuple)."""
+    undercuts the weight of t's matching sub-tuple: b(class) < b(sub-tuple).
+
+    The registry is only read: the sub-tuple's class is read by its key.
+    A sub-tuple whose class is not registered would take the window's next
+    ordinal, whose exponent exceeds every registered one, so then every
+    class of the window counts."""
     i, n = t.start, t.n
     if not (i <= p and p + q <= i + n and q >= 1):
         raise ValueError("exceptional window out of range")
     if p == i + n:
         raise ValueError("exceptional window must start before the tuple end")
     sub = t.segment(p - i, p - i + q)
-    sub_info = registry.classify(sub.start, sub.points)
-    return [info for info in registry.classes_for_window(window_of(p, q)) if info.exponent < sub_info.exponent]
+    own = registry.prefix_classes(sub.start, sub.points)[-1]
+    infos = [registry._infos[row] for row in registry._by_window.get(enumeration_index(p, q), ())]
+    return infos if own is None else [info for info in infos if info.exponent < own.exponent]

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from renormlab.norm import TriangularSystem
-from renormlab.tuples import _window_index
+from renormlab.tuples import enumeration_index
 
 # int64 entries in one (W, block, k) word-image array: 256 KB
 KEY_BLOCK = 1 << 15
@@ -39,7 +39,7 @@ def lookup_rows(registry, starts, rows):
     starting at base index starts[t], or None; never registers."""
     rows = np.asarray(rows, dtype=np.intp)
     n = rows.shape[1] - 1
-    m_of = {s: _window_index(s, n) for s in set(starts)}
+    m_of = {s: enumeration_index(s, n) for s in set(starts)}
     keys = canonical_keys(registry, rows).tolist()
     found = [registry._index.get((m_of[s], tuple(key))) for s, key in zip(starts, keys)]
     return [None if row is None else registry._infos[row] for row in found]

@@ -250,7 +250,7 @@ def _certify_per_depth(T, cfg, test_depth=4):
             check = TupleCheck(t_ids, img_ids, "off-orbit",
                                detail=f"image points {missing} lie outside every enumerated base orbit")
         checks.append(check)
-        if check.mismatch and witness is None:
+        if not check.ok and witness is None:
             witness = {"kind": "fingerprint", "tuple": check.tuple_points, "image": check.image_points,
                        "outcome": check.outcome, "detail": check.detail}
     base_pts = np.asarray(cfg.base_points[:test_depth], dtype=np.intp)

@@ -2,6 +2,7 @@
 coordinates, the O(n) constructor certificate, and the readers that never
 build a matrix."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -72,6 +73,48 @@ def test_closed_form_entries_are_bitwise_the_formula(name, params):
     assert sp.dmat.tobytes() == ref.tobytes()
     if name == "plane":  # equal factors share one factor space and one metric
         assert sp.factors[0] is sp.factors[1] and metric.a is metric.b is sp.factors[0].metric
+
+
+# spaces whose metric keeps the default set_distances: a line, a circle, a
+# product and a matrix form
+_DEFAULT_SET_DISTANCES = [
+    builtin_space("line", step=0.25, window=(-3, 3)),
+    builtin_space("circle", count=30),
+    builtin_space("circle_x_interval", count=8, levels=4),
+    dataclasses.replace(builtin_space("plane", step=0.5, window=(-1, 1)), metric_form={"form": "matrix"}, factors=()),
+]
+
+
+@st.composite
+def _set_lists(draw):
+    """A space, a list of index arrays (nested, repeated or not nested; an
+    array may repeat an index) and a block size."""
+    sp = draw(st.sampled_from(_DEFAULT_SET_DISTANCES))
+    order = np.array(draw(st.permutations(range(sp.n))), dtype=np.intp)
+    sizes = sorted(draw(st.lists(st.integers(1, sp.n), min_size=1, max_size=6)))
+    nested = [order[:k] for k in sizes]
+    kind = draw(st.sampled_from(["nested", "repeated", "not nested"]))
+    if kind == "nested":
+        sets = nested
+    elif kind == "repeated":
+        sets = draw(st.lists(st.sampled_from(nested), min_size=1, max_size=8))
+        sets = [np.concatenate([s, s[:draw(st.integers(0, 3))]]) for s in sets]
+    else:
+        sets = [np.array(draw(st.lists(st.integers(0, sp.n - 1), min_size=1, max_size=40)), dtype=np.intp)
+                for _ in range(draw(st.integers(1, 5)))]
+    return sp, sets, draw(st.sampled_from([8, 8 * 7, 8 * 100, space_mod._GATHER_BYTES]))
+
+
+@given(_set_lists())
+@settings(max_examples=200, deadline=None)
+def test_default_set_distances_are_bitwise_the_dense_minimum(case):
+    sp, sets, gather_bytes = case
+    assert type(sp.metric).set_distances is space_mod.Metric.set_distances
+    with mock.patch.object(space_mod, "_GATHER_BYTES", gather_bytes):
+        table = sp.metric.set_distances(sets)
+    assert table.shape == (sp.n, len(sets))
+    for k, s in enumerate(sets):
+        assert table[:, k].tobytes() == sp.dmat[:, s].min(axis=1).tobytes(), k
 
 
 @pytest.mark.parametrize("name", space_mod.BUILTIN_NAMES)

@@ -35,10 +35,9 @@ from renormlab.orbits import equivalent, select_dense_points
 from renormlab.tuples import (
     ClassRegistry,
     TupleIndex,
-    c_value,
     choose_parameters,
+    enumeration_index,
     enumeration_tail,
-    window_of,
 )
 
 
@@ -575,6 +574,20 @@ def test_witness_on_product_checks_exceptional_orbits(product_cfg):
     assert triple_norm(x, product_cfg).value <= 1.05 + 1e-12
 
 
+def test_witness_function_never_grows_the_registry(product_cfg):
+    # windows (3, 2) and (2, 3) end past the depth, so none of their classes
+    # is registered; the avoidance audit reads them without registering
+    registry = product_cfg.registry
+    for start, gammas in ((3, (0, 5, 2)), (2, (1, 3, 0, 4))):
+        t = product_cfg.tuple_index(start, gammas)
+        spec = witness_for_tuple(t, product_cfg, [1 / product_cfg.lam(start + k) for k in range(len(gammas))])
+        assert registry.prefix_classes(t.start, t.points)[-1] is None
+        size = len(registry)
+        _, audit = witness_function(spec, product_cfg)
+        assert audit["r2_checked"] > 0
+        assert len(registry) == size
+
+
 def test_witness_function_rejects_overlap(line_cfg):
     p = line_cfg.base_points[0]
     q = line_cfg.base_points[1]
@@ -938,14 +951,13 @@ def comparison_matrix(s_points, t, cfg):
         (j, k): cfg.registry.classify(t.start + j, s_points[j : k + 1]).exponent
         for j in range(n + 1) for k in range(j + 1, n + 1) if (j, k) != (0, n)
     }
-    return assemble_comparison(lambdas, seg_exponents, c_value(window_of(t.start, t.n)), cfg.bc)
+    return assemble_comparison(lambdas, seg_exponents, 3 * enumeration_index(t.start, t.n), cfg.bc)
 
 
 
 def test_comparison_synthetic_entry_difference():
     bc = choose_parameters(1.1)
-    w = window_of(2, 1)
-    c_t = c_value(w)
+    c_t = 3 * enumeration_index(2, 1)
     lambdas = [bc.lam(2), bc.lam(3)]
     T_class = TriangularSystem(lambdas=lambdas,
                                zeta=[[0, bc.inv_L_pow(Fraction(c_t - 1))], [0, 0]])

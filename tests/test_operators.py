@@ -385,9 +385,8 @@ def test_preimage_table_matches_direct_minimum(remark_space, monkeypatch, gather
     K_list = _repeated_run(remark_space)
     limit = remark25_map(remark_space, 3)
     sets = [limit.backward[K.members] for K in K_list]
-    # the three runs end at K[4], K[9] and K[1], each compact of which the
-    # map keeps in size
-    for s in (sets[4], sets[7], sets[8]):
+    # each set is swept on its own, and the map keeps every compact in size
+    for s in sets:
         rows = max(1, space_mod._GATHER_BYTES // (8 * np.unique(s).size))
         assert rows == 1 or remark_space.n % rows != 0
     table = space_mod.Metric.set_distances(remark_space.metric, sets)
@@ -696,3 +695,24 @@ def test_remark25_map_measures_its_round_trip_defects_once(remark_space, monkeyp
     seq = remark25_sequence(remark_space)
     assert calls == [1] * len(seq) == [1] * remark_space.metric_form["n_max"]
     assert seq[-1].allowed_defects  # row n_max's truncation edge
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 0, -1, "3", None])
+def test_group_refuses_a_word_cap_that_is_not_an_integer_at_least_1(line_space, bad):
+    gen = identity(line_space)
+    with pytest.raises(ValueError, match=re.escape(f"group word_cap must be an integer >= 1, got {bad!r}")):
+        rl.GroupSpec((gen,), word_cap=bad)
+    assert rl.GroupSpec((gen,), word_cap=np.int64(3)).word_cap == 3
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True, "4"])
+def test_onepoint_swap_group_refuses_a_bad_count_by_name(bad):
+    sp = rl.builtin_space("onepoint01N", n_max=6)
+    with pytest.raises(ValueError, match=re.escape(f"group count must be an integer >= 1, got {bad!r}")):
+        onepoint_swap_group(sp, count=bad)
+    # the count is checked before the space, as the scenario loader checks it
+    with pytest.raises(ValueError, match=re.escape(f"group count must be an integer >= 1, got {bad!r}")):
+        onepoint_swap_group(rl.builtin_space("circle", count=6), count=bad)
+    assert len(onepoint_swap_group(sp).generators) == 6
+    assert len(onepoint_swap_group(sp, count=2).generators) == 2
+    assert len(onepoint_swap_group(sp, count=9).generators) == 6

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -291,3 +292,10 @@ def test_orbit_closure_invariant_under_generator(product_space, rotation_group):
     orb2 = orbit_closure(rotation_group, moved)
     assert orb1.samples == orb2.samples
 
+
+@pytest.mark.parametrize("bad", [2.5, 0, -1, True, "3"])
+def test_select_dense_points_refuses_a_count_that_is_not_an_integer_at_least_1(line_space, bad):
+    G = rl.GroupSpec.trivial(line_space)
+    with pytest.raises(ValueError, match=re.escape(f"count must be an integer >= 1, got {bad!r}")):
+        select_dense_points(line_space, G, count=bad)
+    assert len(select_dense_points(line_space, G, count=np.int64(3))[0]) == 3

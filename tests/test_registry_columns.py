@@ -24,12 +24,10 @@ from renormlab import tuples
 from renormlab.tuples import (
     ClassInfo,
     ClassRegistry,
-    c_value,
     enumerate_window,
     enumeration_index,
     enumeration_tail,
     verify_bmap,
-    window_of,
 )
 
 
@@ -55,7 +53,7 @@ def _verify_bmap_batched(bc, depth, registry):
     for m, infos in sorted(by_m.items()):
         w = windows[m]
         cm = 3 * m
-        if c_value(w) != cm:
+        if 3 * enumeration_index(w.start, w.n) != cm:
             report["violations"].append(("property2", f"window {w} code mismatch"))
         exps = [info.exponent.as_integer_ratio() for info in sorted(infos, key=lambda i: i.ordinal)]
         for (pa, qa), (pb, qb) in zip(exps, exps[1:]):
@@ -176,7 +174,7 @@ def test_verify_bmap_matches_batched_oracle_at_depths_3_to_5(name, request):
 
 
 def _info(registry, m, ordinal):
-    (info,) = [i for i in registry.classes_for_window(enumerate_window(m)) if i.ordinal == ordinal]
+    (info,) = [i for window, i in registry.all_classes() if window == m and i.ordinal == ordinal]
     return info
 
 
@@ -294,8 +292,8 @@ def test_class_views_read_their_row_only():
     assert fourth.ordinal == 2 and (reg._p[3], reg._q[3]) == (11, 2)
     # the test writer changes the row, and every view of it
     set_class(third, ordinal=7, exponent=Fraction(22, 4))
-    assert reg.classes_for_window(enumerate_window(2))[0].ratio == (11, 2)
-    assert reg.classes_for_window(enumerate_window(2))[0].ordinal == 7
+    (_, moved), _ = [c for c in reg.all_classes() if c[0] == 2]
+    assert moved.ratio == (11, 2) and moved.ordinal == 7
     assert third != fourth and copy.deepcopy(reg).all_classes() == reg.all_classes()
     assert repr(first) == "ClassInfo(m=1, ordinal=1, exponent=Fraction(2, 1), representative=(0, 1))"
     assert isinstance(first, ClassInfo) and first.__hash__ is None
@@ -344,7 +342,7 @@ def _prefix_weights_hold(cfg):
         keys = canonical_keys(registry, plan.idx).tolist()
         assert plan.weights[:, 0].tolist() == [bc.lam(s) for s in starts]
         for k in range(1, plan.n + 1):
-            ms = {s: enumeration_index(window_of(s, k)) for s in set(starts)}
+            ms = {s: enumeration_index(s, k) for s in set(starts)}
             infos = [registry._infos[registry._index[ms[s], tuple(key[: k + 1])]]
                      for s, key in zip(starts, keys)]
             assert plan.weights[:, k].tolist() == [bc.inv_L_pow(info.exponent) for info in infos], (plan.n, k)

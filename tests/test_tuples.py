@@ -11,14 +11,12 @@ from renormlab.tuples import (
     ClassRegistry,
     TupleIndex,
     Window,
-    c_value,
     choose_parameters,
     enumerate_window,
     enumeration_index,
     enumeration_tail,
     exceptional_classes,
     verify_bmap,
-    window_of,
 )
 
 
@@ -30,13 +28,15 @@ def test_enumeration_first_rows():
 
 def test_enumeration_round_trip_to_1e4():
     for m in range(1, 10_001):
-        assert enumeration_index(enumerate_window(m)) == m
+        w = enumerate_window(m)
+        assert enumeration_index(w.start, w.n) == m
 
 
 @given(st.integers(min_value=1, max_value=10**6))
 @settings(max_examples=200)
 def test_enumeration_round_trip_property(m):
-    assert enumeration_index(enumerate_window(m)) == m
+    w = enumerate_window(m)
+    assert enumeration_index(w.start, w.n) == m
 
 
 def _row_search_window(m):
@@ -68,10 +68,10 @@ def test_enumeration_monotone_in_window_order():
 
 
 def test_c_value_examples():
-    assert c_value(window_of(1, 1)) == 3
-    assert c_value(window_of(1, 2)) == 9
-    # comparable tuples (same window) share the code by construction
-    assert c_value(window_of(4, 2)) == c_value(window_of(4, 2))
+    # the comparability code c = 3m of a window (start, n)
+    assert 3 * enumeration_index(1, 1) == 3
+    assert 3 * enumeration_index(1, 2) == 9
+    assert 3 * enumeration_index(4, 2) == 36  # (4, 5, 6) is window 12
 
 
 def test_window_validation():
@@ -88,7 +88,7 @@ def test_registry_window_index_matches_enumeration_index():
     for start in range(1, 7):
         for n in range(1, 6):
             points = tuple(range(n + 1))
-            m = enumeration_index(window_of(start, n))
+            m = enumeration_index(start, n)
             assert reg.classify(start, points).m == m
             assert reg.prefix_classes(start, points)[-1].m == m
     for start, points, message in ((0, (0, 1), "start must be >= 1"), (1, (0,), "length must be >= 2")):
@@ -97,7 +97,7 @@ def test_registry_window_index_matches_enumeration_index():
         with pytest.raises(ValueError, match=f"^{message}$"):
             reg.prefix_classes(start, points)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            window_of(start, len(points) - 1)
+            enumeration_index(start, len(points) - 1)
 
 
 def test_choose_parameters_examples():
@@ -232,7 +232,7 @@ def _verify_bmap_reference(bc, depth, registry):
     for m, infos in sorted(by_m.items()):
         w = enumerate_window(m)
         cm = 3 * m
-        if c_value(w) != cm:
+        if 3 * enumeration_index(w.start, w.n) != cm:
             report["violations"].append(("property2", f"window {w} code mismatch"))
         exps = [info.exponent for info in sorted(infos, key=lambda i: i.ordinal)]
         for a, b in zip(exps, exps[1:]):
@@ -292,8 +292,8 @@ def test_verify_bmap_matches_per_tuple_reference(name, request):
 
 
 def _corrupt(registry, m, ordinal, exponent):
-    for info in registry.classes_for_window(enumerate_window(m)):
-        if info.ordinal == ordinal:
+    for window, info in registry.all_classes():
+        if window == m and info.ordinal == ordinal:
             set_class(info, exponent=exponent)
 
 
@@ -383,6 +383,56 @@ def test_exceptional_classes_smaller_b_listed():
     t = TupleIndex(2, (0, 0), (5, 7))    # the tuple in the *second* class
     exc = exceptional_classes(t, 2, 1, reg)
     assert [e.ordinal for e in exc] == [first.ordinal]
+
+
+def _exceptional_classes_by_classify(t, p, q, registry):
+    # the version that classified the sub-tuple, registering its class when new
+    i, n = t.start, t.n
+    if not (i <= p and p + q <= i + n and q >= 1):
+        raise ValueError("exceptional window out of range")
+    if p == i + n:
+        raise ValueError("exceptional window must start before the tuple end")
+    sub = t.segment(p - i, p - i + q)
+    own = registry.classify(sub.start, sub.points)
+    m = enumeration_index(p, q)
+    return [info for window, info in registry.all_classes() if window == m and info.exponent < own.exponent]
+
+
+def _fork(registry):
+    # a registry with the same word maps and its own copy of the class columns
+    fork = copy.copy(registry)
+    for name in ("_m", "_ordinal", "_p", "_q", "_rep", "_infos"):
+        setattr(fork, name, list(getattr(registry, name)))
+    fork._index = dict(registry._index)
+    fork._by_window = {m: list(rows) for m, rows in registry._by_window.items()}
+    return fork
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "product_capped_cfg", "product_word_capped_cfg", "line_cfg"])
+def test_exceptional_classes_match_the_classify_oracle(name, request):
+    # tuples over windows inside and past the depth, every sub-window of
+    # each; the oracle runs on a fork, so it may register.  Labels past
+    # product_capped_cfg's gamma_cap give unregistered sub-tuples in
+    # windows that hold classes
+    cfg = request.getfixturevalue(name)
+    registry, size = cfg.registry, len(cfg.registry)
+    rng = np.random.default_rng(7)
+    registered = listed = 0
+    for start in range(1, cfg.depth + 2):
+        for n in range(1, cfg.depth + 1):
+            for _ in range(2):
+                gammas = [int(rng.integers(len(cfg.orbit_of_base(start + j)))) for j in range(n + 1)]
+                t = cfg.tuple_index(start, gammas)
+                for p in range(start, start + n):
+                    for q in range(1, start + n - p + 1):
+                        fork = _fork(registry)
+                        expected = _exceptional_classes_by_classify(t, p, q, fork)
+                        assert exceptional_classes(t, p, q, registry) == expected, (t, p, q)
+                        registered += len(fork) > size
+                        listed += len(fork) > size and len(expected) > 0
+    assert len(registry) == size
+    assert registered > 0  # some sub-tuples had no registered class
+    assert listed > 0 or name != "product_capped_cfg"
 
 
 def test_exceptional_classes_bounds():
