@@ -40,8 +40,8 @@ def m_weight(group: GroupSpec) -> BoundedGroupNorm:
 
     The infimum over the full group is approximated by words up to the
     group's word cap; the per-cap trace is monotone and reported so the
-    stabilization is visible.  A point is flagged when m moves by at least 0.25 within
-    ``2 * resolution`` of it.  Discontinuity flags are restricted to
+    stabilization is visible.  A point is flagged when m moves by at least 0.25
+    within ``resolution + _resolution_tol`` of it.  Discontinuity flags are restricted to
     non-isolated points: at sample scale only those can witness a genuine
     jump of m.
     """
@@ -52,7 +52,7 @@ def m_weight(group: GroupSpec) -> BoundedGroupNorm:
     m = weights.min(axis=0)
     trace = [(c, float(group.word_table(c)[1].min())) for c in range(1, group.word_cap + 1)]
 
-    radius = 2 * space.resolution
+    radius = space.resolution + space._resolution_tol
     flagged = []
     idx = np.arange(space.n)
     for p in np.flatnonzero(~space.isolated).tolist():

@@ -136,18 +136,18 @@ def certify(
     canonical class key, and an explicit approximating group word.
 
     certified-in-G means a word of length at most the group's cap matches
-    the candidate map within ``2 * resolution`` (reported as
-    ``caps["word_tol"]``) on every sample point.  The word is the first
-    nearest one on the tested base points (``approx_group_element``); its
-    index map is compared with the candidate's, and distances are read only
-    where the two differ.  rejected verdicts always carry a re-checkable
-    witness; everything else is inconclusive.  ``test_depth`` must be an
-    integer >= 1; it is capped at the number of base points.
+    the candidate map on every sample point, within the same-point rule
+    ``resolution + _resolution_tol`` (``caps["word_tol"]``).  The word is
+    the first nearest one on the tested base points (``approx_group_element``);
+    its index map is compared with the candidate's, and distances are read
+    only where the two differ.  rejected verdicts always carry a
+    re-checkable witness; everything else is inconclusive.  ``test_depth``
+    must be an integer >= 1; it is capped at the number of base points.
     """
     _integer(test_depth, "test_depth", 1)
     space = cfg.space
     _acts_on(T.space, space, "operator")
-    word_tol = 2 * space.resolution
+    word_tol = space.resolution + space._resolution_tol
     test_depth = min(int(test_depth), cfg.base_count)
     weight = check_weight_one(T, cfg)
 

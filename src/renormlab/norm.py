@@ -212,8 +212,6 @@ class RenormConfig:
     slot_gamma: np.ndarray = field(repr=False)
     # the head slot of every start: the root level of the plan rows' prefix tree
     heads: WindowPlan = field(repr=False)
-    # 1 / lambda_i of every base point (0-based)
-    inv_lam: np.ndarray = field(repr=False)
 
     def lam(self, i: int) -> float:
         return self.bc.lam(i)
@@ -242,9 +240,9 @@ class RenormConfig:
         return self.tuple_index(start, (0,) * (n + 1))
 
     def classify_slots(self, points: Sequence[int], tol: float | None = None):
-        """Per-slot labels of the nearest base-orbit slot within tol:
-        (base index, gamma) or None."""
-        tol = 2 * self.space.resolution if tol is None else tol
+        """Per-slot labels of the nearest base-orbit slot within tol, by default
+        the same-point rule: (base index, gamma) or None."""
+        tol = self.space.resolution + self.space._resolution_tol if tol is None else tol
         return [
             (int(self.slot_base[p]), int(self.slot_gamma[p])) if self.slot_dist[p] <= tol else None
             for p in points
@@ -445,7 +443,6 @@ def build_config(
         slot_base=slots[nearest, 0],
         slot_gamma=slots[nearest, 1],
         heads=heads,
-        inv_lam=1.0 / lams,
     )
 
 
@@ -639,7 +636,7 @@ def dual_norm_delta(point: int, cfg: RenormConfig) -> float:
     within the space's resolution tolerance belongs to the i-th base point,
     1 off every enumerated base orbit."""
     (hit,) = cfg.classify_slots((point,), cfg.space._resolution_tol)
-    return 1.0 if hit is None else float(cfg.inv_lam[hit[0] - 1])
+    return 1.0 if hit is None else 1.0 / cfg.lam(hit[0])
 
 
 def dual_norm_atoms(

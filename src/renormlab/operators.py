@@ -45,9 +45,9 @@ class WeightedComposition:
     """Operator ``f -> weight * (f o forward)`` on a sampled space.
 
     ``forward`` and ``backward`` are index maps approximating a
-    homeomorphism and its inverse; round trips must stay within
-    ``2 * resolution``, plus relative float slack, except at declared
-    truncation-edge defects.
+    homeomorphism and its inverse; a round trip must return every point to
+    the same sample point, within ``resolution + space._resolution_tol``,
+    except at declared truncation-edge defects.
     """
 
     space: SampledSpace
@@ -75,7 +75,7 @@ class WeightedComposition:
         if stray:
             pid = self.space.points[stray[0]]
             raise ValueError(
-                f"map round trip displaces {len(stray)} points beyond 2*resolution "
+                f"map round trip displaces {len(stray)} points beyond 2*resolution plus rounding "
                 f"(first: {pid}); declare truncation-edge defects explicitly"
             )
 
@@ -106,8 +106,8 @@ def _map_key(forward: np.ndarray, weight: np.ndarray) -> Iterator[bytes]:
 def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray) -> list[frozenset[int]]:
     """For each row of the ``(B, n)`` index maps, the points that a round
     trip through the row's two maps, in either order, displaces by more
-    than ``2 * resolution`` plus the relative float slack of
-    ``_resolution_tol``; all rows are measured in one gather.
+    than ``resolution + _resolution_tol``, off the same sample point; all
+    rows are measured in one gather.
 
     A point that both round trips return to itself is displaced by d(i, i),
     which is 0 in every closed form, so distances are read only where a
@@ -367,8 +367,9 @@ def onepoint_swap_group(space: SampledSpace, word_cap: int = 2,
     if count is not None:
         _integer(count, "group count", 1)
     n_max = _tag(space, "onepoint01N", "onepoint_swap_group requires the onepoint01N space")["n_max"]
-    count = n_max if count is None else count
-    gens = [onepoint_swap(space, n) for n in range(1, min(count, n_max) + 1)]
+    if count is not None and count > n_max:
+        raise ValueError(f"group count must be at most the space's n_max {n_max}, got {count}")
+    gens = [onepoint_swap(space, n) for n in range(1, (count or n_max) + 1)]
     return GroupSpec(tuple(gens), word_cap=word_cap, label="onepoint-swaps")
 
 

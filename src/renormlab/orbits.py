@@ -37,24 +37,21 @@ class OrbitClosure:
 
 
 def orbit_closure(group: GroupSpec, t: Sequence[int]) -> OrbitClosure:
-    """The distinct images of the tuple under the group's words, the tuple
-    itself included, sorted."""
+    """The distinct images of the tuple under the group's words, sorted;
+    row 0 of the word table is the identity, so the tuple is one of them."""
     base = tuple(int(i) for i in t)
-    images = group.word_table()[0][:, base].tolist()  # row w is word w's image
-    defects = frozenset().union(*(g.allowed_defects for g in group.generators))
-    return OrbitClosure(
-        base=base,
-        samples=tuple(sorted({*map(tuple, images), base})),
-        word_cap=group.word_cap,
-        window_clipped=any(not defects.isdisjoint(img) for img in images),
-    )
+    images = group.word_table()[0][:, base]  # row w is word w's image
+    rows = images[np.lexsort(images.T[::-1])] if base else images[:1]  # tuple order; () is its own image
+    distinct = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    defects = list(frozenset().union(*(g.allowed_defects for g in group.generators)))
+    return OrbitClosure(base=base, samples=tuple(map(tuple, distinct.tolist())),
+                        word_cap=group.word_cap, window_clipped=bool(np.isin(images, defects).any()))
 
 
 def equivalent(s: Sequence[int], t: Sequence[int], group: GroupSpec) -> bool:
-    """True iff some image of t under the group's full word list lies
-    strictly within the resolution of s in the max metric.  The images are
-    the word table's columns at t (row 0, the identity, included), measured
-    through the metric.  The tolerance is the one-snap error bound, so
+    """True iff some image of t under the group's full word list (the word
+    table's columns at t, the identity's row 0 included) lies strictly
+    within ``_resolution_tol`` of s in the max metric: one snap's error, so
     distinct grid neighbors, at twice it, stay inequivalent."""
     if len(s) != len(t):
         raise ValueError("length mismatch")

@@ -183,11 +183,9 @@ class SampledSpace:
 
     @cached_property
     def _resolution_tol(self) -> float:
-        """Default tolerance for "within resolution": the resolution plus
-        the float error of a computed distance.  That error scales with the
-        distances, so the slack is 8 eps max d, as in the closed-form metric
-        certificate; an absolute slack would swamp a resolution below it."""
-        return self.resolution + 8 * float(np.finfo(float).eps) * self.metric.diameter
+        """Tolerance of "within the resolution": resolution plus the metric's
+        ``rounding``.  The same-point rule is ``resolution + _resolution_tol``."""
+        return self.resolution + self.metric.rounding
 
     def __repr__(self) -> str:  # short: spaces can hold thousands of points
         return f"SampledSpace({self.name!r}, n={self.n}, resolution={self.resolution})"
@@ -297,6 +295,12 @@ class Metric:
         scans blocks of rows, so no matrix is held."""
         idx, step = np.arange(self.n), _SYMMETRY_TILE
         return max(float(self.cross(idx[r:r + step], idx).max()) for r in range(0, self.n, step))
+
+    @property
+    def rounding(self) -> float:
+        """The float slack of a distance test, and a bound on every computed triangle
+        gap: 8 eps per unit of ``diameter``, as each entry is within 2 eps max d of exact."""
+        return 8 * float(np.finfo(float).eps) * self.diameter
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -545,6 +549,8 @@ class _Dyadic(Metric):
     (0 at level inf), and a pair with an isolated point gets ``max(1, q <=
     1/2) = 1``.  Level inf marks the lone accumulation point."""
 
+    rounding = 0.0  # every distance is exact, so fl(d(i, j) - fl(d(i, k) + d(k, j))) <= 0
+
     def __init__(self, level: np.ndarray, block: np.ndarray | None = None):
         self.level, self.n = level, len(level)
         self.q = np.power(2.0, np.negative(level))
@@ -701,12 +707,11 @@ def validate_metric(space: SampledSpace) -> dict:
     - ``"closed-form"``, when ``metric_form`` is a line, circle, remark25
       or onepoint01N tag, or a max-product of these: every distance is
       computed from the tag's formula F, so ``formula_defect = max |d -
-      F|`` is 0.  F is a metric in exact arithmetic, and rounding moves
-      each entry by at most 2 eps max F, so every triangle gap ``d(i, j) -
-      d(i, k) - d(k, j)`` on the sample is at most ``triangle_gap_bound =
-      8 * eps * max d`` (``max d`` is the metric's ``diameter``).  The
-      triangle inequality is certified when that bound is at most the
-      tolerance; no triple is examined and no matrix is built.
+      F|`` is 0.  F is a metric in exact arithmetic, so every triangle gap
+      ``d(i, j) - d(i, k) - d(k, j)`` on the sample is at most
+      ``triangle_gap_bound``, the metric's ``rounding`` (0 on the exact
+      dyadic kinds).  The triangle inequality is certified when that bound
+      is at most the tolerance; no triple is examined and no matrix is built.
     - ``"exhaustive"``: all n^3 triples, when n <= 2500.
     - ``"random"``: 100,000 random triples, seed 0, otherwise.
     """
@@ -714,7 +719,7 @@ def validate_metric(space: SampledSpace) -> dict:
     n = space.n
     report = {"n": n, "symmetric": True, "identity": True}
     if not isinstance(space.metric, _Dense):
-        bound = 8 * float(np.finfo(float).eps) * space.metric.diameter
+        bound = space.metric.rounding
         report.update(mode="closed-form", formula=space.metric_form, formula_defect=0.0,
                       triangle_gap_bound=bound, triples_checked=0, triangle_ok=bound <= tol,
                       ok=bound <= tol)

@@ -31,6 +31,22 @@ def test_certify_refuses_an_operator_on_another_space():
     assert certify(identity(rl.builtin_space("circle", count=12)), cfg).verdict == "certified-in-G"
 
 
+def test_adjacent_swaps_on_the_line_certify_however_their_distance_rounds(line_cfg):
+    # x_{k+1} - x_k rounds above 0.01 for some k and not for others; every
+    # swap of two neighbours off the tested base points is the same map
+    space = line_cfg.space
+    ks = np.arange(4, space.n - 1)  # the first 4 base points are x_0..x_3
+    assert set(line_cfg.base_points[:4]) == {0, 1, 2, 3}
+    gaps = space.metric.pair(ks, ks + 1)
+    above, below = ks[gaps > 0.01], ks[gaps <= 0.01]
+    assert above.size and below.size
+    for k in [*above[::60], *below[::150]]:
+        fwd = np.arange(space.n)
+        fwd[[k, k + 1]] = [k + 1, k]
+        T = WeightedComposition(space, np.ones(space.n), fwd, fwd.copy())
+        assert certify(T, line_cfg).verdict == "certified-in-G", space.points[k]
+
+
 def test_weight_report_generator(product_cfg):
     g = product_cfg.group.generators[0]
     rep = check_weight_one(g, product_cfg)
@@ -210,7 +226,7 @@ def _certify_per_depth(T, cfg, test_depth=4):
     # the certify that one key per side replaced: per depth, two classify
     # calls, which register the classes they miss, so cfg must be a fork
     space = cfg.space
-    word_tol = 2 * space.resolution
+    word_tol = space.resolution + space._resolution_tol
     test_depth = min(test_depth, cfg.base_count)
     dev = np.abs(T.weight - 1.0)
     weight = WeightReport(weight_ok=dev.max() <= 1e-9, max_weight_deviation=float(dev.max()),
@@ -225,7 +241,7 @@ def _certify_per_depth(T, cfg, test_depth=4):
         img_ids = tuple(space.points[p] for p in img)
         t_ids = tuple(space.points[p] for p in t.points)
         slots = cfg.classify_slots(img)
-        # the window the image occupies, read from slots within 2 * resolution
+        # the window the image occupies, read from slots at the same sample point
         on_window = (all(s is not None for s in slots)
                      and [s[0] for s in slots] == list(range(slots[0][0], slots[0][0] + len(slots))))
         ti = TupleIndex(slots[0][0], tuple(s[1] for s in slots), img) if on_window else None

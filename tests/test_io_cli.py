@@ -209,6 +209,21 @@ def test_group_file_word_cap_must_be_an_integer(tmp_path, bad):
     assert str(err.value) == f"group file {path}: group word_cap must be an integer >= 1, got {bad!r}"
 
 
+def test_a_group_file_whose_generator_drifts_on_remark25_exits_2_naming_it(tmp_path, capsys):
+    # the generator sends (0,48) to (0,49), which its inverse fixes: the
+    # round trip moves (0,48) by 2^-48, beyond remark25's exact 2^-49
+    sp = rl.builtin_space("remark25")
+    forward = list(sp.points)
+    forward[sp.index("(0,48)")] = "(0,49)"
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps({"label": "drift", "word_cap": 1, "generators": [
+        {"label": "drift", "weight": {"form": "const", "value": 1.0}, "forward": forward,
+         "backward": list(sp.points)}]}))
+    assert main(["eval", "--space", "remark25", "--group", str(path), "--orbits", "(0,inf)"]) == 2
+    err = capsys.readouterr().err
+    assert f"group file {path}: map round trip displaces 1 points" in err and "(first: (0,48))" in err
+
+
 def test_a_group_file_without_generators_exits_2_naming_it(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"label": "", "word_cap": 2, "generators": []}))
@@ -556,6 +571,15 @@ def test_bad_operator_spec_exits_2_naming_the_field(tmp_path, capsys, spec, mess
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not list((tmp_path / "out").glob("*.json"))
+
+
+def test_a_swap_count_above_n_max_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "swaps.json"
+    path.write_text(json.dumps({"space": {"builtin": "onepoint01N"}, "tasks": ["build-config"],
+                                "group": {"builtin": "onepoint_swaps", "count": 500}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "group count must be at most the space's n_max 50, got 500" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("offset", ["NaN", "Infinity", "-Infinity"])

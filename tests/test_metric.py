@@ -121,7 +121,17 @@ def test_default_set_distances_are_bitwise_the_dense_minimum(case):
 def test_diameter_is_bitwise_the_matrix_max(name):
     sp = builtin_space(name)
     assert sp.metric.diameter == sp.dmat.max()
-    assert sp._resolution_tol == sp.resolution + 8 * np.finfo(float).eps * sp.dmat.max()
+    # a dyadic distance is exact: its rounding bound, and so its slack, is 0
+    exact = name in ("remark25", "onepoint01N")
+    assert sp._resolution_tol == sp.resolution + (0.0 if exact else 8 * np.finfo(float).eps * sp.dmat.max())
+
+
+@pytest.mark.parametrize("name,params", _BUILTINS)
+def test_a_given_matrix_rounds_as_a_computed_one(name, params):
+    # a matrix twin, dyadic or not, reads the default bound 8 eps max d
+    sp = builtin_space(name, **params)
+    twin = dataclasses.replace(sp, dmat=sp.dmat, metric_form={"form": "matrix"}, factors=())
+    assert twin._resolution_tol == sp.resolution + 8 * np.finfo(float).eps * sp.dmat.max()
 
 
 def test_matrix_is_built_once_on_first_read_and_read_only():

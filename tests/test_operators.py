@@ -121,6 +121,23 @@ def test_round_trip_slack_scales_with_the_resolution(onepoint_space, k):
         frozenset({s.index(f"(0,{k})")})]
 
 
+def test_a_dyadic_round_trip_allows_exactly_twice_the_resolution(remark_space):
+    # remark25 distances are exact, so the same-point rule is 2^-49 at
+    # n_max 50: (0,49) sent to (0,50), 2^-49 away, stays the same point;
+    # (0,48) sent to (0,49), 2^-48 away, does not
+    s = remark_space
+    assert s._resolution_tol == s.resolution
+    for k, moved in ((48, True), (49, False)):
+        fwd = np.arange(s.n)
+        fwd[s.index(f"(0,{k})")] = s.index(f"(0,{k + 1})")
+        if moved:
+            with pytest.raises(ValueError, match=re.escape(f"round trip displaces 1 points beyond 2*resolution "
+                                                           f"plus rounding (first: (0,{k}))")):
+                rl.WeightedComposition(s, np.ones(s.n), fwd, np.arange(s.n))
+        else:
+            rl.WeightedComposition(s, np.ones(s.n), fwd, np.arange(s.n))
+
+
 def _roundtrip_defects_everywhere(space, forward, backward):
     # the round trip measured at every point, the fixed ones included
     n = space.n
@@ -715,4 +732,7 @@ def test_onepoint_swap_group_refuses_a_bad_count_by_name(bad):
         onepoint_swap_group(rl.builtin_space("circle", count=6), count=bad)
     assert len(onepoint_swap_group(sp).generators) == 6
     assert len(onepoint_swap_group(sp, count=2).generators) == 2
-    assert len(onepoint_swap_group(sp, count=9).generators) == 6
+    assert len(onepoint_swap_group(sp, count=6).generators) == 6
+    # a count above n_max is refused, not clipped
+    with pytest.raises(ValueError, match=re.escape("group count must be at most the space's n_max 6, got 9")):
+        onepoint_swap_group(sp, count=9)

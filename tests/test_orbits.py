@@ -74,6 +74,18 @@ def test_distinct_points_below_an_absolute_slack_stay_inequivalent(onepoint_spac
         assert equivalent(s, s, G), k
 
 
+def test_dyadic_column_points_stay_apart_from_inf(remark_space):
+    # remark25 distances are exact, so "within the resolution" is the
+    # resolution itself: (0,49) lies 2^-49 from inf, twice the resolution
+    G = rl.GroupSpec.trivial(remark_space)
+    idx = remark_space.index
+    assert not equivalent((idx("(0,49)"),), (idx("(0,inf)"),), G)
+    assert equivalent((idx("(0,inf)"),), (idx("(0,inf)"),), G)
+    big = rl.builtin_space("remark25", n_max=200)
+    G = rl.GroupSpec.trivial(big)
+    assert not equivalent((big.index("(0,50)"),), (big.index("(0,200)"),), G)
+
+
 def _equivalent_by_closure(s, t, group):
     # the forward test that the metric read replaced: the orbit_closure
     # samples of t, read through the dense matrix

@@ -210,6 +210,22 @@ def test_table_consumers_match_per_word_loops(gallery, bounded, capped, data):
     assert group_norm(x, bounded[name]).sup_over_words == _sup_over_words_loop(group, x)
 
 
+def test_orbit_closure_reads_the_table_as_the_loop_does(gallery):
+    # rot12 at its cap 6 and at cap 4, swaps, the trivial line, and line
+    # translations, whose edge images clip
+    groups = {**gallery, "rot12 cap 4": _capped(gallery["rot12 lift"], 4)}
+    rng = np.random.default_rng(0)
+    for name, group in groups.items():
+        n = group.space.n
+        tuples = [(), (0,), (n // 2,), (n - 1, 0), *map(tuple, rng.integers(0, n, size=(30, 3)).tolist())]
+        seen = set()
+        for t in tuples:
+            orb = orbit_closure(group, t)
+            assert (orb.samples, orb.window_clipped) == _orbit_closure_loop(group, t), (name, t)
+            seen.add(orb.window_clipped)
+        assert seen == ({False, True} if name == "line translations" else {False}), name
+
+
 def test_orbit_keeps_distinct_images_closer_than_the_scale(onepoint_space, swap_group):
     # near inf the swapped pair (0, 50), (1, 50) is closer than twice the
     # resolution, and each is the other's image: both are in either orbit
