@@ -9,9 +9,10 @@ nearest-sample errors).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,43 +87,73 @@ class WeightedComposition:
         return self.weight * f[self.forward]
 
     def key(self) -> bytes:
-        return next(_map_key(self.forward[None], self.weight[None]))
+        return _key_rows(self.forward[None], self.weight[None]).tobytes()
 
     def __repr__(self) -> str:
         return f"WeightedComposition({self.label or 'op'!r} on {self.space.name})"
 
 
-def _map_key(forward: np.ndarray, weight: np.ndarray) -> Iterator[bytes]:
-    """Dedupe keys of the rows of ``(B, n)`` point maps and weights: each
-    row's map bytes, then its weight's bytes rounded to 12 decimals, one
-    bytes object per row, cut from one buffer as it is read.  Holding a
-    block's keys at once fragments the heap so that later large temporaries
-    (``bounded.group_norm``'s) page-fault on every call."""
-    keys = np.concatenate([forward, np.round(weight, 12).view(np.intp)], axis=1).view(np.uint8)
-    width, buf = keys.shape[1], keys.tobytes()
-    return (buf[j:j + width] for j in range(0, len(buf), width))
+def _key_rows(forward: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Dedupe keys of the rows of ``(B, n)`` point maps and weights as
+    ``(B, 2n)`` integers: each row's map, then its weight rounded to 12
+    decimals read as int64.  A row's bytes are its operator's ``key()``, so
+    keys compare as those bytes do: NaN equals its own bits, and -0.0 is not
+    0.0."""
+    return np.concatenate([forward, np.round(weight, 12).view(np.intp)], axis=1)
 
 
-def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray) -> list[frozenset[int]]:
+@functools.lru_cache(maxsize=8)
+def _fingerprint_vector(width: int) -> np.ndarray:
+    """The fixed pseudo-random ``uint64`` vector that fingerprints key rows
+    of the given width: the first ``width`` outputs of splitmix64 from seed
+    0 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+    generators", 2014), in wrapping array arithmetic, so no random module
+    is imported; read-only."""
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    vec = z ^ (z >> np.uint64(31))
+    vec.flags.writeable = False
+    return vec
+
+
+def _fingerprints(forward: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """One 64-bit fingerprint per row of ``(B, n)`` point maps and weights:
+    the dot product of the row's ``_key_rows`` integers with a fixed random
+    vector, wrapping modulo 2^64 (Karp and Rabin, "Efficient randomized
+    pattern-matching algorithms", 1987), taken over the map and the rounded
+    weight apart, so no key row is built.  Equal keys have equal
+    fingerprints; two distinct keys rarely do, and ``_next_level`` confirms
+    every equal pair on the keys themselves."""
+    n = forward.shape[1]
+    vec = _fingerprint_vector(2 * n)
+    return forward.view(np.uint64) @ vec[:n] + np.round(weight, 12).view(np.uint64) @ vec[n:]
+
+
+def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray,
+                       at: np.ndarray | None = None) -> list[frozenset[int]]:
     """For each row of the ``(B, n)`` index maps, the points that a round
     trip through the row's two maps, in either order, displaces by more
     than ``resolution + _resolution_tol``, off the same sample point; all
-    rows are measured in one gather.
+    rows are measured in one gather, at the points ``at`` only when given
+    (a caller that knows the other points are fixed by both maps).
 
     A point that both round trips return to itself is displaced by d(i, i),
     which is 0 in every closed form, so distances are read only where a
     round trip moves a point, and on a matrix-form space also where the
     diagonal is not 0."""
     n = space.n
+    idx = np.arange(n) if at is None else np.asarray(at, dtype=np.intp)
     # flat indices: entry j of row r of a (B, n) array is at r * n + j
     offsets = (np.arange(len(forward)) * n)[:, None]
-    idx = np.arange(n)
-    there, back = backward.ravel()[forward + offsets], forward.ravel()[backward + offsets]
+    there = backward.ravel()[(forward if at is None else forward[:, idx]) + offsets]
+    back = forward.ravel()[(backward if at is None else backward[:, idx]) + offsets]
     moved = (there != idx) | (back != idx)
     if isinstance(space.metric, _Dense):
-        moved |= np.diagonal(space.dmat) != 0
-    rows, cols = np.nonzero(moved)  # row-major, so each row's points are sorted
-    gap = np.maximum(space.metric.pair(there[rows, cols], cols), space.metric.pair(back[rows, cols], cols))
+        moved |= np.diagonal(space.dmat)[idx] != 0
+    rows, k = np.nonzero(moved)  # row-major, so each row's points stay together
+    cols = idx[k]
+    gap = np.maximum(space.metric.pair(there[rows, k], cols), space.metric.pair(back[rows, k], cols))
     far = gap > space.resolution + space._resolution_tol
     rows, cols = rows[far], cols[far]
     ends = np.searchsorted(rows, np.arange(len(forward) + 1))
@@ -160,11 +191,12 @@ def compose(h: WeightedComposition, g: WeightedComposition) -> WeightedCompositi
     or translation forms, the composite map is re-snapped from the summed
     form so that long words do not accumulate grid error.  The product is
     the one word of a level of the word table (``_next_level``) whose
-    frontier is ``h`` and whose generator is ``g``.
+    frontier is ``h``, whose generator is ``g`` and whose table is empty.
     """
     if not same_space(h.space, g.space):
         raise ValueError("mismatched spaces")
-    return _next_level(h.space, _WordRows.of([h]), _WordRows.of([g]), set()).operator(h.space, 0)
+    frontier = _WordRows.of([h])
+    return _next_level(h.space, frontier, _WordRows.of([g]), frontier.rows(0, 0)).operator(h.space, 0)
 
 
 def invert(g: WeightedComposition) -> WeightedComposition:
@@ -333,8 +365,10 @@ def remark25_map(space: SampledSpace, n: int) -> WeightedComposition:
     bwd[row[n - 1:-1]] = row[n:]  # (n, i) -> (n, i+1) for n <= i < n_max
     # (n, n_max) stays put: its ideal preimage (n, n_max + 1) has no nearby
     # sample point; the resulting round-trip defects at the truncation edge
-    # are measured and declared
-    defects = _roundtrip_defects(space, fwd[None], bwd[None])[0]
+    # are measured where the two maps move points, the column from (0, n)
+    # on and row n, and declared
+    moved = np.concatenate([np.arange(n - 1, n_max + 1), row])
+    defects = _roundtrip_defects(space, fwd[None], bwd[None], at=moved)[0]
     return WeightedComposition(space, np.ones(N), fwd, bwd, label=f"phi_{n}",
                                allowed_defects=defects, measured_defects=defects)
 
@@ -354,7 +388,8 @@ def onepoint_swap(space: SampledSpace, n: int) -> WeightedComposition:
     w = np.ones(N)
     w[i0] = 2.0
     w[i1] = 0.5
-    return WeightedComposition(space, w, fwd, fwd.copy(), label=f"g_{n}")
+    # the swap is its own inverse, so both round trips fix every point
+    return WeightedComposition(space, w, fwd, fwd.copy(), label=f"g_{n}", measured_defects=frozenset())
 
 
 def remark25_sequence(space: SampledSpace) -> list[WeightedComposition]:
@@ -384,7 +419,8 @@ _WORD_BLOCK = 1 << 15
 
 class _WordRows(NamedTuple):
     """Words as table rows: point maps, weights and inverse maps as
-    ``(W, n)`` arrays, with each row's label, form and declared defects."""
+    ``(W, n)`` arrays, with each row's label, form and declared defects, and
+    the fingerprint of each row's key (``_fingerprints``)."""
 
     forward: np.ndarray
     weight: np.ndarray
@@ -392,18 +428,18 @@ class _WordRows(NamedTuple):
     labels: list[str]
     forms: list[dict | None]
     allowed: list[frozenset]
+    fp: np.ndarray
 
     @classmethod
     def of(cls, ops: Sequence[WeightedComposition]) -> "_WordRows":
-        return cls(np.stack([g.forward for g in ops]), np.stack([g.weight for g in ops]),
-                   np.stack([g.backward for g in ops]), [g.label for g in ops],
-                   [g.form for g in ops], [g.allowed_defects for g in ops])
+        forward, weight = np.stack([g.forward for g in ops]), np.stack([g.weight for g in ops])
+        return cls(forward, weight, np.stack([g.backward for g in ops]), [g.label for g in ops],
+                   [g.form for g in ops], [g.allowed_defects for g in ops],
+                   _fingerprints(forward, weight))
 
-    @classmethod
-    def concat(cls, parts: Sequence["_WordRows"]) -> "_WordRows":
-        arrays = {f: np.concatenate([getattr(p, f) for p in parts]) for f in ("forward", "weight", "backward")}
-        lists = {f: [x for p in parts for x in getattr(p, f)] for f in ("labels", "forms", "allowed")}
-        return cls(**arrays, **lists)
+    def rows(self, start: int, stop: int | None = None) -> "_WordRows":
+        """Rows start..stop as views of the arrays."""
+        return _WordRows(*(field[start:stop] for field in self))
 
     def operator(self, space: SampledSpace, r: int) -> WeightedComposition:
         """Row r as an operator on its arrays; the row's defects were
@@ -413,64 +449,146 @@ class _WordRows(NamedTuple):
                                    allowed_defects=self.allowed[r], measured_defects=self.allowed[r])
 
 
-def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, seen: set[bytes]) -> _WordRows:
-    """The words that extend a frontier word by one generator and whose
-    keys are not in ``seen``, first occurrences in (frontier word,
-    generator) order; ``seen`` grows by their keys.
+def _exact(rows: _WordRows) -> np.ndarray:
+    """For each row, whether both round trips through its maps return every
+    point to itself."""
+    n = rows.forward.shape[1]
+    # flat indices: entry j of row r of a (W, n) array is at r * n + j
+    offsets = (np.arange(len(rows.forward)) * n)[:, None]
+    idx = np.arange(n)
+    return ((rows.backward.ravel()[rows.forward + offsets] == idx)
+            & (rows.forward.ravel()[rows.backward + offsets] == idx)).all(axis=1)
 
-    Candidates are taken in blocks of about ``_WORD_BLOCK`` entries per
-    array: one gather composes the block's point maps and weights, and one
-    ``_map_key`` call keys its rows.  A pair whose composed form is a
-    rotation or translation is re-snapped from it (``_snapped``) and keyed
-    as built.  A kept composite must have a positive finite weight, or the
+
+def _first_entries(fps: np.ndarray) -> np.ndarray:
+    """For each entry, the index of the first entry with its fingerprint,
+    from one stable sort."""
+    order = np.argsort(fps, kind="stable")
+    ordered = fps[order]
+    head = np.ones(len(fps), dtype=bool)  # where a run of equal fingerprints starts
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    first = np.empty_like(order)
+    first[order] = order[head][np.cumsum(head) - 1]
+    return first
+
+
+def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, table: _WordRows) -> _WordRows:
+    """``table`` followed by the words that extend a frontier word by one
+    generator and whose keys are not in it, first occurrences in (frontier
+    word, generator) order.
+
+    Only pairs whose operands both carry a form are visited one by one:
+    one whose forms compose to a rotation or translation is re-snapped
+    from the composed form (``_snapped``) and keyed as built.  Candidates
+    are composed in blocks of about ``_WORD_BLOCK`` array entries, one
+    gather of point maps and weights each, and fingerprinted.  One stable
+    sort of the table's fingerprints followed by the candidates' picks the
+    first entry of each fingerprint; every later entry is compared with it
+    on the full keys, and the entries of a fingerprint that holds unequal
+    keys are deduplicated on their keys instead, so a collision merges no
+    words.  The kept candidates are then gathered once, inverse maps
+    included.  A kept composite must have a positive finite weight, or the
     first such word raises as its ``WeightedComposition`` would; the
-    round-trip defects of the kept composites are measured in one gather
-    and declared.  Every word is labelled ``_product_label`` of its
-    frontier word's and its generator's labels.
+    round-trip defects of the kept composites are measured and declared,
+    except where both operands' round trips fix every point (``_exact``).
+    Every word is labelled ``_product_label`` of its frontier word's and
+    its generator's labels.
     """
-    n, K = space.n, len(gens.labels)
+    n, K, S = space.n, len(gens.labels), len(table.labels)
     total = len(frontier.labels) * K
     step = max(1, _WORD_BLOCK // n)
-    parts = [_WordRows(frontier.forward[:0], frontier.weight[:0], frontier.backward[:0], [], [], [])]
+    both = np.flatnonzero(np.logical_and.outer(np.array([bool(f) for f in frontier.forms], dtype=bool),
+                                               np.array([bool(f) for f in gens.forms], dtype=bool)))
+    forms, snaps = {}, {}
+    for j in both.tolist():
+        forms[j] = _compose_forms(frontier.forms[j // K], gens.forms[j % K])
+        c = _snapped(space, forms[j])
+        if c is not None:
+            snaps[j] = c
+    snapped = np.fromiter(snaps, dtype=np.intp, count=len(snaps))
+
+    def composed(idx: np.ndarray, out: Sequence[np.ndarray] | None = None) -> Sequence[np.ndarray]:
+        # the candidates' point maps and weights, and inverse maps when out
+        # holds a third array, written to out; the re-snapped ones as built
+        h, g = np.divmod(idx, K)
+        if out is None:
+            out = np.empty((len(idx), n), dtype=np.intp), np.empty((len(idx), n))
+        # flat indices into the generator rows (entry j of row g is at
+        # g * n + j); every index is in range, and mode="wrap" gathers
+        # straight into out where the default mode copies through a temporary
+        at = frontier.forward[h] + (g * n)[:, None]
+        np.take(gens.forward, at, out=out[0], mode="wrap")
+        np.multiply(frontier.weight[h], np.take(gens.weight, at, out=out[1], mode="wrap"), out=out[1])
+        if len(out) > 2:
+            np.take(frontier.backward, gens.backward[g] + (h * n)[:, None], out=out[2], mode="wrap")
+        for r in np.flatnonzero(np.isin(idx, snapped)).tolist() if snaps else ():
+            c = snaps[int(idx[r])]
+            for rows, built in zip(out, (c.forward, c.weight, c.backward)):
+                rows[r] = built
+        return out
+
+    def extended(kept: np.ndarray) -> list[np.ndarray]:
+        # the table's arrays followed by the kept candidates' rows
+        out = [np.empty((S + len(kept), n), dtype=a.dtype) for a in (table.forward, table.weight, table.backward)]
+        for rows, old in zip(out, (table.forward, table.weight, table.backward)):
+            rows[:S] = old
+        for a in range(0, len(kept), step):
+            composed(kept[a:a + step], [rows[S + a:S + a + step] for rows in out])
+        return out
+
+    fp = np.empty(total, dtype=np.uint64)
     for a in range(0, total, step):
-        h_idx, g_idx = np.divmod(np.arange(a, min(a + step, total)), K)
-        # flat indices into the generator rows: entry j of row g is at g * n + j
-        at = frontier.forward[h_idx] + (g_idx * n)[:, None]
-        fwd = np.take(gens.forward, at)
-        wt = frontier.weight[h_idx] * np.take(gens.weight, at)
-        valid = (np.isfinite(wt) & (wt > 0)).all(axis=1)
-        keep, forms, snaps = [], [], {}
-        for j, (h, g, key) in enumerate(zip(h_idx.tolist(), g_idx.tolist(), _map_key(fwd, wt))):
-            form = _compose_forms(frontier.forms[h], gens.forms[g])
-            c = None if form is None else _snapped(space, form)
-            key = key if c is None else c.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            if c is None and not valid[j]:
-                raise _weight_error(space, wt[j])
-            if c is not None:
-                snaps[len(keep)] = c
-            keep.append(j)
-            forms.append(form)
-        h_idx, g_idx = h_idx[keep], g_idx[keep]
-        fwd, wt = fwd[keep], wt[keep]
-        bwd = np.take(frontier.backward, gens.backward[g_idx] + (h_idx * n)[:, None])
-        for r, c in snaps.items():
-            fwd[r], wt[r], bwd[r] = c.forward, c.weight, c.backward
-        plain = [r for r in range(len(keep)) if r not in snaps]
-        measured = iter(_roundtrip_defects(space, fwd[plain], bwd[plain]))
-        labels, allowed = [], []
-        for r, (h, g) in enumerate(zip(h_idx.tolist(), g_idx.tolist())):
-            labels.append(_product_label(frontier.labels[h], gens.labels[g]))
-            c = snaps.get(r)
-            if c is None:
-                allowed.append(frontier.allowed[h] | gens.allowed[g] | next(measured))
-            else:
-                forms[r] = c.form
-                allowed.append(c.allowed_defects)
-        parts.append(_WordRows(fwd, wt, bwd, labels, forms, allowed))
-    return _WordRows.concat(parts)
+        fp[a:a + step] = _fingerprints(*composed(np.arange(a, min(a + step, total))))
+    fps = np.concatenate([table.fp, fp])
+    # each candidate's first fingerprint-equal entry: a table row, or S + a candidate
+    first = _first_entries(fps)[S:]
+    kept = np.flatnonzero(first == np.arange(S, S + total))
+    forward, weight, backward = extended(kept)
+
+    dup = np.flatnonzero(first != np.arange(S, S + total))
+    # the first entry's row in the extended table
+    row = np.where(first[dup] < S, first[dup], S + np.searchsorted(kept, first[dup] - S))
+    same = np.ones(len(dup), dtype=bool)
+    for a in range(0, len(dup), step):
+        f, w = composed(dup[a:a + step])
+        r = row[a:a + step]
+        same[a:a + step] = ((f == forward[r]).all(axis=1)
+                            & (np.round(w, 12).view(np.intp) == np.round(weight[r], 12).view(np.intp)).all(axis=1))
+    if not same.all():
+        # a fingerprint collision: the entries of every fingerprint that
+        # holds unequal keys are deduplicated on their keys, first occurrences
+        clash = np.isin(fps, fp[dup[~same]])
+        old, cand = np.flatnonzero(clash[:S]), np.flatnonzero(clash[S:])
+        keys = np.concatenate([_key_rows(table.forward[old], table.weight[old]), _key_rows(*composed(cand))])
+        firsts = np.unique(keys, axis=0, return_index=True)[1]
+        kept = np.union1d(kept[~clash[S:][kept]], cand[firsts[firsts >= len(old)] - len(old)])
+        forward, weight, backward = extended(kept)
+
+    valid = (np.isfinite(weight[S:]) & (weight[S:] > 0)).all(axis=1)
+    if not valid.all():
+        raise _weight_error(space, weight[S + np.argmin(valid)])
+    # a composite of two words whose round trips return every point to
+    # itself does too, and has no defects of its own; the others are measured
+    hk, gk = np.divmod(kept, K)
+    loose = np.flatnonzero(~(_exact(frontier)[hk] & _exact(gens)[gk]))
+    measured = [frozenset()] * len(kept)
+    for a in range(0, len(loose), step):
+        r = loose[a:a + step]
+        for i, m in zip(r.tolist(), _roundtrip_defects(space, forward[S + r], backward[S + r])):
+            measured[i] = m
+    hk, gk = hk.tolist(), gk.tolist()
+    fl, gl, fa, ga = frontier.labels, gens.labels, frontier.allowed, gens.allowed
+    labels = [_product_label(fl[h], gl[g]) for h, g in zip(hk, gk)]
+    allowed = [fa[h] | ga[g] | m for h, g, m in zip(hk, gk, measured)] if any(fa) or any(ga) else measured
+    row_forms = [None] * len(kept)
+    for r in np.flatnonzero(np.isin(kept, both)).tolist() if forms else ():
+        j = int(kept[r])
+        c = snaps.get(j)
+        row_forms[r] = forms[j] if c is None else c.form
+        if c is not None:
+            allowed[r] = c.allowed_defects
+    return _WordRows(forward, weight, backward, table.labels + labels, table.forms + row_forms,
+                     table.allowed + allowed, np.concatenate([table.fp, fp[kept]]))
 
 
 @dataclass(eq=False)
@@ -518,15 +636,14 @@ class GroupSpec:
             space = self.space
             if not all(same_space(g.space, space) for g in self.generators):
                 raise ValueError("mismatched spaces")
-            e = identity(space)
             gens = _WordRows.of(self.generators)
-            seen = {e.key()}
-            levels = [_WordRows.of([e])]
-            counts = [1]
+            table, counts, start = _WordRows.of([identity(space)]), [1], 0
             for _ in range(self.word_cap):
-                levels.append(_next_level(space, levels[-1], gens, seen))
-                counts.append(counts[-1] + len(levels[-1].labels))
-            self._table, self._counts = _WordRows.concat(levels), counts
+                # the frontier is the last level's rows
+                frontier, start = table.rows(start), len(table.labels)
+                table = _next_level(space, frontier, gens, table)
+                counts.append(len(table.labels))
+            self._table, self._counts = table, counts
         return cap
 
     def words(self) -> list[WeightedComposition]:

@@ -55,6 +55,8 @@ def equivalent(s: Sequence[int], t: Sequence[int], group: GroupSpec) -> bool:
     distinct grid neighbors, at twice it, stay inequivalent."""
     if len(s) != len(t):
         raise ValueError("length mismatch")
+    if not t:
+        return True  # () is its own one image, as in orbit_closure
     space = group.space
     images = group.word_table()[0][:, list(t)]
     return bool(space.metric.pair(images, list(s)).max(axis=1).min() < space._resolution_tol)

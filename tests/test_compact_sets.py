@@ -71,7 +71,7 @@ def _sets(space):
     return [(k.members.tolist(), k.label) for k in space.exhaustion]
 
 
-@pytest.mark.parametrize("n_max", [3, 4, 7, 50])
+@pytest.mark.parametrize("n_max", [3, 4, 7, 50, 101])
 def test_remark25_exhaustion_and_maps_match_the_loop_builders(n_max):
     sp = builtin_space("remark25", n_max=n_max)
     assert sp.n == (n_max + 1) + n_max * n_max  # 2,551 points at n_max 50

@@ -18,6 +18,15 @@ def test_trivial_group_orbit_is_singleton(line_space):
     assert orb.base in orb.samples
 
 
+def test_empty_tuple_is_its_own_orbit_and_equivalent_to_itself(onepoint_space, swap_group):
+    circle = rl.builtin_space("circle", count=12)
+    for group in (rl.GroupSpec.trivial(circle), swap_group):
+        assert orbit_closure(group, ()).samples == ((),)
+        assert equivalent((), (), group) is True
+    with pytest.raises(ValueError, match="length mismatch"):
+        equivalent((), (0,), swap_group)
+
+
 def test_rational_rotation_orbit_size():
     circ = rl.builtin_space("circle", count=48)
     G = rl.GroupSpec((circle_rotation(circ, steps=4),), word_cap=6)

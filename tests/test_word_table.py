@@ -1,6 +1,7 @@
 """The one word table of a group against the per-word and per-cap loops
 that its consumers ran before they read it."""
 
+import itertools
 import json
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
+from renormlab import cli
 from renormlab import io as rio
 from renormlab import operators
 from renormlab.bounded import group_norm, m_weight
@@ -371,7 +373,10 @@ def compose_pools(rotation_group, product_space, line_space, onepoint_space, tmp
 @settings(max_examples=150, deadline=None)
 def test_compose_matches_the_scalar_product(compose_pools, data):
     pool = compose_pools[data.draw(st.sampled_from(sorted(compose_pools)))]
-    h, g = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    _assert_compose_matches(data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool)))
+
+
+def _assert_compose_matches(h, g):
     try:
         oracle = _compose(h, g)
     except ValueError as exc:
@@ -388,3 +393,72 @@ def test_compose_matches_the_scalar_product(compose_pools, data):
     assert got.key() == _map_key(oracle.forward, oracle.weight)
     # one label rule, re-snapped or not: an empty label drops out
     assert got.label == oracle.label == _label(h.label, g.label)
+
+
+def _collide(forward, weight):
+    # every row's fingerprint is 0, so every pair of entries collides
+    return np.zeros(len(forward), dtype=np.uint64)
+
+
+def _block_cases(group):
+    # a fingerprint for every row at 0; one candidate per block; and one
+    # frontier word's candidates per block, so that the two orders of two
+    # commuting generators, g_i g_j and g_j g_i, fall in two blocks
+    n, k = group.space.n, len(group.generators)
+    return {
+        "every fingerprint 0": mock.patch.object(operators, "_fingerprints", _collide),
+        "one row per block": mock.patch.object(operators, "_WORD_BLOCK", 1),
+        "a duplicate pair split across blocks": mock.patch.object(operators, "_WORD_BLOCK", k * n),
+    }
+
+
+@pytest.fixture(scope="module")
+def every_group(gallery, product_space):
+    # every builtin group (rotations lifted and on their circle, swaps, the
+    # trivial group), line translations, snapped rotations, measured
+    # defects and composed weights
+    circ = product_space.factors[0]
+    groups = {**gallery, **_more_groups(product_space),
+              "rot12 on its circle": cli.make_group({"builtin": "rotation"}, circ)}
+    assert groups["rot12 on its circle"].generators[0].form["kind"] == "rotation"
+    return groups
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case", ["every fingerprint 0", "one row per block", "a duplicate pair split across blocks"])
+def test_table_matches_the_oracle_under_collisions_and_block_edges(every_group, case):
+    for name, group in every_group.items():
+        for cap in range(1, group.word_cap + 1):
+            # a capped group builds its own table, under the patch
+            with _block_cases(group)[case]:
+                _assert_matches_oracle(rl.GroupSpec(group.generators, word_cap=cap), (name, cap, case))
+
+
+def test_a_split_duplicate_pair_is_found_across_blocks(swap_group):
+    # g_1 g_2 and g_2 g_1 are candidates of the frontier words g_1 and g_2,
+    # so with one frontier word per block they are composed in two blocks
+    # and only the dedupe over the level merges them
+    group = rl.GroupSpec(swap_group.generators[:3], word_cap=2)
+    with _block_cases(group)["a duplicate pair split across blocks"]:
+        labels = [w.label for w in group.words()]
+    assert "id*g_1*g_2" in labels and "id*g_2*g_1" not in labels
+    _assert_matches_oracle(group, "three swaps")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case", ["every fingerprint 0", "one row per block"])
+def test_compose_matches_the_scalar_product_under_collisions_and_block_edges(compose_pools, case):
+    for name, pool in compose_pools.items():
+        for h, g in itertools.product(pool, repeat=2):
+            with _block_cases(rl.GroupSpec((h,), word_cap=1))[case]:
+                _assert_compose_matches(h, g)
+
+
+def test_colliding_keys_are_confirmed_apart(onepoint_space):
+    # under a fingerprint that maps every row to 0, a weighted word, the
+    # identity's map with another weight, is not merged with the identity
+    doubling = rl.GroupSpec((multiplication(onepoint_space, 2.0),), word_cap=2)
+    with mock.patch.object(operators, "_fingerprints", _collide):
+        words = doubling.words()
+    assert [w.label for w in words] == ["id", "id*mult", "id*mult^-1", "id*mult*mult", "id*mult^-1*mult^-1"]
+    assert len({w.key() for w in words}) == len(words)
