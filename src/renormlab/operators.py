@@ -10,6 +10,7 @@ nearest-sample errors).
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple, Sequence
@@ -105,16 +106,10 @@ def _key_rows(forward: np.ndarray, weight: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _fingerprint_vector(width: int) -> np.ndarray:
     """The fixed pseudo-random ``uint64`` vector that fingerprints key rows
-    of the given width: the first ``width`` outputs of splitmix64 from seed
-    0 (Steele, Lea and Flood, "Fast splittable pseudorandom number
-    generators", 2014), in wrapping array arithmetic, so no random module
-    is imported; read-only."""
-    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    vec = z ^ (z >> np.uint64(31))
-    vec.flags.writeable = False
-    return vec
+    of the given width: SHAKE-128 output of a fixed string, read-only.
+    Building the vector with ``np.random`` would import that module inside
+    ``build_config``, which otherwise never does."""
+    return np.frombuffer(hashlib.shake_128(b"renormlab word keys").digest(8 * width), dtype=np.uint64)
 
 
 def _fingerprints(forward: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -151,13 +146,15 @@ def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.nd
     moved = (there != idx) | (back != idx)
     if isinstance(space.metric, _Dense):
         moved |= np.diagonal(space.dmat)[idx] != 0
+    out = [frozenset()] * len(forward)
+    if not moved.any():  # every round trip is exact: no distance to read
+        return out
     rows, k = np.nonzero(moved)  # row-major, so each row's points stay together
     cols = idx[k]
     gap = np.maximum(space.metric.pair(there[rows, k], cols), space.metric.pair(back[rows, k], cols))
     far = gap > space.resolution + space._resolution_tol
     rows, cols = rows[far], cols[far]
     ends = np.searchsorted(rows, np.arange(len(forward) + 1))
-    out = [frozenset()] * len(forward)
     for r in np.flatnonzero(np.diff(ends)).tolist():
         out[r] = frozenset(cols[ends[r]:ends[r + 1]].tolist())
     return out
@@ -388,8 +385,7 @@ def onepoint_swap(space: SampledSpace, n: int) -> WeightedComposition:
     w = np.ones(N)
     w[i0] = 2.0
     w[i1] = 0.5
-    # the swap is its own inverse, so both round trips fix every point
-    return WeightedComposition(space, w, fwd, fwd.copy(), label=f"g_{n}", measured_defects=frozenset())
+    return WeightedComposition(space, w, fwd, fwd.copy(), label=f"g_{n}")
 
 
 def remark25_sequence(space: SampledSpace) -> list[WeightedComposition]:
@@ -449,17 +445,6 @@ class _WordRows(NamedTuple):
                                    allowed_defects=self.allowed[r], measured_defects=self.allowed[r])
 
 
-def _exact(rows: _WordRows) -> np.ndarray:
-    """For each row, whether both round trips through its maps return every
-    point to itself."""
-    n = rows.forward.shape[1]
-    # flat indices: entry j of row r of a (W, n) array is at r * n + j
-    offsets = (np.arange(len(rows.forward)) * n)[:, None]
-    idx = np.arange(n)
-    return ((rows.backward.ravel()[rows.forward + offsets] == idx)
-            & (rows.forward.ravel()[rows.backward + offsets] == idx)).all(axis=1)
-
-
 def _first_entries(fps: np.ndarray) -> np.ndarray:
     """For each entry, the index of the first entry with its fingerprint,
     from one stable sort."""
@@ -489,8 +474,8 @@ def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, table
     words.  The kept candidates are then gathered once, inverse maps
     included.  A kept composite must have a positive finite weight, or the
     first such word raises as its ``WeightedComposition`` would; the
-    round-trip defects of the kept composites are measured and declared,
-    except where both operands' round trips fix every point (``_exact``).
+    round-trip defects of the kept composites that were not re-snapped are
+    measured in blocks and declared.
     Every word is labelled ``_product_label`` of its frontier word's and
     its generator's labels.
     """
@@ -567,15 +552,14 @@ def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, table
     valid = (np.isfinite(weight[S:]) & (weight[S:] > 0)).all(axis=1)
     if not valid.all():
         raise _weight_error(space, weight[S + np.argmin(valid)])
-    # a composite of two words whose round trips return every point to
-    # itself does too, and has no defects of its own; the others are measured
-    hk, gk = np.divmod(kept, K)
-    loose = np.flatnonzero(~(_exact(frontier)[hk] & _exact(gens)[gk]))
+    # the re-snapped rows declare their own defects (_snapped)
+    plain = np.flatnonzero(~np.isin(kept, snapped)) if snaps else np.arange(len(kept))
     measured = [frozenset()] * len(kept)
-    for a in range(0, len(loose), step):
-        r = loose[a:a + step]
+    for a in range(0, len(plain), step):
+        r = plain[a:a + step]
         for i, m in zip(r.tolist(), _roundtrip_defects(space, forward[S + r], backward[S + r])):
             measured[i] = m
+    hk, gk = np.divmod(kept, K)
     hk, gk = hk.tolist(), gk.tolist()
     fl, gl, fa, ga = frontier.labels, gens.labels, frontier.allowed, gens.allowed
     labels = [_product_label(fl[h], gl[g]) for h, g in zip(hk, gk)]

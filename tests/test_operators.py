@@ -599,25 +599,32 @@ def test_words_match_compose_every_pair_loop(onepoint_space, product_space, rota
 
 
 def test_words_measure_each_new_composite_once(onepoint_space, monkeypatch):
-    swaps = onepoint_swap_group(onepoint_space, word_cap=2)
-    # a remark25 map's round trip sends (0,n_max) to (0,inf), so it is not
-    # the identity
-    maps = rl.GroupSpec(tuple(remark25_sequence(rl.builtin_space("remark25", n_max=7))), word_cap=2)
+    group = onepoint_swap_group(onepoint_space, word_cap=2)
     calls = []
     measure = operators._roundtrip_defects
     # composites are measured a level block at a time: count measured rows
     monkeypatch.setattr(operators, "_roundtrip_defects",
                         lambda space, fwd, bwd: calls.append(len(fwd)) or measure(space, fwd, bwd))
-    words = swaps.words()
-    # a product of swaps returns every point to itself, so only the
-    # identity's maps are measured, and none again when the word objects
-    # are built
+    words = group.words()
+    # the identity plus one measured row per distinct composite, none again
+    # when the word objects are built
     assert len(words) == 1 + 50 + 50 * 49 // 2  # identity, swaps, unordered pairs
-    assert sum(calls) == 1
-    calls.clear()
-    words = maps.words()
-    # the identity plus one measured row per distinct composite
-    assert len(words) > 1 + len(maps.generators) and sum(calls) == len(words)
+    assert sum(calls) == len(words)
+
+
+def test_words_do_not_measure_resnapped_composites(monkeypatch):
+    # every composite of circle rotations is re-snapped from its summed
+    # angle, and the rotation built from it measures its own round trips,
+    # so the level measures no block of composites again
+    circ = rl.builtin_space("circle", count=12)
+    group = rl.GroupSpec((circle_rotation(circ, steps=1), circle_rotation(circ, steps=5)), word_cap=3)
+    calls = []
+    measure = operators._roundtrip_defects
+    monkeypatch.setattr(operators, "_roundtrip_defects",
+                        lambda space, fwd, bwd: calls.append(len(fwd)) or measure(space, fwd, bwd))
+    words = group.words()
+    assert len(words) == 12 and calls == [1] * len(calls)
+    assert all(w.form["kind"] == "rotation" for w in words[1:])
 
 
 def test_lift_acts_on_one_factor(product_space):
@@ -737,17 +744,6 @@ def test_remark25_maps_measure_round_trips_at_every_point_they_move(remark_space
         idx = np.arange(space.n)
         assert np.isin(np.flatnonzero((fwd[0] != idx) | (bwd[0] != idx)), at).all(), op.label
         assert measure(space, fwd, bwd)[0] == measure(space, fwd, bwd, at=at)[0] == op.allowed_defects, op.label
-
-
-def test_a_swap_declares_the_round_trip_defects_the_whole_array_holds(onepoint_space):
-    # a swap is its own inverse, so it measures nothing: both round trips
-    # fix every point, and the whole-array measurement finds no defect
-    idx = np.arange(onepoint_space.n)
-    for n in range(1, 51):
-        g = onepoint_swap(onepoint_space, n)
-        assert np.array_equal(g.forward[g.backward], idx) and np.array_equal(g.backward[g.forward], idx)
-        assert operators._roundtrip_defects(onepoint_space, g.forward[None], g.backward[None])[0] == frozenset()
-        assert g.allowed_defects == frozenset()
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, 0, -1, "3", None])
