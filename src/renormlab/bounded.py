@@ -29,6 +29,7 @@ class BoundedGroupNorm:
     group: GroupSpec
     m: np.ndarray            # pointwise inf of word weights
     m_G: np.ndarray          # 1 / m
+    s: np.ndarray            # [z]: largest weight any word carries into point z
     C_G: float               # max over words of sup weight
     cap_trace: list[tuple[int, float]]   # (cap, min over sample of m at that cap)
     flagged: list[str]       # non-isolated points with a large sampled jump
@@ -44,13 +45,20 @@ def m_weight(group: GroupSpec) -> BoundedGroupNorm:
     within ``resolution + _resolution_tol`` of it.  Discontinuity flags are restricted to
     non-isolated points: at sample scale only those can witness a genuine
     jump of m.
+
+    The word table is read once: its column minima are m, its row minima
+    give the trace at every cap (the words of length <= c are a prefix of
+    the rows), and its weights grouped by image point give the column s
+    that ``group_norm`` reads in place of the table.
     """
     space = group.space
-    weights = group.word_table()[1]
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("unbounded group at cap: non-finite word weight")
+    forward, weights = group.word_table()
     m = weights.min(axis=0)
-    trace = [(c, float(group.word_table(c)[1].min())) for c in range(1, group.word_cap + 1)]
+    prefix_min = np.minimum.accumulate(weights.min(axis=1))
+    trace = [(c, float(prefix_min[len(group.word_table(c)[0]) - 1]))
+             for c in range(1, group.word_cap + 1)]
+    s = np.zeros(space.n)
+    np.maximum.at(s, forward.ravel(), weights.ravel())
 
     radius = space.resolution + space._resolution_tol
     flagged = []
@@ -65,7 +73,8 @@ def m_weight(group: GroupSpec) -> BoundedGroupNorm:
         group=group,
         m=m,
         m_G=1.0 / m,
-        C_G=float(weights.max()),
+        s=s,
+        C_G=float(s.max()),
         cap_trace=trace,
         flagged=flagged,
     )
@@ -78,33 +87,19 @@ class GroupNormResult:
     agree: bool
 
 
-# entries of group_norm's one block buffer: 256 KB of float64, so the sup
-# over a word table of any size maps and faults in no table-sized temporary
-_NORM_BLOCK = 1 << 15
-
-
 def group_norm(x: np.ndarray, bgn: BoundedGroupNorm) -> GroupNormResult:
     """The weighted sup norm together with the direct sup over enumerated
     words; for word sets closed under inversion the two agree exactly.
 
-    The direct sup ``max |weight * x[forward]|`` is taken over blocks of
-    table rows, each gathered, multiplied and made absolute in one reused
-    buffer; the max of the blocks' maxima is the same float."""
+    The direct sup ``max |weight * x[forward]|`` is read per image point as
+    ``max |s * x|``, the same float: weights are positive, so
+    ``|fl(a x)| = fl(a |x|)``, which is monotone in a, and the largest
+    weight into a point gives that point's largest product."""
     x = np.asarray(x, dtype=float)
+    if x.shape != bgn.s.shape:
+        raise ValueError(f"function of shape {x.shape} for {bgn.s.size} points")
     value = float(np.max(np.abs(bgn.m_G * x)))
-    forward, weight = bgn.group.word_table()
-    rows = max(1, _NORM_BLOCK // x.size)
-    buf = np.empty((min(rows, len(forward)), x.size))
-    sups = np.empty(-(-len(forward) // rows))
-    for b, r in enumerate(range(0, len(forward), rows)):
-        block = forward[r:r + rows]
-        out = buf[:len(block)]
-        # mode="wrap" gathers straight into the buffer (the default mode
-        # copies through a temporary); every word map indexes in range
-        np.take(x, block, out=out, mode="wrap")
-        np.abs(np.multiply(weight[r:r + rows], out, out=out), out=out)
-        sups[b] = out.max()
-    sup_words = float(sups.max())
+    sup_words = float(np.max(bgn.s * np.abs(x)))
     return GroupNormResult(value=value, sup_over_words=sup_words,
                            agree=abs(value - sup_words) <= 1e-12 * max(1.0, value))
 

@@ -344,8 +344,9 @@ def task_bounded_suite(space: SampledSpace, group: GroupSpec, rng: np.random.Gen
             ok = False
     ok = ok and ("inf" in bgn.flagged)
     conj_dev = 0.0
-    for n in (1, 2, n_max):
-        g = group.generators[n - 1]
+    # the first, second and last generators: g_1, g_2 and g_n_max on the full
+    # swap family, and no index past a smaller family's end
+    for g in group.generators[:2] + group.generators[-1:]:
         cg = conjugate(g, bgn)
         conj_dev = max(conj_dev, float(np.max(np.abs(cg.weight - 1.0))))
         for _ in range(50):

@@ -1,13 +1,20 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import renormlab as rl
-from renormlab import bounded
 from renormlab.bounded import conjugate, group_norm, m_weight
-from renormlab.operators import GroupSpec, WeightedComposition, circle_rotation, identity
+from renormlab.operators import (
+    GroupSpec,
+    WeightedComposition,
+    circle_rotation,
+    identity,
+    multiplication,
+    onepoint_swap_group,
+)
 
 
 def test_isometric_group_gives_sup_norm():
@@ -59,6 +66,31 @@ def _single_generator_group(word_cap):
     return GroupSpec((g,), word_cap=word_cap, label="one-gen")
 
 
+@pytest.fixture(scope="module")
+def groups(swap_group, rotation_group):
+    # the swaps, the many-to-one expander, and rot12 at caps 6 and 4
+    return {
+        "swaps": swap_group,
+        "expander": _single_generator_group(word_cap=4),
+        "rot12 cap 6": rotation_group,
+        "rot12 cap 4": GroupSpec(rotation_group.generators, word_cap=4),
+    }
+
+
+def _norm_inputs(n, seed):
+    """Dense and sparse functions on n points, then one with an inf entry
+    and one with both signs of inf: sparse bumps put the sup on a single
+    point and its images."""
+    rng = np.random.default_rng(seed)
+    for k in range(12):
+        yield rng.uniform(-1, 1, size=n) * (rng.uniform(size=n) < 0.1 * k)
+    x = rng.uniform(-1, 1, size=n)
+    x[n // 3] = np.inf
+    yield x.copy()
+    x[n - 1] = -np.inf
+    yield x
+
+
 def test_single_generator_trace_monotone():
     G = _single_generator_group(word_cap=4)
     bgn = m_weight(G)
@@ -87,16 +119,13 @@ def test_group_norm_ratio_window(onepoint_space, swap_group):
         assert sup / bgn.C_G - 1e-12 <= res.value <= bgn.C_G * sup + 1e-12
 
 
-def test_group_norm_word_sup_matches_per_word_loop(onepoint_space, swap_group):
-    bgn = m_weight(swap_group)
-    words = swap_group.words()
-    rng = np.random.default_rng(37)
-    for k in range(40):
-        x = rng.uniform(-1, 1, size=onepoint_space.n)
-        if k % 2:  # sparse bumps put the sup on a single swapped pair
-            x *= rng.uniform(size=onepoint_space.n) < 0.05
-        per_word = max(float(np.max(np.abs(w.apply(x)))) for w in words)
-        assert group_norm(x, bgn).sup_over_words == per_word
+def test_group_norm_word_sup_matches_per_word_loop(groups):
+    for name, group in groups.items():
+        bgn = m_weight(group)
+        words = group.words()
+        for x in _norm_inputs(group.space.n, 37):
+            per_word = max(float(np.max(np.abs(w.apply(x)))) for w in words)
+            assert group_norm(x, bgn).sup_over_words == per_word, name
 
 
 def test_group_norm_lattice_monotone(onepoint_space, swap_group):
@@ -163,21 +192,48 @@ def test_conjugate_accepts_an_operator_on_an_equal_space_and_refuses_others():
             conjugate(g, bgn)
 
 
-@pytest.mark.parametrize("block", [None, 101 * 7, 101 * 1275, 1])
-def test_group_norm_blocks_equal_the_direct_formula(onepoint_space, swap_group, monkeypatch, block):
-    # the default block, 7 rows (1,276 is no multiple of 7), all rows but
-    # one, and one row per block
-    if block is not None:
-        monkeypatch.setattr(bounded, "_NORM_BLOCK", block)
+def test_group_norm_word_sup_equals_the_direct_formula(groups):
+    # also 200 swaps, whose 20,101 words are built here and freed after
+    for name, group in {**groups, "200 swaps": None}.items():
+        if group is None:
+            group = onepoint_swap_group(rl.builtin_space("onepoint01N", n_max=200), word_cap=2)
+        bgn = m_weight(group)
+        forward, weight = group.word_table()
+        for x in _norm_inputs(group.space.n, 41):
+            direct = np.max(np.abs(weight * x[forward]))
+            assert np.float64(group_norm(x, bgn).sup_over_words).tobytes() == direct.tobytes(), name
+        x[3] = np.nan  # a NaN in x is the sup, as it is the direct formula's
+        assert math.isnan(np.max(np.abs(weight * x[forward])))
+        assert math.isnan(group_norm(x, bgn).sup_over_words), name
+
+
+def test_group_norm_reads_no_word_table(groups, monkeypatch):
+    bgns = {name: m_weight(group) for name, group in groups.items()}
+    expected = {name: group_norm(np.linspace(-1, 1, g.space.n), bgns[name]) for name, g in groups.items()}
+
+    def refuse(self, cap=None):
+        raise AssertionError("group_norm read the word table")
+
+    monkeypatch.setattr(GroupSpec, "word_table", refuse)
+    for name, group in groups.items():
+        assert group_norm(np.linspace(-1, 1, group.space.n), bgns[name]) == expected[name], name
+
+
+def test_cap_trace_is_the_minimum_of_each_cap_prefix(groups):
+    # doubling weights make every cap's minimum differ
+    seg = rl.builtin_space("line", step=0.25, window=(0, 1))
+    doubling = GroupSpec((multiplication(seg, 2.0),), word_cap=3)
+    for name, group in {**groups, "doubling": doubling}.items():
+        bgn = m_weight(group)
+        prefix = [(c, float(group.word_table(c)[1].min())) for c in range(1, group.word_cap + 1)]
+        assert bgn.cap_trace == prefix, name
+    assert [v for _, v in m_weight(doubling).cap_trace] == [0.5, 0.25, 0.125]
+
+
+@pytest.mark.parametrize("shape", [(1,), (50,), (102,), (101, 1), (1, 101), ()],
+                         ids=["1", "50", "102", "101x1", "1x101", "scalar"])
+def test_group_norm_refuses_a_function_of_another_shape(swap_group, shape):
+    # 101 points: a length-1 x would broadcast against the per-point columns
     bgn = m_weight(swap_group)
-    forward, weight = swap_group.word_table()
-    rows = max(1, bounded._NORM_BLOCK // onepoint_space.n)
-    assert rows == 1 or len(forward) % rows != 0
-    rng = np.random.default_rng(41)
-    for k in range(12):
-        x = rng.uniform(-1, 1, size=onepoint_space.n) * (rng.uniform(size=onepoint_space.n) < 0.1 * k)
-        direct = np.max(np.abs(weight * x[forward]))
-        assert np.float64(group_norm(x, bgn).sup_over_words).tobytes() == direct.tobytes()
-    x[3] = np.nan  # a NaN in x is the sup, as it is the direct formula's
-    assert math.isnan(np.max(np.abs(weight * x[forward])))
-    assert math.isnan(group_norm(x, bgn).sup_over_words)
+    with pytest.raises(ValueError, match=rf"function of shape {re.escape(str(shape))} for 101 points"):
+        group_norm(np.ones(shape), bgn)

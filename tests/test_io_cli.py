@@ -582,6 +582,18 @@ def test_a_swap_count_above_n_max_exits_2_naming_it(tmp_path, capsys):
     assert "group count must be at most the space's n_max 50, got 500" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("group", [{"builtin": "onepoint_swaps", "count": 10}, {"builtin": "trivial"}])
+def test_bounded_suite_on_a_smaller_family_reports_its_checks(tmp_path, group):
+    # m is 1 at (1,n) past the family's last swap, so the suite fails on its
+    # checks, not on a generator index past the family's end
+    scenario = {"space": {"builtin": "onepoint01N"}, "group": group, "tasks": ["bounded-suite"]}
+    assert run(scenario, tmp_path / "out") == 1
+    report = json.loads((tmp_path / "out" / "bounded-suite.json").read_text())
+    assert report["ok"] is False and "error" not in report
+    assert report["group_norm_formulas_agree"] is True
+    assert report["max_conjugation_deviation"] == 0.0
+
+
 @pytest.mark.parametrize("offset", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_translation_offset_exits_2_naming_it(tmp_path, capsys, offset):
     path = tmp_path / "detect.json"
