@@ -94,14 +94,15 @@ def group_norm(x: np.ndarray, bgn: BoundedGroupNorm) -> GroupNormResult:
     The direct sup ``max |weight * x[forward]|`` is read per image point as
     ``max |s * x|``, the same float: weights are positive, so
     ``|fl(a x)| = fl(a |x|)``, which is monotone in a, and the largest
-    weight into a point gives that point's largest product."""
+    weight into a point gives that point's largest product.  Equal values
+    agree, infinite ones included; an ``x`` holding NaN never agrees."""
     x = np.asarray(x, dtype=float)
     if x.shape != bgn.s.shape:
         raise ValueError(f"function of shape {x.shape} for {bgn.s.size} points")
     value = float(np.max(np.abs(bgn.m_G * x)))
     sup_words = float(np.max(bgn.s * np.abs(x)))
     return GroupNormResult(value=value, sup_over_words=sup_words,
-                           agree=abs(value - sup_words) <= 1e-12 * max(1.0, value))
+                           agree=value == sup_words or abs(value - sup_words) <= 1e-12 * max(1.0, value))
 
 
 def conjugate(g: WeightedComposition, bgn: BoundedGroupNorm) -> WeightedComposition:

@@ -72,7 +72,7 @@ class WeightedComposition:
         if not (np.isfinite(self.weight) & (self.weight > 0)).all():
             raise _weight_error(self.space, self.weight)
         if measured_defects is None:
-            measured_defects = _roundtrip_defects(self.space, self.forward[None], self.backward[None])[0]
+            measured_defects = _roundtrip_defects(self.space, self.forward, self.backward)
         stray = sorted(i for i in measured_defects if i not in self.allowed_defects)
         if stray:
             pid = self.space.points[stray[0]]
@@ -125,39 +125,25 @@ def _fingerprints(forward: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return forward.view(np.uint64) @ vec[:n] + np.round(weight, 12).view(np.uint64) @ vec[n:]
 
 
-def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray,
-                       at: np.ndarray | None = None) -> list[frozenset[int]]:
-    """For each row of the ``(B, n)`` index maps, the points that a round
-    trip through the row's two maps, in either order, displaces by more
-    than ``resolution + _resolution_tol``, off the same sample point; all
-    rows are measured in one gather, at the points ``at`` only when given
-    (a caller that knows the other points are fixed by both maps).
+def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray) -> frozenset[int]:
+    """The points that a round trip through the ``(n,)`` index maps, in
+    either order, displaces by more than ``resolution + _resolution_tol``,
+    off the same sample point.
 
     A point that both round trips return to itself is displaced by d(i, i),
     which is 0 in every closed form, so distances are read only where a
     round trip moves a point, and on a matrix-form space also where the
     diagonal is not 0."""
-    n = space.n
-    idx = np.arange(n) if at is None else np.asarray(at, dtype=np.intp)
-    # flat indices: entry j of row r of a (B, n) array is at r * n + j
-    offsets = (np.arange(len(forward)) * n)[:, None]
-    there = backward.ravel()[(forward if at is None else forward[:, idx]) + offsets]
-    back = forward.ravel()[(backward if at is None else backward[:, idx]) + offsets]
+    idx = np.arange(space.n)
+    there, back = backward[forward], forward[backward]
     moved = (there != idx) | (back != idx)
     if isinstance(space.metric, _Dense):
-        moved |= np.diagonal(space.dmat)[idx] != 0
-    out = [frozenset()] * len(forward)
-    if not moved.any():  # every round trip is exact: no distance to read
-        return out
-    rows, k = np.nonzero(moved)  # row-major, so each row's points stay together
-    cols = idx[k]
-    gap = np.maximum(space.metric.pair(there[rows, k], cols), space.metric.pair(back[rows, k], cols))
-    far = gap > space.resolution + space._resolution_tol
-    rows, cols = rows[far], cols[far]
-    ends = np.searchsorted(rows, np.arange(len(forward) + 1))
-    for r in np.flatnonzero(np.diff(ends)).tolist():
-        out[r] = frozenset(cols[ends[r]:ends[r + 1]].tolist())
-    return out
+        moved |= np.diagonal(space.dmat) != 0
+    at = np.flatnonzero(moved)
+    if not len(at):  # every round trip is exact: no distance to read
+        return frozenset()
+    gap = np.maximum(space.metric.pair(there[at], at), space.metric.pair(back[at], at))
+    return frozenset(at[gap > space.resolution + space._resolution_tol].tolist())
 
 
 def _snapped(space: SampledSpace, form: dict | None) -> WeightedComposition | None:
@@ -268,13 +254,16 @@ def line_translation(space: SampledSpace, offset: float) -> WeightedComposition:
     idx = np.arange(n)
     fwd = np.clip(idx + shift, 0, n - 1)
     bwd = np.clip(idx - shift, 0, n - 1)
-    edge = set(np.nonzero((idx + shift > n - 1) | (idx + shift < 0)
-                          | (idx - shift > n - 1) | (idx - shift < 0))[0].tolist())
+    edge = frozenset(np.flatnonzero((idx + shift > n - 1) | (idx + shift < 0)
+                                    | (idx - shift > n - 1) | (idx - shift < 0)).tolist())
+    # a round trip returns every point off the clamped edge to itself, so
+    # no measurement can find a defect outside it
     return WeightedComposition(
         space, np.ones(n), fwd, bwd,
         label=f"shift{offset:+g}",
         form={"kind": "translation", "offset": shift * step},
-        allowed_defects=frozenset(int(i) for i in edge),
+        allowed_defects=edge,
+        measured_defects=edge,
     )
 
 
@@ -294,10 +283,12 @@ def circle_rotation(space: SampledSpace, angle: float | None = None,
     idx = np.arange(n)
     fwd = (idx + shift) % n
     bwd = (idx - shift) % n
+    # the two maps are inverse permutations: every round trip is exact
     return WeightedComposition(
         space, np.ones(n), fwd, bwd,
         label=f"rot{exact_angle:+.4g}",
         form={"kind": "rotation", "angle": exact_angle},
+        measured_defects=frozenset(),
     )
 
 
@@ -312,7 +303,8 @@ def interval_flip(space: SampledSpace) -> WeightedComposition:
 
 def lift(op: WeightedComposition, prod: SampledSpace, side: str = "left") -> WeightedComposition:
     """Lift an operator on a factor to a product space, acting trivially on
-    the other factor: ``psi(k, l) = (phi(k), l)`` for a left lift."""
+    the other factor: ``psi(k, l) = (phi(k), l)`` for a left lift.  Each
+    declared defect of the operand declares every product point over it."""
     if not prod.factors:
         raise ValueError("lift target must be a product space with its factor spaces")
     a, b = prod.factors
@@ -320,19 +312,18 @@ def lift(op: WeightedComposition, prod: SampledSpace, side: str = "left") -> Wei
     if side == "left":
         if not same_space(op.space, a):
             raise ValueError("operator does not act on the left factor")
-        fwd = (op.forward[:, None] * nb + np.arange(nb)[None, :]).ravel()
-        bwd = (op.backward[:, None] * nb + np.arange(nb)[None, :]).ravel()
+        cells = lambda i: (i[:, None] * nb + np.arange(nb)).ravel()  # (i, l) for every l
         w = np.repeat(op.weight, nb)
     elif side == "right":
         if not same_space(op.space, b):
             raise ValueError("operator does not act on the right factor")
-        base = np.arange(na)[:, None] * nb
-        fwd = (base + op.forward[None, :]).ravel()
-        bwd = (base + op.backward[None, :]).ravel()
+        cells = lambda j: (np.arange(na)[:, None] * nb + j).ravel()  # (k, j) for every k
         w = np.tile(op.weight, na)
     else:
         raise ValueError("side must be 'left' or 'right'")
-    return WeightedComposition(prod, w, fwd, bwd, label=f"{op.label}@{side}")
+    defects = cells(np.array(sorted(op.allowed_defects), dtype=np.intp))
+    return WeightedComposition(prod, w, cells(op.forward), cells(op.backward), label=f"{op.label}@{side}",
+                               allowed_defects=frozenset(defects.tolist()))
 
 
 def remark25_map(space: SampledSpace, n: int) -> WeightedComposition:
@@ -361,11 +352,10 @@ def remark25_map(space: SampledSpace, n: int) -> WeightedComposition:
     bwd[n - 1] = row[n - 1]  # (0, n) -> (n, n)
     bwd[row[n - 1:-1]] = row[n:]  # (n, i) -> (n, i+1) for n <= i < n_max
     # (n, n_max) stays put: its ideal preimage (n, n_max + 1) has no nearby
-    # sample point; the resulting round-trip defects at the truncation edge
-    # are measured where the two maps move points, the column from (0, n)
-    # on and row n, and declared
-    moved = np.concatenate([np.arange(n - 1, n_max + 1), row])
-    defects = _roundtrip_defects(space, fwd[None], bwd[None], at=moved)[0]
+    # sample point, so the round trip through the backward map first sends
+    # it to (n, n_max - 1), or to (0, n_max) when n = n_max, at distance 1:
+    # the one round-trip defect, the truncation edge, declared
+    defects = frozenset({int(row[-1])})
     return WeightedComposition(space, np.ones(N), fwd, bwd, label=f"phi_{n}",
                                allowed_defects=defects, measured_defects=defects)
 
@@ -415,34 +405,33 @@ _WORD_BLOCK = 1 << 15
 
 class _WordRows(NamedTuple):
     """Words as table rows: point maps, weights and inverse maps as
-    ``(W, n)`` arrays, with each row's label, form and declared defects, and
-    the fingerprint of each row's key (``_fingerprints``)."""
+    ``(W, n)`` arrays, with each row's label and form, and the fingerprint
+    of each row's key (``_fingerprints``)."""
 
     forward: np.ndarray
     weight: np.ndarray
     backward: np.ndarray
     labels: list[str]
     forms: list[dict | None]
-    allowed: list[frozenset]
     fp: np.ndarray
 
     @classmethod
     def of(cls, ops: Sequence[WeightedComposition]) -> "_WordRows":
         forward, weight = np.stack([g.forward for g in ops]), np.stack([g.weight for g in ops])
         return cls(forward, weight, np.stack([g.backward for g in ops]), [g.label for g in ops],
-                   [g.form for g in ops], [g.allowed_defects for g in ops],
-                   _fingerprints(forward, weight))
+                   [g.form for g in ops], _fingerprints(forward, weight))
 
     def rows(self, start: int, stop: int | None = None) -> "_WordRows":
         """Rows start..stop as views of the arrays."""
         return _WordRows(*(field[start:stop] for field in self))
 
     def operator(self, space: SampledSpace, r: int) -> WeightedComposition:
-        """Row r as an operator on its arrays; the row's defects were
-        measured and declared as it was built."""
+        """Row r as an operator on its arrays, declaring the round-trip
+        defects of its own maps, measured once here."""
+        defects = _roundtrip_defects(space, self.forward[r], self.backward[r])
         return WeightedComposition(space, self.weight[r], self.forward[r], self.backward[r],
                                    label=self.labels[r], form=self.forms[r],
-                                   allowed_defects=self.allowed[r], measured_defects=self.allowed[r])
+                                   allowed_defects=defects, measured_defects=defects)
 
 
 def _first_entries(fps: np.ndarray) -> np.ndarray:
@@ -473,9 +462,9 @@ def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, table
     keys are deduplicated on their keys instead, so a collision merges no
     words.  The kept candidates are then gathered once, inverse maps
     included.  A kept composite must have a positive finite weight, or the
-    first such word raises as its ``WeightedComposition`` would; the
-    round-trip defects of the kept composites that were not re-snapped are
-    measured in blocks and declared.
+    first such word raises as its ``WeightedComposition`` would.  No round
+    trip is measured here: a row's operator measures its own
+    (``_WordRows.operator``).
     Every word is labelled ``_product_label`` of its frontier word's and
     its generator's labels.
     """
@@ -552,27 +541,15 @@ def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, table
     valid = (np.isfinite(weight[S:]) & (weight[S:] > 0)).all(axis=1)
     if not valid.all():
         raise _weight_error(space, weight[S + np.argmin(valid)])
-    # the re-snapped rows declare their own defects (_snapped)
-    plain = np.flatnonzero(~np.isin(kept, snapped)) if snaps else np.arange(len(kept))
-    measured = [frozenset()] * len(kept)
-    for a in range(0, len(plain), step):
-        r = plain[a:a + step]
-        for i, m in zip(r.tolist(), _roundtrip_defects(space, forward[S + r], backward[S + r])):
-            measured[i] = m
     hk, gk = np.divmod(kept, K)
-    hk, gk = hk.tolist(), gk.tolist()
-    fl, gl, fa, ga = frontier.labels, gens.labels, frontier.allowed, gens.allowed
-    labels = [_product_label(fl[h], gl[g]) for h, g in zip(hk, gk)]
-    allowed = [fa[h] | ga[g] | m for h, g, m in zip(hk, gk, measured)] if any(fa) or any(ga) else measured
+    fl, gl = frontier.labels, gens.labels
+    labels = [_product_label(fl[h], gl[g]) for h, g in zip(hk.tolist(), gk.tolist())]
     row_forms = [None] * len(kept)
     for r in np.flatnonzero(np.isin(kept, both)).tolist() if forms else ():
         j = int(kept[r])
-        c = snaps.get(j)
-        row_forms[r] = forms[j] if c is None else c.form
-        if c is not None:
-            allowed[r] = c.allowed_defects
+        row_forms[r] = snaps[j].form if j in snaps else forms[j]
     return _WordRows(forward, weight, backward, table.labels + labels, table.forms + row_forms,
-                     table.allowed + allowed, np.concatenate([table.fp, fp[kept]]))
+                     np.concatenate([table.fp, fp[kept]]))
 
 
 @dataclass(eq=False)
@@ -637,8 +614,9 @@ class GroupSpec:
         Deduplication is by (forward map, rounded weight), so the list is a
         deterministic enumeration of the sampled subgroup.  The words are
         enumerated once, as the rows of ``word_table``; their operator
-        objects are built on the first call, and repeat calls return the
-        same list object.
+        objects are built on the first call, each declaring the round-trip
+        defects of its own maps, and repeat calls return the same list
+        object.
         """
         self._cap(None)
         if self._words is None:

@@ -237,3 +237,17 @@ def test_group_norm_refuses_a_function_of_another_shape(swap_group, shape):
     bgn = m_weight(swap_group)
     with pytest.raises(ValueError, match=rf"function of shape {re.escape(str(shape))} for 101 points"):
         group_norm(np.ones(shape), bgn)
+
+
+def test_group_norm_agrees_where_both_formulas_read_inf(onepoint_space):
+    # inf - inf is NaN, so equal infinite values agree before the
+    # tolerance test; a NaN in x still never agrees
+    bgn = m_weight(onepoint_swap_group(onepoint_space, word_cap=2, count=5))
+    for entries in ({0: math.inf}, {0: -math.inf}, {2: math.inf, 51: -math.inf}):
+        x = np.linspace(-1, 1, onepoint_space.n)
+        for i, v in entries.items():
+            x[i] = v
+        got = group_norm(x, bgn)
+        assert got.value == got.sup_over_words == math.inf and got.agree, entries
+    x[3] = math.nan
+    assert not group_norm(x, bgn).agree

@@ -82,7 +82,7 @@ def test_remark25_exhaustion_and_maps_match_the_loop_builders(n_max):
         assert op.label == f"phi_{n}"
         assert op.forward.tolist() == fwd.tolist()
         assert op.backward.tolist() == bwd.tolist()
-        assert op.allowed_defects == _roundtrip_defects(sp, fwd[None], bwd[None])[0]
+        assert op.allowed_defects == _roundtrip_defects(sp, fwd, bwd) == {sp.index(f"({n},{n_max})")}
 
 
 _FACTORS = {

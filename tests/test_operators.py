@@ -117,8 +117,7 @@ def test_round_trip_slack_scales_with_the_resolution(onepoint_space, k):
     fwd[s.index(f"(0,{k})")] = s.index("inf")
     with pytest.raises(ValueError, match=r"round trip displaces 1 points .*\(first: \(0,%d\)\)" % k):
         rl.WeightedComposition(s, np.ones(s.n), fwd, np.arange(s.n))
-    assert operators._roundtrip_defects(s, fwd[None], np.arange(s.n)[None]) == [
-        frozenset({s.index(f"(0,{k})")})]
+    assert operators._roundtrip_defects(s, fwd, np.arange(s.n)) == frozenset({s.index(f"(0,{k})")})
 
 
 def test_a_dyadic_round_trip_allows_exactly_twice_the_resolution(remark_space):
@@ -140,13 +139,9 @@ def test_a_dyadic_round_trip_allows_exactly_twice_the_resolution(remark_space):
 
 def _roundtrip_defects_everywhere(space, forward, backward):
     # the round trip measured at every point, the fixed ones included
-    n = space.n
-    offsets = (np.arange(len(forward)) * n)[:, None]
-    idx = np.arange(n)
-    gap = np.maximum(space.metric.pair(backward.ravel()[forward + offsets], idx),
-                     space.metric.pair(forward.ravel()[backward + offsets], idx))
-    far = gap > space.resolution + space._resolution_tol
-    return [frozenset(np.flatnonzero(row).tolist()) for row in far]
+    idx = np.arange(space.n)
+    gap = np.maximum(space.metric.pair(backward[forward], idx), space.metric.pair(forward[backward], idx))
+    return frozenset(np.flatnonzero(gap > space.resolution + space._resolution_tol).tolist())
 
 
 def _scrambled(n, rng, rows=6):
@@ -184,8 +179,8 @@ def _roundtrip_cases():
 
 def test_roundtrip_defects_read_only_moved_points():
     for label, sp, fwd, bwd in _roundtrip_cases():
-        got = operators._roundtrip_defects(sp, fwd, bwd)
-        assert got == _roundtrip_defects_everywhere(sp, fwd, bwd), label
+        got = [operators._roundtrip_defects(sp, f, b) for f, b in zip(fwd, bwd)]
+        assert got == [_roundtrip_defects_everywhere(sp, f, b) for f, b in zip(fwd, bwd)], label
         if label == "matrix twin":
             # the identity's defects are exactly the points of a large diagonal
             assert got[0] == frozenset(np.flatnonzero(np.diagonal(sp.dmat) == 1e-12).tolist()) != frozenset()
@@ -199,9 +194,9 @@ def test_remark25_maps_and_inverses_declare_their_measured_defects(n_max):
     # map's defects are the inverse's measured ones
     sp = rl.builtin_space("remark25", n_max=n_max)
     for g in remark25_sequence(sp):
-        defects = _roundtrip_defects_everywhere(sp, g.forward[None], g.backward[None])[0]
+        defects = _roundtrip_defects_everywhere(sp, g.forward, g.backward)
         assert g.allowed_defects == defects
-        assert _roundtrip_defects_everywhere(sp, g.backward[None], g.forward[None])[0] == defects
+        assert _roundtrip_defects_everywhere(sp, g.backward, g.forward) == defects
         inv = invert(g)
         assert inv.allowed_defects == defects
         assert np.array_equal(inv.forward, g.backward) and np.array_equal(inv.backward, g.forward)
@@ -595,36 +590,81 @@ def test_words_match_compose_every_pair_loop(onepoint_space, product_space, rota
         assert [w.key() for w in fast] == [w.key() for w in slow], name
         assert [w.allowed_defects for w in fast] == [w.allowed_defects for w in slow], name
         assert [w.form for w in fast] == [w.form for w in slow], name
+        # each word declares the round-trip defects of its own maps
+        assert all(w.allowed_defects == operators._roundtrip_defects(w.space, w.forward, w.backward)
+                   for w in fast), name
         assert all(np.array_equal(a.backward, b.backward) for a, b in zip(fast, slow)), name
 
 
+def _refuse_measurement(*args):
+    raise AssertionError("round trip measured")
+
+
+def _measurements(monkeypatch):
+    # the maps of every round-trip measurement from here on
+    calls = []
+    measure = operators._roundtrip_defects
+    monkeypatch.setattr(operators, "_roundtrip_defects",
+                        lambda space, fwd, bwd: calls.append((fwd, bwd)) or measure(space, fwd, bwd))
+    return calls
+
+
 def test_words_measure_each_new_composite_once(onepoint_space, monkeypatch):
+    # the table is built without a measurement; words() measures each
+    # word's own round trips once, as it builds the word's object, and a
+    # repeat call measures none
     group = onepoint_swap_group(onepoint_space, word_cap=2)
-    calls = []
-    measure = operators._roundtrip_defects
-    # composites are measured a level block at a time: count measured rows
-    monkeypatch.setattr(operators, "_roundtrip_defects",
-                        lambda space, fwd, bwd: calls.append(len(fwd)) or measure(space, fwd, bwd))
+    group.word_table()
+    calls = _measurements(monkeypatch)
     words = group.words()
-    # the identity plus one measured row per distinct composite, none again
-    # when the word objects are built
     assert len(words) == 1 + 50 + 50 * 49 // 2  # identity, swaps, unordered pairs
-    assert sum(calls) == len(words)
+    assert len(calls) == len(words)
+    assert all(np.array_equal(f, w.forward) and np.array_equal(b, w.backward) for (f, b), w in zip(calls, words))
+    assert group.words() is words and len(calls) == len(words)
 
 
-def test_words_do_not_measure_resnapped_composites(monkeypatch):
-    # every composite of circle rotations is re-snapped from its summed
-    # angle, and the rotation built from it measures its own round trips,
-    # so the level measures no block of composites again
-    circ = rl.builtin_space("circle", count=12)
-    group = rl.GroupSpec((circle_rotation(circ, steps=1), circle_rotation(circ, steps=5)), word_cap=3)
-    calls = []
+def test_building_a_table_measures_no_round_trip(rotation_group, onepoint_space, line_space, product_space,
+                                                 monkeypatch):
+    # every level is built with measurement refused: plain composites, and
+    # rotations and translations re-snapped from their composed forms
+    circ = product_space.factors[0]
+    groups = {
+        "rot12": (rotation_group.generators, 6),
+        "50 swaps": (onepoint_swap_group(onepoint_space).generators, 2),
+        "line translations": ((line_translation(line_space, 0.5),), 4),
+        "circle rotations": ((circle_rotation(circ, steps=1), circle_rotation(circ, steps=5)), 3),
+        "remark25 maps": (tuple(remark25_sequence(rl.builtin_space("remark25", n_max=7))), 2),
+    }
+    next_level = operators._next_level
+
+    def unmeasured(*args):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(operators, "_roundtrip_defects", _refuse_measurement)
+            return next_level(*args)
+
+    monkeypatch.setattr(operators, "_next_level", unmeasured)
+    for name, (gens, cap) in groups.items():
+        group = rl.GroupSpec(gens, word_cap=cap)
+        assert len(group.word_table()[0]) > len(group.generators), name
+
+
+def test_compose_measures_its_product_once(product_space, line_space, onepoint_space, remark_space, monkeypatch):
+    # a plain, a re-snapped, a clamped and a truncated product: one
+    # measurement each, of the product's own maps, which it declares
+    circ = product_space.factors[0]
+    pairs = [(onepoint_swap(onepoint_space, 1), onepoint_swap(onepoint_space, 2)),
+             (circle_rotation(circ, steps=5), circle_rotation(circ, steps=-2)),
+             (line_translation(line_space, 0.5), line_translation(line_space, 7.25)),
+             (remark25_map(remark_space, 3), invert(remark25_map(remark_space, 5)))]
     measure = operators._roundtrip_defects
-    monkeypatch.setattr(operators, "_roundtrip_defects",
-                        lambda space, fwd, bwd: calls.append(len(fwd)) or measure(space, fwd, bwd))
-    words = group.words()
-    assert len(words) == 12 and calls == [1] * len(calls)
-    assert all(w.form["kind"] == "rotation" for w in words[1:])
+    for h, g in pairs:
+        with pytest.MonkeyPatch.context() as m:
+            calls = _measurements(m)
+            c = compose(h, g)
+        assert len(calls) == 1, c.label
+        assert np.array_equal(calls[0][0], c.forward) and np.array_equal(calls[0][1], c.backward), c.label
+        assert c.allowed_defects == measure(c.space, c.forward, c.backward), c.label
+    assert c.allowed_defects
 
 
 def test_lift_acts_on_one_factor(product_space):
@@ -637,6 +677,21 @@ def test_lift_acts_on_one_factor(product_space):
             assert lifted.forward[ia * nb + ib] == ((ia + 4) % circ.n) * nb + ib
     flip = lift(interval_flip(seg), product_space, "right")
     assert flip.forward[0 * nb + 0] == 0 * nb + (nb - 1)
+
+
+def test_lift_carries_declared_defects_to_the_product():
+    # a clamped translation's edge points, lifted to every product point
+    # over them, on either side
+    prod = rl.builtin_space("circle_x_interval")
+    circ, seg = prod.factors
+    shift = line_translation(seg, 0.4)
+    assert shift.allowed_defects
+    right = lift(shift, prod, "right")
+    assert right.allowed_defects == {k * seg.n + j for k in range(circ.n) for j in shift.allowed_defects}
+    assert len(right.allowed_defects) == 576
+    left = lift(shift, rl.product(seg, circ), "left")
+    assert left.allowed_defects == {i * circ.n + l for i in shift.allowed_defects for l in range(circ.n)}
+    assert lift(circle_rotation(circ, steps=4), prod, "left").allowed_defects == frozenset()
 
 
 def test_lift_accepts_an_operator_on_an_equal_separately_built_factor():
@@ -715,35 +770,15 @@ def test_unbounded_weight_rejected(line_space):
         rl.WeightedComposition(line_space, np.full(n, np.inf), idx, idx)
 
 
-def test_remark25_map_measures_its_round_trip_defects_once(remark_space, monkeypatch):
-    # the measured defects are both the declared ones and the constructor's
-    # check, so each map gathers them once
-    calls = []
+@pytest.mark.parametrize("n_max", [3, 4, 7, 50, 101])
+def test_remark25_maps_declare_their_truncation_edge_unmeasured(n_max, monkeypatch):
+    # each map declares the point (n, n_max) in closed form, measuring
+    # nothing, and that is the set its round trips measure
+    sp = rl.builtin_space("remark25", n_max=n_max)
     measure = operators._roundtrip_defects
-    monkeypatch.setattr(operators, "_roundtrip_defects",
-                        lambda space, fwd, bwd, **at: calls.append(len(fwd)) or measure(space, fwd, bwd, **at))
-    seq = remark25_sequence(remark_space)
-    assert calls == [1] * len(seq) == [1] * remark_space.metric_form["n_max"]
-    assert seq[-1].allowed_defects  # row n_max's truncation edge
-
-
-def test_remark25_maps_measure_round_trips_at_every_point_they_move(remark_space, monkeypatch):
-    # a remark25 map measures round trips only at the points its maps move,
-    # and finds there what the whole array holds
-    seen = []
-    measure = operators._roundtrip_defects
-
-    def spy(space, fwd, bwd, at=None):
-        seen.append((space, fwd, bwd, at))
-        return measure(space, fwd, bwd, at=at)
-
-    monkeypatch.setattr(operators, "_roundtrip_defects", spy)
-    ops = remark25_sequence(remark_space)
-    assert len(seen) == len(ops)
-    for op, (space, fwd, bwd, at) in zip(ops, seen):
-        idx = np.arange(space.n)
-        assert np.isin(np.flatnonzero((fwd[0] != idx) | (bwd[0] != idx)), at).all(), op.label
-        assert measure(space, fwd, bwd)[0] == measure(space, fwd, bwd, at=at)[0] == op.allowed_defects, op.label
+    monkeypatch.setattr(operators, "_roundtrip_defects", _refuse_measurement)
+    for n, g in enumerate(remark25_sequence(sp), start=1):
+        assert g.allowed_defects == {sp.index(f"({n},{n_max})")} == measure(sp, g.forward, g.backward), g.label
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, 0, -1, "3", None])

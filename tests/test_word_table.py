@@ -39,6 +39,8 @@ def _label(h, g):
 
 
 def _snapped(space, form, label):
+    # a word declares the round-trip defects of its own maps, re-snapped
+    # or not
     if form is not None and form.get("kind") == "rotation":
         op = circle_rotation(space, angle=form["angle"])
     elif form is not None and form.get("kind") == "translation":
@@ -46,14 +48,16 @@ def _snapped(space, form, label):
     else:
         return None
     op.label = label
+    op.allowed_defects = _roundtrip_defects(space, op.forward, op.backward)
     return op
 
 
 def _composite(h, g, weight, forward, form):
     # snapping errors of non-isometric maps amplify under composition; the
-    # composite declares its own round-trip defects, measured once
+    # composite declares its own round-trip defects, measured once, and
+    # none of its factors'
     backward = h.backward[g.backward]
-    new_defects = _roundtrip_defects(h.space, forward[None], backward[None])[0]
+    defects = _roundtrip_defects(h.space, forward, backward)
     return WeightedComposition(
         space=h.space,
         weight=weight,
@@ -61,8 +65,8 @@ def _composite(h, g, weight, forward, form):
         backward=backward,
         label=_label(h.label, g.label),
         form=form,
-        allowed_defects=h.allowed_defects | g.allowed_defects | new_defects,
-        measured_defects=new_defects,
+        allowed_defects=defects,
+        measured_defects=defects,
     )
 
 
