@@ -770,6 +770,37 @@ def test_unbounded_weight_rejected(line_space):
         rl.WeightedComposition(line_space, np.full(n, np.inf), idx, idx)
 
 
+def test_remark25_map_measures_its_round_trip_defects_once(remark_space, monkeypatch):
+    # a map declares its defects in closed form, so building the sequence
+    # measures nothing; the word object of each map measures its own round
+    # trips once, and finds what the map declared
+    calls = _measurements(monkeypatch)
+    seq = remark25_sequence(remark_space)
+    assert calls == [] and len(seq) == remark_space.metric_form["n_max"]
+    group = rl.GroupSpec(tuple(seq), word_cap=1)
+    group.word_table()
+    calls.clear()
+    words = group.words()
+    # the identity, then each map and each inverse
+    assert len(calls) == len(words) == 1 + 2 * len(seq)
+    assert all(np.array_equal(f, w.forward) and np.array_equal(b, w.backward) for (f, b), w in zip(calls, words))
+    assert [w.allowed_defects for w in words[1:]] == [g.allowed_defects for g in seq] * 2
+    assert seq[-1].allowed_defects  # row n_max's truncation edge
+
+
+def test_remark25_maps_measure_round_trips_at_every_point_they_move(remark_space):
+    # a remark25 map's round trip displaces only points its maps move, and
+    # the measurement, which reads only those, finds what the whole array
+    # holds: the declared truncation edge
+    idx = np.arange(remark_space.n)
+    for op in remark25_sequence(remark_space):
+        moved = np.flatnonzero((op.forward != idx) | (op.backward != idx))
+        everywhere = _roundtrip_defects_everywhere(remark_space, op.forward, op.backward)
+        assert np.isin(sorted(everywhere), moved).all(), op.label
+        assert operators._roundtrip_defects(remark_space, op.forward, op.backward) == everywhere, op.label
+        assert everywhere == op.allowed_defects, op.label
+
+
 @pytest.mark.parametrize("n_max", [3, 4, 7, 50, 101])
 def test_remark25_maps_declare_their_truncation_edge_unmeasured(n_max, monkeypatch):
     # each map declares the point (n, n_max) in closed form, measuring
