@@ -56,7 +56,7 @@ class IsometryVerdict:
     orbit_checks: list[TupleCheck]
     approx_group_element: tuple[str, float] | None
     caps: dict
-    witness: dict | None = None
+    witness: dict | None
 
 
 def check_weight_one(T: WeightedComposition, cfg: RenormConfig) -> WeightReport:
@@ -169,7 +169,8 @@ def certify(
             "detail": first.detail,
         }
 
-    # registry row k is the k-th group word; the first nearest word wins
+    # registry row k is the k-th group word, the word table's row k; the
+    # first nearest word wins
     base_pts = np.asarray(cfg.base_points[:test_depth], dtype=np.intp)
     dists = space.dmat[cfg.registry.word_maps[:, base_pts], T.forward[base_pts]].max(axis=1)
     best = int(dists.argmin())
@@ -181,7 +182,7 @@ def certify(
         and weight.weight_ok
         and bool((space.dmat[word[off], T.forward[off]] <= word_tol).all())
     )
-    approx = (cfg.group.words()[best].label or "word", best_dist)
+    approx = (cfg.group._table.labels[best] or "word", best_dist)
 
     if witness is not None:
         verdict = "rejected"

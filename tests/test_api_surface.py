@@ -27,7 +27,6 @@ ROOT = Path(__file__).resolve().parent.parent
 OPTIONS = {
     "cli.main(argv)",
     "cli.run(seed)",
-    "detector.IsometryVerdict(witness)",
     "detector.TupleCheck(detail)",
     "detector.certify(test_depth)",
     "norm.RenormConfig.classify_slots(tol)",
@@ -161,7 +160,7 @@ def test_public_options_match_the_table():
     found = public_options()
     assert sorted(found - OPTIONS) == [], "new options: add them to OPTIONS on purpose"
     assert sorted(OPTIONS - found) == [], "removed options: drop them from OPTIONS"
-    assert len(OPTIONS) == 27
+    assert len(OPTIONS) == 26
 
 
 def test_every_public_function_has_a_caller():

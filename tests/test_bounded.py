@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import renormlab as rl
-from renormlab.bounded import conjugate, group_norm, m_weight
+from renormlab.bounded import _image_weight, conjugate, group_norm, m_weight
 from renormlab.operators import (
     GroupSpec,
     WeightedComposition,
     circle_rotation,
     identity,
+    line_translation,
     multiplication,
     onepoint_swap_group,
 )
@@ -251,3 +252,40 @@ def test_group_norm_agrees_where_both_formulas_read_inf(onepoint_space):
         assert got.value == got.sup_over_words == math.inf and got.agree, entries
     x[3] = math.nan
     assert not group_norm(x, bgn).agree
+
+
+def test_conjugate_refuses_a_clamped_translation():
+    # the shift clamps at the window's edge: 10 of the 81 points have no
+    # preimage, so the indicator of x-2 has norm 0 after the map, and no
+    # point of the extremal weight is flagged to excuse it
+    line = rl.builtin_space("line", step=0.05, window=(-2, 2))
+    g = line_translation(line, 0.5)
+    bgn = m_weight(GroupSpec((g,), word_cap=2))
+    assert bgn.flagged == [] and line.n == 81
+    assert np.count_nonzero(np.bincount(g.forward, minlength=line.n) == 0) == 10
+    e = np.zeros(line.n)
+    e[line.index("x-2")] = 1.0
+    assert np.max(np.abs(g.apply(e))) == 0.0
+    with pytest.raises(AssertionError, match=re.escape("conjugated operator is not a sup-norm isometry (1.0)")):
+        conjugate(g, bgn)
+
+
+def test_conjugate_of_a_non_isometry_only_warns_where_the_weight_is_flagged(onepoint_space, swap_group, caplog):
+    bgn = m_weight(swap_group)
+    assert bgn.flagged == ["inf"]
+    with caplog.at_level("WARNING", logger="renormlab.bounded"):
+        out = conjugate(multiplication(onepoint_space, 2.0), bgn)
+    assert np.all(out.weight == 2.0)
+    assert "conjugated operator deviates from isometry by 1;" in caplog.text
+
+
+def test_swaps_and_rotations_conjugate_to_exact_isometries(swap_group):
+    circ = rl.builtin_space("circle", count=24)
+    rotations = GroupSpec((circle_rotation(circ, steps=2),), word_cap=4)
+    for group in (swap_group, rotations):
+        bgn = m_weight(group)
+        # m_weight's column s is the helper's, over the whole word table
+        assert np.array_equal(bgn.s, _image_weight(*group.word_table()))
+        for g in group.generators:
+            cg = conjugate(g, bgn)
+            assert np.max(np.abs(_image_weight(cg.forward, cg.weight) - 1.0)) == 0.0, g.label

@@ -342,6 +342,23 @@ def test_one_key_per_side_matches_per_depth_certify(name, request, fork):
         assert outcomes == {"same-class", "class-mismatch", "window-mismatch", "off-orbit"}
 
 
+@pytest.mark.parametrize("name", ["product_cfg", "line_cfg"])
+def test_certify_reads_word_labels_from_the_word_table(name, request, monkeypatch):
+    # the approximating word's label is the word table's, and no word
+    # object is built to read it
+    cfg = request.getfixturevalue(name)
+    cases = [*_certify_cases(cfg), *cfg.group.words()]
+    expected = [certify(T, cfg) for T in cases]
+
+    def refuse(self):
+        raise AssertionError("certify built the word objects")
+
+    monkeypatch.setattr(rl.GroupSpec, "words", refuse)
+    for T, want in zip(cases, expected):
+        got = certify(T, cfg)
+        assert (got.verdict, got.approx_group_element) == (want.verdict, want.approx_group_element), T.label
+
+
 @pytest.mark.parametrize("name", ["product_cfg", "product_word_capped_cfg", "line_cfg"])
 def test_certify_never_writes_the_registry(name, request, fork):
     # every call on one config, the group's own words included

@@ -3,7 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -592,6 +596,60 @@ def test_bounded_suite_on_a_smaller_family_reports_its_checks(tmp_path, group):
     assert report["ok"] is False and "error" not in report
     assert report["group_norm_formulas_agree"] is True
     assert report["max_conjugation_deviation"] == 0.0
+
+
+def test_norm_suite_draws_the_same_functions_after_bounded_suite(tmp_path):
+    # norm-suite seeds its own generator: no other task shares its stream
+    scenario = {"space": {"builtin": "onepoint01N", "params": {"n_max": 8}},
+                "group": {"builtin": "onepoint_swaps"}, "depth": 3, "seed": 0,
+                "norm_suite": {"count": 5}}
+    reports = []
+    for tasks in (["norm-suite"], ["bounded-suite", "norm-suite"]):
+        out = tmp_path / "-".join(tasks)
+        assert run({**scenario, "tasks": tasks}, out) == 0
+        reports.append((out / "norm-suite.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_bounded_suite_catches_a_formula_mismatch_at_one_point(tmp_path, monkeypatch):
+    # s and m_G differ at one point of 101, where m_G is 1: a function
+    # bounded by 1 reads at most 1.5 there against 2 at any (1,n), so only
+    # that point's indicator tells the formulas apart
+    real = cli.m_weight
+
+    def one_point_off(group):
+        bgn = real(group)
+        s = bgn.s.copy()
+        z = group.space.index("(0,7)")
+        assert bgn.m_G[z] == s[z] == 1.0
+        s[z] = 1.5
+        return dataclasses.replace(bgn, s=s)
+
+    monkeypatch.setattr(cli, "m_weight", one_point_off)
+    scenario = {"space": {"builtin": "onepoint01N"}, "group": {"builtin": "onepoint_swaps"},
+                "tasks": ["bounded-suite"]}
+    assert run(scenario, tmp_path / "out") == 1
+    report = json.loads((tmp_path / "out" / "bounded-suite.json").read_text())
+    assert report["group_norm_formulas_agree"] is False and "error" not in report
+
+
+def test_counterexample_scenarios_import_no_random_module(tmp_path):
+    # remark25_gallery and onepoint_bounded draw nothing, so a fresh process
+    # that runs both never loads numpy.random
+    root = Path(__file__).resolve().parent.parent
+    code = textwrap.dedent("""
+        import json, sys
+        from pathlib import Path
+        from renormlab import cli
+        for name in ("remark25_gallery", "onepoint_bounded"):
+            scenario = json.loads((Path(sys.argv[1]) / "scripts" / "scenarios" / f"{name}.json").read_text())
+            assert cli.run(scenario, Path(sys.argv[2]) / name) == 0, name
+        assert "numpy.random" not in sys.modules, "numpy.random was imported"
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, str(root), str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("offset", ["NaN", "Infinity", "-Infinity"])
