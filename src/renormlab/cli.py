@@ -153,7 +153,7 @@ def random_piecewise_linear(space: SampledSpace, rng: np.random.Generator) -> np
     anchors = rng.integers(0, space.n, size=min(_KNOTS, space.n))
     vals = rng.uniform(-1.0, 1.0, size=len(anchors))
     scale = max(space.metric.diameter / 4, space.resolution)
-    weights = np.exp(-space.dmat[:, anchors] / scale)
+    weights = np.exp(-space.metric.cross(np.arange(space.n), anchors) / scale)
     return (weights * vals).sum(axis=1) / weights.sum(axis=1)
 
 
@@ -425,6 +425,8 @@ def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
     grid = _integer(dual.get("beta_grid", 5), "dual_suite beta_grid", 1)
     eps = float(_positive(scenario.get("sot_gallery", {}).get("eps", 0.01), "sot_gallery eps"))
     space = make_space(scenario["space"])
+    if base_count is not None and base_count > space.n:
+        raise InputError(f"base_count {base_count} exceeds the {space.n} points of space {space.name!r}")
     group = make_group(scenario.get("group", {"builtin": "trivial"}), space)
     operators = []
     if "detect" in tasks:

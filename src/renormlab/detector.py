@@ -172,7 +172,7 @@ def certify(
     # registry row k is the k-th group word, the word table's row k; the
     # first nearest word wins
     base_pts = np.asarray(cfg.base_points[:test_depth], dtype=np.intp)
-    dists = space.dmat[cfg.registry.word_maps[:, base_pts], T.forward[base_pts]].max(axis=1)
+    dists = space.metric.pair(cfg.registry.word_maps[:, base_pts], T.forward[base_pts]).max(axis=1)
     best = int(dists.argmin())
     best_dist = float(dists[best])
     word = cfg.registry.word_maps[best]
@@ -180,7 +180,7 @@ def certify(
     word_matched = (
         best_dist <= word_tol
         and weight.weight_ok
-        and bool((space.dmat[word[off], T.forward[off]] <= word_tol).all())
+        and bool((space.metric.pair(word[off], T.forward[off]) <= word_tol).all())
     )
     approx = (cfg.group._table.labels[best] or "word", best_dist)
 

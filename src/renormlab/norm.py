@@ -25,7 +25,7 @@ import numpy as np
 
 from .operators import GroupSpec
 from .orbits import select_dense_points
-from .space import SampledSpace, _acts_on, _integer, _positive
+from .space import _GATHER_BYTES, SampledSpace, _acts_on, _integer, _positive
 from .tuples import (
     BCAssignment,
     ClassRegistry,
@@ -413,12 +413,15 @@ def build_config(
     cols = np.asarray(list(first_slot), dtype=np.intp)
     slots = np.asarray(list(first_slot.values()), dtype=np.intp)
     # an orbit point is its own nearest slot, since the space keeps distinct
-    # points at positive distance; only the other rows are gathered
+    # points at positive distance; only the other rows are computed, in
+    # blocks of about _GATHER_BYTES
     nearest = np.full(space.n, -1, dtype=np.intp)
     nearest[cols] = np.arange(len(cols))
     rest = np.flatnonzero(nearest < 0)
-    nearest[rest] = space.dmat[np.ix_(rest, cols)].argmin(axis=1)
-    slot_dist = space.dmat[np.arange(space.n), cols[nearest]]
+    rows = max(1, _GATHER_BYTES // (8 * len(cols)))
+    for r in range(0, len(rest), rows):
+        nearest[rest[r:r + rows]] = space.metric.cross(rest[r:r + rows], cols).argmin(axis=1)
+    slot_dist = space.metric.pair(np.arange(space.n), cols[nearest])
     coverage_defect = float(slot_dist.max())
 
     report = verify_bmap(bc, depth, registry)
@@ -697,7 +700,7 @@ def find_cutoff(cfg: RenormConfig, end: int, eps: float) -> int:
 
 
 def _support(space: SampledSpace, target: int, radius: float) -> np.ndarray:
-    return np.nonzero(space.dmat[target] < radius - 1e-15)[0]
+    return space.metric.ball(target, radius - 1e-15)
 
 
 def witness_function(spec: WitnessSpec, cfg: RenormConfig) -> tuple[np.ndarray, dict]:
@@ -749,7 +752,7 @@ def witness_function(spec: WitnessSpec, cfg: RenormConfig) -> tuple[np.ndarray, 
                             )
     x = np.zeros(space.n)
     for ((p, u), r, sup) in zip(spec.targets, spec.ball_radii, supports):
-        tent = u * np.maximum(0.0, 1.0 - space.dmat[p, sup] / r)
+        tent = u * np.maximum(0.0, 1.0 - space.metric.pair(p, sup) / r)
         x[sup] = np.maximum(x[sup], tent)
         x[p] = u
     audit["targets"] = [(space.points[p], u) for p, u in spec.targets]
@@ -768,14 +771,15 @@ def witness_for_tuple(t: TupleIndex, cfg: RenormConfig, values: Sequence[float])
     radii = []
     for k, p in enumerate(t.points):
         limit = math.inf
+        row = space.metric.row(p)
         for j in range(1, min(M, cfg.base_count) + 1):
             if j == t.start + k:
                 continue
             orbit = list(cfg.orbit_of_base(j))
-            limit = min(limit, float(space.dmat[p, orbit].min()))
+            limit = min(limit, float(row[orbit].min()))
         for other in t.points:
             if other != p:
-                limit = min(limit, float(space.dmat[p, other]))
+                limit = min(limit, float(row[other]))
         if limit < space.resolution - 1e-15:
             raise ValueError(
                 f"resolution too coarse: target {space.points[p]} cannot clear "

@@ -138,7 +138,7 @@ def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.nd
     there, back = backward[forward], forward[backward]
     moved = (there != idx) | (back != idx)
     if isinstance(space.metric, _Dense):
-        moved |= np.diagonal(space.dmat) != 0
+        moved |= space.metric.pair(idx, idx) != 0
     at = np.flatnonzero(moved)
     if not len(at):  # every round trip is exact: no distance to read
         return frozenset()

@@ -81,19 +81,28 @@ def select_dense_points(
     pairwise disjoint; a capped word list can reach an earlier orbit from a
     later pick.  With ``count=None`` the selection runs until
     candidates are exhausted, and stops once every point lies within 1e-9
-    of a picked orbit; an explicit count raises when unreachable.
+    of a picked orbit; an explicit count raises when unreachable, and a
+    count above the sample size before any step.
+
+    No distance matrix is read.  An unblocked reference point at distance
+    0 from itself is its own pick; otherwise a step's candidates are its
+    reference point's ball.  Each pick blocks the 1e-9 ball of its whole
+    orbit, in one ball query.
 
     Returns the selected indices and the per-step audit trail.
     """
+    n = space.n
     if count is not None:
         _integer(count, "count", 1)
-    n = space.n
-    dmat = space.dmat
+        if count > n:
+            raise ValueError(f"count {count} exceeds the {n} points of space {space.name!r}")
+    metric = space.metric
     table = group.word_table()[0]
     chosen: list[int] = []
     audit: list[dict] = []
-    # distance from each sample point to the union of selected orbit samples
-    orbit_dist = np.full(n, np.inf)
+    # the points within 1e-9 of a selected orbit sample, and how many
+    blocked = np.zeros(n, dtype=bool)
+    nblocked = 0
     target = count if count is not None else n
     step = 0
     for ref in range(n):
@@ -101,25 +110,36 @@ def select_dense_points(
             break
         step += 1
         radius = max(2.0 ** (-step), space.resolution)
-        d = np.where(orbit_dist >= 1e-9, dmat[ref], np.inf)
-        pick = int(d.argmin())  # the nearest unblocked point, ties by index
-        if d[pick] > radius + 1e-15:
-            if count is not None:
-                raise ValueError(
-                    f"resolution too coarse for disjointness at step {step}"
-                )
-            continue
+        dist = float(metric.pair(ref, ref)) if not blocked[ref] else None
+        if dist == 0.0:
+            # distinct points are at positive distance, so an unblocked
+            # reference point is its own unique nearest candidate
+            pick = ref
+        else:
+            # d <= radius + 1e-15 exactly when d < the next float above it
+            cand = metric.ball(ref, np.nextafter(radius + 1e-15, np.inf))
+            cand = cand[~blocked[cand]]
+            if not cand.size:
+                if count is not None:
+                    raise ValueError(
+                        f"resolution too coarse for disjointness at step {step}"
+                    )
+                continue
+            d = metric.pair(ref, cand)
+            k = int(d.argmin())  # the nearest unblocked point, ties by index
+            pick, dist = int(cand[k]), float(d[k])
         chosen.append(pick)
-        orbit = list(dict.fromkeys(table[:, pick].tolist()))
-        orbit_dist = np.minimum(orbit_dist, dmat[:, orbit].min(axis=1))
+        near = metric.ball(table[:, pick], 1e-9)
+        nblocked += int(np.count_nonzero(~blocked[near]))
+        blocked[near] = True
         audit.append({
             "step": step,
             "reference": space.points[ref],
             "selected": space.points[pick],
-            "distance": float(dmat[ref, pick]),
+            "distance": dist,
             "radius": radius,
         })
-        if not (orbit_dist >= 1e-9).any():
+        if nblocked == n:
             break  # every point is blocked, so no later step picks
     if count is not None and len(chosen) < count:
         raise ValueError(

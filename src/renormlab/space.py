@@ -6,10 +6,11 @@ compact exhaustion, and a declared ``resolution`` bounding how far an
 unmodeled point of the ideal space can sit from the sample.  All
 downstream tolerances are stated in terms of ``resolution``.
 
-The metric is a :class:`Metric`: distances on demand.  A closed-form
-metric computes them from O(n) coordinates; a matrix-form one wraps its
-checked matrix.  ``space.dmat``, the full matrix, exists only once a
-reader asks for it.
+The metric is a :class:`Metric`: distances on demand, as pairs, blocks,
+rows and balls.  A closed-form metric computes them from O(n) coordinates;
+a matrix-form one wraps its checked matrix.  ``space.dmat``, the full
+matrix, exists only once a reader asks for it; the library reads it only
+on a matrix-form space.
 
 Compactness at sample scale is a proxy: a set counts as compact when it is
 contained in an exhaustion element.  Reports carry this caveat verbatim.
@@ -240,19 +241,39 @@ class Metric:
     """The distances of an n-point sample, computed where a reader asks.
 
     ``pair(I, J)`` is d(I, J) elementwise over broadcast index arrays,
-    ``cross(I, J)`` the block d(I[:, None], J[None, :]), ``set_distances``
-    the distances from every point to each of a list of sets, ``diameter``
-    the largest distance and ``dense`` the full (n, n) matrix, built on
-    first read and read-only.  A closed-form metric computes every entry from
-    O(n) coordinate arrays, bitwise equal to the entry of its ``dense``; the
-    matrix-form metric wraps the matrix that the constructor checked.
+    ``cross(I, J)`` the block d(I[:, None], J[None, :]), ``row(i)`` the
+    distances from point i to every point, ``ball(centres, r)`` the points
+    strictly within r of some centre, ``set_distances`` the distances from
+    every point to each of a list of sets, ``diameter`` the largest distance
+    and ``dense`` the full (n, n) matrix, built on first read and read-only.
+    A closed-form metric computes every entry from O(n) coordinate arrays,
+    bitwise equal to the entry of its ``dense``; the matrix-form metric
+    wraps the matrix that the constructor checked.  No reader in the
+    library builds a closed form's ``dense``: only a matrix-form space's
+    checks and ``io.space_to_dict`` read a matrix.
     """
 
     n: int
 
     def pair(self, I, J) -> np.ndarray:
         I, J = np.asarray(I), np.asarray(J)
-        return self._pair(I, J, np.empty(np.broadcast_shapes(I.shape, J.shape)))
+        return self._pair(I, J, np.empty(np.broadcast(I, J).shape))
+
+    def row(self, i: int) -> np.ndarray:
+        """d(i, j) for every point j, bitwise ``dense[i]``."""
+        return self.pair(i, np.arange(self.n))
+
+    def ball(self, centres, r: float) -> np.ndarray:
+        """The sorted indices of the points at distance < r from some centre
+        (one index or an index array): bitwise ``np.flatnonzero((dense[centres]
+        < r).any(axis=0))``, so a whole orbit is one call.  This default
+        tests whole rows, in blocks of about ``_GATHER_BYTES``."""
+        centres = np.asarray(centres, dtype=np.intp).ravel()
+        idx, rows = np.arange(self.n), max(1, _GATHER_BYTES // (8 * self.n))
+        near = np.zeros(self.n, dtype=bool)
+        for s in range(0, len(centres), rows):
+            near |= (self.cross(centres[s:s + rows], idx) < r).any(axis=0)
+        return np.flatnonzero(near)
 
     def cross(self, I, J) -> np.ndarray:
         I, J = np.asarray(I), np.asarray(J)
@@ -364,7 +385,30 @@ class _Max(Metric):
     def _pair(self, I, J, out):
         ia, ib = np.divmod(I, self.b.n)
         ja, jb = np.divmod(J, self.b.n)
-        return np.maximum(self.a.pair(ia, ja), self.b.pair(ib, jb), out=out)
+        self.a._pair(ia, ja, out)
+        return np.maximum(out, self.b._pair(ib, jb, np.empty(out.shape)), out=out)
+
+    def _cross(self, I, J, out):
+        # each factor's block over all of its rows, gathered at the rows'
+        # factor indices: no index arithmetic per entry
+        ia, ib = np.divmod(I, self.b.n)
+        ja, jb = np.divmod(J, self.b.n)
+        a, b = self.a.cross(np.arange(self.a.n), ja), self.b.cross(np.arange(self.b.n), jb)
+        return np.maximum(a[ia], b[ib], out=out)
+
+    def row(self, i: int) -> np.ndarray:
+        ia, ib = divmod(int(i), self.b.n)
+        return np.maximum.outer(self.a.row(ia), self.b.row(ib)).ravel()
+
+    def ball(self, centres, r):
+        # max(da, db) < r iff da < r and db < r: each centre's ball is the
+        # product of its factor balls, read from the factors' rows.  Point
+        # (i, j) is in the union when some centre has both, so when the
+        # (na, nb) product of the ball masks counts it (exact in float64)
+        ia, ib = np.divmod(np.asarray(centres, dtype=np.intp).ravel(), self.b.n)
+        near_a = self.a.cross(ia, np.arange(self.a.n)) < r
+        near_b = self.b.cross(ib, np.arange(self.b.n)) < r
+        return np.flatnonzero(near_a.T.astype(float) @ near_b)
 
     @cached_property
     def diameter(self) -> float:
@@ -458,11 +502,45 @@ def _positive(value, name: str):
     return value
 
 
+# relative slack of a coordinate range query, well above the few roundings
+# of a distance and of the range's bounds
+_SLACK = 16 * float(np.finfo(float).eps)
+
+
 def _distinct(x: np.ndarray) -> bool:
     return bool((np.diff(np.sort(x)) > 0).all())
 
 
-class _Line(Metric):
+class _Sorted(Metric):
+    """A kind whose balls are index ranges of sorted coordinates
+    ``_coords``, where point j sits at the positions j mod n and its own
+    coordinate is ``x[j]``.  A centre's candidates are the positions whose
+    coordinates lie within r of its own, plus a slack of ``_SLACK`` per unit
+    of ``_reach`` (the largest coordinate) that covers every rounding of a
+    distance and of the bounds, at most n of them; each is then tested."""
+
+    x: np.ndarray
+    _coords: np.ndarray
+    _reach: float
+
+    def ball(self, centres, r):
+        centres, n, r = np.asarray(centres, dtype=np.intp).ravel(), self.n, float(r)
+        slack, search = r + _SLACK * (self._reach + r), self._coords.searchsorted
+        if len(centres) == 1:  # one range, no point twice
+            c = float(self.x[centres[0]])
+            lo = int(search(c - slack))
+            cand = np.arange(lo, min(int(search(c + slack, "right")), lo + n)) % n
+            return np.sort(cand[self.pair(centres[0], cand) < r])
+        c = self.x[centres]
+        lo = search(c - slack)
+        lengths = np.maximum(np.minimum(search(c + slack, "right"), lo + n) - lo, 0)
+        owner = np.repeat(centres, lengths)
+        cand = (np.arange(owner.size) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)) % n
+        idx = np.sort(cand[self.pair(owner, cand) < r])
+        return idx[np.diff(idx, prepend=-1) != 0]
+
+
+class _Line(_Sorted):
     """|x_i - x_j| on the grid x = lo + step * k of the window [lo, hi]."""
 
     def __init__(self, form: dict):
@@ -474,6 +552,7 @@ class _Line(Metric):
         lo, hi = window
         self.x = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
         self.n, self.tag = len(self.x), {"form": "line", "step": step, "window": [lo, hi]}
+        self._coords, self._reach = self.x, float(np.abs(self.x).max())  # increasing once _apart holds
 
     def _pair(self, I, J, out):
         np.subtract(self.x[I], self.x[J], out=out)
@@ -517,7 +596,7 @@ def _line_entries(radii: np.ndarray, bound: float) -> np.ndarray:
     return enter
 
 
-class _Circle(Metric):
+class _Circle(_Sorted):
     """Arc length min(|a_i - a_j|, 2 pi - |a_i - a_j|) between count equally
     spaced angles a."""
 
@@ -525,6 +604,9 @@ class _Circle(Metric):
         count = _integer(form["count"], "circle count", 3)
         self.x = 2 * math.pi * np.arange(count) / count
         self.n, self.tag = count, {"form": "circle", "count": count}
+        # the angles a turn down, as they are and a turn up: an arc shorter
+        # than a turn, wrapped or not, is one range of positions
+        self._coords, self._reach = np.concatenate([self.x - 2 * math.pi, self.x, self.x + 2 * math.pi]), 4 * math.pi
 
     def _pair(self, I, J, out):
         d = np.abs(np.subtract(self.x[I], self.x[J], out=out), out=out)

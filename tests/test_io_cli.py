@@ -707,6 +707,19 @@ def test_bad_scenario_field_exits_2_before_any_report(tmp_path, capsys, field, b
     assert not list((tmp_path / "out").glob("*.json"))
 
 
+def test_base_count_above_the_sample_size_exits_2_naming_both(tmp_path, capsys):
+    # a 12-point circle has no 50 base points: refused at the boundary,
+    # where the selection would blame the resolution at step 13
+    scenario = {"space": {"builtin": "circle", "params": {"count": 12}}, "group": {"builtin": "trivial"},
+                "depth": 3, "base_count": 50, "tasks": ["build-config"]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "base_count 50 exceeds the 12 points of space 'circle'" in err
+    assert "resolution" not in err and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("space, params, message", [
     ("circle_x_interval", {"levels": 2.5}, "circle_x_interval levels must be an integer >= 2, got 2.5"),
     ("circle_x_interval", {"levels": 1}, "circle_x_interval levels must be an integer >= 2, got 1"),

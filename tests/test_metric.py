@@ -251,11 +251,100 @@ def test_certificate_edge_tags(form, refusal):
 
 
 # ----------------------------------------------------------------------
+# rows and balls against the full matrix
+
+
+def _dense_ball(d, centres, r):
+    return np.flatnonzero((d[np.atleast_1d(centres)] < r).any(axis=0))
+
+
+def _radii(d, rng):
+    """Radii at which a ball changes: drawn distances and the floats next to
+    them, 1e-9, 0, a negative radius, inf and NaN."""
+    values = d[rng.integers(0, len(d), 6), rng.integers(0, len(d), 6)]
+    return [*values, *np.nextafter(values, np.inf), *np.nextafter(values, -np.inf), 1e-9, 0.0, -1.0, math.inf, math.nan]
+
+
+def _check_rows_and_balls(metric, d, rng):
+    n = len(d)
+    for i in {0, n - 1, *rng.integers(0, n, 4).tolist()}:
+        assert metric.row(i).tobytes() == d[i].tobytes(), i
+    for r in _radii(d, rng):
+        for size in (1, 1, 3, 12):  # an orbit may repeat a centre
+            centres = rng.integers(0, n, size)
+            assert np.array_equal(metric.ball(centres, r), _dense_ball(d, centres, r)), (r, centres)
+        assert np.array_equal(metric.ball(int(centres[0]), r), _dense_ball(d, centres[0], r))
+        assert metric.ball(centres, r).dtype == np.intp
+
+
+@given(form=_TAGS, matrix=st.booleans(), seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+@np.errstate(invalid="ignore", over="ignore")
+def test_row_and_ball_are_bitwise_the_dense_row(form, matrix, seed):
+    # closed forms, their products and the matrix form, on every tag the
+    # constructor accepts
+    try:
+        metric = space_mod._closed_form(form)
+    except (ValueError, OverflowError):
+        assume(False)
+    assume(metric.n <= 900)
+    points = tuple(f"p{i}" for i in range(metric.n))
+    assume(_constructor_verdict(form, points) is None)
+    d = _reference(form)
+    if matrix:
+        metric = space_mod._Dense(d.copy())
+    event(type(metric).__name__)
+    _check_rows_and_balls(metric, d, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("plane", {"step": 0.25, "window": (-2, 2)}),  # two factors, one metric
+    ("circle", {"count": 64}),
+    ("remark25", {"n_max": 50}),  # the column's last points are 2^-50 apart
+    ("onepoint01N", {"n_max": 50}),
+    ("circle_x_interval", {"count": 48, "levels": 16}),
+])
+def test_row_and_ball_on_builtins(name, params):
+    sp = builtin_space(name, **params)
+    d = _reference(sp.metric_form)
+    _check_rows_and_balls(sp.metric, d, np.random.default_rng(sp.n))
+    if name == "plane":
+        assert sp.metric.a is sp.metric.b
+    if name == "remark25":
+        # distinct points closer than 1e-9: (0,30) to (0,50) and (0,inf),
+        # 2^-30 to 2^-50 apart
+        near = [sp.index(f"(0,{k})") for k in [*range(30, 51), "inf"]]
+        assert sp.metric.ball(near[-2], 1e-9).tolist() == near
+        assert sp.metric.ball(near[-1], 2.0 ** -50).tolist() == near[-1:]
+        assert sp.metric.ball(near[-1], np.nextafter(2.0 ** -50, 1)).tolist() == near[-2:]
+    if name == "circle":
+        # the arc around angle 0 wraps past the last angle, and back
+        r = 1.5 * sp.metric.pair(0, 1)
+        assert sp.metric.ball(0, r).tolist() == [0, 1, 63]
+        assert sp.metric.ball(63, r).tolist() == [0, 62, 63]
+        assert sp.metric.ball([0, 32], math.pi).tolist() == list(range(64))
+
+
+# ----------------------------------------------------------------------
 # the counterexamples gallery computes every distance from coordinates
 
 
 @pytest.mark.parametrize("name", ["remark25_gallery", "onepoint_bounded"])
 def test_counterexample_scenarios_never_build_a_matrix(name, tmp_path):
+    def refuse(metric):
+        raise AssertionError(f"{type(metric).__name__} built its dense matrix")
+
+    scenario = json.loads((ROOT / "scripts" / "scenarios" / f"{name}.json").read_text())
+    with mock.patch.object(space_mod.Metric, "dense", property(refuse)):
+        assert cli.run(scenario, tmp_path) == 0
+    for report in (ROOT / "tests" / "golden" / name).glob("*.json"):
+        assert (tmp_path / report.name).read_bytes() == report.read_bytes(), report.name
+
+
+@pytest.mark.parametrize("name", ["rotation_product", "line_trivial"])
+def test_closed_form_scenarios_never_build_a_matrix(name, tmp_path):
+    # base points from ball queries; the slot table, certify, the witness
+    # functions and the random functions read rows, pairs and blocks
     def refuse(metric):
         raise AssertionError(f"{type(metric).__name__} built its dense matrix")
 

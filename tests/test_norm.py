@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,21 @@ def test_build_config_refuses_a_group_on_another_space():
     # a group on a separately built equal circle acts on this one
     equal = rl.GroupSpec((circle_rotation(rl.builtin_space("circle", count=12), steps=1),), word_cap=3)
     assert rl.build_config(circle12, equal, C=1.1, depth=3).space is circle12
+
+
+def test_build_config_on_an_8001_point_line_holds_no_matrix():
+    # the matrix alone would take 488 MiB; base points from ball queries and
+    # a slot table of pairs keep the traced peak near 12.5 MB
+    space = rl.builtin_space("line", step=0.0025, window=(-10, 10))
+    group = rl.GroupSpec.trivial(space)
+    tracemalloc.start()
+    try:
+        cfg = rl.build_config(space, group, C=1.1, depth=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.n == cfg.base_count == 8001
+    assert peak <= 64 * 2**20, peak
 
 
 @pytest.mark.parametrize("base_count, message", [(2.5, "got 2.5"), (1, "got 1"), (True, "got True")])

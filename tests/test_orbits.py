@@ -218,7 +218,10 @@ def test_select_product_rotation_stops_at_orbit_count(product_space, rotation_gr
 
 def _select_every_step(space, group, count=None):
     # the selection that runs every step, past the point where every
-    # sample point lies within 1e-9 of a picked orbit
+    # sample point lies within 1e-9 of a picked orbit, read from the full
+    # matrix: the oracle of the ball queries
+    if count is not None and count > space.n:
+        raise ValueError(f"count {count} exceeds the {space.n} points of space {space.name!r}")
     dmat = space.dmat
     table = group.word_table()[0]
     chosen, audit = [], []
@@ -279,7 +282,9 @@ def test_select_stops_once_every_point_is_blocked():
         for count in (1, len(chosen) // 2 + 1, len(chosen), len(chosen) + 1):
             got = _outcome(select_dense_points, space, group, count)
             assert got == _outcome(_select_every_step, space, group, count), (label, count)
-        assert got.startswith("resolution too coarse for disjointness at step"), label
+        # a count above the sample size is refused before any step
+        refusal = "count" if len(chosen) == space.n else "resolution too coarse for disjointness at step"
+        assert got.startswith(refusal), label
     assert stopped_early
 
 
@@ -312,6 +317,44 @@ def test_orbit_closure_invariant_under_generator(product_space, rotation_group):
     orb1 = orbit_closure(rotation_group, base)
     orb2 = orbit_closure(rotation_group, moved)
     assert orb1.samples == orb2.samples
+
+
+def test_select_takes_a_candidate_at_exactly_radius_plus_slack():
+    # step 2's reference "b" lies in the swap orbit of step 1's pick "a"; its
+    # only candidate "c" is exactly fl(0.25 + 1e-15) away, which passes the
+    # test d <= radius + 1e-15
+    edge = 0.25 + 1e-15
+    d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, edge], [1.0, edge, 0.0]])
+    space = rl.SampledSpace(name="three", points=("a", "b", "c"), dmat=d,
+                            exhaustion=(space_mod.CompactSet(range(3), "all"),), resolution=0.25,
+                            isolated=np.zeros(3, dtype=bool), metric_form={"form": "matrix"})
+    swap = rl.WeightedComposition(space, np.ones(3), np.array([1, 0, 2]), np.array([1, 0, 2]))
+    group = rl.GroupSpec((swap,), word_cap=2)
+    chosen, audit = select_dense_points(space, group)
+    assert (chosen, audit) == _select_every_step(space, group)
+    assert chosen == [0, 2] and audit[1]["distance"] == edge
+
+
+def test_select_reads_a_nonzero_diagonal_as_a_distance():
+    # a given matrix may carry a diagonal up to 1e-12: then "a" lies nearer
+    # to "b" than to itself, and step 1 picks "b"
+    d = np.array([[1e-12, 1e-13], [1e-13, 1e-12]])
+    space = rl.SampledSpace(name="two", points=("a", "b"), dmat=d,
+                            exhaustion=(space_mod.CompactSet(range(2), "all"),), resolution=0.25,
+                            isolated=np.zeros(2, dtype=bool), metric_form={"form": "matrix"})
+    group = rl.GroupSpec.trivial(space)
+    chosen, audit = select_dense_points(space, group)
+    assert (chosen, audit) == _select_every_step(space, group)
+    assert chosen == [1] and audit[0]["distance"] == 1e-13
+
+
+def test_select_refuses_a_count_above_the_sample_size_before_any_step(line_space):
+    # named with both numbers, before a single ball is queried
+    G = rl.GroupSpec.trivial(line_space)
+    with mock.patch.object(type(line_space.metric), "ball", side_effect=AssertionError("a step ran")):
+        with pytest.raises(ValueError, match=re.escape("count 2002 exceeds the 2001 points of space 'line'")):
+            select_dense_points(line_space, G, count=2002)
+    assert len(select_dense_points(line_space, G, count=2001)[0]) == 2001
 
 
 @pytest.mark.parametrize("bad", [2.5, 0, -1, True, "3"])
