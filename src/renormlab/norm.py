@@ -25,7 +25,7 @@ import numpy as np
 
 from .operators import GroupSpec
 from .orbits import select_dense_points
-from .space import _GATHER_BYTES, SampledSpace, _acts_on, _integer, _positive
+from .space import SampledSpace, _acts_on, _integer, _positive
 from .tuples import (
     BCAssignment,
     ClassRegistry,
@@ -413,14 +413,11 @@ def build_config(
     cols = np.asarray(list(first_slot), dtype=np.intp)
     slots = np.asarray(list(first_slot.values()), dtype=np.intp)
     # an orbit point is its own nearest slot, since the space keeps distinct
-    # points at positive distance; only the other rows are computed, in
-    # blocks of about _GATHER_BYTES
+    # points at positive distance; only the other rows are computed
     nearest = np.full(space.n, -1, dtype=np.intp)
     nearest[cols] = np.arange(len(cols))
     rest = np.flatnonzero(nearest < 0)
-    rows = max(1, _GATHER_BYTES // (8 * len(cols)))
-    for r in range(0, len(rest), rows):
-        nearest[rest[r:r + rows]] = space.metric.cross(rest[r:r + rows], cols).argmin(axis=1)
+    nearest[rest] = space.metric.nearest(rest, cols)
     slot_dist = space.metric.pair(np.arange(space.n), cols[nearest])
     coverage_defect = float(slot_dist.max())
 

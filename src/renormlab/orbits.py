@@ -129,7 +129,9 @@ def select_dense_points(
             k = int(d.argmin())  # the nearest unblocked point, ties by index
             pick, dist = int(cand[k]), float(d[k])
         chosen.append(pick)
-        near = metric.ball(table[:, pick], 1e-9)
+        # the points x with d(x, o) < 1e-9 for an orbit point o: a given
+        # matrix is symmetric only to the constructor's tolerance
+        near = metric.transposed.ball(table[:, pick], 1e-9)
         nblocked += int(np.count_nonzero(~blocked[near]))
         blocked[near] = True
         audit.append({

@@ -196,8 +196,8 @@ class SampledSpace:
 # tiles (1 MB) stays in cache while one of them is read in transposed order
 _SYMMETRY_TILE = 256
 
-# bytes of one distance block of Metric.set_distances: a block of rows times
-# the columns of one set
+# bytes of one distance block of Metric._blocks: a block of rows times the
+# columns asked for
 _GATHER_BYTES = 1 << 18
 
 
@@ -244,8 +244,10 @@ class Metric:
     ``cross(I, J)`` the block d(I[:, None], J[None, :]), ``row(i)`` the
     distances from point i to every point, ``ball(centres, r)`` the points
     strictly within r of some centre, ``set_distances`` the distances from
-    every point to each of a list of sets, ``diameter`` the largest distance
-    and ``dense`` the full (n, n) matrix, built on first read and read-only.
+    every point to each of a list of sets, ``nearest(I, J)`` each point of I's
+    nearest point in J, ``transposed`` the metric read the other way round,
+    ``diameter`` the largest distance and ``dense`` the full (n, n) matrix,
+    built on first read and read-only.
     A closed-form metric computes every entry from O(n) coordinate arrays,
     bitwise equal to the entry of its ``dense``; the matrix-form metric
     wraps the matrix that the constructor checked.  No reader in the
@@ -264,16 +266,24 @@ class Metric:
         return self.pair(i, np.arange(self.n))
 
     def ball(self, centres, r: float) -> np.ndarray:
-        """The sorted indices of the points at distance < r from some centre
-        (one index or an index array): bitwise ``np.flatnonzero((dense[centres]
-        < r).any(axis=0))``, so a whole orbit is one call.  This default
-        tests whole rows, in blocks of about ``_GATHER_BYTES``."""
+        """The sorted indices of the points j with d(c, j) < r for some
+        centre c (one index or an index array): bitwise
+        ``np.flatnonzero((dense[centres] < r).any(axis=0))``, so a whole
+        orbit is one call.  This default tests whole rows, in blocks of about
+        ``_GATHER_BYTES``."""
         centres = np.asarray(centres, dtype=np.intp).ravel()
         idx, rows = np.arange(self.n), max(1, _GATHER_BYTES // (8 * self.n))
         near = np.zeros(self.n, dtype=bool)
         for s in range(0, len(centres), rows):
             near |= (self.cross(centres[s:s + rows], idx) < r).any(axis=0)
         return np.flatnonzero(near)
+
+    @property
+    def transposed(self) -> Metric:
+        """The metric read the other way round, d(j, i) at (i, j), so its
+        ``ball`` tests d(j, c): the metric itself, as every closed form is
+        exactly symmetric."""
+        return self
 
     def cross(self, I, J) -> np.ndarray:
         I, J = np.asarray(I), np.asarray(J)
@@ -292,23 +302,36 @@ class Metric:
         the min of the distances to them, bitwise a direct
         ``dense[:, sets[k]].min(axis=1)``.
 
-        This default computes each column in blocks of rows, each block
-        (about ``_GATHER_BYTES``) as in ``cross`` and written into one
-        buffer per call, so no block maps and faults in fresh pages.  The
-        min is exact, so the table is too."""
-        n = self.n
+        This default computes each column in ``_blocks``, all written into
+        one buffer.  The min is exact, so the table is too."""
         sets = [np.asarray(s, dtype=np.intp) for s in sets]
-        table = np.empty((n, len(sets)))
-        # a block is at most _GATHER_BYTES, or one row of one set
+        table = np.empty((self.n, len(sets)))
         buf = np.empty(max([_GATHER_BYTES // 8] + [s.size for s in sets]))
-        idx = np.arange(n)
         for k, s in enumerate(sets):
-            rows = max(1, _GATHER_BYTES // (8 * s.size))
-            for r in range(0, n, rows):
-                block = idx[r:r + rows]
-                out = buf[:block.size * s.size].reshape(block.size, s.size)
-                table[r:r + rows, k] = self._cross(block, s, out).min(axis=1)
+            for rows, block in self._blocks(np.arange(self.n), s, buf):
+                table[rows, k] = block.min(axis=1)
         return table
+
+    def nearest(self, I, J) -> np.ndarray:
+        """For each point of ``I``, the position in ``J`` of its nearest
+        point, the first on ties: bitwise ``dense[I][:, J].argmin(axis=1)``,
+        computed in ``_blocks``."""
+        I, J = np.asarray(I, dtype=np.intp), np.asarray(J, dtype=np.intp)
+        out = np.empty(I.size, dtype=np.intp)
+        buf = np.empty(max(_GATHER_BYTES // 8, J.size))
+        for rows, block in self._blocks(I, J, buf):
+            out[rows] = block.argmin(axis=1)
+        return out
+
+    def _blocks(self, I: np.ndarray, J: np.ndarray, buf: np.ndarray):
+        """The block ``cross(I, J)`` as (row slice, block) pairs: a block is
+        the rows of about ``_GATHER_BYTES``, or one row, written into
+        ``buf``, so no block maps and faults in fresh pages."""
+        rows = max(1, _GATHER_BYTES // (8 * J.size))
+        for r in range(0, I.size, rows):
+            block = I[r:r + rows]
+            out = buf[:block.size * J.size].reshape(block.size, J.size)
+            yield slice(r, r + rows), self._cross(block, J, out)
 
     @cached_property
     def diameter(self) -> float:
@@ -371,6 +394,11 @@ class _Dense(Metric):
 
     def _matrix(self) -> np.ndarray:
         return self.values
+
+    @cached_property
+    def transposed(self) -> Metric:
+        # a given matrix is symmetric only to the constructor's tolerance
+        return _Dense(self.values.T)
 
     def _certify(self, points: Sequence[str]) -> None:
         _tile_walk(self.values, points)
@@ -526,7 +554,10 @@ class _Sorted(Metric):
     def ball(self, centres, r):
         centres, n, r = np.asarray(centres, dtype=np.intp).ravel(), self.n, float(r)
         slack, search = r + _SLACK * (self._reach + r), self._coords.searchsorted
-        if len(centres) == 1:  # one range, no point twice
+        # one centre is one range, with no point twice: 2-3x faster per call
+        # than the general path, and a selection on a line makes one such
+        # call per step
+        if len(centres) == 1:
             c = float(self.x[centres[0]])
             lo = int(search(c - slack))
             cand = np.arange(lo, min(int(search(c + slack, "right")), lo + n)) % n

@@ -266,6 +266,7 @@ def _radii(d, rng):
 
 
 def _check_rows_and_balls(metric, d, rng):
+    # rows, balls, the transposed metric's balls and nearest points
     n = len(d)
     for i in {0, n - 1, *rng.integers(0, n, 4).tolist()}:
         assert metric.row(i).tobytes() == d[i].tobytes(), i
@@ -273,8 +274,15 @@ def _check_rows_and_balls(metric, d, rng):
         for size in (1, 1, 3, 12):  # an orbit may repeat a centre
             centres = rng.integers(0, n, size)
             assert np.array_equal(metric.ball(centres, r), _dense_ball(d, centres, r)), (r, centres)
+            assert np.array_equal(metric.transposed.ball(centres, r), _dense_ball(d.T, centres, r)), (r, centres)
         assert np.array_equal(metric.ball(int(centres[0]), r), _dense_ball(d, centres[0], r))
+        # a centre given twice takes the path of many centres
+        assert np.array_equal(metric.ball(centres[[0, 0]], r), _dense_ball(d, centres[0], r))
         assert metric.ball(centres, r).dtype == np.intp
+    # repeated columns tie, and the first wins; 400 columns make blocks of 81 rows
+    for cols in (rng.integers(0, n, 12), rng.integers(0, n, 400)):
+        rows = rng.permutation(n)
+        assert np.array_equal(metric.nearest(rows, cols), d[rows][:, cols].argmin(axis=1))
 
 
 @given(form=_TAGS, matrix=st.booleans(), seed=st.integers(0, 2**16))
@@ -292,6 +300,10 @@ def test_row_and_ball_are_bitwise_the_dense_row(form, matrix, seed):
     assume(_constructor_verdict(form, points) is None)
     d = _reference(form)
     if matrix:
+        # a given matrix need only be symmetric to a tolerance: one ulp up
+        # above the diagonal
+        upper = np.triu_indices(len(d), 1)
+        d[upper] = np.nextafter(d[upper], np.inf)
         metric = space_mod._Dense(d.copy())
     event(type(metric).__name__)
     _check_rows_and_balls(metric, d, np.random.default_rng(seed))

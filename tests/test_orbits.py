@@ -348,6 +348,20 @@ def test_select_reads_a_nonzero_diagonal_as_a_distance():
     assert chosen == [1] and audit[0]["distance"] == 1e-13
 
 
+def test_select_blocks_the_points_whose_distance_to_an_orbit_is_below_1e_9():
+    # d("b", "a") < 1e-9 <= d("a", "b"), within the constructor's symmetry
+    # tolerance: picking "a" blocks "b", so step 2 picks "c", not "b"
+    near = 1e-9 - 5e-13
+    d = np.array([[0.0, 1e-9, 0.2], [near, 0.0, 0.2], [0.2, 0.2, 0.0]])
+    space = rl.SampledSpace(name="three", points=("a", "b", "c"), dmat=d,
+                            exhaustion=(space_mod.CompactSet(range(3), "all"),), resolution=0.25,
+                            isolated=np.zeros(3, dtype=bool), metric_form={"form": "matrix"})
+    group = rl.GroupSpec.trivial(space)
+    chosen, audit = select_dense_points(space, group)
+    assert (chosen, audit) == _select_every_step(space, group)
+    assert chosen == [0, 2]
+
+
 def test_select_refuses_a_count_above_the_sample_size_before_any_step(line_space):
     # named with both numbers, before a single ball is queried
     G = rl.GroupSpec.trivial(line_space)
