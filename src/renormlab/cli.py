@@ -300,9 +300,10 @@ def task_sot_gallery(space: SampledSpace, eps: float) -> dict:
     verdict = check_sot_convergence(seq, lim, K_list, eps)
     x = np.zeros(space.n)
     x[column] = 1.0  # the column's indicator
-    gaps = [float(np.max(np.abs(g.apply(x) - x))) for g in seq]
+    # sup |phi_n x - x|, read at the points each map moves
+    gaps = seq.deviations(x).tolist()
     eq = check_local_equicontinuity(
-        [g.backward for g in seq], space.compact(column[2:], "column-tail"), (0.5,), space,
+        seq.inverse_maps(), space.compact(column[2:], "column-tail"), (0.5,), space,
     )
     cond = {c.name: c for c in verdict.conditions}
     ok = (

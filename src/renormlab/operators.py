@@ -12,12 +12,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from collections import abc
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .space import CompactSet, SampledSpace, _Dense, _finite, _integer, _positive, same_space
+from ._kernels import _covered, _holds, _images, _least_separated, _PointMaps
+from .space import (CompactSet, SampledSpace, _acts_on, _Dense, _finite, _integer, _nested_runs, _positive,
+                    same_space)
 
 __all__ = [
     "WeightedComposition",
@@ -338,26 +341,31 @@ def remark25_map(space: SampledSpace, n: int) -> WeightedComposition:
     n_max = _tag(space, "remark25", "remark25_map requires the remark25 space")["n_max"]
     if not 1 <= n <= n_max:
         raise ValueError("map index out of range")
-    N = space.n
-    fwd, bwd = np.arange(N), np.arange(N)
-    # (0, x) is at index x - 1 and (0, inf) at n_max; row n's (n, j) is at row[j - 1]
-    row = np.arange(n_max + 1, N).reshape(n_max, n_max)[n - 1]
-    # (0, i) -> (0, i+1) for i >= n; the ideal image (0, n_max + 1) of
-    # (0, n_max) snaps to (0, inf)
-    fwd[n - 1:n_max] = np.arange(n, n_max + 1)
-    fwd[row[n - 1]] = n - 1  # (n, n) -> (0, n)
-    fwd[row[n:]] = row[n - 1:-1]  # (n, i) -> (n, i-1) for i > n
+    return _remark25_patches(space, n_max, [n])[0]
 
-    bwd[n:n_max] = np.arange(n - 1, n_max - 1)  # (0, i) -> (0, i-1) for i > n
-    bwd[n - 1] = row[n - 1]  # (0, n) -> (n, n)
-    bwd[row[n - 1:-1]] = row[n:]  # (n, i) -> (n, i+1) for n <= i < n_max
-    # (n, n_max) stays put: its ideal preimage (n, n_max + 1) has no nearby
-    # sample point, so the round trip through the backward map first sends
-    # it to (n, n_max - 1), or to (0, n_max) when n = n_max, at distance 1:
-    # the one round-trip defect, the truncation edge, declared
-    defects = frozenset({int(row[-1])})
-    return WeightedComposition(space, np.ones(N), fwd, bwd, label=f"phi_{n}",
-                               allowed_defects=defects, measured_defects=defects)
+
+def _remark25_patches(space: SampledSpace, n_max: int, ns: Sequence[int]) -> "_PatchSequence":
+    """The counterexample maps ``ns`` as patches: map n moves (0, n..n_max)
+    and (n, n..n_max), and declares its truncation edge (n, n_max)."""
+    parts = []
+    for n in ns:
+        col = np.arange(n - 1, n_max)  # (0, x) is at index x - 1 and (0, inf) at n_max
+        row = n_max + 1 + (n - 1) * n_max + col  # (n, x) is at n_max + 1 + (n - 1) n_max + x - 1
+        # forward: (0, i) -> (0, i+1), the ideal image (0, n_max + 1) of (0,
+        # n_max) snapped to (0, inf); (n, n) -> (0, n) and (n, i) -> (n, i-1)
+        forward = np.concatenate([col + 1, [n - 1], row[:-1]])
+        # backward: (0, n) -> (n, n), (0, i) -> (0, i-1) for i > n and (n,
+        # i) -> (n, i+1) for i < n_max.  (n, n_max) stays put: its ideal
+        # preimage (n, n_max + 1) has no nearby sample point, so the round
+        # trip through the backward map first sends it to (n, n_max - 1), or
+        # to (0, n_max) when n = n_max, at distance 1: the one round-trip
+        # defect, the truncation edge, declared
+        backward = np.concatenate([row[:1], col[:-1], row[1:], row[-1:]])
+        parts.append((np.concatenate([col, row]), forward, backward))
+    at, forward, backward = (np.concatenate(a) for a in zip(*parts))
+    start = np.concatenate([[0], np.cumsum([p[0].size for p in parts])])
+    return _PatchSequence(space, start, at, np.ones(at.size), forward, backward,
+                          [f"phi_{n}" for n in ns], [frozenset({n_max + n * n_max}) for n in ns])
 
 
 def onepoint_swap(space: SampledSpace, n: int) -> WeightedComposition:
@@ -378,9 +386,66 @@ def onepoint_swap(space: SampledSpace, n: int) -> WeightedComposition:
     return WeightedComposition(space, w, fwd, fwd.copy(), label=f"g_{n}")
 
 
-def remark25_sequence(space: SampledSpace) -> list[WeightedComposition]:
+def remark25_sequence(space: SampledSpace) -> Sequence[WeightedComposition]:
+    """The maps ``remark25_map(space, n)`` for n = 1..n_max, held as patches:
+    each moves 2 (n_max - n + 1) points, so the sequence holds about n
+    entries in all, and builds a map only where it is read."""
     n_max = _tag(space, "remark25", "remark25_sequence requires the remark25 space")["n_max"]
-    return [remark25_map(space, n) for n in range(1, n_max + 1)]
+    return _remark25_patches(space, n_max, range(1, n_max + 1))
+
+
+class _PatchSequence(abc.Sequence):
+    """Operators on one space, each the identity plus the points it moves,
+    in one batch: stage s moves the points ``at[start[s]:start[s + 1]]``
+    (sorted), with ``weight``, ``forward`` and ``backward`` there, and
+    fixes every other point with weight 1.
+
+    A stage is built as a ``WeightedComposition`` only where it is read
+    (``seq[s]``; a slice is a ``_PatchSequence`` again), declaring
+    ``defects[s]`` as its measured round-trip defects, so a sequence of
+    operators that each move few points holds no (stages, n) array.  The
+    convergence checks read the batch itself."""
+
+    def __init__(self, space: SampledSpace, start: np.ndarray, at: np.ndarray, weight: np.ndarray,
+                 forward: np.ndarray, backward: np.ndarray, labels: list[str], defects: list[frozenset]):
+        self.space, self.start, self.at = space, start, at
+        self.weight, self.forward, self.backward = weight, forward, backward
+        self.labels, self.defects = labels, defects
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            stages = np.arange(len(self))[i]
+            counts = np.diff(self.start)[stages]
+            start = np.concatenate([[0], np.cumsum(counts)])
+            pos = np.repeat(self.start[stages] - start[:-1], counts) + np.arange(start[-1])
+            arrays = (a[pos] for a in (self.at, self.weight, self.forward, self.backward))
+            return _PatchSequence(self.space, start, *arrays, [self.labels[s] for s in stages],
+                                  [self.defects[s] for s in stages])
+        s = range(len(self))[i]
+        cut, n = slice(self.start[s], self.start[s + 1]), self.space.n
+        weight, forward, backward = np.ones(n), np.arange(n), np.arange(n)
+        for out, values in ((weight, self.weight), (forward, self.forward), (backward, self.backward)):
+            out[self.at[cut]] = values[cut]
+        return WeightedComposition(self.space, weight, forward, backward, label=self.labels[s],
+                                   allowed_defects=self.defects[s], measured_defects=self.defects[s])
+
+    def stage(self) -> np.ndarray:
+        """The stage of each moved point."""
+        return np.repeat(np.arange(len(self)), np.diff(self.start))
+
+    def deviations(self, x: np.ndarray) -> np.ndarray:
+        """Each stage's sup over the points of |T_s x - x|, read where it
+        moves a point: at any other point T_s x - x is 0."""
+        out = np.zeros(len(self))
+        np.maximum.at(out, self.stage(), np.abs(self.weight * x[self.forward] - x[self.at]))
+        return out
+
+    def inverse_maps(self) -> _PointMaps:
+        """The stages' backward maps, as patches."""
+        return _PointMaps(self.space, self.start, self.at, self.backward)
 
 
 def onepoint_swap_group(space: SampledSpace, word_cap: int = 2,
@@ -667,38 +732,20 @@ def _tail_threshold(violations: Sequence[int], horizon: int) -> int | None:
     return last + 1
 
 
-# entries of one (stages, members) block of check_sot_convergence's fields:
-# 64 KB of float64, under glibc's default 128 KB mmap threshold, so a block's
-# temporaries reuse heap pages where larger ones would map and fault in fresh
-# pages (3,055 minor faults per check on the shipped remark25 gallery at 2 MB
-# blocks, 383 at 64 KB)
-_STAGE_BLOCK = 1 << 13
-
-
-def _nested_runs(karrs: Sequence[np.ndarray], n: int) -> list[tuple[int, int]]:
-    """(first, end) of each maximal run of compacts, of an n-point space, in
-    which every compact contains the one before; a compact that does not
-    starts a new run."""
-    starts, held = [0], np.zeros(n, dtype=bool)
-    for k in range(1, len(karrs)):
-        held[karrs[k]] = True
-        if not held[karrs[k - 1]].all():
-            starts.append(k)
-        held[karrs[k]] = False
-    return list(zip(starts, starts[1:] + [len(karrs)]))
-
-
-def _covered(start: np.ndarray, stop: np.ndarray, width: int) -> np.ndarray:
-    """The (B, width) mask of the compacts 0..width-1 of a run that row b
-    covers with some interval [start[j], stop[b, j]): a difference array per
-    row, +1 at each nonempty interval's start and -1 at its stop, summed
-    along the row."""
-    flat = np.flatnonzero(start < stop)  # a 2-D nonzero scans many times slower
-    rows, cols = np.divmod(flat, start.size)
-    at, size = rows * (width + 1), len(stop) * (width + 1)
-    diff = (np.bincount(at + start[cols], minlength=size)
-            - np.bincount(at + stop.ravel()[flat], minlength=size))
-    return np.cumsum(diff.reshape(len(stop), width + 1), axis=1)[:, :width] > 0
+def _stages(seq: Sequence[WeightedComposition], space: SampledSpace) -> _PatchSequence:
+    """A sequence of operators as patches on ``space``, read from a list's
+    (n,) arrays where a map or the weight is not the identity's; a
+    ValueError names the first stage on another space."""
+    if isinstance(seq, _PatchSequence):
+        _acts_on(seq.space, space, "the sequence", "the limit's")
+        return seq
+    for s, g in enumerate(seq):
+        _acts_on(g.space, space, f"stage {s + 1}", "the limit's")
+    idx = np.arange(space.n)
+    moved = [np.flatnonzero((g.forward != idx) | (g.backward != idx) | (g.weight != 1.0)) for g in seq]
+    arrays = (np.concatenate([getattr(g, f)[m] for g, m in zip(seq, moved)]) for f in ("weight", "forward", "backward"))
+    return _PatchSequence(space, np.concatenate([[0], np.cumsum([m.size for m in moved])]), np.concatenate(moved),
+                          *arrays, [g.label for g in seq], [g.allowed_defects for g in seq])
 
 
 def check_sot_convergence(
@@ -717,94 +764,139 @@ def check_sot_convergence(
     sample are sequentially separable, so nothing is lost at this scale).
     A condition passes when every compact has a violation-free terminal run
     within the sampled horizon; the reported witness is the earliest
-    violating (stage, compact, point) otherwise.
+    violating (stage, compact, point) otherwise.  An empty sequence or
+    compact list, a stage on another space than the limit's and a compact
+    with a member outside it are refused by name.
 
-    The distance to the limit's preimage S_k = ``limit.backward[K_k]`` of
-    each compact is a column of ``metric.set_distances``.  The compacts
-    split into maximal nested runs (``_nested_runs``), each checked in
-    blocks of stages over the points of its last compact, with no gather
-    per compact.  Within a run K_k grows, so S_k grows with it, and the
-    column d(., S_k), a min over a superset of the same floats, does not
-    increase with k.  With e(x) the first compact of the run that holds x
-    and F(y) the first with d(y, S_k) <= eps, stage s violates on compact k
+    **Only the points where a stage differs from the limit are read.**  A
+    stage and the limit agree at x when their forward maps, weights and
+    backward maps do.  Then x has gap d(phi(x), phi(x)) = 0 on the first
+    condition and 0 on the second, and its preimage ``limit.backward[x]``
+    lies in S_k = ``limit.backward[K_k]`` for every compact that holds x, at
+    distance d(y, y) = 0 from it: no condition can fail at x.  So the
+    verdict, the thresholds and the witnesses over those difference sets
+    are exactly those over the whole compacts.  A stage is read as patches
+    (``_PatchSequence``): the difference set lies in the points it or the
+    limit moves, so a sequence of maps that each move few points costs
+    O(points moved), however large the compacts.  On a matrix-form space,
+    d(y, y) is the diagonal entry, so the points whose images under the
+    limit have one above eps are read at every stage as well.
 
-    - ``inverse_images`` for each point x whose preimage b_s(x) is too far,
-      exactly the compacts in [e(x), F(b_s(x)));
-    - ``phi_uniform`` and ``weight_uniform`` for each point x whose gap
+    The compacts split into maximal nested runs (``space._nested_runs``),
+    which give e(x), the first compact of the run that holds x.  Within a
+    run K_k grows, so S_k grows with it and d(y, S_k) does not increase with
+    k; F(y), the first compact with d(y, S_k) <= eps, is read only at the
+    preimages of the read points (``Metric._far_counts``, in closed form on
+    the dyadic spaces).  Stage s then violates on compact k
+
+    - ``inverse_images`` for each read point x whose preimage b_s(x) is too
+      far, exactly the compacts in [e(x), F(b_s(x)));
+    - ``phi_uniform`` and ``weight_uniform`` for each read point x whose gap
       exceeds eps, every compact from e(x) on.
 
-    One difference array per stage (``_covered``) turns these intervals
+    A difference array per stage (``_covered``) turns these intervals
     into the compacts each stage violates.  The thresholds read only each
     compact's last violating stage; the witness is the first largest gap,
-    in ``members`` order, at the earliest (stage, compact), computed there.
+    in ``members`` order, at the earliest (stage, compact): a violating
+    compact's largest gap exceeds eps, which no unread point's does, so it
+    is the read point of least index with the largest gap there.
     """
     if not seq:
         raise ValueError("empty operator sequence")
     _positive(eps, "eps")
+    if not K_list:
+        raise ValueError("empty compact list: the convergence check needs at least one compact")
     space, metric = limit.space, limit.space.metric
-    weight_bound = max(float(g.weight.max()) for g in seq)
+    n = space.n
+    stages = _stages(seq, space)
+    karrs = [K.members for K in K_list]
+    for K in K_list:
+        if K.members[0] < 0 or K.members[-1] >= n:
+            raise ValueError(f"compact {K.label!r} has a member outside the limit's space "
+                             f"{space.name!r} ({n} points)")
+    horizon = len(stages)
+    # a stage that fixes some point has weight 1 there
+    weight_bound = max(float(stages.weight.max(initial=-math.inf)),
+                       1.0 if (np.diff(stages.start) < n).any() else -math.inf)
     if not math.isfinite(weight_bound):
         raise ValueError("uniform boundedness violated")
-    horizon = len(seq)
 
-    karrs = [K.members for K in K_list]
-    table = metric.set_distances([limit.backward[karr] for karr in karrs])
+    # the points looked at in every stage besides those it moves: those the
+    # limit moves, where the two may differ, and on a matrix-form space
+    # those whose images under the limit have a diagonal entry above eps,
+    # which are read whatever the stage
+    idx = np.arange(n)
+    diagonal = np.zeros(n, dtype=bool)
+    if isinstance(metric, _Dense):
+        above = metric.pair(idx, idx) > eps
+        diagonal = above[limit.forward] | above[limit.backward]
+    always = diagonal | (limit.forward != idx) | (limit.backward != idx) | (limit.weight != 1.0)
+    # each stage's moved points, then the others looked at, as the identity
+    # moves them, in (stage, point) order
+    key = stages.stage() * n + stages.at
+    extra = (np.arange(horizon)[:, None] * n + np.flatnonzero(always)).ravel()
+    extra = extra[~_holds(key, extra)]
+    order = np.argsort(np.concatenate([key, extra]), kind="stable")
+    s, x = np.divmod(np.concatenate([key, extra])[order], n)
+    fw, wt, bw = (np.concatenate([values, fixed])[order] for values, fixed in
+                  ((stages.forward, extra % n), (stages.weight, np.ones(extra.size)), (stages.backward, extra % n)))
+    read = (fw != limit.forward[x]) | (wt != limit.weight[x]) | (bw != limit.backward[x]) | diagonal[x]
+    s, x, fw, wt, bw = s[read], x[read], fw[read], wt[read], bw[read]
+    gaps = (metric.pair(fw, limit.forward[x]), np.abs(wt - limit.weight[x]))
+
     # per condition and compact, the first and the last violating stage
     # (from 0); horizon and -1 when none
     first = np.full((3, len(karrs)), horizon)
     last = np.full((3, len(karrs)), -1)
-    for k0, k1 in _nested_runs(karrs, space.n):
+    for k0, k1, enter in _nested_runs(karrs, n):
         width, top = k1 - k0, karrs[k1 - 1]  # the run's last compact holds all of it
-        enter = np.empty(space.n, dtype=np.intp)
-        for k in range(k1 - 1, k0 - 1, -1):
-            enter[karrs[k]] = k - k0
-        enter = enter[top]  # e(x), from the run's first compact
-        reach = np.count_nonzero(table[:, k0:k1] > eps, axis=1)  # F(y), as the columns fall
-        step, fwd_lim, wt_lim = max(1, _STAGE_BLOCK // top.size), limit.forward[top], limit.weight[top]
-        for a in range(0, horizon, step):
-            block = seq[a:a + step]
-            fwd = np.stack([g.forward[top] for g in block])
-            wt = np.stack([g.weight[top] for g in block])
-            bwd = np.stack([g.backward[top] for g in block])
-            stops = (np.where(metric.pair(fwd, fwd_lim) > eps, width, enter),
-                     np.where(np.abs(wt - wt_lim) > eps, width, enter),
-                     reach[bwd])
-            stages = np.arange(a, a + len(block))[:, None]
-            for c, stop in enumerate(stops):
-                hit = _covered(enter, stop, width)
-                np.minimum(first[c, k0:k1], np.where(hit, stages, horizon).min(axis=0), out=first[c, k0:k1])
-                np.maximum(last[c, k0:k1], np.where(hit, stages, -1).max(axis=0), out=last[c, k0:k1])
+        held = enter[x] < k1  # the read points in the run
+        e, y = enter[x[held]] - k0, bw[held]
+        ys = np.sort(y)
+        ys = ys[np.diff(ys, prepend=-1) != 0]
+        far = metric._far_counts(ys, limit.backward[top], enter[top] - k0, width, eps) if ys.size else ys
+        stops = (np.where(gaps[0][held] > eps, width, e), np.where(gaps[1][held] > eps, width, e),
+                 far[np.searchsorted(ys, y)])
+        for c, stop in enumerate(stops):
+            hit = _covered(s[held], e, stop, horizon, width)
+            seen = hit.any(axis=0)
+            first[c, k0:k1] = np.where(seen, hit.argmax(axis=0), horizon)
+            last[c, k0:k1] = np.where(seen, horizon - 1 - hit[::-1].argmax(axis=0), -1)
 
     reports = []
+    bounds = np.searchsorted(s, np.arange(horizon + 1))  # stage t's read points: bounds[t]:bounds[t + 1]
     for c, name in enumerate(("phi_uniform", "weight_uniform", "inverse_images")):
-        th = {K.label: _tail_threshold([] if s < 0 else [s + 1], horizon)
-              for K, s in zip(K_list, last[c].tolist())}
+        th = {K.label: _tail_threshold([] if t < 0 else [t + 1], horizon)
+              for K, t in zip(K_list, last[c].tolist())}
         passed = all(v is not None for v in th.values())
         witness = None
         if not passed:
-            # the least witness is at the earliest stage, among its compacts
-            s = int(first[c].min())
-            g, candidates = seq[s], []
-            for k in np.flatnonzero(first[c] == s).tolist():
-                at = karrs[k]
-                gap = (metric.pair(g.forward[at], limit.forward[at]) if c == 0
-                       else np.abs(g.weight[at] - limit.weight[at]) if c == 1
-                       else table[g.backward[at], k])
-                candidates.append((s + 1, K_list[k].label, space.points[int(at[gap.argmax()])]))
-            witness = min(candidates)
+            # the least witness is at the earliest stage, then at the least
+            # label among its compacts
+            t = int(first[c].min())
+            ks = np.flatnonzero(first[c] == t).tolist()
+            label = min(K_list[k].label for k in ks)
+            at = slice(bounds[t], bounds[t + 1])
+            points = []
+            for k in (k for k in ks if K_list[k].label == label):
+                held = _holds(karrs[k], x[at])
+                gap = (gaps[c][at][held] if c < 2
+                       else metric.set_distances(bw[at][held], [limit.backward[karrs[k]]])[:, 0])
+                points.append(space.points[int(x[at][held][gap.argmax()])])
+            witness = (t + 1, label, min(points))
         reports.append(ConditionReport(name=name, passed=passed, thresholds=th, witness=witness))
 
-    inv_maps = [g.backward for g in seq]
+    inv_maps = stages.inverse_maps()
     moreover = True
     moreover_detail = "inverse family locally equicontinuous on all supplied compacts"
     for K in K_list:
         eq = check_local_equicontinuity(inv_maps, K, (eps,), space)
         if eq.witnesses:
             moreover = False
-            g_i, s, t = eq.witnesses[0][1]
+            g_i, p, q = eq.witnesses[0][1]
             moreover_detail = (
                 f"inverse family not equicontinuous on {K.label or 'K'}: "
-                f"member {g_i} maps {s},{t} apart"
+                f"member {g_i} maps {p},{q} apart"
             )
             break
 
@@ -839,15 +931,25 @@ def check_local_equicontinuity(
     grid delta while d(member s, member t) >= eps.
 
     ``maps`` holds the members' point maps on ``space`` as index arrays
-    (``[g.forward for g in family]`` for operators).
+    (``[g.forward for g in family]`` for operators, or one (members, n)
+    array); a map of another size, an image outside the space and a
+    member of K outside it are refused by name.  The maps are read on
+    ``K.members`` only, in one gather (``_images``).  The delta of an eps
+    is the least d(s, t) over the distinct s, t in K that some member maps
+    at least eps apart, read in rounds of increasing d(s, t)
+    (``_least_separated``), and its witness the first member that does at
+    that distance, at its first such pair in row-major order.
     """
     if len(maps) == 0:
         raise ValueError("nonempty family required")
     for eps in moduli_grid:
         _positive(eps, "moduli grid eps")
-    maps = [np.asarray(f, dtype=np.intp) for f in maps]
     karr = K.members
+    if karr[0] < 0 or karr[-1] >= space.n:
+        raise ValueError(f"compact {K.label!r} has a member outside space {space.name!r} ({space.n} points)")
+    images = _images(maps, K, space)
     src = space.metric.cross(karr, karr)
+    np.fill_diagonal(src, math.inf)  # a point and itself are no pair
     grid = tuple(sorted(set(float(e) for e in moduli_grid)))
     min_grid_delta = min(grid) if grid else 0.0
 
@@ -855,22 +957,10 @@ def check_local_equicontinuity(
     witnesses = []
     slack = 1e-12  # grid coordinates carry float dust; do not count it
     for eps in grid:
-        best_delta = math.inf
-        witness = None
-        for mi, mp in enumerate(maps):
-            img = space.metric.cross(mp[karr], mp[karr])
-            mask = img >= eps + slack
-            np.fill_diagonal(mask, False)
-            if mask.any():
-                cand = src[mask].min()
-                if cand < best_delta:
-                    best_delta = float(cand)
-                    pos = np.nonzero(mask)
-                    which = int(np.argmin(src[mask]))
-                    s = int(karr[pos[0][which]])
-                    t = int(karr[pos[1][which]])
-                    witness = (mi, space.points[s], space.points[t])
+        best_delta, witness = _least_separated(src, images, eps + slack, karr, space)
         table.append((eps, best_delta))
         if best_delta < min_grid_delta - slack and witness is not None:
             witnesses.append((eps, witness))
     return EquicontinuityReport(table=table, witnesses=witnesses)
+
+

@@ -144,15 +144,18 @@ class SampledSpace:
             raise ValueError("isolated flag shape mismatch")
         if not self.exhaustion:
             raise ValueError("exhaustion must be nonempty")
-        prev = np.empty(0, dtype=np.intp)
-        for ks in self.exhaustion:
-            cur = ks.members  # sorted and unique
-            if not np.isin(prev, cur, assume_unique=True).all():
-                raise ValueError("exhaustion sets are not nested")
-            if cur[-1] >= n or cur[0] < 0:
-                raise ValueError("exhaustion member out of range")
-            prev = cur
-        if prev.size != n:  # n distinct members in range(n) are all of it
+        # compact k's nesting in compact k + 1 is checked before k + 1's
+        # range, so the walk reads the compacts up to the first one out of
+        # range, and that one's members in range: a compact in range lies
+        # in it exactly when it lies in those
+        karrs = [ks.members for ks in self.exhaustion]  # each sorted and unique
+        bad = next((k for k, m in enumerate(karrs) if m[0] < 0 or m[-1] >= n), len(karrs))
+        walk = karrs if bad == len(karrs) else karrs[:bad] + [karrs[bad][(karrs[bad] >= 0) & (karrs[bad] < n)]]
+        if len(list(_nested_runs(walk, n))) > 1:
+            raise ValueError("exhaustion sets are not nested")
+        if bad < len(karrs):
+            raise ValueError("exhaustion member out of range")
+        if karrs[-1].size != n:  # n distinct members in range(n) are all of it
             raise ValueError("exhaustion does not cover the sample")
 
     def __getattr__(self, name: str):
@@ -296,21 +299,46 @@ class Metric:
     def _pair(self, I: np.ndarray, J: np.ndarray, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def set_distances(self, sets: Sequence[np.ndarray]) -> np.ndarray:
-        """The (n, len(sets)) table whose column k is the distance from every
-        point to the points ``sets[k]`` (an index array; repeats allowed):
-        the min of the distances to them, bitwise a direct
-        ``dense[:, sets[k]].min(axis=1)``.
+    def set_distances(self, points, sets: Sequence[np.ndarray]) -> np.ndarray:
+        """The (len(points), len(sets)) table whose column k is the distance
+        from each of ``points`` (an index array) to the points ``sets[k]``
+        (a nonempty index array; repeats allowed): the min of the distances
+        to them, bitwise a direct ``dense[points][:, sets[k]].min(axis=1)``.
 
         This default computes each column in ``_blocks``, all written into
         one buffer.  The min is exact, so the table is too."""
+        points = np.asarray(points, dtype=np.intp)
         sets = [np.asarray(s, dtype=np.intp) for s in sets]
-        table = np.empty((self.n, len(sets)))
+        table = np.empty((points.size, len(sets)))
         buf = np.empty(max([_GATHER_BYTES // 8] + [s.size for s in sets]))
         for k, s in enumerate(sets):
-            for rows, block in self._blocks(np.arange(self.n), s, buf):
+            for rows, block in self._blocks(points, s, buf):
                 table[rows, k] = block.min(axis=1)
         return table
+
+    def _far_counts(self, points: np.ndarray, members: np.ndarray, enter: np.ndarray,
+                    width: int, eps: float) -> np.ndarray:
+        """For the nested sets S_0 <= ... <= S_{width-1}, where S_k holds
+        ``members[i]`` for each i with ``enter[i] <= k`` (S_0 nonempty), the
+        number of sets farther than eps from each of ``points``: as S_k
+        grows, d(y, S_k) does not increase, so that is the first k with
+        d(y, S_k) <= eps.
+
+        This default reads d(y, S_k) as the running min over k of the
+        distances to the members that enter at k (``set_distances`` of those
+        groups, inf for a group with none), which is exactly the min over
+        S_k, in blocks of points of about ``_GATHER_BYTES``."""
+        order = np.argsort(enter, kind="stable")
+        groups = np.split(members[order], np.searchsorted(enter[order], np.arange(1, width)))
+        filled = [k for k, g in enumerate(groups) if g.size]
+        counts = np.empty(len(points), dtype=np.intp)
+        rows = max(1, _GATHER_BYTES // (8 * width))
+        for r in range(0, len(points), rows):
+            table = np.full((len(points[r:r + rows]), width), np.inf)
+            table[:, filled] = self.set_distances(points[r:r + rows], [groups[k] for k in filled])
+            np.minimum.accumulate(table, axis=1, out=table)
+            counts[r:r + rows] = np.count_nonzero(table > eps, axis=1)
+        return counts
 
     def nearest(self, I, J) -> np.ndarray:
         """For each point of ``I``, the position in ``J`` of its nearest
@@ -465,12 +493,35 @@ def same_space(a: SampledSpace, b: SampledSpace) -> bool:
     return not isinstance(a.metric, _Dense) or np.array_equal(a.dmat.view(np.uint64), b.dmat.view(np.uint64))
 
 
-def _acts_on(space: SampledSpace, target: SampledSpace, what: str) -> None:
-    """Refuse a ``what`` (group or operator) on ``space`` where one on the
-    config's space ``target`` is needed, naming both spaces and their sizes."""
+def _acts_on(space: SampledSpace, target: SampledSpace, what: str, whose: str = "the config's") -> None:
+    """Refuse a ``what`` (group, operator, stage or map) on ``space`` where
+    one on ``whose`` space ``target`` is needed, naming both spaces and
+    their sizes."""
     if not same_space(space, target):
         raise ValueError(f"{what} acts on space {space.name!r} ({space.n} points), "
-                         f"not on the config's space {target.name!r} ({target.n} points)")
+                         f"not on {whose} space {target.name!r} ({target.n} points)")
+
+
+def _nested_runs(karrs: Sequence[np.ndarray], n: int):
+    """The maximal runs of compacts, index arrays of an n-point space, in
+    which every compact holds the one before, found by one walk from the
+    last compact to the first: ``(first, end, enter)`` for each run, the
+    last run first.
+
+    The walk stamps each compact's members with its position, so before
+    compact k is stamped, its members all read k + 1 exactly when compact
+    k + 1 holds them.  ``enter[x]``, for a member x of a run's last
+    compact, is the first compact of the run that holds x; any other point
+    reads ``end`` or more.  ``enter`` is one (n,) array that the walk goes
+    on stamping: read it before taking the next run."""
+    end = len(karrs)
+    enter = np.full(n, end, dtype=np.intp)
+    for k in range(end - 1, -1, -1):
+        if k + 1 < end and not (enter[karrs[k]] == k + 1).all():
+            yield k + 1, end, enter
+            end = k + 1
+        enter[karrs[k]] = k
+    yield 0, end, enter
 
 
 def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> SampledSpace:
@@ -675,17 +726,37 @@ class _Dyadic(Metric):
         np.copyto(out, 0.0, where=I == J)
         return out
 
-    def set_distances(self, sets: Sequence[np.ndarray]) -> np.ndarray:
-        """Closed form, O(n) per set: d(i, S) is 0 on S and ``max(q_i,
-        min q[S])`` off it.  For i outside S that is exactly the default's min
-        of ``max(q_i, q_j)`` over j in S, since ``max(q_i, .)`` is monotone
-        and max and min return one of their floats.  Each column is
-        contiguous, so the table is the transpose of a (sets, n) array."""
-        table = np.empty((len(sets), self.n))
+    def set_distances(self, points, sets: Sequence[np.ndarray]) -> np.ndarray:
+        """Closed form, O(|S| + len(points)) per set S: d(i, S) is 0 on S and
+        ``max(q_i, min q[S])`` off it.  For i outside S that is exactly the
+        default's min of ``max(q_i, q_j)`` over j in S, since ``max(q_i, .)``
+        is monotone and max and min return one of their floats.  Each column
+        is contiguous, so the table is the transpose of a (sets, points)
+        array."""
+        points = np.asarray(points, dtype=np.intp)
+        table, held, q = np.empty((len(sets), points.size)), np.zeros(self.n, dtype=bool), self.q[points]
         for row, s in zip(table, sets):
-            np.maximum(self.q, self.q[s].min(), out=row)
-            row[s] = 0.0
+            np.maximum(q, self.q[s].min(), out=row)
+            held[s] = True
+            row[held[points]] = 0.0
+            held[s] = False
         return table.T
+
+    def _far_counts(self, points, members, enter, width, eps):
+        """Closed form, O(n + len(members)): d(y, S_k) is 0 from the first
+        set that holds y on, and ``max(q_y, min q[S_k])`` before it (as in
+        ``set_distances``).  ``min q[S_k]``, the running min of the q of
+        the members entering at each k, does not increase, so it exceeds
+        eps on the first c sets exactly; a point with q_y > eps is then far
+        from every set before its first, and any other point from the first
+        c of those."""
+        first = np.full(self.n, width, dtype=np.intp)
+        np.minimum.at(first, members, enter)
+        low = np.full(width, np.inf)
+        np.minimum.at(low, enter, self.q[members])
+        c = np.count_nonzero(np.minimum.accumulate(low) > eps)
+        held = first[points]
+        return np.where(self.q[points] > eps, held, np.minimum(held, c))
 
     @cached_property
     def diameter(self) -> float:
@@ -722,8 +793,12 @@ class _Remark25(_Dyadic):
         column, grid = np.arange(n_max + 1), np.arange(n_max + 1, self.n).reshape(n_max, n_max)
         exhaustion = tuple(CompactSet(np.concatenate([column, grid[:m, :m].ravel()]), label=f"K{m}")
                            for m in range(1, n_max + 1))
-        return dict(points=tuple(f"({a:g},{b:g})" for a, b in zip(self.first.tolist(), self.level.tolist())),
-                    exhaustion=exhaustion, resolution=2.0 ** (-n_max),
+        # the ids f"({first:g},{level:g})" of the coordinates, from integers:
+        # the same strings while n_max < 10**6, where :g would switch to
+        # exponent form
+        ks = [str(k) for k in range(1, n_max + 1)]
+        points = (*(f"(0,{k})" for k in ks), "(0,inf)", *(f"({i},{j})" for i in ks for j in ks))
+        return dict(points=points, exhaustion=exhaustion, resolution=2.0 ** (-n_max),
                     isolated=np.isfinite(self.level))
 
 

@@ -63,6 +63,11 @@ UNREACHED = {
     "io.save_function": "a README-documented JSON writer; tests/test_io_cli.py writes fixtures with it",
     "tuples.Window.indices": "the window's index block, which tests read as an oracle",
     "norm.TriangularSystem.matrix": "the dense system, which tests read as an oracle",
+    "operators.remark25_map": "one counterexample map as an operator, as README documents; remark25_sequence "
+                              "holds the same maps as patches, and tests compare the two",
+    "operators.WeightedComposition.apply": "an operator's action on a sampled function, as README documents; the "
+                                           "gallery reads it at the moved points only (_PatchSequence.deviations), "
+                                           "and tests compare the two",
 }
 
 

@@ -87,9 +87,11 @@ _DEFAULT_SET_DISTANCES = [
 
 @st.composite
 def _set_lists(draw):
-    """A space, a list of index arrays (nested, repeated or not nested; an
+    """A space, the points to read (all of them, or a list that may repeat
+    a point), a list of index arrays (nested, repeated or not nested; an
     array may repeat an index) and a block size."""
     sp = draw(st.sampled_from(_DEFAULT_SET_DISTANCES))
+    points = draw(st.one_of(st.just(list(range(sp.n))), st.lists(st.integers(0, sp.n - 1), max_size=30)))
     order = np.array(draw(st.permutations(range(sp.n))), dtype=np.intp)
     sizes = sorted(draw(st.lists(st.integers(1, sp.n), min_size=1, max_size=6)))
     nested = [order[:k] for k in sizes]
@@ -102,19 +104,50 @@ def _set_lists(draw):
     else:
         sets = [np.array(draw(st.lists(st.integers(0, sp.n - 1), min_size=1, max_size=40)), dtype=np.intp)
                 for _ in range(draw(st.integers(1, 5)))]
-    return sp, sets, draw(st.sampled_from([8, 8 * 7, 8 * 100, space_mod._GATHER_BYTES]))
+    block = draw(st.sampled_from([8, 8 * 7, 8 * 100, space_mod._GATHER_BYTES]))
+    return sp, np.array(points, dtype=np.intp), sets, block
 
 
 @given(_set_lists())
 @settings(max_examples=200, deadline=None)
 def test_default_set_distances_are_bitwise_the_dense_minimum(case):
-    sp, sets, gather_bytes = case
+    sp, points, sets, gather_bytes = case
     assert type(sp.metric).set_distances is space_mod.Metric.set_distances
     with mock.patch.object(space_mod, "_GATHER_BYTES", gather_bytes):
-        table = sp.metric.set_distances(sets)
-    assert table.shape == (sp.n, len(sets))
+        table = sp.metric.set_distances(points, sets)
+    assert table.shape == (len(points), len(sets))
     for k, s in enumerate(sets):
-        assert table[:, k].tobytes() == sp.dmat[:, s].min(axis=1).tobytes(), k
+        assert table[:, k].tobytes() == sp.dmat[points][:, s].min(axis=1).tobytes(), k
+
+
+_FAR_COUNT_SPACES = [builtin_space("remark25", n_max=6), builtin_space("onepoint01N", n_max=5),
+                     *_DEFAULT_SET_DISTANCES]
+
+
+@st.composite
+def _nested_groups(draw):
+    """A space, points to read, and nested sets as members (repeats
+    allowed) with the first set each enters, the first set nonempty."""
+    sp = draw(st.sampled_from(_FAR_COUNT_SPACES))
+    width = draw(st.integers(1, 5))
+    members = draw(st.lists(st.integers(0, sp.n - 1), min_size=1, max_size=40))
+    enter = draw(st.lists(st.integers(0, width - 1), min_size=len(members), max_size=len(members)))
+    enter[0] = 0
+    points = draw(st.lists(st.integers(0, sp.n - 1), max_size=20))
+    eps = draw(st.sampled_from([1e-13, 2.0 ** -4, 0.2, 0.25, 0.5, 1.0, 3.0]))
+    return sp, *(np.array(a, dtype=np.intp) for a in (points, members, enter)), width, eps
+
+
+@given(_nested_groups())
+@settings(max_examples=200, deadline=None)
+def test_far_counts_count_the_sets_farther_than_eps(case):
+    # the dyadic closed form and the default running min both count the
+    # sets S_k = members[enter <= k] whose direct distance exceeds eps
+    sp, points, members, enter, width, eps = case
+    direct = [int(sum(sp.dmat[y, members[enter <= k]].min() > eps for k in range(width))) for y in points]
+    assert sp.metric._far_counts(points, members, enter, width, eps).tolist() == direct
+    with mock.patch.object(space_mod, "_GATHER_BYTES", 8):
+        assert space_mod.Metric._far_counts(sp.metric, points, members, enter, width, eps).tolist() == direct
 
 
 @pytest.mark.parametrize("name", space_mod.BUILTIN_NAMES)

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
-from renormlab import cli, operators
+from renormlab import _kernels, cli, operators
 from renormlab import space as space_mod
 from renormlab.operators import (
     ConditionReport,
@@ -342,8 +344,40 @@ def _remark25_matrix_case():
     return twin, [on_twin(g) for g in seq], on_twin(limit), [twin.compact(K.members, K.label) for K in nested]
 
 
+def _line_case():
+    """Clamped translations of a small line, whose declared edge defects
+    the maps carry, shrinking onto a non-identity translation; the limit's
+    backward map is not injective at the edge, so its preimages of the
+    compacts repeat points."""
+    line = rl.builtin_space("line", step=0.25, window=(-3, 3))
+    seq = [line_translation(line, c) for c in (1.5, 1.0, 0.75, 0.5, 0.25, 0.25, -0.25, 0.25, 0.25)]
+    windows = [line.compact(range(12 - m, 13 + m), f"W{m}") for m in (0, 2, 5)]
+    return line, seq, line_translation(line, 0.25), windows + list(line.exhaustion)
+
+
+def _diagonal_twin():
+    """A matrix-form twin of remark25 at n_max 7 whose diagonal holds
+    values up to the constructor's 1e-12."""
+    sp = rl.builtin_space("remark25", n_max=7)
+    dmat = sp.dmat.copy()
+    np.fill_diagonal(dmat, np.random.default_rng(3).choice([0.0, 5e-13, 1e-12], size=sp.n))
+    return sp, dataclasses.replace(sp, dmat=dmat, metric_form={"form": "matrix"})
+
+
+def _on(space, g):
+    return operators.WeightedComposition(space, g.weight, g.forward, g.backward, allowed_defects=g.allowed_defects)
+
+
+def _remark25_diagonal_case():
+    """The moved-limit remark25 case on the diagonal twin: at an eps below
+    the diagonal, a point where a stage and the limit agree violates too."""
+    sp, twin = _diagonal_twin()
+    _, seq, limit, nested = _remark25_moved_limit_case()
+    return twin, [_on(twin, g) for g in seq], _on(twin, limit), [twin.compact(K.members, K.label) for K in nested]
+
+
 _SOT_CASES = [_remark25_case(), _remark25_moved_limit_case(), _rotation_case(), _onepoint_case(),
-              _remark25_matrix_case()]
+              _remark25_matrix_case(), _line_case(), _remark25_diagonal_case()]
 
 
 @st.composite
@@ -362,7 +396,7 @@ def _sot_inputs(draw):
         K_list = [sp.compact(m, f"S{i}") for i, m in enumerate(draw(st.lists(
             st.sets(st.integers(0, sp.n - 1), min_size=1, max_size=12), min_size=1, max_size=5)))]
     stages = draw(st.integers(1, len(seq)))
-    eps = draw(st.sampled_from([1e-9, 0.01, 0.1, 0.2, 0.3, 0.6, 1.5]))
+    eps = draw(st.sampled_from([1e-13, 1e-9, 0.01, 0.1, 0.2, 0.3, 0.6, 1.5]))
     return seq[:stages], limit, K_list, eps
 
 
@@ -371,6 +405,192 @@ def _sot_inputs(draw):
 def test_sot_matches_per_compact_reference(inputs):
     seq, limit, K_list, eps = inputs
     assert check_sot_convergence(seq, limit, K_list, eps) == sot_reference(seq, limit, K_list, eps)
+
+
+def test_sot_reads_the_points_of_a_large_diagonal(monkeypatch):
+    # a constant sequence agrees with its limit everywhere, yet on the
+    # diagonal twin at eps 1e-13 every point whose image has a diagonal
+    # entry above eps violates; a check that reads only where a stage
+    # differs from the limit (the mutation: no space is a matrix form)
+    # passes it
+    _, twin = _diagonal_twin()
+    limit = _on(twin, remark25_map(rl.builtin_space("remark25", n_max=7), 3))
+    args = ([limit] * 4, limit, list(twin.exhaustion), 1e-13)
+    expected = sot_reference(*args)
+    assert check_sot_convergence(*args) == expected and not expected.converges
+    monkeypatch.setattr(operators, "_Dense", type("NoMatrixForm", (), {}))
+    mutated = check_sot_convergence(*args)
+    assert mutated.converges and mutated != expected
+
+
+def test_sot_refuses_an_empty_compact_list():
+    sp, seq, _, _ = _remark25_gallery_inputs()
+    with pytest.raises(ValueError, match=re.escape("empty compact list")):
+        check_sot_convergence(seq, identity(sp), [], 0.01)
+
+
+@pytest.mark.parametrize("form", ["patches", "operators", "one stage"])
+def test_sot_refuses_a_stage_on_another_space(form):
+    # a sequence on remark25 at n_max 8 against a limit at n_max 7 was read
+    # past the smaller space's arrays (an IndexError) before
+    small, big = rl.builtin_space("remark25", n_max=7), rl.builtin_space("remark25", n_max=8)
+    seq, what = remark25_sequence(big), "the sequence"
+    if form == "operators":
+        seq, what = list(seq), "stage 1"
+    elif form == "one stage":
+        seq, what = [*remark25_sequence(small)[:2], remark25_map(big, 3)], "stage 3"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{what} acts on space 'remark25' (73 points), not on the limit's space 'remark25' (57 points)")):
+        check_sot_convergence(seq, identity(small), list(small.exhaustion), 0.01)
+
+
+def test_sot_refuses_a_compact_outside_the_limits_space():
+    small, big = rl.builtin_space("remark25", n_max=7), rl.builtin_space("remark25", n_max=8)
+    with pytest.raises(ValueError, match=re.escape(
+            "compact 'K8' has a member outside the limit's space 'remark25' (57 points)")):
+        check_sot_convergence(remark25_sequence(small), identity(small),
+                              [small.exhaustion[0], big.exhaustion[-1]], 0.01)
+
+
+def test_equicontinuity_refuses_maps_and_compacts_off_its_space():
+    small, big = rl.builtin_space("remark25", n_max=7), rl.builtin_space("remark25", n_max=8)
+    tail = small.compact([small.index(f"(0,{i})") for i in range(3, 8)], "tail")
+    cases = [
+        ([g.backward for g in remark25_sequence(big)], tail,
+         "map 0 has shape (73,), not the (57,) of space 'remark25'"),
+        (remark25_sequence(big).inverse_maps(), tail,
+         "the family acts on space 'remark25' (73 points), not on the given space 'remark25' (57 points)"),
+        ([np.arange(small.n), np.full(small.n, 70)], tail,
+         "map 1 sends a point of 'tail' outside space 'remark25' (57 points)"),
+        ([np.arange(small.n)], big.exhaustion[-1],
+         "compact 'K8' has a member outside space 'remark25' (57 points)"),
+    ]
+    for maps, K, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_local_equicontinuity(maps, K, (0.5,), small)
+
+
+def test_remark25_sequence_holds_the_maps_as_patches(remark_space):
+    # each stage, read whole, is remark25_map; a slice is a patch sequence
+    # of the same stages; the deviations and the inverse maps on a compact
+    # are what the whole operators give
+    seq = remark25_sequence(remark_space)
+    assert isinstance(seq, operators._PatchSequence) and len(seq) == 50
+    assert seq.at.size == 50 * 51  # 2 (n_max - n + 1) points per map
+    x = np.random.default_rng(2).normal(size=remark_space.n)
+    cols = remark_space.exhaustion[4].members
+    dense = [remark25_map(remark_space, n) for n in range(1, 51)]
+    for g, h in zip(seq, dense):
+        assert g.label == h.label and g.allowed_defects == h.allowed_defects
+        for field in ("weight", "forward", "backward"):
+            assert np.array_equal(getattr(g, field), getattr(h, field)), (g.label, field)
+    assert seq.deviations(x).tolist() == [float(np.max(np.abs(h.apply(x) - x))) for h in dense]
+    assert np.array_equal(seq.inverse_maps().on(cols), np.stack([h.backward[cols] for h in dense]))
+    part = seq[3:40:5]
+    assert isinstance(part, operators._PatchSequence)
+    assert [g.label for g in part] == [h.label for h in dense[3:40:5]]
+    assert np.array_equal(part[-1].forward, dense[38].forward)
+    assert len(seq[7:3]) == 0
+    with pytest.raises(IndexError):
+        seq[50]
+
+
+def test_sot_gallery_builds_no_stage_operator(monkeypatch):
+    # the check, the explicit function's gaps and the equicontinuity table
+    # read the patches; no stage is built as a whole operator
+    def refuse(self, i):
+        raise AssertionError(f"stage {i} built as a whole operator")
+
+    monkeypatch.setattr(operators._PatchSequence, "__getitem__", refuse)
+    assert cli.task_sot_gallery(rl.builtin_space("remark25", n_max=60), 0.01)["ok"]
+
+
+def test_sot_gallery_holds_no_stages_by_points_array():
+    # at n_max 120 (14,521 points) one (n_max, n) index array is 13.9 MB;
+    # the whole task peaks near 5.6 MB traced, about half of it one block of
+    # pair distances of an equicontinuity table
+    sp = rl.builtin_space("remark25", n_max=120)
+    cli.task_sot_gallery(rl.builtin_space("remark25", n_max=10), 0.01)  # first-call caches outside the trace
+    tracemalloc.start()
+    try:
+        report = cli.task_sot_gallery(sp, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["ok"]
+    assert peak < 8_000_000
+
+
+def equicontinuity_reference(maps, K, moduli_grid, space):
+    """The per-member checker: every member's full (|K|, |K|) block of
+    image distances, and the least source distance over its separated
+    pairs, first in row-major order."""
+    maps = [np.asarray(f, dtype=np.intp) for f in maps]
+    karr = K.members
+    src = space.metric.cross(karr, karr)
+    grid = tuple(sorted(set(float(e) for e in moduli_grid)))
+    min_grid_delta = min(grid) if grid else 0.0
+    table, witnesses, slack = [], [], 1e-12
+    for eps in grid:
+        best_delta, witness = math.inf, None
+        for mi, mp in enumerate(maps):
+            img = space.metric.cross(mp[karr], mp[karr])
+            mask = img >= eps + slack
+            np.fill_diagonal(mask, False)
+            if mask.any():
+                cand = src[mask].min()
+                if cand < best_delta:
+                    best_delta = float(cand)
+                    pos = np.nonzero(mask)
+                    which = int(np.argmin(src[mask]))
+                    witness = (mi, space.points[int(karr[pos[0][which]])], space.points[int(karr[pos[1][which]])])
+        table.append((eps, best_delta))
+        if best_delta < min_grid_delta - slack and witness is not None:
+            witnesses.append((eps, witness))
+    return operators.EquicontinuityReport(table=table, witnesses=witnesses)
+
+
+def _equicontinuity_families():
+    """(space, maps as the check reads them, the same maps as arrays)."""
+    r25 = rl.builtin_space("remark25", n_max=9)
+    seq = remark25_sequence(r25)
+    circ = rl.builtin_space("circle", count=24)
+    line = rl.builtin_space("line", step=0.25, window=(-3, 3))
+    _, twin = _diagonal_twin()
+    scrambled = np.random.default_rng(8).integers(0, twin.n, size=(6, twin.n))
+    onepoint = rl.builtin_space("onepoint01N", n_max=6)
+    words = onepoint_swap_group(onepoint, word_cap=2).word_table()[0]
+    rotations = [circle_rotation(circ, steps=s).forward for s in (0, 1, 3, 7)]
+    translations = [line_translation(line, c).forward for c in (-1.0, 0.5, 2.0)]
+    dense = [g.backward for g in seq]
+    return [(r25, seq.inverse_maps(), dense), (r25, dense, dense), (circ, rotations, rotations),
+            (line, translations, translations), (twin, scrambled, scrambled),
+            (onepoint, words, words)]
+
+
+_EQUICONTINUITY_FAMILIES = _equicontinuity_families()
+
+
+@st.composite
+def _equicontinuity_inputs(draw):
+    sp, maps, arrays = draw(st.sampled_from(_EQUICONTINUITY_FAMILIES))
+    if draw(st.booleans()):
+        K = draw(st.sampled_from(sp.exhaustion))
+    else:
+        K = sp.compact(draw(st.sets(st.integers(0, sp.n - 1), min_size=1, max_size=30)), "S")
+    grid = draw(st.lists(st.sampled_from([1e-13, 0.01, 0.1, 0.25, 0.3, 0.5, 1.0, 2.0]), min_size=1, max_size=3))
+    return sp, maps, arrays, K, grid, draw(st.sampled_from([1, 7, 64, _kernels._PAIR_BLOCK]))
+
+
+@given(_equicontinuity_inputs())
+@settings(max_examples=200, deadline=None)
+def test_equicontinuity_matches_the_per_member_reference(inputs):
+    # pair blocks of one pair, of a few and the default, so a tie group
+    # spans blocks
+    sp, maps, arrays, K, grid, block = inputs
+    with mock.patch.object(_kernels, "_PAIR_BLOCK", block):
+        got = check_local_equicontinuity(maps, K, grid, sp)
+    assert got == equicontinuity_reference(arrays, K, grid, sp)
 
 
 def test_sot_matches_reference_on_the_gallery_exhaustion(remark_space):
@@ -401,7 +621,7 @@ def test_preimage_table_matches_direct_minimum(remark_space, monkeypatch, gather
     for s in sets:
         rows = max(1, space_mod._GATHER_BYTES // (8 * np.unique(s).size))
         assert rows == 1 or remark_space.n % rows != 0
-    table = space_mod.Metric.set_distances(remark_space.metric, sets)
+    table = space_mod.Metric.set_distances(remark_space.metric, np.arange(remark_space.n), sets)
     for k, s in enumerate(sets):
         direct = remark_space.dmat[:, np.unique(s)].min(axis=1)
         assert table[:, k].tobytes() == direct.tobytes(), k
@@ -422,11 +642,14 @@ def _set_lists(sp):
 def test_dyadic_set_distances_equal_the_sweep(kind):
     sp = rl.builtin_space(kind, n_max=20)
     limits = [identity(sp)] + ([remark25_map(sp, 3)] if kind == "remark25" else [onepoint_swap(sp, 4)])
-    for K_list, limit in itertools.product(_set_lists(sp), limits):
+    # every point, and a shuffled subset with repeats
+    some = np.random.default_rng(5).integers(0, sp.n, size=40)
+    for (K_list, limit), points in itertools.product(itertools.product(_set_lists(sp), limits),
+                                                     [np.arange(sp.n), some]):
         sets = [limit.backward[K.members] for K in K_list]
-        closed = sp.metric.set_distances(sets)
-        swept = space_mod.Metric.set_distances(sp.metric, sets)
-        assert closed.shape == swept.shape == (sp.n, len(sets))
+        closed = sp.metric.set_distances(points, sets)
+        swept = space_mod.Metric.set_distances(sp.metric, points, sets)
+        assert closed.shape == swept.shape == (len(points), len(sets))
         for k in range(len(sets)):
             assert closed[:, k].tobytes() == swept[:, k].tobytes(), (kind, k)
 

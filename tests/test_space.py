@@ -308,6 +308,99 @@ def test_exhaustion_validation():
         )
 
 
+def _exhaustion_refusal(karrs, n):
+    """The constructor's exhaustion checks one compact at a time, as first
+    written: compact k's nesting in the one before, then its range; then
+    the cover.  The message of the first that fails, or None."""
+    prev = np.empty(0, dtype=np.intp)
+    for cur in karrs:
+        if not np.isin(prev, cur, assume_unique=True).all():
+            return "exhaustion sets are not nested"
+        if cur[-1] >= n or cur[0] < 0:
+            return "exhaustion member out of range"
+        prev = cur
+    return None if prev.size == n else "exhaustion does not cover the sample"
+
+
+@st.composite
+def _exhaustions(draw, n=6):
+    """Lists of compacts of an n-point space: a nested chain, a compact
+    of which may lose a member or gain one outside the space."""
+    order = draw(st.permutations(range(n)))
+    sets = [set(order[:k]) for k in sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=5)))]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(sets) - 1))
+        change = draw(st.sampled_from(["drop", "above", "below"]))
+        if change == "drop" and len(sets[k]) > 1:
+            sets[k].discard(draw(st.sampled_from(sorted(sets[k]))))
+        elif change == "above":
+            sets[k].add(n + draw(st.integers(0, 2)))
+        elif change == "below":
+            sets[k].add(-1 - draw(st.integers(0, 2)))
+    return [np.array(sorted(c), dtype=np.intp) for c in sets]
+
+
+def _grid_space(n, exhaustion):
+    idx = np.arange(n, dtype=float)
+    return rl.SampledSpace(name="grid", points=tuple(f"p{i}" for i in range(n)),
+                           dmat=np.abs(idx[:, None] - idx), exhaustion=exhaustion, resolution=0.5,
+                           isolated=np.zeros(n, dtype=bool), metric_form={"form": "matrix"})
+
+
+@given(_exhaustions())
+@settings(max_examples=300, deadline=None)
+def test_exhaustion_refusals_keep_their_messages_and_order(karrs):
+    # one walk over the compacts (space._nested_runs) refuses what the
+    # compact-at-a-time checks refused, with the first of their messages
+    expected = _exhaustion_refusal(karrs, 6)
+    exhaustion = tuple(CompactSet(c, f"K{k}") for k, c in enumerate(karrs))
+    if expected is None:
+        assert _grid_space(6, exhaustion).n == 6
+    else:
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            _grid_space(6, exhaustion)
+
+
+@pytest.mark.parametrize("karrs, message", [
+    # not nested at compact 1, out of range at compact 2
+    ([[0, 1], [0, 2], [0, 1, 2, 9]], "exhaustion sets are not nested"),
+    # out of range at compact 1, not nested at compact 2
+    ([[0, 1], [0, 1, 9], [0, 2]], "exhaustion member out of range"),
+    # both at compact 1: nesting is checked first
+    ([[0, 1], [0, 2, 9]], "exhaustion sets are not nested"),
+    # out of range below 0, and nested in range
+    ([[0, 1], [-1, 0, 1, 2]], "exhaustion member out of range"),
+    ([[0, 1], [0, 1, 2]], "exhaustion does not cover the sample"),
+])
+def test_exhaustion_refusals_fire_in_the_checks_order(karrs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _grid_space(4, tuple(CompactSet(c) for c in karrs))
+
+
+@given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=8), min_size=1, max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_nested_runs_are_the_maximal_runs_with_their_entries(sets):
+    karrs = [np.array(sorted(c), dtype=np.intp) for c in sets]
+    starts = [0] + [k for k in range(1, len(sets)) if not sets[k - 1] <= sets[k]]
+    runs = list(zip(starts, starts[1:] + [len(sets)]))[::-1]
+    got = []
+    for first, end, enter in space_mod._nested_runs(karrs, 8):
+        got.append((first, end))
+        for x in range(8):
+            if x in sets[end - 1]:
+                assert enter[x] == min(k for k in range(first, end) if x in sets[k])
+            else:
+                assert enter[x] >= end
+    assert got == runs
+
+
+@pytest.mark.parametrize("n_max", [3, 7, 50])
+def test_remark25_point_ids_are_the_g_formatted_coordinates(n_max):
+    metric = _Remark25({"form": "remark25", "n_max": n_max})
+    expected = tuple(f"({a:g},{b:g})" for a, b in zip(metric.first.tolist(), metric.level.tolist()))
+    assert metric._layout()["points"] == expected
+
+
 def test_space_rejects_non_finite_distances():
     for value in (np.inf, np.nan):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, value], [2.0, value, 0.0]])
