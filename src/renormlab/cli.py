@@ -303,7 +303,7 @@ def task_sot_gallery(space: SampledSpace, eps: float) -> dict:
     # sup |phi_n x - x|, read at the points each map moves
     gaps = seq.deviations(x).tolist()
     eq = check_local_equicontinuity(
-        seq.inverse_maps(), space.compact(column[2:], "column-tail"), (0.5,), space,
+        seq.inverse(), space.compact(column[2:], "column-tail"), (0.5,), space,
     )
     cond = {c.name: c for c in verdict.conditions}
     ok = (

@@ -18,7 +18,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._kernels import _covered, _holds, _images, _least_separated, _PointMaps
 from .space import (CompactSet, SampledSpace, _acts_on, _Dense, _finite, _integer, _nested_runs, _positive,
                     same_space)
 
@@ -401,10 +400,10 @@ class _PatchSequence(abc.Sequence):
     fixes every other point with weight 1.
 
     A stage is built as a ``WeightedComposition`` only where it is read
-    (``seq[s]``; a slice is a ``_PatchSequence`` again), declaring
-    ``defects[s]`` as its measured round-trip defects, so a sequence of
-    operators that each move few points holds no (stages, n) array.  The
-    convergence checks read the batch itself."""
+    (``seq[s]``, or a list of them for a slice), declaring ``defects[s]``
+    as its measured round-trip defects, so a sequence of operators that
+    each move few points holds no (stages, n) array.  The convergence
+    checks read the batch itself."""
 
     def __init__(self, space: SampledSpace, start: np.ndarray, at: np.ndarray, weight: np.ndarray,
                  forward: np.ndarray, backward: np.ndarray, labels: list[str], defects: list[frozenset]):
@@ -416,14 +415,8 @@ class _PatchSequence(abc.Sequence):
         return len(self.labels)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            stages = np.arange(len(self))[i]
-            counts = np.diff(self.start)[stages]
-            start = np.concatenate([[0], np.cumsum(counts)])
-            pos = np.repeat(self.start[stages] - start[:-1], counts) + np.arange(start[-1])
-            arrays = (a[pos] for a in (self.at, self.weight, self.forward, self.backward))
-            return _PatchSequence(self.space, start, *arrays, [self.labels[s] for s in stages],
-                                  [self.defects[s] for s in stages])
+        if isinstance(i, slice):  # a list of the stages, as remark25_sequence once returned
+            return [self[s] for s in range(len(self))[i]]
         s = range(len(self))[i]
         cut, n = slice(self.start[s], self.start[s + 1]), self.space.n
         weight, forward, backward = np.ones(n), np.arange(n), np.arange(n)
@@ -436,6 +429,11 @@ class _PatchSequence(abc.Sequence):
         """The stage of each moved point."""
         return np.repeat(np.arange(len(self)), np.diff(self.start))
 
+    def keys(self, points: np.ndarray) -> np.ndarray:
+        """The keys stage * n + p, one per moved point, of its stage and
+        the entry p of ``points`` there; ``keys(at)`` is sorted."""
+        return self.stage() * self.space.n + points
+
     def deviations(self, x: np.ndarray) -> np.ndarray:
         """Each stage's sup over the points of |T_s x - x|, read where it
         moves a point: at any other point T_s x - x is 0."""
@@ -443,9 +441,25 @@ class _PatchSequence(abc.Sequence):
         np.maximum.at(out, self.stage(), np.abs(self.weight * x[self.forward] - x[self.at]))
         return out
 
-    def inverse_maps(self) -> _PointMaps:
-        """The stages' backward maps, as patches."""
-        return _PointMaps(self.space, self.start, self.at, self.backward)
+    def inverse(self) -> "_PatchSequence":
+        """The stages' inverses, as ``invert`` gives them, on the same
+        points: weight ``1 / (a o b)`` and the two maps swapped.  The weight
+        at b(x) is the stage's where it moves b(x), and 1 elsewhere."""
+        key, pre = self.keys(self.at), self.keys(self.backward)
+        held = _holds(key, pre)
+        weight = np.ones(self.at.size)
+        weight[held] = self.weight[np.searchsorted(key, pre[held])]
+        return _PatchSequence(self.space, self.start, self.at, 1.0 / weight, self.backward, self.forward,
+                              [f"{label}^-1" if label else "" for label in self.labels], self.defects)
+
+    def images(self, cols: np.ndarray) -> np.ndarray:
+        """The (stages, len(cols)) images of the sorted index array ``cols``
+        under the forward maps: one scatter of the moved points that it
+        holds."""
+        out = np.tile(cols, (len(self), 1))
+        held = _holds(cols, self.at)
+        out[self.stage()[held], np.searchsorted(cols, self.at[held])] = self.forward[held]
+        return out
 
 
 def onepoint_swap_group(space: SampledSpace, word_cap: int = 2,
@@ -732,6 +746,24 @@ def _tail_threshold(violations: Sequence[int], horizon: int) -> int | None:
     return last + 1
 
 
+def _holds(members: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether the sorted index array ``members`` holds each of ``values``."""
+    if not members.size:
+        return np.zeros(values.shape, dtype=bool)
+    return members[np.minimum(np.searchsorted(members, values), members.size - 1)] == values
+
+
+def _covered(stage: np.ndarray, lo: np.ndarray, hi: np.ndarray, horizon: int, width: int) -> np.ndarray:
+    """The (horizon, width) mask of the compacts 0..width-1 of a run that
+    each stage covers with the interval [lo[i], hi[i]) of some entry i of
+    its own: a difference array per stage, +1 at each nonempty interval's
+    start and -1 at its stop, summed along the row."""
+    keep = lo < hi
+    at, size = stage[keep] * (width + 1), horizon * (width + 1)
+    diff = np.bincount(at + lo[keep], minlength=size) - np.bincount(at + hi[keep], minlength=size)
+    return np.cumsum(diff.reshape(horizon, width + 1), axis=1)[:, :width] > 0
+
+
 def _stages(seq: Sequence[WeightedComposition], space: SampledSpace) -> _PatchSequence:
     """A sequence of operators as patches on ``space``, read from a list's
     (n,) arrays where a map or the weight is not the identity's; a
@@ -833,7 +865,7 @@ def check_sot_convergence(
     always = diagonal | (limit.forward != idx) | (limit.backward != idx) | (limit.weight != 1.0)
     # each stage's moved points, then the others looked at, as the identity
     # moves them, in (stage, point) order
-    key = stages.stage() * n + stages.at
+    key = stages.keys(stages.at)
     extra = (np.arange(horizon)[:, None] * n + np.flatnonzero(always)).ravel()
     extra = extra[~_holds(key, extra)]
     order = np.argsort(np.concatenate([key, extra]), kind="stable")
@@ -886,7 +918,7 @@ def check_sot_convergence(
             witness = (t + 1, label, min(points))
         reports.append(ConditionReport(name=name, passed=passed, thresholds=th, witness=witness))
 
-    inv_maps = stages.inverse_maps()
+    inv_maps = stages.inverse()
     moreover = True
     moreover_detail = "inverse family locally equicontinuous on all supplied compacts"
     for K in K_list:
@@ -920,6 +952,88 @@ class EquicontinuityReport:
         return not self.witnesses
 
 
+def _images(maps, K: CompactSet, space: SampledSpace) -> np.ndarray:
+    """The (members, |K|) images of K's points under a family's point maps:
+    one gather from index arrays, or one scatter of the forward maps of
+    operators held as patches (``_PatchSequence.images``)."""
+    if isinstance(maps, _PatchSequence):
+        _acts_on(maps.space, space, "the family", "the given")
+        return maps.images(K.members)
+    rows = [np.asarray(f) for f in maps]
+    bad = next((m for m, f in enumerate(rows) if f.shape != (space.n,)), None)
+    if bad is not None:
+        raise ValueError(f"map {bad} has shape {rows[bad].shape}, not the ({space.n},) "
+                         f"of space {space.name!r}")
+    images = np.stack([f[K.members] for f in rows]).astype(np.intp, copy=False)
+    out = np.flatnonzero(((images < 0) | (images >= space.n)).any(axis=1))
+    if out.size:
+        raise ValueError(f"map {out[0]} sends a point of {K.label!r} outside space {space.name!r} "
+                         f"({space.n} points)")
+    return images
+
+
+# image distances of one block of rows of _least_separated, unless one row
+# holds more: 512 KB of float64
+_PAIR_BLOCK = 1 << 16
+
+
+def _least_separated(images: np.ndarray, thresholds: Sequence[float], karr: np.ndarray,
+                     space: SampledSpace) -> list[tuple[float, tuple | None]]:
+    """For each threshold thr, the least d(s, t) over the distinct points s,
+    t of ``karr`` that some member (a row of ``images``, their images) maps
+    at least thr apart, with its witness (member, s, t): the first member
+    that does at that distance, at its first such pair in row-major order;
+    (inf, None) when no member separates any pair.
+
+    A first sweep reads each point's distance to its nearest other point.
+    The second reads the rows of K in blocks, those with the nearest point
+    first, each block's image distances once for all the thresholds, and
+    stops at the first row whose nearest point is farther than every
+    threshold's least separated pair so far.  So a family that separates
+    close pairs, as a non-equicontinuous one does, stops after a few
+    blocks, and one that separates no pair reads every pair once, as a
+    per-member sweep does, with one more sweep of the distances in K.  As
+    the rows are read out of order, the witness is the least (member, s,
+    t) at the least distance."""
+    metric, k = space.metric, karr.size
+    step = max(1, _PAIR_BLOCK // (len(images) * k))
+
+    def block(rows: np.ndarray) -> np.ndarray:
+        d = metric.cross(karr[rows], karr)
+        d[np.arange(rows.size), rows] = math.inf  # a point and itself are no pair
+        return d
+
+    height = max(1, _PAIR_BLOCK // k)  # the first sweep reads no image
+    nearest = np.concatenate([block(np.arange(a, min(a + height, k))).min(axis=1) for a in range(0, k, height)])
+    order = np.argsort(nearest, kind="stable")
+    # the least separated distance so far: at first the largest float, so
+    # the diagonal's inf is never read
+    best = np.full(len(thresholds), np.finfo(float).max)
+    found: list[tuple | None] = [None] * len(thresholds)  # (member, s, t), positions in karr
+    for a in range(0, k, step):
+        rows = order[a:a + step]
+        if nearest[rows[0]] > best.max():
+            break
+        d = block(rows).ravel()
+        far = metric.pair(images[:, rows, None], images[:, None, :]).reshape(len(images), -1)
+        reach = far.max(axis=0)  # a member separates a pair at thr exactly when reach >= thr
+        for i, thr in enumerate(thresholds):
+            hit = np.flatnonzero((reach >= thr) & (d <= best[i]))
+            if not hit.size:
+                continue
+            low = d[hit].min()
+            if low < best[i]:
+                best[i], found[i] = low, None
+            hit = hit[d[hit] == low]
+            member = (far[:, hit] >= thr).argmax(axis=0)  # each pair's first member
+            least = min(zip(member.tolist(), rows[hit // k].tolist(), (hit % k).tolist()))
+            if found[i] is None or least < found[i]:
+                found[i] = least
+    return [(math.inf, None) if f is None
+            else (float(b), (f[0], space.points[karr[f[1]]], space.points[karr[f[2]]]))
+            for b, f in zip(best, found)]
+
+
 def check_local_equicontinuity(
     maps: Sequence[np.ndarray],
     K: CompactSet,
@@ -931,12 +1045,12 @@ def check_local_equicontinuity(
     grid delta while d(member s, member t) >= eps.
 
     ``maps`` holds the members' point maps on ``space`` as index arrays
-    (``[g.forward for g in family]`` for operators, or one (members, n)
-    array); a map of another size, an image outside the space and a
-    member of K outside it are refused by name.  The maps are read on
-    ``K.members`` only, in one gather (``_images``).  The delta of an eps
-    is the least d(s, t) over the distinct s, t in K that some member maps
-    at least eps apart, read in rounds of increasing d(s, t)
+    (``[g.forward for g in family]`` for operators), or operators held as
+    patches (``remark25_sequence``), whose forward maps are read; a map of
+    another size, an image outside the space and a member of K outside it
+    are refused by name.  The maps are read on ``K.members`` only, in one
+    gather (``_images``).  The delta of an eps is the least d(s, t) over
+    the distinct s, t in K that some member maps at least eps apart
     (``_least_separated``), and its witness the first member that does at
     that distance, at its first such pair in row-major order.
     """
@@ -948,19 +1062,14 @@ def check_local_equicontinuity(
     if karr[0] < 0 or karr[-1] >= space.n:
         raise ValueError(f"compact {K.label!r} has a member outside space {space.name!r} ({space.n} points)")
     images = _images(maps, K, space)
-    src = space.metric.cross(karr, karr)
-    np.fill_diagonal(src, math.inf)  # a point and itself are no pair
     grid = tuple(sorted(set(float(e) for e in moduli_grid)))
     min_grid_delta = min(grid) if grid else 0.0
 
     table = []
     witnesses = []
     slack = 1e-12  # grid coordinates carry float dust; do not count it
-    for eps in grid:
-        best_delta, witness = _least_separated(src, images, eps + slack, karr, space)
+    for eps, (best_delta, witness) in zip(grid, _least_separated(images, [e + slack for e in grid], karr, space)):
         table.append((eps, best_delta))
         if best_delta < min_grid_delta - slack and witness is not None:
             witnesses.append((eps, witness))
     return EquicontinuityReport(table=table, witnesses=witnesses)
-
-

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
-from renormlab import _kernels, cli, operators
+from renormlab import cli, operators
 from renormlab import space as space_mod
 from renormlab.operators import (
     ConditionReport,
@@ -380,6 +380,17 @@ _SOT_CASES = [_remark25_case(), _remark25_moved_limit_case(), _rotation_case(), 
               _remark25_matrix_case(), _line_case(), _remark25_diagonal_case()]
 
 
+def _first(seq, stages):
+    """The first stages of a sequence: a list's prefix, or a patch
+    sequence's, cut from its arrays."""
+    if not isinstance(seq, operators._PatchSequence):
+        return seq[:stages]
+    end = seq.start[stages]
+    return operators._PatchSequence(seq.space, seq.start[:stages + 1], seq.at[:end], seq.weight[:end],
+                                    seq.forward[:end], seq.backward[:end], seq.labels[:stages],
+                                    seq.defects[:stages])
+
+
 @st.composite
 def _sot_inputs(draw):
     sp, seq, limit, nested = draw(st.sampled_from(_SOT_CASES))
@@ -397,7 +408,7 @@ def _sot_inputs(draw):
             st.sets(st.integers(0, sp.n - 1), min_size=1, max_size=12), min_size=1, max_size=5)))]
     stages = draw(st.integers(1, len(seq)))
     eps = draw(st.sampled_from([1e-13, 1e-9, 0.01, 0.1, 0.2, 0.3, 0.6, 1.5]))
-    return seq[:stages], limit, K_list, eps
+    return _first(seq, stages), limit, K_list, eps
 
 
 @given(_sot_inputs())
@@ -438,7 +449,7 @@ def test_sot_refuses_a_stage_on_another_space(form):
     if form == "operators":
         seq, what = list(seq), "stage 1"
     elif form == "one stage":
-        seq, what = [*remark25_sequence(small)[:2], remark25_map(big, 3)], "stage 3"
+        seq, what = [remark25_map(small, 1), remark25_map(small, 2), remark25_map(big, 3)], "stage 3"
     with pytest.raises(ValueError, match=re.escape(
             f"{what} acts on space 'remark25' (73 points), not on the limit's space 'remark25' (57 points)")):
         check_sot_convergence(seq, identity(small), list(small.exhaustion), 0.01)
@@ -458,7 +469,7 @@ def test_equicontinuity_refuses_maps_and_compacts_off_its_space():
     cases = [
         ([g.backward for g in remark25_sequence(big)], tail,
          "map 0 has shape (73,), not the (57,) of space 'remark25'"),
-        (remark25_sequence(big).inverse_maps(), tail,
+        (remark25_sequence(big).inverse(), tail,
          "the family acts on space 'remark25' (73 points), not on the given space 'remark25' (57 points)"),
         ([np.arange(small.n), np.full(small.n, 70)], tail,
          "map 1 sends a point of 'tail' outside space 'remark25' (57 points)"),
@@ -471,28 +482,38 @@ def test_equicontinuity_refuses_maps_and_compacts_off_its_space():
 
 
 def test_remark25_sequence_holds_the_maps_as_patches(remark_space):
-    # each stage, read whole, is remark25_map; a slice is a patch sequence
-    # of the same stages; the deviations and the inverse maps on a compact
-    # are what the whole operators give
+    # each stage, read whole, is remark25_map, and each stage of the
+    # inverse is its invert; the deviations and the images of a compact are
+    # what the whole operators give
     seq = remark25_sequence(remark_space)
     assert isinstance(seq, operators._PatchSequence) and len(seq) == 50
     assert seq.at.size == 50 * 51  # 2 (n_max - n + 1) points per map
     x = np.random.default_rng(2).normal(size=remark_space.n)
     cols = remark_space.exhaustion[4].members
     dense = [remark25_map(remark_space, n) for n in range(1, 51)]
-    for g, h in zip(seq, dense):
-        assert g.label == h.label and g.allowed_defects == h.allowed_defects
-        for field in ("weight", "forward", "backward"):
-            assert np.array_equal(getattr(g, field), getattr(h, field)), (g.label, field)
+    for got, want in ((seq, dense), (seq.inverse(), [invert(h) for h in dense])):
+        for g, h in zip(got, want):
+            assert g.label == h.label and g.allowed_defects == h.allowed_defects
+            for field in ("weight", "forward", "backward"):
+                assert np.array_equal(getattr(g, field), getattr(h, field)), (g.label, field)
+        assert np.array_equal(got.images(cols), np.stack([h.forward[cols] for h in want]))
     assert seq.deviations(x).tolist() == [float(np.max(np.abs(h.apply(x) - x))) for h in dense]
-    assert np.array_equal(seq.inverse_maps().on(cols), np.stack([h.backward[cols] for h in dense]))
-    part = seq[3:40:5]
-    assert isinstance(part, operators._PatchSequence)
-    assert [g.label for g in part] == [h.label for h in dense[3:40:5]]
-    assert np.array_equal(part[-1].forward, dense[38].forward)
-    assert len(seq[7:3]) == 0
+    assert [g.label for g in seq[3:40:5]] == [h.label for h in dense[3:40:5]]
     with pytest.raises(IndexError):
         seq[50]
+
+
+def test_patch_inverse_reads_the_weight_at_the_preimage():
+    # weighted rotations move every point, so each inverse weight
+    # 1 / a(b(x)) is read at another moved point
+    circ = rl.builtin_space("circle", count=12)
+    w = 1.0 + np.arange(12) / 12
+    ops = [compose(multiplication(circ, np.roll(w, r)), circle_rotation(circ, steps=r)) for r in (1, 5)]
+    ops.append(identity(circ))
+    for g, h in zip(operators._stages(ops, circ).inverse(), map(invert, ops)):
+        assert g.label == h.label
+        for field in ("weight", "forward", "backward"):
+            assert np.array_equal(getattr(g, field), getattr(h, field)), (g.label, field)
 
 
 def test_sot_gallery_builds_no_stage_operator(monkeypatch):
@@ -563,9 +584,10 @@ def _equicontinuity_families():
     rotations = [circle_rotation(circ, steps=s).forward for s in (0, 1, 3, 7)]
     translations = [line_translation(line, c).forward for c in (-1.0, 0.5, 2.0)]
     dense = [g.backward for g in seq]
-    return [(r25, seq.inverse_maps(), dense), (r25, dense, dense), (circ, rotations, rotations),
+    constants = [np.full(line.n, c) for c in (0, 7)]  # they separate no pair
+    return [(r25, seq.inverse(), dense), (r25, dense, dense), (circ, rotations, rotations),
             (line, translations, translations), (twin, scrambled, scrambled),
-            (onepoint, words, words)]
+            (onepoint, words, words), (line, constants, constants)]
 
 
 _EQUICONTINUITY_FAMILIES = _equicontinuity_families()
@@ -579,18 +601,37 @@ def _equicontinuity_inputs(draw):
     else:
         K = sp.compact(draw(st.sets(st.integers(0, sp.n - 1), min_size=1, max_size=30)), "S")
     grid = draw(st.lists(st.sampled_from([1e-13, 0.01, 0.1, 0.25, 0.3, 0.5, 1.0, 2.0]), min_size=1, max_size=3))
-    return sp, maps, arrays, K, grid, draw(st.sampled_from([1, 7, 64, _kernels._PAIR_BLOCK]))
+    return sp, maps, arrays, K, grid, draw(st.sampled_from([1, 100, 1000, operators._PAIR_BLOCK]))
 
 
 @given(_equicontinuity_inputs())
 @settings(max_examples=200, deadline=None)
 def test_equicontinuity_matches_the_per_member_reference(inputs):
-    # pair blocks of one pair, of a few and the default, so a tie group
+    # blocks of one row, of a few rows and the default, so a tie group
     # spans blocks
     sp, maps, arrays, K, grid, block = inputs
-    with mock.patch.object(_kernels, "_PAIR_BLOCK", block):
+    with mock.patch.object(operators, "_PAIR_BLOCK", block):
         got = check_local_equicontinuity(maps, K, grid, sp)
     assert got == equicontinuity_reference(arrays, K, grid, sp)
+
+
+def test_equicontinuity_holds_no_pairs_by_pairs_array():
+    # on a 2,000-point compact one (|K|, |K|) array of distances is 32 MB;
+    # constant maps separate no pair, so every pair is read, and an
+    # isometry separates only pairs at least eps apart
+    circ = rl.builtin_space("circle", count=2000)
+    K = circ.top_exhaustion
+    step = 2 * math.pi / 2000
+    for maps, low, high in (([np.zeros(circ.n, dtype=np.intp)], math.inf, math.inf),
+                            ([circle_rotation(circ, steps=3).forward], 0.1, 0.1 + step)):
+        tracemalloc.start()
+        try:
+            report = check_local_equicontinuity(maps, K, (0.1,), circ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.equicontinuous and peak < 8_000_000
+        assert low <= report.table[0][1] <= high
 
 
 def test_sot_matches_reference_on_the_gallery_exhaustion(remark_space):
