@@ -50,7 +50,7 @@ def m_weight(group: GroupSpec) -> BoundedGroupNorm:
     The infimum over the full group is approximated by words up to the
     group's word cap; the per-cap trace is monotone and reported so the
     stabilization is visible.  A point is flagged when m moves by at least 0.25
-    within ``resolution + _resolution_tol`` of it.  Discontinuity flags are restricted to
+    within ``space._same_point_tol`` of it.  Discontinuity flags are restricted to
     non-isolated points: at sample scale only those can witness a genuine
     jump of m.
 
@@ -67,7 +67,7 @@ def m_weight(group: GroupSpec) -> BoundedGroupNorm:
              for c in range(1, group.word_cap + 1)]
     s = _image_weight(forward, weights)
 
-    radius = space.resolution + space._resolution_tol
+    radius = space._same_point_tol
     flagged = []
     idx = np.arange(space.n)
     for p in np.flatnonzero(~space.isolated).tolist():

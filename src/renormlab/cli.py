@@ -428,7 +428,10 @@ def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
     space = make_space(scenario["space"])
     if base_count is not None and base_count > space.n:
         raise InputError(f"base_count {base_count} exceeds the {space.n} points of space {space.name!r}")
-    group = make_group(scenario.get("group", {"builtin": "trivial"}), space)
+    # an explicit group is built and checked here; the default trivial one
+    # only when a task other than sot-gallery, which reads no group, runs
+    group = (make_group(scenario.get("group", {"builtin": "trivial"}), space)
+             if "group" in scenario or set(tasks) - {"sot-gallery"} else None)
     operators = []
     if "detect" in tasks:
         for spec in scenario.get("detect", []):

@@ -137,7 +137,7 @@ def certify(
 
     certified-in-G means a word of length at most the group's cap matches
     the candidate map on every sample point, within the same-point rule
-    ``resolution + _resolution_tol`` (``caps["word_tol"]``).  The word is
+    ``space._same_point_tol`` (``caps["word_tol"]``).  The word is
     the first nearest one on the tested base points (``approx_group_element``);
     its index map is compared with the candidate's, and distances are read
     only where the two differ.  rejected verdicts always carry a
@@ -147,7 +147,7 @@ def certify(
     _integer(test_depth, "test_depth", 1)
     space = cfg.space
     _acts_on(T.space, space, "operator")
-    word_tol = space.resolution + space._resolution_tol
+    word_tol = space._same_point_tol
     test_depth = min(int(test_depth), cfg.base_count)
     weight = check_weight_one(T, cfg)
 

@@ -242,7 +242,7 @@ class RenormConfig:
     def classify_slots(self, points: Sequence[int], tol: float | None = None):
         """Per-slot labels of the nearest base-orbit slot within tol, by default
         the same-point rule: (base index, gamma) or None."""
-        tol = self.space.resolution + self.space._resolution_tol if tol is None else tol
+        tol = self.space._same_point_tol if tol is None else tol
         return [
             (int(self.slot_base[p]), int(self.slot_gamma[p])) if self.slot_dist[p] <= tol else None
             for p in points

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .space import (CompactSet, SampledSpace, _acts_on, _Dense, _finite, _integer, _nested_runs, _positive,
+from .space import (CompactSet, SampledSpace, _acts_on, _finite, _integer, _nested_runs, _positive,
                     same_space)
 
 __all__ = [
@@ -50,8 +50,9 @@ class WeightedComposition:
 
     ``forward`` and ``backward`` are index maps approximating a
     homeomorphism and its inverse; a round trip must return every point to
-    the same sample point, within ``resolution + space._resolution_tol``,
-    except at declared truncation-edge defects.
+    the same sample point, within ``space._same_point_tol``, except at
+    declared truncation-edge defects.  Every entry of either map is a point
+    index, in 0..n-1.
     """
 
     space: SampledSpace
@@ -71,6 +72,12 @@ class WeightedComposition:
         self.backward = np.asarray(self.backward, dtype=np.intp)
         if self.weight.shape != (n,) or self.forward.shape != (n,) or self.backward.shape != (n,):
             raise ValueError("operator arrays must match the space size")
+        for name, m in (("forward", self.forward), ("backward", self.backward)):
+            u = m.view(np.uintp)  # a negative entry reads as a huge unsigned one
+            if u.max() >= n:
+                i = int((u >= n).argmax())
+                raise ValueError(f"{name} map sends point {self.space.points[i]!r} to {m[i]}, "
+                                 f"outside 0..{n - 1}")
         if not (np.isfinite(self.weight) & (self.weight > 0)).all():
             raise _weight_error(self.space, self.weight)
         if measured_defects is None:
@@ -129,23 +136,19 @@ def _fingerprints(forward: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray) -> frozenset[int]:
     """The points that a round trip through the ``(n,)`` index maps, in
-    either order, displaces by more than ``resolution + _resolution_tol``,
-    off the same sample point.
+    either order, displaces off the same sample point: by more than
+    ``space._same_point_tol``.
 
-    A point that both round trips return to itself is displaced by d(i, i),
-    which is 0 in every closed form, so distances are read only where a
-    round trip moves a point, and on a matrix-form space also where the
-    diagonal is not 0."""
+    A point that both round trips return to itself is displaced by
+    d(i, i) = 0, so distances are read only where a round trip moves a
+    point."""
     idx = np.arange(space.n)
     there, back = backward[forward], forward[backward]
-    moved = (there != idx) | (back != idx)
-    if isinstance(space.metric, _Dense):
-        moved |= space.metric.pair(idx, idx) != 0
-    at = np.flatnonzero(moved)
+    at = np.flatnonzero((there != idx) | (back != idx))
     if not len(at):  # every round trip is exact: no distance to read
         return frozenset()
     gap = np.maximum(space.metric.pair(there[at], at), space.metric.pair(back[at], at))
-    return frozenset(at[gap > space.resolution + space._resolution_tol].tolist())
+    return frozenset(at[gap > space._same_point_tol].tolist())
 
 
 def _snapped(space: SampledSpace, form: dict | None) -> WeightedComposition | None:
@@ -810,9 +813,7 @@ def check_sot_convergence(
     are exactly those over the whole compacts.  A stage is read as patches
     (``_PatchSequence``): the difference set lies in the points it or the
     limit moves, so a sequence of maps that each move few points costs
-    O(points moved), however large the compacts.  On a matrix-form space,
-    d(y, y) is the diagonal entry, so the points whose images under the
-    limit have one above eps are read at every stage as well.
+    O(points moved), however large the compacts.
 
     The compacts split into maximal nested runs (``space._nested_runs``),
     which give e(x), the first compact of the run that holds x.  Within a
@@ -854,15 +855,9 @@ def check_sot_convergence(
         raise ValueError("uniform boundedness violated")
 
     # the points looked at in every stage besides those it moves: those the
-    # limit moves, where the two may differ, and on a matrix-form space
-    # those whose images under the limit have a diagonal entry above eps,
-    # which are read whatever the stage
+    # limit moves, where the two may differ
     idx = np.arange(n)
-    diagonal = np.zeros(n, dtype=bool)
-    if isinstance(metric, _Dense):
-        above = metric.pair(idx, idx) > eps
-        diagonal = above[limit.forward] | above[limit.backward]
-    always = diagonal | (limit.forward != idx) | (limit.backward != idx) | (limit.weight != 1.0)
+    always = (limit.forward != idx) | (limit.backward != idx) | (limit.weight != 1.0)
     # each stage's moved points, then the others looked at, as the identity
     # moves them, in (stage, point) order
     key = stages.keys(stages.at)
@@ -872,7 +867,7 @@ def check_sot_convergence(
     s, x = np.divmod(np.concatenate([key, extra])[order], n)
     fw, wt, bw = (np.concatenate([values, fixed])[order] for values, fixed in
                   ((stages.forward, extra % n), (stages.weight, np.ones(extra.size)), (stages.backward, extra % n)))
-    read = (fw != limit.forward[x]) | (wt != limit.weight[x]) | (bw != limit.backward[x]) | diagonal[x]
+    read = (fw != limit.forward[x]) | (wt != limit.weight[x]) | (bw != limit.backward[x])
     s, x, fw, wt, bw = s[read], x[read], fw[read], wt[read], bw[read]
     gaps = (metric.pair(fw, limit.forward[x]), np.abs(wt - limit.weight[x]))
 

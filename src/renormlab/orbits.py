@@ -84,10 +84,11 @@ def select_dense_points(
     of a picked orbit; an explicit count raises when unreachable, and a
     count above the sample size before any step.
 
-    No distance matrix is read.  An unblocked reference point at distance
-    0 from itself is its own pick; otherwise a step's candidates are its
-    reference point's ball.  Each pick blocks the 1e-9 ball of its whole
-    orbit, in one ball query.
+    No distance matrix is read.  An unblocked reference point is its own
+    pick, at distance 0: distinct points are apart, so it is its own unique
+    nearest candidate.  Otherwise a step's candidates are its reference
+    point's ball.  Each pick blocks the 1e-9 ball of its whole orbit, in
+    one ball query.
 
     Returns the selected indices and the per-step audit trail.
     """
@@ -110,11 +111,8 @@ def select_dense_points(
             break
         step += 1
         radius = max(2.0 ** (-step), space.resolution)
-        dist = float(metric.pair(ref, ref)) if not blocked[ref] else None
-        if dist == 0.0:
-            # distinct points are at positive distance, so an unblocked
-            # reference point is its own unique nearest candidate
-            pick = ref
+        if not blocked[ref]:
+            pick, dist = ref, 0.0
         else:
             # d <= radius + 1e-15 exactly when d < the next float above it
             cand = metric.ball(ref, np.nextafter(radius + 1e-15, np.inf))
@@ -129,9 +127,7 @@ def select_dense_points(
             k = int(d.argmin())  # the nearest unblocked point, ties by index
             pick, dist = int(cand[k]), float(d[k])
         chosen.append(pick)
-        # the points x with d(x, o) < 1e-9 for an orbit point o: a given
-        # matrix is symmetric only to the constructor's tolerance
-        near = metric.transposed.ball(table[:, pick], 1e-9)
+        near = metric.ball(table[:, pick], 1e-9)
         nblocked += int(np.count_nonzero(~blocked[near]))
         blocked[near] = True
         audit.append({

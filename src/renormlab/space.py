@@ -8,9 +8,9 @@ downstream tolerances are stated in terms of ``resolution``.
 
 The metric is a :class:`Metric`: distances on demand, as pairs, blocks,
 rows and balls.  A closed-form metric computes them from O(n) coordinates;
-a matrix-form one wraps its checked matrix.  ``space.dmat``, the full
-matrix, exists only once a reader asks for it; the library reads it only
-on a matrix-form space.
+a matrix-form one wraps its checked matrix, made exactly symmetric with
+a zero diagonal.  ``space.dmat``, the full matrix, exists only once a
+reader asks for it; the library reads it only on a matrix-form space.
 
 Compactness at sample scale is a proxy: a set counts as compact when it is
 contained in an exhaustion element.  Reports carry this caveat verbatim.
@@ -188,8 +188,15 @@ class SampledSpace:
     @cached_property
     def _resolution_tol(self) -> float:
         """Tolerance of "within the resolution": resolution plus the metric's
-        ``rounding``.  The same-point rule is ``resolution + _resolution_tol``."""
+        ``rounding``."""
         return self.resolution + self.metric.rounding
+
+    @cached_property
+    def _same_point_tol(self) -> float:
+        """The same-point rule: two points within ``resolution +
+        _resolution_tol`` count as the same sample point (a round trip, a
+        certified word's image, a weight's continuity)."""
+        return self.resolution + self._resolution_tol
 
     def __repr__(self) -> str:  # short: spaces can hold thousands of points
         return f"SampledSpace({self.name!r}, n={self.n}, resolution={self.resolution})"
@@ -205,14 +212,19 @@ _GATHER_BYTES = 1 << 18
 
 
 def _tile_walk(dmat: np.ndarray, points: Sequence[str]) -> None:
-    """The constructor's checks on a given matrix: finite, symmetric (at
-    1e-12), zero diagonal, distinct points apart; a ValueError names the
-    first failure.
+    """The constructor's checks on a given matrix, which they then make
+    exact: finite, symmetric (``allclose`` at atol 1e-12 plus rtol 1e-5,
+    both ways), zero diagonal (|d(x, x)| <= 1e-12), distinct points apart;
+    a ValueError names the first failure.  An accepted matrix is written
+    over in place as the metric it stands for: each skewed pair becomes the
+    mean of its two entries and the diagonal 0, and every entry that is
+    already symmetric keeps its bits.
 
     One walk over the tile d[I, J] and its mirror d[J, I].T for every pair
-    of index ranges I <= J checks finiteness and symmetry and counts the
-    entries <= 0; no full transpose is read.  A non-finite entry outranks an
-    asymmetry met in an earlier tile, so the walk goes on past one."""
+    of index ranges I <= J checks finiteness and symmetry, counts the
+    entries <= 0 and averages a tile pair that differs; no full transpose
+    is read.  A non-finite entry outranks an asymmetry met in an earlier
+    tile, so the walk goes on past one."""
     n = len(dmat)
     symmetric, nonpositive, step = True, 0, _SYMMETRY_TILE
     for lo, hi in ((i, j) for i in range(0, n, step) for j in range(i, n, step)):
@@ -223,12 +235,17 @@ def _tile_walk(dmat: np.ndarray, points: Sequence[str]) -> None:
             i, j = np.argwhere(~np.isfinite(dmat))[0]
             raise ValueError(f"non-finite distance {dmat[i, j]} between points "
                              f"{points[i]!r} and {points[j]!r}")
-        # exactly or, where that fails, allclose in both directions (its
-        # tolerance scales with the second argument)
-        symmetric = symmetric and (np.array_equal(a, b) or (
-            np.allclose(a, b, atol=1e-12) and np.allclose(b, a, atol=1e-12)))
-        if min(ends) <= 0:
+        if min(ends) <= 0:  # counted as given: a mean never makes a refused matrix pass
             nonpositive += sum(np.count_nonzero(t <= 0) for t in tiles)
+        if np.array_equal(a, b):
+            continue
+        # allclose in both directions (its tolerance scales with the second
+        # argument), then each differing pair gets its mean, which halves
+        # before adding so no finite pair overflows
+        symmetric = symmetric and all(np.allclose(x, y, rtol=1e-5, atol=1e-12) for x, y in ((a, b), (b, a)))
+        skew, mean = a != b, a / 2 + b / 2
+        np.copyto(a, mean, where=skew)
+        np.copyto(b, mean, where=skew)
     if not symmetric:
         raise ValueError("metric not symmetric on the sample")
     diag = np.diag(dmat)
@@ -238,6 +255,9 @@ def _tile_walk(dmat: np.ndarray, points: Sequence[str]) -> None:
     # on the diagonal
     if nonpositive > np.count_nonzero(diag <= 0):
         raise ValueError("distinct sample points at zero distance")
+    dust = np.flatnonzero(diag)
+    if dust.size:  # only dust is written: a matrix with none is left as it is
+        dmat[dust, dust] = 0.0
 
 
 class Metric:
@@ -248,14 +268,14 @@ class Metric:
     distances from point i to every point, ``ball(centres, r)`` the points
     strictly within r of some centre, ``set_distances`` the distances from
     every point to each of a list of sets, ``nearest(I, J)`` each point of I's
-    nearest point in J, ``transposed`` the metric read the other way round,
-    ``diameter`` the largest distance and ``dense`` the full (n, n) matrix,
-    built on first read and read-only.
+    nearest point in J, ``diameter`` the largest distance and ``dense`` the
+    full (n, n) matrix, built on first read and read-only.  Every metric is
+    exactly symmetric with d(i, i) = 0.
     A closed-form metric computes every entry from O(n) coordinate arrays,
     bitwise equal to the entry of its ``dense``; the matrix-form metric
-    wraps the matrix that the constructor checked.  No reader in the
-    library builds a closed form's ``dense``: only a matrix-form space's
-    checks and ``io.space_to_dict`` read a matrix.
+    wraps the matrix that the constructor checked and made exact.  No
+    reader in the library builds a closed form's ``dense``: only a
+    matrix-form space's checks and ``io.space_to_dict`` read a matrix.
     """
 
     n: int
@@ -280,13 +300,6 @@ class Metric:
         for s in range(0, len(centres), rows):
             near |= (self.cross(centres[s:s + rows], idx) < r).any(axis=0)
         return np.flatnonzero(near)
-
-    @property
-    def transposed(self) -> Metric:
-        """The metric read the other way round, d(j, i) at (i, j), so its
-        ``ball`` tests d(j, c): the metric itself, as every closed form is
-        exactly symmetric."""
-        return self
 
     def cross(self, I, J) -> np.ndarray:
         I, J = np.asarray(I), np.asarray(J)
@@ -406,10 +419,11 @@ class Metric:
 
 
 class _Dense(Metric):
-    """A given (n, n) matrix; its certificate is the tile walk."""
+    """A given (n, n) matrix, the constructor's own copy; its certificate
+    is the tile walk, which makes it exactly symmetric with a zero diagonal
+    and then leaves it read-only."""
 
     def __init__(self, matrix: np.ndarray):
-        matrix.flags.writeable = False
         self.values, self.n = matrix, len(matrix)
 
     def _pair(self, I, J, out):
@@ -423,13 +437,9 @@ class _Dense(Metric):
     def _matrix(self) -> np.ndarray:
         return self.values
 
-    @cached_property
-    def transposed(self) -> Metric:
-        # a given matrix is symmetric only to the constructor's tolerance
-        return _Dense(self.values.T)
-
     def _certify(self, points: Sequence[str]) -> None:
         _tile_walk(self.values, points)
+        self.values.flags.writeable = False
 
 
 class _Max(Metric):
@@ -726,26 +736,11 @@ class _Dyadic(Metric):
         np.copyto(out, 0.0, where=I == J)
         return out
 
-    def set_distances(self, points, sets: Sequence[np.ndarray]) -> np.ndarray:
-        """Closed form, O(|S| + len(points)) per set S: d(i, S) is 0 on S and
-        ``max(q_i, min q[S])`` off it.  For i outside S that is exactly the
-        default's min of ``max(q_i, q_j)`` over j in S, since ``max(q_i, .)``
-        is monotone and max and min return one of their floats.  Each column
-        is contiguous, so the table is the transpose of a (sets, points)
-        array."""
-        points = np.asarray(points, dtype=np.intp)
-        table, held, q = np.empty((len(sets), points.size)), np.zeros(self.n, dtype=bool), self.q[points]
-        for row, s in zip(table, sets):
-            np.maximum(q, self.q[s].min(), out=row)
-            held[s] = True
-            row[held[points]] = 0.0
-            held[s] = False
-        return table.T
-
     def _far_counts(self, points, members, enter, width, eps):
         """Closed form, O(n + len(members)): d(y, S_k) is 0 from the first
-        set that holds y on, and ``max(q_y, min q[S_k])`` before it (as in
-        ``set_distances``).  ``min q[S_k]``, the running min of the q of
+        set that holds y on, and ``max(q_y, min q[S_k])`` before it, the min
+        of ``max(q_y, q_j)`` over j in S_k, since ``max(q_y, .)`` is
+        monotone.  ``min q[S_k]``, the running min of the q of
         the members entering at each k, does not increase, so it exceeds
         eps on the first c sets exactly; a point with q_y > eps is then far
         from every set before its first, and any other point from the first
@@ -887,10 +882,11 @@ def builtin_space(name: str, **params) -> SampledSpace:
 def validate_metric(space: SampledSpace) -> dict:
     """Check metric axioms on the sample.
 
-    Symmetry (at 1e-12) and identity of indiscernibles are the
-    constructor's checks, which hold for the life of the immutable space,
-    so ``symmetric`` and ``identity`` are reported from it.  The triangle
-    inequality is checked in one of three modes, each at tolerance 1e-9:
+    Symmetry (atol 1e-12 plus rtol 1e-5, then averaged, so exact) and
+    identity of indiscernibles are the constructor's checks, which hold for
+    the life of the immutable space, so ``symmetric`` and ``identity`` are
+    reported from it.  The triangle inequality is checked in one of three
+    modes, each at tolerance 1e-9:
 
     - ``"closed-form"``, when ``metric_form`` is a line, circle, remark25
       or onepoint01N tag, or a max-product of these: every distance is

@@ -10,6 +10,7 @@ import sys
 import textwrap
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -777,6 +778,56 @@ def test_run_builds_a_failing_config_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     errors = {json.loads((tmp_path / "out" / f"{t}.json").read_text())["error"] for t in scenario["tasks"]}
     assert len(errors) == 1 and "depth 8 needs" in errors.pop()
+
+
+def test_a_sot_gallery_run_builds_no_default_group(tmp_path, monkeypatch):
+    # the task reads no group, so the trivial default is never built
+    monkeypatch.setattr(cli.GroupSpec, "trivial", mock.Mock(side_effect=AssertionError("built")))
+    scenario = {"space": {"builtin": "remark25", "params": {"n_max": 8}}, "tasks": ["sot-gallery"]}
+    assert run(scenario, tmp_path / "out") == 0
+
+
+def test_a_bad_explicit_group_exits_2_before_a_sot_gallery_report(tmp_path, capsys):
+    # an explicit group spec is still built and checked before any report
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"space": {"builtin": "remark25", "params": {"n_max": 8}},
+                                "group": {"builtin": "nonesuch"}, "tasks": ["sot-gallery"]}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown group spec {'builtin': 'nonesuch'}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
+def _dusty(space):
+    """A matrix twin of ``space`` as a space file whose diagonal is 1e-13
+    and whose distances above the diagonal sit one ulp up."""
+    doc = rio.space_to_dict(_matrix_twin(space))
+    d = space.dmat.copy()
+    upper = np.triu_indices(space.n, 1)
+    d[upper] = np.nextafter(d[upper], np.inf)
+    np.fill_diagonal(d, 1e-13)
+    doc["metric"]["values"] = d.tolist()
+    return doc
+
+
+def test_a_dusty_matrix_space_reads_as_the_exact_metric(tmp_path):
+    # the loader zeroes the dust and averages the skew, so the slot table,
+    # certify, the base window and eval --dual read an exact metric (they
+    # read 1e-13, 1e-13, no window and exit 2 on the dust)
+    line = rl.builtin_space("line", step=0.5, window=(-3, 3))
+    path = tmp_path / "dusty.json"
+    rio.dump_json(_dusty(line), path)
+    dusty = rio.load_space(path)
+    d = dusty.dmat
+    assert np.array_equal(d, d.T) and not np.diagonal(d).any()
+    cfg = rl.build_config(dusty, rl.GroupSpec.trivial(dusty))
+    assert cfg.coverage_defect == 0.0
+    assert cfg.window_tuple(cfg.base_tuple(1, 2).points) == cfg.base_tuple(1, 2)
+    assert rl.certify(rl.identity(dusty), cfg).approx_group_element[1] == 0.0
+    assert main(["eval", "--space", str(path), "--dual", "x-3,x-2.5", "1", "1"]) == 0
+    # the saved file holds the exact matrix, which reloads bit for bit
+    rio.save_space(dusty, tmp_path / "saved.json")
+    again = rio.load_space(tmp_path / "saved.json")
+    assert again.dmat.tobytes() == d.tobytes() and space_mod.same_space(again, dusty)
 
 
 def test_cli_eval_norm_rejects_bad_function_files(tmp_path, capsys):

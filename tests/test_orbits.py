@@ -335,22 +335,25 @@ def test_select_takes_a_candidate_at_exactly_radius_plus_slack():
     assert chosen == [0, 2] and audit[1]["distance"] == edge
 
 
-def test_select_reads_a_nonzero_diagonal_as_a_distance():
-    # a given matrix may carry a diagonal up to 1e-12: then "a" lies nearer
-    # to "b" than to itself, and step 1 picks "b"
+def test_select_picks_an_unblocked_reference_at_distance_0_on_a_dusty_diagonal():
+    # a given matrix may carry a diagonal up to 1e-12, which the constructor
+    # sets to 0: "a" is its own pick at distance 0, not "b" at 1e-13, and
+    # its 1e-9 ball blocks "b"
     d = np.array([[1e-12, 1e-13], [1e-13, 1e-12]])
     space = rl.SampledSpace(name="two", points=("a", "b"), dmat=d,
                             exhaustion=(space_mod.CompactSet(range(2), "all"),), resolution=0.25,
                             isolated=np.zeros(2, dtype=bool), metric_form={"form": "matrix"})
+    assert np.diagonal(space.dmat).tolist() == [0.0, 0.0]
     group = rl.GroupSpec.trivial(space)
     chosen, audit = select_dense_points(space, group)
     assert (chosen, audit) == _select_every_step(space, group)
-    assert chosen == [1] and audit[0]["distance"] == 1e-13
+    assert chosen == [0] and audit[0]["distance"] == 0.0
 
 
 def test_select_blocks_the_points_whose_distance_to_an_orbit_is_below_1e_9():
     # d("b", "a") < 1e-9 <= d("a", "b"), within the constructor's symmetry
-    # tolerance: picking "a" blocks "b", so step 2 picks "c", not "b"
+    # tolerance, so both become their mean, below 1e-9: picking "a" blocks
+    # "b", so step 2 picks "c", not "b"
     near = 1e-9 - 5e-13
     d = np.array([[0.0, 1e-9, 0.2], [near, 0.0, 0.2], [0.2, 0.2, 0.0]])
     space = rl.SampledSpace(name="three", points=("a", "b", "c"), dmat=d,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
-from renormlab import cli
+from renormlab import cli, operators
 from renormlab import space as space_mod
 from renormlab.space import (
     _SYMMETRY_TILE,
@@ -436,6 +436,82 @@ def test_symmetry_rule_tolerates_float_dust_only(scale, skew, accepted):
     else:
         with pytest.raises(ValueError, match="metric not symmetric on the sample"):
             _matrix_space(d)
+
+
+def test_an_accepted_skew_is_averaged_and_the_rest_keeps_its_bits():
+    # d(0, 1) and d(1, 0) differ by 5e-6, within rtol 1e-5 of 1.0 though
+    # far beyond atol 1e-12: both become their mean, the diagonal dust 0,
+    # and every symmetric pair keeps its float
+    d = np.array([[1e-13, 1.0, 0.1 + 0.2], [1.000005, 0.0, 1.5], [0.1 + 0.2, 1.5, -1e-12]])
+    sp = _matrix_space(d.copy())
+    assert validate_metric(sp)["symmetric"] is True
+    assert sp.dmat[0, 1] == sp.dmat[1, 0] == 1.0 / 2 + 1.000005 / 2
+    assert sp.dmat[0, 2] == sp.dmat[2, 0] == 0.1 + 0.2 and sp.dmat[1, 2] == 1.5
+    assert np.diagonal(sp.dmat).tolist() == [0.0, 0.0, 0.0]
+    assert d[1, 0] == 1.000005 and not sp.dmat.flags.writeable  # the caller's array is not touched
+
+
+# closed-form spaces whose matrices the property test below dusts
+_CLEAN = [builtin_space("line", step=0.5, window=(-3, 3)), builtin_space("circle", count=12),
+          builtin_space("remark25", n_max=4), builtin_space("onepoint01N", n_max=5),
+          builtin_space("circle_x_interval", count=6, levels=3)]
+
+
+@st.composite
+def _dusty_matrices(draw):
+    """A closed-form space, its matrix given diagonal dust in [0, 1e-12]
+    and an accepted skew above the diagonal (ulps, an absolute shift below
+    atol, or a relative one below rtol) at some entries, and the matrix
+    that dust normalizes to: each skewed pair's mean, a zero diagonal."""
+    sp = draw(st.sampled_from(_CLEAN))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    d, n = sp.dmat.copy(), sp.n
+    if draw(st.booleans()):
+        np.fill_diagonal(d, rng.choice([0.0, 1e-13, 1e-12, rng.uniform(0, 1e-12)], size=n))
+    rows, cols = np.triu_indices(n, 1)
+    keep = rng.random(rows.size) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    upper = rows[keep], cols[keep]
+    skew = draw(st.sampled_from(["ulp", "absolute", "relative"]))
+    if skew == "ulp":
+        d[upper] = np.nextafter(d[upper], np.inf)
+    elif skew == "absolute":
+        d[upper] += rng.uniform(-4e-13, 4e-13, upper[0].size)
+    else:
+        d[upper] *= 1 + rng.uniform(-4e-6, 4e-6, upper[0].size)
+    exact = np.where(d != d.T, d / 2 + d.T / 2, d)
+    np.fill_diagonal(exact, 0.0)
+    return sp, d, exact
+
+
+def _readers(space):
+    """What selection, the config, certify, the round trips and the SOT
+    check read off a space: each as a comparable value."""
+    group = rl.GroupSpec.trivial(space)
+    cfg = rl.build_config(space, group)
+    rng = np.random.default_rng(space.n)
+    perms = [rng.permutation(space.n) for _ in range(3)]
+    stages = [rl.WeightedComposition(space, np.ones(space.n), p, np.argsort(p)) for p in perms]
+    scrambled = rng.integers(0, space.n, size=space.n)
+    return (rl.select_dense_points(space, group), cfg.slot_base.tobytes(), cfg.slot_gamma.tobytes(),
+            cfg.slot_dist.tobytes(), cfg.coverage_defect, rl.certify(rl.identity(space), cfg),
+            operators._roundtrip_defects(space, scrambled, np.arange(space.n)),
+            operators.check_sot_convergence(stages, rl.identity(space), list(space.exhaustion), 1e-13))
+
+
+@given(_dusty_matrices())
+@settings(max_examples=40, deadline=None)
+def test_a_dusty_matrix_is_read_as_the_exact_metric_it_stands_for(case):
+    sp, dusty, exact = case
+    a, b = _matrix_space_of(sp, dusty), _matrix_space_of(sp, exact)
+    assert space_mod.same_space(a, b) and a.dmat.tobytes() == b.dmat.tobytes() == exact.tobytes()
+    assert (a.dmat == a.dmat.T).all() and not np.diagonal(a.dmat).any()
+    if (dusty == exact).all():  # an exact matrix keeps every bit
+        assert a.dmat.tobytes() == dusty.tobytes()
+    assert _readers(a) == _readers(b)
+
+
+def _matrix_space_of(sp, d):
+    return dataclasses.replace(sp, dmat=d, metric_form={"form": "matrix"}, factors=())
 
 
 def test_space_rejects_zero_off_diagonal_only():
