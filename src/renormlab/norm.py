@@ -166,22 +166,29 @@ class WindowPlan:
     weights: np.ndarray  # (T, n+1) lambda / reciprocal weights
     # (T,) the row of the level below that row r extends by its last slot:
     # of the head table for plans 0 and 1 (plan 0 adds no slot), of plan
-    # n-1 for n >= 2; None on the head table itself
+    # n-1 for n >= 2; None on the head table itself.  Nondecreasing on
+    # plans 1, 2, ..., so the children of a row are one range of rows
     parent: np.ndarray | None = field(repr=False)
-    # the rows sorted stably by their largest orbit label, the distinct
-    # labels ascending, and where each label's rows start in that order:
-    # the rows below a cap are a prefix of it
-    cap_order: np.ndarray = field(init=False, repr=False)
-    cap_labels: np.ndarray = field(init=False, repr=False)
-    cap_starts: np.ndarray = field(init=False, repr=False)
+    # (T,) the largest orbit label of each row, at least its parent's
+    top: np.ndarray = field(init=False, repr=False)
     # the largest weight of the last slot, which bounds the level's terms
     last_max: float = field(init=False, repr=False)
+    # on plans 1, 2, ...: the children of row p of the level below are the
+    # child_count[p] rows from child_start[p], and the rows of that level
+    # past len(child_count) have none; child_rank is 0, 1, ... up to the
+    # most children of one row.  None on the head table and plan 0
+    child_start: np.ndarray | None = field(init=False, repr=False)
+    child_count: np.ndarray | None = field(init=False, repr=False)
+    child_rank: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        top = self.gammas.max(axis=1)
-        self.cap_order = np.argsort(top, kind="stable")
-        self.cap_labels, self.cap_starts = np.unique(top[self.cap_order], return_index=True)
+        self.top = self.gammas.max(axis=1)
         self.last_max = float(self.weights[:, -1].max())
+        self.child_start = self.child_count = self.child_rank = None
+        if self.n >= 1:
+            edges = self.parent.searchsorted(np.arange(self.parent[-1] + 2))
+            self.child_start, self.child_count = edges[:-1], np.diff(edges)
+            self.child_rank = np.arange(self.child_count.max())
 
     @property
     def count(self) -> int:
@@ -215,6 +222,12 @@ class RenormConfig:
 
     def lam(self, i: int) -> float:
         return self.bc.lam(i)
+
+    @functools.cached_property
+    def _truncation_tail(self) -> float:
+        """The geometric tail of the window weights beyond the enumeration
+        index of the last in-depth window; the same on every call."""
+        return enumeration_tail(self.bc, self.depth * (self.depth - 1) // 2)
 
     @property
     def base_count(self) -> int:
@@ -491,47 +504,137 @@ def _abs_values(x: np.ndarray, cfg: RenormConfig) -> tuple[np.ndarray, float]:
     return ax, sup
 
 
-def _walk(ax: np.ndarray, sup, cfg: RenormConfig, level_max):
-    """Walk the plan rows' prefix tree level by level, as deep as a level
-    can still raise the running max.
+class _AllRows:
+    """One cap above every orbit label, the cap of ``triple_norm``.  The
+    walk's per-cap numbers are floats, and ``sup`` bounds |x| on the head
+    table's points."""
 
-    ``ax`` holds the absolute values of the function.  ``level_max(plan,
-    values)`` reduces one level to what the caller maximises, a numpy
-    scalar or an array compared elementwise; the head table, the parent
-    level of plan 1, goes through it too.  ``sup`` is a scalar or such an
-    array that bounds ``ax`` on the slots of the rows each entry reduces.
-    Returns the visited plans in plan order as (plan, values, level max),
-    and the largest of those maxima.
+    def __init__(self, sup: float):
+        self.sup = sup
+
+    higher = staticmethod(max)
+
+    @staticmethod
+    def peak(vals: np.ndarray, top: np.ndarray) -> float:
+        return float(vals.max())
+
+    @staticmethod
+    def above(value: float) -> float:
+        return math.nextafter(value, math.inf)
+
+    @staticmethod
+    def need_of(need: float, top: np.ndarray) -> float:
+        return need
+
+
+class _LabelCaps:
+    """Caps on the largest orbit label, ``at`` ascending and each at least
+    1, so holding the label 0: a row is below cap j when its largest label
+    is below ``at[j]``, and then below every later cap.  The walk's per-cap
+    numbers are arrays over the caps, each nondecreasing along them.
+
+    Each cap's rows reach only the head table's points below it.  A cap
+    where |x| vanishes on all of them holds rows of 0.0 only; such caps
+    come first, are settled at once and leave ``at``.  ``sup``, the
+    largest |x| below the last cap, bounds |x| on every row of the rest."""
+
+    def __init__(self, at: np.ndarray, heads: WindowPlan, ax: np.ndarray):
+        self.at = at  # every cap, to read each one's largest |x|
+        sups = self.peak(ax.take(heads.idx[:, 0]), heads.top)
+        self.at = at[sups > 0]
+        self.sup = sups[-1] if len(at) else 0.0
+
+    def first(self, top: np.ndarray) -> np.ndarray:
+        """The first cap each row is below; the cap count when none."""
+        return self.at.searchsorted(top, side="right")
+
+    def peak(self, vals: np.ndarray, top: np.ndarray) -> np.ndarray:
+        # the max of the rows whose first cap is each cap, then of every earlier cap's
+        most = np.full(len(self.at) + 1, -math.inf)
+        np.maximum.at(most, self.first(top), vals)
+        return np.maximum.accumulate(most[:-1])
+
+    higher = staticmethod(np.maximum)
+
+    @staticmethod
+    def above(value: np.ndarray) -> np.ndarray:
+        return np.nextafter(value, math.inf)
+
+    def need_of(self, need: np.ndarray, top: np.ndarray) -> np.ndarray:
+        # the need of each row's first cap, the least of the caps it is below
+        return np.append(need, math.inf).take(self.first(top))
+
+
+def _walk(ax: np.ndarray, cfg: RenormConfig, caps):
+    """Walk the plan rows' prefix tree node by node: a level computes only
+    the children of the parents that can still beat a cap's running max.
+
+    ``ax`` holds the absolute values of the function, and ``caps`` the
+    caps maximised over, an ``_AllRows`` or a ``_LabelCaps``.  Returns the
+    levels that computed a row, in plan order, as (plan, rows, values, max
+    per cap) with the rows ascending, and per cap the max over the full
+    tree's rows below it.
 
     A row's value is its parent's plus the term of its last slot,
     fl(fl(|x_last| w) + v_parent), so every row sums left to right, as
-    ``rho`` does.  IEEE rounding is monotone on non-negative operands, so
-    no row of plan n exceeds B_n = fl(fl(sup w_n) + B_{n-1}), where w_n
-    is the plan's largest last-slot weight and B_{n-1} the max of the
-    parent level, or that level's own B when it is not visited.  The chain
-    only grows, so once its end at the deepest plan is at most the running
-    max, no row from the current level down can exceed that max.
+    ``rho`` does, and no row is below its parent.  The head table is
+    computed whole.  Each head is a row of plan 0 or has a child with the
+    new label 0, whose largest label is the head's, so per cap the largest
+    head value below it bounds the cap's max from below before any deeper
+    gather: the running max starts there, and each computed level raises
+    it.
+
+    IEEE rounding is monotone on non-negative operands and ``caps.sup``
+    bounds |x| on every slot, so no descendant of a parent of value v
+    exceeds the chain fl(fl(sup w_n) + ...) from v down to the deepest
+    plan, w_n being each plan's largest last-slot weight.  A descendant
+    matters to a cap when it beats the cap's running max; ties matter only
+    at the head table, for a cap whose running max no row of plan 0 holds,
+    as a child in plan 1 may be the first row to hold it.  Anywhere else
+    the running max is the value of a computed row in an earlier plan than
+    any descendant, so a descendant that ties it moves neither the cap's
+    max nor the first argmax.  The running maxima grow along the caps, so
+    a parent keeps its children when its chain reaches what the first cap
+    it is below needs, the least need among the caps it is below.  Every
+    row that matters keeps all its ancestors, so the values, the first
+    argmax and every cap's max are bit-identical to the full tree's.
     """
     heads = cfg.heads
     vals = heads.weights[:, 0] * ax.take(heads.idx[:, 0])
+    top = heads.top
+    best = caps.peak(vals, top)
     plan0, *deeper = cfg.plans
     first = vals.take(plan0.parent)
-    best = level_max(plan0, first)
-    levels = [(plan0, first, best)]
-    below = level_max(heads, vals)
+    held = caps.peak(first, plan0.top)
+    levels = [(plan0, np.arange(plan0.count), first, held)]
+    # what a descendant must reach to matter: above the running max, or
+    # level with it where no row of plan 0 holds it
+    need = caps.higher(best, caps.above(held))
+    steps = [caps.sup * plan.last_max for plan in deeper]
+    # the computed rows of the level above, as parents: the head table first
+    rows = np.arange(heads.count)
     for i, plan in enumerate(deeper):
-        bound = below
-        for later in deeper[i:]:
-            bound = sup * later.last_max + bound
-        if (bound <= best).all():
+        have = rows.searchsorted(len(plan.child_count))  # the parents with children
+        if not have:
             break
-        term = ax.take(plan.idx[:, -1])
-        term *= plan.weights[:, -1]
-        term += vals.take(plan.parent)
-        vals = term
-        below = level_max(plan, vals)
-        best = np.maximum(best, below)
-        levels.append((plan, vals, below))
+        bound = vals[:have] + steps[i]
+        for step in steps[i + 1:]:
+            bound += step
+        keep = (bound >= caps.need_of(need, top[:have])).nonzero()[0]
+        if not keep.size:
+            break
+        parents = rows.take(keep)
+        count = plan.child_count.take(parents)
+        kids = plan.child_start.take(parents)[:, None] + plan.child_rank
+        rows = kids[plan.child_rank < count[:, None]]
+        term = ax.take(plan.idx[:, -1].take(rows))
+        term *= plan.weights[:, -1].take(rows)
+        term += vals.take(keep).repeat(count)
+        vals, top = term, plan.top.take(rows)
+        level = caps.peak(vals, top)
+        best = caps.higher(best, level)
+        need = caps.above(best)
+        levels.append((plan, rows, vals, level))
     return levels, best
 
 
@@ -539,14 +642,15 @@ def triple_norm(x: np.ndarray, cfg: RenormConfig) -> NormResult:
     """Max of the seminorms over the enumerated tuples, with an additive
     certificate for the omitted deeper windows.
 
-    The plans are evaluated level by level down the prefix tree and only as
-    deep as a level can still beat the running max.  Rounding is monotone
-    on non-negative operands, so fl(fl(sup|x| w_n) + B), with w_n plan n's
-    largest last-slot weight and B the parent level's max, bounds every
-    row of plan n as it is computed; chained down to the deepest plan, a
-    bound at most the running max rules out every deeper row.  The first
-    plan, then the first row, holding the max wins, so skipped rows, which
-    can at most tie, never move the argmax.
+    The plans are evaluated node by node down the prefix tree (``_walk``,
+    with one cap above every label).  The running max starts at the largest
+    head value, since no row is below its parent, and a parent's children
+    are computed only while the bound fl(fl(sup|x| w_n) + v) on its
+    descendants, chained from its value v down to the deepest plan with
+    w_n each plan's largest last-slot weight, can still beat that max, or
+    tie it at a head when no row of plan 0 holds it.  The value and the
+    argmax, the first plan and then the first row holding the max, are
+    bit-identical to the full tree's.
 
     The certificate sums the geometric tail of window weights beyond the
     enumeration index of the last in-depth window; when orbit enumerations
@@ -554,18 +658,16 @@ def triple_norm(x: np.ndarray, cfg: RenormConfig) -> NormResult:
     result is flagged instead.
     """
     ax, sup = _abs_values(x, cfg)
-    levels, best = _walk(ax, sup, cfg, lambda plan, vals: vals.max())
-    plan, vals = next((plan, vals) for plan, vals, top in levels if top == best)
-    pos = int(vals.argmax())
-    ell_depth = cfg.depth * (cfg.depth - 1) // 2
-    bound = sup * enumeration_tail(cfg.bc, ell_depth)
+    levels, value = _walk(ax, cfg, _AllRows(sup))
+    plan, rows, vals = next(level[:3] for level in levels if level[3] == value)
+    pos = int(rows[vals.argmax()])
     start = int(plan.starts[pos])
     return NormResult(
-        value=float(best),
-        truncation_bound=bound,
+        value=value,
+        truncation_bound=sup * cfg._truncation_tail,
         argmax_window=(start, start + plan.n),
-        argmax_gammas=tuple(int(g) for g in plan.gammas[pos]),
-        argmax_points=tuple(cfg.space.points[int(i)] for i in plan.idx[pos]),
+        argmax_gammas=tuple(plan.gammas[pos].tolist()),
+        argmax_points=tuple(cfg.space.points[i] for i in plan.idx[pos].tolist()),
         gamma_capped=cfg.gamma_capped,
         coverage_defect=cfg.coverage_defect,
     )
@@ -578,31 +680,22 @@ def gamma_cap_trace(x: np.ndarray, cfg: RenormConfig, caps: Sequence[int]) -> li
     instead of a certificate: the trace restricts the enumerated family to
     tuples whose labels all sit below each cap.
 
-    The walk is ``triple_norm``'s, per cap.  A row's largest label is at
-    least its parent's, so a row below a cap extends a parent below it, and
-    the monotone-rounding bound chained from the parent level's max below
-    the cap bounds every deeper row below it.  Each cap's bound takes |x|
-    at its own sup: the largest |x| over the orbit points of the labels
-    below the cap, which are the only points its rows reach.  The walk
-    stops once that bound is at most the running max of every cap.
+    The walk is ``triple_norm``'s, with every cap at once.  A row's largest
+    label is at least its parent's, so a row below a cap extends a parent
+    below it, and a parent keeps its children while its chained bound can
+    still beat the running max of the first cap it is below.  A cap whose
+    orbit points all vanish, the only points its rows reach, holds 0.0 and
+    settles at once.  Every cap's value is bit-identical to the max over
+    the full tree's rows below it.
     """
     ax = _abs_values(x, cfg)[0]
     caps = sorted(set(int(c) for c in caps))
-    heads = cfg.heads
-    # a cap past the largest label keeps every row
-    hi = int(heads.cap_labels[-1]) + 1
-    at = np.array([min(max(c, 0), hi) for c in caps], dtype=np.intp)
-
-    def below_caps(plan: WindowPlan, vals: np.ndarray) -> np.ndarray:
-        # the max of each largest label's rows, then of all rows up to it
-        upto = np.maximum.accumulate(np.maximum.reduceat(vals.take(plan.cap_order), plan.cap_starts))
-        k = np.searchsorted(plan.cap_labels, at)  # the labels below each cap
-        return np.where(k > 0, upto.take(k - 1), -math.inf)
-
-    # the head table holds every orbit point once per base, with its label
-    sup = np.maximum(below_caps(heads, ax.take(heads.idx[:, 0])), 0.0)
-    best = _walk(ax, sup, cfg, below_caps)[1]
-    return [(cap, v if v > -math.inf else 0.0) for cap, v in zip(caps, best.tolist())]
+    # a cap of 0 or below holds no row; one past the largest label keeps every row
+    hi = int(cfg.heads.top.max()) + 1
+    at = np.array([min(c, hi) for c in caps if c > 0], dtype=np.intp)
+    label_caps = _LabelCaps(at, cfg.heads, ax)
+    best = _walk(ax, cfg, label_caps)[1]
+    return list(zip(caps, [0.0] * (len(caps) - len(label_caps.at)) + best.tolist()))
 
 
 # ----------------------------------------------------------------------

@@ -121,17 +121,18 @@ def _fingerprint_vector(width: int) -> np.ndarray:
     return np.frombuffer(hashlib.shake_128(b"renormlab word keys").digest(8 * width), dtype=np.uint64)
 
 
-def _fingerprints(forward: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """One 64-bit fingerprint per row of ``(B, n)`` point maps and weights:
-    the dot product of the row's ``_key_rows`` integers with a fixed random
-    vector, wrapping modulo 2^64 (Karp and Rabin, "Efficient randomized
-    pattern-matching algorithms", 1987), taken over the map and the rounded
-    weight apart, so no key row is built.  Equal keys have equal
-    fingerprints; two distinct keys rarely do, and ``_next_level`` confirms
-    every equal pair on the keys themselves."""
+def _fingerprints(forward: np.ndarray, rounded: np.ndarray) -> np.ndarray:
+    """One 64-bit fingerprint per row of ``(B, n)`` point maps and weights
+    already rounded to 12 decimals: the dot product of the row's
+    ``_key_rows`` integers with a fixed random vector, wrapping modulo 2^64
+    (Karp and Rabin, "Efficient randomized pattern-matching algorithms",
+    1987), taken over the map and the rounded weight apart, so no key row
+    is built.  Equal keys have equal fingerprints; two distinct keys rarely
+    do, and ``_next_level`` confirms every equal pair on the keys
+    themselves."""
     n = forward.shape[1]
     vec = _fingerprint_vector(2 * n)
-    return forward.view(np.uint64) @ vec[:n] + np.round(weight, 12).view(np.uint64) @ vec[n:]
+    return forward.view(np.uint64) @ vec[:n] + rounded.view(np.uint64) @ vec[n:]
 
 
 def _roundtrip_defects(space: SampledSpace, forward: np.ndarray, backward: np.ndarray) -> frozenset[int]:
@@ -501,7 +502,7 @@ class _WordRows(NamedTuple):
     def of(cls, ops: Sequence[WeightedComposition]) -> "_WordRows":
         forward, weight = np.stack([g.forward for g in ops]), np.stack([g.weight for g in ops])
         return cls(forward, weight, np.stack([g.backward for g in ops]), [g.label for g in ops],
-                   [g.form for g in ops], _fingerprints(forward, weight))
+                   [g.form for g in ops], _fingerprints(forward, np.round(weight, 12)))
 
     def rows(self, start: int, stop: int | None = None) -> "_WordRows":
         """Rows start..stop as views of the arrays."""
@@ -552,7 +553,7 @@ def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, table
     """
     n, K, S = space.n, len(gens.labels), len(table.labels)
     total = len(frontier.labels) * K
-    step = max(1, _WORD_BLOCK // n)
+    step = max(1, min(_WORD_BLOCK // n, total))
     both = np.flatnonzero(np.logical_and.outer(np.array([bool(f) for f in frontier.forms], dtype=bool),
                                                np.array([bool(f) for f in gens.forms], dtype=bool)))
     forms, snaps = {}, {}
@@ -562,21 +563,31 @@ def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, table
         if c is not None:
             snaps[j] = c
     snapped = np.fromiter(snaps, dtype=np.intp, count=len(snaps))
+    # one set of block buffers serves every block of the call: flat indices,
+    # point maps, weights, and rounded weights, which composed also uses to
+    # gather the frontier's weights.  Fresh (block, n) arrays per block
+    # would be mapped and trimmed by the allocator again and again
+    at, maps = np.empty((2, step, n), dtype=np.intp)
+    weights, rounded = np.empty((2, step, n))
 
-    def composed(idx: np.ndarray, out: Sequence[np.ndarray] | None = None) -> Sequence[np.ndarray]:
+    def composed(idx: np.ndarray, out: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
         # the candidates' point maps and weights, and inverse maps when out
         # holds a third array, written to out; the re-snapped ones as built
         h, g = np.divmod(idx, K)
-        if out is None:
-            out = np.empty((len(idx), n), dtype=np.intp), np.empty((len(idx), n))
+        flat, scratch = at[:len(idx)], rounded[:len(idx)]
         # flat indices into the generator rows (entry j of row g is at
-        # g * n + j); every index is in range, and mode="wrap" gathers
-        # straight into out where the default mode copies through a temporary
-        at = frontier.forward[h] + (g * n)[:, None]
-        np.take(gens.forward, at, out=out[0], mode="wrap")
-        np.multiply(frontier.weight[h], np.take(gens.weight, at, out=out[1], mode="wrap"), out=out[1])
+        # g * n + j).  Every index here and below is in range, and
+        # mode="wrap" gathers straight into out where the default mode
+        # copies through a temporary
+        np.take(frontier.forward, h, axis=0, out=flat, mode="wrap")
+        flat += (g * n)[:, None]
+        np.take(gens.forward, flat, out=out[0], mode="wrap")
+        np.take(gens.weight, flat, out=out[1], mode="wrap")
+        np.multiply(np.take(frontier.weight, h, axis=0, out=scratch, mode="wrap"), out[1], out=out[1])
         if len(out) > 2:
-            np.take(frontier.backward, gens.backward[g] + (h * n)[:, None], out=out[2], mode="wrap")
+            np.take(gens.backward, g, axis=0, out=flat, mode="wrap")
+            flat += (h * n)[:, None]
+            np.take(frontier.backward, flat, out=out[2], mode="wrap")
         for r in np.flatnonzero(np.isin(idx, snapped)).tolist() if snaps else ():
             c = snaps[int(idx[r])]
             for rows, built in zip(out, (c.forward, c.weight, c.backward)):
@@ -594,7 +605,9 @@ def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, table
 
     fp = np.empty(total, dtype=np.uint64)
     for a in range(0, total, step):
-        fp[a:a + step] = _fingerprints(*composed(np.arange(a, min(a + step, total))))
+        b = min(step, total - a)
+        f, w = composed(np.arange(a, a + b), (maps[:b], weights[:b]))
+        fp[a:a + b] = _fingerprints(f, np.round(w, 12, out=rounded[:b]))
     fps = np.concatenate([table.fp, fp])
     # each candidate's first fingerprint-equal entry: a table row, or S + a candidate
     first = _first_entries(fps)[S:]
@@ -606,17 +619,24 @@ def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, table
     row = np.where(first[dup] < S, first[dup], S + np.searchsorted(kept, first[dup] - S))
     same = np.ones(len(dup), dtype=bool)
     for a in range(0, len(dup), step):
-        f, w = composed(dup[a:a + step])
         r = row[a:a + step]
-        same[a:a + step] = ((f == forward[r]).all(axis=1)
-                            & (np.round(w, 12).view(np.intp) == np.round(weight[r], 12).view(np.intp)).all(axis=1))
+        b = len(r)
+        f, w = composed(dup[a:a + b], (maps[:b], weights[:b]))
+        np.round(w, 12, out=rounded[:b])
+        same[a:a + b] = (f == np.take(forward, r, axis=0, out=at[:b], mode="wrap")).all(axis=1)
+        # rounded holds the candidates' weights now, so w takes the first entries'
+        np.round(np.take(weight, r, axis=0, out=w, mode="wrap"), 12, out=w)
+        same[a:a + b] &= (rounded[:b].view(np.intp) == w.view(np.intp)).all(axis=1)
     if not same.all():
         # a fingerprint collision: the entries of every fingerprint that
         # holds unequal keys are deduplicated on their keys, first occurrences
         clash = np.isin(fps, fp[dup[~same]])
         old, cand = np.flatnonzero(clash[:S]), np.flatnonzero(clash[S:])
-        keys = np.concatenate([_key_rows(table.forward[old], table.weight[old]), _key_rows(*composed(cand))])
-        firsts = np.unique(keys, axis=0, return_index=True)[1]
+        keys = [_key_rows(table.forward[old], table.weight[old])]
+        for a in range(0, len(cand), step):
+            c = cand[a:a + step]
+            keys.append(_key_rows(*composed(c, (maps[:len(c)], weights[:len(c)]))))
+        firsts = np.unique(np.concatenate(keys), axis=0, return_index=True)[1]
         kept = np.union1d(kept[~clash[S:][kept]], cand[firsts[firsts >= len(old)] - len(old)])
         forward, weight, backward = extended(kept)
 

@@ -267,8 +267,8 @@ def _plan_values_by_row(x, cfg):
 
 
 def _plan_values(x, cfg):
-    # the full prefix-tree walk that the bounded walk stops early: every
-    # row is its parent's value plus the term of its last slot
+    # the full prefix-tree walk that the pruned walk computes a few nodes
+    # of: every row is its parent's value plus the term of its last slot
     ax = np.abs(np.asarray(x, dtype=float))
     heads = cfg.heads
     vals = heads.weights[:, 0] * ax.take(heads.idx[:, 0])
@@ -321,7 +321,7 @@ def _gamma_cap_trace_full(x, cfg, caps):
 def _reweighted(cfg, scales, rng, low=0.5):
     # cfg with the last-slot weights of plans 1, 2, ... redrawn as its scale
     # times uniform(low, 1), the earlier columns following the parents: the
-    # bounded walk must not lean on the shipped weights' decay
+    # pruned walk must not lean on the shipped weights' decay
     below, plans = cfg.heads, [cfg.plans[0]]
     for plan, scale in zip(cfg.plans[1:], scales, strict=True):
         last = scale * rng.uniform(low, 1.0, size=plan.count)
@@ -434,7 +434,8 @@ def test_bounded_walk_reaches_every_level(name, request):
 def test_bounded_walk_chains_the_bound_to_the_deepest_plan(name, request):
     # plan 0 holds a max that tops every row of plan 2 by more than plan 2's
     # terms, but the deepest plan's heavy last slot lifts its row past it:
-    # only the bound chained to the deepest plan keeps plan 2 in the walk
+    # only the bound chained to the deepest plan keeps the row's ancestors
+    # in the walk
     base = request.getfixturevalue(name)
     depth_scales = [1e-3] + [1e-9] * (len(base.plans) - 3) + [1.0]
     cfg = _reweighted(base, depth_scales, np.random.default_rng(4))
@@ -471,9 +472,11 @@ def test_cap_trace_bounds_each_cap_by_its_own_max(name, request):
 @pytest.mark.parametrize("name", ["product_cfg", "product5_cfg", "product_word_capped_cfg", "line8_cfg"])
 def test_cap_trace_settles_caps_over_vanishing_points_early(name, request, monkeypatch):
     # a function that vanishes on the orbit points of every label below a
-    # small cap holds that cap's rows at 0.0; the cap's own sup, 0.0, then
-    # settles it, so the walk stops before the deepest plan (a bound by the
-    # sup over the whole sample would keep it going)
+    # small cap holds that cap's rows at 0.0: the cap settles before the
+    # walk, its rows answer to the next cap's running max, which their
+    # chains cannot reach, and the walk's levels, the plans it computed a
+    # row of, stop before the deepest plan (held to the settled cap's 0.0,
+    # the rows would go down to it)
     cfg = request.getfixturevalue(name)
     heads = cfg.heads
     depths = []
@@ -488,6 +491,67 @@ def test_cap_trace_settles_caps_over_vanishing_points_early(name, request, monke
         assert trace == _gamma_cap_trace_full(x, cfg, caps), (name, low)
         assert trace[0] == (1, 0.0)
     assert max(depths) < len(cfg.plans), depths
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", ["product_cfg", "product5_cfg"])
+def test_walk_keeps_a_low_parent_whose_heavy_descendant_holds_the_max(name, n, request):
+    # plan n's last slot weighs 2 and every other plan's 1e-9: a row of
+    # plan n whose parent sits far below the largest head value still
+    # holds the max, which only the parent's chained bound, not its value,
+    # can see coming
+    base = request.getfixturevalue(name)
+    scales = [1e-9] * (len(base.plans) - 1)
+    scales[n - 1] = 2.0
+    cfg = _reweighted(base, scales, np.random.default_rng(6), low=1.0)
+    plan = cfg.plans[n]
+    r = int(np.flatnonzero(plan.starts == 2)[5])
+    x = np.zeros(cfg.space.n)
+    x[plan.idx[r, :-1]] = 0.1
+    x[plan.idx[r, -1]] = 1.0
+    vals = _plan_values(x, cfg)
+    heads = cfg.heads
+    head_max = float((heads.weights[:, 0] * np.abs(x)[heads.idx[:, 0]]).max())
+    parent = float(vals[n - 1][plan.parent[r]]) if n > 1 else float(heads.weights[plan.parent[r], 0]) * 0.1
+    assert parent < head_max / 5 and float(vals[n][r]) > 2 * head_max
+    res = triple_norm(x, cfg)
+    assert res == _triple_norm_full(x, cfg)
+    assert res.argmax_window == (2, 2 + n) and res.argmax_gammas == tuple(plan.gammas[r].tolist())
+    caps = (1, int(plan.gammas[r].max()), int(plan.gammas[r].max()) + 1, 12)
+    assert gamma_cap_trace(x, cfg, caps) == _gamma_cap_trace_full(x, cfg, caps)
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "line8_cfg"])
+def test_walk_keeps_the_plan_1_rows_that_tie_a_head_max_plan_0_lacks(name, request):
+    # one head off the last base holds the largest head value, and weights
+    # of 1e-30 leave its children's terms below half an ulp: its first
+    # child ties it and is the first argmax, in plan 1, so the walk must
+    # keep a head whose chained bound only ties the running max
+    base = request.getfixturevalue(name)
+    cfg = _reweighted(base, [1e-30] * (len(base.plans) - 1), np.random.default_rng(8), low=1.0)
+    heads = cfg.heads
+    x = np.zeros(cfg.space.n)
+    x[heads.idx[0, 0]] = 1.0
+    assert heads.starts[0] == 1 < cfg.base_count
+    res = triple_norm(x, cfg)
+    assert res == _triple_norm_full(x, cfg)
+    assert res.value == float(heads.weights[0, 0])
+    assert res.argmax_window == (1, 2) and res.argmax_gammas == (0, 0)
+    assert gamma_cap_trace(x, cfg, (1, 2, 12)) == _gamma_cap_trace_full(x, cfg, (1, 2, 12))
+
+
+def test_walk_computes_few_rows_of_plan_1_on_noise(product_cfg):
+    # the shipped weights put plan 1's terms near 2e-3 of the head values,
+    # so only the parents of the few rows near the max keep their children
+    cfg = product_cfg
+    plan1 = cfg.plans[1]
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        x = rng.uniform(-1, 1, size=cfg.space.n)
+        levels = norm._walk(np.abs(x), cfg, norm._AllRows(float(np.abs(x).max())))[0]
+        computed = sum(len(rows) for plan, rows, *_ in levels if plan is plan1)
+        assert 0 < computed <= 0.02 * plan1.count, computed
+        assert triple_norm(x, cfg) == _triple_norm_full(x, cfg)
 
 
 @pytest.mark.parametrize("name", ["line_cfg", "product_cfg"])
@@ -518,17 +582,23 @@ def test_parent_links_point_at_row_prefixes(name, request):
         assert np.array_equal(below.starts[plan.parent], plan.starts), (name, plan.n)
         for a in ("gammas", "idx", "weights"):
             assert np.array_equal(getattr(below, a)[plan.parent], getattr(plan, a)[:, :-1]), (name, plan.n, a)
-        # every row of the level below that the plan's windows extend has children
+        # every row of the level below that the plan's windows extend has
+        # children, and the links are nondecreasing, so those children are
+        # one range of rows, which the plan records
         assert np.array_equal(np.unique(plan.parent), np.arange(plan.parent.max() + 1))
+        assert (np.diff(plan.parent) >= 0).all(), (name, plan.n)
+        assert len(plan.child_start) == len(plan.child_count) == plan.parent.max() + 1
+        for p in range(len(plan.child_count)):
+            kids = np.flatnonzero(plan.parent == p)
+            assert np.array_equal(kids, plan.child_start[p] + np.arange(plan.child_count[p])), (name, plan.n, p)
+        assert np.array_equal(plan.child_rank, np.arange(plan.child_count.max()))
         below = plan
-    # each level, the head table included, sorts its rows stably by their
-    # largest label, and a row's largest label is at least its parent's
+    assert plan0.child_start is plan0.child_count is plan0.child_rank is heads.child_start is None
+    # each level, the head table included, records each row's largest
+    # label, which is at least its parent's
     for plan in (heads, *cfg.plans):
         top = plan.gammas.max(axis=1)
-        assert np.array_equal(plan.cap_order, np.argsort(top, kind="stable"))
-        sizes = np.diff(plan.cap_starts, append=plan.count)
-        assert (np.diff(plan.cap_labels) > 0).all() and (sizes > 0).all() and plan.cap_starts[0] == 0
-        assert np.array_equal(top[plan.cap_order], np.repeat(plan.cap_labels, sizes))
+        assert np.array_equal(plan.top, top)
         assert plan.last_max == plan.weights[:, -1].max()
         if plan.parent is not None:
             parent_level = heads if plan.n <= 1 else cfg.plans[plan.n - 1]
