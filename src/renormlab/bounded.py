@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import GroupSpec, WeightedComposition
+from .operators import GroupSpec, WeightedComposition, _weight_error
 from .space import same_space
 
 log = logging.getLogger(__name__)
@@ -44,28 +44,37 @@ def _image_weight(forward: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def m_weight(group: GroupSpec) -> BoundedGroupNorm:
-    """Pointwise infimum of the enumerated word weights, with a continuity
-    report.
+    """Pointwise infimum m of the word weights up to the group's word cap,
+    the largest weight s such a word carries into each point, and a
+    continuity report, from the generators alone: no word table is built.
 
-    The infimum over the full group is approximated by words up to the
-    group's word cap; the per-cap trace is monotone and reported so the
-    stabilization is visible.  A point is flagged when m moves by at least 0.25
-    within ``space._same_point_tol`` of it.  Discontinuity flags are restricted to
-    non-isolated points: at sample scale only those can witness a genuine
-    jump of m.
-
-    The word table is read once: its column minima are m, its row minima
-    give the trace at every cap (the words of length <= c are a prefix of
-    the rows), and its weights grouped by image point give the column s
-    that ``group_norm`` reads in place of the table.
+    ``word_cap`` rounds from M_0 = S_0 = 1, each reading only the previous
+    round's arrays, solve path problems over the (min, x) and (max, x)
+    semirings (Carre, "An algebra for network routing problems", 1971):
+    ``M_c(y) = min(M_{c-1}(y), min_g a_g(y) M_{c-1}(phi_g(y)))``, S_c is the
+    max of S_{c-1} and each ``a_g S_{c-1}`` carried to its phi_g image, and
+    the trace at cap c is ``min M_c``.  Two rules set them apart from the
+    word table.  M multiplies a word's first letter first, the table its
+    last letter last, so on non-dyadic weights at cap >= 3 m can differ by
+    ulps, and s by the table's 12-decimal dedupe.  The rounds compose the
+    sampled maps, where the table re-snaps unit-weight rotation and
+    translation composites: only an off-grid one moves, and no builtin
+    group has one.  A weight that under- or overflows is refused, as the
+    table refuses it.  A point is flagged when m moves by at least 0.25
+    within ``space._same_point_tol`` of it, non-isolated points only: at
+    sample scale only those can witness a genuine jump of m.
     """
     space = group.space
-    forward, weights = group.word_table()
-    m = weights.min(axis=0)
-    prefix_min = np.minimum.accumulate(weights.min(axis=1))
-    trace = [(c, float(prefix_min[len(group.word_table(c)[0]) - 1]))
-             for c in range(1, group.word_cap + 1)]
-    s = _image_weight(forward, weights)
+    forward = np.stack([g.forward for g in group.generators])
+    weight = np.stack([g.weight for g in group.generators])
+    m, s, trace = np.ones(space.n), np.ones(space.n), []
+    for c in range(1, group.word_cap + 1):
+        m, s = (np.minimum(m, (weight * m[forward]).min(axis=0)),
+                np.maximum(s, _image_weight(forward, weight * s)))
+        trace.append((c, float(m.min())))
+    for column in (m, s):
+        if not (np.isfinite(column) & (column > 0)).all():
+            raise _weight_error(space, column)
 
     radius = space._same_point_tol
     flagged = []
@@ -95,8 +104,8 @@ class GroupNormResult:
 
 
 def group_norm(x: np.ndarray, bgn: BoundedGroupNorm) -> GroupNormResult:
-    """The weighted sup norm together with the direct sup over enumerated
-    words; for word sets closed under inversion the two agree exactly.
+    """The weighted sup norm together with the direct sup over the words up
+    to the cap; for word sets closed under inversion the two agree exactly.
 
     The direct sup ``max |weight * x[forward]|`` is read per image point as
     ``max |s * x|``, the same float: weights are positive, so
@@ -108,8 +117,12 @@ def group_norm(x: np.ndarray, bgn: BoundedGroupNorm) -> GroupNormResult:
         raise ValueError(f"function of shape {x.shape} for {bgn.s.size} points")
     value = float(np.max(np.abs(bgn.m_G * x)))
     sup_words = float(np.max(bgn.s * np.abs(x)))
-    return GroupNormResult(value=value, sup_over_words=sup_words,
-                           agree=value == sup_words or abs(value - sup_words) <= 1e-12 * max(1.0, value))
+    return GroupNormResult(value=value, sup_over_words=sup_words, agree=bool(_agree(value, sup_words)))
+
+
+def _agree(value, sup_words):
+    """Elementwise: equal (inf too), or within 1e-12 relative to max(1, value); NaN never."""
+    return (value == sup_words) | (np.abs(value - sup_words) <= 1e-12 * np.maximum(1.0, value))
 
 
 def conjugate(g: WeightedComposition, bgn: BoundedGroupNorm) -> WeightedComposition:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as rio
-from .bounded import _image_weight, conjugate, group_norm, m_weight
+from .bounded import _agree, _image_weight, conjugate, m_weight
 from .detector import certify
 from .norm import (
     WITNESS_EPS,
@@ -336,13 +336,9 @@ def task_bounded_suite(space: SampledSpace, group: GroupSpec) -> dict:
     bgn = m_weight(group)
     n_max = space.metric_form["n_max"]
     inf_idx = space.index("inf")
-    ok = bgn.m[inf_idx] == 1.0
     m_checks = {"inf": float(bgn.m[inf_idx])}
-    for n in range(1, n_max + 1):
-        i1 = space.index(f"(1,{n})")
-        i0 = space.index(f"(0,{n})")
-        if bgn.m[i1] != 0.5 or bgn.m[i0] != 1.0:
-            ok = False
+    i0, i1 = ([space.index(f"({i},{n})") for n in range(1, n_max + 1)] for i in (0, 1))
+    ok = bgn.m[inf_idx] == 1.0 and (bgn.m[i0] == 1.0).all() and (bgn.m[i1] == 0.5).all()
     ok = ok and ("inf" in bgn.flagged)
     conj_dev = 0.0
     # the first, second and last generators: g_1, g_2 and g_n_max on the full
@@ -352,9 +348,9 @@ def task_bounded_suite(space: SampledSpace, group: GroupSpec) -> dict:
         cg = conjugate(g, bgn)
         conj_dev = max(conj_dev, float(np.max(np.abs(cg.weight - 1.0))),
                        float(np.max(np.abs(_image_weight(cg.forward, cg.weight) - 1.0))))
-    # both formulas are sups of per-point columns times |x|, so they agree
-    # on every x exactly when they agree on every point's indicator
-    agree = all(group_norm(e_z, bgn).agree for e_z in np.eye(space.n))
+    # both formulas are sups of per-point columns times |x|, so they agree on
+    # every x exactly when they agree on every indicator: there m_G and s
+    agree = bool(_agree(bgn.m_G, bgn.s).all())
     ok = ok and conj_dev <= 1e-12 and agree
     return {
         "ok": bool(ok),

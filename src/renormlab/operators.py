@@ -669,6 +669,8 @@ class GroupSpec:
         _integer(self.word_cap, "group word_cap", 1)
         if not self.generators:
             raise ValueError("a group needs at least one generator")
+        if not all(same_space(g.space, self.space) for g in self.generators):
+            raise ValueError("mismatched spaces")
         gens = list(self.generators)
         keys = {g.key() for g in gens}
         for g in list(gens):
@@ -678,7 +680,6 @@ class GroupSpec:
                 keys.add(gi.key())
         self.generators = tuple(gens)
         self._table: _WordRows | None = None
-        self._counts: list[int] = []  # [c]: rows of the words of length <= c
         self._words: list[WeightedComposition] | None = None
 
     @property
@@ -689,25 +690,18 @@ class GroupSpec:
     def trivial(cls, space: SampledSpace) -> "GroupSpec":
         return cls((identity(space),), word_cap=1, label="trivial")
 
-    def _cap(self, cap: int | None) -> int:
-        """The checked cap; the word table is built on first use, breadth
-        first, one level per ``_next_level`` call."""
-        cap = self.word_cap if cap is None else cap
-        if not 0 <= cap <= self.word_cap:
-            raise ValueError(f"word cap {cap} outside 0..word_cap {self.word_cap}")
+    def _rows(self) -> _WordRows:
+        """The word table, built breadth first on first use, one ``_next_level`` per level."""
         if self._table is None:
             space = self.space
-            if not all(same_space(g.space, space) for g in self.generators):
-                raise ValueError("mismatched spaces")
             gens = _WordRows.of(self.generators)
-            table, counts, start = _WordRows.of([identity(space)]), [1], 0
+            table, start = _WordRows.of([identity(space)]), 0
             for _ in range(self.word_cap):
                 # the frontier is the last level's rows
                 frontier, start = table.rows(start), len(table.labels)
                 table = _next_level(space, frontier, gens, table)
-                counts.append(len(table.labels))
-            self._table, self._counts = table, counts
-        return cap
+            self._table = table
+        return self._table
 
     def words(self) -> list[WeightedComposition]:
         """All distinct words of length <= ``word_cap``, breadth first,
@@ -720,21 +714,18 @@ class GroupSpec:
         defects of its own maps, and repeat calls return the same list
         object.
         """
-        self._cap(None)
+        t = self._rows()
         if self._words is None:
-            t = self._table
             # the objects share one copy of the table, not the table itself
             copy = t._replace(forward=t.forward.copy(), weight=t.weight.copy(), backward=t.backward.copy())
             self._words = [copy.operator(self.space, r) for r in range(len(t.labels))]
         return self._words
 
-    def word_table(self, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Point maps and weights of the words of length <= cap (at most
-        ``word_cap``) as ``(W, n)`` arrays, row w for word w: prefix views
-        of the one table."""
-        cap = self._cap(cap)
-        count = self._counts[cap]
-        return self._table.forward[:count], self._table.weight[:count]
+    def word_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Point maps and weights of the words of length <= ``word_cap`` as
+        ``(W, n)`` arrays, row w for word w."""
+        t = self._rows()
+        return t.forward, t.weight
 
 
 # ----------------------------------------------------------------------

@@ -731,6 +731,16 @@ class _Dyadic(Metric):
         if block is not None:
             self.q[block] = 1.0
 
+    @staticmethod
+    def _n_max(form: dict, kind: str, least: int) -> int:
+        """The tag's n_max: at most 1074, since 2^-1075 is 0.0 and two points
+        of the deepest level would be at zero distance."""
+        n_max = _integer(form["n_max"], f"{kind} n_max", least)
+        if n_max > 1074:
+            raise ValueError(f"{kind} n_max must be at most 1074, where 2^-n_max is the least positive float, "
+                             f"got {n_max}")
+        return n_max
+
     def _pair(self, I, J, out):
         np.maximum(self.q[I], self.q[J], out=out)
         np.copyto(out, 0.0, where=I == J)
@@ -774,7 +784,7 @@ class _Remark25(_Dyadic):
     """
 
     def __init__(self, form: dict):
-        n_max = _integer(form["n_max"], "remark25 n_max", 3)
+        n_max = self._n_max(form, "remark25", 3)
         # first and second coordinates: the column (0, 1..n_max), (0, inf),
         # then the block (i, j) row by row
         ks = np.arange(1.0, n_max + 1)
@@ -805,7 +815,7 @@ class _Onepoint01N(_Dyadic):
     """
 
     def __init__(self, form: dict):
-        n_max = _integer(form["n_max"], "onepoint01N n_max", 2)
+        n_max = self._n_max(form, "onepoint01N", 2)
         ks = np.arange(1.0, n_max + 1)
         super().__init__(np.concatenate([ks, ks, [math.inf]]))  # (0, k), (1, k), then inf
         self.tag = {"form": "onepoint01N", "n_max": n_max}

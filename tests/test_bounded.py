@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import renormlab as rl
+from renormlab import cli, operators
 from renormlab.bounded import _image_weight, conjugate, group_norm, m_weight
 from renormlab.operators import (
     GroupSpec,
@@ -221,12 +222,16 @@ def test_group_norm_reads_no_word_table(groups, monkeypatch):
 
 
 def test_cap_trace_is_the_minimum_of_each_cap_prefix(groups):
-    # doubling weights make every cap's minimum differ
+    # doubling weights make every cap's minimum differ; each cap's words
+    # are a fresh group's of the same generators at that cap, where the
+    # expander gives only its first: its map is many-to-one, so the inverse
+    # of its inverse is a third map
     seg = rl.builtin_space("line", step=0.25, window=(0, 1))
     doubling = GroupSpec((multiplication(seg, 2.0),), word_cap=3)
     for name, group in {**groups, "doubling": doubling}.items():
+        gens = group.generators[:1] if name == "expander" else group.generators
         bgn = m_weight(group)
-        prefix = [(c, float(group.word_table(c)[1].min())) for c in range(1, group.word_cap + 1)]
+        prefix = [(c, float(GroupSpec(gens, word_cap=c).word_table()[1].min())) for c in range(1, group.word_cap + 1)]
         assert bgn.cap_trace == prefix, name
     assert [v for _, v in m_weight(doubling).cap_trace] == [0.5, 0.25, 0.125]
 
@@ -289,3 +294,109 @@ def test_swaps_and_rotations_conjugate_to_exact_isometries(swap_group):
         for g in group.generators:
             cg = conjugate(g, bgn)
             assert np.max(np.abs(_image_weight(cg.forward, cg.weight) - 1.0)) == 0.0, g.label
+
+
+def _m_weight_table(gens, cap):
+    """m, s and the cap trace of ``GroupSpec(gens, word_cap=cap)`` as
+    m_weight read them from its word table: the column minima, the largest
+    weight into each point, and the running minimum of the row minima cut
+    after each cap's words.  The words up to cap c are the table's first
+    rows, as many as a fresh ``GroupSpec(gens, word_cap=c)`` holds."""
+    tables = [GroupSpec(gens, word_cap=c).word_table() for c in range(1, cap + 1)]
+    forward, weights = tables[-1]
+    prefix_min = np.minimum.accumulate(weights.min(axis=1))
+    trace = [(c, float(prefix_min[len(f) - 1])) for c, (f, _) in enumerate(tables, 1)]
+    return weights.min(axis=0), _image_weight(forward, weights), trace
+
+
+def _weighted_permutations():
+    """A rotation of a 12-point circle and a reflection, with non-dyadic
+    weights given point by point (no form, so no word is re-snapped)."""
+    circ = rl.builtin_space("circle", count=12)
+    idx = np.arange(circ.n)
+
+    def perm(forward, weight, label):
+        backward = np.empty_like(forward)
+        backward[forward] = idx
+        return WeightedComposition(circ, weight, forward, backward, label=label)
+
+    return (perm((idx + 1) % circ.n, 0.7 + 0.1 * (idx % 3), "r"),
+            perm(idx[::-1].copy(), np.where(idx < 4, 1.3, 0.9), "f"))
+
+
+def _oracle_cases():
+    """(name, a maker of the generators as given, cap).  onepoint_swaps run
+    at n_max 6 and 50 with caps 1-3, and at 200 with caps 1-2: cap 3 there
+    is 1,333,501 words, a table of about 12 GB.  The expander's map is
+    many-to-one, so only its first generator is given: the inverse of its
+    inverse is a third map."""
+    for n_max, caps in ((6, (1, 2, 3)), (50, (1, 2, 3)), (200, (1, 2))):
+        for cap in caps:
+            yield (f"swaps n_max {n_max} cap {cap}",
+                   lambda n_max=n_max: onepoint_swap_group(rl.builtin_space("onepoint01N", n_max=n_max)).generators,
+                   cap)
+    yield "expander cap 4", lambda: _single_generator_group(word_cap=1).generators[:1], 4
+    yield "circle rotations", lambda: (circle_rotation(rl.builtin_space("circle", count=24), steps=2),), 4
+
+
+@pytest.mark.parametrize("name,gens,cap", list(_oracle_cases()), ids=[name for name, *_ in _oracle_cases()])
+def test_m_weight_is_the_word_table_path_bitwise(name, gens, cap):
+    gens = gens()
+    bgn = m_weight(GroupSpec(gens, word_cap=cap))
+    m, s, trace = _m_weight_table(gens, cap)
+    assert bgn.m.tobytes() == m.tobytes() and bgn.s.tobytes() == s.tobytes(), name
+    assert bgn.cap_trace == trace and bgn.C_G == float(s.max()), name
+
+
+@pytest.mark.parametrize("cap", [4, 6])
+def test_m_weight_is_the_word_table_path_bitwise_on_rot12(rotation_group, cap):
+    gens = rotation_group.generators[:1]
+    bgn = m_weight(GroupSpec(gens, word_cap=cap))
+    m, s, trace = _m_weight_table(gens, cap)
+    assert bgn.m.tobytes() == m.tobytes() and bgn.s.tobytes() == s.tobytes()
+    assert bgn.cap_trace == trace
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4])
+def test_m_weight_on_non_dyadic_weights_keeps_the_association_rule(cap):
+    # M multiplies a word's first letter first and the table its last
+    # letter last, so m and the trace may differ by an ulp per letter, and
+    # s by the table's 12-decimal dedupe
+    bgn = m_weight(GroupSpec(_weighted_permutations(), word_cap=cap))
+    m, s, trace = _m_weight_table(_weighted_permutations(), cap)
+    tol = 2 * cap * np.finfo(float).eps
+    assert np.all(np.abs(bgn.m - m) <= 1e-12 + tol * m)
+    assert np.all(np.abs(bgn.s - s) <= 1e-12 + tol * s)
+    assert [c for c, _ in bgn.cap_trace] == [c for c, _ in trace] == list(range(1, cap + 1))
+    assert all(abs(a - b) <= 1e-12 + tol * b for (_, a), (_, b) in zip(bgn.cap_trace, trace))
+    # two letters associate one way only; from three on the rule is needed
+    assert (bgn.m.tobytes() == m.tobytes()) == (cap == 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_m_weight_refuses_a_word_weight_that_under_or_overflows(onepoint_space, scale):
+    # level 2 squares the weights: m underflows to 0 and s overflows to inf,
+    # where the word table refuses the word
+    group = GroupSpec((multiplication(onepoint_space, scale),), word_cap=2)
+    with pytest.raises(ValueError, match=r"^weight 0\.0 at point '\(0,1\)': must be positive and finite$"):
+        m_weight(group)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        group.word_table()
+    assert m_weight(GroupSpec(group.generators, word_cap=1)).C_G == max(scale, 1 / scale)
+
+
+def test_m_weight_and_the_bounded_suite_build_no_word_table(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a word table was built")
+
+    monkeypatch.setattr(operators, "_next_level", refuse)
+    for _, gens, cap in _oracle_cases():
+        m_weight(GroupSpec(gens(), word_cap=cap))
+    m_weight(GroupSpec(_weighted_permutations(), word_cap=4))
+    scenario = {"space": {"builtin": "onepoint01N", "params": {"n_max": 50}},
+                "group": {"builtin": "onepoint_swaps", "word_cap": 3}, "tasks": ["bounded-suite"]}
+    assert cli.run(scenario, tmp_path / "out") == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--space", "onepoint01N", "--bounded-group", "onepoint_swaps", "--mg-report"]) == 0
+    assert '"C_G": 2.0' in capsys.readouterr().out

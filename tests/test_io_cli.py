@@ -1006,3 +1006,15 @@ def test_cli_eval_rejects_bad_ids_and_values_on_every_flag(eval_dir, bad_id, val
         code, err = _eval_exit(argv)
         assert code == 2, (argv, err)
         assert all(name in err for name in names), (argv, err)
+
+
+@pytest.mark.parametrize("builtin,n_max", [("onepoint01N", 1080), ("remark25", 1075)])
+def test_run_refuses_a_dyadic_n_max_past_1074_naming_it(tmp_path, capsys, builtin, n_max):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"space": {"builtin": builtin, "params": {"n_max": n_max}},
+                                "tasks": ["build-config"]}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{builtin} n_max must be at most 1074" in err and f"got {n_max}" in err, err
+    assert "zero distance" not in err
+    assert not list((tmp_path / "out").glob("*.json"))

@@ -269,15 +269,21 @@ def test_certificate_refuses_exactly_where_the_tile_walk_does(form):
      "non-finite distance inf between points 'p0' and 'p2'"),
     ({"form": "line", "step": 1e308, "window": [-1e308, 0.7e308]},
      "non-finite distance inf between points 'p0' and 'p2'"),
-    # 2^-1075 underflows to 0: (0,1075), (1,1075) and inf all sit at q = 0
-    ({"form": "onepoint01N", "n_max": 1075}, "distinct sample points at zero distance"),
+    # 2^-1075 underflows to 0, where (0,1075), (1,1075) and inf would all
+    # sit at q = 0: the tag is refused by name before any walk
+    ({"form": "onepoint01N", "n_max": 1075},
+     "onepoint01N n_max must be at most 1074, where 2^-n_max is the least positive float, got 1075"),
     ({"form": "onepoint01N", "n_max": 1074}, None),
     ({"form": "product", "a": {"form": "circle", "count": 3},
       "b": {"form": "line", "step": 1.0, "window": [1e16, 1e16 + 4]}}, "distinct sample points at zero distance"),
 ])
 @np.errstate(invalid="ignore", over="ignore")
 def test_certificate_edge_tags(form, refusal):
-    metric = space_mod._closed_form(form)
+    try:
+        metric = space_mod._closed_form(form)
+    except ValueError as exc:  # the tag itself, and so the constructor on any points
+        assert str(exc) == refusal == _constructor_verdict(form, ("p0", "p1"))
+        return
     points = tuple(f"p{i}" for i in range(metric.n))
     assert _walk_verdict(metric, points) == refusal
     assert _constructor_verdict(form, points) == refusal

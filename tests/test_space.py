@@ -699,3 +699,19 @@ def test_wide_line_window_builds_one_set_per_point():
     assert sp.n == 11 and len(sp.exhaustion) <= sp.n + 1
     assert [k.label for k in sp.exhaustion] == ["[-1,1]"] + [f"[-{m},{m}]" for m in range(10**8, 10**9 + 1, 10**8)]
     assert [len(k) for k in sp.exhaustion] == list(range(1, 12))
+
+
+@pytest.mark.parametrize("name", ["onepoint01N", "remark25"])
+@pytest.mark.parametrize("n_max", [1075, 1080])
+def test_dyadic_n_max_past_1074_is_refused_naming_it(name, n_max):
+    # 2^-1075 rounds to 0.0, so two points of the deepest level would be at
+    # zero distance; the refusal comes before any point is laid out
+    assert 2.0 ** -1074 > 0.0 == 2.0 ** -1075
+    with pytest.raises(ValueError, match=f"^{name} n_max must be at most 1074, .* got {n_max}$"):
+        builtin_space(name, n_max=n_max)
+
+
+def test_onepoint_at_n_max_1074_keeps_every_distance_positive():
+    sp = builtin_space("onepoint01N", n_max=1074)
+    assert sp.resolution == 2.0 ** -1074 > 0.0
+    assert sp.metric.pair(np.array([sp.index("(0,1074)")]), np.array([sp.index("(1,1074)")]))[0] == 2.0 ** -1074
