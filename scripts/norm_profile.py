@@ -4,13 +4,18 @@
 Every norm and cap trace the script computes is also checked against a
 full-tree evaluation, which computes every plan row: the line functions,
 plus 20 seeded noise functions on the product config.  The script exits 1
-on any mismatch.
+on any mismatch.  Last it prints the norm evaluation's throughput on the
+product config: functions/s of triple_norm and gamma_cap_trace, each the
+median of 5 timed passes over 200 seeded noise functions.  No timing is
+checked.
 
 Usage: python3 scripts/norm_profile.py [--functions 50] [--depth 6]
 """
 
 import argparse
+import statistics
 import sys
+import time
 
 import numpy as np
 
@@ -21,6 +26,7 @@ from renormlab.operators import circle_rotation, lift
 
 CAPS = (1, 2, 3, 4, 6, 8, 12)
 NOISE_FUNCTIONS = 20
+RATE_FUNCTIONS, RATE_PASSES = 200, 5
 
 
 def full_tree(x, cfg):
@@ -55,6 +61,17 @@ def mismatches(x, cfg, caps):
     if got != want:
         found.append(f"gamma_cap_trace {got} != full tree {want}")
     return found
+
+
+def throughput(evaluate, functions):
+    """Functions per second of evaluate: the median over timed passes."""
+    rates = []
+    for _ in range(RATE_PASSES):
+        t0 = time.perf_counter()
+        for x in functions:
+            evaluate(x)
+        rates.append(len(functions) / (time.perf_counter() - t0))
+    return statistics.median(rates)
 
 
 def main():
@@ -96,6 +113,13 @@ def main():
     print(f"full-tree check: {checked} functions, {len(failed)} mismatches")
     for message in failed[:10]:
         print(f"  {message}")
+
+    rate_rng = np.random.default_rng([args.seed, 2])
+    functions = [rate_rng.uniform(-1, 1, size=prod.n) for _ in range(RATE_FUNCTIONS)]
+    print(f"norm evaluation on the product config, functions/s (median of {RATE_PASSES} passes "
+          f"over {RATE_FUNCTIONS} noise functions):")
+    print(f"  triple_norm      {throughput(lambda x: rl.triple_norm(x, pcfg), functions):>9,.0f}")
+    print(f"  gamma_cap_trace  {throughput(lambda x: gamma_cap_trace(x, pcfg, CAPS), functions):>9,.0f}")
     return 1 if failed else 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -64,15 +65,18 @@ def _zeta_column_bound(col: int) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _system_masks(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lower triangle, diagonal included, of an s x s system, and the
-    bound of every strictly-upper entry (infinite elsewhere); read-only."""
+def _system_masks(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lower triangle, diagonal included, of an s x s system, the bound
+    of every strictly-upper entry (infinite elsewhere), and the largest
+    value each entry may hold: its bound above the diagonal, 0 on and below
+    it; read-only."""
     lower = np.tri(s, dtype=bool)
     bound = np.full((s, s), np.inf)
     for k in range(1, s):
         bound[:k, k] = _zeta_column_bound(k) + _ZETA_MARGIN
-    lower.flags.writeable = bound.flags.writeable = False
-    return lower, bound
+    high = np.where(lower, 0.0, bound)
+    lower.flags.writeable = bound.flags.writeable = high.flags.writeable = False
+    return lower, bound, high
 
 
 @dataclass
@@ -93,7 +97,15 @@ class TriangularSystem:
         s = self.size
         if self.zeta.shape != (s, s):
             raise ValueError("zeta shape mismatch")
-        lower, bound = _system_masks(s)
+        lower, bound, high = _system_masks(s)
+        lam = self.lambdas.tolist()
+        # a valid system passes in one range check of zeta and one pass over
+        # the diagonal (NaN fails every comparison); only a system that
+        # fails them is scanned rule by rule, for the first broken rule
+        if (np.logical_and.reduce((self.zeta >= 0) & (self.zeta <= high), axis=None)
+                and all(1.0 <= b <= 1.1 + _ZETA_MARGIN and b - a <= _ZETA_MARGIN
+                        for a, b in zip(lam[:1] + lam, lam))):
+            return
         lam = self.lambdas
         if self.zeta[lower].any():  # any entry != 0, NaN included
             raise ValueError("zeta must be strictly upper triangular")
@@ -165,14 +177,19 @@ class WindowPlan:
     idx: np.ndarray      # (T, n+1) sample indices
     weights: np.ndarray  # (T, n+1) lambda / reciprocal weights
     # (T,) the row of the level below that row r extends by its last slot:
-    # of the head table for plans 0 and 1 (plan 0 adds no slot), of plan
-    # n-1 for n >= 2; None on the head table itself.  Nondecreasing on
-    # plans 1, 2, ..., so the children of a row are one range of rows
+    # of the head table for plans 0 and 1 (plan 0 adds no slot, and its
+    # rows are the head table's last ones), of plan n-1 for n >= 2; None on
+    # the head table itself.  Nondecreasing on plans 1, 2, ..., so the
+    # children of a row are one range of rows
     parent: np.ndarray | None = field(repr=False)
     # (T,) the largest orbit label of each row, at least its parent's
     top: np.ndarray = field(init=False, repr=False)
     # the largest weight of the last slot, which bounds the level's terms
     last_max: float = field(init=False, repr=False)
+    # the last slot's columns of idx and weights, as views: contiguous on
+    # the plans that ``_extend`` stores column-major
+    _last_idx: np.ndarray = field(init=False, repr=False)
+    _last_weight: np.ndarray = field(init=False, repr=False)
     # on plans 1, 2, ...: the children of row p of the level below are the
     # child_count[p] rows from child_start[p], and the rows of that level
     # past len(child_count) have none; child_rank is 0, 1, ... up to the
@@ -183,7 +200,8 @@ class WindowPlan:
 
     def __post_init__(self):
         self.top = self.gammas.max(axis=1)
-        self.last_max = float(self.weights[:, -1].max())
+        self._last_idx, self._last_weight = self.idx[:, -1], self.weights[:, -1]
+        self.last_max = float(self._last_weight.max())
         self.child_start = self.child_count = self.child_rank = None
         if self.n >= 1:
             edges = self.parent.searchsorted(np.arange(self.parent[-1] + 2))
@@ -222,6 +240,14 @@ class RenormConfig:
 
     def lam(self, i: int) -> float:
         return self.bc.lam(i)
+
+    @functools.cached_property
+    def _head_labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The head table's rows in label order, and where each label's rows
+        start in that order; every label up to the largest holds a head,
+        since each base's heads hold the labels 0, 1, ... of its orbit."""
+        order = self.heads.top.argsort(kind="stable")
+        return order, self.heads.top.take(order).searchsorted(np.arange(self.heads.top.max() + 1))
 
     @functools.cached_property
     def _truncation_tail(self) -> float:
@@ -497,11 +523,62 @@ def _abs_values(x: np.ndarray, cfg: RenormConfig) -> tuple[np.ndarray, float]:
         raise ValueError(f"function of shape {x.shape} for {len(points)} points; "
                          f"first point without a value: {first!r}")
     ax = np.abs(x)
-    sup = float(ax.max())  # NaN or inf exactly when some value is
+    sup = float(ax[ax.argmax()])  # NaN or inf exactly when some value is
     if not math.isfinite(sup):
         bad = np.flatnonzero(~np.isfinite(x))[0]
         raise ValueError(f"non-finite value {x[bad]} at point {points[bad]!r}")
     return ax, sup
+
+
+def _chain(v: float, steps: Sequence[float]) -> float:
+    """fl(...fl(fl(v + s_1) + s_2)... + s_k), added left to right."""
+    for s in steps:
+        v += s
+    return v
+
+
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _threshold(need: float, steps: Sequence[float]) -> float:
+    """The least float v >= 0 whose chain of the non-negative ``steps``
+    reaches ``need``, a float or inf.
+
+    IEEE rounding is monotone, so the chain is nondecreasing in v, and a
+    value v >= 0 has a chain at least ``need`` exactly when v is at least
+    the threshold.  The search starts from the chain undone step by step
+    and walks a few ulps from there, which brackets the threshold between
+    two neighbouring floats; when that is not enough, it bisects the bit
+    patterns, which order the non-negative floats, between the largest
+    float seen to fall short (else 0.0) and the least seen to reach (else
+    ``need``, whose chain is at least ``need``).
+    """
+    v = need
+    for s in reversed(steps):
+        v -= s
+    v = max(v, 0.0)
+    short, hi = None, need
+    for _ in range(4):
+        if _chain(v, steps) >= need:
+            if v == 0.0:
+                return 0.0
+            hi, v = v, math.nextafter(v, 0.0)
+        else:
+            short, v = v, math.nextafter(v, math.inf)
+        if short is not None and math.nextafter(short, math.inf) == hi:
+            return hi
+    if short is None:
+        if _chain(0.0, steps) >= need:
+            return 0.0
+        short = 0.0
+    a, b = _INT64.unpack(_DOUBLE.pack(short))[0], _INT64.unpack(_DOUBLE.pack(hi))[0]
+    while b - a > 1:
+        mid = (a + b) // 2
+        if _chain(_DOUBLE.unpack(_INT64.pack(mid))[0], steps) >= need:
+            b = mid
+        else:
+            a = mid
+    return _DOUBLE.unpack(_INT64.pack(b))[0]
 
 
 class _AllRows:
@@ -509,50 +586,71 @@ class _AllRows:
     walk's per-cap numbers are floats, and ``sup`` bounds |x| on the head
     table's points."""
 
+    labelled = False  # whether the walk must track each row's largest label
+
     def __init__(self, sup: float):
         self.sup = sup
 
     higher = staticmethod(max)
 
     @staticmethod
-    def peak(vals: np.ndarray, top: np.ndarray) -> float:
-        return float(vals.max())
+    def peak(vals: np.ndarray, top: None) -> float:
+        return float(vals[vals.argmax()])  # argmax skips max's Python wrapper
+
+    def head_peak(self, vals: np.ndarray) -> float:
+        return self.peak(vals, None)
 
     @staticmethod
     def above(value: float) -> float:
         return math.nextafter(value, math.inf)
 
     @staticmethod
-    def need_of(need: float, top: np.ndarray) -> float:
-        return need
+    def keep(vals: np.ndarray, need: float, steps: Sequence[float], top: None) -> np.ndarray:
+        # one threshold for every row, met exactly where the row's chain reaches the need
+        return (vals >= _threshold(need, steps)).nonzero()[0]
 
 
 class _LabelCaps:
-    """Caps on the largest orbit label, ``at`` ascending and each at least
-    1, so holding the label 0: a row is below cap j when its largest label
-    is below ``at[j]``, and then below every later cap.  The walk's per-cap
-    numbers are arrays over the caps, each nondecreasing along them.
+    """Caps on the largest orbit label, ascending and each at least 1, so
+    holding the label 0: a row is below a cap when its largest label is
+    below it, and then below every later cap.  The walk's per-cap numbers
+    are arrays over the caps, each nondecreasing along them.
+
+    Labels are below ``labels``, one past the head table's largest, and a
+    cap above that holds every row, as one at ``labels`` does.  Each call
+    maps labels to caps through tables over the labels: ``first``, the
+    first cap above each label (the cap count past the last), and ``ends``,
+    the largest label below each cap.  The head table's rows, read in
+    label order (``RenormConfig._head_labels``), give each label's max in
+    one reduction.
 
     Each cap's rows reach only the head table's points below it.  A cap
     where |x| vanishes on all of them holds rows of 0.0 only; such caps
     come first, are settled at once and leave ``at``.  ``sup``, the
     largest |x| below the last cap, bounds |x| on every row of the rest."""
 
-    def __init__(self, at: np.ndarray, heads: WindowPlan, ax: np.ndarray):
-        self.at = at  # every cap, to read each one's largest |x|
-        sups = self.peak(ax.take(heads.idx[:, 0]), heads.top)
-        self.at = at[sups > 0]
-        self.sup = sups[-1] if len(at) else 0.0
+    labelled = True
 
-    def first(self, top: np.ndarray) -> np.ndarray:
-        """The first cap each row is below; the cap count when none."""
-        return self.at.searchsorted(top, side="right")
+    def __init__(self, caps: Sequence[int], cfg: RenormConfig, ax: np.ndarray):
+        self.order, self.starts = cfg._head_labels
+        self.labels = len(self.starts)
+        at = np.array([min(c, self.labels) for c in caps], dtype=np.intp)
+        self.ends = at - 1  # every cap, to read each one's largest |x|
+        sups = self.head_peak(ax.take(cfg.heads._last_idx))
+        self.at = at[sups > 0]
+        self.ends = self.at - 1
+        self.first = self.at.searchsorted(np.arange(self.labels), side="right")
+        self.sup = float(sups[-1]) if len(at) else 0.0
 
     def peak(self, vals: np.ndarray, top: np.ndarray) -> np.ndarray:
-        # the max of the rows whose first cap is each cap, then of every earlier cap's
-        most = np.full(len(self.at) + 1, -math.inf)
-        np.maximum.at(most, self.first(top), vals)
-        return np.maximum.accumulate(most[:-1])
+        # the max of the rows of each largest label, then of every label below each cap
+        most = np.full(self.labels, -math.inf)
+        np.maximum.at(most, top, vals)
+        return np.maximum.accumulate(most).take(self.ends)
+
+    def head_peak(self, vals: np.ndarray) -> np.ndarray:
+        # peak over the head table, whose every label holds a row
+        return np.maximum.accumulate(np.maximum.reduceat(vals.take(self.order), self.starts)).take(self.ends)
 
     higher = staticmethod(np.maximum)
 
@@ -560,9 +658,17 @@ class _LabelCaps:
     def above(value: np.ndarray) -> np.ndarray:
         return np.nextafter(value, math.inf)
 
-    def need_of(self, need: np.ndarray, top: np.ndarray) -> np.ndarray:
-        # the need of each row's first cap, the least of the caps it is below
-        return np.append(need, math.inf).take(self.first(top))
+    def keep(self, vals: np.ndarray, need: np.ndarray, steps: Sequence[float], top: np.ndarray) -> np.ndarray:
+        # each row's chain against the need of the first cap above its
+        # largest label, the least need among the caps it is below; a row
+        # above every cap needs inf, as neither it nor its descendants are
+        # below one.  The chain is added per row, not met by a threshold
+        # per cap: up to one scalar search per cap and level costs more
+        # than the few adds over the parents
+        bound = vals + steps[0]
+        for s in steps[1:]:
+            bound += s
+        return (bound >= np.append(need, math.inf).take(self.first).take(top)).nonzero()[0]
 
 
 def _walk(ax: np.ndarray, cfg: RenormConfig, caps):
@@ -572,17 +678,18 @@ def _walk(ax: np.ndarray, cfg: RenormConfig, caps):
     ``ax`` holds the absolute values of the function, and ``caps`` the
     caps maximised over, an ``_AllRows`` or a ``_LabelCaps``.  Returns the
     levels that computed a row, in plan order, as (plan, rows, values, max
-    per cap) with the rows ascending, and per cap the max over the full
-    tree's rows below it.
+    per cap) with the rows ascending (a ``range`` when they are one
+    parent's children), and per cap the max over the full tree's rows
+    below it.
 
     A row's value is its parent's plus the term of its last slot,
     fl(fl(|x_last| w) + v_parent), so every row sums left to right, as
     ``rho`` does, and no row is below its parent.  The head table is
-    computed whole.  Each head is a row of plan 0 or has a child with the
-    new label 0, whose largest label is the head's, so per cap the largest
-    head value below it bounds the cap's max from below before any deeper
-    gather: the running max starts there, and each computed level raises
-    it.
+    computed whole, and plan 0 is its last rows.  Each head is a row of
+    plan 0 or has a child with the new label 0, whose largest label is the
+    head's, so per cap the largest head value below it bounds the cap's
+    max from below before any deeper gather: the running max starts there,
+    and each computed level raises it.
 
     IEEE rounding is monotone on non-negative operands and ``caps.sup``
     bounds |x| on every slot, so no descendant of a parent of value v
@@ -595,42 +702,58 @@ def _walk(ax: np.ndarray, cfg: RenormConfig, caps):
     any descendant, so a descendant that ties it moves neither the cap's
     max nor the first argmax.  The running maxima grow along the caps, so
     a parent keeps its children when its chain reaches what the first cap
-    it is below needs, the least need among the caps it is below.  Every
-    row that matters keeps all its ancestors, so the values, the first
-    argmax and every cap's max are bit-identical to the full tree's.
+    it is below needs, the least need among the caps it is below
+    (``caps.keep``).  The chain is monotone in v, so under one cap each
+    level compares the parents' values once with the least value whose
+    chain reaches the need (``_threshold``).  Every row that matters keeps
+    all its ancestors, so the values, the first argmax and every cap's max
+    are bit-identical to the full tree's.
     """
     heads = cfg.heads
-    vals = heads.weights[:, 0] * ax.take(heads.idx[:, 0])
-    top = heads.top
-    best = caps.peak(vals, top)
+    vals = ax.take(heads._last_idx)
+    vals *= heads._last_weight
+    top = heads.top if caps.labelled else None
+    best = caps.head_peak(vals)
     plan0, *deeper = cfg.plans
-    first = vals.take(plan0.parent)
+    first = vals[-plan0.count:]
     held = caps.peak(first, plan0.top)
-    levels = [(plan0, np.arange(plan0.count), first, held)]
+    levels = [(plan0, range(plan0.count), first, held)]
     # what a descendant must reach to matter: above the running max, or
     # level with it where no row of plan 0 holds it
     need = caps.higher(best, caps.above(held))
     steps = [caps.sup * plan.last_max for plan in deeper]
     # the computed rows of the level above, as parents: the head table first
-    rows = np.arange(heads.count)
+    rows = range(heads.count)
     for i, plan in enumerate(deeper):
-        have = rows.searchsorted(len(plan.child_count))  # the parents with children
-        if not have:
+        # the parents with children are the rows before len(child_count)
+        ends = len(plan.child_count)
+        have = min(rows.stop, ends) - rows.start if type(rows) is range else int(rows.searchsorted(ends))
+        if have <= 0:
             break
-        bound = vals[:have] + steps[i]
-        for step in steps[i + 1:]:
-            bound += step
-        keep = (bound >= caps.need_of(need, top[:have])).nonzero()[0]
+        keep = caps.keep(vals[:have], need, steps[i:], None if top is None else top[:have])
         if not keep.size:
             break
-        parents = rows.take(keep)
-        count = plan.child_count.take(parents)
-        kids = plan.child_start.take(parents)[:, None] + plan.child_rank
-        rows = kids[plan.child_rank < count[:, None]]
-        term = ax.take(plan.idx[:, -1].take(rows))
-        term *= plan.weights[:, -1].take(rows)
-        term += vals.take(keep).repeat(count)
-        vals, top = term, plan.top.take(rows)
+        if keep.size == 1:
+            # one parent: its children are one range of rows, sliced
+            k = keep.item()
+            lo = int(plan.child_start[rows[k]])
+            rows = range(lo, lo + int(plan.child_count[rows[k]]))
+            term = ax.take(plan._last_idx[lo:rows.stop])
+            term *= plan._last_weight[lo:rows.stop]
+            term += vals[k]
+            if top is not None:
+                top = plan.top[lo:rows.stop]
+        else:
+            parents = keep + rows.start if type(rows) is range else rows.take(keep)
+            count = plan.child_count.take(parents)
+            kids = plan.child_start.take(parents)[:, None] + plan.child_rank
+            rows = kids[plan.child_rank < count[:, None]]
+            term = ax.take(plan._last_idx.take(rows))
+            term *= plan._last_weight.take(rows)
+            term += vals.take(keep).repeat(count)
+            if top is not None:
+                top = plan.top.take(rows)
+        vals = term
         level = caps.peak(vals, top)
         best = caps.higher(best, level)
         need = caps.above(best)
@@ -659,15 +782,18 @@ def triple_norm(x: np.ndarray, cfg: RenormConfig) -> NormResult:
     """
     ax, sup = _abs_values(x, cfg)
     levels, value = _walk(ax, cfg, _AllRows(sup))
-    plan, rows, vals = next(level[:3] for level in levels if level[3] == value)
+    for plan, rows, vals, most in levels:
+        if most == value:
+            break
     pos = int(rows[vals.argmax()])
     start = int(plan.starts[pos])
+    points = cfg.space.points
     return NormResult(
         value=value,
         truncation_bound=sup * cfg._truncation_tail,
         argmax_window=(start, start + plan.n),
         argmax_gammas=tuple(plan.gammas[pos].tolist()),
-        argmax_points=tuple(cfg.space.points[i] for i in plan.idx[pos].tolist()),
+        argmax_points=tuple([points[i] for i in plan.idx[pos].tolist()]),
         gamma_capped=cfg.gamma_capped,
         coverage_defect=cfg.coverage_defect,
     )
@@ -690,10 +816,8 @@ def gamma_cap_trace(x: np.ndarray, cfg: RenormConfig, caps: Sequence[int]) -> li
     """
     ax = _abs_values(x, cfg)[0]
     caps = sorted(set(int(c) for c in caps))
-    # a cap of 0 or below holds no row; one past the largest label keeps every row
-    hi = int(cfg.heads.top.max()) + 1
-    at = np.array([min(c, hi) for c in caps if c > 0], dtype=np.intp)
-    label_caps = _LabelCaps(at, cfg.heads, ax)
+    # a cap of 0 or below holds no row
+    label_caps = _LabelCaps([c for c in caps if c > 0], cfg, ax)
     best = _walk(ax, cfg, label_caps)[1]
     return list(zip(caps, [0.0] * (len(caps) - len(label_caps.at)) + best.tolist()))
 

@@ -658,7 +658,11 @@ def _next_level(space: SampledSpace, frontier: _WordRows, gens: _WordRows, table
 class GroupSpec:
     """A group given by generators, enumerated as words up to ``word_cap``.
 
-    The generator list is closed under formal inversion on construction.
+    The generator list is closed under formal inversion on construction:
+    each generator's formal inverse is appended unless the list holds it, or
+    the generator is itself some generator's formal inverse.  Closing a
+    closed list adds nothing, so a group rebuilt from its own generators
+    (as ``io.load_group`` does) is the same group.
     """
 
     generators: tuple[WeightedComposition, ...]
@@ -673,9 +677,14 @@ class GroupSpec:
             raise ValueError("mismatched spaces")
         gens = list(self.generators)
         keys = {g.key() for g in gens}
-        for g in list(gens):
-            gi = invert(g)
-            if gi.key() not in keys:
+        inverses = [invert(g) for g in gens]
+        # a generator that is already some generator's formal inverse closes
+        # that pair: inverting it again would add a new map whenever the map
+        # is many-to-one (invert is then no involution), and a group rebuilt
+        # from its own generators would grow
+        formal = {gi.key() for gi in inverses}
+        for g, gi in zip(self.generators, inverses):
+            if g.key() not in formal and gi.key() not in keys:
                 gens.append(gi)
                 keys.add(gi.key())
         self.generators = tuple(gens)

@@ -354,6 +354,19 @@ def _function(kind, cfg, rng, scale, level):
         return np.zeros(n)
     if kind == "constant":
         return np.full(n, scale)
+    if kind in ("tents", "plateau"):
+        # the benchmark's family: 2-6 tent bumps of random sign, centre and
+        # radius; a plateau clips it at half its sup, so that many heads
+        # share the max and the walk keeps several parents
+        k = int(rng.integers(2, 7))
+        centres = rng.integers(0, n, size=k)
+        radii = rng.uniform(0.2, 2.0, size=k)
+        heights = rng.uniform(0.2, 1.0, size=k) * rng.choice((-1.0, 1.0), size=k)
+        x = scale * (heights @ np.maximum(0.0, 1.0 - cfg.space.metric.cross(centres, np.arange(n)) / radii[:, None]))
+        if kind == "plateau":
+            cut = float(np.abs(x).max()) / 2
+            x = np.clip(x, -cut, cut)
+        return x
     x = scale * rng.uniform(-1, 1, size=n)
     if kind == "sparse":
         return x * (rng.uniform(size=n) < 0.02)
@@ -388,7 +401,7 @@ def test_tree_walk_matches_per_row_gather(tree_cfgs, data):
         scales = [1.0 if weights == "flat" else data.draw(st.sampled_from([1e-30, 1e-9, 1e-3, 1.0]))
                   for _ in cfg.plans[1:]]
         cfg = _reweighted(cfg, scales, rng)
-    kind = data.draw(st.sampled_from(["dense", "sparse", "zero", "constant", "deep", "half-ulp"]))
+    kind = data.draw(st.sampled_from(["dense", "sparse", "zero", "constant", "deep", "half-ulp", "tents", "plateau"]))
     scale = data.draw(st.sampled_from([1e-300, 1e-3, 1.0, 7.5, 1e300]))
     level = data.draw(st.integers(1, len(cfg.plans) - 1))
     x = _function(kind, cfg, rng, scale, level)
@@ -554,6 +567,83 @@ def test_walk_computes_few_rows_of_plan_1_on_noise(product_cfg):
         assert triple_norm(x, cfg) == _triple_norm_full(x, cfg)
 
 
+@pytest.mark.parametrize("name", ["product_cfg", "product5_cfg", "line8_cfg", "product_word_capped_cfg"])
+def test_walk_slices_one_parent_and_gathers_several(name, request):
+    # a level that keeps one parent slices its children as one range; one
+    # that keeps several gathers them: the benchmark's tent sums take the
+    # first way, their plateaus the second, and both match the full tree
+    cfg = request.getfixturevalue(name)
+    rng = np.random.default_rng(13)
+    caps = (1, 2, 3, 4, 6, 8, 12)
+    taken = {"tents": set(), "plateau": set()}
+    for kind in ("tents", "plateau") * 12:
+        x = _function(kind, cfg, rng, 1.0, 1)
+        ax = np.abs(x)
+        for walk_caps in (norm._AllRows(float(ax.max())), norm._LabelCaps(caps, cfg, ax)):
+            levels = norm._walk(ax, cfg, walk_caps)[0]
+            taken[kind] |= {type(rows) for _, rows, *_ in levels[1:]}
+        assert triple_norm(x, cfg) == _triple_norm_full(x, cfg), (name, kind)
+        assert gamma_cap_trace(x, cfg, caps) == _gamma_cap_trace_full(x, cfg, caps), (name, kind)
+    assert range in taken["tents"] and np.ndarray in taken["plateau"], taken
+
+
+def _chain_by_numpy(v, steps):
+    # the chained bound as the walk once added it, one numpy add per step
+    out = np.float64(v)
+    with np.errstate(over="ignore"):
+        for s in steps:
+            out = out + np.float64(s)
+    return out
+
+
+def _ulps_around(t, k=64):
+    below, above, out = t, t, [t]
+    for _ in range(k):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return [v for v in out if 0.0 <= v <= math.inf]
+
+
+def _check_threshold(need, steps):
+    t = norm._threshold(need, steps)
+    assert t >= 0.0
+    for v in [0.0, *_ulps_around(t)]:
+        assert (v >= t) == bool(_chain_by_numpy(v, steps) >= need), (need, steps, t, v)
+    return t
+
+
+@pytest.mark.parametrize("need,steps,expect", [
+    # shipped-like: steps near 2e-3, 1e-5 and 3e-8 of the need
+    (math.nextafter(0.75, 1), [1.5e-3, 7.5e-6, 2.2e-8], None),
+    # need minus the steps' sum is negative: every value reaches it
+    (1e-3, [1.0, 0.5], 0.0),
+    (0.3, [0.1, 0.2], 0.0),
+    # sup = 0, so every step is 0: the threshold is the need itself
+    (5e-324, [0.0, 0.0, 0.0], 5e-324),
+    (0.625, [0.0], 0.625),
+    # a need of inf: only a chain that overflows reaches it
+    (math.inf, [1.0, 2.0], math.inf),
+    (math.inf, [1e308, 1e308], None),
+    # steps below half an ulp of the need: no value short of it reaches it
+    (1.0, [1e-17, 1e-17, 1e-17], 1.0),
+    # tiny needs and steps, near the subnormals
+    (3e-320, [1e-320, 5e-324], None),
+])
+def test_threshold_is_met_exactly_where_the_chain_reaches_the_need(need, steps, expect):
+    t = _check_threshold(need, steps)
+    if expect is not None:
+        assert t == expect
+
+
+@given(need=st.floats(0.0, 1e300) | st.sampled_from([math.inf, 5e-324, 1.0]),
+       steps=st.lists(st.floats(0.0, 1e300) | st.floats(0.0, 1e-300) | st.just(0.0), min_size=1, max_size=5),
+       scale=st.sampled_from([1.0, 1e-3, 1e-16, 1e3]))
+@settings(max_examples=300, deadline=None)
+def test_threshold_matches_the_chain_on_drawn_steps(need, steps, scale):
+    # steps scaled near the need reach the ulp walk's edge and the bisection
+    _check_threshold(need, [s * scale if need == math.inf else min(s, need) * scale for s in steps])
+
+
 @pytest.mark.parametrize("name", ["line_cfg", "product_cfg"])
 def test_constant_functions_keep_the_first_argmax(name, request):
     # ties everywhere: plan 0 wins on zero, and the first row of the first
@@ -574,6 +664,8 @@ def test_parent_links_point_at_row_prefixes(name, request):
     assert np.array_equal(np.unique(heads.starts), np.arange(1, cfg.base_count + 1))
     plan0, *deeper = cfg.plans
     assert (plan0.starts == cfg.base_count).all()
+    # plan 0's rows are the last head rows, which the walk reads as a slice
+    assert np.array_equal(plan0.parent, np.arange(heads.count - plan0.count, heads.count))
     for a in ("starts", "gammas", "idx", "weights"):
         assert np.array_equal(getattr(heads, a)[plan0.parent], getattr(plan0, a))
     below = heads
