@@ -676,17 +676,18 @@ class GroupSpec:
         if not all(same_space(g.space, self.space) for g in self.generators):
             raise ValueError("mismatched spaces")
         gens = list(self.generators)
-        keys = {g.key() for g in gens}
+        own = [g.key() for g in gens]
         inverses = [invert(g) for g in gens]
+        inverse_keys = [gi.key() for gi in inverses]
         # a generator that is already some generator's formal inverse closes
         # that pair: inverting it again would add a new map whenever the map
         # is many-to-one (invert is then no involution), and a group rebuilt
         # from its own generators would grow
-        formal = {gi.key() for gi in inverses}
-        for g, gi in zip(self.generators, inverses):
-            if g.key() not in formal and gi.key() not in keys:
+        keys, formal = set(own), set(inverse_keys)
+        for key, gi, gi_key in zip(own, inverses, inverse_keys):
+            if key not in formal and gi_key not in keys:
                 gens.append(gi)
-                keys.add(gi.key())
+                keys.add(gi_key)
         self.generators = tuple(gens)
         self._table: _WordRows | None = None
         self._words: list[WeightedComposition] | None = None
