@@ -592,6 +592,9 @@ def main(argv=None) -> int:
     except (InputError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's ArrayMemoryError is one: not an input error
+        print(f"out of memory: renorm-lab {args.command} stopped ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return 1
     except Exception:
         traceback.print_exc()
         return 2

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .space import (CompactSet, SampledSpace, _acts_on, _finite, _integer, _nested_runs, _positive,
+from .space import (CompactSet, SampledSpace, _acts_on, _entry_run, _finite, _integer, _nested_runs, _positive,
                     same_space)
 
 __all__ = [
@@ -96,9 +96,6 @@ class WeightedComposition:
             raise ValueError(f"function of shape {f.shape} for {self.space.n} points")
         return self.weight * f[self.forward]
 
-    def key(self) -> bytes:
-        return _key_rows(self.forward[None], self.weight[None]).tobytes()
-
     def __repr__(self) -> str:
         return f"WeightedComposition({self.label or 'op'!r} on {self.space.name})"
 
@@ -106,8 +103,8 @@ class WeightedComposition:
 def _key_rows(forward: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Dedupe keys of the rows of ``(B, n)`` point maps and weights as
     ``(B, 2n)`` integers: each row's map, then its weight rounded to 12
-    decimals read as int64.  A row's bytes are its operator's ``key()``, so
-    keys compare as those bytes do: NaN equals its own bits, and -0.0 is not
+    decimals read as int64.  A row's bytes are its operator's key, so keys
+    compare as those bytes do: NaN equals its own bits, and -0.0 is not
     0.0."""
     return np.concatenate([forward, np.round(weight, 12).view(np.intp)], axis=1)
 
@@ -349,26 +346,36 @@ def remark25_map(space: SampledSpace, n: int) -> WeightedComposition:
 
 def _remark25_patches(space: SampledSpace, n_max: int, ns: Sequence[int]) -> "_PatchSequence":
     """The counterexample maps ``ns`` as patches: map n moves (0, n..n_max)
-    and (n, n..n_max), and declares its truncation edge (n, n_max)."""
-    parts = []
-    for n in ns:
-        col = np.arange(n - 1, n_max)  # (0, x) is at index x - 1 and (0, inf) at n_max
-        row = n_max + 1 + (n - 1) * n_max + col  # (n, x) is at n_max + 1 + (n - 1) n_max + x - 1
-        # forward: (0, i) -> (0, i+1), the ideal image (0, n_max + 1) of (0,
-        # n_max) snapped to (0, inf); (n, n) -> (0, n) and (n, i) -> (n, i-1)
-        forward = np.concatenate([col + 1, [n - 1], row[:-1]])
-        # backward: (0, n) -> (n, n), (0, i) -> (0, i-1) for i > n and (n,
-        # i) -> (n, i+1) for i < n_max.  (n, n_max) stays put: its ideal
-        # preimage (n, n_max + 1) has no nearby sample point, so the round
-        # trip through the backward map first sends it to (n, n_max - 1), or
-        # to (0, n_max) when n = n_max, at distance 1: the one round-trip
-        # defect, the truncation edge, declared
-        backward = np.concatenate([row[:1], col[:-1], row[1:], row[-1:]])
-        parts.append((np.concatenate([col, row]), forward, backward))
-    at, forward, backward = (np.concatenate(a) for a in zip(*parts))
-    start = np.concatenate([[0], np.cumsum([p[0].size for p in parts])])
+    and (n, n..n_max), and declares its truncation edge (n, n_max).
+
+    Every stage is built at once from index expressions.  Stage n's patch
+    is its column part, the indices c of (0, n + c) for c = 0..L-1 with L =
+    n_max - n + 1 ((0, x) is at index x - 1 and (0, inf) at n_max), then
+    its row part, the same c shifted by ``base`` = n_max + 1 + (n - 1)
+    n_max, the indices of (n, n + c)."""
+    ns = np.asarray(ns, dtype=np.intp)
+    size = n_max - ns + 1  # L: each part's length
+    start = np.concatenate([[0], np.cumsum(2 * size)])
+    stage = np.repeat(np.arange(ns.size), 2 * size)
+    n, size = ns[stage], size[stage]
+    c = np.arange(start[-1]) - start[stage]
+    row = c >= size
+    c -= size * row
+    base = n_max + 1 + (n - 1) * n_max
+    at = n - 1 + c + base * row
+    # forward: (0, i) -> (0, i+1), the ideal image (0, n_max + 1) of (0,
+    # n_max) snapped to (0, inf); (n, n) -> (0, n) and (n, i) -> (n, i-1)
+    forward = np.where(row, np.where(c == 0, n - 1, at - 1), at + 1)
+    # backward: (0, n) -> (n, n), (0, i) -> (0, i-1) for i > n and (n,
+    # i) -> (n, i+1) for i < n_max.  (n, n_max) stays put: its ideal
+    # preimage (n, n_max + 1) has no nearby sample point, so the round
+    # trip through the backward map first sends it to (n, n_max - 1), or
+    # to (0, n_max) when n = n_max, at distance 1: the one round-trip
+    # defect, the truncation edge, declared
+    backward = np.where(row, np.where(c == size - 1, at, at + 1), np.where(c == 0, at + base, at - 1))
+    labels = ns.tolist()
     return _PatchSequence(space, start, at, np.ones(at.size), forward, backward,
-                          [f"phi_{n}" for n in ns], [frozenset({n_max + n * n_max}) for n in ns])
+                          [f"phi_{m}" for m in labels], [frozenset({n_max + m * n_max}) for m in labels])
 
 
 def onepoint_swap(space: SampledSpace, n: int) -> WeightedComposition:
@@ -676,17 +683,26 @@ class GroupSpec:
         if not all(same_space(g.space, self.space) for g in self.generators):
             raise ValueError("mismatched spaces")
         gens = list(self.generators)
-        own = [g.key() for g in gens]
-        inverses = [invert(g) for g in gens]
-        inverse_keys = [gi.key() for gi in inverses]
+        # every generator's key and its formal inverse's, as invert builds
+        # that inverse (the map backward, weighted 1 / weight[backward]),
+        # from the generators stacked in blocks of about _WORD_BLOCK entries
+        own, inverse_keys = [], []
+        step = max(1, _WORD_BLOCK // self.space.n)
+        for a in range(0, len(gens), step):
+            block = gens[a:a + step]
+            forward, weight, backward = (np.stack([getattr(g, f) for g in block])
+                                         for f in ("forward", "weight", "backward"))
+            own += [row.tobytes() for row in _key_rows(forward, weight)]
+            inverse = 1.0 / np.take_along_axis(weight, backward, 1)
+            inverse_keys += [row.tobytes() for row in _key_rows(backward, inverse)]
         # a generator that is already some generator's formal inverse closes
         # that pair: inverting it again would add a new map whenever the map
         # is many-to-one (invert is then no involution), and a group rebuilt
         # from its own generators would grow
         keys, formal = set(own), set(inverse_keys)
-        for key, gi, gi_key in zip(own, inverses, inverse_keys):
+        for g, key, gi_key in zip(self.generators, own, inverse_keys):
             if key not in formal and gi_key not in keys:
-                gens.append(gi)
+                gens.append(invert(g))
                 keys.add(gi_key)
         self.generators = tuple(gens)
         self._table: _WordRows | None = None
@@ -837,9 +853,12 @@ def check_sot_convergence(
     O(points moved), however large the compacts.
 
     The compacts split into maximal nested runs (``space._nested_runs``),
-    which give e(x), the first compact of the run that holds x.  Within a
-    run K_k grows, so S_k grows with it and d(y, S_k) does not increase with
-    k; F(y), the first compact with d(y, S_k) <= eps, is read only at the
+    which give e(x), the first compact of the run that holds x;
+    consecutive compacts of one exhaustion stated by its entries, as every
+    closed-form space's is, are one run whose entries are e
+    (``space._entry_run``), so no member array is built or walked.  Within
+    a run K_k grows, so S_k grows with it and d(y, S_k) does not increase
+    with k; F(y), the first compact with d(y, S_k) <= eps, is read only at the
     preimages of the read points (``Metric._far_counts``, in closed form on
     the dyadic spaces).  Stage s then violates on compact k
 
@@ -863,8 +882,9 @@ def check_sot_convergence(
     space, metric = limit.space, limit.space.metric
     n = space.n
     stages = _stages(seq, space)
-    karrs = [K.members for K in K_list]
-    for K in K_list:
+    entries = _entry_run(K_list, n)
+    karrs = None if entries is not None else [K.members for K in K_list]
+    for K in K_list if entries is None else ():
         if K.members[0] < 0 or K.members[-1] >= n:
             raise ValueError(f"compact {K.label!r} has a member outside the limit's space "
                              f"{space.name!r} ({n} points)")
@@ -894,10 +914,14 @@ def check_sot_convergence(
 
     # per condition and compact, the first and the last violating stage
     # (from 0); horizon and -1 when none
-    first = np.full((3, len(karrs)), horizon)
-    last = np.full((3, len(karrs)), -1)
-    for k0, k1, enter in _nested_runs(karrs, n):
-        width, top = k1 - k0, karrs[k1 - 1]  # the run's last compact holds all of it
+    first = np.full((3, len(K_list)), horizon)
+    last = np.full((3, len(K_list)), -1)
+    # each run with its last compact, which holds all of it: the compacts
+    # of one exhaustion stated by its entries are one run, read from them
+    runs = (((k0, k1, enter, karrs[k1 - 1]) for k0, k1, enter in _nested_runs(karrs, n)) if entries is None
+            else [(0, len(K_list), entries, np.flatnonzero(entries < len(K_list)))])
+    for k0, k1, enter, top in runs:
+        width = k1 - k0
         held = enter[x] < k1  # the read points in the run
         e, y = enter[x[held]] - k0, bw[held]
         ys = np.sort(y)
@@ -927,9 +951,9 @@ def check_sot_convergence(
             at = slice(bounds[t], bounds[t + 1])
             points = []
             for k in (k for k in ks if K_list[k].label == label):
-                held = _holds(karrs[k], x[at])
+                held = _holds(karrs[k], x[at]) if entries is None else entries[x[at]] <= k
                 gap = (gaps[c][at][held] if c < 2
-                       else metric.set_distances(bw[at][held], [limit.backward[karrs[k]]])[:, 0])
+                       else metric.set_distances(bw[at][held], [limit.backward[K_list[k].members]])[:, 0])
                 points.append(space.points[int(x[at][held][gap.argmax()])])
             witness = (t + 1, label, min(points))
         reports.append(ConditionReport(name=name, passed=passed, thresholds=th, witness=witness))

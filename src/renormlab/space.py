@@ -14,6 +14,9 @@ reader asks for it; the library reads it only on a matrix-form space.
 
 Compactness at sample scale is a proxy: a set counts as compact when it is
 contained in an exhaustion element.  Reports carry this caveat verbatim.
+A closed-form space states its exhaustion by its entries, the first
+compact that holds each point, and builds a compact's member array only
+where a reader asks for it.
 """
 
 from __future__ import annotations
@@ -73,6 +76,51 @@ class CompactSet:
         return self.members.size
 
 
+class _Entered(CompactSet):
+    """Compact k of an exhaustion stated by its entries: the points i with
+    ``enter[i] <= k``, where the (n,) array ``enter``, shared by every
+    compact of the exhaustion, holds the first compact that holds each
+    point.  Its ``members`` are built on first read, so an exhaustion of
+    many large compacts holds O(n) indices until a reader asks for them."""
+
+    def __init__(self, enter: np.ndarray, k: int, label: str):
+        object.__setattr__(self, "enter", enter)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "label", label)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        members = np.flatnonzero(self.enter <= self.k)
+        members.flags.writeable = False
+        return members
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.enter <= self.k))
+
+
+def _exhaustion(enter: np.ndarray, labels: Sequence[str]) -> tuple[CompactSet, ...]:
+    """The nested compacts 0..len(labels)-1 whose entries are ``enter``
+    (the first compact that holds each point), read-only and shared."""
+    enter = np.asarray(enter, dtype=np.intp)
+    enter.flags.writeable = False
+    return tuple(_Entered(enter, k, label) for k, label in enumerate(labels))
+
+
+def _entry_run(compacts: Sequence[CompactSet], n: int) -> np.ndarray | None:
+    """The entries of ``compacts`` when they are the compacts k0, k0 + 1,
+    ... of one exhaustion of an n-point space stated by its entries,
+    counted from k0: each point reads the first of ``compacts`` that holds
+    it, len(compacts) or more when none does.  None for any other list,
+    whose compacts are read from their members."""
+    first = compacts[0] if compacts else None
+    if not (isinstance(first, _Entered) and first.enter.shape == (n,)):
+        return None
+    if not all(isinstance(K, _Entered) and K.enter is first.enter and K.k == first.k + j
+               for j, K in enumerate(compacts)):
+        return None
+    return first.enter if first.k == 0 else np.maximum(first.enter - first.k, 0)
+
+
 @dataclass(frozen=True, eq=False)
 class SampledSpace:
     """Finite sample of a locally compact Polish space, immutable: the
@@ -85,6 +133,8 @@ class SampledSpace:
             matrix ``metric_form``; a closed-form space is built with None
             and computes the matrix from its metric on first read.
         exhaustion: increasing compact subsets whose union is the sample.
+            A closed-form space's are stated by one (n,) entry array
+            (``_exhaustion``), which the constructor checks in O(n).
         resolution: max distance from any ideal point of the modeled space
             to the sample (a declared, conservative bound).
         isolated: per-point flag, True when the underlying (ideal) space has
@@ -144,19 +194,28 @@ class SampledSpace:
             raise ValueError("isolated flag shape mismatch")
         if not self.exhaustion:
             raise ValueError("exhaustion must be nonempty")
-        # compact k's nesting in compact k + 1 is checked before k + 1's
-        # range, so the walk reads the compacts up to the first one out of
-        # range, and that one's members in range: a compact in range lies
-        # in it exactly when it lies in those
-        karrs = [ks.members for ks in self.exhaustion]  # each sorted and unique
-        bad = next((k for k, m in enumerate(karrs) if m[0] < 0 or m[-1] >= n), len(karrs))
-        walk = karrs if bad == len(karrs) else karrs[:bad] + [karrs[bad][(karrs[bad] >= 0) & (karrs[bad] < n)]]
-        if len(list(_nested_runs(walk, n))) > 1:
-            raise ValueError("exhaustion sets are not nested")
-        if bad < len(karrs):
-            raise ValueError("exhaustion member out of range")
-        if karrs[-1].size != n:  # n distinct members in range(n) are all of it
-            raise ValueError("exhaustion does not cover the sample")
+        enter = _entry_run(self.exhaustion, n)
+        if enter is not None:
+            # compacts stated by their entries are nested and in range as
+            # built: the checks left read the entries, O(n)
+            if enter.min() > 0:
+                raise ValueError("empty compact set")
+            if enter.max() >= len(self.exhaustion):
+                raise ValueError("exhaustion does not cover the sample")
+        else:
+            # compact k's nesting in compact k + 1 is checked before k + 1's
+            # range, so the walk reads the compacts up to the first one out
+            # of range, and that one's members in range: a compact in range
+            # lies in it exactly when it lies in those
+            karrs = [ks.members for ks in self.exhaustion]  # each sorted and unique
+            bad = next((k for k, m in enumerate(karrs) if m[0] < 0 or m[-1] >= n), len(karrs))
+            walk = karrs if bad == len(karrs) else karrs[:bad] + [karrs[bad][(karrs[bad] >= 0) & (karrs[bad] < n)]]
+            if len(list(_nested_runs(walk, n))) > 1:
+                raise ValueError("exhaustion sets are not nested")
+            if bad < len(karrs):
+                raise ValueError("exhaustion member out of range")
+            if karrs[-1].size != n:  # n distinct members in range(n) are all of it
+                raise ValueError("exhaustion does not cover the sample")
 
     def __getattr__(self, name: str):
         # only reached for names not set on the instance: dmat, which the
@@ -662,13 +721,15 @@ class _Line(_Sorted):
 
     def _layout(self) -> dict:
         lo, hi = self.tag["window"]
-        enter = _line_entries(np.abs(self.x), max(abs(lo), abs(hi)))
-        # one set per distinct member set, labelled with the first m that reaches it
-        exhaustion = [CompactSet(np.flatnonzero(enter <= m), label=f"[-{m},{m}]")
-                      for m in map(int, sorted(set(enter[np.isfinite(enter)].tolist())))]
-        if not exhaustion or len(exhaustion[-1]) != self.n:
-            exhaustion.append(CompactSet(np.arange(self.n), label="window"))
-        return dict(points=tuple(f"x{c:+.6g}" for c in self.x), exhaustion=tuple(exhaustion),
+        first_m = _line_entries(np.abs(self.x), max(abs(lo), abs(hi)))
+        # one set per distinct member set, labelled with the first m that
+        # reaches it, then the whole window when some point is in none
+        ms = np.unique(first_m[np.isfinite(first_m)])
+        labels = [f"[-{m},{m}]" for m in map(int, ms.tolist())]
+        if not labels or np.isinf(first_m).any():
+            labels.append("window")
+        return dict(points=tuple(f"x{c:+.6g}" for c in self.x),
+                    exhaustion=_exhaustion(np.searchsorted(ms, first_m), labels),
                     resolution=self.tag["step"] / 2,  # every ideal window point is within half a step
                     isolated=np.zeros(self.n, dtype=bool))
 
@@ -710,7 +771,7 @@ class _Circle(_Sorted):
 
     def _layout(self) -> dict:
         return dict(points=tuple(f"c{k:03d}" for k in range(self.n)),
-                    exhaustion=(CompactSet(np.arange(self.n), label="circle"),),
+                    exhaustion=_exhaustion(np.zeros(self.n), ["circle"]),
                     resolution=math.pi / self.n,  # half the arc spacing
                     isolated=np.zeros(self.n, dtype=bool))
 
@@ -794,10 +855,11 @@ class _Remark25(_Dyadic):
 
     def _layout(self) -> dict:
         n_max = self.tag["n_max"]
-        # K_m is the column plus the block's (i, j) for i, j <= m: grid[i - 1, j - 1]
-        column, grid = np.arange(n_max + 1), np.arange(n_max + 1, self.n).reshape(n_max, n_max)
-        exhaustion = tuple(CompactSet(np.concatenate([column, grid[:m, :m].ravel()]), label=f"K{m}")
-                           for m in range(1, n_max + 1))
+        # K_m is the column plus the block's (i, j) for i, j <= m: the
+        # column enters at K_1, compact 0, and (i, j) at K_max(i, j)
+        i = np.arange(n_max)
+        enter = np.concatenate([np.zeros(n_max + 1, dtype=np.intp), np.maximum.outer(i, i).ravel()])
+        exhaustion = _exhaustion(enter, [f"K{m}" for m in range(1, n_max + 1)])
         # the ids f"({first:g},{level:g})" of the coordinates, from integers:
         # the same strings while n_max < 10**6, where :g would switch to
         # exponent form
@@ -823,7 +885,7 @@ class _Onepoint01N(_Dyadic):
     def _layout(self) -> dict:
         n_max = self.tag["n_max"]
         ids = [f"({i},{k})" for i in (0, 1) for k in range(1, n_max + 1)] + ["inf"]
-        return dict(points=tuple(ids), exhaustion=(CompactSet(np.arange(self.n), label="all"),),
+        return dict(points=tuple(ids), exhaustion=_exhaustion(np.zeros(self.n), ["all"]),
                     resolution=2.0 ** (-n_max), isolated=np.isfinite(self.level))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import renormlab as rl
+from group_oracles import close_by_inverting, op_key
 from renormlab import cli, operators
 from renormlab import io as rio
 from renormlab.bounded import _image_weight, conjugate, group_norm, m_weight
@@ -14,6 +15,7 @@ from renormlab.operators import (
     WeightedComposition,
     circle_rotation,
     identity,
+    invert,
     line_translation,
     multiplication,
     onepoint_swap_group,
@@ -94,11 +96,56 @@ def test_saved_group_reloads_as_the_same_group(name, tmp_path):
     back = rio.load_group(first, space)
     rio.save_group(back, second)
     assert first.read_bytes() == second.read_bytes()
-    assert [g.key() for g in back.generators] == [g.key() for g in group.generators]
+    assert [op_key(g) for g in back.generators] == [op_key(g) for g in group.generators]
     for a, b in zip(back.word_table(), group.word_table(), strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     if name == "expander":
         assert (len(back.generators), len(back.word_table()[0])) == (2, 7)
+
+
+def _random_generators(seed):
+    """Seeded weighted maps on a 9-point circle: permutations, with their
+    inverse map or another one, and many-to-one maps, weighted from {1/2,
+    1, 2, 3} so that keys coincide; some are given twice and some with
+    their formal inverse, in a shuffled order."""
+    sp = rl.builtin_space("circle", count=9)
+    rng = np.random.default_rng(seed)
+    gens = []
+    for k in range(int(rng.integers(1, 6))):
+        forward = rng.permutation(9) if rng.random() < 0.5 else rng.integers(0, 9, 9)
+        backward = np.argsort(forward) if rng.random() < 0.6 else rng.integers(0, 9, 9)
+        weight = rng.choice([0.5, 1.0, 2.0, 3.0], 9) if rng.random() < 0.7 else np.ones(9)
+        g = WeightedComposition(sp, weight, forward, backward, label=f"g{k}", allowed_defects=frozenset(range(9)))
+        gens += [g, *[invert(g)] * (rng.random() < 0.4), *[g] * (rng.random() < 0.2)]
+    return [gens[i] for i in rng.permutation(len(gens))]
+
+
+def _closure_cases():
+    """(name, generator list): every prefix of every builtin group's and
+    the expander's closed generator list, the prefixes as given and the
+    whole list closed already, then the seeded random lists."""
+    for name, _, group in _saved_groups():
+        for k in range(1, len(group.generators) + 1):
+            yield f"{name}[:{k}]", group.generators[:k]
+    for seed in range(40):
+        yield f"random {seed}", _random_generators(seed)
+
+
+_CLOSURE_CASES = dict(_closure_cases())
+
+
+@pytest.mark.parametrize("name", list(_CLOSURE_CASES))
+def test_keyed_closure_matches_inverting_one_generator_at_a_time(name):
+    # the generators, their order, labels, forms, defects and arrays,
+    # bitwise; a closed list's closure adds nothing (P11)
+    gens = _CLOSURE_CASES[name]
+    got, want = rl.GroupSpec(tuple(gens), word_cap=1).generators, close_by_inverting(gens)
+    assert [(g.label, g.form, g.allowed_defects) for g in got] == [(g.label, g.form, g.allowed_defects) for g in want]
+    for a, b in zip(got, want, strict=True):
+        for field in ("forward", "weight", "backward"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, field)
+    assert [op_key(g) for g in rl.GroupSpec(got, word_cap=1).generators] == [op_key(g) for g in got]
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,9 @@
 
 The loop builders below build remark25's exhaustion, its maps and a
 product's exhaustion index by index, in Python; they are the oracles for
-the library's array slices.
+the library's array slices.  The member-array layouts and the per-map
+patch loop are the paths that the exhaustions stated by their entries
+and the one-pass patches replaced, kept as oracles.
 """
 
 import dataclasses
@@ -12,7 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from renormlab.operators import _roundtrip_defects, remark25_map
+from renormlab import operators
+from renormlab import space as space_mod
+from renormlab.operators import (_PatchSequence, _roundtrip_defects, check_sot_convergence, identity,
+                                 line_translation, remark25_map, remark25_sequence)
 from renormlab.space import CompactSet, SampledSpace, builtin_space, product
 
 
@@ -181,3 +186,109 @@ def test_a_fine_line_builds_in_bounded_traced_memory():
         tracemalloc.stop()
     assert sp.n == 20_001
     assert peak < 7_000_000
+
+
+def _member_layout(space):
+    """The exhaustion of a remark25 or line space as one member array per
+    compact, as its ``_layout`` once built it."""
+    tag, n = space.metric_form, space.n
+    if tag["form"] == "remark25":
+        n_max = tag["n_max"]
+        column, grid = np.arange(n_max + 1), np.arange(n_max + 1, n).reshape(n_max, n_max)
+        return tuple(CompactSet(np.concatenate([column, grid[:m, :m].ravel()]), label=f"K{m}")
+                     for m in range(1, n_max + 1))
+    lo, hi = tag["window"]
+    enter = space_mod._line_entries(np.abs(space.metric.x), max(abs(lo), abs(hi)))
+    exhaustion = [CompactSet(np.flatnonzero(enter <= m), label=f"[-{m},{m}]")
+                  for m in map(int, sorted(set(enter[np.isfinite(enter)].tolist())))]
+    if not exhaustion or len(exhaustion[-1]) != n:
+        exhaustion.append(CompactSet(np.arange(n), label="window"))
+    return tuple(exhaustion)
+
+
+def _loop_patches(space, n_max, ns):
+    """The counterexample maps ``ns`` as patches, built one map at a time."""
+    parts = []
+    for n in ns:
+        col = np.arange(n - 1, n_max)
+        row = n_max + 1 + (n - 1) * n_max + col
+        forward = np.concatenate([col + 1, [n - 1], row[:-1]])
+        backward = np.concatenate([row[:1], col[:-1], row[1:], row[-1:]])
+        parts.append((np.concatenate([col, row]), forward, backward))
+    at, forward, backward = (np.concatenate(a) for a in zip(*parts))
+    start = np.concatenate([[0], np.cumsum([p[0].size for p in parts])])
+    return _PatchSequence(space, start, at, np.ones(at.size), forward, backward,
+                          [f"phi_{n}" for n in ns], [frozenset({n_max + n * n_max}) for n in ns])
+
+
+def _same_patches(got, want):
+    for field in ("start", "at", "weight", "forward", "backward"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert (got.labels, got.defects) == (want.labels, want.defects)
+
+
+@pytest.mark.parametrize("n_max", range(3, 61))
+def test_one_pass_patches_match_the_per_map_loop(n_max):
+    sp = builtin_space("remark25", n_max=n_max)
+    _same_patches(remark25_sequence(sp), _loop_patches(sp, n_max, range(1, n_max + 1)))
+    for n in range(1, n_max + 1):
+        _same_patches(operators._remark25_patches(sp, n_max, [n]), _loop_patches(sp, n_max, [n]))
+    for n in (1, n_max // 2 + 1, n_max):  # remark25_map's single n, as an operator
+        got, want = remark25_map(sp, n), _loop_patches(sp, n_max, [n])[0]
+        for field in ("weight", "forward", "backward"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (n, field)
+        assert (got.label, got.allowed_defects) == (want.label, want.allowed_defects)
+
+
+def _same_compacts(got, want):
+    assert [(K.label, len(K)) for K in got] == [(K.label, len(K)) for K in want]
+    for a, b in zip(got, want):
+        assert a.members.dtype == b.members.dtype and a.members.tobytes() == b.members.tobytes(), a.label
+        assert not a.members.flags.writeable
+
+
+def _sot_on_both(space, seq, limit, cut, eps):
+    """The SOT verdict on the compacts ``cut`` of the space's exhaustion,
+    read from its entries, and on the same compacts as member arrays, with
+    the labels of the compacts whose members the entry read built."""
+    entered = list(space.exhaustion[cut])
+    got = check_sot_convergence(seq, limit, entered, eps)
+    built = [K.label for K in entered if "members" in vars(K)]
+    want = check_sot_convergence(seq, limit, list(_member_layout(space)[cut]), eps)
+    return got, want, built
+
+
+@pytest.mark.parametrize("n_max", range(3, 61))
+def test_entered_exhaustion_matches_the_member_layout_on_remark25(n_max):
+    sp = builtin_space("remark25", n_max=n_max)
+    seq = remark25_sequence(sp)
+    for limit, cut, eps in ((identity(sp), slice(None, -1), 0.01), (identity(sp), slice(None), 0.3),
+                            (remark25_map(sp, 3), slice(1, None), 0.01), (identity(sp), slice(1, -1), 1e-9)):
+        got, want, built = _sot_on_both(sp, seq, limit, cut, eps)
+        assert got == want, (limit.label, cut, eps)
+        if eps == 0.01 and cut.start is None and 2.0 ** -n_max < eps:
+            # the gallery's read, the first on this space: with the column
+            # finer than eps, its witnesses and the inverse family's name
+            # K1, the one compact it builds
+            assert built == ["K1"]
+    _same_compacts(sp.exhaustion, _member_layout(sp))
+    twin = SampledSpace(name=sp.name, points=sp.points, dmat=None, exhaustion=_member_layout(sp),
+                        resolution=sp.resolution, isolated=sp.isolated, metric_form=sp.metric_form)
+    assert twin.n == sp.n
+
+
+@pytest.mark.parametrize("params", [{}, {"step": 0.5, "window": (-2.5, 3.0)}, {"step": 0.3, "window": (0.2, 0.9)},
+                                    {"step": 0.25, "window": (-3, 3)}])
+def test_entered_exhaustion_matches_the_member_layout_on_the_line(params):
+    line = builtin_space("line", **params)  # {} is the shipped line
+    step = line.metric_form["step"]
+    seq = [line_translation(line, c * step) for c in (6, 4, 3, 2, 1, 1, -1, 1, 1)]
+    for limit in (identity(line), line_translation(line, step)):
+        for cut in (slice(None), slice(1, None), slice(None, -1)):
+            if not line.exhaustion[cut]:
+                continue
+            for eps in (step / 4, 2.5 * step):
+                got, want, built = _sot_on_both(line, seq, limit, cut, eps)
+                assert got == want, (limit.label, cut, eps)
+    _same_compacts(line.exhaustion, _member_layout(line))

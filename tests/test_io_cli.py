@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
+from group_oracles import op_key
 from renormlab import io as rio
 from renormlab import cli, norm
 from renormlab import space as space_mod
@@ -264,7 +265,7 @@ def test_group_round_trip(tmp_path):
     assert len(back.generators) == len(G.generators)
     assert back.word_cap == G.word_cap
     for a, b in zip(back.generators, G.generators):
-        assert a.key() == b.key()
+        assert op_key(a) == op_key(b)
 
 
 def test_group_file_with_a_closure_tag_still_loads(tmp_path):
@@ -278,7 +279,7 @@ def test_group_file_with_a_closure_tag_still_loads(tmp_path):
     path.write_text(json.dumps({**doc, "closure_tag": True}))
     back = rio.load_group(path, sp)
     assert (back.label, back.word_cap) == (G.label, G.word_cap)
-    assert [g.key() for g in back.generators] == [g.key() for g in G.generators]
+    assert [op_key(g) for g in back.generators] == [op_key(g) for g in G.generators]
     assert rio.group_to_dict(back) == doc
 
 
@@ -349,6 +350,27 @@ def test_reports_embed_provenance(tmp_path):
 def test_cli_main_input_error(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["run", str(missing)]) == 2
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 2.49 GiB for an array")
+
+
+@pytest.mark.parametrize("argv", [["run", "SCENARIO"], ["eval", "--space", "remark25"]])
+def test_out_of_memory_exits_1_naming_the_command(argv, tmp_path, capsys, monkeypatch):
+    # the space builder raises as numpy does when an array cannot be
+    # allocated, so nothing is allocated; input errors keep exit 2
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"space": {"builtin": "remark25", "params": {"n_max": 1000}},
+                                "tasks": ["sot-gallery"]}))
+    monkeypatch.setattr(cli, "make_space", _out_of_memory)
+    argv = [str(scen) if a == "SCENARIO" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"out of memory: renorm-lab {argv[0]} stopped "
+                   "(MemoryError: Unable to allocate 2.49 GiB for an array)\n")
+    assert not (tmp_path / "out").exists()
+    assert main(["run", str(tmp_path / "nope.json")]) == 2
 
 
 def test_cli_main_bad_task(tmp_path):
