@@ -94,9 +94,6 @@ class _Entered(CompactSet):
         members.flags.writeable = False
         return members
 
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.enter <= self.k))
-
 
 def _exhaustion(enter: np.ndarray, labels: Sequence[str]) -> tuple[CompactSet, ...]:
     """The nested compacts 0..len(labels)-1 whose entries are ``enter``
@@ -196,10 +193,8 @@ class SampledSpace:
             raise ValueError("exhaustion must be nonempty")
         enter = _entry_run(self.exhaustion, n)
         if enter is not None:
-            # compacts stated by their entries are nested and in range as
-            # built: the checks left read the entries, O(n)
-            if enter.min() > 0:
-                raise ValueError("empty compact set")
+            # compacts stated by their entries are nonempty, nested and in
+            # range as built: the one check left reads the entries, O(n)
             if enter.max() >= len(self.exhaustion):
                 raise ValueError("exhaustion does not cover the sample")
         else:

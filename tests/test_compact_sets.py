@@ -273,9 +273,7 @@ def test_entered_exhaustion_matches_the_member_layout_on_remark25(n_max):
             # K1, the one compact it builds
             assert built == ["K1"]
     _same_compacts(sp.exhaustion, _member_layout(sp))
-    twin = SampledSpace(name=sp.name, points=sp.points, dmat=None, exhaustion=_member_layout(sp),
-                        resolution=sp.resolution, isolated=sp.isolated, metric_form=sp.metric_form)
-    assert twin.n == sp.n
+    assert _with_exhaustion(sp, _member_layout(sp)).n == sp.n
 
 
 @pytest.mark.parametrize("params", [{}, {"step": 0.5, "window": (-2.5, 3.0)}, {"step": 0.3, "window": (0.2, 0.9)},
@@ -292,3 +290,21 @@ def test_entered_exhaustion_matches_the_member_layout_on_the_line(params):
                 got, want, built = _sot_on_both(line, seq, limit, cut, eps)
                 assert got == want, (limit.label, cut, eps)
     _same_compacts(line.exhaustion, _member_layout(line))
+
+
+def _with_exhaustion(space, exhaustion):
+    return SampledSpace(name=space.name, points=space.points, dmat=None, exhaustion=exhaustion,
+                        resolution=space.resolution, isolated=space.isolated, metric_form=space.metric_form)
+
+
+def test_an_entered_exhaustion_is_checked_from_its_entries():
+    # building and checking the space builds no member array; a run of the
+    # compacts that misses a point is refused as a member walk refuses it
+    sp = builtin_space("remark25", n_max=6)
+    assert not any("members" in vars(K) for K in sp.exhaustion)
+    assert _with_exhaustion(sp, sp.exhaustion[2:]).n == sp.n
+    for cut in (slice(None, -1), slice(1, 3)):
+        for exhaustion in (sp.exhaustion[cut], _member_layout(sp)[cut]):
+            with pytest.raises(ValueError, match="^exhaustion does not cover the sample$"):
+                _with_exhaustion(sp, exhaustion)
+    assert not any("members" in vars(K) for K in sp.exhaustion)
