@@ -719,8 +719,8 @@ class _Line(_Sorted):
         first_m = _line_entries(np.abs(self.x), max(abs(lo), abs(hi)))
         # one set per distinct member set, labelled with the first m that
         # reaches it, then the whole window when some point is in none
-        ms = np.unique(first_m[np.isfinite(first_m)])
-        labels = [f"[-{m},{m}]" for m in map(int, ms.tolist())]
+        ms = sorted(set(first_m[np.isfinite(first_m)].tolist()))  # np.unique would import numpy.ma
+        labels = [f"[-{m},{m}]" for m in map(int, ms)]
         if not labels or np.isinf(first_m).any():
             labels.append("window")
         return dict(points=tuple(f"x{c:+.6g}" for c in self.x),
