@@ -692,9 +692,13 @@ class GroupSpec:
             block = gens[a:a + step]
             forward, weight, backward = (np.stack([getattr(g, f) for g in block])
                                          for f in ("forward", "weight", "backward"))
-            own += [row.tobytes() for row in _key_rows(forward, weight)]
-            inverse = 1.0 / np.take_along_axis(weight, backward, 1)
-            inverse_keys += [row.tobytes() for row in _key_rows(backward, inverse)]
+            rows = _key_rows(forward, weight)
+            inverse_rows = _key_rows(backward, 1.0 / np.take_along_axis(weight, backward, 1))
+            # a generator that is its own formal inverse (a swap, a flip)
+            # shares one key object, so its key is held once
+            for row, inverse_row, same in zip(rows, inverse_rows, (rows == inverse_rows).all(axis=1)):
+                own.append(row.tobytes())
+                inverse_keys.append(own[-1] if same else inverse_row.tobytes())
         # a generator that is already some generator's formal inverse closes
         # that pair: inverting it again would add a new map whenever the map
         # is many-to-one (invert is then no involution), and a group rebuilt
