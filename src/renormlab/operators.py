@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .space import (CompactSet, SampledSpace, _acts_on, _entry_run, _finite, _integer, _nested_runs, _positive,
+from .space import (CompactSet, SampledSpace, _acts_on, _finite, _integer, _nested_runs, _positive,
                     same_space)
 
 __all__ = [
@@ -393,7 +393,8 @@ def onepoint_swap(space: SampledSpace, n: int) -> WeightedComposition:
     w = np.ones(N)
     w[i0] = 2.0
     w[i1] = 0.5
-    return WeightedComposition(space, w, fwd, fwd.copy(), label=f"g_{n}")
+    # the swap is its own inverse: every round trip is exact
+    return WeightedComposition(space, w, fwd, fwd.copy(), label=f"g_{n}", measured_defects=frozenset())
 
 
 def remark25_sequence(space: SampledSpace) -> Sequence[WeightedComposition]:
@@ -858,13 +859,13 @@ def check_sot_convergence(
 
     The compacts split into maximal nested runs (``space._nested_runs``),
     which give e(x), the first compact of the run that holds x;
-    consecutive compacts of one exhaustion stated by its entries, as every
-    closed-form space's is, are one run whose entries are e
-    (``space._entry_run``), so no member array is built or walked.  Within
-    a run K_k grows, so S_k grows with it and d(y, S_k) does not increase
-    with k; F(y), the first compact with d(y, S_k) <= eps, is read only at the
-    preimages of the read points (``Metric._far_counts``, in closed form on
-    the dyadic spaces).  Stage s then violates on compact k
+    consecutive compacts of a space's exhaustion, which every space states
+    by its entries, are one run read from those, so no member array is
+    built or walked.  Within a run K_k grows, so S_k grows with it and
+    d(y, S_k) does not increase with k; F(y), the first compact with
+    d(y, S_k) <= eps, is read only at the preimages of the read points
+    (``Metric._far_counts``, in closed form on the dyadic spaces).  Stage
+    s then violates on compact k
 
     - ``inverse_images`` for each read point x whose preimage b_s(x) is too
       far, exactly the compacts in [e(x), F(b_s(x)));
@@ -877,6 +878,10 @@ def check_sot_convergence(
     in ``members`` order, at the earliest (stage, compact): a violating
     compact's largest gap exceeds eps, which no unread point's does, so it
     is the read point of least index with the largest gap there.
+
+    "Moreover" names the first compact on which the inverse family is not
+    equicontinuous.  Equicontinuity holds on subsets, so a run is checked at
+    its first compact, its last, then bisected: 2 + ceil(log2 len(run)) checks at most.
     """
     if not seq:
         raise ValueError("empty operator sequence")
@@ -886,12 +891,10 @@ def check_sot_convergence(
     space, metric = limit.space, limit.space.metric
     n = space.n
     stages = _stages(seq, space)
-    entries = _entry_run(K_list, n)
-    karrs = None if entries is not None else [K.members for K in K_list]
-    for K in K_list if entries is None else ():
-        if K.members[0] < 0 or K.members[-1] >= n:
-            raise ValueError(f"compact {K.label!r} has a member outside the limit's space "
-                             f"{space.name!r} ({n} points)")
+    bad, runs = _nested_runs(K_list, n)
+    if bad < len(K_list):
+        raise ValueError(f"compact {K_list[bad].label!r} has a member outside the limit's space "
+                         f"{space.name!r} ({n} points)")
     horizon = len(stages)
     # a stage that fixes some point has weight 1 there
     weight_bound = max(float(stages.weight.max(initial=-math.inf)),
@@ -920,11 +923,9 @@ def check_sot_convergence(
     # (from 0); horizon and -1 when none
     first = np.full((3, len(K_list)), horizon)
     last = np.full((3, len(K_list)), -1)
-    # each run with its last compact, which holds all of it: the compacts
-    # of one exhaustion stated by its entries are one run, read from them
-    runs = (((k0, k1, enter, karrs[k1 - 1]) for k0, k1, enter in _nested_runs(karrs, n)) if entries is None
-            else [(0, len(K_list), entries, np.flatnonzero(entries < len(K_list)))])
+    spans = []  # each run's first and end, the last run first
     for k0, k1, enter, top in runs:
+        spans.append((k0, k1))
         width = k1 - k0
         held = enter[x] < k1  # the read points in the run
         e, y = enter[x[held]] - k0, bw[held]
@@ -955,7 +956,7 @@ def check_sot_convergence(
             at = slice(bounds[t], bounds[t + 1])
             points = []
             for k in (k for k in ks if K_list[k].label == label):
-                held = _holds(karrs[k], x[at]) if entries is None else entries[x[at]] <= k
+                held = _holds(K_list[k].members, x[at])
                 gap = (gaps[c][at][held] if c < 2
                        else metric.set_distances(bw[at][held], [limit.backward[K_list[k].members]])[:, 0])
                 points.append(space.points[int(x[at][held][gap.argmax()])])
@@ -963,17 +964,21 @@ def check_sot_convergence(
         reports.append(ConditionReport(name=name, passed=passed, thresholds=th, witness=witness))
 
     inv_maps = stages.inverse()
-    moreover = True
-    moreover_detail = "inverse family locally equicontinuous on all supplied compacts"
-    for K in K_list:
-        eq = check_local_equicontinuity(inv_maps, K, (eps,), space)
-        if eq.witnesses:
+    moreover, moreover_detail = True, "inverse family locally equicontinuous on all supplied compacts"
+    for k0, k1 in reversed(spans):
+        lo, hi, probe = k0, k1, k0  # the first failing compact is in [lo, hi], hi = k1 for none
+        while lo < hi:
+            witnesses = check_local_equicontinuity(inv_maps, K_list[probe], (eps,), space).witnesses
+            if witnesses:
+                hi, failed = probe, witnesses
+            else:
+                lo = probe + 1
+            probe = k1 - 1 if probe == k0 else (lo + hi) // 2
+        if hi < k1:
             moreover = False
-            g_i, p, q = eq.witnesses[0][1]
-            moreover_detail = (
-                f"inverse family not equicontinuous on {K.label or 'K'}: "
-                f"member {g_i} maps {p},{q} apart"
-            )
+            g_i, p, q = failed[0][1]
+            moreover_detail = (f"inverse family not equicontinuous on {K_list[hi].label or 'K'}: "
+                               f"member {g_i} maps {p},{q} apart")
             break
 
     overall = all(r.passed for r in reports)

@@ -14,9 +14,9 @@ reader asks for it; the library reads it only on a matrix-form space.
 
 Compactness at sample scale is a proxy: a set counts as compact when it is
 contained in an exhaustion element.  Reports carry this caveat verbatim.
-A closed-form space states its exhaustion by its entries, the first
-compact that holds each point, and builds a compact's member array only
-where a reader asks for it.
+Every space states its exhaustion by its entries, the first compact that
+holds each point, and builds a compact's member array only where a
+reader asks for it.
 """
 
 from __future__ import annotations
@@ -103,21 +103,6 @@ def _exhaustion(enter: np.ndarray, labels: Sequence[str]) -> tuple[CompactSet, .
     return tuple(_Entered(enter, k, label) for k, label in enumerate(labels))
 
 
-def _entry_run(compacts: Sequence[CompactSet], n: int) -> np.ndarray | None:
-    """The entries of ``compacts`` when they are the compacts k0, k0 + 1,
-    ... of one exhaustion of an n-point space stated by its entries,
-    counted from k0: each point reads the first of ``compacts`` that holds
-    it, len(compacts) or more when none does.  None for any other list,
-    whose compacts are read from their members."""
-    first = compacts[0] if compacts else None
-    if not (isinstance(first, _Entered) and first.enter.shape == (n,)):
-        return None
-    if not all(isinstance(K, _Entered) and K.enter is first.enter and K.k == first.k + j
-               for j, K in enumerate(compacts)):
-        return None
-    return first.enter if first.k == 0 else np.maximum(first.enter - first.k, 0)
-
-
 @dataclass(frozen=True, eq=False)
 class SampledSpace:
     """Finite sample of a locally compact Polish space, immutable: the
@@ -129,9 +114,10 @@ class SampledSpace:
         dmat: full (n, n) distance matrix, read-only.  Given only with a
             matrix ``metric_form``; a closed-form space is built with None
             and computes the matrix from its metric on first read.
-        exhaustion: increasing compact subsets whose union is the sample.
-            A closed-form space's are stated by one (n,) entry array
-            (``_exhaustion``), which the constructor checks in O(n).
+        exhaustion: increasing compact subsets whose union is the sample,
+            given by members or by entries, checked as one nested run
+            (``_nested_runs``) and held as one (n,) entry array
+            (``_exhaustion``).
         resolution: max distance from any ideal point of the modeled space
             to the sample (a declared, conservative bound).
         isolated: per-point flag, True when the underlying (ideal) space has
@@ -191,26 +177,17 @@ class SampledSpace:
             raise ValueError("isolated flag shape mismatch")
         if not self.exhaustion:
             raise ValueError("exhaustion must be nonempty")
-        enter = _entry_run(self.exhaustion, n)
-        if enter is not None:
-            # compacts stated by their entries are nonempty, nested and in
-            # range as built: the one check left reads the entries, O(n)
-            if enter.max() >= len(self.exhaustion):
-                raise ValueError("exhaustion does not cover the sample")
-        else:
-            # compact k's nesting in compact k + 1 is checked before k + 1's
-            # range, so the walk reads the compacts up to the first one out
-            # of range, and that one's members in range: a compact in range
-            # lies in it exactly when it lies in those
-            karrs = [ks.members for ks in self.exhaustion]  # each sorted and unique
-            bad = next((k for k, m in enumerate(karrs) if m[0] < 0 or m[-1] >= n), len(karrs))
-            walk = karrs if bad == len(karrs) else karrs[:bad] + [karrs[bad][(karrs[bad] >= 0) & (karrs[bad] < n)]]
-            if len(list(_nested_runs(walk, n))) > 1:
-                raise ValueError("exhaustion sets are not nested")
-            if bad < len(karrs):
-                raise ValueError("exhaustion member out of range")
-            if karrs[-1].size != n:  # n distinct members in range(n) are all of it
-                raise ValueError("exhaustion does not cover the sample")
+        # compact k's nesting in compact k + 1 is checked before k + 1's
+        # range: the walk stops at the first compact out of range
+        bad, runs = _nested_runs(self.exhaustion, n)
+        first, _, enter, top = next(runs)  # the last run
+        if first:
+            raise ValueError("exhaustion sets are not nested")
+        if bad < len(self.exhaustion):
+            raise ValueError("exhaustion member out of range")
+        if top.size != n:  # n distinct members in range(n) are all of it
+            raise ValueError("exhaustion does not cover the sample")
+        object.__setattr__(self, "exhaustion", _exhaustion(enter, [K.label for K in self.exhaustion]))
 
     def __getattr__(self, name: str):
         # only reached for names not set on the instance: dmat, which the
@@ -566,48 +543,64 @@ def _acts_on(space: SampledSpace, target: SampledSpace, what: str, whose: str = 
                          f"not on {whose} space {target.name!r} ({target.n} points)")
 
 
-def _nested_runs(karrs: Sequence[np.ndarray], n: int):
-    """The maximal runs of compacts, index arrays of an n-point space, in
-    which every compact holds the one before, found by one walk from the
-    last compact to the first: ``(first, end, enter)`` for each run, the
-    last run first.
+def _nested_runs(compacts: Sequence[CompactSet], n: int):
+    """The nonempty list ``compacts`` of an n-point space as maximal runs
+    in which every compact holds the one before: ``(bad, runs)``.  ``bad``
+    is the first compact with a member outside range(n), len(compacts) when
+    none; ``runs`` yields ``(first, end, enter, top)`` for each run of the
+    compacts up to ``bad`` (its members in range), the last run first.
+    ``top`` is the sorted members of the run's last compact; ``enter[x]``,
+    for x in ``top``, is the first compact of the run that holds x, and
+    any other point reads ``end`` or more.
 
-    The walk stamps each compact's members with its position, so before
-    compact k is stamped, its members all read k + 1 exactly when compact
-    k + 1 holds them.  ``enter[x]``, for a member x of a run's last
-    compact, is the first compact of the run that holds x; any other point
-    reads ``end`` or more.  ``enter`` is one (n,) array that the walk goes
-    on stamping: read it before taking the next run."""
-    end = len(karrs)
-    enter = np.full(n, end, dtype=np.intp)
-    for k in range(end - 1, -1, -1):
-        if k + 1 < end and not (enter[karrs[k]] == k + 1).all():
-            yield k + 1, end, enter
-            end = k + 1
-        enter[karrs[k]] = k
-    yield 0, end, enter
+    The compacts k0, k0 + 1, ... of one exhaustion stated by its entries
+    are one run, read from those in O(n) with no member array built.  Any
+    other list is walked from the last compact to the first, stamping each
+    compact's members with its position, so before compact k is stamped,
+    its members all read k + 1 exactly when compact k + 1 holds them.
+    ``enter`` is then one (n,) array that the walk goes on stamping: read
+    it before taking the next run."""
+    head, end = compacts[0], len(compacts)
+    if all(isinstance(K, _Entered) and K.enter is head.enter and K.k == head.k + j
+           for j, K in enumerate(compacts)) and head.enter.shape == (n,):
+        enter = head.enter if head.k == 0 else np.maximum(head.enter - head.k, 0)
+        return end, iter([(0, end, enter, np.flatnonzero(enter < end))])
+    karrs = [K.members for K in compacts]  # each sorted and unique
+    bad = next((k for k, m in enumerate(karrs) if m[0] < 0 or m[-1] >= n), end)
+    if bad < end:
+        karrs = karrs[:bad] + [karrs[bad][(karrs[bad] >= 0) & (karrs[bad] < n)]]
+
+    def walk():
+        end = len(karrs)
+        enter = np.full(n, end, dtype=np.intp)
+        for k in range(end - 1, -1, -1):
+            if k + 1 < end and not (enter[karrs[k]] == k + 1).all():
+                yield k + 1, end, enter, karrs[end - 1]
+                end = k + 1
+            enter[karrs[k]] = k
+        yield 0, end, enter, karrs[end - 1]
+    return bad, walk()
 
 
 def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> SampledSpace:
     """Cartesian product with the max metric; exhaustion is the product of
-    exhaustions, resolution the max of resolutions."""
+    exhaustions, resolution the max of resolutions.  Compact m holds (i, j)
+    when each factor's compact min(m, last) does, that is when both entries
+    are at most m: a point's entry is the larger of its factors'."""
     na, nb = a.n, b.n
     ids = tuple(f"{pa}|{pb}" for pa in a.points for pb in b.points)
     form = {"form": "product", "a": a.metric_form, "b": b.metric_form}
-    depth = max(len(a.exhaustion), len(b.exhaustion))
-    exhaustion = []
-    for m in range(depth):
-        ka = a.exhaustion[min(m, len(a.exhaustion) - 1)]
-        kb = b.exhaustion[min(m, len(b.exhaustion) - 1)]
-        members = ka.members[:, None] * nb + kb.members  # row-major, so already sorted
-        exhaustion.append(CompactSet(members.ravel(), label=f"{ka.label}x{kb.label}"))
+    ka, kb = a.exhaustion, b.exhaustion
+    labels = [f"{ka[min(m, len(ka) - 1)].label}x{kb[min(m, len(kb) - 1)].label}"
+              for m in range(max(len(ka), len(kb)))]
     isolated = np.repeat(a.isolated, nb) & np.tile(b.isolated, na)
     return SampledSpace(
         name=name or f"{a.name}x{b.name}",
         points=ids,
         # with two closed-form factors the product's metric composes theirs
         dmat=None if _closed_form(form, (a, b)) is not None else _Max(a.metric, b.metric).dense,
-        exhaustion=tuple(exhaustion),
+        # row-major: point (ia, ib) has index ia * nb + ib
+        exhaustion=_exhaustion(np.maximum.outer(ka[0].enter, kb[0].enter).ravel(), labels),
         resolution=max(a.resolution, b.resolution),
         isolated=isolated,
         metric_form=form,

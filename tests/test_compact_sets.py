@@ -2,9 +2,10 @@
 
 The loop builders below build remark25's exhaustion, its maps and a
 product's exhaustion index by index, in Python; they are the oracles for
-the library's array slices.  The member-array layouts and the per-map
-patch loop are the paths that the exhaustions stated by their entries
-and the one-pass patches replaced, kept as oracles.
+the library's array slices.  The member-array layouts, the member-array
+product and the per-map patch loop are the paths that the exhaustions
+stated by their entries and the one-pass patches replaced, kept as
+oracles.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from renormlab import io as rio
 from renormlab import operators
 from renormlab import space as space_mod
 from renormlab.operators import (_PatchSequence, _roundtrip_defects, check_sot_convergence, identity,
@@ -104,15 +106,37 @@ def test_product_exhaustion_matches_the_loop_builder(a, b):
     assert _sets(product(fa, fb)) == _loop_product_exhaustion(fa, fb)
 
 
+def _member_product(a, b):
+    """A product's exhaustion as ``product`` built it from its factors'
+    member arrays, before it read their entries: one array per compact."""
+    ka, kb, out = a.exhaustion, b.exhaustion, []
+    for m in range(max(len(ka), len(kb))):
+        x, y = ka[min(m, len(ka) - 1)], kb[min(m, len(kb) - 1)]
+        members = x.members[:, None] * b.n + y.members  # row-major, so already sorted
+        out.append(CompactSet(members.ravel(), label=f"{x.label}x{y.label}"))
+    return tuple(out)
+
+
+_MATRIX_LINE = dataclasses.replace(_FACTORS["line"], metric_form={"form": "matrix"}, factors=())
+
+
 @pytest.mark.parametrize("space", [
     builtin_space("plane", step=0.5, window=(-2.0, 2.0)),
     builtin_space("circle_x_interval", count=6, levels=4),
     # a matrix factor
-    product(builtin_space("circle", count=4),
-            dataclasses.replace(_FACTORS["line"], metric_form={"form": "matrix"}, factors=())),
+    product(builtin_space("circle", count=4), _MATRIX_LINE),
+    builtin_space("plane"),
+    builtin_space("plane", step=0.05),
+    builtin_space("circle_x_interval"),
+    product(_FACTORS["line"], _FACTORS["circle"]),  # depths 4 and 1
+    product(_FACTORS["remark25"], _FACTORS["line"]),  # depths 3 and 4
+    product(_FACTORS["remark25"], _MATRIX_LINE),
 ])
 def test_builtin_and_matrix_products_match_the_loop_builder(space):
+    # the product of the factors' entries has the bytes, dtype and labels
+    # of the member-array product
     assert _sets(space) == _loop_product_exhaustion(*space.factors)
+    _same_compacts(space.exhaustion, _member_product(*space.factors))
 
 
 @pytest.mark.parametrize("members", [
@@ -308,3 +332,43 @@ def test_an_entered_exhaustion_is_checked_from_its_entries():
             with pytest.raises(ValueError, match="^exhaustion does not cover the sample$"):
                 _with_exhaustion(sp, exhaustion)
     assert not any("members" in vars(K) for K in sp.exhaustion)
+
+
+def _one_entry_run(space):
+    """The space holds its exhaustion as one entry array, and its
+    construction built no member array."""
+    K = space.exhaustion
+    assert all(type(k) is space_mod._Entered and k.enter is K[0].enter and k.k == j for j, k in enumerate(K))
+    assert K[0].enter.shape == (space.n,) and K[0].enter.dtype == np.intp and not K[0].enter.flags.writeable
+    assert not any("members" in vars(k) for k in K)
+
+
+_SMALL = {"line": {}, "circle": {}, "plane": {"step": 0.5}, "remark25": {"n_max": 7},
+          "onepoint01N": {"n_max": 5}, "circle_x_interval": {"count": 6, "levels": 4}}
+
+
+def _saved_spaces():
+    yield from (builtin_space(name, **_SMALL[name]) for name in space_mod.BUILTIN_NAMES)
+    yield _MATRIX_LINE
+    yield product(_FACTORS["circle"], _MATRIX_LINE)
+    yield product(_MATRIX_LINE, _MATRIX_LINE)
+
+
+@pytest.mark.parametrize("space", list(_saved_spaces()), ids=lambda sp: sp.name)
+def test_every_space_loaded_from_a_file_holds_one_entry_run(space, tmp_path):
+    # a matrix-form space is read back from its member arrays, which the
+    # constructor states by their entries; the saved document is the same
+    rio.save_space(space, tmp_path / "space.json")
+    loaded = rio.load_space(tmp_path / "space.json")
+    for sp in (loaded, *loaded.factors):
+        _one_entry_run(sp)
+    _same_compacts(loaded.exhaustion, space.exhaustion)
+    assert rio.space_to_dict(loaded) == rio.space_to_dict(space)
+
+
+@pytest.mark.parametrize("name", space_mod.BUILTIN_NAMES)
+def test_every_builtin_holds_one_entry_run(name):
+    assert set(_SMALL) == set(space_mod.BUILTIN_NAMES)
+    space = builtin_space(name, **_SMALL[name])
+    for sp in (space, *space.factors):
+        _one_entry_run(sp)

@@ -17,6 +17,7 @@ from renormlab import space as space_mod
 from renormlab.operators import (
     ConditionReport,
     SOTVerdict,
+    _roundtrip_defects,
     _tail_threshold,
     check_local_equicontinuity,
     check_sot_convergence,
@@ -428,6 +429,75 @@ def _sot_inputs(draw):
 def test_sot_matches_per_compact_reference(inputs):
     seq, limit, K_list, eps = inputs
     assert check_sot_convergence(seq, limit, K_list, eps) == sot_reference(seq, limit, K_list, eps)
+
+
+def _sot_counting_moreover(monkeypatch, seq, limit, K_list, eps):
+    """The SOT verdict with the labels of the compacts on which the
+    "moreover" check ran ``check_local_equicontinuity``, in call order,
+    and the most calls its runs allow: 2 + ceil(log2 len(run)) a run."""
+    probed, real = [], operators.check_local_equicontinuity
+
+    def counted(maps, K, grid, space):
+        probed.append(K.label)
+        return real(maps, K, grid, space)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "check_local_equicontinuity", counted)
+        verdict = check_sot_convergence(seq, limit, K_list, eps)
+    _, runs = space_mod._nested_runs(K_list, limit.space.n)
+    allowed = sum(2 + math.ceil(math.log2(end - first)) for first, end, _, _ in runs)
+    return verdict, probed, allowed
+
+
+def test_moreover_bisects_for_the_first_compact_that_fails(monkeypatch):
+    # a swap of x = 15 and x = -15 maps 14.75 and 15, a step apart, 29.75
+    # apart: the inverse family fails from [-15,15], the 15th of the line's
+    # 20 nested compacts, on; the first and last compacts are read, then
+    # four more, not all 20
+    line = rl.builtin_space("line", step=0.25, window=(-20, 20))
+    fwd = np.arange(line.n)
+    a, b = line.index("x+15"), line.index("x-15")
+    fwd[[a, b]] = b, a
+    swap = operators.WeightedComposition(line, np.ones(line.n), fwd, fwd.copy(), label="swap")
+    args = ([swap] * 3, identity(line), list(line.exhaustion), 0.5)
+    verdict, probed, allowed = _sot_counting_moreover(monkeypatch, *args)
+    assert verdict == sot_reference(*args)
+    assert verdict.moreover_detail.startswith("inverse family not equicontinuous on [-15,15]: ")
+    assert probed == ["[-1,1]", "[-20,20]", "[-11,11]", "[-16,16]", "[-14,14]", "[-15,15]"]
+    assert len(probed) <= allowed == 7
+
+
+def test_moreover_reads_two_compacts_of_a_run_that_passes(monkeypatch):
+    # eval --check sot with the trivial group: the identity family is
+    # equicontinuous on every compact, so only the first and the last of
+    # the 30 are read
+    sp = rl.builtin_space("remark25", n_max=30)
+    args = ([identity(sp)] * 2, identity(sp), list(sp.exhaustion), 0.01)
+    verdict, probed, allowed = _sot_counting_moreover(monkeypatch, *args)
+    assert verdict == sot_reference(*args) and verdict.moreover_applicable
+    assert probed == ["K1", "K30"] and allowed == 7
+
+
+@pytest.mark.parametrize("case", range(len(_SOT_CASES)))
+@pytest.mark.parametrize("order", ["nested", "reversed", "repeated"])
+def test_moreover_reads_at_most_its_runs_bound(monkeypatch, case, order):
+    sp, seq, limit, nested = _SOT_CASES[case]
+    K_list = {"nested": nested, "reversed": nested[::-1], "repeated": [K for K in nested for _ in (0, 1)]}[order]
+    for eps in (1e-9, 0.01, 0.3):
+        verdict, probed, allowed = _sot_counting_moreover(monkeypatch, seq, limit, K_list, eps)
+        assert verdict == sot_reference(seq, limit, K_list, eps), eps
+        assert len(probed) <= allowed, (eps, probed)
+
+
+@pytest.mark.parametrize("n_max", [2, 7, 50])
+def test_onepoint_swaps_round_trip_exactly(n_max):
+    # each swap is declared exact, so its round trips are not measured:
+    # measuring them finds none
+    sp = rl.builtin_space("onepoint01N", n_max=n_max)
+    for n in range(1, n_max + 1):
+        g = onepoint_swap(sp, n)
+        assert _roundtrip_defects(sp, g.forward, g.backward) == frozenset()
+        assert g.allowed_defects == frozenset() and g.backward.tobytes() == g.forward.tobytes()
 
 
 def test_sot_on_the_diagonal_twin_converges_for_a_constant_sequence():

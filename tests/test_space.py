@@ -380,12 +380,15 @@ def test_exhaustion_refusals_fire_in_the_checks_order(karrs, message):
 @given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=8), min_size=1, max_size=7))
 @settings(max_examples=200, deadline=None)
 def test_nested_runs_are_the_maximal_runs_with_their_entries(sets):
-    karrs = [np.array(sorted(c), dtype=np.intp) for c in sets]
+    compacts = [CompactSet(sorted(c)) for c in sets]
     starts = [0] + [k for k in range(1, len(sets)) if not sets[k - 1] <= sets[k]]
     runs = list(zip(starts, starts[1:] + [len(sets)]))[::-1]
     got = []
-    for first, end, enter in space_mod._nested_runs(karrs, 8):
+    bad, walk = space_mod._nested_runs(compacts, 8)
+    assert bad == len(sets)
+    for first, end, enter, top in walk:
         got.append((first, end))
+        assert top.tolist() == sorted(sets[end - 1])
         for x in range(8):
             if x in sets[end - 1]:
                 assert enter[x] == min(k for k in range(first, end) if x in sets[k])
