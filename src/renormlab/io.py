@@ -4,8 +4,10 @@ functions, and class registries.
 Spaces serialize as a closed-form tag with parameters (builtins and
 products of builtins), as a product tag with each factor's own document
 under ``a`` and ``b`` (a product with a matrix factor), or as an explicit
-matrix; operators carry the weight as a constant or vector and the maps as
-point-id lists.
+matrix with the resolution, isolated points and exhaustion members; the
+first two hold only the name, points and metric, as the reader rebuilds
+the rest.  Operators carry the weight as a constant or vector and the maps
+as point-id lists.
 """
 
 from __future__ import annotations
@@ -33,23 +35,19 @@ def dump_json(obj, path: str | Path) -> None:
 
 
 def space_to_dict(space: SampledSpace) -> dict:
-    doc = {
-        "name": space.name,
-        "points": list(space.points),
-        "resolution": space.resolution,
-        "isolated": [bool(b) for b in space.isolated],
-        "exhaustion": [
-            {"label": ks.label, "members": ks.members.tolist()} for ks in space.exhaustion
-        ],
-    }
+    doc = {"name": space.name, "points": list(space.points)}
     # a tag with a closed-form formula is reconstructible from its parameters,
-    # a product from its factors
+    # a product from its factors, so neither document holds what the space
+    # rebuilds: its resolution, isolated points and exhaustion
     if not isinstance(space.metric, space_mod._Dense):
         doc["metric"] = space.metric_form
     elif space.factors:
         doc["metric"] = {"form": "product", "a": space_to_dict(space.factors[0]),
                          "b": space_to_dict(space.factors[1])}
     else:
+        doc["resolution"] = space.resolution
+        doc["isolated"] = [bool(b) for b in space.isolated]
+        doc["exhaustion"] = [{"label": ks.label, "members": ks.members.tolist()} for ks in space.exhaustion]
         # exact: JSON writes each float64 by repr, which reads back bit for bit
         doc["metric"] = {"form": "matrix", "values": space.dmat.tolist()}
     return doc

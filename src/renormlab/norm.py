@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -537,48 +537,23 @@ def _chain(v: float, steps: Sequence[float]) -> float:
     return v
 
 
-_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+def _floor(need: float, steps: Sequence[float]) -> float:
+    """A value at or below the least v >= 0 whose chain of the non-negative
+    ``steps`` reaches ``need``, a float or inf: no v below it reaches.
 
-
-def _threshold(need: float, steps: Sequence[float]) -> float:
-    """The least float v >= 0 whose chain of the non-negative ``steps``
-    reaches ``need``, a float or inf.
-
-    IEEE rounding is monotone, so the chain is nondecreasing in v, and a
-    value v >= 0 has a chain at least ``need`` exactly when v is at least
-    the threshold.  The search starts from the chain undone step by step
-    and walks a few ulps from there, which brackets the threshold between
-    two neighbouring floats; when that is not enough, it bisects the bit
-    patterns, which order the non-negative floats, between the largest
-    float seen to fall short (else 0.0) and the least seen to reach (else
-    ``need``, whose chain is at least ``need``).
+    The chain never decreases in v, as IEEE rounding is monotone, and never
+    drops below v, so when the float just below the need falls short, the
+    need itself is that least value, exactly.  Otherwise each add of the
+    chain is fl(a + s) <= (a + s)(1 + eps/2) for a, s >= 0, so a v below
+    need (1 - m) - sum(steps)(1 + m), m = 4(k + 1) eps over k steps, keeps
+    every partial sum below the need, this bound's own rounding included.
+    A need of inf reads as the largest float, which no such sum reaches,
+    so no chain from below the bound overflows.
     """
-    v = need
-    for s in reversed(steps):
-        v -= s
-    v = max(v, 0.0)
-    short, hi = None, need
-    for _ in range(4):
-        if _chain(v, steps) >= need:
-            if v == 0.0:
-                return 0.0
-            hi, v = v, math.nextafter(v, 0.0)
-        else:
-            short, v = v, math.nextafter(v, math.inf)
-        if short is not None and math.nextafter(short, math.inf) == hi:
-            return hi
-    if short is None:
-        if _chain(0.0, steps) >= need:
-            return 0.0
-        short = 0.0
-    a, b = _INT64.unpack(_DOUBLE.pack(short))[0], _INT64.unpack(_DOUBLE.pack(hi))[0]
-    while b - a > 1:
-        mid = (a + b) // 2
-        if _chain(_DOUBLE.unpack(_INT64.pack(mid))[0], steps) >= need:
-            b = mid
-        else:
-            a = mid
-    return _DOUBLE.unpack(_INT64.pack(b))[0]
+    if _chain(math.nextafter(need, 0.0), steps) < need:
+        return need
+    m = 4 * (len(steps) + 1) * sys.float_info.epsilon
+    return min(need, sys.float_info.max) * (1 - m) - sum(steps) * (1 + m)
 
 
 class _AllRows:
@@ -606,8 +581,8 @@ class _AllRows:
 
     @staticmethod
     def keep(vals: np.ndarray, need: float, steps: Sequence[float], top: None) -> np.ndarray:
-        # one threshold for every row, met exactly where the row's chain reaches the need
-        return (vals >= _threshold(need, steps)).nonzero()[0]
+        # one floor for every row: no row below it has a chain that reaches the need
+        return (vals >= _floor(need, steps)).nonzero()[0]
 
 
 class _LabelCaps:
@@ -662,9 +637,10 @@ class _LabelCaps:
         # each row's chain against the need of the first cap above its
         # largest label, the least need among the caps it is below; a row
         # above every cap needs inf, as neither it nor its descendants are
-        # below one.  The chain is added per row, not met by a threshold
-        # per cap: up to one scalar search per cap and level costs more
-        # than the few adds over the parents
+        # below one.  The chain is added per row, exact, not met by a
+        # ``_floor`` per cap: on the benchmark's norm_queries config a
+        # per-cap floor took 9.1 us a call against 6.7-7.2 us for the few
+        # adds over the parents, as each cap pays a scalar chain
         bound = vals + steps[0]
         for s in steps[1:]:
             bound += s
@@ -704,10 +680,11 @@ def _walk(ax: np.ndarray, cfg: RenormConfig, caps):
     a parent keeps its children when its chain reaches what the first cap
     it is below needs, the least need among the caps it is below
     (``caps.keep``).  The chain is monotone in v, so under one cap each
-    level compares the parents' values once with the least value whose
-    chain reaches the need (``_threshold``).  Every row that matters keeps
-    all its ancestors, so the values, the first argmax and every cap's max
-    are bit-identical to the full tree's.
+    level may compare the parents' values once with a floor at or below
+    the least value whose chain reaches the need (``_floor``): a parent it
+    keeps in excess only adds rows that cannot matter.  Every row that
+    matters keeps all its ancestors, so the values, the first argmax and
+    every cap's max are bit-identical to the full tree's.
     """
     heads = cfg.heads
     vals = ax.take(heads._last_idx)
@@ -771,7 +748,10 @@ def triple_norm(x: np.ndarray, cfg: RenormConfig) -> NormResult:
     are computed only while the bound fl(fl(sup|x| w_n) + v) on its
     descendants, chained from its value v down to the deepest plan with
     w_n each plan's largest last-slot weight, can still beat that max, or
-    tie it at a head when no row of plan 0 holds it.  The value and the
+    tie it at a head when no row of plan 0 holds it.  Each level compares
+    the parents' values once with a floor at or below the least v that can
+    (``_floor``): the need itself when the float just below it falls
+    short, else a margin below the need less the steps.  The value and the
     argmax, the first plan and then the first row holding the max, are
     bit-identical to the full tree's.
 
@@ -889,16 +869,19 @@ WITNESS_EPS = 0.02
 
 @dataclass
 class WitnessSpec:
-    """Targets and radii for a sum of tent functions with prescribed peaks."""
+    """Targets and radii for a sum of tent functions with prescribed peaks,
+    target k at slot k of the reference tuple."""
 
     targets: tuple[tuple[int, float], ...]
     ball_radii: tuple[float, ...]
     cutoff_M: int
-    tuple_ref: TupleIndex | None = None
+    tuple_ref: TupleIndex
 
     def __post_init__(self):
         if len(self.targets) != len(self.ball_radii):
             raise ValueError("radii count mismatch")
+        if len(self.targets) != self.tuple_ref.n + 1:
+            raise ValueError("one target per slot of the reference tuple required")
         for r in self.ball_radii:
             _positive(r, "ball radius")
 
@@ -932,13 +915,10 @@ def witness_function(spec: WitnessSpec, cfg: RenormConfig) -> tuple[np.ndarray, 
         for b in range(a + 1, len(supports)):
             if np.intersect1d(supports[a], supports[b]).size:
                 raise ValueError(f"supports of targets {a} and {b} overlap")
-    slot_of = {}
-    if spec.tuple_ref is not None:
-        slot_of = {k: spec.tuple_ref.start + k for k in range(spec.tuple_ref.n + 1)}
+    t = spec.tuple_ref
     for k, ((p, _), sup) in enumerate(zip(spec.targets, supports)):
-        own = slot_of.get(k)
         for j in range(1, min(spec.cutoff_M, cfg.base_count) + 1):
-            if own is not None and j == own:
+            if j == t.start + k:
                 continue
             orbit = set(cfg.orbit_of_base(j))
             audit["r1_checked"] += 1
@@ -948,22 +928,17 @@ def witness_function(spec: WitnessSpec, cfg: RenormConfig) -> tuple[np.ndarray, 
                     f"infeasible avoidance: support of target {k} meets the "
                     f"orbit of base point {j} at {space.points[next(iter(hit))]}"
                 )
-    if spec.tuple_ref is not None:
-        t = spec.tuple_ref
-        sup_sets = [set(int(v) for v in s) for s in supports]
-        for p in range(t.start, t.start + t.n):
-            for q in range(1, t.start + t.n - p + 1):
-                for info in exceptional_classes(t, p, q, cfg.registry):
-                    audit["r2_checked"] += 1
-                    for pts in cfg.registry.word_maps[:, list(info.representative)].tolist():
-                        if all(
-                            pts[j] in sup_sets[p - t.start + j]
-                            for j in range(q + 1)
-                        ):
-                            raise ValueError(
-                                f"infeasible avoidance: exceptional orbit (m={info.m}, "
-                                f"ordinal {info.ordinal}) threads the supports at ({p},{q})"
-                            )
+    sup_sets = [set(int(v) for v in s) for s in supports]
+    for p in range(t.start, t.start + t.n):
+        for q in range(1, t.start + t.n - p + 1):
+            for info in exceptional_classes(t, p, q, cfg.registry):
+                audit["r2_checked"] += 1
+                for pts in cfg.registry.word_maps[:, list(info.representative)].tolist():
+                    if all(pts[j] in sup_sets[p - t.start + j] for j in range(q + 1)):
+                        raise ValueError(
+                            f"infeasible avoidance: exceptional orbit (m={info.m}, "
+                            f"ordinal {info.ordinal}) threads the supports at ({p},{q})"
+                        )
     x = np.zeros(space.n)
     for ((p, u), r, sup) in zip(spec.targets, spec.ball_radii, supports):
         tent = u * np.maximum(0.0, 1.0 - space.metric.pair(p, sup) / r)

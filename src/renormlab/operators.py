@@ -1105,6 +1105,8 @@ def check_local_equicontinuity(
     """
     if len(maps) == 0:
         raise ValueError("nonempty family required")
+    if len(moduli_grid) == 0:
+        raise ValueError("nonempty moduli grid required")
     for eps in moduli_grid:
         _positive(eps, "moduli grid eps")
     karr = K.members
@@ -1112,7 +1114,7 @@ def check_local_equicontinuity(
         raise ValueError(f"compact {K.label!r} has a member outside space {space.name!r} ({space.n} points)")
     images = _images(maps, K, space)
     grid = tuple(sorted(set(float(e) for e in moduli_grid)))
-    min_grid_delta = min(grid) if grid else 0.0
+    min_grid_delta = grid[0]
 
     table = []
     witnesses = []

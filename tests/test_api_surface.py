@@ -30,7 +30,6 @@ OPTIONS = {
     "detector.TupleCheck(detail)",
     "detector.certify(test_depth)",
     "norm.RenormConfig.classify_slots(tol)",
-    "norm.WitnessSpec(tuple_ref)",
     "norm.build_config(C)",
     "norm.build_config(base_count)",
     "norm.build_config(depth)",
@@ -167,7 +166,7 @@ def test_public_options_match_the_table():
     found = public_options()
     assert sorted(found - OPTIONS) == [], "new options: add them to OPTIONS on purpose"
     assert sorted(OPTIONS - found) == [], "removed options: drop them from OPTIONS"
-    assert len(OPTIONS) == 25
+    assert len(OPTIONS) == 24
 
 
 def test_every_public_function_has_a_caller():

@@ -39,8 +39,8 @@ def test_space_round_trip_builtin(tmp_path):
 
 def test_space_round_trip_matrix(tmp_path):
     sp = rl.builtin_space("circle", count=12)
-    doc = rio.space_to_dict(sp)
-    doc["metric"] = {"form": "matrix", "values": sp.dmat.tolist()}
+    doc = rio.space_to_dict(_matrix_twin(sp))
+    assert doc["metric"] == {"form": "matrix", "values": sp.dmat.tolist()}
     path = tmp_path / "space.json"
     rio.dump_json(doc, path)
     back = rio.load_space(path)
@@ -125,8 +125,8 @@ def test_a_product_with_a_matrix_factor_reloads_with_its_factors(tmp_path):
     with pytest.raises(ValueError, match="product space does not reproduce the stored points"):
         rio.load_space(tmp_path / "moved.json")
     # such a product saved as one plain matrix still loads, as that matrix
-    doc = rio.space_to_dict(sp)
-    doc["metric"] = {"form": "matrix", "values": np.round(sp.dmat, 12).tolist()}
+    doc = rio.space_to_dict(_matrix_twin(sp))
+    doc["metric"]["values"] = np.round(sp.dmat, 12).tolist()
     rio.dump_json(doc, tmp_path / "plain.json")
     plain = rio.load_space(tmp_path / "plain.json")
     assert plain.factors == () and plain.points == sp.points and np.allclose(plain.dmat, sp.dmat)
@@ -201,6 +201,49 @@ def test_a_space_acts_the_same_before_and_after_a_round_trip(tmp_path):
             line_translation(space, 0.25)
         with pytest.raises(ValueError, match="interval_flip requires a line space"):
             interval_flip(space)
+
+
+def _earlier_format(space):
+    """``space``'s document as saves wrote it before closed-form and product
+    documents dropped what the reader rebuilds: every document, each
+    factor's included, with its resolution, isolated points and members."""
+    doc = {**rio.space_to_dict(space), "resolution": space.resolution,
+           "isolated": [bool(b) for b in space.isolated],
+           "exhaustion": [{"label": K.label, "members": K.members.tolist()} for K in space.exhaustion]}
+    if "metric" in doc["metric"].get("a", {}):
+        doc["metric"] = {"form": "product", "a": _earlier_format(space.factors[0]),
+                         "b": _earlier_format(space.factors[1])}
+    return doc
+
+
+@pytest.mark.parametrize("space", list(_round_trip_spaces()), ids=lambda sp: _tag_id(sp.metric_form))
+def test_a_saved_space_holds_what_its_reader_reads_and_reloads_the_same(tmp_path, space):
+    # a closed-form or product document is its name, points and metric; a
+    # matrix document adds what its reader reads.  A document in the earlier
+    # format, which also held the rebuilt fields, loads to the same space
+    doc = rio.space_to_dict(space)
+    factors = [doc["metric"]["a"], doc["metric"]["b"]] if "metric" in doc["metric"].get("a", {}) else []
+    for d in (doc, *factors):
+        read = ["metric", "name", "points"]
+        if d["metric"]["form"] == "matrix":
+            read += ["exhaustion", "isolated", "resolution"]
+        assert sorted(d) == sorted(read)
+    for name, saved in (("space", doc), ("earlier", _earlier_format(space))):
+        rio.dump_json(saved, tmp_path / f"{name}.json")
+        back = rio.load_space(tmp_path / f"{name}.json")
+        assert space_mod.same_space(back, space) and back.name == space.name
+        assert back.resolution == space.resolution and np.array_equal(back.isolated, space.isolated)
+        assert [K.label for K in back.exhaustion] == [K.label for K in space.exhaustion]
+        assert np.array_equal(back.exhaustion[0].enter, space.exhaustion[0].enter)
+
+
+def test_saving_remark25_builds_no_member_array(tmp_path):
+    # the document of 62,751 points and 250 compacts is their ids and tag:
+    # 1.0 MB, where writing every compact's members made 80 MB
+    sp = rl.builtin_space("remark25", n_max=250)
+    rio.save_space(sp, tmp_path / "remark25.json")
+    assert not any("members" in vars(K) for K in sp.exhaustion)
+    assert rio.load_space(tmp_path / "remark25.json").points == sp.points
 
 
 @pytest.mark.parametrize("bad", [2.9, True, 0, "3", None])
@@ -984,10 +1027,9 @@ def test_cli_eval_rejects_bad_ids_and_values_on_every_flag(eval_dir, bad_id, val
         path.write_text(json.dumps(doc))
         return str(path)
 
-    matrix = rio.space_to_dict(sp)
-    values = sp.dmat.tolist()
+    matrix = rio.space_to_dict(_matrix_twin(sp))
+    values = matrix["metric"]["values"]
     values[0][1] = values[1][0] = value
-    matrix["metric"] = {"form": "matrix", "values": values}
     group = rio.group_to_dict(rl.GroupSpec.trivial(sp))
     group["generators"][0]["backward"][2] = bad_id
     op = rio.operator_to_dict(line_translation(sp, 0.3))

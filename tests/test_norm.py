@@ -604,44 +604,74 @@ def _ulps_around(t, k=64):
     return [v for v in out if 0.0 <= v <= math.inf]
 
 
-def _check_threshold(need, steps):
-    t = norm._threshold(need, steps)
-    assert t >= 0.0
-    for v in [0.0, *_ulps_around(t)]:
-        assert (v >= t) == bool(_chain_by_numpy(v, steps) >= need), (need, steps, t, v)
-    return t
+def _check_floor(need, steps):
+    f = norm._floor(need, steps)
+    assert f <= need
+    # no float under the floor, down to 0.0, has a chain that reaches the need
+    for v in [0.0, *_ulps_around(f)]:
+        if v < f:
+            assert _chain_by_numpy(v, steps) < need, (need, steps, f, v)
+    return f
 
 
-@pytest.mark.parametrize("need,steps,expect", [
+@pytest.mark.parametrize("need,steps,at_top", [
     # shipped-like: steps near 2e-3, 1e-5 and 3e-8 of the need
-    (math.nextafter(0.75, 1), [1.5e-3, 7.5e-6, 2.2e-8], None),
+    (math.nextafter(0.75, 1), [1.5e-3, 7.5e-6, 2.2e-8], False),
     # need minus the steps' sum is negative: every value reaches it
-    (1e-3, [1.0, 0.5], 0.0),
-    (0.3, [0.1, 0.2], 0.0),
-    # sup = 0, so every step is 0: the threshold is the need itself
-    (5e-324, [0.0, 0.0, 0.0], 5e-324),
-    (0.625, [0.0], 0.625),
+    (1e-3, [1.0, 0.5], False),
+    (0.3, [0.1, 0.2], False),
+    # sup = 0, so every step is 0: the floor is the need itself
+    (5e-324, [0.0, 0.0, 0.0], True),
+    (0.625, [0.0], True),
     # a need of inf: only a chain that overflows reaches it
-    (math.inf, [1.0, 2.0], math.inf),
-    (math.inf, [1e308, 1e308], None),
+    (math.inf, [1.0, 2.0], True),
+    (math.inf, [1e308, 1e308], False),
     # steps below half an ulp of the need: no value short of it reaches it
-    (1.0, [1e-17, 1e-17, 1e-17], 1.0),
+    (1.0, [1e-17, 1e-17, 1e-17], True),
     # tiny needs and steps, near the subnormals
-    (3e-320, [1e-320, 5e-324], None),
+    (3e-320, [1e-320, 5e-324], False),
 ])
-def test_threshold_is_met_exactly_where_the_chain_reaches_the_need(need, steps, expect):
-    t = _check_threshold(need, steps)
-    if expect is not None:
-        assert t == expect
+def test_floor_is_the_need_exactly_where_the_float_below_it_falls_short(need, steps, at_top):
+    f = _check_floor(need, steps)
+    assert (f == need) == at_top
+    assert (_chain_by_numpy(math.nextafter(need, 0.0), steps) < need) == at_top
 
 
 @given(need=st.floats(0.0, 1e300) | st.sampled_from([math.inf, 5e-324, 1.0]),
        steps=st.lists(st.floats(0.0, 1e300) | st.floats(0.0, 1e-300) | st.just(0.0), min_size=1, max_size=5),
        scale=st.sampled_from([1.0, 1e-3, 1e-16, 1e3]))
 @settings(max_examples=300, deadline=None)
-def test_threshold_matches_the_chain_on_drawn_steps(need, steps, scale):
-    # steps scaled near the need reach the ulp walk's edge and the bisection
-    _check_threshold(need, [s * scale if need == math.inf else min(s, need) * scale for s in steps])
+def test_floor_is_sound_on_drawn_steps(need, steps, scale):
+    # steps scaled near the need reach both the exact top and the margin
+    _check_floor(need, [s * scale if need == math.inf else min(s, need) * scale for s in steps])
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "product5_cfg", "line8_cfg", "product_word_capped_cfg"])
+def test_all_rows_keep_exactly_the_parents_whose_chain_reaches_the_need(name, request, monkeypatch):
+    # the floor keeps a parent in excess only when its value lies between
+    # the floor and the least value whose chain reaches the need; on every
+    # level of these walks it keeps what the per-row chain keeps
+    cfg = request.getfixturevalue(name)
+    keep, seen = norm._AllRows.keep, []
+
+    def checked(vals, need, steps, top):
+        got = keep(vals, need, steps, top)
+        want = (_chain_by_numpy(vals, steps) >= need).nonzero()[0]
+        assert np.array_equal(got, want), (name, need, steps)
+        seen.append(len(steps))
+        return got
+
+    monkeypatch.setattr(norm._AllRows, "keep", staticmethod(checked))
+    rng = np.random.default_rng(14)
+    for kind in ("tents", "dense", "indicator", "constant") * 10:
+        if kind == "indicator":
+            x = np.zeros(cfg.space.n)
+            x[rng.integers(cfg.space.n, size=int(rng.integers(1, 4)))] = 1.0
+        else:
+            x = _function(kind, cfg, rng, float(rng.uniform(0.5, 2.0)), 1)
+        assert triple_norm(x, cfg) == _triple_norm_full(x, cfg), (name, kind)
+    # each function compared its heads, and some compared deeper levels too
+    assert len(seen) >= 40 and len(set(seen)) >= 2, seen
 
 
 @pytest.mark.parametrize("name", ["line_cfg", "product_cfg"])
@@ -769,23 +799,34 @@ def test_witness_function_never_grows_the_registry(product_cfg):
 def test_witness_function_rejects_overlap(line_cfg):
     p = line_cfg.base_points[0]
     q = line_cfg.base_points[1]
-    spec = WitnessSpec(targets=((p, 0.9), (q, 0.9)), ball_radii=(0.1, 0.1), cutoff_M=8)
+    spec = WitnessSpec(targets=((p, 0.9), (q, 0.9)), ball_radii=(0.1, 0.1), cutoff_M=8,
+                       tuple_ref=line_cfg.base_tuple(1, 1))
     with pytest.raises(ValueError, match="overlap"):
         witness_function(spec, line_cfg)
 
 
 def test_witness_function_names_colliding_orbit(line_cfg):
+    # the target is base 1's point, held at the slot of base 2, so base 1's
+    # orbit is not its own and meets its support
     p = line_cfg.base_points[0]
-    spec = WitnessSpec(targets=((p, 0.9),), ball_radii=(0.05,), cutoff_M=8)
-    with pytest.raises(ValueError, match="orbit of base point"):
+    spec = WitnessSpec(targets=((p, 0.9),), ball_radii=(0.05,), cutoff_M=8, tuple_ref=line_cfg.base_tuple(2, 0))
+    with pytest.raises(ValueError, match="support of target 0 meets the orbit of base point 1"):
         witness_function(spec, line_cfg)
+
+
+def test_witness_spec_refuses_a_target_count_off_the_reference_tuple(line_cfg):
+    p, q = line_cfg.base_points[:2]
+    with pytest.raises(ValueError, match="one target per slot of the reference tuple required"):
+        WitnessSpec(targets=((p, 0.9), (q, 0.9)), ball_radii=(0.1, 0.1), cutoff_M=8,
+                    tuple_ref=line_cfg.base_tuple(1, 2))
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.1])
 def test_witness_spec_refuses_a_radius_that_is_not_a_finite_positive_number(line_cfg, radius):
     p, q = line_cfg.base_points[:2]
     with pytest.raises(ValueError, match=re.escape(f"ball radius must be a finite number > 0, got {radius!r}")):
-        WitnessSpec(targets=((p, 0.9), (q, 0.9)), ball_radii=(0.1, radius), cutoff_M=8)
+        WitnessSpec(targets=((p, 0.9), (q, 0.9)), ball_radii=(0.1, radius), cutoff_M=8,
+                    tuple_ref=line_cfg.base_tuple(1, 1))
 
 
 def test_find_cutoff_inequality(line_cfg):

@@ -257,6 +257,16 @@ def test_equicontinuity_refuses_a_grid_entry_that_is_not_a_finite_positive_numbe
         check_local_equicontinuity(maps, tail, (0.5, bad), sp)
 
 
+def test_equicontinuity_refuses_an_empty_grid_by_name():
+    # numpy's max over no deltas once raised "zero-size array to reduction
+    # operation maximum which has no identity"
+    sp, seq, _, tail = _remark25_gallery_inputs()
+    maps = [g.backward for g in seq]
+    for grid in ((), []):
+        with pytest.raises(ValueError, match="^nonempty moduli grid required$"):
+            check_local_equicontinuity(maps, tail, grid, sp)
+
+
 @pytest.mark.parametrize("n_max", [3, 6, 12])
 def test_sot_remark25_conditions_at_every_stage(n_max):
     sp = rl.builtin_space("remark25", n_max=n_max)
