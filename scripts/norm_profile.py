@@ -3,11 +3,13 @@
 
 Every norm and cap trace the script computes is also checked against a
 full-tree evaluation, which computes every plan row: the line functions,
-plus 20 seeded noise functions on the product config.  The script exits 1
-on any mismatch.  Last it prints the norm evaluation's throughput on the
-product config: functions/s of triple_norm and gamma_cap_trace, each the
-median of 5 timed passes over 200 seeded noise functions.  No timing is
-checked.
+plus on the product config 20 seeded noise functions, the indicators of
+100 seeded points and 100 seeded two-point functions.  The script exits 1
+on any mismatch.  Last it prints the throughput on the product config:
+calls/s of triple_norm and gamma_cap_trace over 200 seeded noise
+functions, and of dual_norm_atoms over 200 seeded in-window tuples of 2
+to 4 slots with weights in [4/5, 1], each the median of 5 timed passes.
+No timing is checked.
 
 Usage: python3 scripts/norm_profile.py [--functions 50] [--depth 6]
 """
@@ -26,6 +28,7 @@ from renormlab.operators import circle_rotation, lift
 
 CAPS = (1, 2, 3, 4, 6, 8, 12)
 NOISE_FUNCTIONS = 20
+POINT_FUNCTIONS = 100  # indicators, and as many two-point functions
 RATE_FUNCTIONS, RATE_PASSES = 200, 5
 
 
@@ -106,7 +109,13 @@ def main():
     for cap, value in gamma_cap_trace(x, pcfg, caps=CAPS):
         print(f"  cap {cap:>2}: {value:.9f}")
     noise = np.random.default_rng([args.seed, 1])
-    for x in [x, *(noise.uniform(-1, 1, size=prod.n) for _ in range(NOISE_FUNCTIONS))]:
+    checks = [x, *(noise.uniform(-1, 1, size=prod.n) for _ in range(NOISE_FUNCTIONS))]
+    for points in [*noise.choice(prod.n, size=(POINT_FUNCTIONS, 1)),
+                   *(noise.choice(prod.n, size=2, replace=False) for _ in range(POINT_FUNCTIONS))]:
+        x = np.zeros(prod.n)
+        x[points] = noise.uniform(0.5, 1.0, size=len(points))
+        checks.append(x)
+    for x in checks:
         failed += mismatches(x, pcfg, CAPS)
         checked += 1
 
@@ -116,10 +125,18 @@ def main():
 
     rate_rng = np.random.default_rng([args.seed, 2])
     functions = [rate_rng.uniform(-1, 1, size=prod.n) for _ in range(RATE_FUNCTIONS)]
-    print(f"norm evaluation on the product config, functions/s (median of {RATE_PASSES} passes "
-          f"over {RATE_FUNCTIONS} noise functions):")
+    tuples = []
+    for _ in range(RATE_FUNCTIONS):
+        # a window of n + 1 slots inside the enumerated plans, as the benchmark draws them
+        n = int(rate_rng.integers(1, 4))
+        start = int(rate_rng.integers(1, (pcfg.base_count - 1 if n == 1 else pcfg.depth - n) + 1))
+        gammas = [int(rate_rng.integers(len(pcfg.orbit_of_base(start + j)))) for j in range(n + 1)]
+        tuples.append((pcfg.tuple_index(start, gammas), rate_rng.uniform(0.8, 1.0, size=n + 1)))
+    print(f"on the product config, calls/s (median of {RATE_PASSES} passes over {RATE_FUNCTIONS} "
+          f"noise functions or in-window tuples):")
     print(f"  triple_norm      {throughput(lambda x: rl.triple_norm(x, pcfg), functions):>9,.0f}")
     print(f"  gamma_cap_trace  {throughput(lambda x: gamma_cap_trace(x, pcfg, CAPS), functions):>9,.0f}")
+    print(f"  dual_norm_atoms  {throughput(lambda t: rl.dual_norm_atoms(*t, pcfg), tuples):>9,.0f}")
     return 1 if failed else 0
 
 

@@ -59,6 +59,10 @@ class InputError(Exception):
     pass
 
 
+# the verdicts ``certify`` returns, which a detect entry may expect
+_VERDICTS = ("certified-in-G", "rejected", "inconclusive")
+
+
 # ----------------------------------------------------------------------
 # scenario object construction
 
@@ -113,6 +117,9 @@ def make_operator(spec: dict, space: SampledSpace, group: GroupSpec):
         return compose(multiplication(space, float(spec["factor"])), identity(space))
     if kind == "generator_word":
         indices = spec.get("indices", [0])
+        if not isinstance(indices, (list, tuple)):
+            raise InputError(f"detect operator generator_word: indices must be a list of generator indices, "
+                             f"got {indices!r}")
         op = identity(space)
         for j, gi in enumerate(indices):
             gi = _integer(gi, f"detect operator generator_word: indices[{j}]", 0)
@@ -433,7 +440,11 @@ def run(scenario: dict, out_dir: Path, seed: int | None = None) -> int:
         for spec in scenario.get("detect", []):
             op = make_operator(spec, space, group)
             test_depth = _integer(spec.get("test_depth", 4), f"detect operator {op.label!r}: test_depth", 1)
-            operators.append((op, test_depth, spec.get("expect")))
+            expect = spec.get("expect")
+            if expect is not None and expect not in _VERDICTS:
+                raise InputError(f"detect operator {op.label!r}: expect must be one of "
+                                 f"{', '.join(map(repr, _VERDICTS))}, got {expect!r}")
+            operators.append((op, test_depth, expect))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"seed": seed, "tasks": {}, "scenario": scenario}

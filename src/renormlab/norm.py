@@ -250,6 +250,24 @@ class RenormConfig:
         return order, self.heads.top.take(order).searchsorted(np.arange(self.heads.top.max() + 1))
 
     @functools.cached_property
+    def _lambdas(self) -> np.ndarray:
+        """lambda_i at position i - 1 for every base index i; read-only, as
+        systems hold slices of it."""
+        row = np.array([self.lam(i) for i in range(1, self.base_count + 1)])
+        row.flags.writeable = False
+        return row
+
+    @functools.cached_property
+    def _tree(self) -> tuple:
+        """What the one-cap walk reads of the plans, bound once: the head
+        table's last-slot columns, its row count, plan 0's offset in it and
+        plan 0; per deeper plan, how many rows of the level above have
+        children in it and the plan; each deeper plan's ``last_max``."""
+        heads, (plan0, *deeper) = self.heads, self.plans
+        return (heads._last_idx, heads._last_weight, heads.count, heads.count - plan0.count, plan0,
+                tuple((len(plan.child_count), plan) for plan in deeper), tuple(plan.last_max for plan in deeper))
+
+    @functools.cached_property
     def _truncation_tail(self) -> float:
         """The geometric tail of the window weights beyond the enumeration
         index of the last in-depth window; the same on every call."""
@@ -530,16 +548,10 @@ def _abs_values(x: np.ndarray, cfg: RenormConfig) -> tuple[np.ndarray, float]:
     return ax, sup
 
 
-def _chain(v: float, steps: Sequence[float]) -> float:
-    """fl(...fl(fl(v + s_1) + s_2)... + s_k), added left to right."""
-    for s in steps:
-        v += s
-    return v
-
-
 def _floor(need: float, steps: Sequence[float]) -> float:
     """A value at or below the least v >= 0 whose chain of the non-negative
-    ``steps`` reaches ``need``, a float or inf: no v below it reaches.
+    ``steps``, fl(...fl(fl(v + s_1) + s_2)... + s_k) added left to right,
+    reaches ``need``, a float or inf: no v below it reaches.
 
     The chain never decreases in v, as IEEE rounding is monotone, and never
     drops below v, so when the float just below the need falls short, the
@@ -550,61 +562,119 @@ def _floor(need: float, steps: Sequence[float]) -> float:
     A need of inf reads as the largest float, which no such sum reaches,
     so no chain from below the bound overflows.
     """
-    if _chain(math.nextafter(need, 0.0), steps) < need:
+    v = math.nextafter(need, 0.0)
+    for s in steps:
+        v += s
+    if v < need:
         return need
     m = 4 * (len(steps) + 1) * sys.float_info.epsilon
     return min(need, sys.float_info.max) * (1 - m) - sum(steps) * (1 + m)
 
 
-class _AllRows:
-    """One cap above every orbit label, the cap of ``triple_norm``.  The
-    walk's per-cap numbers are floats, and ``sup`` bounds |x| on the head
-    table's points."""
+_NONE = np.empty(0, dtype=np.intp)
 
-    labelled = False  # whether the walk must track each row's largest label
 
-    def __init__(self, sup: float):
-        self.sup = sup
+def _kept(vals: np.ndarray, need: float, steps: Sequence[float], most: float) -> np.ndarray:
+    """The parents, as positions in ``vals``, at or above the floor of
+    ``need`` over ``steps`` (``_floor``), none when ``most`` bounds the
+    values below it: no parent below the floor has a chain reaching it."""
+    floor = _floor(need, steps)
+    return _NONE if most < floor else (vals >= floor).nonzero()[0]
 
-    higher = staticmethod(max)
 
-    @staticmethod
-    def peak(vals: np.ndarray, top: None) -> float:
-        return float(vals[vals.argmax()])  # argmax skips max's Python wrapper
+def _children(ax: np.ndarray, plan: WindowPlan, rows, keep: np.ndarray, vals: np.ndarray):
+    """The rows of ``plan`` that extend the parents ``rows[keep]`` of the
+    level above, ascending, and their values, each its parent's value in
+    ``vals`` plus its last slot's term.  One parent's children are one
+    range of rows, sliced and returned as a ``range``; several parents'
+    are gathered."""
+    if keep.size == 1:
+        k = keep.item()
+        lo, parent = int(plan.child_start[rows[k]]), rows[k]
+        rows = range(lo, lo + int(plan.child_count[parent]))
+        term = ax.take(plan._last_idx[lo:rows.stop])
+        term *= plan._last_weight[lo:rows.stop]
+        term += vals[k]
+        return rows, term
+    parents = keep + rows.start if type(rows) is range else rows.take(keep)
+    count = plan.child_count.take(parents)
+    kids = plan.child_start.take(parents)[:, None] + plan.child_rank
+    rows = kids[plan.child_rank < count[:, None]]
+    term = ax.take(plan._last_idx.take(rows))
+    term *= plan._last_weight.take(rows)
+    term += vals.take(keep).repeat(count)
+    return rows, term
 
-    def head_peak(self, vals: np.ndarray) -> float:
-        return self.peak(vals, None)
 
-    @staticmethod
-    def above(value: float) -> float:
-        return math.nextafter(value, math.inf)
+def _max_walk(ax: np.ndarray, cfg: RenormConfig, sup: float) -> tuple[float, WindowPlan, int]:
+    """The one-cap walk of ``triple_norm``: walk the plan rows' prefix tree
+    node by node, a level computing only the children of the parents that
+    can still beat the running max.  ``ax`` holds |x| and ``sup`` its max.
+    Returns the max over the full tree's rows, and the first plan and the
+    first row in it holding that max, recorded as the walk reaches them.
 
-    @staticmethod
-    def keep(vals: np.ndarray, need: float, steps: Sequence[float], top: None) -> np.ndarray:
-        # one floor for every row: no row below it has a chain that reaches the need
-        return (vals >= _floor(need, steps)).nonzero()[0]
+    A row's value is its parent's plus its last slot's term, so every row
+    sums left to right, as ``rho`` does, and no row is below its parent.
+    The head table is computed whole, plan 0 being its last rows, and each
+    head is a row of plan 0 or has a child with the label 0, so the largest
+    head value starts the running max.  Rounding is monotone, so no
+    descendant of a parent of value v exceeds the chain fl(fl(sup w_n) +
+    ...) from v down to the deepest plan, w_n each plan's largest last-slot
+    weight.  A descendant matters when it beats the running max, or ties it
+    at the head table when no row of plan 0 holds it (deeper, a row of an
+    earlier plan holds it).  Each level compares the parents' values with a
+    floor at or below the least v whose chain reaches the need (``_kept``):
+    a parent kept in excess only adds rows that cannot matter.  So the
+    value and the first argmax are bit-identical to the full tree's.
+    """
+    idx, weight, count, offset, plan, deeper, maxes = cfg._tree
+    vals = ax.take(idx)
+    vals *= weight
+    # the largest value of the level above, the head table first
+    best = level = float(vals[vals.argmax()])
+    first = vals[offset:]
+    pos = int(first.argmax())
+    value = float(first[pos])
+    # what a descendant must reach to matter: above the running max, or
+    # level with it where no row of plan 0 holds it
+    need = best if best > value else math.nextafter(value, math.inf)
+    steps = [sup * m for m in maxes]
+    # the computed rows of the level above, as parents: the head table first
+    rows = range(count)
+    for i, (ends, below) in enumerate(deeper):
+        # the parents with children are the rows before ends
+        have = min(rows.stop, ends) - rows.start if type(rows) is range else int(rows.searchsorted(ends))
+        if have <= 0:
+            break
+        keep = _kept(vals[:have], need, steps[i:], level)
+        if not keep.size:
+            break
+        rows, vals = _children(ax, below, rows, keep, vals)
+        j = vals.argmax()
+        level = float(vals[j])
+        if level > value:
+            value, plan, pos = level, below, int(rows[j])
+        if level > best:
+            best = level
+        need = math.nextafter(best, math.inf)
+    return value, plan, pos
 
 
 class _LabelCaps:
     """Caps on the largest orbit label, ascending and each at least 1, so
     holding the label 0: a row is below a cap when its largest label is
-    below it, and then below every later cap.  The walk's per-cap numbers
-    are arrays over the caps, each nondecreasing along them.
+    below it, and then below every later cap.  The label-caps walk's
+    per-cap numbers are arrays over the caps, nondecreasing along them.
 
     Labels are below ``labels``, one past the head table's largest, and a
-    cap above that holds every row, as one at ``labels`` does.  Each call
-    maps labels to caps through tables over the labels: ``first``, the
-    first cap above each label (the cap count past the last), and ``ends``,
-    the largest label below each cap.  The head table's rows, read in
-    label order (``RenormConfig._head_labels``), give each label's max in
-    one reduction.
-
-    Each cap's rows reach only the head table's points below it.  A cap
-    where |x| vanishes on all of them holds rows of 0.0 only; such caps
-    come first, are settled at once and leave ``at``.  ``sup``, the
-    largest |x| below the last cap, bounds |x| on every row of the rest."""
-
-    labelled = True
+    cap above that holds every row.  Labels map to caps through tables:
+    ``first``, the first cap above each label (the cap count past the
+    last), and ``ends``, the largest label below each cap.  The head
+    table's rows in label order (``RenormConfig._head_labels``) give each
+    label's max in one reduction.  A cap where |x| vanishes on all the
+    head table's points below it, the only points its rows reach, holds
+    0.0; such caps come first, are settled at once and leave ``at``.
+    ``sup``, the largest |x| below the last cap, bounds the rest's rows."""
 
     def __init__(self, caps: Sequence[int], cfg: RenormConfig, ax: np.ndarray):
         self.order, self.starts = cfg._head_labels
@@ -627,113 +697,51 @@ class _LabelCaps:
         # peak over the head table, whose every label holds a row
         return np.maximum.accumulate(np.maximum.reduceat(vals.take(self.order), self.starts)).take(self.ends)
 
-    higher = staticmethod(np.maximum)
-
-    @staticmethod
-    def above(value: np.ndarray) -> np.ndarray:
-        return np.nextafter(value, math.inf)
-
     def keep(self, vals: np.ndarray, need: np.ndarray, steps: Sequence[float], top: np.ndarray) -> np.ndarray:
         # each row's chain against the need of the first cap above its
         # largest label, the least need among the caps it is below; a row
-        # above every cap needs inf, as neither it nor its descendants are
-        # below one.  The chain is added per row, exact, not met by a
-        # ``_floor`` per cap: on the benchmark's norm_queries config a
-        # per-cap floor took 9.1 us a call against 6.7-7.2 us for the few
-        # adds over the parents, as each cap pays a scalar chain
+        # above every cap needs inf.  The chain is added per row: a
+        # ``_floor`` per cap cost more (9.1 us a call against 6.7-7.2 us)
         bound = vals + steps[0]
         for s in steps[1:]:
             bound += s
         return (bound >= np.append(need, math.inf).take(self.first).take(top)).nonzero()[0]
 
 
-def _walk(ax: np.ndarray, cfg: RenormConfig, caps):
-    """Walk the plan rows' prefix tree node by node: a level computes only
-    the children of the parents that can still beat a cap's running max.
-
-    ``ax`` holds the absolute values of the function, and ``caps`` the
-    caps maximised over, an ``_AllRows`` or a ``_LabelCaps``.  Returns the
-    levels that computed a row, in plan order, as (plan, rows, values, max
-    per cap) with the rows ascending (a ``range`` when they are one
-    parent's children), and per cap the max over the full tree's rows
-    below it.
-
-    A row's value is its parent's plus the term of its last slot,
-    fl(fl(|x_last| w) + v_parent), so every row sums left to right, as
-    ``rho`` does, and no row is below its parent.  The head table is
-    computed whole, and plan 0 is its last rows.  Each head is a row of
-    plan 0 or has a child with the new label 0, whose largest label is the
-    head's, so per cap the largest head value below it bounds the cap's
-    max from below before any deeper gather: the running max starts there,
-    and each computed level raises it.
-
-    IEEE rounding is monotone on non-negative operands and ``caps.sup``
-    bounds |x| on every slot, so no descendant of a parent of value v
-    exceeds the chain fl(fl(sup w_n) + ...) from v down to the deepest
-    plan, w_n being each plan's largest last-slot weight.  A descendant
-    matters to a cap when it beats the cap's running max; ties matter only
-    at the head table, for a cap whose running max no row of plan 0 holds,
-    as a child in plan 1 may be the first row to hold it.  Anywhere else
-    the running max is the value of a computed row in an earlier plan than
-    any descendant, so a descendant that ties it moves neither the cap's
-    max nor the first argmax.  The running maxima grow along the caps, so
-    a parent keeps its children when its chain reaches what the first cap
-    it is below needs, the least need among the caps it is below
-    (``caps.keep``).  The chain is monotone in v, so under one cap each
-    level may compare the parents' values once with a floor at or below
-    the least value whose chain reaches the need (``_floor``): a parent it
-    keeps in excess only adds rows that cannot matter.  Every row that
-    matters keeps all its ancestors, so the values, the first argmax and
-    every cap's max are bit-identical to the full tree's.
+def _walk(ax: np.ndarray, cfg: RenormConfig, caps: _LabelCaps):
+    """The label-caps walk of ``gamma_cap_trace``: ``_max_walk`` with every
+    cap's running max at once, as arrays, each level carrying its rows'
+    largest labels.  A row's largest label is at least its parent's, so a
+    row below a cap extends a parent below it, and a parent keeps its
+    children while its chain, added per row, reaches what the first cap it
+    is below needs (``caps.keep``).  Returns the levels that computed a
+    row, in plan order, as (plan, rows, values, max per cap), and per cap
+    the max over the full tree's rows below it, bit-identical to it.
     """
     heads = cfg.heads
     vals = ax.take(heads._last_idx)
     vals *= heads._last_weight
-    top = heads.top if caps.labelled else None
     best = caps.head_peak(vals)
     plan0, *deeper = cfg.plans
     first = vals[-plan0.count:]
     held = caps.peak(first, plan0.top)
     levels = [(plan0, range(plan0.count), first, held)]
-    # what a descendant must reach to matter: above the running max, or
-    # level with it where no row of plan 0 holds it
-    need = caps.higher(best, caps.above(held))
+    need = np.maximum(best, np.nextafter(held, math.inf))
     steps = [caps.sup * plan.last_max for plan in deeper]
-    # the computed rows of the level above, as parents: the head table first
-    rows = range(heads.count)
+    rows, top = range(heads.count), heads.top
     for i, plan in enumerate(deeper):
-        # the parents with children are the rows before len(child_count)
         ends = len(plan.child_count)
         have = min(rows.stop, ends) - rows.start if type(rows) is range else int(rows.searchsorted(ends))
         if have <= 0:
             break
-        keep = caps.keep(vals[:have], need, steps[i:], None if top is None else top[:have])
+        keep = caps.keep(vals[:have], need, steps[i:], top[:have])
         if not keep.size:
             break
-        if keep.size == 1:
-            # one parent: its children are one range of rows, sliced
-            k = keep.item()
-            lo = int(plan.child_start[rows[k]])
-            rows = range(lo, lo + int(plan.child_count[rows[k]]))
-            term = ax.take(plan._last_idx[lo:rows.stop])
-            term *= plan._last_weight[lo:rows.stop]
-            term += vals[k]
-            if top is not None:
-                top = plan.top[lo:rows.stop]
-        else:
-            parents = keep + rows.start if type(rows) is range else rows.take(keep)
-            count = plan.child_count.take(parents)
-            kids = plan.child_start.take(parents)[:, None] + plan.child_rank
-            rows = kids[plan.child_rank < count[:, None]]
-            term = ax.take(plan._last_idx.take(rows))
-            term *= plan._last_weight.take(rows)
-            term += vals.take(keep).repeat(count)
-            if top is not None:
-                top = plan.top.take(rows)
-        vals = term
+        rows, vals = _children(ax, plan, rows, keep, vals)
+        top = plan.top[rows.start:rows.stop] if type(rows) is range else plan.top.take(rows)
         level = caps.peak(vals, top)
-        best = caps.higher(best, level)
-        need = caps.above(best)
+        best = np.maximum(best, level)
+        need = np.nextafter(best, math.inf)
         levels.append((plan, rows, vals, level))
     return levels, best
 
@@ -742,18 +750,11 @@ def triple_norm(x: np.ndarray, cfg: RenormConfig) -> NormResult:
     """Max of the seminorms over the enumerated tuples, with an additive
     certificate for the omitted deeper windows.
 
-    The plans are evaluated node by node down the prefix tree (``_walk``,
-    with one cap above every label).  The running max starts at the largest
-    head value, since no row is below its parent, and a parent's children
-    are computed only while the bound fl(fl(sup|x| w_n) + v) on its
-    descendants, chained from its value v down to the deepest plan with
-    w_n each plan's largest last-slot weight, can still beat that max, or
-    tie it at a head when no row of plan 0 holds it.  Each level compares
-    the parents' values once with a floor at or below the least v that can
-    (``_floor``): the need itself when the float just below it falls
-    short, else a margin below the need less the steps.  The value and the
-    argmax, the first plan and then the first row holding the max, are
-    bit-identical to the full tree's.
+    The plans are evaluated node by node down the prefix tree by the
+    one-cap walk (``_max_walk``), which computes a parent's children only
+    while the bound on its descendants can still beat the running max.
+    The value and the argmax, the first plan and then the first row
+    holding the max, are bit-identical to the full tree's.
 
     The certificate sums the geometric tail of window weights beyond the
     enumeration index of the last in-depth window; when orbit enumerations
@@ -761,11 +762,7 @@ def triple_norm(x: np.ndarray, cfg: RenormConfig) -> NormResult:
     result is flagged instead.
     """
     ax, sup = _abs_values(x, cfg)
-    levels, value = _walk(ax, cfg, _AllRows(sup))
-    for plan, rows, vals, most in levels:
-        if most == value:
-            break
-    pos = int(rows[vals.argmax()])
+    value, plan, pos = _max_walk(ax, cfg, sup)
     start = int(plan.starts[pos])
     points = cfg.space.points
     return NormResult(
@@ -786,13 +783,10 @@ def gamma_cap_trace(x: np.ndarray, cfg: RenormConfig, caps: Sequence[int]) -> li
     instead of a certificate: the trace restricts the enumerated family to
     tuples whose labels all sit below each cap.
 
-    The walk is ``triple_norm``'s, with every cap at once.  A row's largest
-    label is at least its parent's, so a row below a cap extends a parent
-    below it, and a parent keeps its children while its chained bound can
-    still beat the running max of the first cap it is below.  A cap whose
-    orbit points all vanish, the only points its rows reach, holds 0.0 and
-    settles at once.  Every cap's value is bit-identical to the max over
-    the full tree's rows below it.
+    The walk is the label-caps walk (``_walk``), every cap at once.  A cap
+    whose orbit points all vanish, the only points its rows reach, holds
+    0.0 and settles at once.  Every cap's value is bit-identical to the
+    max over the full tree's rows below it.
     """
     ax = _abs_values(x, cfg)[0]
     caps = sorted(set(int(c) for c in caps))
@@ -816,7 +810,10 @@ def build_matrix(t: TupleIndex, cfg: RenormConfig) -> TriangularSystem:
     window, so neither the read nor that order can move an ordinal.
     """
     s = t.n + 1
-    lambdas = np.array([cfg.lam(t.start + k) for k in range(s)])
+    if 1 <= t.start <= t.start + t.n <= cfg.base_count:
+        lambdas = cfg._lambdas[t.start - 1 : t.start + t.n]
+    else:  # past the last base, or below the first, lam itself answers
+        lambdas = np.array([cfg.lam(t.start + k) for k in range(s)])
     zeta = np.zeros((s, s))
     registry = cfg.registry
     for j in range(s - 1):
@@ -851,7 +848,8 @@ def dual_norm_atoms(
     fingerprint a(t) is the unit solution of the tuple's system.
     """
     beta = np.asarray(beta, dtype=float)
-    if not np.all((beta >= 0.8 - _ZETA_MARGIN) & (beta <= 1.0 + _ZETA_MARGIN)):
+    # NaN fails both comparisons, and an empty beta passes to the length check
+    if beta.size and not (beta.min() >= 0.8 - _ZETA_MARGIN and beta.max() <= 1.0 + _ZETA_MARGIN):
         raise ValueError(f"beta {beta.tolist()} outside the [4/5, 1] window")
     if beta.shape != (t.n + 1,):
         raise ValueError("beta length mismatch")

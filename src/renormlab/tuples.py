@@ -244,6 +244,9 @@ class ClassRegistry:
         self.word_maps = np.asarray(word_maps, dtype=np.intp)
         # the W word images of every sample point, for one-row keys
         self._images = self.word_maps.T.tolist()
+        # per point, the one word attaining its least image, or -1 if several do
+        least = self.word_maps == self.word_maps.min(axis=0)
+        self._least_word = np.where(least.sum(axis=0) == 1, least.argmax(axis=0), -1).tolist()
         self._m: list[int] = []
         self._ordinal: list[int] = []
         self._p: list[int] = []
@@ -259,8 +262,12 @@ class ClassRegistry:
 
     def canonical_key(self, points: Sequence[int]) -> tuple[int, ...]:
         """The smallest of the W word images of one tuple, read from the
-        per-point image table."""
+        per-point image table.  Its first entry is the first point's least
+        image, so the one word attaining that, where one does, gives it."""
         images = self._images
+        w = self._least_word[points[0]] if len(points) else -1
+        if w >= 0:
+            return tuple([images[p][w] for p in points])
         return min(zip(*[images[p] for p in points]))
 
     def extend_keys(self, points: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -643,6 +643,37 @@ def test_bad_operator_spec_exits_2_naming_the_field(tmp_path, capsys, spec, mess
     assert not list((tmp_path / "out").glob("*.json"))
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"builtin": "generator_word", "indices": 3},
+     "detect operator generator_word: indices must be a list of generator indices, got 3"),
+    ({"builtin": "generator_word", "indices": None},
+     "detect operator generator_word: indices must be a list of generator indices, got None"),
+    ({"builtin": "generator_word", "indices": {}},
+     "detect operator generator_word: indices must be a list of generator indices, got {}"),
+    ({"builtin": "identity", "expect": "certified"},
+     "detect operator 'id': expect must be one of 'certified-in-G', 'rejected', 'inconclusive', "
+     "got 'certified'"),
+    ({"builtin": "generator_word", "indices": [0], "expect": 1},
+     "detect operator 'word:0': expect must be one of 'certified-in-G', 'rejected', 'inconclusive', got 1"),
+])
+def test_a_detect_entry_refused_by_name_exits_2(tmp_path, capsys, spec, message):
+    # in process through cli.main: no traceback, no report, and the message
+    # names the field, as the other detect operator refusals do
+    scenario = {
+        "space": {"builtin": "circle_x_interval", "params": {"count": 12, "levels": 4}},
+        "group": {"builtin": "rotation", "q": 4, "word_cap": 4},
+        "depth": 3,
+        "tasks": ["build-config", "detect"],
+        "detect": [{"builtin": "identity", "expect": "certified-in-G"}, spec],
+    }
+    path = tmp_path / "detect.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
 def test_a_swap_count_above_n_max_exits_2_naming_it(tmp_path, capsys):
     path = tmp_path / "swaps.json"
     path.write_text(json.dumps({"space": {"builtin": "onepoint01N"}, "tasks": ["build-config"],

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import renormlab as rl
 from renormlab import norm
+import walk_oracles
 from key_oracles import last_slot_weights
 from renormlab.norm import (
     WITNESS_EPS,
@@ -553,36 +554,55 @@ def test_walk_keeps_the_plan_1_rows_that_tie_a_head_max_plan_0_lacks(name, reque
     assert gamma_cap_trace(x, cfg, (1, 2, 12)) == _gamma_cap_trace_full(x, cfg, (1, 2, 12))
 
 
-def test_walk_computes_few_rows_of_plan_1_on_noise(product_cfg):
+def _recorded_levels(monkeypatch):
+    """A list that collects, through ``norm._children``, every level a walk
+    computes, as (plan, rows, values); cleared by the caller per call."""
+    levels, children = [], norm._children
+
+    def recorded(ax, plan, rows, keep, vals):
+        out = children(ax, plan, rows, keep, vals)
+        levels.append((plan, *out))
+        return out
+
+    monkeypatch.setattr(norm, "_children", recorded)
+    return levels
+
+
+def test_walk_computes_few_rows_of_plan_1_on_noise(product_cfg, monkeypatch):
     # the shipped weights put plan 1's terms near 2e-3 of the head values,
     # so only the parents of the few rows near the max keep their children
     cfg = product_cfg
     plan1 = cfg.plans[1]
+    levels = _recorded_levels(monkeypatch)
     rng = np.random.default_rng(12)
     for _ in range(20):
         x = rng.uniform(-1, 1, size=cfg.space.n)
-        levels = norm._walk(np.abs(x), cfg, norm._AllRows(float(np.abs(x).max())))[0]
-        computed = sum(len(rows) for plan, rows, *_ in levels if plan is plan1)
+        levels.clear()
+        res = triple_norm(x, cfg)
+        computed = sum(len(rows) for plan, rows, _ in levels if plan is plan1)
         assert 0 < computed <= 0.02 * plan1.count, computed
-        assert triple_norm(x, cfg) == _triple_norm_full(x, cfg)
+        assert res == _triple_norm_full(x, cfg)
 
 
 @pytest.mark.parametrize("name", ["product_cfg", "product5_cfg", "line8_cfg", "product_word_capped_cfg"])
-def test_walk_slices_one_parent_and_gathers_several(name, request):
+def test_walk_slices_one_parent_and_gathers_several(name, request, monkeypatch):
     # a level that keeps one parent slices its children as one range; one
     # that keeps several gathers them: the benchmark's tent sums take the
     # first way, their plateaus the second, and both match the full tree
     cfg = request.getfixturevalue(name)
+    levels = _recorded_levels(monkeypatch)
     rng = np.random.default_rng(13)
     caps = (1, 2, 3, 4, 6, 8, 12)
     taken = {"tents": set(), "plateau": set()}
     for kind in ("tents", "plateau") * 12:
         x = _function(kind, cfg, rng, 1.0, 1)
         ax = np.abs(x)
-        for walk_caps in (norm._AllRows(float(ax.max())), norm._LabelCaps(caps, cfg, ax)):
-            levels = norm._walk(ax, cfg, walk_caps)[0]
-            taken[kind] |= {type(rows) for _, rows, *_ in levels[1:]}
-        assert triple_norm(x, cfg) == _triple_norm_full(x, cfg), (name, kind)
+        levels.clear()
+        res = triple_norm(x, cfg)
+        taken[kind] |= {type(rows) for _, rows, _ in levels}
+        walked = norm._walk(ax, cfg, norm._LabelCaps(caps, cfg, ax))[0]
+        taken[kind] |= {type(rows) for _, rows, *_ in walked[1:]}
+        assert res == _triple_norm_full(x, cfg), (name, kind)
         assert gamma_cap_trace(x, cfg, caps) == _gamma_cap_trace_full(x, cfg, caps), (name, kind)
     assert range in taken["tents"] and np.ndarray in taken["plateau"], taken
 
@@ -650,18 +670,20 @@ def test_floor_is_sound_on_drawn_steps(need, steps, scale):
 def test_all_rows_keep_exactly_the_parents_whose_chain_reaches_the_need(name, request, monkeypatch):
     # the floor keeps a parent in excess only when its value lies between
     # the floor and the least value whose chain reaches the need; on every
-    # level of these walks it keeps what the per-row chain keeps
+    # level of these walks of triple_norm it keeps what the per-row chain
+    # keeps, and the bound that lets a level skip the compare holds
     cfg = request.getfixturevalue(name)
-    keep, seen = norm._AllRows.keep, []
+    kept, seen = norm._kept, []
 
-    def checked(vals, need, steps, top):
-        got = keep(vals, need, steps, top)
+    def checked(vals, need, steps, most):
+        assert most >= vals.max(), (name, most)
+        got = kept(vals, need, steps, most)
         want = (_chain_by_numpy(vals, steps) >= need).nonzero()[0]
         assert np.array_equal(got, want), (name, need, steps)
         seen.append(len(steps))
         return got
 
-    monkeypatch.setattr(norm._AllRows, "keep", staticmethod(checked))
+    monkeypatch.setattr(norm, "_kept", checked)
     rng = np.random.default_rng(14)
     for kind in ("tents", "dense", "indicator", "constant") * 10:
         if kind == "indicator":
@@ -672,6 +694,49 @@ def test_all_rows_keep_exactly_the_parents_whose_chain_reaches_the_need(name, re
         assert triple_norm(x, cfg) == _triple_norm_full(x, cfg), (name, kind)
     # each function compared its heads, and some compared deeper levels too
     assert len(seen) >= 40 and len(set(seen)) >= 2, seen
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "product5_cfg", "line8_cfg", "product_word_capped_cfg"])
+def test_one_cap_walk_matches_the_caps_walk_it_replaced(name, request, monkeypatch):
+    # the one-cap walk against the caps-strategy walk with one cap above
+    # every label, kept in walk_oracles: the value, the first argmax and
+    # every computed level (plan, rows and values) match bitwise, on the
+    # benchmark's family of draws at 5 seeds, on indicators, on two-point
+    # functions of a 100-point sample and on the zero function
+    cfg = request.getfixturevalue(name)
+    levels = _recorded_levels(monkeypatch)
+    n = cfg.space.n
+
+    def check(x):
+        levels.clear()
+        got = triple_norm(x, cfg)
+        want, walked = walk_oracles.triple_norm_by_levels(x, cfg)
+        assert got == want and got.value.hex() == want.value.hex(), name
+        assert len(levels) == len(walked) - 1, name
+        for (plan, rows, vals), (p, r, v, _) in zip(levels, walked[1:]):
+            assert plan is p and type(rows) is type(r) and np.array_equal(rows, r), name
+            assert vals.tobytes() == v.tobytes(), name
+        return len(levels)
+
+    deep = 0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for _ in range(2000):
+            # as perfbench's random_function: uniform noise or 2-6 tents
+            deep += check(_function("dense" if rng.random() < 0.5 else "tents", cfg, rng, 1.0, 1)) > 1
+    assert deep > 0, name
+    check(np.zeros(n))
+    for p in range(n):
+        check(_indicator_of(n, [p]))
+    sample = np.random.default_rng(5).choice(n, size=min(n, 100), replace=False)
+    for p, q in itertools.combinations(sample.tolist(), 2):
+        check(_indicator_of(n, [p, q], (1.0, 0.5)))
+
+
+def _indicator_of(n, points, values=1.0):
+    x = np.zeros(n)
+    x[points] = values
+    return x
 
 
 @pytest.mark.parametrize("name", ["line_cfg", "product_cfg"])

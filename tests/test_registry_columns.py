@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormlab as rl
+from renormlab.operators import WeightedComposition, onepoint_swap_group
 from key_oracles import canonical_keys, lookup_rows, set_class
 from renormlab import tuples
 from renormlab.tuples import (
@@ -158,6 +159,80 @@ def test_image_table_key_matches_single_row_lexsort(case):
     # the prefix identity the verifier and the plan build rely on
     for k in range(1, len(points) + 1):
         assert registry.canonical_key(points[:k]) == key[:k]
+
+
+@pytest.fixture(scope="module")
+def least_image_registries(product_space, rotation_group):
+    """Registries over word tables with and without ties at the least
+    image: a dihedral group on a 12-point circle, whose reflections fix
+    points, so that a rotation and a reflection attain every point's least
+    image; the one-point swaps; the trivial group; and the product's
+    rotations at word caps 4 (a list not closed under composition) and 6."""
+    circ = rl.builtin_space("circle", count=12)
+    idx = np.arange(circ.n)
+    rot = WeightedComposition(circ, np.ones(circ.n), (idx + 1) % circ.n, (idx - 1) % circ.n, label="r")
+    flip = WeightedComposition(circ, np.ones(circ.n), -idx % circ.n, -idx % circ.n, label="f")
+    onepoint = rl.builtin_space("onepoint01N", n_max=50)
+    groups = {
+        "dihedral": rl.GroupSpec((rot, flip), word_cap=8),
+        "onepoint_swaps": onepoint_swap_group(onepoint),
+        "trivial": rl.GroupSpec.trivial(onepoint),
+        "rotation cap 4": rl.GroupSpec(rotation_group.generators, word_cap=4),
+        "rotation cap 6": rl.GroupSpec(rotation_group.generators, word_cap=6),
+    }
+    return {name: ClassRegistry(group.word_table()[0]) for name, group in groups.items()}
+
+
+def _key_by_scan(registry, points):
+    # the key as every call once took it: all W images of the tuple compared
+    return min(zip(*[registry._images[p] for p in points]))
+
+
+def test_least_image_words_are_the_unique_minimisers(least_image_registries):
+    ties = {}
+    for name, registry in least_image_registries.items():
+        maps = registry.word_maps
+        want = []
+        for p in range(maps.shape[1]):
+            words = np.flatnonzero(maps[:, p] == maps[:, p].min())
+            want.append(int(words[0]) if len(words) == 1 else -1)
+        assert registry._least_word == want, name
+        ties[name] = -1 in want
+    # the dihedral group ties everywhere, a rotation nowhere
+    assert ties == {"dihedral": True, "onepoint_swaps": True, "trivial": False,
+                    "rotation cap 4": False, "rotation cap 6": False}, ties
+
+
+def test_least_image_keys_match_the_scan_on_every_level(least_image_registries):
+    # random trees of rows: each level's keys from extend_keys, each row's
+    # canonical_key and the full scan agree
+    rng = np.random.default_rng(21)
+    for name, registry in least_image_registries.items():
+        n = registry.word_maps.shape[1]
+        rows = rng.integers(n, size=(200, 1))
+        entry, words = registry.extend_keys(rows[:, 0], np.ones((len(registry.word_maps), len(rows)), dtype=bool))
+        keys = entry[:, None]
+        for level in range(5):
+            want = [_key_by_scan(registry, row) for row in rows.tolist()]
+            assert [registry.canonical_key(row) for row in rows.tolist()] == want, (name, level)
+            assert [tuple(k) for k in keys.tolist()] == want, (name, level)
+            parent = rng.integers(len(rows), size=300)
+            rows = np.column_stack([rows[parent], rng.integers(n, size=len(parent))])
+            entry, words = registry.extend_keys(rows[:, -1], words[:, parent])
+            keys = np.column_stack([keys[parent], entry])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_least_image_key_matches_the_scan_on_drawn_tuples(least_image_registries, data):
+    name = data.draw(st.sampled_from(sorted(least_image_registries)))
+    registry = least_image_registries[name]
+    n = registry.word_maps.shape[1]
+    points = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    key = registry.canonical_key(points)
+    assert key == _key_by_scan(registry, points), (name, points)
+    assert all(type(i) is int for i in key)
+    assert registry.canonical_key(np.asarray(points)) == key
 
 
 # ----------------------------------------------------------------------
