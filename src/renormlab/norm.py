@@ -541,7 +541,7 @@ def _abs_values(x: np.ndarray, cfg: RenormConfig) -> tuple[np.ndarray, float]:
         raise ValueError(f"function of shape {x.shape} for {len(points)} points; "
                          f"first point without a value: {first!r}")
     ax = np.abs(x)
-    sup = float(ax[ax.argmax()])  # NaN or inf exactly when some value is
+    sup = ax.item(ax.argmax())  # NaN or inf exactly when some value is
     if not math.isfinite(sup):
         bad = np.flatnonzero(~np.isfinite(x))[0]
         raise ValueError(f"non-finite value {x[bad]} at point {points[bad]!r}")
@@ -590,8 +590,8 @@ def _children(ax: np.ndarray, plan: WindowPlan, rows, keep: np.ndarray, vals: np
     are gathered."""
     if keep.size == 1:
         k = keep.item()
-        lo, parent = int(plan.child_start[rows[k]]), rows[k]
-        rows = range(lo, lo + int(plan.child_count[parent]))
+        lo, parent = plan.child_start.item(rows[k]), rows[k]
+        rows = range(lo, lo + plan.child_count.item(parent))
         term = ax.take(plan._last_idx[lo:rows.stop])
         term *= plan._last_weight[lo:rows.stop]
         term += vals[k]
@@ -631,10 +631,10 @@ def _max_walk(ax: np.ndarray, cfg: RenormConfig, sup: float) -> tuple[float, Win
     vals = ax.take(idx)
     vals *= weight
     # the largest value of the level above, the head table first
-    best = level = float(vals[vals.argmax()])
+    best = level = vals.item(vals.argmax())
     first = vals[offset:]
     pos = int(first.argmax())
-    value = float(first[pos])
+    value = first.item(pos)
     # what a descendant must reach to matter: above the running max, or
     # level with it where no row of plan 0 holds it
     need = best if best > value else math.nextafter(value, math.inf)
@@ -651,7 +651,7 @@ def _max_walk(ax: np.ndarray, cfg: RenormConfig, sup: float) -> tuple[float, Win
             break
         rows, vals = _children(ax, below, rows, keep, vals)
         j = vals.argmax()
-        level = float(vals[j])
+        level = vals.item(j)
         if level > value:
             value, plan, pos = level, below, int(rows[j])
         if level > best:
@@ -763,7 +763,7 @@ def triple_norm(x: np.ndarray, cfg: RenormConfig) -> NormResult:
     """
     ax, sup = _abs_values(x, cfg)
     value, plan, pos = _max_walk(ax, cfg, sup)
-    start = int(plan.starts[pos])
+    start = plan.starts.item(pos)
     points = cfg.space.points
     return NormResult(
         value=value,
