@@ -245,8 +245,8 @@ class ClassRegistry:
         # the W word images of every sample point, for one-row keys
         self._images = self.word_maps.T.tolist()
         # per point, the one word attaining its least image, or -1 if several do
-        least = self.word_maps == self.word_maps.min(axis=0)
-        self._least_word = np.where(least.sum(axis=0) == 1, least.argmax(axis=0), -1).tolist()
+        self._least_word = [row.index(low) if row.count(low) == 1 else -1
+                            for row, low in zip(self._images, map(min, self._images))]
         self._m: list[int] = []
         self._ordinal: list[int] = []
         self._p: list[int] = []
