@@ -4,8 +4,9 @@
 Every norm and cap trace the script computes is also checked against a
 full-tree evaluation, which computes every plan row: the line functions,
 plus on the product config 20 seeded noise functions, the indicators of
-100 seeded points and 100 seeded two-point functions.  The script exits 1
-on any mismatch.  Last it prints the throughput on the product config:
+100 seeded points and 100 seeded two-point functions, whose cap traces
+are checked under the edge caps as well.  The script exits 1 on any
+mismatch.  Last it prints the throughput on the product config:
 calls/s of triple_norm and gamma_cap_trace over 200 seeded noise
 functions, and of dual_norm_atoms over 200 seeded in-window tuples of 2
 to 4 slots with weights in [4/5, 1], each the median of 5 timed passes.
@@ -27,6 +28,8 @@ from renormlab.norm import gamma_cap_trace
 from renormlab.operators import circle_rotation, lift
 
 CAPS = (1, 2, 3, 4, 6, 8, 12)
+# caps that hold no row, a repeat, and a cap far above every label
+EDGE_CAPS = (-1, 0, 1, 1, 5, 2**40)
 NOISE_FUNCTIONS = 20
 POINT_FUNCTIONS = 100  # indicators, and as many two-point functions
 RATE_FUNCTIONS, RATE_PASSES = 200, 5
@@ -45,8 +48,9 @@ def full_tree(x, cfg):
     return out
 
 
-def mismatches(x, cfg, caps):
-    """What of triple_norm and gamma_cap_trace differs from the full tree."""
+def mismatches(x, cfg, cap_lists):
+    """What of triple_norm and gamma_cap_trace, under each caps list,
+    differs from the full tree."""
     values = full_tree(x, cfg)
     best = max(float(v.max()) for v in values)
     k = next(k for k, v in enumerate(values) if v.max() == best)  # the first plan, then the first row
@@ -59,10 +63,11 @@ def mismatches(x, cfg, caps):
     if got != want:
         found.append(f"triple_norm {got} != full tree {want}")
     rows, top = np.concatenate(values), np.concatenate([p.top for p in cfg.plans])
-    want = [(c, float(rows[top < c].max()) if (top < c).any() else 0.0) for c in sorted(set(caps))]
-    got = gamma_cap_trace(x, cfg, caps)
-    if got != want:
-        found.append(f"gamma_cap_trace {got} != full tree {want}")
+    for caps in cap_lists:
+        want = [(c, float(rows[top < c].max()) if (top < c).any() else 0.0) for c in sorted(set(caps))]
+        got = gamma_cap_trace(x, cfg, caps)
+        if got != want:
+            found.append(f"gamma_cap_trace {got} != full tree {want}")
     return found
 
 
@@ -94,7 +99,7 @@ def main():
         sup = float(np.max(np.abs(x)))
         res = rl.triple_norm(x, cfg)
         ratios.append(res.value / sup)
-        failed += mismatches(x, cfg, CAPS)
+        failed += mismatches(x, cfg, (CAPS,))
         checked += 1
     ratios = np.asarray(ratios)
     print(f"value / sup over {args.functions} functions: "
@@ -116,7 +121,7 @@ def main():
         x[points] = noise.uniform(0.5, 1.0, size=len(points))
         checks.append(x)
     for x in checks:
-        failed += mismatches(x, pcfg, CAPS)
+        failed += mismatches(x, pcfg, (CAPS, EDGE_CAPS))
         checked += 1
 
     print(f"full-tree check: {checked} functions, {len(failed)} mismatches")

@@ -15,6 +15,7 @@ weights; back substitution keeps every entry inside [4/5, 1].
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -182,7 +183,8 @@ class WindowPlan:
     # the head table itself.  Nondecreasing on plans 1, 2, ..., so the
     # children of a row are one range of rows
     parent: np.ndarray | None = field(repr=False)
-    # (T,) the largest orbit label of each row, at least its parent's
+    # (T,) the largest orbit label of each row, at least its parent's; read
+    # by gamma_cap_trace alone
     top: np.ndarray = field(init=False, repr=False)
     # the largest weight of the last slot, which bounds the level's terms
     last_max: float = field(init=False, repr=False)
@@ -242,14 +244,6 @@ class RenormConfig:
         return self.bc.lam(i)
 
     @functools.cached_property
-    def _head_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """The head table's rows in label order, and where each label's rows
-        start in that order; every label up to the largest holds a head,
-        since each base's heads hold the labels 0, 1, ... of its orbit."""
-        order = self.heads.top.argsort(kind="stable")
-        return order, self.heads.top.take(order).searchsorted(np.arange(self.heads.top.max() + 1))
-
-    @functools.cached_property
     def _lambdas(self) -> np.ndarray:
         """lambda_i at position i - 1 for every base index i; read-only, as
         systems hold slices of it."""
@@ -259,10 +253,11 @@ class RenormConfig:
 
     @functools.cached_property
     def _tree(self) -> tuple:
-        """What the one-cap walk reads of the plans, bound once: the head
-        table's last-slot columns, its row count, plan 0's offset in it and
-        plan 0; per deeper plan, how many rows of the level above have
-        children in it and the plan; each deeper plan's ``last_max``."""
+        """What both walks, ``_max_walk`` and ``gamma_cap_trace``'s, read of
+        the plans, bound once: the head table's last-slot columns, its row
+        count, plan 0's offset in it and plan 0; per deeper plan, how many
+        rows of the level above have children in it and the plan; each
+        deeper plan's ``last_max``."""
         heads, (plan0, *deeper) = self.heads, self.plans
         return (heads._last_idx, heads._last_weight, heads.count, heads.count - plan0.count, plan0,
                 tuple((len(plan.child_count), plan) for plan in deeper), tuple(plan.last_max for plan in deeper))
@@ -660,92 +655,6 @@ def _max_walk(ax: np.ndarray, cfg: RenormConfig, sup: float) -> tuple[float, Win
     return value, plan, pos
 
 
-class _LabelCaps:
-    """Caps on the largest orbit label, ascending and each at least 1, so
-    holding the label 0: a row is below a cap when its largest label is
-    below it, and then below every later cap.  The label-caps walk's
-    per-cap numbers are arrays over the caps, nondecreasing along them.
-
-    Labels are below ``labels``, one past the head table's largest, and a
-    cap above that holds every row.  Labels map to caps through tables:
-    ``first``, the first cap above each label (the cap count past the
-    last), and ``ends``, the largest label below each cap.  The head
-    table's rows in label order (``RenormConfig._head_labels``) give each
-    label's max in one reduction.  A cap where |x| vanishes on all the
-    head table's points below it, the only points its rows reach, holds
-    0.0; such caps come first, are settled at once and leave ``at``.
-    ``sup``, the largest |x| below the last cap, bounds the rest's rows."""
-
-    def __init__(self, caps: Sequence[int], cfg: RenormConfig, ax: np.ndarray):
-        self.order, self.starts = cfg._head_labels
-        self.labels = len(self.starts)
-        at = np.array([min(c, self.labels) for c in caps], dtype=np.intp)
-        self.ends = at - 1  # every cap, to read each one's largest |x|
-        sups = self.head_peak(ax.take(cfg.heads._last_idx))
-        self.at = at[sups > 0]
-        self.ends = self.at - 1
-        self.first = self.at.searchsorted(np.arange(self.labels), side="right")
-        self.sup = float(sups[-1]) if len(at) else 0.0
-
-    def peak(self, vals: np.ndarray, top: np.ndarray) -> np.ndarray:
-        # the max of the rows of each largest label, then of every label below each cap
-        most = np.full(self.labels, -math.inf)
-        np.maximum.at(most, top, vals)
-        return np.maximum.accumulate(most).take(self.ends)
-
-    def head_peak(self, vals: np.ndarray) -> np.ndarray:
-        # peak over the head table, whose every label holds a row
-        return np.maximum.accumulate(np.maximum.reduceat(vals.take(self.order), self.starts)).take(self.ends)
-
-    def keep(self, vals: np.ndarray, need: np.ndarray, steps: Sequence[float], top: np.ndarray) -> np.ndarray:
-        # each row's chain against the need of the first cap above its
-        # largest label, the least need among the caps it is below; a row
-        # above every cap needs inf.  The chain is added per row: a
-        # ``_floor`` per cap cost more (9.1 us a call against 6.7-7.2 us)
-        bound = vals + steps[0]
-        for s in steps[1:]:
-            bound += s
-        return (bound >= np.append(need, math.inf).take(self.first).take(top)).nonzero()[0]
-
-
-def _walk(ax: np.ndarray, cfg: RenormConfig, caps: _LabelCaps):
-    """The label-caps walk of ``gamma_cap_trace``: ``_max_walk`` with every
-    cap's running max at once, as arrays, each level carrying its rows'
-    largest labels.  A row's largest label is at least its parent's, so a
-    row below a cap extends a parent below it, and a parent keeps its
-    children while its chain, added per row, reaches what the first cap it
-    is below needs (``caps.keep``).  Returns the levels that computed a
-    row, in plan order, as (plan, rows, values, max per cap), and per cap
-    the max over the full tree's rows below it, bit-identical to it.
-    """
-    heads = cfg.heads
-    vals = ax.take(heads._last_idx)
-    vals *= heads._last_weight
-    best = caps.head_peak(vals)
-    plan0, *deeper = cfg.plans
-    first = vals[-plan0.count:]
-    held = caps.peak(first, plan0.top)
-    levels = [(plan0, range(plan0.count), first, held)]
-    need = np.maximum(best, np.nextafter(held, math.inf))
-    steps = [caps.sup * plan.last_max for plan in deeper]
-    rows, top = range(heads.count), heads.top
-    for i, plan in enumerate(deeper):
-        ends = len(plan.child_count)
-        have = min(rows.stop, ends) - rows.start if type(rows) is range else int(rows.searchsorted(ends))
-        if have <= 0:
-            break
-        keep = caps.keep(vals[:have], need, steps[i:], top[:have])
-        if not keep.size:
-            break
-        rows, vals = _children(ax, plan, rows, keep, vals)
-        top = plan.top[rows.start:rows.stop] if type(rows) is range else plan.top.take(rows)
-        level = caps.peak(vals, top)
-        best = np.maximum(best, level)
-        need = np.nextafter(best, math.inf)
-        levels.append((plan, rows, vals, level))
-    return levels, best
-
-
 def triple_norm(x: np.ndarray, cfg: RenormConfig) -> NormResult:
     """Max of the seminorms over the enumerated tuples, with an additive
     certificate for the omitted deeper windows.
@@ -781,19 +690,63 @@ def gamma_cap_trace(x: np.ndarray, cfg: RenormConfig, caps: Sequence[int]) -> li
 
     No closed-form tail over orbit labels exists, so sensitivity is reported
     instead of a certificate: the trace restricts the enumerated family to
-    tuples whose labels all sit below each cap.
+    tuples whose labels all sit below each cap.  A cap of 0 or below holds
+    no row, and one above every label holds them all.
 
-    The walk is the label-caps walk (``_walk``), every cap at once.  A cap
-    whose orbit points all vanish, the only points its rows reach, holds
-    0.0 and settles at once.  Every cap's value is bit-identical to the
-    max over the full tree's rows below it.
+    The walk is ``_max_walk``'s with a running max and a need per cap, every
+    cap at once.  Each computed row carries its slot, the first cap above
+    its largest label, and answers to that cap's need, the least among the
+    caps it is below; a row above every cap needs inf.  A row's largest
+    label is at least its parent's, so a parent keeps its children while
+    its chain, added per row, reaches its slot's need.  A cap where |x|
+    vanishes on the head table's points below it, the only points its rows
+    reach, holds 0.0; such caps come first and settle at once, and their
+    rows answer to the first live cap.  ``sup``, the largest |x| below the
+    last cap, bounds the live caps' rows.  Every cap's value is
+    bit-identical to the max over the full tree's rows below it.
     """
+    for cap in caps:
+        _integer(cap, "gamma cap")
     ax = _abs_values(x, cfg)[0]
-    caps = sorted(set(int(c) for c in caps))
-    # a cap of 0 or below holds no row
-    label_caps = _LabelCaps([c for c in caps if c > 0], cfg, ax)
-    best = _walk(ax, cfg, label_caps)[1]
-    return list(zip(caps, [0.0] * (len(caps) - len(label_caps.at)) + best.tolist()))
+    caps = sorted({int(cap) for cap in caps})
+    idx, weight, count, _, _, deeper, maxes = cfg._tree
+    top = cfg.heads.top
+    head = ax.take(idx)
+    # every label is below the head count, so a cap clipped to it keeps its rows
+    at = [min(cap, count) for cap in caps]
+    settled = bisect.bisect_right(at, top.min(where=head > 0, initial=count))
+    live = at[settled:]
+    if not live:
+        return [(cap, 0.0) for cap in caps]
+    # label -> slot; the labels from the last cap on clip to the slot past it
+    table = np.array(live).searchsorted(np.arange(live[-1] + 1), side="right")
+    slot = table.take(top, mode="clip")
+    sup = head.max(where=slot < len(live), initial=0.0)
+    steps = [sup * m for m in maxes]
+    vals = head * weight
+    # the max of each slot's rows, then the running max below each cap
+    most = np.full(len(live) + 1, -math.inf)
+    np.maximum.at(most, slot, vals)
+    best = np.maximum.accumulate(most)
+    rows = range(count)
+    for i, (ends, plan) in enumerate(deeper):
+        have = min(rows.stop, ends) - rows.start if type(rows) is range else int(rows.searchsorted(ends))
+        if have <= 0:
+            break
+        bound = vals[:have] + steps[i]
+        for s in steps[i + 1:]:
+            bound += s
+        need = np.nextafter(best, math.inf)
+        need[-1] = math.inf
+        keep = (bound >= need.take(slot[:have])).nonzero()[0]
+        if not keep.size:
+            break
+        rows, vals = _children(ax, plan, rows, keep, vals)
+        slot = table.take(plan.top[rows.start:rows.stop] if type(rows) is range else plan.top.take(rows), mode="clip")
+        most.fill(-math.inf)
+        np.maximum.at(most, slot, vals)
+        best = np.maximum(best, np.maximum.accumulate(most))
+    return list(zip(caps, [0.0] * settled + best[:-1].tolist()))
 
 
 # ----------------------------------------------------------------------

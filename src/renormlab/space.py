@@ -619,10 +619,11 @@ def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> Sample
 # isolated flags.  ``_KINDS`` is the one place a kind name is dispatched
 
 
-def _integer(value, name: str, least: int) -> int:
-    """A param that must be an integer >= least, or an input error naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _integer(value, name: str, least: int | None = None) -> int:
+    """A param that must be an integer, >= least unless least is None, or an
+    input error naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (least is not None and value < least):
+        raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
     return value
 
 

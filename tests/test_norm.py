@@ -201,6 +201,24 @@ def test_gamma_cap_trace_monotone(product_cfg):
     assert values[-1] == pytest.approx(triple_norm(x, product_cfg).value)
 
 
+@pytest.mark.parametrize("cap", [2.7, 2.0, np.float64(3.0), "3", True, None, math.nan])
+def test_gamma_cap_trace_refuses_a_cap_that_is_no_integer_by_name(product_cfg, cap):
+    # a float once read as the cap below it, a str as its digits and a bool as 0 or 1
+    x = np.random.default_rng(8).uniform(-1, 1, size=product_cfg.space.n)
+    with pytest.raises(ValueError, match=re.escape(f"gamma cap must be an integer, got {cap!r}")):
+        gamma_cap_trace(x, product_cfg, (1, cap, 4))
+
+
+def test_gamma_cap_trace_reads_numpy_integers_and_caps_past_the_labels(product_cfg):
+    x = np.random.default_rng(8).uniform(-1, 1, size=product_cfg.space.n)
+    trace = gamma_cap_trace(x, product_cfg, (np.int64(2), np.int32(-1), np.uint8(5), 0, 2**70))
+    assert trace == gamma_cap_trace(x, product_cfg, (2, -1, 5, 0, 2**70))
+    assert [type(c) for c, _ in trace] == [int] * 5
+    # no row is below a cap of 0 or less, and every row is below one past the labels
+    assert trace[:2] == [(-1, 0.0), (0, 0.0)]
+    assert trace[-1] == (2**70, triple_norm(x, product_cfg).value)
+
+
 def test_a_window_outside_the_bases_is_refused(product_cfg):
     count = product_cfg.base_count
     assert product_cfg.base_tuple(count - 1, 1).start == count - 1
@@ -494,17 +512,51 @@ def test_cap_trace_settles_caps_over_vanishing_points_early(name, request, monke
     cfg = request.getfixturevalue(name)
     heads = cfg.heads
     depths = []
-    walk = norm._walk
-    monkeypatch.setattr(norm, "_walk", lambda *args: depths.append(len((out := walk(*args))[0])) or out)
+    levels = _recorded_levels(monkeypatch)
     rng = np.random.default_rng(7)
     caps = (1, 2, 3, 4, 6, 8, 12)
     for low in (1, 2, 3):
         x = rng.uniform(-1, 1, size=cfg.space.n)
         x[heads.idx[heads.gammas[:, 0] < low, 0]] = 0.0
+        levels.clear()
         trace = gamma_cap_trace(x, cfg, caps)
+        # plan 0, read off the head table, and each deeper plan computed
+        depths.append(1 + len(levels))
         assert trace == _gamma_cap_trace_full(x, cfg, caps), (name, low)
         assert trace[0] == (1, 0.0)
     assert max(depths) < len(cfg.plans), depths
+
+
+@pytest.mark.parametrize("last", [False, True])
+@pytest.mark.parametrize("name", ["product_cfg", "product5_cfg", "product_word_capped_cfg"])
+def test_cap_trace_walks_a_settled_caps_rows_to_the_first_live_cap(name, last, request):
+    # x vanishes on every head point of label 0, so cap 1 holds 0.0 and
+    # settles, and a row of plan 1 or of the deepest plan whose head has
+    # label 0 holds the max below the cap just above its labels: its last
+    # slot, the one weight 2 of its plan, holds a 1.  The row's head, below
+    # the settled cap only, answers to the first live cap's need, which its
+    # chain reaches; needing inf there would drop the row
+    base = request.getfixturevalue(name)
+    cfg = _reweighted(base, [1e-9] * (len(base.plans) - 1), np.random.default_rng(9), low=1.0)
+    heads, n = cfg.heads, len(cfg.plans) - 1 if last else 1
+    plan = cfg.plans[n]
+    # a row without children, so that no deeper row repeats its weights
+    ends = 0 if last else len(cfg.plans[2].child_count)
+    label0 = set(heads.idx[heads.gammas[:, 0] == 0, 0].tolist())
+    r = next(r for r in range(ends, plan.count)
+             if plan.gammas[r, 0] == 0 and int(plan.idx[r, -1]) not in label0)
+    weights = plan.weights.copy()
+    weights[r, -1] = 2.0
+    cfg = dataclasses.replace(cfg, plans=[*cfg.plans[:n], dataclasses.replace(plan, weights=weights),
+                                          *cfg.plans[n + 1:]])
+    x = np.random.default_rng(10).uniform(0.0, 1e-3, size=cfg.space.n)
+    x[list(label0)] = 0.0
+    x[plan.idx[r, -1]] = 1.0
+    cap = int(plan.gammas[r].max()) + 1
+    caps = (1, cap, 12)
+    trace = gamma_cap_trace(x, cfg, caps)
+    assert trace == _gamma_cap_trace_full(x, cfg, caps), (name, n)
+    assert trace[0] == (1, 0.0) and dict(trace)[cap] == float(_plan_values(x, cfg)[n][r]) >= 2.0, (name, n)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -596,14 +648,12 @@ def test_walk_slices_one_parent_and_gathers_several(name, request, monkeypatch):
     taken = {"tents": set(), "plateau": set()}
     for kind in ("tents", "plateau") * 12:
         x = _function(kind, cfg, rng, 1.0, 1)
-        ax = np.abs(x)
         levels.clear()
         res = triple_norm(x, cfg)
+        trace = gamma_cap_trace(x, cfg, caps)
         taken[kind] |= {type(rows) for _, rows, _ in levels}
-        walked = norm._walk(ax, cfg, norm._LabelCaps(caps, cfg, ax))[0]
-        taken[kind] |= {type(rows) for _, rows, *_ in walked[1:]}
         assert res == _triple_norm_full(x, cfg), (name, kind)
-        assert gamma_cap_trace(x, cfg, caps) == _gamma_cap_trace_full(x, cfg, caps), (name, kind)
+        assert trace == _gamma_cap_trace_full(x, cfg, caps), (name, kind)
     assert range in taken["tents"] and np.ndarray in taken["plateau"], taken
 
 
