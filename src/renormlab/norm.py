@@ -19,6 +19,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -245,9 +246,9 @@ class RenormConfig:
 
     @functools.cached_property
     def _lambdas(self) -> np.ndarray:
-        """lambda_i at position i - 1 for every base index i; read-only, as
-        systems hold slices of it."""
-        row = np.array([self.lam(i) for i in range(1, self.base_count + 1)])
+        """lambda_i at position i - 1 for every base index i, the head table's
+        first weight of each start; read-only, as systems hold slices of it."""
+        row = self.heads.weights[self.heads.starts.searchsorted(np.arange(1, self.base_count + 1)), 0]
         row.flags.writeable = False
         return row
 
@@ -364,9 +365,9 @@ def _class_weights(registry: ClassRegistry, bc: BCAssignment, starts: np.ndarray
     row_of = np.empty_like(rank)
     row_of[rank] = np.arange(len(rank))
     rows = row_of[np.sort(head)]
+    infos = [registry.classify(start, row) for start, row in zip(starts[rows].tolist(), idx[rows].tolist())]
     recip = np.empty(len(head))
-    for c, start, row in zip(cls[rows].tolist(), starts[rows].tolist(), idx[rows].tolist()):
-        recip[c] = bc.class_recip(*registry.classify(start, row).ratio)
+    recip[cls[rows]] = bc.class_recips(*np.array([info.ratio for info in infos]).T)
     return recip[cls]
 
 
@@ -383,16 +384,13 @@ def build_config(
     _integer(depth, "depth", 2)
     if base_count is not None:
         _integer(base_count, "base_count", depth)
-    if gamma_cap is not None and (isinstance(gamma_cap, bool)
-                                  or not isinstance(gamma_cap, (int, np.integer)) or gamma_cap < 1):
-        raise TupleBudgetError(f"gamma_cap must be None or an integer >= 1, got {gamma_cap!r}")
+    if gamma_cap is not None:  # a cap that admits no tuple is a budget error
+        _integer(gamma_cap, "gamma_cap", 1, TupleBudgetError)
     bc = choose_parameters(C)
     _acts_on(group.space, space, "group")
     base, audit = select_dense_points(space, group, count=base_count)
     if len(base) < depth:
-        raise ValueError(
-            f"only {len(base)} base points selectable; depth {depth} needs at least that many"
-        )
+        raise ValueError(f"only {len(base)} base points selectable; depth {depth} needs at least that many")
     registry = ClassRegistry(group.word_table()[0])
     # each base orbit lists its distinct word images in word order
     orbit_enums = [tuple(dict.fromkeys(col)) for col in registry.word_maps[:, list(base)].T.tolist()]
@@ -408,10 +406,9 @@ def build_config(
     sizes = lengths if gamma_cap is None else np.minimum(lengths, gamma_cap)
     gamma_capped = bool((sizes < lengths).any())
     last_start = {1: B - 1, **{n: depth - n for n in range(2, depth)}}
-    total = int(sizes[B - 1]) + sum(
-        math.prod(int(r) for r in sizes[s - 1 : s + n])
-        for n, last in last_start.items() for s in range(1, last + 1)
-    )
+    counts = sizes.tolist()  # Python integers: no product overflows
+    total = counts[-1] + sum(map(operator.mul, counts, counts[1:])) + sum(
+        math.prod(counts[s - 1 : s + n]) for n in range(2, depth) for s in range(1, depth - n + 1))
     if total > MAX_TUPLES:
         raise TupleBudgetError(
             f"tuple budget exceeded: depth {depth} with gamma_cap {gamma_cap} enumerates "
@@ -458,12 +455,9 @@ def build_config(
 
     # each orbit point keeps its first slot; columns in slot order make the
     # first nearest column the nearest slot under the tie rule
-    first_slot: dict[int, tuple[int, int]] = {}
-    for bi, enum in enumerate(orbit_enums, start=1):
-        for gpos, p in enumerate(enum):
-            first_slot.setdefault(p, (bi, gpos))
-    cols = np.asarray(list(first_slot), dtype=np.intp)
-    slots = np.asarray(list(first_slot.values()), dtype=np.intp)
+    order = np.argsort(flat, kind="stable")  # flat lists the slots in order
+    first = np.sort(order[np.diff(flat[order], prepend=-1) != 0])
+    cols, slots = flat[first], np.column_stack([np.repeat(np.arange(1, B + 1), lengths), _labels(lengths)])[first]
     # an orbit point is its own nearest slot, since the space keeps distinct
     # points at positive distance; only the other rows are computed
     nearest = np.full(space.n, -1, dtype=np.intp)
@@ -864,7 +858,7 @@ def witness_function(spec: WitnessSpec, cfg: RenormConfig) -> tuple[np.ndarray, 
     supports = [_support(space, p, r) for (p, _), r in zip(spec.targets, spec.ball_radii)]
     for a in range(len(supports)):
         for b in range(a + 1, len(supports)):
-            if np.intersect1d(supports[a], supports[b]).size:
+            if np.intersect1d(supports[a], supports[b], assume_unique=True).size:  # ball outputs: sorted, unique
                 raise ValueError(f"supports of targets {a} and {b} overlap")
     t = spec.tuple_ref
     for k, ((p, _), sup) in enumerate(zip(spec.targets, supports)):

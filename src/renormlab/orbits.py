@@ -87,8 +87,8 @@ def select_dense_points(
     No distance matrix is read.  An unblocked reference point is its own
     pick, at distance 0: distinct points are apart, so it is its own unique
     nearest candidate.  Otherwise a step's candidates are its reference
-    point's ball.  Each pick blocks the 1e-9 ball of its whole orbit, in
-    one ball query.
+    point's ball.  A pick blocks its orbit's 1e-9 ball: by index where
+    ``metric.separation`` exceeds 1e-9, else by one ball query.
 
     Returns the selected indices and the per-step audit trail.
     """
@@ -97,19 +97,15 @@ def select_dense_points(
         _integer(count, "count", 1)
         if count > n:
             raise ValueError(f"count {count} exceeds the {n} points of space {space.name!r}")
-    metric = space.metric
+    metric, points = space.metric, space.points
     table = group.word_table()[0]
+    by_index = metric.separation > 1e-9
     chosen: list[int] = []
     audit: list[dict] = []
     # the points within 1e-9 of a selected orbit sample, and how many
-    blocked = np.zeros(n, dtype=bool)
-    nblocked = 0
-    target = count if count is not None else n
-    step = 0
-    for ref in range(n):
-        if len(chosen) >= target:
-            break
-        step += 1
+    blocked, nblocked = np.zeros(n, dtype=bool), 0
+    coarse = "resolution too coarse for disjointness at step {}"
+    for step, ref in enumerate(range(n), start=1):
         radius = max(2.0 ** (-step), space.resolution)
         if not blocked[ref]:
             pick, dist = ref, 0.0
@@ -119,28 +115,21 @@ def select_dense_points(
             cand = cand[~blocked[cand]]
             if not cand.size:
                 if count is not None:
-                    raise ValueError(
-                        f"resolution too coarse for disjointness at step {step}"
-                    )
+                    raise ValueError(coarse.format(step))
                 continue
             d = metric.pair(ref, cand)
             k = int(d.argmin())  # the nearest unblocked point, ties by index
             pick, dist = int(cand[k]), float(d[k])
         chosen.append(pick)
-        near = metric.ball(table[:, pick], 1e-9)
-        nblocked += int(np.count_nonzero(~blocked[near]))
-        blocked[near] = True
-        audit.append({
-            "step": step,
-            "reference": space.points[ref],
-            "selected": space.points[pick],
-            "distance": dist,
-            "radius": radius,
-        })
-        if nblocked == n:
-            break  # every point is blocked, so no later step picks
+        near = table[:, pick] if by_index else metric.ball(table[:, pick], 1e-9)
+        for p in near.tolist():  # an orbit column can repeat a point
+            if not blocked[p]:
+                blocked[p] = True
+                nblocked += 1
+        audit.append({"step": step, "reference": points[ref], "selected": points[pick], "distance": dist,
+                      "radius": radius})
+        if nblocked == n or len(chosen) == count:
+            break  # every point is blocked, so no later step picks; or the count is reached
     if count is not None and len(chosen) < count:
-        raise ValueError(
-            f"resolution too coarse for disjointness at step {step + 1}"
-        )
+        raise ValueError(coarse.format(len(chosen) + 1))  # with a count, every step picks or raises
     return chosen, audit

@@ -144,7 +144,7 @@ class SampledSpace:
 
     def __post_init__(self):
         n = len(self.points)
-        index = {p: i for i, p in enumerate(self.points)}  # the last position of each id
+        index = dict(zip(self.points, range(n)))  # the last position of each id
         if len(index) != n:
             first = next(i for i, p in enumerate(self.points) if index[p] != i)
             raise ValueError(f"duplicate point id {self.points[first]!r} at positions "
@@ -299,9 +299,10 @@ class Metric:
     distances from point i to every point, ``ball(centres, r)`` the points
     strictly within r of some centre, ``set_distances`` the distances from
     every point to each of a list of sets, ``nearest(I, J)`` each point of I's
-    nearest point in J, ``diameter`` the largest distance and ``dense`` the
-    full (n, n) matrix, built on first read and read-only.  Every metric is
-    exactly symmetric with d(i, i) = 0.
+    nearest point in J, ``diameter`` the largest distance, ``separation`` the
+    least distance of distinct points (or a lower bound, per kind) and
+    ``dense`` the full (n, n) matrix, built on first read and read-only.
+    Every metric is exactly symmetric with d(i, i) = 0.
     A closed-form metric computes every entry from O(n) coordinate arrays,
     bitwise equal to the entry of its ``dense``; the matrix-form metric
     wraps the matrix that the constructor checked and made exact.  No
@@ -441,12 +442,8 @@ class Metric:
         if bad.size:
             raise ValueError(f"non-finite distance {row[bad[0]]} between points "
                              f"{points[0]!r} and {points[bad[0]]!r}")
-        if not self._apart():
+        if not self.separation > 0:
             raise ValueError("distinct sample points at zero distance")
-
-    def _apart(self) -> bool:
-        """Whether every two distinct points are at a positive distance."""
-        raise NotImplementedError
 
 
 class _Dense(Metric):
@@ -464,6 +461,10 @@ class _Dense(Metric):
     @cached_property
     def diameter(self) -> float:
         return float(self.values.max())
+
+    @cached_property
+    def separation(self) -> float:
+        return float(self.values[~np.eye(self.n, dtype=bool)].min(initial=np.inf))
 
     def _matrix(self) -> np.ndarray:
         return self.values
@@ -511,6 +512,11 @@ class _Max(Metric):
     def diameter(self) -> float:
         return max(self.a.diameter, self.b.diameter)
 
+    @cached_property
+    def separation(self) -> float:
+        # distinct points differ in a factor, and the max is at least its distance
+        return min(self.a.separation, self.b.separation)
+
     def _matrix(self) -> np.ndarray:
         # from the factors' own matrices, each built at most once
         na, nb = self.a.n, self.b.n
@@ -518,8 +524,6 @@ class _Max(Metric):
         np.maximum(self.a.dense[:, None, :, None], self.b.dense[None, :, None, :], out=out)
         return out.reshape(self.n, self.n)
 
-    def _apart(self) -> bool:
-        return self.a._apart() and self.b._apart()
 
 
 def same_space(a: SampledSpace, b: SampledSpace) -> bool:
@@ -619,11 +623,11 @@ def product(a: SampledSpace, b: SampledSpace, name: str | None = None) -> Sample
 # isolated flags.  ``_KINDS`` is the one place a kind name is dispatched
 
 
-def _integer(value, name: str, least: int | None = None) -> int:
+def _integer(value, name: str, least: int | None = None, error: type = ValueError) -> int:
     """A param that must be an integer, >= least unless least is None, or an
-    input error naming it."""
+    input error naming it (a ValueError unless ``error`` says which)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (least is not None and value < least):
-        raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+        raise error(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
     return value
 
 
@@ -644,10 +648,6 @@ def _positive(value, name: str):
 _SLACK = 16 * float(np.finfo(float).eps)
 
 
-def _distinct(x: np.ndarray) -> bool:
-    return bool((np.diff(np.sort(x)) > 0).all())
-
-
 class _Sorted(Metric):
     """A kind whose balls are index ranges of sorted coordinates
     ``_coords``, where point j sits at the positions j mod n and its own
@@ -663,14 +663,6 @@ class _Sorted(Metric):
     def ball(self, centres, r):
         centres, n, r = np.asarray(centres, dtype=np.intp).ravel(), self.n, float(r)
         slack, search = r + _SLACK * (self._reach + r), self._coords.searchsorted
-        # one centre is one range, with no point twice: 2-3x faster per call
-        # than the general path, and a selection on a line makes one such
-        # call per step
-        if len(centres) == 1:
-            c = float(self.x[centres[0]])
-            lo = int(search(c - slack))
-            cand = np.arange(lo, min(int(search(c + slack, "right")), lo + n)) % n
-            return np.sort(cand[self.pair(centres[0], cand) < r])
         c = self.x[centres]
         lo = search(c - slack)
         lengths = np.maximum(np.minimum(search(c + slack, "right"), lo + n) - lo, 0)
@@ -679,9 +671,18 @@ class _Sorted(Metric):
         idx = np.sort(cand[self.pair(owner, cand) < r])
         return idx[np.diff(idx, prepend=-1) != 0]
 
+    @cached_property
+    def separation(self) -> float:
+        # fl is monotone, so no distinct points are computed closer than the
+        # least computed gap of neighbours, nor is a circle's wrapped arc
+        # 2 pi - d shorter than at d = x[-1] - x[0]: exact on a line
+        return min(float(np.diff(self.x, append=np.inf).min()), self._turn - float(self.x[-1] - self.x[0]))
+
 
 class _Line(_Sorted):
     """|x_i - x_j| on the grid x = lo + step * k of the window [lo, hi]."""
+
+    _turn = math.inf  # the length of a turn, which an arc wraps past: none
 
     def __init__(self, form: dict):
         step, window = form["step"], form["window"]
@@ -692,7 +693,7 @@ class _Line(_Sorted):
         lo, hi = window
         self.x = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
         self.n, self.tag = len(self.x), {"form": "line", "step": step, "window": [lo, hi]}
-        self._coords, self._reach = self.x, float(np.abs(self.x).max())  # increasing once _apart holds
+        self._coords, self._reach = self.x, float(np.abs(self.x).max())  # nondecreasing: fl is monotone
 
     def _pair(self, I, J, out):
         np.subtract(self.x[I], self.x[J], out=out)
@@ -704,9 +705,6 @@ class _Line(_Sorted):
         # fl(max - min)
         return float(self.x.max() - self.x.min())
 
-    def _apart(self) -> bool:
-        # distinct floats have a nonzero difference
-        return _distinct(self.x)
 
     def _layout(self) -> dict:
         lo, hi = self.tag["window"]
@@ -717,7 +715,7 @@ class _Line(_Sorted):
         labels = [f"[-{m},{m}]" for m in map(int, ms)]
         if not labels or np.isinf(first_m).any():
             labels.append("window")
-        return dict(points=tuple(f"x{c:+.6g}" for c in self.x),
+        return dict(points=tuple(map("x{:+.6g}".format, self.x.tolist())),
                     exhaustion=_exhaustion(np.searchsorted(ms, first_m), labels),
                     resolution=self.tag["step"] / 2,  # every ideal window point is within half a step
                     isolated=np.zeros(self.n, dtype=bool))
@@ -742,6 +740,8 @@ class _Circle(_Sorted):
     """Arc length min(|a_i - a_j|, 2 pi - |a_i - a_j|) between count equally
     spaced angles a."""
 
+    _turn = 2 * math.pi
+
     def __init__(self, form: dict):
         count = _integer(form["count"], "circle count", 3)
         self.x = 2 * math.pi * np.arange(count) / count
@@ -754,9 +754,6 @@ class _Circle(_Sorted):
         d = np.abs(np.subtract(self.x[I], self.x[J], out=out), out=out)
         return np.minimum(d, 2 * math.pi - d, out=d)
 
-    def _apart(self) -> bool:
-        # two distinct angles in [0, 2 pi) are less than 2 pi apart
-        return _distinct(self.x)
 
     def _layout(self) -> dict:
         return dict(points=tuple(f"c{k:03d}" for k in range(self.n)),
@@ -818,9 +815,10 @@ class _Dyadic(Metric):
         # the largest q is the distance from its point to any other
         return float(self.q.max())
 
-    def _apart(self) -> bool:
-        # q >= 0, so max(q_i, q_j) is 0 only where both are
-        return np.count_nonzero(self.q == 0) <= 1
+    @cached_property
+    def separation(self) -> float:
+        # max(q_i, q_j) over distinct points is least at the two smallest q
+        return float(np.partition(self.q, 1)[1])
 
 
 class _Remark25(_Dyadic):

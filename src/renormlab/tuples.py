@@ -14,7 +14,9 @@ enter floating-point sums.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -64,12 +66,20 @@ def enumerate_window(m: int) -> Window:
     # row r holds r windows; rows 1..r-1 hold r(r-1)/2 of them, so r is the
     # smallest row with r(r+1)/2 >= m
     r = (math.isqrt(8 * m + 1) - 1) // 2
-    if r * (r + 1) // 2 < m:
-        r += 1
+    r += r * (r + 1) // 2 < m
     j = m - r * (r - 1) // 2  # position within row, 1-based
-    start = r + 1 - j
-    length = j + 1
-    return Window(start=start, length=length)
+    return Window(start=r + 1 - j, length=j + 1)
+
+
+def _windows(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`enumerate_window`'s start and n of every index of an int64
+    array: r from one float square root and one correction step each way,
+    exact while 8m + 1 < 2^53."""
+    r = ((np.sqrt(8 * ms + 1) - 1) // 2).astype(np.int64)
+    r += r * (r + 1) // 2 < ms
+    r -= r * (r - 1) // 2 >= ms
+    j = ms - r * (r - 1) // 2
+    return r + 1 - j, j
 
 
 def _check_window(start: int, length: int) -> None:
@@ -114,17 +124,30 @@ class BCAssignment:
     def tail_sum(self) -> Fraction:
         return Fraction(1, self.L - 1)
 
+    def _underflows(self, x):  # the one underflow rule, on a float or an array
+        return x * math.log(self.L) > 745.0
+
     def inv_L_pow(self, exponent: Fraction | float) -> float:
         """L^-exponent as a float; underflows to 0 harmlessly."""
         x = float(exponent)
-        if x * math.log(self.L) > 745.0:
-            return 0.0
-        return math.pow(self.L, -x)
+        return 0.0 if self._underflows(x) else math.pow(self.L, -x)
 
     def class_recip(self, p: int, q: int) -> float:
         """The reciprocal weight L^-(p/q) of the class whose exponent is the
         integer pair (p, q); p / q rounds once, as float(Fraction) does."""
         return self.inv_L_pow(p / q)
+
+    def class_recips(self, p, q) -> np.ndarray:
+        """``class_recip`` of every pair (p[k], q[k]) of two integer arrays,
+        bitwise: p / q rounds once (a float division where both fit in 53
+        bits, Python's otherwise) and each exponent that does not underflow
+        takes one math.pow, never np.power, whose bits differ on some hosts."""
+        p, q = np.asarray(p), np.asarray(q)
+        exact = object not in (p.dtype, q.dtype) and max(np.abs(p).max(initial=0), q.max(initial=0)) <= 2**53
+        x = np.divide(p, q, dtype=float) if exact else np.array(list(map(operator.truediv, p.tolist(), q.tolist())))
+        out, keep = np.zeros(len(x)), ~self._underflows(x)
+        out[keep] = list(map(math.pow, itertools.repeat(self.L), (-x[keep]).tolist()))
+        return out
 
 
 def choose_parameters(C: float) -> BCAssignment:
@@ -323,12 +346,15 @@ class ClassRegistry:
         rows.append(row)
         return row
 
-    def _rows(self) -> list[int]:
-        """Every row, by window index and in registration order within one."""
-        return [row for m in sorted(self._by_window) for row in self._by_window[m]]
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row, by window index and in registration order within one,
+        and the window index of each."""
+        m = np.array(self._m, dtype=np.int64)
+        rows = np.argsort(m, kind="stable")
+        return rows, m[rows]
 
     def all_classes(self) -> list[tuple[int, ClassInfo]]:
-        return [(self._m[row], self._infos[row]) for row in self._rows()]
+        return [(self._m[row], self._infos[row]) for row in self._rows()[0].tolist()]
 
     def to_records(self, points: Sequence[str]) -> Iterator[dict]:
         """One record per class, its representative as the given point ids,
@@ -341,17 +367,19 @@ class ClassRegistry:
             "exponent": f"{self._p[row]}/{self._q[row]}" if self._q[row] != 1 else str(self._p[row]),
             # no class attains c_m; the key keeps saved reports byte-identical
             "attained": False,
-        } for row in self._rows())
+        } for row in self._rows()[0].tolist())
 
 
-def enumeration_tail(bc: BCAssignment, beyond_m: int) -> float:
+def enumeration_tail(bc: BCAssignment, beyond_m):
     """Certified bound on sum over enumeration indices m' > beyond_m of
-    L^-(3m'-1) (each later window weight is at least L^(3m'-1)).
+    L^-(3m'-1) (each later window weight is at least L^(3m'-1)); on an int
+    or, elementwise and bitwise the same, on an int64 array.
 
     A relative pad absorbs the float rounding of the geometric closed form,
     keeping the bound on the safe side.
     """
-    first = bc.inv_L_pow(3 * (beyond_m + 1) - 1)
+    k = 3 * (beyond_m + 1) - 1
+    first = bc.class_recips(k, np.ones_like(k)) if isinstance(k, np.ndarray) else bc.inv_L_pow(k)
     return first / (1.0 - bc.L ** (-3)) * (1.0 + 1e-9)
 
 
@@ -360,11 +388,7 @@ def enumeration_tail(bc: BCAssignment, beyond_m: int) -> float:
 _INT64_BOUND = 2**62
 
 
-def verify_bmap(
-    bc: BCAssignment,
-    depth: int,
-    registry: ClassRegistry,
-) -> dict:
+def verify_bmap(bc: BCAssignment, depth: int, registry: ClassRegistry) -> dict:
     """Exhaustive check of the weight-map properties on the registered
     classes at the given depth, with a certified geometric tail for the
     budget property.
@@ -387,43 +411,40 @@ def verify_bmap(
     violations = report["violations"]
     if not bc.tail_sum() < bc.budget():
         violations.append(("property3", "geometric tail exceeds budget"))
-    rows = registry._rows()
-    R = len(rows)
+    R = len(registry)
     if R == 0:
-        report["ok"] = not violations
-        return report
+        return {**report, "ok": not violations}
 
     # positions 0..R-1 follow all_classes(): by window, then registration
-    # order; position R stands for a missing class
-    ms = sorted(registry._by_window)
-    wins = [enumerate_window(m) for m in ms]
-    sizes = [len(registry._by_window[m]) for m in ms]
-    M = np.repeat(np.array(ms, dtype=np.int64), sizes)
-    N = np.repeat([w.n for w in wins], sizes)
-    end = np.repeat(np.array([w.end for w in wins], dtype=np.int64), sizes)
-    inside = [w.end <= depth or w.n == 1 for w in wins]
-    in_depth = np.repeat(inside, sizes)
-    fits = (max(map(abs, registry._p)) + max(registry._q) + 3 * ms[-1]) * max(registry._q) < _INT64_BOUND
-    exact = np.int64 if fits else object
-    at = np.array(rows + rows[:1], dtype=np.intp)  # the missing class reads any row
-    P = np.array(registry._p, dtype=exact)[at]
-    Q = np.array(registry._q, dtype=exact)[at]
+    # order; position R stands for a missing class.  Each window's start
+    # and n come from its index in one array pass
+    rows, M = registry._rows()
+    first = np.flatnonzero(np.diff(M, prepend=0))  # the first position of each window
+    ms, sizes = M[first], np.diff(first, append=R)
+    starts, ns = _windows(ms)
+    inside = (starts + ns <= depth) | (ns == 1)
+    N, start, in_depth = (np.repeat(v, sizes) for v in (ns, starts, inside))
+    end = start + N
+    P, Q = np.array(registry._p), np.array(registry._q)  # object arrays where an entry exceeds int64
+    fits = P.dtype != object and Q.dtype != object and (
+        int(np.abs(P).max()) + int(Q.max()) + 3 * int(ms[-1])) * int(Q.max()) < _INT64_BOUND
+    at = np.append(rows, rows[:1])  # the missing class reads any row
+    P, Q = (v.astype(np.int64 if fits else object)[at] for v in (P, Q))
     ordinal = np.array(registry._ordinal, dtype=np.int64)[at]
 
     # properties 2, 4, 5 and 1 on the windows inside the depth, as
-    # (m, section, position, check, tag, message) in report order
-    found = []
-    for m, w, keep in zip(ms, wins, inside):
-        if keep and enumeration_index(w.start, w.n) != m:
-            found.append((m, 0, 0, 0, "property2", f"window {w} code mismatch"))
+    # (m, section, position, check, tag, message) in report order; a window
+    # is coded by the index that enumeration_index gives its start and n
+    code = (starts + ns - 1) * (starts + ns - 2) // 2 + ns
+    found = [(m, 0, 0, 0, "property2", f"window {Window(s, n + 1)} code mismatch")
+             for m, s, n in zip(*(v[inside & (code != ms)].tolist() for v in (ms, starts, ns)))]
     d = np.flatnonzero(in_depth)
     Pd, Qd, cm = P[d], Q[d], 3 * M[d]
     # strict growth along each window's classes by ordinal
     g = d[np.lexsort((ordinal[d], M[d]))]
     a, b = g[:-1], g[1:]
-    for k in np.flatnonzero((M[a] == M[b]) & ~(P[a] * Q[b] < P[b] * Q[a])).tolist():
-        m = int(M[a[k]])
-        found.append((m, 1, 0, 0, "property4", f"window m={m}: exponents not strictly increasing"))
+    found += [(m, 1, 0, 0, "property4", f"window m={m}: exponents not strictly increasing")
+              for m in M[a[(M[a] == M[b]) & ~(P[a] * Q[b] < P[b] * Q[a])]].tolist()]
     flags = np.stack([
         ~(((cm - 1) * Qd <= Pd) & (Pd <= cm * Qd)),
         Pd >= cm * Qd,
@@ -433,36 +454,29 @@ def verify_bmap(
              ("property4", "supremum attained without declaration"),
              ("property5", "exponent below 3(i+n)-4")]
     for k, check in zip(*(i.tolist() for i in np.nonzero(flags))):
-        r = int(d[k])
-        m = int(M[r])
-        tag, text = texts[check]
-        found.append((m, 2, r, check, tag, f"m={m} ordinal {int(ordinal[r])}: {text}"))
+        r, (tag, text) = int(d[k]), texts[check]
+        found.append((int(M[r]), 2, r, check, tag, f"m={int(M[r])} ordinal {int(ordinal[r])}: {text}"))
     # equal exponents in a window: each repeat names the latest earlier one
     s = d[np.lexsort((Q[d], P[d], M[d]))]
     a, b = s[:-1], s[1:]
     for k in np.flatnonzero((M[a] == M[b]) & (P[a] == P[b]) & (Q[a] == Q[b])).tolist():
         r = int(b[k])
-        m = int(M[r])
-        found.append((m, 3, r, 0, "property1",
-                      f"m={m}: classes {int(ordinal[a[k]])} and {int(ordinal[r])} share a weight"))
+        found.append((int(M[r]), 3, r, 0, "property1",
+                      f"m={int(M[r])}: classes {int(ordinal[a[k]])} and {int(ordinal[r])} share a weight"))
     found.sort(key=lambda v: v[:4])
     violations.extend(v[4:] for v in found)
     report["checked"] += len(d)
 
     # the position of each class's one-slot-shorter prefix class, read by
-    # its key rep[:-1]; pairs have none
-    position = np.empty(len(registry._m) + 1, dtype=np.intp)
+    # its key rep[:-1] over the window (start, n - 1), in one batch of
+    # lookups; pairs have none
+    position = np.full(R + 1, R, dtype=np.intp)  # a missing class reads R
     position[rows] = np.arange(R)
-    position[-1] = R
     parent = np.full(R + 1, R, dtype=np.intp)
+    two = np.flatnonzero(N >= 2)
+    pm = (end[two] - 2) * (end[two] - 3) // 2 + N[two] - 1
     index, reps = registry._index, registry._rep
-    offset = 0
-    for m, w, size in zip(ms, wins, sizes):
-        if w.n >= 2:
-            pm = enumeration_index(w.start, w.n - 1)
-            block = registry._by_window[m]
-            parent[offset:offset + size] = position[[index.get((pm, reps[r][:-1]), -1) for r in block]]
-        offset += size
+    parent[two] = position[[index.get((m, reps[r][:-1]), -1) for m, r in zip(pm.tolist(), rows[two].tolist())]]
 
     # property 6: one-slot extensions grow by strictly more than one L power
     six = np.flatnonzero(in_depth & (N >= 2))
@@ -476,12 +490,17 @@ def verify_bmap(
 
     # property 7: budget along every class's prefix chain, rep[:k+1] for
     # k = 1..n; the deepest prefix window is the class's own, so the tail
-    # starts beyond m.  Violations are reported by (m, representative)
-    recip = np.array([bc.class_recip(p, q) for p, q in zip(P.tolist(), Q.tolist())])
-    head = np.repeat([bc.lam(w.start) for w in wins], sizes)
-    tail = np.repeat([enumeration_tail(bc, m) for m in ms], sizes)
+    # starts beyond m.  lambda runs once per distinct start, and the class
+    # weights and tails in array passes.  Violations are reported by (m,
+    # representative)
+    recip = bc.class_recips(P, Q)
+    lams = np.zeros(int(starts.max()) + 1)
+    lams[starts] = 1.0  # marks the distinct starts
+    lams[lams > 0] = [bc.lam(i) for i in np.flatnonzero(lams).tolist()]
+    head = lams[start]
+    tail = np.repeat(enumeration_tail(bc, ms), sizes)
     late = []
-    for n in sorted(set(N.tolist())):
+    for n in np.flatnonzero(np.bincount(N)).tolist():
         own = np.flatnonzero(N == n)
         chain = [own]
         for _ in range(n - 1):

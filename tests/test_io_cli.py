@@ -558,7 +558,7 @@ def test_eval_depth_below_2_exits_2_naming_the_depth(tmp_path, capsys):
 @pytest.mark.parametrize("gamma_cap", [0, -1, 1.5, True, "3"])
 def test_build_config_rejects_gamma_cap_below_one(gamma_cap):
     sp = rl.builtin_space("line", step=0.25, window=(-2, 2))
-    with pytest.raises(TupleBudgetError, match="gamma_cap must be None or an integer >= 1"):
+    with pytest.raises(TupleBudgetError, match="gamma_cap must be an integer >= 1, got "):
         rl.build_config(sp, rl.GroupSpec.trivial(sp), C=1.1, depth=4, gamma_cap=gamma_cap)
 
 
@@ -579,7 +579,7 @@ def test_gamma_cap_zero_exits_2_in_run_and_eval(tmp_path, capsys):
     fn = tmp_path / "f.json"
     fn.write_text(json.dumps({"values": {p: 0.5 for p in rio.load_space(spfile).points}}))
     assert main(["eval", "--space", str(spfile), "--norm", str(fn), "--gamma-cap", "0"]) == 2
-    assert "gamma_cap must be None or an integer >= 1, got 0" in capsys.readouterr().err
+    assert "gamma_cap must be an integer >= 1, got 0" in capsys.readouterr().err
 
 
 def test_gamma_cap_is_checked_before_a_task_that_needs_no_config(tmp_path, capsys):

@@ -408,3 +408,32 @@ def test_closed_form_scenarios_never_build_a_matrix(name, tmp_path):
         assert cli.run(scenario, tmp_path) == 0
     for report in (ROOT / "tests" / "golden" / name).glob("*.json"):
         assert (tmp_path / report.name).read_bytes() == report.read_bytes(), report.name
+
+
+@pytest.mark.parametrize("name,params", [
+    ("line", {"step": 0.05, "window": (-10, 10)}),
+    ("line", {"step": 0.3, "window": (1000, 1030)}),  # rounded gaps of unequal bits
+    ("line", {"step": 10, "window": (0, 1)}),  # one point: no pair
+    ("circle", {"count": 64}),
+    ("circle", {"count": 3}),
+    ("plane", {"step": 0.25, "window": (-2, 2)}),
+    ("remark25", {"n_max": 50}),
+    ("onepoint01N", {"n_max": 50}),
+    ("circle_x_interval", {"count": 48, "levels": 16}),
+])
+def test_separation_bounds_every_computed_distance_of_distinct_points(name, params):
+    # a lower bound on the off-diagonal of the computed matrix: exact but
+    # on a circle, whose wrapped arcs it bounds from the largest difference;
+    # positive, as the constructor's check that distinct points are apart
+    sp = builtin_space(name, **params)
+    d = sp.dmat
+    least = d[~np.eye(sp.n, dtype=bool)].min(initial=np.inf)
+    sep = sp.metric.separation
+    assert 0 < sep <= least
+    if "circle" in name:
+        assert least - sep <= sp.metric.rounding
+    else:
+        assert sep == least
+    matrix = rl.SampledSpace(name="twin", points=sp.points, dmat=d, exhaustion=sp.exhaustion,
+                             resolution=sp.resolution, isolated=sp.isolated, metric_form={"form": "matrix"})
+    assert matrix.metric.separation == least

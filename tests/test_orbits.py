@@ -10,6 +10,8 @@ from renormlab import space as space_mod
 from renormlab.operators import circle_rotation
 from renormlab.orbits import equivalent, orbit_closure, select_dense_points
 
+import build_oracles
+
 
 def test_trivial_group_orbit_is_singleton(line_space):
     G = rl.GroupSpec.trivial(line_space)
@@ -380,3 +382,59 @@ def test_select_dense_points_refuses_a_count_that_is_not_an_integer_at_least_1(l
     with pytest.raises(ValueError, match=re.escape(f"count must be an integer >= 1, got {bad!r}")):
         select_dense_points(line_space, G, count=bad)
     assert len(select_dense_points(line_space, G, count=np.int64(3))[0]) == 3
+
+
+def _index_cases():
+    # the builtins and groups above, a translation group on the line (its
+    # steps find blocked references and search their balls), small
+    # remark25 and onepoint01N spaces whose points are at least 2^-20 apart
+    # (index blocking), and matrix-form twins of a line and of remark25
+    yield from _selection_cases()
+    line = rl.builtin_space("line", step=0.05, window=(-2, 2))
+    shift = rl.operators.line_translation(line, 0.25)
+    yield "line translations", rl.GroupSpec((shift,), word_cap=4)
+    for name in ("remark25", "onepoint01N"):
+        space = rl.builtin_space(name, n_max=20)
+        yield f"{name} n_max 20", rl.GroupSpec.trivial(space)
+    for name, params in (("line", {"step": 0.25, "window": (-2, 2)}), ("remark25", {"n_max": 40})):
+        closed = rl.builtin_space(name, **params)
+        matrix = rl.SampledSpace(name=f"{name} matrix", points=closed.points, dmat=closed.dmat,
+                                 exhaustion=closed.exhaustion, resolution=closed.resolution,
+                                 isolated=closed.isolated, metric_form={"form": "matrix"})
+        yield f"{name} matrix", rl.GroupSpec.trivial(matrix)
+
+
+def test_select_by_index_matches_the_ball_path_oracle():
+    # the picks, audit and refusals of the selection that blocks every
+    # pick's orbit by one ball query, on every metric kind, both paths taken
+    paths = set()
+    for label, group in _index_cases():
+        space = group.space
+        paths.add(space.metric.separation > 1e-9)
+        chosen, audit = select_dense_points(space, group)
+        assert (chosen, audit) == build_oracles.select_dense_points(space, group), label
+        for count in (1, len(chosen) // 2 + 1, len(chosen), len(chosen) + 1):
+            got = _outcome(select_dense_points, space, group, count)
+            assert got == _outcome(build_oracles.select_dense_points, space, group, count), (label, count)
+    assert paths == {True, False}
+
+
+def test_select_by_index_matches_the_oracle_on_the_fixture_configs(line_cfg, product_cfg, product_word_capped_cfg):
+    for cfg in (line_cfg, product_cfg, product_word_capped_cfg):
+        base, audit = build_oracles.select_dense_points(cfg.space, cfg.group)
+        assert (list(cfg.base_points), cfg.selection_audit) == (base, audit)
+
+
+def test_select_by_index_queries_no_ball_where_points_are_apart(line_space):
+    # the line's references are never blocked under the trivial group, so
+    # no step reads a distance; remark25's column is 2^-50 apart at its
+    # bottom, so there every pick's orbit is a ball query
+    G = rl.GroupSpec.trivial(line_space)
+    with mock.patch.object(type(line_space.metric), "ball", side_effect=AssertionError("ball query")):
+        chosen, _ = select_dense_points(line_space, G)
+    assert chosen == list(range(line_space.n))
+    remark = rl.builtin_space("remark25", n_max=50)
+    assert remark.metric.separation == 2.0 ** -50
+    with mock.patch.object(type(remark.metric), "ball", wraps=remark.metric.ball) as ball:
+        chosen, _ = select_dense_points(remark, rl.GroupSpec.trivial(remark))
+    assert ball.call_count >= len(chosen)

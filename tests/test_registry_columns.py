@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import renormlab as rl
 from renormlab.operators import WeightedComposition, onepoint_swap_group
+import build_oracles
 from key_oracles import canonical_keys, lookup_rows, set_class
 from renormlab import tuples
 from renormlab.tuples import (
@@ -431,3 +432,46 @@ def test_plan_weights_are_the_prefix_classes_of_each_key(name, request):
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_capped_plan_weights_are_the_prefix_classes_of_each_key(cap, word_cap_cfgs):
     _prefix_weights_hold(word_cap_cfgs[cap])
+
+
+# ----------------------------------------------------------------------
+# the array passes against the verifier that built one Window per window
+
+
+def test_verify_bmap_matches_the_by_window_oracle_on_every_config(product_cfg, product_word_capped_cfg,
+                                                                   line_cfg, product_depth5_cfg, word_cap_cfgs):
+    cfgs = {"product": product_cfg, "word capped": product_word_capped_cfg, "line": line_cfg,
+            "depth 5": product_depth5_cfg, **{f"cap {c}": cfg for c, cfg in word_cap_cfgs.items()}}
+    for name, cfg in cfgs.items():
+        for depth in (2, 3, 4, 5, 6):
+            report = verify_bmap(cfg.bc, depth, cfg.registry)
+            assert report == build_oracles.verify_bmap_by_window(cfg.bc, depth, cfg.registry), (name, depth)
+
+
+@pytest.mark.parametrize("name", ["product_cfg", "line_cfg"])
+def test_verify_bmap_matches_the_by_window_oracle_on_corrupted_registries(name, request):
+    cfg = request.getfixturevalue(name)
+    for label, reg in _corruptions(cfg):
+        report = verify_bmap(cfg.bc, cfg.depth, reg)
+        assert report == build_oracles.verify_bmap_by_window(cfg.bc, cfg.depth, reg), label
+        assert not report["ok"], label
+    # and on Python integers, where an exponent pair overflows int64 products
+    reg = copy.deepcopy(cfg.registry)
+    set_class(_info(reg, 3, 1), exponent=Fraction(9 * 2**40 - 1, 2**40))
+    with mock.patch.object(tuples, "_INT64_BOUND", 0):
+        report = verify_bmap(cfg.bc, cfg.depth, reg)
+    assert report == build_oracles.verify_bmap_by_window(cfg.bc, cfg.depth, reg)
+
+
+def test_verify_bmap_names_a_window_whose_code_does_not_match(product_cfg):
+    # a correct inverse never yields one, so a wrong start for m = 3, the
+    # window (1, 2), is patched in
+    real = tuples._windows
+
+    def wrong(ms):
+        starts, ns = real(ms)
+        return starts + (ms == 3), ns
+
+    with mock.patch.object(tuples, "_windows", wrong):
+        report = verify_bmap(product_cfg.bc, product_cfg.depth, product_cfg.registry)
+    assert report["violations"][0] == ("property2", "window Window(start=2, length=3) code mismatch")

@@ -1,4 +1,5 @@
 import copy
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from key_oracles import KEY_BLOCK, canonical_keys, lookup_rows, set_class
+from renormlab import tuples
 from renormlab.tuples import (
     ClassRegistry,
     TupleIndex,
@@ -440,3 +442,62 @@ def test_exceptional_classes_bounds():
     t = TupleIndex(1, (0, 0), (0, 1))
     with pytest.raises(ValueError):
         exceptional_classes(t, 2, 1, reg)
+
+
+# ----------------------------------------------------------------------
+# the array forms against their scalar rules
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("C", [1.1, 1.05, 1.001])
+def test_class_recips_are_bitwise_class_recip(C):
+    bc = tuples.choose_parameters(C)
+    rng = np.random.default_rng(57)
+    edge = 745.0 / math.log(bc.L)  # the underflow edge x ln L = 745
+    pairs = [(3 * m * o - 1, o) for m in range(1, 60) for o in range(1, 40)]
+    pairs += [(int(p), int(q)) for p, q in rng.integers(1, 2**31, size=(500, 2))]
+    big = 2**60  # p and q above 2^53: Python's division rounds once, a float division would twice
+    pairs += [(int(edge * big) + k, big) for k in range(-300, 300, 7)]
+    pairs += [(int(edge * 2**40) * 2**20 + k, 2**60 + 3) for k in range(-40, 40)]
+    pairs += [(2**53 + 1, 3), (2**64 + 1, 2**54 + 1), (10**30 + 7, 10**28 + 1)]
+    # exponents 2..200 from pairs above 2^54, where converting p and q to
+    # floats before dividing moves about a third of the weights
+    q_big = [int(q) + 2**54 for q in rng.integers(0, 2**54, size=300)]
+    pairs += [(q * int(k) + int(r) % q, q) for q, k, r in zip(q_big, rng.integers(2, 200, size=300),
+                                                             rng.integers(0, 2**62, size=300))]
+    pairs += [(q * math.floor(edge) + k, q) for q in (1, 7, 2**20) for k in range(-3 * q, 3 * q + 1, max(1, q // 4))]
+    p, q = map(list, zip(*pairs))
+    want = [bc.class_recip(a, b) for a, b in pairs]
+    assert _bits(bc.class_recips(p, q)) == _bits(want)
+    assert 0.0 in want and min(w for w in want if w) < 1e-300  # both sides of the edge
+    # the float form around the edge, ulp by ulp
+    x = np.array([edge])
+    for _ in range(40):
+        x = np.append(x, [np.nextafter(x[-1], 0), np.nextafter(x[0], np.inf)])
+    p, q = zip(*(v.as_integer_ratio() for v in x.tolist()))  # each float exactly, as p / q
+    assert _bits(bc.class_recips(np.array(p, dtype=object), np.array(q, dtype=object))) == \
+        _bits([bc.inv_L_pow(v) for v in x.tolist()])
+    assert _bits(bc.class_recips([], [])) == []
+
+
+def test_enumeration_tail_of_an_array_is_bitwise_the_scalar_tail():
+    bc = tuples.choose_parameters(1.1)
+    ms = np.array([1, 2, 3, 10, 70, 79, 80, 81, 82, 200, 10**6, 2**40], dtype=np.int64)
+    got = tuples.enumeration_tail(bc, ms)
+    assert _bits(got) == _bits([tuples.enumeration_tail(bc, int(m)) for m in ms])
+    assert got[0] > 0 and got[-1] == 0.0
+
+
+def test_windows_of_an_index_array_are_enumerate_window():
+    rng = np.random.default_rng(5)
+    ms = np.concatenate([np.arange(1, 20001), rng.integers(1, 2**50 - 1, size=20000)])
+    # the first and last index of rows near the float square root's limit
+    r = np.array([2**25 - 1, 2**25, 2**25 + 1, 47453132, 2**25 * 1.4], dtype=np.int64)
+    ms = np.concatenate([ms, r * (r - 1) // 2 + 1, r * (r + 1) // 2, r * (r + 1) // 2 - 1]).astype(np.int64)
+    assert (8 * ms + 1 < 2**53).all()
+    starts, ns = tuples._windows(ms)
+    want = [(w.start, w.n) for w in map(tuples.enumerate_window, ms.tolist())]
+    assert list(zip(starts.tolist(), ns.tolist())) == want
