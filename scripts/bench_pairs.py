@@ -15,6 +15,8 @@ unchanged, with ``PYTHONDONTWRITEBYTECODE=1``.
 same revision twice.  ``sizes`` appends fresh-process runs of the
 200,001-point line (``line_trivial`` at window [-1000, 1000], tasks
 ``build-config`` and ``verify-bmap``) with the time of each stage.
+``traced`` appends ``--trace 1`` runs of each side, alternating, with the
+per-layer metrics of the workload in seed order.
 """
 
 from __future__ import annotations
@@ -80,10 +82,11 @@ def checkout(rev: str, work: Path, side: str) -> tuple[str, Path]:
     return sha, where
 
 
-def bench(tree: Path, workload: str, seed: int) -> dict:
+def bench(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                           "--seconds", "30", "--trace", "0"], cwd=tree, env=env, capture_output=True, text=True)
+                           "--seconds", "30", "--trace", str(trace)], cwd=tree, env=env, capture_output=True,
+                          text=True)
     out = {"exit": proc.returncode}
     if proc.returncode == 0:
         last = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -182,6 +185,22 @@ def pairs(args, work: Path) -> dict:
             "seeds": [args.seed + i for i in range(args.pairs)], "summary": summary, "runs": runs}
 
 
+def traced(args, work: Path) -> dict:
+    (parent, a), (change, b) = checkout(args.parent, work, "parent"), checkout(args.change, work, "change")
+    metrics: dict = {}
+    for i in range(args.pairs):
+        for side, tree in ((("parent", a), ("change", b)) if i % 2 == 0 else (("change", b), ("parent", a))):
+            run = bench(tree, args.workload[0], args.seed + i, trace=1)
+            for name, value in run.get("metrics", {}).items():
+                metrics.setdefault(name, {"parent": [None] * args.pairs, "change": [None] * args.pairs})
+                metrics[name][side][i] = value
+            print(f"traced {i} {side}: exit {run['exit']}", file=sys.stderr)
+    return {"what": "per-layer self times (s) and counts from --trace 1 runs, one per side per seed, sides "
+                    "alternating; each list is in seed order",
+            "sides": {"parent": parent, "change": change}, "workload": args.workload[0],
+            "seeds": [args.seed + i for i in range(args.pairs)], "metrics": metrics}
+
+
 def sizes(args, work: Path) -> dict:
     (parent, a), (change, b) = checkout(args.parent, work, "parent"), checkout(args.change, work, "change")
     runs = []
@@ -197,30 +216,31 @@ def sizes(args, work: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("pairs", "sizes"):
+    for mode in ("pairs", "traced", "sizes"):
         p = sub.add_parser(mode)
         p.add_argument("--parent", required=True)
         p.add_argument("--change", required=True)
         p.add_argument("--out", type=Path, required=True)
         p.add_argument("--work", type=Path, default=None, help="where checkouts go (default: a temporary directory)")
-        if mode == "pairs":
+        if mode != "sizes":
             p.add_argument("--workload", nargs="+", required=True)
             p.add_argument("--pairs", type=int, required=True)
             p.add_argument("--seed", type=int, required=True)
+        if mode == "pairs":
             p.add_argument("--name", required=True)
             p.add_argument("--why", default="")
-        else:
+        if mode == "sizes":
             p.add_argument("--runs", type=int, required=True)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
-        result = pairs(args, work) if args.mode == "pairs" else sizes(args, work)
+        result = {"pairs": pairs, "traced": traced, "sizes": sizes}[args.mode](args, work)
     sides = result["sides"]
     doc = load(args.out, sides if sides["parent"] != sides["change"] else {})  # an A/A set names no change
     if args.mode == "pairs":
         doc["sets"].append(result)
     else:
-        doc.setdefault("size_runs", []).append(result)
+        doc.setdefault({"traced": "traced", "sizes": "size_runs"}[args.mode], []).append(result)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -682,7 +682,7 @@ class _Sorted(Metric):
 class _Line(_Sorted):
     """|x_i - x_j| on the grid x = lo + step * k of the window [lo, hi]."""
 
-    _turn = math.inf  # the length of a turn, which an arc wraps past: none
+    _turn = math.inf  # the length past which an arc wraps: none on a line
 
     def __init__(self, form: dict):
         step, window = form["step"], form["window"]

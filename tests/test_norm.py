@@ -1421,3 +1421,11 @@ def test_dual_suite_solves_each_tuple_once(line_cfg, monkeypatch):
         t = line_cfg.window_tuple([line_cfg.space.index(p) for p in e["tuple"]])
         betas = np.linspace(0.8, 1.0, 5)
         assert e["values"] == [dual_norm_atoms(t, np.full(len(e["tuple"]), b), line_cfg)[0] for b in betas]
+
+
+def test_lambda_row_is_lam_of_every_base_index(line_cfg, product_cfg, product_capped_cfg):
+    # read off the head table's first weight of each start, bitwise lam(i)
+    for cfg in (line_cfg, product_cfg, product_capped_cfg):
+        row = cfg._lambdas
+        assert row.tolist() == [cfg.lam(i) for i in range(1, cfg.base_count + 1)]
+        assert not row.flags.writeable
