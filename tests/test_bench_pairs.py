@@ -1,4 +1,4 @@
-"""The pair driver's summary rule on fixed inputs."""
+"""The summary rule of scripts/bench_pairs.py on fixed inputs."""
 
 import importlib.util
 from pathlib import Path
