@@ -73,11 +73,10 @@ def enumerate_window(m: int) -> Window:
 
 def _windows(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`enumerate_window`'s start and n of every index of an int64
-    array: r from one float square root and one correction step each way,
-    exact while 8m + 1 < 2^53."""
+    array, exact while 8m + 1 < 2^53: there the float square root reads r
+    or r - 1 (a square's root is exact), so one correction step follows."""
     r = ((np.sqrt(8 * ms + 1) - 1) // 2).astype(np.int64)
     r += r * (r + 1) // 2 < ms
-    r -= r * (r - 1) // 2 >= ms
     j = ms - r * (r - 1) // 2
     return r + 1 - j, j
 

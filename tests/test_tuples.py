@@ -473,13 +473,17 @@ def test_class_recips_are_bitwise_class_recip(C):
     want = [bc.class_recip(a, b) for a, b in pairs]
     assert _bits(bc.class_recips(p, q)) == _bits(want)
     assert 0.0 in want and min(w for w in want if w) < 1e-300  # both sides of the edge
-    # the float form around the edge, ulp by ulp
-    x = np.array([edge])
-    for _ in range(40):
-        x = np.append(x, [np.nextafter(x[-1], 0), np.nextafter(x[0], np.inf)])
-    p, q = zip(*(v.as_integer_ratio() for v in x.tolist()))  # each float exactly, as p / q
-    assert _bits(bc.class_recips(np.array(p, dtype=object), np.array(q, dtype=object))) == \
-        _bits([bc.inv_L_pow(v) for v in x.tolist()])
+    # the float form around the edge, 40 ulps each way
+    x = [edge]
+    for toward in (0.0, math.inf):
+        v = edge
+        for _ in range(40):
+            v = math.nextafter(v, toward)
+            x.append(v)
+    want = [bc.inv_L_pow(v) for v in x]
+    assert {w == 0.0 for w in want} == {True, False}
+    p, q = zip(*(v.as_integer_ratio() for v in x))  # each float exactly, as p / q
+    assert _bits(bc.class_recips(np.array(p, dtype=object), np.array(q, dtype=object))) == _bits(want)
     assert _bits(bc.class_recips([], [])) == []
 
 
